@@ -307,21 +307,18 @@ impl KernelRow {
         self.scalar_s / self.vector_s
     }
 
-    /// Modeled-schedule bytes over bound bytes; 0 when the bound
-    /// degenerates to 0 (shape fits in fast memory — no gap to speak of).
-    fn roofline_gap(&self) -> f64 {
-        if self.q_lower_bytes > 0.0 {
-            self.q_sched_bytes / self.q_lower_bytes
-        } else {
-            0.0
-        }
+    /// Modeled-schedule bytes over bound bytes; `None` when the bound
+    /// degenerates to 0 (shape fits in fast memory — no gap to speak
+    /// of, and a `0` would read as "on the roofline").
+    fn roofline_gap(&self) -> Option<f64> {
+        (self.q_lower_bytes > 0.0).then(|| self.q_sched_bytes / self.q_lower_bytes)
     }
 
     fn json_line(&self) -> String {
         format!(
             "{{\"row\":\"{}\",\"name\":\"{}\",\"algo\":\"{}\",\"shape\":\"{}\",\"threads\":{},\
              \"gflop\":{},\"scalar_gflops\":{},\"vector_gflops\":{},\"speedup\":{},\
-             \"q_lower_bytes\":{},\"q_sched_bytes\":{},\"roofline_gap\":{}}}",
+             \"q_lower_bytes\":{},\"q_sched_bytes\":{}{}}}",
             self.kind,
             iolb_records::jsonl::escape(&self.name),
             self.algo,
@@ -333,7 +330,7 @@ impl KernelRow {
             self.speedup(),
             self.q_lower_bytes,
             self.q_sched_bytes,
-            self.roofline_gap(),
+            self.roofline_gap().map_or(String::new(), |g| format!(",\"roofline_gap\":{g}")),
         )
     }
 }

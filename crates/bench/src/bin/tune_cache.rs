@@ -1037,17 +1037,30 @@ fn validate_bench_kernels(text: &str) -> Result<String, String> {
         }
         let q_lower = num("q_lower_bytes")?;
         let q_sched = num("q_sched_bytes")?;
-        let gap = num("roofline_gap")?;
         if q_sched + 1e-9 < q_lower {
             return Err(err(format!(
                 "modeled schedule moves fewer bytes ({q_sched}) than the bound ({q_lower})"
             )));
         }
-        if q_lower > 0.0 && (gap - q_sched / q_lower).abs() > 1e-6 * gap.max(1.0) {
+        // The gap is a ratio over the bound: where the bound is 0 (the
+        // shape fits in fast memory) there is none to report, and a
+        // written `0` would read as "on the roofline".
+        let has_gap = fields.iter().any(|(k, _)| k == "roofline_gap");
+        if has_gap != (q_lower > 0.0) {
             return Err(err(format!(
-                "roofline_gap {gap} inconsistent with q_sched/q_lower {}",
-                q_sched / q_lower
+                "roofline_gap must be present exactly when q_lower_bytes > 0 \
+                 (q_lower_bytes {q_lower}, roofline_gap {})",
+                if has_gap { "present" } else { "absent" }
             )));
+        }
+        if has_gap {
+            let gap = num("roofline_gap")?;
+            if (gap - q_sched / q_lower).abs() > 1e-6 * gap.max(1.0) {
+                return Err(err(format!(
+                    "roofline_gap {gap} inconsistent with q_sched/q_lower {}",
+                    q_sched / q_lower
+                )));
+            }
         }
         if kind == "gemm" {
             gemm_rows += 1;

@@ -21,7 +21,8 @@ fn check_bench(path: &PathBuf) -> Output {
 }
 
 /// A minimal well-formed kernels artifact (header + one GEMM row + one
-/// conv row) with internally consistent speedup and roofline fields.
+/// conv row) with internally consistent speedup and roofline fields;
+/// the conv row's bound is 0, so it carries no `roofline_gap`.
 fn valid_kernels_text() -> String {
     concat!(
         "{\"schema\":\"iolb-bench-kernels\",\"v\":1,\"sizes\":\"64\",\"networks\":\"alexnet\",",
@@ -31,8 +32,7 @@ fn valid_kernels_text() -> String {
         "\"q_lower_bytes\":1000.0,\"q_sched_bytes\":4000.0,\"roofline_gap\":4.0}\n",
         "{\"row\":\"conv\",\"name\":\"alexnet/conv1\",\"algo\":\"im2col\",",
         "\"shape\":\"3x227x227->96 11x11/4+0\",\"gflop\":0.21,\"scalar_gflops\":4.0,",
-        "\"vector_gflops\":8.0,\"speedup\":2.0,\"q_lower_bytes\":0,\"q_sched_bytes\":500.0,",
-        "\"roofline_gap\":0}\n",
+        "\"vector_gflops\":8.0,\"speedup\":2.0,\"q_lower_bytes\":0,\"q_sched_bytes\":500.0}\n",
     )
     .to_string()
 }
@@ -110,6 +110,24 @@ fn rejects_schedule_below_bound() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("fewer bytes"), "unexpected stderr: {stderr}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn rejects_roofline_gap_on_a_zero_bound_and_its_absence_on_a_positive_one() {
+    let path = temp_file("gap-presence");
+    for text in [
+        valid_kernels_text()
+            .replace("\"q_sched_bytes\":500.0}", "\"q_sched_bytes\":500.0,\"roofline_gap\":0}"),
+        valid_kernels_text().replace(",\"roofline_gap\":4.0", ""),
+    ] {
+        assert_ne!(text, valid_kernels_text());
+        std::fs::write(&path, text).unwrap();
+        let out = check_bench(&path);
+        assert!(!out.status.success());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("present exactly when"), "unexpected stderr: {stderr}");
+    }
     let _ = std::fs::remove_file(&path);
 }
 

@@ -9,12 +9,25 @@
 //! against `iolb_tensor::conv_ref`.
 //!
 //! Both executors honour the `IOLB_KERNEL=scalar|vector` switch (see
-//! [`KernelPath`]): the vector variants restructure only *how* the same
-//! per-element folds are computed (row-wise accumulators, hoisted kernel
-//! transforms, flat scratch), never the order of terms within one output
-//! element — so the two paths are bit-identical, like the rest of the
-//! compute substrate.
-
+//! [`KernelPath`]). The vector variants change only *which* independent
+//! per-element folds run side by side, never the order of terms within
+//! one output element, so the two paths are bit-identical, like the rest
+//! of the compute substrate:
+//!
+//! * **direct** — the resident tile is kept z-minor and a register tile
+//!   of 4 output pixels x 16/8/4/1 output *channels* holds each element's
+//!   `sum` through the `(dy, dx)`-ascending tap fold (input tap
+//!   broadcast, weights repacked z-minor once per block-channel group so
+//!   a stage's weights are one contiguous copy), followed by the one
+//!   `acc += sum` the scalar path does; the tile is transposed back to
+//!   `(zc, oy, ox)` for the write-back;
+//! * **Winograd** — `J = G g G^T` hoisted per `(ci, zc)` and every
+//!   product through `matmul_flat` into flat scratch.
+//!
+//! Both inner stages live in `micro.rs`, compiled once per
+//! [`iolb_tensor::kernel::Isa`] tier; packing and the transposition sit
+//! *outside* the staging structure above — per stage it is still one
+//! input stage in, one weight stage in, one update of the resident tile.
 //!
 //! Fused conv→epilogue chains run through [`execute_direct_fused`] /
 //! [`execute_winograd_fused`]: the epilogue (ReLU, ReLU + non-overlapping
@@ -25,6 +38,7 @@
 //! because both sides share the same per-element expressions.
 
 use crate::config::ScheduleConfig;
+use crate::micro;
 use iolb_core::epilogue::Epilogue;
 use iolb_core::shapes::{ConvShape, WinogradTile};
 use iolb_tensor::conv_ref::ConvParams;
@@ -137,21 +151,30 @@ fn execute_direct_impl(
     let cursor = std::sync::atomic::AtomicUsize::new(0);
     let workers = workers.max(1).min(total_blocks.max(1));
 
+    let pts = micro::point_offsets(cfg.x, cfg.y, shape.stride, yp);
+    let taps = shape.kh * shape.kw;
+
     rayon::scope(|scope| {
         for _ in 0..workers {
             let cursor = &cursor;
             let shape = &shape;
             let out_ptr = &out_ptr;
+            let pts = &pts;
             scope.spawn(move |_| {
                 // "Shared memory" of this worker: resident output tile +
                 // one input stage + one weight stage.
                 let mut acc = vec![0.0f32; cfg.x * cfg.y * cfg.z];
                 let mut stage_in = vec![0.0f32; xp * yp];
-                let mut stage_w = vec![0.0f32; shape.kh * shape.kw * cfg.z];
-                // Vector path: one output row of partial sums per
-                // (zc, oy), accumulated with the kernel tap broadcast
-                // over the `ox` lanes.
-                let mut tmp_row = vec![0.0f32; cfg.y];
+                let mut stage_w = vec![0.0f32; taps * cfg.z];
+                // Vector path only (untouched, so never resident, on the
+                // scalar path). The kernels of block-channel group
+                // `packed`, repacked z-minor: blocks come `bc`-major, so
+                // a worker repacks once per group it meets, not per
+                // block, and holds one group, not the whole tensor. And
+                // the resident tile in write-back order.
+                let mut w_pack = vec![0.0f32; shape.cin * taps * cfg.z];
+                let mut packed = None;
+                let mut tile = vec![0.0f32; acc.len()];
                 loop {
                     let b = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if b >= total_blocks {
@@ -166,31 +189,31 @@ fn execute_direct_impl(
                     let oy0 = bh * cfg.x;
                     let ox0 = bw * cfg.y;
                     let oc0 = bc * cfg.z;
+                    if path == KernelPath::Vector && packed != Some(bc) {
+                        micro::pack_weights_z_minor(weights, oc0, cfg.z, &mut w_pack);
+                        packed = Some(bc);
+                    }
 
                     acc.fill(0.0);
                     // Channel-sliding stages (alpha = 1, §5.2).
                     for ci in 0..shape.cin {
                         // Stage-load the x' * y' input tile (halo included,
                         // zero padding at the borders).
-                        for ty in 0..xp {
-                            for tx in 0..yp {
-                                let iy = (oy0 * shape.stride + ty) as isize - shape.pad as isize;
-                                let ix = (ox0 * shape.stride + tx) as isize - shape.pad as isize;
-                                stage_in[ty * yp + tx] = input.at_padded(n, ci, iy, ix);
-                            }
-                        }
-                        // Stage-load the z kernel slices at channel ci.
-                        for zc in 0..cfg.z {
-                            for dy in 0..shape.kh {
-                                for dx in 0..shape.kw {
-                                    stage_w[(zc * shape.kh + dy) * shape.kw + dx] =
-                                        weights.at(oc0 + zc, ci, dy, dx);
-                                }
-                            }
-                        }
-                        // Partial-sum update of the resident tile.
+                        micro::stage_rows(
+                            input,
+                            n,
+                            ci,
+                            (oy0 * shape.stride) as isize - shape.pad as isize,
+                            (ox0 * shape.stride) as isize - shape.pad as isize,
+                            xp,
+                            yp,
+                            &mut stage_in,
+                        );
+                        // Stage-load the z kernel slices at channel ci,
+                        // then the partial-sum update of the resident tile.
                         match path {
                             KernelPath::Scalar => {
+                                micro::stage_kernels(weights, oc0, ci, cfg.z, &mut stage_w);
                                 for zc in 0..cfg.z {
                                     for oy in 0..cfg.x {
                                         for ox in 0..cfg.y {
@@ -208,50 +231,36 @@ fn execute_direct_impl(
                                     }
                                 }
                             }
-                            // Same folds, rotated: `tmp_row[ox]` runs the
-                            // scalar `sum` fold ((dy, dx) ascending) for a
-                            // whole output row at once — each `ox` lane is
-                            // an independent element, the tap is broadcast,
-                            // and the loads are unit-stride when stride=1.
-                            // One `acc += tmp_row` add per element after
-                            // the fold, exactly like the scalar `+= sum`.
+                            // Same folds, output channels on the lanes:
+                            // the tile is kept z-minor and the weight
+                            // stage is one contiguous slice of the pack.
                             KernelPath::Vector => {
-                                for zc in 0..cfg.z {
-                                    for oy in 0..cfg.x {
-                                        tmp_row.fill(0.0);
-                                        for dy in 0..shape.kh {
-                                            let row = (oy * shape.stride + dy) * yp;
-                                            let wrow = (zc * shape.kh + dy) * shape.kw;
-                                            for dx in 0..shape.kw {
-                                                let w = stage_w[wrow + dx];
-                                                if shape.stride == 1 {
-                                                    let in_row = &stage_in[row + dx..][..cfg.y];
-                                                    for (t, &v) in tmp_row.iter_mut().zip(in_row) {
-                                                        *t += v * w;
-                                                    }
-                                                } else {
-                                                    for (ox, t) in tmp_row.iter_mut().enumerate() {
-                                                        *t += stage_in
-                                                            [row + ox * shape.stride + dx]
-                                                            * w;
-                                                    }
-                                                }
-                                            }
-                                        }
-                                        let acc_row =
-                                            &mut acc[(zc * cfg.x + oy) * cfg.y..][..cfg.y];
-                                        for (a, &t) in acc_row.iter_mut().zip(&tmp_row) {
-                                            *a += t;
-                                        }
-                                    }
-                                }
+                                stage_w
+                                    .copy_from_slice(&w_pack[ci * taps * cfg.z..][..taps * cfg.z]);
+                                let stage = micro::DirectStage {
+                                    stage_in: &stage_in,
+                                    stage_w: &stage_w,
+                                    pts,
+                                    z: cfg.z,
+                                    kh: shape.kh,
+                                    kw: shape.kw,
+                                    yp,
+                                };
+                                micro::fold_stage(&mut acc, stage);
                             }
                         }
                     }
                     // Epilogue on the resident tile, then the single
                     // write-back.
+                    let resident = match path {
+                        KernelPath::Scalar => &acc,
+                        KernelPath::Vector => {
+                            micro::transpose_tile(&acc, cfg.z, &mut tile);
+                            &tile
+                        }
+                    };
                     write_back_with_epilogue(
-                        &acc, epilogue, out_ptr, image_len, out_h, out_w, n, oc0, oy0, ox0, cfg,
+                        resident, epilogue, out_ptr, image_len, out_h, out_w, n, oc0, oy0, ox0, cfg,
                     );
                 }
             });
@@ -446,11 +455,10 @@ fn execute_winograd_impl(
 
     let t = generate(tile.e, tile.r);
     let a = tile.a();
-    // Transposes hoisted for the vector path (pure permutations; the
-    // scalar path recomputes them per tile, bit-identically).
-    let bt_t = t.bt.t();
+    // Transpose hoisted for the vector path's output transform (a pure
+    // permutation; the scalar path recomputes it per tile,
+    // bit-identically).
     let at_t = t.at.t();
-    let g_t = t.g.t();
     let blocks_h = hout / cfg.x;
     let blocks_w = wout / cfg.y;
     let blocks_c = shape.cout / cfg.z;
@@ -462,6 +470,7 @@ fn execute_winograd_impl(
     let (out_h, out_w) = epilogue_out_dims(epilogue, hout, wout);
     let mut out = Tensor4::zeros(shape.batch, shape.cout, out_h, out_w);
     let image_len = shape.cout * out_h * out_w;
+    let (xp, yp) = crate::direct::halo(&shape, cfg.x, cfg.y);
     let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
     let cursor = std::sync::atomic::AtomicUsize::new(0);
     let workers = workers.max(1).min(total_blocks.max(1));
@@ -472,19 +481,19 @@ fn execute_winograd_impl(
             let shape = &shape;
             let out_ptr = &out_ptr;
             let t = &t;
-            let (bt_t, at_t, g_t) = (&bt_t, &at_t, &g_t);
+            let at_t = &at_t;
             scope.spawn(move |_| {
                 // Two temporary arrays per in-flight (tile, zc): the
                 // running Pi sums for the whole sub-block.
                 let mut pi = vec![Mat::zeros(a, a); tiles_h * tiles_w * cfg.z];
+                // One x' * y' input stage + the stage's z kernel slices.
+                let mut stage_in = vec![0.0f32; xp * yp];
+                let mut stage_w = vec![0.0f32; cfg.z * tile.r * tile.r];
                 let mut patch = Mat::zeros(a, a);
                 let mut g = Mat::zeros(tile.r, tile.r);
                 // Flat scratch for the vector path.
-                let aa = a * a;
                 let (e, r) = (tile.e, tile.r);
-                let mut mm_tmp = vec![0.0f64; aa];
-                let mut p_flat = vec![0.0f64; aa];
-                let mut j_all = vec![0.0f64; cfg.z * aa];
+                let mut scratch = micro::WinogradScratch::new(t, cfg.z);
                 let mut y_tmp = vec![0.0f64; e * a];
                 let mut y_flat = vec![0.0f64; e * e];
                 // Block-resident output tile: the inverse-transformed
@@ -510,33 +519,41 @@ fn execute_winograd_impl(
                         m.data.fill(0.0);
                     }
                     // Channel-sliding stages.
-                    match path {
-                        KernelPath::Scalar => {
-                            for ci in 0..shape.cin {
+                    for ci in 0..shape.cin {
+                        // Stage-load the block's input tile (halo
+                        // included, zero padding at the borders) and
+                        // the z kernel slices at channel ci.
+                        micro::stage_rows(
+                            input,
+                            n,
+                            ci,
+                            oy0 as isize - shape.pad as isize,
+                            ox0 as isize - shape.pad as isize,
+                            xp,
+                            yp,
+                            &mut stage_in,
+                        );
+                        micro::stage_kernels(weights, oc0, ci, cfg.z, &mut stage_w);
+                        match path {
+                            KernelPath::Scalar => {
                                 for th in 0..tiles_h {
                                     for tw in 0..tiles_w {
-                                        // Load and transform the (a x a) patch
-                                        // once per (tile, channel); reuse
-                                        // across all z.
-                                        let py = (oy0 + th * tile.e) as isize - shape.pad as isize;
-                                        let px = (ox0 + tw * tile.e) as isize - shape.pad as isize;
+                                        // Transform the (a x a) patch once
+                                        // per (tile, channel); reuse across
+                                        // all z.
                                         for dy in 0..a {
                                             for dx in 0..a {
-                                                *patch.at_mut(dy, dx) = input.at_padded(
-                                                    n,
-                                                    ci,
-                                                    py + dy as isize,
-                                                    px + dx as isize,
-                                                )
+                                                *patch.at_mut(dy, dx) = stage_in
+                                                    [(th * e + dy) * yp + tw * e + dx]
                                                     as f64;
                                             }
                                         }
                                         let p = t.bt.matmul(&patch).matmul(&t.bt.t());
                                         for zc in 0..cfg.z {
-                                            for dy in 0..tile.r {
-                                                for dx in 0..tile.r {
+                                            for dy in 0..r {
+                                                for dx in 0..r {
                                                     *g.at_mut(dy, dx) =
-                                                        weights.at(oc0 + zc, ci, dy, dx) as f64;
+                                                        stage_w[(zc * r + dy) * r + dx] as f64;
                                                 }
                                             }
                                             let j = t.g.matmul(&g).matmul(&t.g.t());
@@ -548,62 +565,22 @@ fn execute_winograd_impl(
                                     }
                                 }
                             }
-                        }
-                        // Same folds through [`matmul_flat`] (which keeps
-                        // `Mat::matmul`'s exact term order): `J = G g G^T`
-                        // is hoisted per (ci, zc) — the scalar path
-                        // recomputes those identical bits once per tile —
-                        // and all products land in preallocated flat
-                        // scratch instead of fresh `Mat`s.
-                        KernelPath::Vector => {
-                            for ci in 0..shape.cin {
-                                for zc in 0..cfg.z {
-                                    for dy in 0..r {
-                                        for dx in 0..r {
-                                            g.data[dy * r + dx] =
-                                                weights.at(oc0 + zc, ci, dy, dx) as f64;
-                                        }
-                                    }
-                                    matmul_flat(&t.g.data, &g.data, &mut mm_tmp[..a * r], a, r, r);
-                                    matmul_flat(
-                                        &mm_tmp[..a * r],
-                                        &g_t.data,
-                                        &mut j_all[zc * aa..(zc + 1) * aa],
-                                        a,
-                                        r,
-                                        a,
-                                    );
-                                }
-                                for th in 0..tiles_h {
-                                    for tw in 0..tiles_w {
-                                        let py = (oy0 + th * e) as isize - shape.pad as isize;
-                                        let px = (ox0 + tw * e) as isize - shape.pad as isize;
-                                        for dy in 0..a {
-                                            for dx in 0..a {
-                                                patch.data[dy * a + dx] = input.at_padded(
-                                                    n,
-                                                    ci,
-                                                    py + dy as isize,
-                                                    px + dx as isize,
-                                                )
-                                                    as f64;
-                                            }
-                                        }
-                                        matmul_flat(&t.bt.data, &patch.data, &mut mm_tmp, a, a, a);
-                                        matmul_flat(&mm_tmp, &bt_t.data, &mut p_flat, a, a, a);
-                                        for zc in 0..cfg.z {
-                                            let j = &j_all[zc * aa..][..aa];
-                                            let dst =
-                                                &mut pi[(th * tiles_w + tw) * cfg.z + zc].data;
-                                            for (o, (&pv, &jv)) in
-                                                dst.iter_mut().zip(p_flat.iter().zip(j.iter()))
-                                            {
-                                                *o += pv * jv;
-                                            }
-                                        }
-                                    }
-                                }
-                            }
+                            // Same folds through `matmul_flat` (which
+                            // keeps `Mat::matmul`'s exact term order):
+                            // `J = G g G^T` is hoisted per (ci, zc) —
+                            // the scalar path recomputes those identical
+                            // bits once per tile — and all products land
+                            // in preallocated flat scratch instead of
+                            // fresh `Mat`s.
+                            KernelPath::Vector => micro::winograd_stage(
+                                &mut pi,
+                                &stage_in,
+                                &stage_w,
+                                t,
+                                &mut scratch,
+                                tiles_w,
+                                yp,
+                            ),
                         }
                     }
                     // Output transform into the block-resident tile
@@ -773,6 +750,19 @@ mod tests {
             let vb: Vec<u32> = v.as_slice().iter().map(|f| f.to_bits()).collect();
             assert_eq!(sb, vb, "stride {}", params.stride);
         }
+    }
+
+    /// ResNet-18 `layer4.rest` on the config the tuner serves for it: a
+    /// `7 x 1` tile, so the lanes must come from `z`, not from `y`.
+    #[test]
+    fn direct_exec_single_column_tile_matches_reference() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let input = Tensor4::random(1, 512, 7, 7, &mut rng);
+        let weights = Tensor4::random(512, 512, 3, 3, &mut rng);
+        let params = ConvParams::new(1, 1); // 7x7 out
+        let want = conv2d_reference(&input, &weights, params);
+        let got = execute_direct(&input, &weights, params, &cfg(7, 1, 32), 1);
+        assert!(got.approx_eq(&want, 1e-4, 1e-4), "diff {}", got.max_abs_diff(&want));
     }
 
     #[test]

@@ -36,6 +36,7 @@ pub mod baselines;
 pub mod config;
 pub mod direct;
 pub mod exec;
+mod micro;
 pub mod winograd;
 
 pub use analysis::{analyze_direct, analyze_winograd, OptimalityReport};

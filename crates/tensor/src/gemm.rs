@@ -9,7 +9,7 @@
 //! * **vector** — a 6-row micro-tile with fixed-width `[f32; LANES]`
 //!   lane accumulators and unrolled K-steps, written so the
 //!   autovectorizer must keep each output element in a SIMD lane. On
-//!   `x86_64` the same body is dispatched (runtime feature detection)
+//!   `x86_64` the same body is dispatched (by [`Isa::detect`])
 //!   to a `6x32` clone compiled with 512-bit vectors when AVX-512F is
 //!   present, else a `6x16` AVX2 clone, else the `6x16` baseline
 //!   build; no FMA — fused multiply-add would change rounding.
@@ -23,7 +23,7 @@
 //! result is bit-identical to the serial computation regardless of
 //! thread count.
 
-use crate::kernel::KernelPath;
+use crate::kernel::{Isa, KernelPath};
 use rayon::prelude::*;
 
 /// Row-major matrix view: `rows x cols`, leading dimension = `cols`.
@@ -85,6 +85,28 @@ impl<F: Fn(&[f32], &[f32], usize, &mut [f32], usize, usize, usize, usize) + Sync
 {
 }
 
+/// `$driver::<MR, NR, _>($args.., &micro_kernel)` with the micro-tile
+/// and micro-kernel of `$path`; the vector path takes the widest clone
+/// [`Isa::detect`] allows.
+macro_rules! dispatch_micro {
+    ($path:expr, $driver:ident($($arg:expr),*)) => {
+        match ($path, Isa::detect()) {
+            (KernelPath::Scalar, _) => $driver::<MR, NR, _>($($arg,)* &micro_kernel),
+            #[cfg(target_arch = "x86_64")]
+            (KernelPath::Vector, Isa::Avx512) => {
+                $driver::<MR_V, NR_V512, _>($($arg,)* &vector_micro_avx512())
+            }
+            #[cfg(target_arch = "x86_64")]
+            (KernelPath::Vector, Isa::Avx2) => {
+                $driver::<MR_V, NR_V, _>($($arg,)* &vector_micro_avx2())
+            }
+            (KernelPath::Vector, _) => {
+                $driver::<MR_V, NR_V, _>($($arg,)* &micro_kernel_vector_portable)
+            }
+        }
+    };
+}
+
 /// Single-threaded blocked GEMM: `c += a * b`, on the path selected by
 /// `IOLB_KERNEL` (see [`KernelPath::from_env`]).
 ///
@@ -95,21 +117,7 @@ pub fn gemm_acc(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
 
 /// [`gemm_acc`] with an explicit kernel path (tests diff the two).
 pub fn gemm_acc_with_path(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], path: KernelPath) {
-    match path {
-        KernelPath::Scalar => gemm_acc_driver::<MR, NR, _>(a, b, c, &micro_kernel),
-        KernelPath::Vector => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if std::arch::is_x86_feature_detected!("avx512f") {
-                    return gemm_acc_driver::<MR_V, NR_V512, _>(a, b, c, &vector_micro_avx512());
-                }
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    return gemm_acc_driver::<MR_V, NR_V, _>(a, b, c, &vector_micro_avx2());
-                }
-            }
-            gemm_acc_driver::<MR_V, NR_V, _>(a, b, c, &micro_kernel_vector_portable)
-        }
-    }
+    dispatch_micro!(path, gemm_acc_driver(a, b, c));
 }
 
 fn gemm_acc_driver<const MRP: usize, const NRP: usize, F: MicroKernel>(
@@ -435,13 +443,12 @@ unsafe fn micro_kernel_vector_avx512(
     micro_kernel_vector_body::<LANES512, NR_V512>(a_panel, b_panel, kc, c, c_off, ldc, mr, nr);
 }
 
-/// Safe shim over the AVX2 kernel. Callers must have checked
-/// `is_x86_feature_detected!("avx2")` — both dispatch sites do, right
-/// before taking this.
+/// Safe shim over the AVX2 kernel. Callers must hold [`Isa::Avx2`] or
+/// wider from [`Isa::detect`] — `dispatch_micro!`, the only caller, does.
 #[cfg(target_arch = "x86_64")]
 fn vector_micro_avx2() -> impl MicroKernel {
     |a: &[f32], b: &[f32], kc: usize, c: &mut [f32], off: usize, ldc: usize, mr: usize, nr: usize|
-        // SAFETY: guarded by the runtime AVX2 detection at the dispatch site.
+        // SAFETY: `dispatch_micro!` takes this only on a detected `Isa::Avx2`.
         unsafe { micro_kernel_vector_avx2(a, b, kc, c, off, ldc, mr, nr) }
 }
 
@@ -449,7 +456,7 @@ fn vector_micro_avx2() -> impl MicroKernel {
 #[cfg(target_arch = "x86_64")]
 fn vector_micro_avx512() -> impl MicroKernel {
     |a: &[f32], b: &[f32], kc: usize, c: &mut [f32], off: usize, ldc: usize, mr: usize, nr: usize|
-        // SAFETY: guarded by the runtime AVX-512F detection at the dispatch site.
+        // SAFETY: `dispatch_micro!` takes this only on a detected `Isa::Avx512`.
         unsafe { micro_kernel_vector_avx512(a, b, kc, c, off, ldc, mr, nr) }
 }
 
@@ -485,33 +492,7 @@ pub fn gemm_with_path(
         gemm_acc_with_path(a, b, c, path);
         return;
     }
-    match path {
-        KernelPath::Scalar => gemm_par_driver::<MR, NR, _>(a, b, c, threads, &micro_kernel),
-        KernelPath::Vector => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if std::arch::is_x86_feature_detected!("avx512f") {
-                    return gemm_par_driver::<MR_V, NR_V512, _>(
-                        a,
-                        b,
-                        c,
-                        threads,
-                        &vector_micro_avx512(),
-                    );
-                }
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    return gemm_par_driver::<MR_V, NR_V, _>(
-                        a,
-                        b,
-                        c,
-                        threads,
-                        &vector_micro_avx2(),
-                    );
-                }
-            }
-            gemm_par_driver::<MR_V, NR_V, _>(a, b, c, threads, &micro_kernel_vector_portable)
-        }
-    }
+    dispatch_micro!(path, gemm_par_driver(a, b, c, threads));
 }
 
 fn gemm_par_driver<const MRP: usize, const NRP: usize, F: MicroKernel>(

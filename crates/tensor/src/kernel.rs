@@ -15,6 +15,9 @@
 //! and the `tune-bench kernels` sweep run both paths and diff them, and
 //! an operator can pin `IOLB_KERNEL=scalar` to rule the vector tier out
 //! when bisecting a numerical surprise.
+//!
+//! Which instruction set the vector path's bodies are *compiled for* is
+//! a separate, run-time question answered in one place: [`Isa::detect`].
 
 /// Which compute-kernel implementation the tensor crate runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,6 +62,40 @@ impl KernelPath {
             Self::Scalar => "scalar",
             Self::Vector => "vector",
         }
+    }
+}
+
+/// The widest vector instruction set the running CPU offers to the
+/// vector-path kernels. Each kernel compiles one `#[inline(always)]`
+/// body into `#[target_feature]` clones and picks the clone by this
+/// tier; a wider tier only puts more *independent* element folds into
+/// one instruction (and never enables FMA), so every tier produces the
+/// same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Isa {
+    /// The build's baseline features — the only tier off `x86_64`.
+    Portable,
+    /// 256-bit vectors (`avx2`).
+    Avx2,
+    /// 512-bit vectors (`avx512f`).
+    Avx512,
+}
+
+impl Isa {
+    /// Run-time detection. [`Isa::Avx2`] and [`Isa::Avx512`] are
+    /// returned only when the CPU reports the feature — the fact every
+    /// `unsafe` call into a `#[target_feature]` clone cites.
+    pub fn detect() -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                return Self::Avx512;
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                return Self::Avx2;
+            }
+        }
+        Self::Portable
     }
 }
 

@@ -115,6 +115,11 @@ impl Mat {
 /// axpy over the output row: independent element folds side by side,
 /// the shape the autovectorizer maps onto SIMD lanes. This is the
 /// allocation-free substrate of the vectorized Winograd paths.
+///
+/// `#[inline(always)]` so a caller compiled for a wider instruction set
+/// (an [`Isa`](crate::kernel::Isa) clone) gets this loop nest compiled
+/// for it too, not a call into the baseline build.
+#[inline(always)]
 pub fn matmul_flat(lhs: &[f64], rhs: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
     debug_assert_eq!(lhs.len(), m * k);
     debug_assert_eq!(rhs.len(), k * n);

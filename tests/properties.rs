@@ -2,14 +2,16 @@
 //! hold for *arbitrary* convolution shapes and schedules, not just the
 //! hand-picked ones.
 
+use conv_iolb::core::epilogue::Epilogue;
 use conv_iolb::core::optimality::{best_tile, divisors, padded_out, TileKind};
 use conv_iolb::core::shapes::{ConvShape, WinogradTile};
 use conv_iolb::core::{direct, winograd};
 use conv_iolb::dataflow::config::ScheduleConfig;
-use conv_iolb::dataflow::exec::{execute_direct, execute_winograd};
+use conv_iolb::dataflow::exec::{execute_direct, execute_direct_fused_with_path, execute_winograd};
 use conv_iolb::gpusim::TileAccess;
 use conv_iolb::tensor::conv_ref::{conv2d_reference, ConvParams};
 use conv_iolb::tensor::im2col::conv2d_im2col;
+use conv_iolb::tensor::kernel::KernelPath;
 use conv_iolb::tensor::layout::Layout;
 use conv_iolb::tensor::tensor::Tensor4;
 use conv_iolb::tensor::winograd_conv::conv2d_winograd;
@@ -200,5 +202,63 @@ proptest! {
         let shape = ConvShape::new(cin, hw, hw, cout, k, k, 1, 0);
         let dag = conv_iolb::pebble::conv_dag::direct_conv_dag(&shape);
         prop_assert_eq!(dag.computed_count(), direct::vertex_count(&shape));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The direct executor's channel-lane micro-kernel equals its scalar
+    /// arm **bit for bit**: over tiles with `y = 1` and fewer than four
+    /// points, every lane-cascade width of `z` plus tails, stride 2,
+    /// pad 0/1/3, `kh != kw`, non-CHW tensors, all three epilogues and
+    /// one or three workers.
+    #[test]
+    fn direct_vector_path_bit_identical_to_scalar(
+        channels in (0usize..7, 1usize..=2, 1usize..=3, 1usize..=2),
+        extents in (4usize..=9, 4usize..=9, 1usize..=3, 1usize..=3),
+        stride_pad in (1usize..=2, 0usize..3),
+        tile in (0usize..4, 0usize..4),
+        layouts in (0usize..3, 0usize..3),
+        epilogue_workers in (0usize..3, 0usize..2),
+        seed in 0u64..1000,
+    ) {
+        let (zi, groups, cin, batch) = channels;
+        let (hin, win, kh, kw) = extents;
+        let (stride, pad_i) = stride_pad;
+        let (xi, yi) = tile;
+        let (in_layout, w_layout) = layouts;
+        let (epilogue_i, workers_i) = epilogue_workers;
+        let z = [1usize, 3, 4, 8, 12, 20, 36][zi];
+        let params = ConvParams::new(stride, [0usize, 1, 3][pad_i]);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let input =
+            Tensor4::random(batch, cin, hin, win, &mut rng).to_layout(Layout::ALL[in_layout]);
+        let weights =
+            Tensor4::random(z * groups, cin, kh, kw, &mut rng).to_layout(Layout::ALL[w_layout]);
+        let shape = conv_iolb::dataflow::exec::shape_of(&input, &weights, params);
+        let pick = |n: usize, i: usize| { let d = divisors(n); d[i % d.len()] };
+        let (x, y) = (pick(shape.hout(), xi), pick(shape.wout(), yi));
+        let cfg = ScheduleConfig {
+            x, y, z, nxt: 1, nyt: 1, nzt: 1, sb_bytes: 48 * 1024, layout: Layout::Chw,
+        };
+        // A pool window must tile the block: the largest one that does.
+        let k = divisors(x).into_iter().filter(|k| y % k == 0).max().unwrap_or(1);
+        let epilogue = match epilogue_i {
+            0 => Epilogue::None,
+            2 if k > 1 => Epilogue::ReluPool { k },
+            _ => Epilogue::Relu,
+        };
+        let run = |path| {
+            let workers = [1, 3][workers_i];
+            execute_direct_fused_with_path(&input, &weights, params, &cfg, workers, path, epilogue)
+        };
+        let bits = |t: Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(
+            bits(run(KernelPath::Scalar)),
+            bits(run(KernelPath::Vector)),
+            "{:?} x{} y{} z{} {}",
+            shape, x, y, z, epilogue
+        );
     }
 }
