@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Docs drift gate: the normative values cited in docs/PROTOCOL.md must
 # match crates/service/src/wire.rs — the wire version, the frame cap,
-# and the WireError taxonomy. Grep-level on purpose: the doc must cite
-# the *literal* values an operator would see on the wire.
+# and the WireError taxonomy — and the metric reference in
+# docs/OPERATIONS.md must match the service's one counter table.
+# Grep-level on purpose: the docs must cite the *literal* values an
+# operator would see on the wire and on the scrape page.
 set -euo pipefail
 
 WIRE=crates/service/src/wire.rs
@@ -58,8 +60,30 @@ while read -r prop; do
 done < <(grep -oE '`[a-z_]+_(round_trip|rejected|panic[a-z_]*|rejected_[a-z_]+)[a-z_]*`' "$DOC" \
   | tr -d '\`' | sort -u)
 
+# The service counters are declared once, in the service_counters!
+# table; docs/OPERATIONS.md §5.2 must list every name in it, and must not
+# list a service/speculation counter the table does not declare.
+SERVICE=crates/service/src/service.rs
+OPS=docs/OPERATIONS.md
+table=$(awk '/^service_counters! \{/,/^\}/' "$SERVICE" \
+  | grep -oE '= "iolb_[a-z_]+"' | grep -oE 'iolb_[a-z_]+' | sort -u)
+[ -n "$table" ] || { echo "cannot extract the service_counters! table from $SERVICE"; exit 1; }
+reference=$(awk '/^### 5\.2 /,/^### 5\.3 /' "$OPS")
+for name in $table; do
+  echo "$reference" | grep -q "\`$name[\`{]" || {
+    echo "$OPS §5.2: service counter $name is undocumented"
+    fail=1
+  }
+done
+while read -r cited; do
+  echo "$table" | grep -qx "$cited" || {
+    echo "$OPS §5.2: documents $cited, which the service_counters! table does not declare"
+    fail=1
+  }
+done < <(echo "$reference" | grep -oE 'iolb_(service|speculation)_[a-z_]+' | sort -u)
+
 if [ "$fail" -ne 0 ]; then
-  echo "docs/PROTOCOL.md has drifted from the wire implementation"
+  echo "docs/PROTOCOL.md or docs/OPERATIONS.md has drifted from the implementation"
   exit 1
 fi
-echo "protocol docs in sync (v$version, frame cap $max_bytes)"
+echo "protocol docs in sync (v$version, frame cap $max_bytes, $(echo "$table" | wc -l) service counters)"

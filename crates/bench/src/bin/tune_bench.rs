@@ -49,6 +49,7 @@
 //! shape it times. Every benchmark run doubles as a correctness check.
 
 use iolb_autotune::fusion::epilogue_unfused_ms;
+use iolb_bench::{flag_path, flag_string, flag_value};
 use iolb_cnn::layers::{ConvLayer, Network};
 use iolb_cnn::{inference::time_network_with_backend, ServiceEconomics};
 use iolb_core::optimality::TileKind;
@@ -991,18 +992,4 @@ fn fuse_fields(fuse: Option<&FuseOutcome>) -> String {
             f.baseline_fresh,
         ),
     }
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<usize> {
-    let at = args.iter().position(|a| a == flag)?;
-    args.get(at + 1)?.parse().ok()
-}
-
-fn flag_string(args: &[String], flag: &str) -> Option<String> {
-    let at = args.iter().position(|a| a == flag)?;
-    args.get(at + 1).cloned()
-}
-
-fn flag_path(args: &[String], flag: &str) -> Option<PathBuf> {
-    flag_string(args, flag).map(PathBuf::from)
 }

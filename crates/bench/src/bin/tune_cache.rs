@@ -24,7 +24,8 @@
 //! the service's on-disk format cannot rot.
 
 use iolb_bench::{
-    load_store_or_exit, run_tuner_with_store, save_store_or_exit, StoreMode, TunerKind,
+    flag_path, flag_string, flag_strings, flag_value, load_store_or_exit, run_tuner_with_store,
+    save_store_or_exit, StoreMode, TunerKind,
 };
 use iolb_cnn::inference::{time_network_with_backend, time_network_with_service};
 use iolb_cnn::layers::{ConvLayer, Network};
@@ -34,9 +35,9 @@ use iolb_core::shapes::ConvShape;
 use iolb_gpusim::DeviceSpec;
 use iolb_records::RecordStore;
 use iolb_service::{
-    Backend, Daemon, DaemonConfig, DirLock, EvictionPolicy, FleetRouter, MetricsSnapshot, PeerAddr,
-    PerturbationKind, ServiceConfig, ServiceSnapshot, ShardedStore, SocketBackend, StatsReport,
-    TcpBackend, TuningService, LOCK_TIMEOUT, SOCKET_FILE,
+    load_sidecar, Backend, Daemon, DaemonConfig, DirLock, EvictionPolicy, FleetRouter, PeerAddr,
+    PerturbationKind, ServiceConfig, ServiceSnapshot, ShardedStore, SocketBackend, TuningService,
+    LOCK_TIMEOUT, SOCKET_FILE,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -271,10 +272,22 @@ fn main() -> ExitCode {
             };
             let json = rest.iter().any(|a| a == "--json");
             if !fleet.is_empty() {
-                return tune_net_fleet(layers, &fleet, json);
+                let router = FleetRouter::from_specs(&fleet);
+                let peers = || Some((router.live_peers(), router.peers().len()));
+                return tune_net_remote(layers, "fleet", &router, peers, json);
             }
             if let Some(socket) = daemon {
-                return tune_net_daemon(layers, &socket, json);
+                return match SocketBackend::connect(&socket) {
+                    Ok(backend) => tune_net_remote(layers, "daemon", &backend, || None, json),
+                    Err(e) => {
+                        eprintln!(
+                            "error: cannot connect to daemon socket {} \
+                             (is `tune-cache serve` running?): {e}",
+                            socket.display()
+                        );
+                        ExitCode::FAILURE
+                    }
+                };
             }
             let budget = flag_value(rest, "--budget").unwrap_or(16);
             let seed = flag_value(rest, "--seed").unwrap_or(7) as u64;
@@ -473,91 +486,54 @@ fn tune_net(
     }
 }
 
-/// `tune-net --daemon`: the same session, served by a resident shard
-/// server over its Unix socket. Budget, seed and workers are the
-/// daemon's (server-side state — that is what makes every client's
-/// results bit-identical); the client only names workloads.
-fn tune_net_daemon(layers: Vec<ConvShape>, socket: &Path, json: bool) -> ExitCode {
+/// `tune-net --daemon` / `--fleet`: the same session, served by a
+/// resident shard server over its socket or consistent-hash-routed
+/// across a fleet of them (a daemon that dies mid-session has its slice
+/// re-routed to the survivors). Budget, seed and workers are the
+/// daemons' (server-side state — that is what makes every client's
+/// results bit-identical to an embedded run); the client only names
+/// workloads. `peers` reports `(live, configured)` for a fleet.
+fn tune_net_remote<B: Backend>(
+    layers: Vec<ConvShape>,
+    mode: &str,
+    backend: &B,
+    peers: impl Fn() -> Option<(usize, usize)>,
+    json: bool,
+) -> ExitCode {
     let device = DeviceSpec::v100();
-    let backend = match SocketBackend::connect(socket) {
-        Ok(backend) => backend,
-        Err(e) => {
-            eprintln!(
-                "error: cannot connect to daemon socket {} (is `tune-cache serve` running?): {e}",
-                socket.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    };
     let net = spec_network(&layers);
-    let (timed, eco) = match time_network_with_backend(&net, &device, &backend) {
+    let (timed, eco) = match time_network_with_backend(&net, &device, backend) {
         Ok(ok) => ok,
         Err(e) => {
-            eprintln!("error: daemon session failed: {e}");
+            eprintln!("error: {mode} session failed: {e}");
             return ExitCode::FAILURE;
         }
     };
     if json {
-        print_session_json("daemon", &net, &timed, &eco, None);
+        print_session_json(mode, &net, &timed, &eco, peers());
     } else {
         print_session_summary(&net, &timed, &eco);
     }
     match backend.sync() {
         Ok(sync) => {
             if !json {
-                println!("daemon persisted: {} record(s) total", sync.total);
+                match peers() {
+                    None => println!("daemon persisted: {} record(s) total", sync.total),
+                    Some((live, total)) => println!(
+                        "fleet persisted: {} record(s) total across {live} of {total} peer(s){}",
+                        sync.total,
+                        if sync.persisted {
+                            ""
+                        } else {
+                            " (some peers unreachable or flush failed)"
+                        }
+                    ),
+                }
             }
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("error: daemon sync failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `tune-net --fleet`: the same session, consistent-hash-routed across
-/// a fleet of daemons. Each layer's workload fingerprint picks its
-/// owning daemon; a daemon that dies mid-session has its slice re-routed
-/// to the survivors (hermetic tuning keeps the results bit-identical to
-/// a single daemon or an embedded run).
-fn tune_net_fleet(layers: Vec<ConvShape>, specs: &[String], json: bool) -> ExitCode {
-    let device = DeviceSpec::v100();
-    let router = FleetRouter::from_specs(specs);
-    let net = spec_network(&layers);
-    let (timed, eco) = match time_network_with_backend(&net, &device, &router) {
-        Ok(ok) => ok,
-        Err(e) => {
-            eprintln!("error: fleet session failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if json {
-        print_session_json(
-            "fleet",
-            &net,
-            &timed,
-            &eco,
-            Some((router.live_peers(), router.peers().len())),
-        );
-    } else {
-        print_session_summary(&net, &timed, &eco);
-    }
-    match router.sync() {
-        Ok(sync) => {
-            if !json {
-                println!(
-                    "fleet persisted: {} record(s) total across {} of {} peer(s){}",
-                    sync.total,
-                    router.live_peers(),
-                    router.peers().len(),
-                    if sync.persisted { "" } else { " (some peers unreachable or flush failed)" }
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: fleet sync failed: {e}");
+            eprintln!("error: {mode} sync failed: {e}");
             ExitCode::FAILURE
         }
     }
@@ -615,14 +591,10 @@ fn serve(dir: &Path, socket: &Path, config: DaemonConfig) -> ExitCode {
 /// persist and exit.
 fn stop(spec: &str) -> ExitCode {
     let addr = PeerAddr::parse(spec);
-    let outcome = match &addr {
-        PeerAddr::Unix(path) => SocketBackend::connect(path)
-            .map_err(|e| format!("cannot connect to daemon socket {}: {e}", path.display()))
-            .and_then(|b| b.shutdown().map_err(|e| format!("shutdown request failed: {e}"))),
-        PeerAddr::Tcp(host) => TcpBackend::connect(host.as_str())
-            .map_err(|e| format!("cannot connect to daemon at tcp:{host}: {e}"))
-            .and_then(|b| b.shutdown().map_err(|e| format!("shutdown request failed: {e}"))),
-    };
+    let outcome = addr
+        .connect()
+        .map_err(|e| format!("cannot connect to daemon at {addr}: {e}"))
+        .and_then(|c| c.shutdown().map_err(|e| format!("shutdown request failed: {e}")));
     match outcome {
         Ok(()) => {
             println!("daemon at {addr} is shutting down");
@@ -635,79 +607,31 @@ fn stop(spec: &str) -> ExitCode {
     }
 }
 
-/// Folds a [`ServiceSnapshot`] into a metrics snapshot — the service's
-/// classic counters become `iolb_service_*` counters and the two live
-/// numbers become gauges, so one Prometheus page carries everything.
-fn snapshot_as_metrics(snap: &ServiceSnapshot) -> MetricsSnapshot {
-    let s = &snap.stats;
-    let counters = [
-        ("iolb_service_enqueued_total", s.enqueued),
-        ("iolb_service_speculative_enqueued_total", s.speculative_enqueued),
-        ("iolb_service_batch_enqueued_total", s.batch_enqueued),
-        ("iolb_service_background_tuned_total", s.background_tuned),
-        ("iolb_service_inline_tuned_total", s.inline_tuned),
-        ("iolb_service_shard_hits_total", s.shard_hits),
-        ("iolb_service_anchored_hits_total", s.anchored_hits),
-        ("iolb_service_transfer_retunes_total", s.transfer_retunes),
-        ("iolb_service_transfer_enqueued_total", s.transfer_enqueued),
-        ("iolb_service_stolen_total", s.stolen),
-        ("iolb_service_cancelled_speculative_total", s.cancelled_speculative),
-        ("iolb_service_budget_dropped_total", s.budget_dropped),
-        ("iolb_service_fresh_measurements_total", s.fresh_measurements),
-        ("iolb_service_cache_hits_total", s.cache_hits),
-        ("iolb_service_infeasible_total", s.infeasible),
-        ("iolb_service_batch_groups_total", s.batch_groups),
-        ("iolb_service_batch_requests_total", s.batch_requests),
-        ("iolb_service_batch_deduped_total", s.batch_deduped),
-        ("iolb_service_networks_served_total", s.networks_served),
-    ];
-    let mut extra = MetricsSnapshot::default();
-    for (name, value) in counters {
-        extra.counters.push((name.to_string(), value as u64));
-    }
-    extra.counters.sort();
-    extra.gauges.push(("iolb_budget_left".to_string(), snap.budget_left as u64));
-    extra.gauges.push(("iolb_queue_len".to_string(), snap.queue_len as u64));
-    extra
-}
-
-/// `metrics`: Prometheus-style text exposition. A directory target reads
-/// the offline stats sidecar (counters and gauges only — histograms live
-/// in the serving process); a socket or `tcp:HOST:PORT` target asks the
-/// live daemon, whose v3 `Stats` response carries the full registry,
-/// latency histograms included.
+/// `metrics`: Prometheus-style text exposition of one registry
+/// snapshot. A directory target reads the offline stats sidecar (the
+/// persisted service counters and the two gauges — histograms and the
+/// daemon's own counters live in the serving process); a socket or
+/// `tcp:HOST:PORT` target asks the live daemon for its whole registry.
 fn metrics_cmd(target: &str) -> ExitCode {
     let path = Path::new(target);
-    if path.is_dir() {
-        let snap = match ServiceSnapshot::load(path) {
-            Ok(Some(snap)) => snap,
-            Ok(None) => {
-                eprintln!(
-                    "error: {} has no stats sidecar (written by save/sync/tune-net)",
-                    path.display()
-                );
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("error: unreadable stats sidecar: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print!("{}", snapshot_as_metrics(&snap).to_prometheus());
-        return ExitCode::SUCCESS;
-    }
-    let report: Result<StatsReport, String> = match PeerAddr::parse(target) {
-        PeerAddr::Unix(sock) => SocketBackend::connect(&sock)
-            .map_err(|e| format!("cannot connect to daemon socket {}: {e}", sock.display()))
-            .and_then(|b| b.stats().map_err(|e| format!("stats request failed: {e}"))),
-        PeerAddr::Tcp(host) => TcpBackend::connect(host.as_str())
-            .map_err(|e| format!("cannot connect to daemon at tcp:{host}: {e}"))
-            .and_then(|b| b.stats().map_err(|e| format!("stats request failed: {e}"))),
+    let metrics = if path.is_dir() {
+        match load_sidecar(path) {
+            Ok(Some(metrics)) => Ok(metrics),
+            Ok(None) => Err(format!(
+                "{} has no stats sidecar (written by save/sync/tune-net)",
+                path.display()
+            )),
+            Err(e) => Err(format!("unreadable stats sidecar: {e}")),
+        }
+    } else {
+        let addr = PeerAddr::parse(target);
+        addr.connect()
+            .map_err(|e| format!("cannot connect to daemon at {addr}: {e}"))
+            .and_then(|c| c.stats().map_err(|e| format!("stats request failed: {e}")))
+            .map(|report| report.metrics)
     };
-    match report {
-        Ok(report) => {
-            let mut metrics = snapshot_as_metrics(&report.snapshot);
-            metrics.merge(&report.metrics);
+    match metrics {
+        Ok(metrics) => {
             print!("{}", metrics.to_prometheus());
             ExitCode::SUCCESS
         }
@@ -1082,35 +1006,6 @@ fn validate_bench_kernels(text: &str) -> Result<String, String> {
         ));
     }
     Ok(format!("{rows} row(s) ({gemm_rows} GEMM), vector/scalar speedup {speedup:.2}x on {name}"))
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<usize> {
-    let at = args.iter().position(|a| a == flag)?;
-    args.get(at + 1)?.parse().ok()
-}
-
-fn flag_path(args: &[String], flag: &str) -> Option<PathBuf> {
-    let at = args.iter().position(|a| a == flag)?;
-    args.get(at + 1).map(PathBuf::from)
-}
-
-fn flag_string(args: &[String], flag: &str) -> Option<String> {
-    let at = args.iter().position(|a| a == flag)?;
-    args.get(at + 1).cloned()
-}
-
-/// Every value of a repeatable flag, in order (`--peer A --peer B`).
-fn flag_strings(args: &[String], flag: &str) -> Vec<String> {
-    let mut values = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == flag {
-            if let Some(value) = it.next() {
-                values.push(value.clone());
-            }
-        }
-    }
-    values
 }
 
 /// Loads either a flat store file or a shard directory as a

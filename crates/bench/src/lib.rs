@@ -234,6 +234,37 @@ pub fn records_flag() -> Option<std::path::PathBuf> {
     None
 }
 
+/// The value after `flag` in a subcommand's arguments, parsed as a
+/// number (`None` when the flag is absent, dangling or not numeric).
+pub fn flag_value(args: &[String], flag: &str) -> Option<usize> {
+    flag_string(args, flag)?.parse().ok()
+}
+
+/// The value after `flag`, as a path.
+pub fn flag_path(args: &[String], flag: &str) -> Option<std::path::PathBuf> {
+    flag_string(args, flag).map(Into::into)
+}
+
+/// The value after `flag`, verbatim.
+pub fn flag_string(args: &[String], flag: &str) -> Option<String> {
+    let at = args.iter().position(|a| a == flag)?;
+    args.get(at + 1).cloned()
+}
+
+/// Every value of a repeatable flag, in order (`--peer A --peer B`).
+pub fn flag_strings(args: &[String], flag: &str) -> Vec<String> {
+    let mut values = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if arg == flag {
+            if let Some(value) = it.next() {
+                values.push(value.clone());
+            }
+        }
+    }
+    values
+}
+
 /// Loads a record store for a tuning binary, reporting (to stderr) any
 /// lines the corruption-tolerant loader skipped.
 pub fn load_store_or_exit(path: &std::path::Path) -> RecordStore {

@@ -105,6 +105,13 @@ fn fleet_client_json(fleet: &str, layers: &str) -> String {
     String::from_utf8(out.stdout).expect("utf8 client output").trim().to_string()
 }
 
+/// One counter out of a client's JSON summary line.
+fn summary_u64(json: &str, key: &str) -> u64 {
+    let fields = iolb_records::jsonl::parse_flat_object(json).expect("summary parses");
+    let (_, value) = fields.iter().find(|(k, _)| k == key).expect("summary field");
+    value.as_u64(key).expect("summary counter")
+}
+
 /// One named counter out of a daemon's Prometheus exposition (0 when
 /// the daemon has not emitted it yet).
 fn scrape_counter(addr: &str, name: &str) -> u64 {
@@ -135,10 +142,18 @@ fn jittered_traffic_is_served_anchored_across_the_fleet() {
 
     // Warm *each* daemon on the exact shapes (hermetic tuning makes the
     // two stores bit-identical), so whichever peer a jittered
-    // fingerprint hashes to holds its donor.
+    // fingerprint hashes to holds its donor. (Whether the session's own
+    // thread — `inline`, booked as 8 `fresh` by the client — or a
+    // background worker — `stolen` — runs each tuning is scheduling, now
+    // that connections no longer occupy the pool; that the client
+    // accounts for both layers and the daemon tuned both fresh is not.)
     for addr in [&d1.addr, &d2.addr] {
         let warm = fleet_client_json(&format!("tcp:{addr}"), EXACT);
-        assert!(warm.contains("\"fresh\":16"), "warm run must tune fresh: {warm}");
+        let (inline, stolen) = (summary_u64(&warm, "inline"), summary_u64(&warm, "stolen"));
+        assert_eq!(inline + stolen, 2, "both layers must be tuned cold: {warm}");
+        assert_eq!(summary_u64(&warm, "fresh"), 8 * inline, "client books: {warm}");
+        let fresh = scrape_counter(addr, "iolb_service_fresh_measurements_total");
+        assert_eq!(fresh, 16, "warm run must tune fresh on {addr}");
     }
 
     // Jittered replay across the whole fleet: all anchored, no fresh

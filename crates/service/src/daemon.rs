@@ -22,12 +22,15 @@
 //!   fingerprint/in-flight machinery: exactly one tuning run, fanned
 //!   out to every waiter (pinned cross-process by
 //!   `crates/bench/tests/daemon.rs`).
-//! * **Concurrent clients on the pool** — each accepted connection is
-//!   handled by a `rayon::spawn` task on the shim's persistent pool.
-//!   A blocked `Wait` *helps tune its own session's jobs* on that very
-//!   thread (the session contract), so progress never depends on free
-//!   pool workers; on a zero-worker (single-core) pool, connections are
-//!   handled inline on the accept thread, serialized but correct.
+//! * **One thread per connection, off the compute pool** — each
+//!   accepted connection is served by its own named OS thread
+//!   (`iolb-daemon-conn`), so connection I/O never competes with tuning
+//!   for the rayon pool's `cores − 1` workers and a second client is
+//!   answered at once whatever the core count. A blocked `Wait` *helps
+//!   tune its own session's jobs* on that very thread (the session
+//!   contract). Live connections are capped at [`MAX_CONNECTIONS`]: a
+//!   client over the cap gets a typed `Error` reply to its first
+//!   request and is disconnected — a refusal, never a hang.
 //! * **Results are bit-identical** — the daemon runs the same hermetic
 //!   per-workload tuning as the embedded path; `tests/daemon.rs` pins
 //!   daemon-served configs against eager `tune_with_store`, and
@@ -52,7 +55,7 @@
 //! without changing a line.
 
 use crate::fleet::PeerAddr;
-use crate::service::{ServiceSnapshot, TuningService};
+use crate::service::TuningService;
 use crate::session::{
     Backend, BackendError, BackendSession, StatsReport, SyncOutcome, TuneRequest,
 };
@@ -87,11 +90,11 @@ pub struct DaemonConfig {
     /// immediate flush; shutdown always flushes.
     pub merge_interval: Duration,
     /// How long a connection may sit idle (no request in flight) before
-    /// the daemon drops it. Connection handlers run on the shared rayon
-    /// pool, so a parked connection occupies a pool worker; without this
-    /// bound, a handful of idle (or hostile) clients could pin every
-    /// worker and starve new connections — including `tune-cache stop`.
-    /// Clients are short-lived CLI sessions; reconnecting is cheap.
+    /// the daemon drops it. Every connection holds a thread and a slot
+    /// under [`MAX_CONNECTIONS`]; this bound is what returns the slots of
+    /// idle (or hostile) clients, so they cannot hold the cap against new
+    /// connections forever. Clients are short-lived CLI sessions;
+    /// reconnecting is cheap.
     pub idle_timeout: Duration,
     /// When set, the daemon additionally listens on this TCP address
     /// (`host:port`; port `0` picks a free port, reported by
@@ -316,7 +319,7 @@ impl Daemon {
     }
 
     /// Serves until a client sends `Shutdown`: accepts connections on
-    /// every bound listener, hands each to a pool task, keeps the
+    /// every bound listener, hands each to its own thread, keeps the
     /// persister flushing on the merge interval, and (when peers are
     /// configured) anti-entropy-pulls the fleet. On shutdown it drains
     /// live connections, does a final persist, and removes the socket
@@ -329,7 +332,7 @@ impl Daemon {
             let interval = self.config.merge_interval;
             let evict = self.config.evict;
             std::thread::Builder::new().name("iolb-daemon-persist".into()).spawn(move || {
-                let mut last: Option<ServiceSnapshot> = None;
+                let mut last = None;
                 loop {
                     {
                         let guard = shared.gate.lock().expect("daemon gate poisoned");
@@ -402,7 +405,11 @@ impl Daemon {
                         let mut absorbed = 0usize;
                         for peer in &peers {
                             let pull_started = std::time::Instant::now();
-                            match pull_peer(peer) {
+                            match peer
+                                .connect()
+                                .map_err(BackendError::Transport)
+                                .and_then(|c| c.pull())
+                            {
                                 Ok(store) => {
                                     let fresh = service.lock().shards.absorb(store);
                                     absorbed += fresh;
@@ -518,7 +525,12 @@ impl Daemon {
     }
 }
 
-/// Registers a connection as active and hands it to a pool task; used
+/// Most client connections a daemon serves at once. Each holds one OS
+/// thread; a connection accepted above the cap is refused with a typed
+/// `Error` reply to its first request and closed.
+pub const MAX_CONNECTIONS: usize = 256;
+
+/// Registers a connection as active and hands it to its own thread; used
 /// identically by the Unix and TCP accept loops.
 fn spawn_handler(
     stream: ServerStream,
@@ -527,36 +539,50 @@ fn spawn_handler(
     shared: &Arc<Shared>,
     idle_timeout: Duration,
 ) {
-    shared.active.fetch_add(1, Ordering::SeqCst);
+    // Decrement even if the handler panics or the thread never starts
+    // (shutdown must still drain).
+    struct Departure(Arc<Shared>);
+    impl Drop for Departure {
+        fn drop(&mut self) {
+            self.0.active.fetch_sub(1, Ordering::SeqCst);
+            let _g = self.0.gate.lock().expect("daemon gate poisoned");
+            self.0.changed.notify_all();
+        }
+    }
+    let over_cap = shared.active.fetch_add(1, Ordering::SeqCst) >= MAX_CONNECTIONS;
+    let departure = Departure(Arc::clone(shared));
     let service = service.clone();
     let dir = dir.to_path_buf();
-    let shared = Arc::clone(shared);
-    rayon::spawn(move || {
-        // Decrement even if the handler panics (a panicking tuner
-        // is caught by the pool; shutdown must still drain).
-        struct Departure(Arc<Shared>);
-        impl Drop for Departure {
-            fn drop(&mut self) {
-                self.0.active.fetch_sub(1, Ordering::SeqCst);
-                let _g = self.0.gate.lock().expect("daemon gate poisoned");
-                self.0.changed.notify_all();
-            }
+    let spawned = std::thread::Builder::new().name("iolb-daemon-conn".into()).spawn(move || {
+        let shared = &departure.0;
+        if over_cap {
+            refuse_connection(&service, stream, shared);
+        } else {
+            handle_connection(&service, stream, &dir, shared, idle_timeout);
         }
-        let _departure = Departure(shared.clone());
-        handle_connection(&service, stream, &dir, &shared, idle_timeout);
     });
+    if let Err(e) = spawned {
+        crate::log_event!(Warn, "daemon.spawn_failed", error = e);
+    }
 }
 
-/// One anti-entropy pull: connect to the peer on whichever transport it
-/// speaks and fetch its full store.
-fn pull_peer(peer: &PeerAddr) -> Result<ShardedStore, BackendError> {
-    match peer {
-        PeerAddr::Unix(path) => {
-            SocketBackend::connect(path).map_err(BackendError::Transport)?.pull()
-        }
-        PeerAddr::Tcp(addr) => {
-            TcpBackend::connect(addr.as_str()).map_err(BackendError::Transport)?.pull()
-        }
+/// Answers an over-cap client's first request with a typed error, then
+/// drops the connection. The request is read first (under a one-second
+/// deadline) so the client, which writes before it reads, always sees the
+/// reply rather than a reset.
+fn refuse_connection(service: &TuningService, mut stream: ServerStream, shared: &Shared) {
+    service.telemetry().incr("iolb_daemon_refused_connections_total", 1);
+    crate::log_event!(Warn, "daemon.connection_refused", cap = MAX_CONNECTIONS);
+    if stream.set_read_timeout(Some(IDLE_TICK)).is_err() {
+        return;
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(1);
+    let mut reader = DeadlineReader { stream: &mut stream, deadline, shared };
+    if matches!(wire::read_frame(&mut reader), Ok(Some(_))) {
+        let message = format!(
+            "daemon is at its cap of {MAX_CONNECTIONS} live connections; retry when one closes"
+        );
+        let _ = wire::write_response(&mut stream, &Response::Error { message });
     }
 }
 
@@ -572,30 +598,18 @@ fn persist(service: &TuningService, dir: &Path, shared: &Shared) -> (usize, bool
     // One persist at a time: see `Shared::persist_gate`.
     let _serialized = shared.persist_gate.lock().expect("daemon persist gate poisoned");
     let started = std::time::Instant::now();
-    let (shards, snapshot) = {
-        let st = service.lock();
-        (
-            st.shards.clone(),
-            ServiceSnapshot {
-                stats: st.stats,
-                queue_len: st.queue.len(),
-                budget_left: st.budget_left,
-            },
-        )
-    };
-    let total = shards.len();
-    let persisted = match shards.save(dir).and_then(|()| snapshot.save(dir)) {
-        Ok(()) => {
+    let outcome = match service.save_locked(dir) {
+        Ok(total) => {
             crate::log_event!(Info, "daemon.persisted", records = total, dir = dir.display());
-            true
+            (total, true)
         }
         Err(e) => {
             crate::log_event!(Error, "daemon.persist_failed", dir = dir.display(), error = e);
-            false
+            (service.lock().shards.len(), false)
         }
     };
     service.telemetry().observe_since("iolb_daemon_persist_us", started);
-    (total, persisted)
+    outcome
 }
 
 /// How often an idle connection handler wakes to check the shutdown
@@ -604,7 +618,7 @@ const IDLE_TICK: Duration = Duration::from_millis(250);
 
 /// Upper bound on reading one frame once its first byte has arrived —
 /// generous for local sockets, but finite, so a peer that trickles a
-/// frame byte-by-byte cannot pin a pool worker forever.
+/// frame byte-by-byte cannot hold a connection slot forever.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// A reader that enforces an *overall* deadline across however many
@@ -653,10 +667,10 @@ impl Read for DeadlineReader<'_> {
 /// the service queue at batch priority (the documented drop semantics
 /// of `SessionHandle`).
 ///
-/// Handlers run on the shared rayon pool, so a connection must never
-/// occupy a worker indefinitely while doing nothing: between requests
-/// the handler reads the next frame's 4-byte length prefix *resumably*
-/// under a short read timeout (partial prefix bytes are kept across
+/// A connection holds a thread and a slot under [`MAX_CONNECTIONS`], so
+/// it must never sit on them indefinitely while doing nothing: between
+/// requests the handler reads the next frame's 4-byte length prefix
+/// *resumably* under a short read timeout (partial prefix bytes are kept across
 /// ticks, so a timeout never desynchronizes the frame stream), evicting
 /// the connection after [`DaemonConfig::idle_timeout`] and noticing a
 /// requested shutdown within one tick.
@@ -773,10 +787,7 @@ fn handle_connection(
                 let (total, persisted) = persist(service, dir, shared);
                 Response::Synced { persisted, total }
             }
-            Request::Stats => Response::Stats {
-                snapshot: Box::new(service.snapshot()),
-                metrics: service.metrics(),
-            },
+            Request::Stats => Response::Stats { metrics: service.metrics() },
             // Anti-entropy: ship a snapshot of the whole store; the
             // puller absorbs it (commutative union), so concurrent
             // tuning on either side is never lost, only re-merged.
@@ -954,9 +965,7 @@ impl<S: Read + Write> Backend for WireBackend<S> {
 
     fn stats(&self) -> Result<StatsReport, BackendError> {
         match self.call(&Request::Stats)? {
-            Response::Stats { snapshot, metrics } => {
-                Ok(StatsReport { snapshot: *snapshot, metrics })
-            }
+            Response::Stats { metrics } => Ok(StatsReport::from_metrics(metrics)),
             other => Err(BackendError::Protocol(format!("expected Stats, got {other:?}"))),
         }
     }

@@ -37,12 +37,12 @@
 //! `docs/OPERATIONS.md`.
 
 use crate::daemon::{SocketBackend, TcpBackend};
-use crate::service::{ServeResult, ServiceSnapshot};
+use crate::service::ServeResult;
 use crate::session::{
     Backend, BackendError, BackendSession, StatsReport, SyncOutcome, TuneRequest,
 };
-use crate::shard::fnv1a;
-use crate::telemetry::Telemetry;
+use crate::shard::{fnv1a, ShardedStore};
+use crate::telemetry::{MetricsSnapshot, Telemetry};
 use crate::wire::{Request, Response};
 use iolb_gpusim::DeviceSpec;
 use iolb_records::Workload;
@@ -94,7 +94,9 @@ impl PeerAddr {
         }
     }
 
-    fn connect(&self) -> std::io::Result<PeerClient> {
+    /// Connects to the daemon listening here, on whichever transport
+    /// the address names.
+    pub fn connect(&self) -> std::io::Result<PeerClient> {
         match self {
             PeerAddr::Unix(path) => SocketBackend::connect(path).map(PeerClient::Unix),
             PeerAddr::Tcp(addr) => TcpBackend::connect(addr.as_str()).map(PeerClient::Tcp),
@@ -108,8 +110,11 @@ impl std::fmt::Display for PeerAddr {
     }
 }
 
-/// One connected peer, whichever transport it speaks.
-enum PeerClient {
+/// One connected daemon, whichever transport it speaks: the control
+/// calls ([`stats`](Self::stats), [`pull`](Self::pull),
+/// [`shutdown`](Self::shutdown)) for callers that hold a [`PeerAddr`]
+/// rather than a concrete [`SocketBackend`] / [`TcpBackend`].
+pub enum PeerClient {
     Unix(SocketBackend),
     Tcp(TcpBackend),
 }
@@ -119,6 +124,30 @@ impl PeerClient {
         match self {
             PeerClient::Unix(backend) => backend.call(request),
             PeerClient::Tcp(backend) => backend.call(request),
+        }
+    }
+
+    /// The daemon's [`Backend::stats`].
+    pub fn stats(&self) -> Result<StatsReport, BackendError> {
+        match self {
+            PeerClient::Unix(backend) => backend.stats(),
+            PeerClient::Tcp(backend) => backend.stats(),
+        }
+    }
+
+    /// Fetches the daemon's full store (the anti-entropy `Pull`).
+    pub fn pull(&self) -> Result<ShardedStore, BackendError> {
+        match self {
+            PeerClient::Unix(backend) => backend.pull(),
+            PeerClient::Tcp(backend) => backend.pull(),
+        }
+    }
+
+    /// Asks the daemon to persist and exit.
+    pub fn shutdown(&self) -> Result<(), BackendError> {
+        match self {
+            PeerClient::Unix(backend) => backend.shutdown(),
+            PeerClient::Tcp(backend) => backend.shutdown(),
         }
     }
 }
@@ -448,31 +477,18 @@ impl Backend for FleetRouter {
         }
     }
 
-    /// Aggregates the fleet's counters: stats sum saturatingly across
-    /// live peers (dead peers contribute nothing); metric registries
-    /// merge by name (the order-free [`crate::telemetry::MetricsSnapshot::merge`],
-    /// so a peer missing a metric another peer has is fine), and the
-    /// router's own client-side registry rides along.
+    /// Aggregates the fleet's metrics: the live peers' registries merge
+    /// by name (the order-free [`MetricsSnapshot::merge`] — counters and
+    /// the queue-depth / budget gauges add, histograms merge bucket-wise,
+    /// and a peer missing a metric another peer has is fine; dead peers
+    /// contribute nothing), and the router's own client-side registry
+    /// rides along.
     fn stats(&self) -> Result<StatsReport, BackendError> {
-        let mut aggregate: Option<StatsReport> = None;
+        let mut aggregate: Option<MetricsSnapshot> = None;
         for peer in 0..self.inner.peers.len() {
             match self.call_peer(peer, &Request::Stats) {
-                Ok(Response::Stats { snapshot, metrics }) => {
-                    aggregate = Some(match aggregate.take() {
-                        None => StatsReport { snapshot: *snapshot, metrics },
-                        Some(mut acc) => {
-                            acc.snapshot = ServiceSnapshot {
-                                stats: acc.snapshot.stats.saturating_add(&snapshot.stats),
-                                queue_len: acc.snapshot.queue_len + snapshot.queue_len,
-                                budget_left: acc
-                                    .snapshot
-                                    .budget_left
-                                    .saturating_add(snapshot.budget_left),
-                            };
-                            acc.metrics.merge(&metrics);
-                            acc
-                        }
-                    });
+                Ok(Response::Stats { metrics }) => {
+                    aggregate.get_or_insert_with(MetricsSnapshot::default).merge(&metrics)
                 }
                 Ok(other) => {
                     return Err(BackendError::Protocol(format!("expected Stats, got {other:?}")))
@@ -481,9 +497,9 @@ impl Backend for FleetRouter {
                 Err(CallFailure::PeerDown(_)) => {}
             }
         }
-        let mut report = aggregate.ok_or_else(no_live_peers)?;
-        report.metrics.merge(&self.inner.telemetry.snapshot());
-        Ok(report)
+        let mut metrics = aggregate.ok_or_else(no_live_peers)?;
+        metrics.merge(&self.inner.telemetry.snapshot());
+        Ok(StatsReport::from_metrics(metrics))
     }
 }
 

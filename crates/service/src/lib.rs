@@ -100,15 +100,15 @@ pub mod wire;
 
 pub use daemon::{
     Daemon, DaemonConfig, SocketBackend, SocketSession, TcpBackend, TcpSession, WireBackend,
-    WireSession, SOCKET_FILE,
+    WireSession, MAX_CONNECTIONS, SOCKET_FILE,
 };
-pub use fleet::{FleetRouter, FleetSession, PeerAddr, VNODES_PER_PEER};
+pub use fleet::{FleetRouter, FleetSession, PeerAddr, PeerClient, VNODES_PER_PEER};
 pub use queue::{
     io_gap, shape_perturbations, Job, JobTier, PerturbationKind, PushOutcome, WorkQueue,
 };
 pub use service::{
-    register, KindStats, ServeResult, ServeSource, ServiceConfig, ServiceSnapshot, ServiceStats,
-    TuningService, STATS_FILE,
+    load_sidecar, register, KindStats, ServeResult, ServeSource, ServiceConfig, ServiceSnapshot,
+    ServiceStats, TuningService, STATS_FILE,
 };
 pub use session::{
     Backend, BackendError, BackendSession, SessionHandle, StatsReport, SyncOutcome, TuneRequest,

@@ -69,7 +69,8 @@ impl PerturbationKind {
         }
     }
 
-    /// Stable human-readable tag (used by the stats sidecar and CLI).
+    /// Stable human-readable tag (the `kind` label of the per-kind
+    /// speculation counters, and the CLI's name for the kind).
     pub fn label(self) -> &'static str {
         match self {
             Self::CinHalved => "cin-halved",
@@ -77,11 +78,6 @@ impl PerturbationKind {
             Self::CoutHalved => "cout-halved",
             Self::CoutDoubled => "cout-doubled",
         }
-    }
-
-    /// Inverse of [`label`](Self::label).
-    pub fn from_label(label: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|k| k.label() == label)
     }
 }
 
@@ -623,11 +619,13 @@ mod tests {
     }
 
     #[test]
-    fn perturbation_labels_round_trip() {
+    fn perturbation_kinds_index_all_and_label_distinctly() {
         for kind in PerturbationKind::ALL {
-            assert_eq!(PerturbationKind::from_label(kind.label()), Some(kind));
             assert_eq!(PerturbationKind::ALL[kind.index()], kind);
         }
-        assert_eq!(PerturbationKind::from_label("sideways"), None);
+        // The label keys each kind's counters in the metrics registry.
+        let labels: std::collections::BTreeSet<_> =
+            PerturbationKind::ALL.iter().map(|k| k.label()).collect();
+        assert_eq!(labels.len(), PerturbationKind::ALL.len());
     }
 }

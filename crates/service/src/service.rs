@@ -188,147 +188,234 @@ pub struct ServeResult {
     pub fused: bool,
 }
 
-/// Per-perturbation-kind speculation telemetry.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct KindStats {
-    /// Neighbor jobs of this kind enqueued by registration.
-    pub enqueued: usize,
-    /// Neighbor jobs of this kind tuned to completion in the background.
-    pub tuned: usize,
-    /// Predictions that came true: a client requested a workload this
-    /// kind speculated (replayed from a speculatively-tuned record, or
-    /// promoted out of the queue into a client batch).
-    pub hits: usize,
+/// Declares the service's counters **once**: each row is a
+/// [`ServiceStats`] (or, under `per_kind`, [`KindStats`]) field and the
+/// name its counter is stored and scraped under in the [`Telemetry`]
+/// registry. The structs, the names the bump sites use (`COUNTER`,
+/// `KIND_COUNTER`) and both directions of the read-only view
+/// ([`ServiceStats::from_metrics`], [`ServiceStats::counters`]) are
+/// generated from this table, so a new counter is one new row plus its
+/// bump.
+macro_rules! service_counters {
+    (
+        stats { $($(#[$doc:meta])* $field:ident = $name:literal,)* }
+        per_kind { $($(#[$kdoc:meta])* $kfield:ident = $kname:literal,)* }
+    ) => {
+        /// Per-perturbation-kind speculation telemetry.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct KindStats {
+            $($(#[$kdoc])* pub $kfield: usize,)*
+        }
+
+        /// Monotonic counters describing service activity: a read-only
+        /// view over the service's [`Telemetry`] registry, built by
+        /// [`from_metrics`](Self::from_metrics) and never stored.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct ServiceStats {
+            $($(#[$doc])* pub $field: usize,)*
+            /// Per-perturbation-kind speculation telemetry, indexed by
+            /// [`PerturbationKind::index`].
+            pub speculation: [KindStats; 4],
+        }
+
+        /// Registry name of each [`ServiceStats`] counter, by field.
+        pub(crate) struct CounterNames {
+            $(pub(crate) $field: &'static str,)*
+        }
+
+        /// Registry base name of each [`KindStats`] counter, by field;
+        /// the stored name carries the kind as a label ([`kind_counter`]).
+        pub(crate) struct KindCounterNames {
+            $(pub(crate) $kfield: &'static str,)*
+        }
+
+        pub(crate) const COUNTER: CounterNames = CounterNames { $($field: $name,)* };
+        pub(crate) const KIND_COUNTER: KindCounterNames = KindCounterNames { $($kfield: $kname,)* };
+
+        impl ServiceStats {
+            /// Reads the view out of a registry snapshot. A counter the
+            /// snapshot does not hold (never bumped) reads 0.
+            pub fn from_metrics(metrics: &MetricsSnapshot) -> Self {
+                let read = |name: &str| metrics.counter(name).unwrap_or(0) as usize;
+                Self {
+                    $($field: read(COUNTER.$field),)*
+                    speculation: PerturbationKind::ALL.map(|kind| KindStats {
+                        $($kfield: read(&kind_counter(KIND_COUNTER.$kfield, kind)),)*
+                    }),
+                }
+            }
+
+            /// The view run backwards: every field and every per-kind
+            /// cell as the `(registry name, value)` pair it is stored
+            /// and scraped under, in table order.
+            pub fn counters(&self) -> Vec<(String, u64)> {
+                let mut out = vec![$((COUNTER.$field.to_string(), self.$field as u64),)*];
+                for kind in PerturbationKind::ALL {
+                    let cell = self.speculation_of(kind);
+                    $(out.push((kind_counter(KIND_COUNTER.$kfield, kind), cell.$kfield as u64));)*
+                }
+                out
+            }
+        }
+    };
 }
 
-/// Monotonic counters describing service activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServiceStats {
-    /// Layer workloads enqueued by registration.
-    pub enqueued: usize,
-    /// Shape-perturbation neighbors enqueued by registration.
-    pub speculative_enqueued: usize,
-    /// Queue jobs created (or promoted) on behalf of batch sessions.
-    pub batch_enqueued: usize,
-    /// Jobs tuned by the background path (workers or [`TuningService::drain`]).
-    pub background_tuned: usize,
-    /// Workloads tuned on a waiting session's thread.
-    pub inline_tuned: usize,
-    /// Requests answered instantly from the shards (including duplicate
-    /// requests deduplicated within one session).
-    pub shard_hits: usize,
-    /// Requests that waited for an in-flight job someone else ran.
-    pub stolen: usize,
-    /// Exact misses answered from the anchor bucket (provisional serves
-    /// included): zero fresh tuning measurements each.
-    pub anchored_hits: usize,
-    /// Anchored serves the analytic gate could not prove within the gap
-    /// bound: served provisionally with a background re-tune enqueued.
-    pub transfer_retunes: usize,
-    /// Queue jobs created (or promoted) at the transfer re-tune tier.
-    pub transfer_enqueued: usize,
-    /// Pending background jobs absorbed into a session because a client
-    /// requested the same workload.
-    pub cancelled_speculative: usize,
-    /// Pending background jobs dropped when the budget ran out.
-    pub budget_dropped: usize,
-    /// Total simulator invocations across background and session tuning.
-    pub fresh_measurements: usize,
-    /// Total store replays across background and session tuning.
-    pub cache_hits: usize,
-    /// Workloads that turned out to have no measurable configuration.
-    pub infeasible: usize,
-    /// Batch sessions submitted.
-    pub batch_groups: usize,
-    /// Requests across all batch sessions.
-    pub batch_requests: usize,
-    /// Requests that deduplicated onto another request in their session.
-    pub batch_deduped: usize,
-    /// Completed sessions (the "served networks" clock the speculation
-    /// probation runs on).
-    pub networks_served: usize,
-    /// Unique fused chains that passed the analytic fusion gate at
-    /// session submit (mirrors the `iolb_fused_blocks_total` metric).
-    pub fused_blocks: usize,
-    /// Unique fused chains the gate rewrote to their per-layer fallback
-    /// (mirrors `iolb_fusion_fallbacks_total`).
-    pub fusion_fallbacks: usize,
-    /// Per-perturbation-kind speculation telemetry, indexed by
-    /// [`PerturbationKind::index`].
-    pub speculation: [KindStats; 4],
+service_counters! {
+    stats {
+        /// Layer workloads enqueued by registration.
+        enqueued = "iolb_service_enqueued_total",
+        /// Shape-perturbation neighbors enqueued by registration.
+        speculative_enqueued = "iolb_service_speculative_enqueued_total",
+        /// Queue jobs created (or promoted) on behalf of batch sessions.
+        batch_enqueued = "iolb_service_batch_enqueued_total",
+        /// Jobs tuned by the background path (workers or [`TuningService::drain`]).
+        background_tuned = "iolb_service_background_tuned_total",
+        /// Workloads tuned on a waiting session's thread.
+        inline_tuned = "iolb_service_inline_tuned_total",
+        /// Requests answered instantly from the shards (including duplicate
+        /// requests deduplicated within one session).
+        shard_hits = "iolb_service_shard_hits_total",
+        /// Requests that waited for an in-flight job someone else ran.
+        stolen = "iolb_service_stolen_total",
+        /// Exact misses answered from the anchor bucket (provisional serves
+        /// included): zero fresh tuning measurements each.
+        anchored_hits = "iolb_anchor_hits_total",
+        /// Anchored serves the analytic gate could not prove within the gap
+        /// bound: served provisionally with a background re-tune enqueued.
+        transfer_retunes = "iolb_transfer_retunes_total",
+        /// Queue jobs created (or promoted) at the transfer re-tune tier.
+        transfer_enqueued = "iolb_service_transfer_enqueued_total",
+        /// Pending background jobs absorbed into a session because a client
+        /// requested the same workload.
+        cancelled_speculative = "iolb_service_cancelled_speculative_total",
+        /// Pending background jobs dropped when the budget ran out.
+        budget_dropped = "iolb_service_budget_dropped_total",
+        /// Total simulator invocations across background and session tuning.
+        fresh_measurements = "iolb_service_fresh_measurements_total",
+        /// Total store replays across background and session tuning.
+        cache_hits = "iolb_service_cache_hits_total",
+        /// Workloads that turned out to have no measurable configuration.
+        infeasible = "iolb_service_infeasible_total",
+        /// Batch sessions submitted.
+        batch_groups = "iolb_service_batch_groups_total",
+        /// Requests across all batch sessions.
+        batch_requests = "iolb_service_batch_requests_total",
+        /// Requests that deduplicated onto another request in their session.
+        batch_deduped = "iolb_service_batch_deduped_total",
+        /// Completed sessions (the "served networks" clock the speculation
+        /// probation runs on).
+        networks_served = "iolb_sessions_total",
+        /// Unique fused chains that passed the analytic fusion gate at
+        /// session submit.
+        fused_blocks = "iolb_fused_blocks_total",
+        /// Unique fused chains the gate rewrote to their per-layer fallback.
+        fusion_fallbacks = "iolb_fusion_fallbacks_total",
+    }
+    per_kind {
+        /// Neighbor jobs of this kind enqueued by registration.
+        enqueued = "iolb_speculation_enqueued_total",
+        /// Neighbor jobs of this kind tuned to completion in the background.
+        tuned = "iolb_speculation_tuned_total",
+        /// Predictions that came true: a client requested a workload this
+        /// kind speculated (replayed from a speculatively-tuned record, or
+        /// promoted out of the queue into a client batch).
+        hits = "iolb_speculation_hits_total",
+    }
 }
+
+/// The registry name of one [`KindStats`] cell: the `KIND_COUNTER` base
+/// name labelled with the perturbation kind.
+pub(crate) fn kind_counter(base: &str, kind: PerturbationKind) -> String {
+    format!("{base}{{kind=\"{}\"}}", kind.label())
+}
+
+/// Gauge names of the two live numbers a [`ServiceSnapshot`] carries.
+const QUEUE_LEN_GAUGE: &str = "iolb_queue_len";
+const BUDGET_LEFT_GAUGE: &str = "iolb_budget_left";
 
 impl ServiceStats {
     /// Telemetry of one perturbation kind.
     pub fn speculation_of(&self, kind: PerturbationKind) -> KindStats {
         self.speculation[kind.index()]
     }
-
-    /// Applies `f` to every counter of `self`, paired with the same
-    /// counter of `other` — one field list shared by
-    /// [`saturating_delta`](Self::saturating_delta) and
-    /// [`saturating_add`](Self::saturating_add), so the two can never
-    /// drift when a counter is added.
-    fn zip_counters(&mut self, other: &ServiceStats, f: &impl Fn(&mut usize, usize)) {
-        f(&mut self.enqueued, other.enqueued);
-        f(&mut self.speculative_enqueued, other.speculative_enqueued);
-        f(&mut self.batch_enqueued, other.batch_enqueued);
-        f(&mut self.background_tuned, other.background_tuned);
-        f(&mut self.inline_tuned, other.inline_tuned);
-        f(&mut self.shard_hits, other.shard_hits);
-        f(&mut self.stolen, other.stolen);
-        f(&mut self.anchored_hits, other.anchored_hits);
-        f(&mut self.transfer_retunes, other.transfer_retunes);
-        f(&mut self.transfer_enqueued, other.transfer_enqueued);
-        f(&mut self.cancelled_speculative, other.cancelled_speculative);
-        f(&mut self.budget_dropped, other.budget_dropped);
-        f(&mut self.fresh_measurements, other.fresh_measurements);
-        f(&mut self.cache_hits, other.cache_hits);
-        f(&mut self.infeasible, other.infeasible);
-        f(&mut self.batch_groups, other.batch_groups);
-        f(&mut self.batch_requests, other.batch_requests);
-        f(&mut self.batch_deduped, other.batch_deduped);
-        f(&mut self.networks_served, other.networks_served);
-        f(&mut self.fused_blocks, other.fused_blocks);
-        f(&mut self.fusion_fallbacks, other.fusion_fallbacks);
-        for kind in PerturbationKind::ALL {
-            let at = kind.index();
-            f(&mut self.speculation[at].enqueued, other.speculation[at].enqueued);
-            f(&mut self.speculation[at].tuned, other.speculation[at].tuned);
-            f(&mut self.speculation[at].hits, other.speculation[at].hits);
-        }
-    }
-
-    /// Counter-wise `self - baseline` (saturating): what this process
-    /// contributed since `baseline` was captured. Used by
-    /// [`TuningService::sync_dir`] to merge telemetry additively across
-    /// processes instead of last-writer-wins.
-    pub fn saturating_delta(mut self, baseline: &ServiceStats) -> ServiceStats {
-        self.zip_counters(baseline, &|mine, theirs| *mine = mine.saturating_sub(theirs));
-        self
-    }
-
-    /// Counter-wise `self + other` (saturating).
-    pub fn saturating_add(mut self, other: &ServiceStats) -> ServiceStats {
-        self.zip_counters(other, &|mine, theirs| *mine = mine.saturating_add(theirs));
-        self
-    }
 }
 
 /// File name of the stats sidecar a [`TuningService::save`] /
 /// [`TuningService::sync_dir`] writes next to the manifest, so
-/// `tune-cache serve-stats` can report queue depth, remaining budget and
-/// speculation telemetry from a directory instead of only in-process.
-pub const STATS_FILE: &str = "service-stats.tsv";
+/// `tune-cache serve-stats` / `metrics` can report queue depth, remaining
+/// budget and the service counters from a directory instead of only
+/// in-process. Its body is the [`MetricsSnapshot`] line encoding.
+pub const STATS_FILE: &str = "service-stats.jsonl";
 
-/// Version tag of the stats sidecar. Foreign versions are ignored
-/// whole (stale telemetry is worse than none).
-pub const STATS_VERSION: u32 = 1;
+/// First line of the stats sidecar. A file that starts with anything
+/// else — a foreign version, the pre-registry `service-stats.tsv`
+/// dialect — is ignored whole (stale telemetry is worse than none).
+const SIDECAR_HEADER: &str = "{\"schema\":\"iolb-service-stats\",\"v\":2}";
 
-/// A point-in-time export of a service's observable state: the counters
+/// The part of a registry snapshot that outlives the process: the
+/// counters the table declares (speculation learning and the probation
+/// clock must survive a restart) plus the two live gauges. Everything
+/// else in the registry — latency histograms, daemon and eviction
+/// counters — is process-lifetime by design.
+fn persisted(metrics: &MetricsSnapshot) -> MetricsSnapshot {
+    let mut counters = ServiceStats::from_metrics(metrics).counters();
+    counters.retain(|(_, value)| *value > 0);
+    counters.sort();
+    MetricsSnapshot {
+        counters,
+        gauges: metrics
+            .gauges
+            .iter()
+            .filter(|(name, _)| name == QUEUE_LEN_GAUGE || name == BUDGET_LEFT_GAUGE)
+            .cloned()
+            .collect(),
+        histograms: Vec::new(),
+    }
+}
+
+/// Parses a stats sidecar, tolerantly: lines that are not metric lines
+/// are skipped. `None` unless the text starts with the current header.
+fn parse_sidecar(text: &str) -> Option<MetricsSnapshot> {
+    let mut lines = text.lines();
+    if lines.next()?.trim_end() != SIDECAR_HEADER {
+        return None;
+    }
+    let mut metrics = MetricsSnapshot::default();
+    for line in lines {
+        let _ = metrics.decode_line(line);
+    }
+    Some(metrics)
+}
+
+/// Loads the stats sidecar of a shard directory, if one exists and
+/// carries the current header.
+pub fn load_sidecar(dir: impl AsRef<Path>) -> std::io::Result<Option<MetricsSnapshot>> {
+    let path = dir.as_ref().join(STATS_FILE);
+    if !path.exists() {
+        return Ok(None);
+    }
+    Ok(parse_sidecar(&std::fs::read_to_string(path)?))
+}
+
+/// Writes the stats sidecar into a shard directory (atomically).
+fn save_sidecar(dir: &Path, metrics: &MetricsSnapshot) -> std::io::Result<()> {
+    std::fs::create_dir_all(dir)?;
+    let mut text = format!("{SIDECAR_HEADER}\n");
+    metrics.encode_lines(&mut text);
+    let tmp = dir.join(format!("{STATS_FILE}.tmp.{}", std::process::id()));
+    {
+        let mut f = std::fs::File::create(&tmp)?;
+        f.write_all(text.as_bytes())?;
+        f.sync_all()?;
+    }
+    std::fs::rename(tmp, dir.join(STATS_FILE))
+}
+
+/// A point-in-time view of a service's observable state: the counters
 /// plus the two live numbers ([`queue_len`](TuningService::queue_len),
-/// [`budget_left`](TuningService::budget_left)) that previously were
-/// visible only in-process.
+/// [`budget_left`](TuningService::budget_left)). Like [`ServiceStats`]
+/// it is only ever read out of a [`MetricsSnapshot`] — live
+/// ([`TuningService::snapshot`]), off the wire, or from the sidecar.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceSnapshot {
     pub stats: ServiceStats,
@@ -337,133 +424,21 @@ pub struct ServiceSnapshot {
 }
 
 impl ServiceSnapshot {
-    /// Canonical TSV serialization (deterministic field order).
-    pub fn to_tsv(&self) -> String {
-        let s = &self.stats;
-        let mut out = format!("# iolb-service stats v{STATS_VERSION}\n");
-        for (key, value) in [
-            ("enqueued", s.enqueued),
-            ("speculative_enqueued", s.speculative_enqueued),
-            ("batch_enqueued", s.batch_enqueued),
-            ("background_tuned", s.background_tuned),
-            ("inline_tuned", s.inline_tuned),
-            ("shard_hits", s.shard_hits),
-            ("stolen", s.stolen),
-            ("anchored_hits", s.anchored_hits),
-            ("transfer_retunes", s.transfer_retunes),
-            ("transfer_enqueued", s.transfer_enqueued),
-            ("cancelled_speculative", s.cancelled_speculative),
-            ("budget_dropped", s.budget_dropped),
-            ("fresh_measurements", s.fresh_measurements),
-            ("cache_hits", s.cache_hits),
-            ("infeasible", s.infeasible),
-            ("batch_groups", s.batch_groups),
-            ("batch_requests", s.batch_requests),
-            ("batch_deduped", s.batch_deduped),
-            ("networks_served", s.networks_served),
-            ("fused_blocks", s.fused_blocks),
-            ("fusion_fallbacks", s.fusion_fallbacks),
-            ("queue_len", self.queue_len),
-            ("budget_left", self.budget_left),
-        ] {
-            out.push_str(&format!("{key}\t{value}\n"));
+    /// Reads the view out of a registry snapshot (absent names read 0).
+    pub fn from_metrics(metrics: &MetricsSnapshot) -> Self {
+        let gauge = |name: &str| {
+            metrics.gauges.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v as usize)
+        };
+        Self {
+            stats: ServiceStats::from_metrics(metrics),
+            queue_len: gauge(QUEUE_LEN_GAUGE),
+            budget_left: gauge(BUDGET_LEFT_GAUGE),
         }
-        for kind in PerturbationKind::ALL {
-            let k = s.speculation[kind.index()];
-            out.push_str(&format!(
-                "speculation\t{}\t{}\t{}\t{}\n",
-                kind.label(),
-                k.enqueued,
-                k.tuned,
-                k.hits
-            ));
-        }
-        out
     }
 
-    /// Parses the sidecar, tolerantly: unknown keys are skipped, missing
-    /// keys stay zero. Returns `None` for a foreign version header.
-    pub fn from_tsv(text: &str) -> Option<Self> {
-        let mut snap = Self::default();
-        for line in text.lines() {
-            let line = line.trim_end();
-            if let Some(version) = line.strip_prefix("# iolb-service stats v") {
-                if version.trim().parse::<u32>() != Ok(STATS_VERSION) {
-                    return None;
-                }
-                continue;
-            }
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let fields: Vec<&str> = line.split('\t').collect();
-            match fields.as_slice() {
-                [key, value] => {
-                    let Ok(v) = value.parse::<usize>() else { continue };
-                    let s = &mut snap.stats;
-                    match *key {
-                        "enqueued" => s.enqueued = v,
-                        "speculative_enqueued" => s.speculative_enqueued = v,
-                        "batch_enqueued" => s.batch_enqueued = v,
-                        "background_tuned" => s.background_tuned = v,
-                        "inline_tuned" => s.inline_tuned = v,
-                        "shard_hits" => s.shard_hits = v,
-                        "stolen" => s.stolen = v,
-                        "anchored_hits" => s.anchored_hits = v,
-                        "transfer_retunes" => s.transfer_retunes = v,
-                        "transfer_enqueued" => s.transfer_enqueued = v,
-                        "cancelled_speculative" => s.cancelled_speculative = v,
-                        "budget_dropped" => s.budget_dropped = v,
-                        "fresh_measurements" => s.fresh_measurements = v,
-                        "cache_hits" => s.cache_hits = v,
-                        "infeasible" => s.infeasible = v,
-                        "batch_groups" => s.batch_groups = v,
-                        "batch_requests" => s.batch_requests = v,
-                        "batch_deduped" => s.batch_deduped = v,
-                        "networks_served" => s.networks_served = v,
-                        "fused_blocks" => s.fused_blocks = v,
-                        "fusion_fallbacks" => s.fusion_fallbacks = v,
-                        "queue_len" => snap.queue_len = v,
-                        "budget_left" => snap.budget_left = v,
-                        _ => {}
-                    }
-                }
-                ["speculation", label, enqueued, tuned, hits] => {
-                    let Some(kind) = PerturbationKind::from_label(label) else { continue };
-                    let parse = |t: &str| t.parse::<usize>().unwrap_or(0);
-                    snap.stats.speculation[kind.index()] = KindStats {
-                        enqueued: parse(enqueued),
-                        tuned: parse(tuned),
-                        hits: parse(hits),
-                    };
-                }
-                _ => {}
-            }
-        }
-        Some(snap)
-    }
-
-    /// Writes the sidecar into a shard directory (atomically).
-    pub fn save(&self, dir: impl AsRef<Path>) -> std::io::Result<()> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir)?;
-        let tmp = dir.join(format!("{STATS_FILE}.tmp.{}", std::process::id()));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(self.to_tsv().as_bytes())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(tmp, dir.join(STATS_FILE))
-    }
-
-    /// Loads the sidecar from a shard directory, if one exists and has
-    /// the current version.
+    /// The view of a shard directory's stats sidecar, if it has one.
     pub fn load(dir: impl AsRef<Path>) -> std::io::Result<Option<Self>> {
-        let path = dir.as_ref().join(STATS_FILE);
-        if !path.exists() {
-            return Ok(None);
-        }
-        Ok(Self::from_tsv(&std::fs::read_to_string(path)?))
+        Ok(load_sidecar(dir)?.map(|metrics| Self::from_metrics(&metrics)))
     }
 }
 
@@ -481,11 +456,15 @@ pub(crate) struct State {
     pub(crate) speculative_origin: BTreeMap<String, PerturbationKind>,
     pub(crate) budget_left: usize,
     pub(crate) next_group: u64,
-    pub(crate) stats: ServiceStats,
-    /// The counters as of the last [`TuningService::sync_dir`] (or the
-    /// values restored at open): `stats - last_synced` is what this
-    /// process still owes the shared sidecar.
-    pub(crate) last_synced: ServiceStats,
+    /// The service's metrics registry (a handle on
+    /// [`Inner::telemetry`]). The service counters are bumped
+    /// through it with the state lock held, so a snapshot taken under
+    /// the lock is consistent with the queue and the shards.
+    pub(crate) telemetry: Telemetry,
+    /// The persisted counters as of the last [`TuningService::sync_dir`]
+    /// (or the values restored at open): what the registry counts on top
+    /// of them is what this process still owes the shared sidecar.
+    last_synced: MetricsSnapshot,
 }
 
 impl State {
@@ -500,23 +479,31 @@ impl State {
         to: JobTier,
         perturbation: Option<PerturbationKind>,
     ) {
-        match from {
-            JobTier::Batch { .. } => self.stats.batch_enqueued -= 1,
-            JobTier::Transfer => self.stats.transfer_enqueued -= 1,
-            JobTier::Registered => self.stats.enqueued -= 1,
-            JobTier::Neighbor => self.stats.speculative_enqueued -= 1,
-        }
-        match to {
-            JobTier::Batch { .. } => self.stats.batch_enqueued += 1,
-            JobTier::Transfer => self.stats.transfer_enqueued += 1,
-            JobTier::Registered => self.stats.enqueued += 1,
-            JobTier::Neighbor => self.stats.speculative_enqueued += 1,
-        }
+        self.telemetry.rebook(enqueued_counter(from), enqueued_counter(to));
         if matches!(to, JobTier::Batch { .. }) {
             if let Some(kind) = perturbation {
-                self.stats.speculation[kind.index()].hits += 1;
+                self.telemetry.incr(&kind_counter(KIND_COUNTER.hits, kind), 1);
             }
         }
+    }
+
+    /// A copy of the registry with the queue-depth and budget gauges
+    /// refreshed. Taken with the state lock held (`self` is only reachable
+    /// through it), so it is consistent with the queue and the shards.
+    pub(crate) fn metrics(&self) -> MetricsSnapshot {
+        self.telemetry.gauge(QUEUE_LEN_GAUGE, self.queue.len() as u64);
+        self.telemetry.gauge(BUDGET_LEFT_GAUGE, self.budget_left as u64);
+        self.telemetry.snapshot()
+    }
+}
+
+/// The counter queue jobs of a tier are booked under.
+fn enqueued_counter(tier: JobTier) -> &'static str {
+    match tier {
+        JobTier::Batch { .. } => COUNTER.batch_enqueued,
+        JobTier::Transfer => COUNTER.transfer_enqueued,
+        JobTier::Registered => COUNTER.enqueued,
+        JobTier::Neighbor => COUNTER.speculative_enqueued,
     }
 }
 
@@ -544,6 +531,7 @@ impl TuningService {
     pub fn new(mut shards: ShardedStore, config: ServiceConfig) -> Self {
         shards.set_anchor_floor(config.anchor_floor);
         let budget_left = config.background_budget;
+        let telemetry = Telemetry::new();
         Self {
             inner: Arc::new(Inner {
                 state: Mutex::new(State {
@@ -554,24 +542,26 @@ impl TuningService {
                     speculative_origin: BTreeMap::new(),
                     budget_left,
                     next_group: 0,
-                    stats: ServiceStats::default(),
-                    last_synced: ServiceStats::default(),
+                    telemetry: telemetry.clone(),
+                    last_synced: MetricsSnapshot::default(),
                 }),
                 changed: Condvar::new(),
                 config,
-                telemetry: Telemetry::new(),
+                telemetry,
             }),
         }
     }
 
     /// Opens (or initializes) a service over a shard directory. The
-    /// stats sidecar, if any, is folded into the live counters, so
-    /// telemetry — speculation hit rates, probation retirement, the
-    /// served-network clock — survives a restart instead of resetting
-    /// every time a daemon or `tune-net` process reopens the directory.
-    /// Queue depth and remaining budget are *not* restored: pending work
-    /// died with the previous process and the budget is per-process by
-    /// design.
+    /// stats sidecar's counters, if any, seed the registry, so telemetry
+    /// — speculation hit rates, probation retirement, the served-network
+    /// clock — survives a restart instead of resetting every time a
+    /// daemon or `tune-net` process reopens the directory. The restored
+    /// values also become the sync baseline: a later
+    /// [`sync_dir`](Self::sync_dir) contributes only what *this* process
+    /// added on top of them. Queue depth and remaining budget are *not*
+    /// restored: pending work died with the previous process and the
+    /// budget is per-process by design.
     pub fn open(
         dir: impl AsRef<Path>,
         config: ServiceConfig,
@@ -579,21 +569,14 @@ impl TuningService {
         let dir = dir.as_ref();
         let (shards, report) = ShardedStore::load(dir)?;
         let service = Self::new(shards, config);
-        if let Some(snapshot) = ServiceSnapshot::load(dir)? {
-            service.adopt_stats(snapshot.stats);
+        if let Some(sidecar) = load_sidecar(dir)? {
+            let mut st = service.lock();
+            for (name, value) in &sidecar.counters {
+                st.telemetry.incr(name, *value);
+            }
+            st.last_synced = persisted(&st.metrics());
         }
         Ok((service, report))
-    }
-
-    /// Replaces the live counters with previously persisted ones (the
-    /// restart-restore path of [`open`](Self::open) and the daemon).
-    /// The restored values also become the sync baseline: a later
-    /// [`sync_dir`](Self::sync_dir) contributes only what *this*
-    /// process added on top of them.
-    pub(crate) fn adopt_stats(&self, stats: ServiceStats) {
-        let mut st = self.lock();
-        st.stats = stats;
-        st.last_synced = stats;
     }
 
     pub fn config(&self) -> ServiceConfig {
@@ -604,9 +587,10 @@ impl TuningService {
         self.inner.state.lock().expect("service state poisoned")
     }
 
-    /// Current counters (a snapshot).
+    /// Current counters (a view of the registry, read under the state
+    /// lock).
     pub fn stats(&self) -> ServiceStats {
-        self.lock().stats
+        ServiceStats::from_metrics(&self.lock().telemetry.counters())
     }
 
     /// Pending (not yet claimed) jobs.
@@ -621,8 +605,7 @@ impl TuningService {
 
     /// The full observable state in one consistent snapshot.
     pub fn snapshot(&self) -> ServiceSnapshot {
-        let st = self.lock();
-        ServiceSnapshot { stats: st.stats, queue_len: st.queue.len(), budget_left: st.budget_left }
+        ServiceSnapshot::from_metrics(&self.metrics())
     }
 
     /// The service's metrics registry (shared with the daemon when this
@@ -631,10 +614,11 @@ impl TuningService {
         &self.inner.telemetry
     }
 
-    /// A point-in-time copy of the metrics registry — what the v3 wire
-    /// `Stats` response carries beside the counter snapshot.
+    /// A point-in-time copy of the metrics registry, queue-depth and
+    /// budget gauges included, taken under the state lock — the whole of
+    /// what the wire `Stats` response carries.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.inner.telemetry.snapshot()
+        self.lock().metrics()
     }
 
     /// A deep copy of the shards. Held lock time is the clone only, so
@@ -657,20 +641,21 @@ impl TuningService {
     /// instant.
     pub fn save(&self, dir: impl AsRef<Path>) -> std::io::Result<()> {
         let dir = dir.as_ref();
-        let (shards, snapshot) = {
-            let st = self.lock();
-            (
-                st.shards.clone(),
-                ServiceSnapshot {
-                    stats: st.stats,
-                    queue_len: st.queue.len(),
-                    budget_left: st.budget_left,
-                },
-            )
-        };
         let _lock = DirLock::acquire(dir, self.inner.config.lock_timeout)?;
+        self.save_locked(dir).map(|_| ())
+    }
+
+    /// [`save`](Self::save) for a caller that already holds the
+    /// directory's [`DirLock`] (the daemon holds it for its lifetime).
+    /// Returns the number of records written.
+    pub(crate) fn save_locked(&self, dir: &Path) -> std::io::Result<usize> {
+        let (shards, sidecar) = {
+            let st = self.lock();
+            (st.shards.clone(), persisted(&st.metrics()))
+        };
         shards.save(dir)?;
-        snapshot.save(dir)
+        save_sidecar(dir, &sidecar)?;
+        Ok(shards.len())
     }
 
     /// Cross-process persistence: under one hold of the directory's
@@ -691,22 +676,17 @@ impl TuningService {
         let shards = self.lock().shards.clone();
         let _lock = DirLock::acquire(dir, self.inner.config.lock_timeout)?;
         let report = shards.merge_into_dir_locked(dir)?;
-        let disk = ServiceSnapshot::load(dir)?.map(|s| s.stats).unwrap_or_default();
-        let (snapshot, previous_baseline) = {
+        let mut sidecar = load_sidecar(dir)?.unwrap_or_default();
+        let previous_baseline = {
             let mut st = self.lock();
-            let delta = st.stats.saturating_delta(&st.last_synced);
-            let previous = st.last_synced;
-            st.last_synced = st.stats;
-            (
-                ServiceSnapshot {
-                    stats: disk.saturating_add(&delta),
-                    queue_len: st.queue.len(),
-                    budget_left: st.budget_left,
-                },
-                previous,
-            )
+            let live = persisted(&st.metrics());
+            // Disk counters plus this process's increments; the gauges
+            // are the live ones.
+            sidecar.gauges.clear();
+            sidecar.merge(&live.counters_since(&st.last_synced));
+            std::mem::replace(&mut st.last_synced, live)
         };
-        if let Err(e) = snapshot.save(dir) {
+        if let Err(e) = save_sidecar(dir, &sidecar) {
             // The delta never landed: roll the baseline back so the next
             // sync re-contributes it.
             self.lock().last_synced = previous_baseline;
@@ -764,16 +744,9 @@ impl TuningService {
         let perturbation = job.perturbation;
         match st.queue.push(job, gap) {
             PushOutcome::Added => {
-                match tier {
-                    JobTier::Batch { .. } => st.stats.batch_enqueued += 1,
-                    JobTier::Transfer => st.stats.transfer_enqueued += 1,
-                    JobTier::Registered => st.stats.enqueued += 1,
-                    JobTier::Neighbor => {
-                        st.stats.speculative_enqueued += 1;
-                        if let Some(kind) = perturbation {
-                            st.stats.speculation[kind.index()].enqueued += 1;
-                        }
-                    }
+                st.telemetry.incr(enqueued_counter(tier), 1);
+                if let (JobTier::Neighbor, Some(kind)) = (tier, perturbation) {
+                    st.telemetry.incr(&kind_counter(KIND_COUNTER.enqueued, kind), 1);
                 }
                 true
             }
@@ -957,7 +930,7 @@ impl TuningService {
             if st.budget_left == 0 {
                 let dropped = st.queue.clear_droppable();
                 if dropped > 0 {
-                    st.stats.budget_dropped += dropped;
+                    st.telemetry.incr(COUNTER.budget_dropped, dropped as u64);
                     self.inner.changed.notify_all();
                 }
             }
@@ -997,20 +970,20 @@ impl TuningService {
         st.in_flight.remove(&fingerprint);
         match outcome {
             Some((out, private)) => {
-                st.stats.background_tuned += 1;
-                st.stats.fresh_measurements += out.fresh_measurements;
-                st.stats.cache_hits += out.cache_hits;
+                telemetry.incr(COUNTER.background_tuned, 1);
+                telemetry.incr(COUNTER.fresh_measurements, out.fresh_measurements as u64);
+                telemetry.incr(COUNTER.cache_hits, out.cache_hits as u64);
                 if job.tier.droppable() {
                     st.budget_left = st.budget_left.saturating_sub(out.fresh_measurements);
                 }
                 if let (JobTier::Neighbor, Some(kind)) = (job.tier, job.perturbation) {
-                    st.stats.speculation[kind.index()].tuned += 1;
+                    telemetry.incr(&kind_counter(KIND_COUNTER.tuned, kind), 1);
                     st.speculative_origin.insert(fingerprint, kind);
                 }
                 st.shards.merge_flat(private);
             }
             None => {
-                st.stats.infeasible += 1;
+                telemetry.incr(COUNTER.infeasible, 1);
                 st.infeasible.insert(fingerprint);
             }
         }
@@ -1447,13 +1420,20 @@ mod tests {
         service.tune_or_wait(&shapes()[0], TileKind::Direct, &device()).unwrap();
         let snap = service.snapshot();
         assert_eq!(snap.queue_len, 1);
-        let parsed = ServiceSnapshot::from_tsv(&snap.to_tsv()).unwrap();
-        assert_eq!(parsed, snap);
+        let sidecar = persisted(&service.metrics());
+        let mut text = format!("{SIDECAR_HEADER}\n");
+        sidecar.encode_lines(&mut text);
+        let parsed = parse_sidecar(&text).unwrap();
+        assert_eq!(parsed, sidecar);
+        assert_eq!(ServiceSnapshot::from_metrics(&parsed), snap);
         // Unknown keys and junk lines are skipped, not fatal.
-        let noisy = format!("{}unknown_key\t5\nnot a line\n", snap.to_tsv());
-        assert_eq!(ServiceSnapshot::from_tsv(&noisy).unwrap(), snap);
-        // Foreign versions are ignored whole.
-        assert!(ServiceSnapshot::from_tsv("# iolb-service stats v999\nenqueued\t3\n").is_none());
+        let noisy = format!("{text}{{\"unknown_key\":5}}\nnot a line\n");
+        assert_eq!(parse_sidecar(&noisy).unwrap(), sidecar);
+        // Foreign versions are ignored whole — the pre-registry TSV
+        // dialect included.
+        let foreign = text.replace("\"v\":2", "\"v\":999");
+        assert!(parse_sidecar(&foreign).is_none());
+        assert!(parse_sidecar("# iolb-service stats v1\nenqueued\t3\n").is_none());
     }
 
     #[test]
@@ -1522,10 +1502,24 @@ mod tests {
         let (reopened, _) = TuningService::open(&dir, small_config()).unwrap();
         assert_eq!(reopened.stats(), snap.stats);
         reopened.tune_or_wait(&shapes()[0], TileKind::Direct, &device()).unwrap();
+        // A sync whose sidecar write fails (its temp file's path is
+        // occupied by a directory) rolls the baseline back...
+        let blocker = dir.join(format!("{STATS_FILE}.tmp.{}", std::process::id()));
+        std::fs::create_dir(&blocker).unwrap();
+        assert!(reopened.sync_dir(&dir).is_err(), "the sidecar write must fail");
+        std::fs::remove_dir(&blocker).unwrap();
+        // ...so the next sync re-contributes the delta, exactly once.
         reopened.sync_dir(&dir).unwrap();
         let after = ServiceSnapshot::load(&dir).unwrap().unwrap();
         assert_eq!(after.stats.shard_hits, snap.stats.shard_hits + 1);
         assert_eq!(after.stats.fresh_measurements, snap.stats.fresh_measurements);
+        // A pre-registry sidecar left in the directory is ignored, not an
+        // error.
+        std::fs::write(dir.join("service-stats.tsv"), "# iolb-service stats v1\nenqueued\t3\n")
+            .unwrap();
+        let (again, report) = TuningService::open(&dir, small_config()).unwrap();
+        assert!(report.is_clean(), "warnings: {:?}", report.warnings);
+        assert_eq!(again.stats(), after.stats);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

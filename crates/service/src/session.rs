@@ -37,7 +37,10 @@
 //! [`wait`]: SessionHandle::wait
 
 use crate::queue::{io_gap, transfer_admissible, Job, JobTier, PushOutcome};
-use crate::service::{ServeResult, ServeSource, ServiceSnapshot, State, TuningService};
+use crate::service::{
+    kind_counter, ServeResult, ServeSource, ServiceSnapshot, State, TuningService, COUNTER,
+    KIND_COUNTER,
+};
 use crate::telemetry::MetricsSnapshot;
 use iolb_autotune::engine::tune_batch;
 use iolb_autotune::fusion::fusion_gate;
@@ -198,15 +201,6 @@ impl TuningSession {
         // uses, so the two layers can never disagree on what counts as
         // a duplicate.
         let (unique, representative) = dedup_requests(&batch_requests, &self.device);
-        if !fused_chains.is_empty() {
-            service.inner.telemetry.incr("iolb_fused_blocks_total", fused_chains.len() as u64);
-        }
-        if !fallback_chains.is_empty() {
-            service
-                .inner
-                .telemetry
-                .incr("iolb_fusion_fallbacks_total", fallback_chains.len() as u64);
-        }
         let mut members: Vec<Member> = unique
             .iter()
             .map(|req| {
@@ -239,11 +233,11 @@ impl TuningSession {
         // re-cost also run outside the lock.
         let (group, needs_gap, donors) = {
             let mut st = service.lock();
-            st.stats.batch_groups += 1;
-            st.stats.batch_requests += requests.len();
-            st.stats.batch_deduped += requests.len() - members.len();
-            st.stats.fused_blocks += fused_chains.len();
-            st.stats.fusion_fallbacks += fallback_chains.len();
+            st.telemetry.incr(COUNTER.batch_groups, 1);
+            st.telemetry.incr(COUNTER.batch_requests, requests.len() as u64);
+            st.telemetry.incr(COUNTER.batch_deduped, (requests.len() - members.len()) as u64);
+            st.telemetry.incr(COUNTER.fused_blocks, fused_chains.len() as u64);
+            st.telemetry.incr(COUNTER.fusion_fallbacks, fallback_chains.len() as u64);
             let group = st.next_group;
             st.next_group += 1;
             // A fingerprint that is merely *queued* (a pending transfer
@@ -358,7 +352,7 @@ impl TuningSession {
                         };
                         match st.queue.push(job, gap) {
                             PushOutcome::Added => {
-                                st.stats.transfer_enqueued += 1;
+                                st.telemetry.incr(COUNTER.transfer_enqueued, 1);
                                 pushed = true;
                             }
                             PushOutcome::Promoted { from, perturbation } => {
@@ -385,7 +379,7 @@ impl TuningSession {
                 };
                 match st.queue.push(job, gap) {
                     PushOutcome::Added => {
-                        st.stats.batch_enqueued += 1;
+                        st.telemetry.incr(COUNTER.batch_enqueued, 1);
                         pushed = true;
                     }
                     PushOutcome::Promoted { from, perturbation } => {
@@ -393,7 +387,7 @@ impl TuningSession {
                         // into this session — the batch-path "cancel the
                         // speculative duplicate".
                         st.rebook_promotion(from, JobTier::Batch { group }, perturbation);
-                        st.stats.cancelled_speculative += 1;
+                        st.telemetry.incr(COUNTER.cancelled_speculative, 1);
                         member.cancelled_speculative = true;
                     }
                     PushOutcome::AlreadyPending => {
@@ -472,17 +466,23 @@ pub struct SyncOutcome {
     pub total: usize,
 }
 
-/// What [`Backend::stats`] reports: the counter snapshot every backend
-/// has carried since v1, plus the metrics registry (latency histograms,
-/// counters, gauges) the v3 wire protocol added. For a fleet the report
-/// is the order-free merge across live peers ([`ServiceStats`]
-/// counters add saturating; histograms merge bucket-wise).
-///
-/// [`ServiceStats`]: crate::service::ServiceStats
+/// What [`Backend::stats`] reports: the backend's metrics registry
+/// (counters, gauges, latency histograms) and the typed
+/// [`ServiceSnapshot`] view read out of it. For a fleet the registry is
+/// the order-free merge across live peers (counters and gauges add
+/// saturating; histograms merge bucket-wise).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct StatsReport {
     pub snapshot: ServiceSnapshot,
     pub metrics: MetricsSnapshot,
+}
+
+impl StatsReport {
+    /// The report over one registry snapshot — the only way one is built,
+    /// so the view can never disagree with the metrics beside it.
+    pub fn from_metrics(metrics: MetricsSnapshot) -> Self {
+        Self { snapshot: ServiceSnapshot::from_metrics(&metrics), metrics }
+    }
 }
 
 /// Transport-independent face of the tuning service: everything the
@@ -551,7 +551,7 @@ impl Backend for TuningService {
     }
 
     fn stats(&self) -> Result<StatsReport, BackendError> {
-        Ok(StatsReport { snapshot: self.snapshot(), metrics: self.metrics() })
+        Ok(StatsReport::from_metrics(self.metrics()))
     }
 }
 
@@ -572,7 +572,7 @@ impl BackendSession for SessionHandle {
 /// A client request confirmed a speculated workload: count the hit once.
 fn confirm_speculation(st: &mut State, fingerprint: &str) {
     if let Some(kind) = st.speculative_origin.remove(fingerprint) {
-        st.stats.speculation[kind.index()].hits += 1;
+        st.telemetry.incr(&kind_counter(KIND_COUNTER.hits, kind), 1);
     }
 }
 
@@ -720,16 +720,16 @@ impl SessionHandle {
             let member = &mut self.members[*at];
             match result {
                 Some(out) => {
-                    st.stats.inline_tuned += 1;
-                    st.stats.fresh_measurements += out.fresh_measurements;
-                    st.stats.cache_hits += out.cache_hits;
+                    st.telemetry.incr(COUNTER.inline_tuned, 1);
+                    st.telemetry.incr(COUNTER.fresh_measurements, out.fresh_measurements as u64);
+                    st.telemetry.incr(COUNTER.cache_hits, out.cache_hits as u64);
                     member.resolution = Some(Resolution::Inline {
                         fresh_measurements: out.fresh_measurements,
                         cache_hits: out.cache_hits,
                     });
                 }
                 None => {
-                    st.stats.infeasible += 1;
+                    st.telemetry.incr(COUNTER.infeasible, 1);
                     st.infeasible.insert(member.fingerprint.clone());
                     member.resolution = Some(Resolution::Infeasible);
                 }
@@ -741,10 +741,10 @@ impl SessionHandle {
 
     /// Builds the per-request results under the final lock.
     fn collect(&self, mut st: MutexGuard<'_, State>) -> Vec<Option<ServeResult>> {
-        st.stats.networks_served += 1;
-        let telemetry = self.service.inner.telemetry.clone();
-        telemetry.observe_since("iolb_session_us", self.started);
-        telemetry.incr("iolb_sessions_total", 1);
+        // Tallied per request, bumped once per counter at the end: the
+        // hit path takes the registry lock a fixed number of times per
+        // session, however many layers the network has.
+        let (mut shard_hits, mut stolen, mut anchored_hits, mut transfer_retunes) = (0, 0, 0, 0);
         let mut out = Vec::with_capacity(self.requests.len());
         for &(at, first) in &self.requests {
             let member = &self.members[at];
@@ -757,12 +757,8 @@ impl SessionHandle {
                 // Anchored members (and their fan-out duplicates) replay
                 // the transferred config; the store holds no record for
                 // this exact fingerprint, so there is nothing to touch.
-                st.stats.anchored_hits += 1;
-                telemetry.incr("iolb_anchor_hits_total", 1);
-                if retune {
-                    st.stats.transfer_retunes += 1;
-                    telemetry.incr("iolb_transfer_retunes_total", 1);
-                }
+                anchored_hits += 1;
+                transfer_retunes += u64::from(retune);
                 crate::log_event!(
                     Debug,
                     "session.result",
@@ -786,16 +782,16 @@ impl SessionHandle {
                 st.shards.best(&member.workload).expect("resolved member has records").clone();
             let (source, fresh_measurements, cache_hits) = if !first {
                 // Fan-out duplicate: replays its representative's record.
-                st.stats.shard_hits += 1;
+                shard_hits += 1;
                 (ServeSource::ShardHit, 0, 0)
             } else {
                 match resolution {
                     Resolution::Hit => {
-                        st.stats.shard_hits += 1;
+                        shard_hits += 1;
                         (ServeSource::ShardHit, 0, 0)
                     }
                     Resolution::Stolen => {
-                        st.stats.stolen += 1;
+                        stolen += 1;
                         (ServeSource::Stolen, 0, 0)
                     }
                     Resolution::Inline { fresh_measurements, cache_hits } => (
@@ -831,6 +827,13 @@ impl SessionHandle {
                 fused: !member.epilogue.is_none(),
             }));
         }
+        let telemetry = &st.telemetry;
+        telemetry.observe_since("iolb_session_us", self.started);
+        telemetry.incr(COUNTER.networks_served, 1);
+        telemetry.incr(COUNTER.shard_hits, shard_hits);
+        telemetry.incr(COUNTER.stolen, stolen);
+        telemetry.incr(COUNTER.anchored_hits, anchored_hits);
+        telemetry.incr(COUNTER.transfer_retunes, transfer_retunes);
         out
     }
 }

@@ -4,9 +4,11 @@
 //! The serving paths ([`crate::service`], [`crate::daemon`],
 //! [`crate::fleet`]) are instrumented with a [`Telemetry`] registry —
 //! monotonic counters, gauges, and fixed-bucket [`LatencyHistogram`]s —
-//! whose snapshots travel over the wire inside the v3 `Stats` response
-//! and surface through `tune-cache metrics` (Prometheus-style text
-//! exposition) and `tune-cache serve-stats --json`.
+//! which is also where every service counter lives
+//! ([`crate::service::ServiceStats`] is a view read out of it). Its
+//! snapshots have one line encoding ([`MetricsSnapshot::encode_lines`]):
+//! the wire `Stats` response carries it, the stats sidecar stores it,
+//! and `tune-cache metrics` renders either as Prometheus-style text.
 //!
 //! Two properties carry the design:
 //!
@@ -28,7 +30,7 @@
 //! to stderr, replacing the daemon's former bare `eprintln!`s; the
 //! [`crate::log_event!`] macro is the one emission path.
 
-use iolb_records::jsonl::escape;
+use iolb_records::jsonl::{escape, parse_flat_object};
 use std::collections::BTreeMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -141,14 +143,23 @@ pub struct HistogramSnapshot {
     pub histogram: LatencyHistogram,
 }
 
-/// A point-in-time copy of a [`Telemetry`] registry: the thing the v3
-/// `Stats` wire message carries and `tune-cache metrics` renders. Names
-/// are sorted, so encodes are canonical.
+/// A point-in-time copy of a [`Telemetry`] registry: the thing the
+/// `Stats` wire message carries, the stats sidecar stores and
+/// `tune-cache metrics` renders. Names are sorted, so encodes are
+/// canonical.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     pub gauges: Vec<(String, u64)>,
     pub histograms: Vec<HistogramSnapshot>,
+}
+
+/// Adds `value` under `name` in a name-sorted `(name, value)` list.
+fn add_scalar(list: &mut Vec<(String, u64)>, name: &str, value: u64) {
+    match list.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
+        Ok(at) => list[at].1 = list[at].1.saturating_add(value),
+        Err(at) => list.insert(at, (name.to_string(), value)),
+    }
 }
 
 impl MetricsSnapshot {
@@ -157,23 +168,95 @@ impl MetricsSnapshot {
     /// aggregation that uses it.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (name, value) in &other.counters {
-            match self.counters.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                Ok(at) => self.counters[at].1 = self.counters[at].1.saturating_add(*value),
-                Err(at) => self.counters.insert(at, (name.clone(), *value)),
-            }
+            add_scalar(&mut self.counters, name, *value);
         }
         for (name, value) in &other.gauges {
-            match self.gauges.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-                Ok(at) => self.gauges[at].1 = self.gauges[at].1.saturating_add(*value),
-                Err(at) => self.gauges.insert(at, (name.clone(), *value)),
-            }
+            add_scalar(&mut self.gauges, name, *value);
         }
         for h in &other.histograms {
-            match self.histograms.binary_search_by(|s| s.name.as_str().cmp(&h.name)) {
-                Ok(at) => self.histograms[at].histogram.merge(&h.histogram),
-                Err(at) => self.histograms.insert(at, h.clone()),
+            self.add_histogram(&h.name, &h.histogram);
+        }
+    }
+
+    fn add_histogram(&mut self, name: &str, histogram: &LatencyHistogram) {
+        match self.histograms.binary_search_by(|s| s.name.as_str().cmp(name)) {
+            Ok(at) => self.histograms[at].histogram.merge(histogram),
+            Err(at) => self.histograms.insert(
+                at,
+                HistogramSnapshot { name: name.to_string(), histogram: histogram.clone() },
+            ),
+        }
+    }
+
+    /// What `self` counted on top of `baseline`: every counter becomes
+    /// `self - baseline` (saturating; unchanged counters drop out), while
+    /// gauges and histograms — point-in-time readings, not increments —
+    /// are carried as they are. [`merge`](Self::merge)-ing the result
+    /// into another process's snapshot is how counters add up across
+    /// writers instead of the last one erasing the rest.
+    pub fn counters_since(&self, baseline: &MetricsSnapshot) -> MetricsSnapshot {
+        let counters = self
+            .counters
+            .iter()
+            .map(|(name, v)| (name.clone(), v.saturating_sub(baseline.counter(name).unwrap_or(0))))
+            .filter(|(_, delta)| *delta > 0)
+            .collect();
+        MetricsSnapshot { counters, ..self.clone() }
+    }
+
+    /// The one line encoding of a snapshot — what the stats sidecar, the
+    /// wire `stats` frame and everything reading either carry: one flat
+    /// JSON object per metric, self-describing by its first key
+    /// (`"c"` counter, `"g"` gauge, `"h"` histogram), in name order.
+    pub fn encode_lines(&self, out: &mut String) {
+        for (kind, list) in [("c", &self.counters), ("g", &self.gauges)] {
+            for (name, value) in list {
+                out.push_str(&format!("{{\"{kind}\":\"{}\",\"val\":{value}}}\n", escape(name)));
             }
         }
+        for h in &self.histograms {
+            let buckets: Vec<String> = h.histogram.buckets().iter().map(u64::to_string).collect();
+            out.push_str(&format!(
+                "{{\"h\":\"{}\",\"sum\":{},\"buckets\":\"{}\"}}\n",
+                escape(&h.name),
+                h.histogram.sum(),
+                buckets.join(","),
+            ));
+        }
+    }
+
+    /// Decodes one [`encode_lines`](Self::encode_lines) line into the
+    /// snapshot (added by name, so a repeated name accumulates). Strict:
+    /// anything that is not a metric line is an error — the wire decoder
+    /// surfaces it, the sidecar loader skips the line.
+    pub fn decode_line(&mut self, line: &str) -> Result<(), String> {
+        let fields = parse_flat_object(line)?;
+        let get = |key: &str| {
+            fields
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v)
+                .ok_or_else(|| format!("missing field {key:?}"))
+        };
+        match fields.first().map(|(k, v)| (k.as_str(), v)) {
+            Some(("c", name)) => {
+                add_scalar(&mut self.counters, name.as_str("c")?, get("val")?.as_u64("val")?)
+            }
+            Some(("g", name)) => {
+                add_scalar(&mut self.gauges, name.as_str("g")?, get("val")?.as_u64("val")?)
+            }
+            Some(("h", name)) => {
+                let buckets: Vec<u64> = get("buckets")?
+                    .as_str("buckets")?
+                    .split(',')
+                    .map(|b| b.parse().map_err(|_| format!("non-numeric histogram bucket {b:?}")))
+                    .collect::<Result<_, String>>()?;
+                let histogram = LatencyHistogram::from_parts(get("sum")?.as_u64("sum")?, &buckets)?;
+                self.add_histogram(name.as_str("h")?, &histogram);
+            }
+            _ => return Err(format!("not a metric line: {line:?}")),
+        }
+        Ok(())
     }
 
     /// Looks up a histogram by name.
@@ -240,11 +323,31 @@ impl Telemetry {
         Self::default()
     }
 
-    /// Adds to a monotonic counter.
+    /// Adds to a monotonic counter. Adding zero is a no-op: a counter
+    /// nothing ever bumped stays absent from the registry. The name is
+    /// only copied the first time it is seen.
     pub fn incr(&self, name: &str, by: u64) {
+        if by == 0 {
+            return;
+        }
         let mut reg = self.inner.lock().expect("telemetry registry poisoned");
-        let slot = reg.counters.entry(name.to_string()).or_insert(0);
-        *slot = slot.saturating_add(by);
+        match reg.counters.get_mut(name) {
+            Some(slot) => *slot = slot.saturating_add(by),
+            None => {
+                reg.counters.insert(name.to_string(), by);
+            }
+        }
+    }
+
+    /// Moves one count from counter `from` to counter `to`, atomically —
+    /// an event booked under one name turned out to belong to another
+    /// (a queued job promoted to a stronger tier).
+    pub fn rebook(&self, from: &str, to: &str) {
+        let mut reg = self.inner.lock().expect("telemetry registry poisoned");
+        if let Some(slot) = reg.counters.get_mut(from) {
+            *slot = slot.saturating_sub(1);
+        }
+        *reg.counters.entry(to.to_string()).or_insert(0) += 1;
     }
 
     /// Sets a gauge to its current value.
@@ -263,6 +366,16 @@ impl Telemetry {
     pub fn observe_since(&self, name: &str, start: Instant) {
         let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.observe(name, us);
+    }
+
+    /// A point-in-time copy of the counters alone — what the typed
+    /// stats view reads, without copying every histogram's buckets.
+    pub(crate) fn counters(&self) -> MetricsSnapshot {
+        let reg = self.inner.lock().expect("telemetry registry poisoned");
+        MetricsSnapshot {
+            counters: reg.counters.iter().map(|(n, v)| (n.clone(), *v)).collect(),
+            ..MetricsSnapshot::default()
+        }
     }
 
     /// A point-in-time copy of everything, names sorted.
@@ -473,6 +586,65 @@ mod tests {
         let mut other = t2.snapshot();
         other.merge(&t1.snapshot());
         assert_eq!(merged, other);
+    }
+
+    #[test]
+    fn zero_increments_leave_no_trace_and_rebook_moves_one_count() {
+        let t = Telemetry::new();
+        t.incr("never_total", 0);
+        assert_eq!(t.snapshot().counter("never_total"), None);
+        t.incr("neighbor_total", 2);
+        t.rebook("neighbor_total", "batch_total");
+        let snap = t.snapshot();
+        assert_eq!(
+            (snap.counter("neighbor_total"), snap.counter("batch_total")),
+            (Some(1), Some(1))
+        );
+    }
+
+    #[test]
+    fn line_encoding_round_trips_and_rejects_non_metric_lines() {
+        let t = Telemetry::new();
+        t.incr("iolb_requests_total", 3);
+        t.incr("iolb_hits_total{kind=\"cin-halved\"}", 1);
+        t.gauge("iolb_queue_len", 5);
+        t.observe("iolb_wait_us", 100);
+        let snap = t.snapshot();
+        let mut text = String::new();
+        snap.encode_lines(&mut text);
+        assert_eq!(text.lines().count(), 4, "one line per metric");
+        let mut back = MetricsSnapshot::default();
+        for line in text.lines() {
+            back.decode_line(line).unwrap();
+        }
+        assert_eq!(back, snap);
+        for junk in [
+            "not a line",
+            "{\"unknown_key\":5}",
+            "{\"c\":\"x\"}",
+            "{\"h\":\"x\",\"sum\":1,\"buckets\":\"1,2\"}",
+        ] {
+            assert!(back.decode_line(junk).is_err(), "{junk} must be rejected");
+        }
+        assert_eq!(back, snap, "a rejected line leaves the snapshot untouched");
+    }
+
+    #[test]
+    fn counters_since_is_what_merges_additively_across_writers() {
+        let t = Telemetry::new();
+        t.incr("a_total", 5);
+        t.incr("b_total", 1);
+        let baseline = t.snapshot();
+        t.incr("a_total", 2);
+        t.incr("c_total", 4);
+        t.gauge("queue_len", 9);
+        let delta = t.snapshot().counters_since(&baseline);
+        assert_eq!(delta.counters, vec![("a_total".to_string(), 2), ("c_total".to_string(), 4)]);
+        assert_eq!(delta.gauges, vec![("queue_len".to_string(), 9)], "gauges are readings");
+        // Another writer's view plus the delta is the sum of both.
+        let mut disk = baseline.clone();
+        disk.merge(&delta);
+        assert_eq!((disk.counter("a_total"), disk.counter("b_total")), (Some(7), Some(1)));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! | `Submit { device, requests }` | `Submitted { session, unique }` |
 //! | `Wait { session }` | `Results { results }` |
 //! | `Sync` | `Synced { persisted, total }` |
-//! | `Stats` | `Stats { snapshot, metrics }` |
+//! | `Stats` | `Stats { metrics }` |
 //! | `Pull` | `State { store }` |
 //! | `Shutdown` | `Bye` |
 //!
@@ -38,10 +38,10 @@
 //! protocol spec lives in `docs/PROTOCOL.md`; CI checks that document's
 //! frame constants against this file.
 
-use crate::service::{ServeResult, ServeSource, ServiceSnapshot};
+use crate::service::{ServeResult, ServeSource};
 use crate::session::TuneRequest;
 use crate::shard::ShardedStore;
-use crate::telemetry::{HistogramSnapshot, LatencyHistogram, MetricsSnapshot};
+use crate::telemetry::MetricsSnapshot;
 use iolb_autotune::plan::BatchRequest;
 use iolb_dataflow::config::ScheduleConfig;
 use iolb_gpusim::DeviceSpec;
@@ -59,10 +59,14 @@ use std::io::{Read, Write};
 /// (anchored transfer serving); version 5 added fused operator chains —
 /// submit request lines carry an optional `epi` epilogue tag and every
 /// serve result carries a `fused` flag marking gate-approved fused
-/// chains. Version-1 through version-4 peers alike are rejected with
+/// chains; version 6 made the `Stats` response the metrics registry
+/// alone, in its own line encoding
+/// ([`MetricsSnapshot::encode_lines`]) — the service counters are
+/// registry counters now, so no separate counter snapshot rides beside it.
+/// Version-1 through version-5 peers alike are rejected with
 /// [`WireError::ForeignVersion`] rather than served a grammar they
 /// cannot fully speak.
-pub const WIRE_VERSION: u32 = 5;
+pub const WIRE_VERSION: u32 = 6;
 
 /// Hard ceiling on a frame payload. A VGG-scale submit is a few KiB;
 /// anything claiming megabytes is hostile or corrupt and is rejected
@@ -139,9 +143,7 @@ pub enum Request {
     Shutdown,
 }
 
-/// A daemon-to-client message. The stats snapshot is boxed: it is by
-/// far the largest variant and would otherwise bloat every `Response`
-/// on the stack (clippy's `large_enum_variant`).
+/// A daemon-to-client message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     Submitted {
@@ -155,10 +157,11 @@ pub enum Response {
         persisted: bool,
         total: usize,
     },
-    /// Counter snapshot plus the metrics registry (v3: counters, gauges
-    /// and latency-histogram snapshots ride beside the TSV sidecar).
+    /// The daemon's metrics registry: service counters, the queue-depth
+    /// and budget gauges, latency histograms. The typed
+    /// [`ServiceSnapshot`](crate::service::ServiceSnapshot) is a view the
+    /// client reads out of it.
     Stats {
-        snapshot: Box<ServiceSnapshot>,
         metrics: MetricsSnapshot,
     },
     /// Full store state answering a [`Request::Pull`]: the receiver
@@ -566,27 +569,14 @@ pub fn encode_response_into(resp: &Response, out: &mut String) {
                 u8::from(*persisted)
             ));
         }
-        Response::Stats { snapshot, metrics } => {
+        Response::Stats { metrics } => {
+            let mut body = String::new();
+            metrics.encode_lines(&mut body);
             out.push_str(&format!(
-                "{{\"v\":{WIRE_VERSION},\"type\":\"stats\",\"tsv\":\"{}\",\"c\":{},\"g\":{},\"h\":{}}}\n",
-                escape(&snapshot.to_tsv()),
-                metrics.counters.len(),
-                metrics.gauges.len(),
-                metrics.histograms.len(),
+                "{{\"v\":{WIRE_VERSION},\"type\":\"stats\",\"n\":{}}}\n",
+                body.lines().count()
             ));
-            for (name, value) in metrics.counters.iter().chain(metrics.gauges.iter()) {
-                out.push_str(&format!("{{\"k\":\"{}\",\"val\":{value}}}\n", escape(name)));
-            }
-            for h in &metrics.histograms {
-                let buckets: Vec<String> =
-                    h.histogram.buckets().iter().map(u64::to_string).collect();
-                out.push_str(&format!(
-                    "{{\"k\":\"{}\",\"sum\":{},\"buckets\":\"{}\"}}\n",
-                    escape(&h.name),
-                    h.histogram.sum(),
-                    buckets.join(","),
-                ));
-            }
+            out.push_str(&body);
         }
         Response::State { store } => {
             let records: Vec<&iolb_records::TuningRecord> = store
@@ -650,45 +640,15 @@ pub fn decode_response(payload: &str) -> Result<Response, WireError> {
             Response::Synced { persisted: head.u64("persisted")? != 0, total: head.usize("total")? }
         }
         "stats" => {
-            let snapshot = ServiceSnapshot::from_tsv(head.str("tsv")?).ok_or_else(|| {
-                WireError::Malformed("stats payload carries a foreign sidecar version".into())
-            })?;
-            let (c, g, h) = (head.usize("c")?, head.usize("g")?, head.usize("h")?);
+            let n = head.usize("n")?;
             let mut metrics = MetricsSnapshot::default();
-            let mut scalar_line = |i: usize, total: usize| {
+            for i in 0..n {
                 let line = lines.next().ok_or_else(|| {
-                    WireError::Malformed(format!("stats frame ends after {i} of {total} metric(s)"))
+                    WireError::Malformed(format!("stats frame ends after {i} of {n} metric(s)"))
                 })?;
-                let fields = Fields::parse(line)?;
-                Ok::<(String, u64), WireError>((fields.str("k")?.to_string(), fields.u64("val")?))
-            };
-            for i in 0..c {
-                metrics.counters.push(scalar_line(i, c)?);
+                metrics.decode_line(line).map_err(WireError::Malformed)?;
             }
-            for i in 0..g {
-                metrics.gauges.push(scalar_line(i, g)?);
-            }
-            for i in 0..h {
-                let line = lines.next().ok_or_else(|| {
-                    WireError::Malformed(format!("stats frame ends after {i} of {h} histogram(s)"))
-                })?;
-                let fields = Fields::parse(line)?;
-                let buckets: Vec<u64> = fields
-                    .str("buckets")?
-                    .split(',')
-                    .map(|b| {
-                        b.parse::<u64>().map_err(|_| {
-                            WireError::Malformed(format!("non-numeric histogram bucket {b:?}"))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
-                let histogram = LatencyHistogram::from_parts(fields.u64("sum")?, &buckets)
-                    .map_err(WireError::Malformed)?;
-                metrics
-                    .histograms
-                    .push(HistogramSnapshot { name: fields.str("k")?.to_string(), histogram });
-            }
-            Response::Stats { snapshot: Box::new(snapshot), metrics }
+            Response::Stats { metrics }
         }
         "state" => {
             let n = head.usize("n")?;
@@ -907,11 +867,6 @@ mod tests {
 
     #[test]
     fn responses_round_trip_bit_exactly() {
-        let snapshot = ServiceSnapshot {
-            stats: crate::service::ServiceStats { fresh_measurements: 42, ..Default::default() },
-            queue_len: 3,
-            budget_left: 17,
-        };
         let telemetry = crate::telemetry::Telemetry::new();
         telemetry.incr("iolb_sessions_total", 5);
         telemetry.gauge("iolb_daemon_open_connections", 2);
@@ -941,11 +896,8 @@ mod tests {
                 ],
             },
             Response::Synced { persisted: true, total: 99 },
-            Response::Stats { snapshot: Box::new(snapshot), metrics: telemetry.snapshot() },
-            Response::Stats {
-                snapshot: Box::new(ServiceSnapshot::default()),
-                metrics: MetricsSnapshot::default(),
-            },
+            Response::Stats { metrics: telemetry.snapshot() },
+            Response::Stats { metrics: MetricsSnapshot::default() },
             Response::State { store: Box::new(sample_store()) },
             Response::State { store: Box::new(ShardedStore::new()) },
             Response::Bye,

@@ -182,11 +182,12 @@ proptest! {
         }
     }
 
-    /// v3 `Stats` frames round-trip an arbitrary metrics registry —
-    /// counters, gauges, and full histogram bucket vectors — alongside
-    /// the service snapshot, exactly. This pins the acceptance bar that
-    /// histogram readouts fetched over the wire equal the in-process
-    /// registry.
+    /// v6 `Stats` frames round-trip an arbitrary metrics registry —
+    /// counters, gauges, and full histogram bucket vectors — exactly,
+    /// and the typed service view read out of the decoded registry
+    /// equals the one read out of the original. This pins the
+    /// acceptance bar that readouts fetched over the wire equal the
+    /// in-process registry.
     #[test]
     fn stats_frames_round_trip(
         counters in prop::collection::vec((0u32..26, 0u64..1_000_000_000), 0..6),
@@ -220,27 +221,29 @@ proptest! {
             .collect();
         hists.sort_by(|a, b| a.name.cmp(&b.name));
         hists.dedup_by(|a, b| a.name == b.name);
-        let metrics = MetricsSnapshot {
+        let mut metrics = MetricsSnapshot {
             counters: named(&counters),
             gauges: named(&gauges),
             histograms: hists,
         };
-        let snapshot = ServiceSnapshot {
-            stats: ServiceStats { fresh_measurements: fresh, ..Default::default() },
-            queue_len,
-            budget_left: queue_len / 2,
-        };
-        let response = Response::Stats {
-            snapshot: Box::new(snapshot),
-            metrics: metrics.clone(),
-        };
+        // The service's own counters and gauges ride in the same registry.
+        let stats = ServiceStats { fresh_measurements: fresh, ..Default::default() };
+        let mut service = MetricsSnapshot::default();
+        service.counters.extend(stats.counters().into_iter().filter(|(_, v)| *v > 0));
+        service.gauges.push(("iolb_queue_len".to_string(), queue_len as u64));
+        service.gauges.push(("iolb_budget_left".to_string(), queue_len as u64 / 2));
+        metrics.merge(&service);
+        let snapshot = ServiceSnapshot::from_metrics(&metrics);
+        prop_assert_eq!(snapshot.stats.fresh_measurements, fresh);
+        prop_assert_eq!((snapshot.queue_len, snapshot.budget_left), (queue_len, queue_len / 2));
+        let response = Response::Stats { metrics: metrics.clone() };
         let mut frame = Vec::new();
         wire::write_response(&mut frame, &response).expect("encode stats");
         let mut cursor = std::io::Cursor::new(frame);
         match read_response(&mut cursor).expect("read stats back") {
-            Response::Stats { snapshot: got_snap, metrics: got_metrics } => {
-                prop_assert_eq!(*got_snap, snapshot);
-                prop_assert_eq!(got_metrics, metrics);
+            Response::Stats { metrics: got } => {
+                prop_assert_eq!(ServiceSnapshot::from_metrics(&got), snapshot);
+                prop_assert_eq!(got, metrics);
             }
             other => prop_assert!(false, "expected Stats, got {other:?}"),
         }
@@ -249,14 +252,15 @@ proptest! {
 
 /// Previous protocol revisions are rejected whole by both sides —
 /// a v2 peer (pre-histogram `Stats`), a v3 peer (pre-anchor serve
-/// source) or a v4 peer (pre-fusion: no `epi` request field, no `fused`
-/// result flag) must get a clean [`WireError::ForeignVersion`], not a
+/// source), a v4 peer (pre-fusion: no `epi` request field, no `fused`
+/// result flag) or a v5 peer (`Stats` still carrying a separate
+/// counter snapshot) must get a clean [`WireError::ForeignVersion`], not a
 /// partially-understood message, from the request decoder and the
 /// response decoder alike.
 #[test]
 fn stale_wire_versions_are_rejected_by_both_decoders() {
-    assert_eq!(WIRE_VERSION, 5, "update this pin when the protocol rolls");
-    for stale in [2u64, 3, 4] {
+    assert_eq!(WIRE_VERSION, 6, "update this pin when the protocol rolls");
+    for stale in [2u64, 3, 4, 5] {
         for kind in ["sync", "stats", "shutdown"] {
             let payload = format!("{{\"v\":{stale},\"type\":\"{kind}\"}}");
             match wire::decode_request(&payload) {

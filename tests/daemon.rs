@@ -19,8 +19,9 @@ use conv_iolb::core::shapes::ConvShape;
 use conv_iolb::gpusim::DeviceSpec;
 use conv_iolb::records::RecordStore;
 use conv_iolb::service::{
-    Backend, BackendSession, Daemon, DaemonConfig, EvictionPolicy, ServeSource, ServiceConfig,
-    ShardedStore, SocketBackend, TuneRequest,
+    Backend, BackendError, BackendSession, Daemon, DaemonConfig, EvictionPolicy, PerturbationKind,
+    ServeSource, ServiceConfig, ShardedStore, SocketBackend, TuneRequest, TuningService,
+    MAX_CONNECTIONS,
 };
 use std::path::PathBuf;
 use std::time::Duration;
@@ -306,16 +307,132 @@ fn wire_stats_equal_in_process_registry() {
     assert_eq!(session_us.count(), 1, "one session ran");
     assert_eq!(report.metrics.counter("iolb_sessions_total"), Some(1));
 
-    let response =
-        Response::Stats { snapshot: Box::new(report.snapshot), metrics: report.metrics.clone() };
+    let response = Response::Stats { metrics: report.metrics.clone() };
     let mut frame = Vec::new();
     wire::write_response(&mut frame, &response).unwrap();
     let mut cursor = std::io::Cursor::new(frame);
     match wire::read_response(&mut cursor).unwrap() {
-        Response::Stats { snapshot, metrics } => {
-            assert_eq!(*snapshot, report.snapshot, "snapshot survives the wire");
+        Response::Stats { metrics } => {
+            let snapshot = conv_iolb::service::ServiceSnapshot::from_metrics(&metrics);
+            assert_eq!(snapshot, report.snapshot, "snapshot survives the wire");
             assert_eq!(metrics, report.metrics, "registry survives the wire exactly");
         }
         other => panic!("expected Stats, got {other:?}"),
     }
+}
+
+/// Drives a session mix — exact hit, speculation hit, inline tune,
+/// anchored hit, fused chain — through `backend`, then checks that every
+/// `ServiceStats` field and every `KindStats` cell of the typed view
+/// equals the counter the one table names for it in the scraped
+/// registry, and that the scrape page prints it.
+fn assert_view_agrees_with_registry(service: &TuningService, backend: &impl Backend) {
+    let layer = ConvShape::new(32, 14, 14, 16, 1, 1, 1, 0);
+    service.register_network(&layer, &device());
+    service.drain();
+    let serve = |request: TuneRequest| {
+        let mut results = backend.submit_batch(&[request], &device()).unwrap().wait().unwrap();
+        results.pop().unwrap().expect("feasible workload")
+    };
+    let bare = |shape| TuneRequest::bare(shape, TileKind::Direct);
+    assert_eq!(serve(bare(layer)).source, ServeSource::ShardHit);
+    // The cin-halved neighbor was tuned speculatively: a speculation hit.
+    assert_eq!(serve(bare(ConvShape { cin: 16, ..layer })).source, ServeSource::ShardHit);
+    let warm = ConvShape::new(32, 56, 56, 16, 1, 1, 1, 0);
+    assert!(matches!(serve(bare(warm)).source, ServeSource::Inline { .. }));
+    // 52 and 56 share an anchor bucket: served by transfer.
+    let jittered = ConvShape::new(32, 52, 52, 16, 1, 1, 1, 0);
+    assert_eq!(serve(bare(jittered)).source, ServeSource::Anchored { retune: false });
+    let chain = TuneRequest::fused(layer, TileKind::Direct, conv_iolb::core::Epilogue::Relu);
+    assert!(serve(chain).fused);
+
+    let report = backend.stats().unwrap();
+    let stats = report.snapshot.stats;
+    assert!(stats.shard_hits >= 2 && stats.inline_tuned >= 2, "mix incomplete: {stats:?}");
+    assert_eq!((stats.anchored_hits, stats.fused_blocks), (1, 1));
+    assert_eq!(stats.speculation_of(PerturbationKind::CinHalved).hits, 1);
+    let page = report.metrics.to_prometheus();
+    let check = |name: &str, value: u64| {
+        assert_eq!(report.metrics.counter(name).unwrap_or(0), value, "{name} disagrees");
+        if value > 0 {
+            assert!(page.contains(&format!("\n{name} {value}\n")), "{name} not on the page");
+        } else {
+            assert_eq!(report.metrics.counter(name), None, "{name} was never bumped");
+        }
+    };
+    let cells = stats.counters();
+    assert_eq!(cells.len(), 21 + 4 * 3, "every field and every per-kind cell is walked");
+    for (name, value) in &cells {
+        check(name, *value);
+    }
+}
+
+/// ISSUE 13 agreement pin: the numbers tests assert on are the numbers
+/// operators scrape — embedded and through a live daemon.
+#[test]
+fn typed_stats_view_equals_the_scraped_counters() {
+    let config = ServiceConfig {
+        speculate_neighbors: true,
+        transfer_gap_permille: 1_000_000, // every in-bucket transfer is admissible
+        ..daemon_config().service
+    };
+    let embedded = TuningService::new(ShardedStore::new(), config);
+    assert_view_agrees_with_registry(&embedded, &embedded);
+
+    let dir = temp_dir("agree");
+    let sock = std::env::temp_dir().join(format!("iolb-daemon-agree-{}.sock", unique_tag()));
+    let (daemon, _) =
+        Daemon::bind(&dir, &sock, DaemonConfig { service: config, ..daemon_config() }).unwrap();
+    let service = daemon.service().clone();
+    let server = std::thread::spawn(move || daemon.run().unwrap());
+    let backend = SocketBackend::connect(&sock).unwrap();
+    assert_view_agrees_with_registry(&service, &backend);
+    backend.shutdown().unwrap();
+    server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// ISSUE 13 satellite: connections are capped, and the cap refuses by
+/// typed error instead of queueing. `MAX_CONNECTIONS` clients are
+/// served; one more gets `BackendError::Remote` naming the cap within a
+/// second; once a served client closes, the extra one is served too.
+#[test]
+fn connections_over_the_cap_are_refused_not_queued() {
+    let dir = temp_dir("cap");
+    let sock = std::env::temp_dir().join(format!("iolb-daemon-cap-{}.sock", unique_tag()));
+    let (daemon, _) = Daemon::bind(&dir, &sock, daemon_config()).unwrap();
+    let server = std::thread::spawn(move || daemon.run().unwrap());
+    let mut served: Vec<SocketBackend> = (0..MAX_CONNECTIONS)
+        .map(|i| {
+            let client = SocketBackend::connect(&sock).unwrap();
+            client.stats().unwrap_or_else(|e| panic!("connection {i} under the cap: {e}"));
+            client
+        })
+        .collect();
+    let asked = std::time::Instant::now();
+    let extra = SocketBackend::connect(&sock).unwrap();
+    match extra.stats() {
+        Err(BackendError::Remote(message)) => {
+            assert!(message.contains(&MAX_CONNECTIONS.to_string()), "cap not named: {message}")
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    assert!(asked.elapsed() < Duration::from_secs(1), "refusal took {:?}", asked.elapsed());
+    // A served client leaves; the daemon notices the EOF and frees its slot.
+    drop(served.pop());
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let admitted = loop {
+        let client = SocketBackend::connect(&sock).unwrap();
+        match client.stats() {
+            Ok(_) => break client,
+            Err(BackendError::Remote(_)) if std::time::Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(20))
+            }
+            Err(e) => panic!("never admitted after a slot freed: {e}"),
+        }
+    };
+    drop(served);
+    admitted.shutdown().unwrap();
+    server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
 }

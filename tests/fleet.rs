@@ -15,12 +15,10 @@
 //!   the same assignment in every process (no RNG, no iteration-order
 //!   dependence).
 //!
-//! Single-core note: on a zero-worker pool, connection handlers run
-//! *inline on the accept thread* (the documented daemon fallback), so a
-//! persistent client connection occupies its listener. These tests
-//! therefore route session traffic over TCP and control traffic
-//! (shutdown, anti-entropy pulls) over the Unix socket, which also
-//! mirrors the deployment layout in `docs/OPERATIONS.md`.
+//! The tests route session traffic over TCP and control traffic
+//! (shutdown, anti-entropy pulls) over the Unix socket, so both
+//! transports are exercised. Nothing depends on that split: every
+//! connection has its own daemon thread, on any core count.
 
 use conv_iolb::autotune::plan::tuner_setup;
 use conv_iolb::autotune::tune_with_store;
