@@ -60,6 +60,49 @@ fn conv_paths(c: &mut Criterion) {
     group.finish();
 }
 
+/// The dataflow executors on the ResNet-18 layers and tiles the tuner
+/// serves them (the ones `benchmark/`'s `conv-exec` workload runs), one
+/// worker: per-layer times behind `exec_winograd_gflops` and
+/// `exec_direct_gflops`. Each 3x3 layer is 231 MFLOP.
+fn dataflow_served(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(3);
+    let tile = |x, y, z| ScheduleConfig {
+        x,
+        y,
+        z,
+        nxt: 1,
+        nyt: 1,
+        nzt: 1,
+        sb_bytes: 48 * 1024,
+        layout: Layout::Chw,
+    };
+    // (layer, channels, extent, Winograd tile, direct tile)
+    let layers = [
+        ("layer1", 64, 56, tile(8, 14, 16), tile(8, 28, 16)),
+        ("layer2", 128, 28, tile(4, 28, 16), tile(14, 14, 32)),
+        ("layer3", 256, 14, tile(14, 14, 8), tile(14, 14, 32)),
+    ];
+    let params = ConvParams::new(1, 1);
+    for (name, ch, hw, wino, direct) in layers {
+        let input = Tensor4::random(1, ch, hw, hw, &mut rng);
+        let weights = Tensor4::random(ch, ch, 3, 3, &mut rng);
+        let mut group = c.benchmark_group("dataflow-winograd-served");
+        group.sample_size(10);
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                black_box(execute_winograd(&input, &weights, params, WinogradTile::F2X3, &wino, 1))
+            })
+        });
+        group.finish();
+        let mut group = c.benchmark_group("dataflow-direct-served");
+        group.sample_size(10);
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(execute_direct(&input, &weights, params, &direct, 1)))
+        });
+        group.finish();
+    }
+}
+
 fn gemm_scaling(c: &mut Criterion) {
     use iolb_tensor::gemm::{gemm, MatRef};
     let mut rng = StdRng::seed_from_u64(2);
@@ -85,5 +128,5 @@ fn gemm_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, conv_paths, gemm_scaling);
+criterion_group!(benches, conv_paths, dataflow_served, gemm_scaling);
 criterion_main!(benches);

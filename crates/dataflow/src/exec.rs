@@ -4,8 +4,9 @@
 //! establishes their *correctness* by actually running them: thread blocks
 //! become rayon-scoped worker tasks, shared memory becomes a per-block
 //! scratch buffer with exactly the schedule's staging structure (resident
-//! output tile + one `x' * y' * 1` input stage + the stage's weights), and
-//! the channel-sliding loop is executed literally. Every path is verified
+//! output tile + one `x' * y' * alpha` input stage + the stage's weights;
+//! `alpha = 1` except on the Winograd vector arm), and the
+//! channel-sliding loop is executed literally. Every path is verified
 //! against `iolb_tensor::conv_ref`.
 //!
 //! Both executors honour the `IOLB_KERNEL=scalar|vector` switch (see
@@ -21,10 +22,22 @@
 //!   a stage's weights are one contiguous copy), followed by the one
 //!   `acc += sum` the scalar path does; the tile is transposed back to
 //!   `(zc, oy, ox)` for the write-back;
-//! * **Winograd** — `J = G g G^T` hoisted per `(ci, zc)` and every
-//!   product through `matmul_flat` into flat scratch.
+//! * **Winograd** — every array is flat `f64` with independent matrices
+//!   on the lanes, so each of the three two-sided transforms is two
+//!   batched products: `J = G g G^T` once per block-channel group (the
+//!   scalar arm recomputes those bits per tile) with output channels on
+//!   the lanes, `P = B^T d B` of all tiles of a stage at once, and
+//!   `A^T Pi A` of the whole block at once. `Pi += P ∘ J` keeps a
+//!   register tile of 4 Winograd tiles x 16/8/4/1 output channels
+//!   across the channels of a stage, each element folding `ci`
+//!   ascending. The stage depth (`alpha` of §5.3) is 1 channel on the
+//!   scalar arm and `micro::WINOGRAD_GROUP` on the vector arm: `Pi` is
+//!   then read and written once per stage instead of once per channel.
+//!   What a block reads from slow memory does not change with the
+//!   depth: every input channel's halo tile, once; its weight stages
+//!   are slices of the per-group pack, as on the direct arm.
 //!
-//! Both inner stages live in `micro.rs`, compiled once per
+//! All inner stages live in `micro.rs`, compiled once per
 //! [`iolb_tensor::kernel::Isa`] tier; packing and the transposition sit
 //! *outside* the staging structure above — per stage it is still one
 //! input stage in, one weight stage in, one update of the resident tile.
@@ -45,7 +58,7 @@ use iolb_tensor::conv_ref::ConvParams;
 use iolb_tensor::kernel::KernelPath;
 use iolb_tensor::ops::relu_val;
 use iolb_tensor::tensor::Tensor4;
-use iolb_tensor::winograd_math::{generate, matmul_flat, Mat};
+use iolb_tensor::winograd_math::Mat;
 
 /// Derives the [`ConvShape`] of an input/weight pair.
 pub fn shape_of(input: &Tensor4, weights: &Tensor4, params: ConvParams) -> ConvShape {
@@ -453,19 +466,15 @@ fn execute_winograd_impl(
     assert_eq!(cfg.y % tile.e, 0, "y must be a multiple of e");
     assert_epilogue_alignment(epilogue, hout, wout, cfg);
 
-    let t = generate(tile.e, tile.r);
-    let a = tile.a();
-    // Transpose hoisted for the vector path's output transform (a pure
-    // permutation; the scalar path recomputes it per tile,
-    // bit-identically).
-    let at_t = t.at.t();
+    let m = micro::WinogradMats::generate(tile.e, tile.r);
+    let e = tile.e;
     let blocks_h = hout / cfg.x;
     let blocks_w = wout / cfg.y;
     let blocks_c = shape.cout / cfg.z;
     let total_blocks = blocks_h * blocks_w * blocks_c * shape.batch;
     // Winograd tiles per block: along the height (x) and width (y) axes.
-    let tiles_h = cfg.x / tile.e;
-    let tiles_w = cfg.y / tile.e;
+    let tiles_h = cfg.x / e;
+    let tiles_w = cfg.y / e;
 
     let (out_h, out_w) = epilogue_out_dims(epilogue, hout, wout);
     let mut out = Tensor4::zeros(shape.batch, shape.cout, out_h, out_w);
@@ -474,33 +483,35 @@ fn execute_winograd_impl(
     let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
     let cursor = std::sync::atomic::AtomicUsize::new(0);
     let workers = workers.max(1).min(total_blocks.max(1));
+    // Input channels per stage (the paper's stage depth `alpha`).
+    let depth = match path {
+        KernelPath::Scalar => 1,
+        KernelPath::Vector => micro::WINOGRAD_GROUP,
+    };
 
     rayon::scope(|scope| {
         for _ in 0..workers {
             let cursor = &cursor;
             let shape = &shape;
             let out_ptr = &out_ptr;
-            let t = &t;
-            let at_t = &at_t;
+            let m = &m;
             scope.spawn(move |_| {
-                // Two temporary arrays per in-flight (tile, zc): the
-                // running Pi sums for the whole sub-block.
-                let mut pi = vec![Mat::zeros(a, a); tiles_h * tiles_w * cfg.z];
-                // One x' * y' input stage + the stage's z kernel slices.
-                let mut stage_in = vec![0.0f32; xp * yp];
-                let mut stage_w = vec![0.0f32; cfg.z * tile.r * tile.r];
-                let mut patch = Mat::zeros(a, a);
-                let mut g = Mat::zeros(tile.r, tile.r);
-                // Flat scratch for the vector path.
-                let (e, r) = (tile.e, tile.r);
-                let mut scratch = micro::WinogradScratch::new(t, cfg.z);
-                let mut y_tmp = vec![0.0f64; e * a];
-                let mut y_flat = vec![0.0f64; e * e];
+                // `depth` x' * y' input stages.
+                let mut stage_in = vec![0.0f32; depth * xp * yp];
                 // Block-resident output tile: the inverse-transformed
                 // `f32` values land here (the exact bits the unfused
                 // path would write back) so the epilogue can run on the
                 // resident tile before the single write-back.
                 let mut block_tile = vec![0.0f32; cfg.z * cfg.x * cfg.y];
+                // The running Pi sums of the block, one arm's or the
+                // other's. On the vector arm also the transformed
+                // kernels of block-channel group `packed`: blocks come
+                // `bc`-major, so a worker transforms once per group it
+                // meets, not per block.
+                let scalar_tiles = if path == KernelPath::Scalar { tiles_h * tiles_w } else { 0 };
+                let mut scalar = ScalarWinograd::new(m, cfg.z, scalar_tiles);
+                let mut lanes = micro::WinogradLanes::new(m, shape.cin, cfg.z, tiles_h, tiles_w);
+                let mut packed = None;
                 loop {
                     let b = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if b >= total_blocks {
@@ -514,15 +525,9 @@ fn execute_winograd_impl(
                     let oy0 = bh * cfg.x;
                     let ox0 = bw * cfg.y;
                     let oc0 = bc * cfg.z;
-
-                    for m in pi.iter_mut() {
-                        m.data.fill(0.0);
-                    }
-                    // Channel-sliding stages.
-                    for ci in 0..shape.cin {
-                        // Stage-load the block's input tile (halo
-                        // included, zero padding at the borders) and
-                        // the z kernel slices at channel ci.
+                    // Stage-loads the block's input tile at channel `ci`
+                    // (halo included, zero padding at the borders).
+                    let stage = |ci: usize, dst: &mut [f32]| {
                         micro::stage_rows(
                             input,
                             n,
@@ -531,94 +536,49 @@ fn execute_winograd_impl(
                             ox0 as isize - shape.pad as isize,
                             xp,
                             yp,
-                            &mut stage_in,
-                        );
-                        micro::stage_kernels(weights, oc0, ci, cfg.z, &mut stage_w);
-                        match path {
-                            KernelPath::Scalar => {
-                                for th in 0..tiles_h {
-                                    for tw in 0..tiles_w {
-                                        // Transform the (a x a) patch once
-                                        // per (tile, channel); reuse across
-                                        // all z.
-                                        for dy in 0..a {
-                                            for dx in 0..a {
-                                                *patch.at_mut(dy, dx) = stage_in
-                                                    [(th * e + dy) * yp + tw * e + dx]
-                                                    as f64;
-                                            }
-                                        }
-                                        let p = t.bt.matmul(&patch).matmul(&t.bt.t());
-                                        for zc in 0..cfg.z {
-                                            for dy in 0..r {
-                                                for dx in 0..r {
-                                                    *g.at_mut(dy, dx) =
-                                                        stage_w[(zc * r + dy) * r + dx] as f64;
-                                                }
-                                            }
-                                            let j = t.g.matmul(&g).matmul(&t.g.t());
-                                            let dst = &mut pi[(th * tiles_w + tw) * cfg.z + zc];
-                                            for idx in 0..a * a {
-                                                dst.data[idx] += p.data[idx] * j.data[idx];
-                                            }
-                                        }
-                                    }
-                                }
+                            dst,
+                        )
+                    };
+                    // Channel-sliding stages, then the output transform
+                    // into the block-resident tile (the `f64 -> f32`
+                    // conversion happens *there*, before any epilogue
+                    // arithmetic).
+                    match path {
+                        KernelPath::Scalar => {
+                            scalar.clear();
+                            for ci in 0..shape.cin {
+                                stage(ci, &mut stage_in);
+                                micro::stage_kernels(weights, oc0, ci, cfg.z, &mut scalar.stage_w);
+                                scalar.fold_stage(&stage_in, tiles_w, yp);
                             }
-                            // Same folds through `matmul_flat` (which
-                            // keeps `Mat::matmul`'s exact term order):
-                            // `J = G g G^T` is hoisted per (ci, zc) —
-                            // the scalar path recomputes those identical
-                            // bits once per tile — and all products land
-                            // in preallocated flat scratch instead of
-                            // fresh `Mat`s.
-                            KernelPath::Vector => micro::winograd_stage(
-                                &mut pi,
-                                &stage_in,
-                                &stage_w,
-                                t,
-                                &mut scratch,
-                                tiles_w,
-                                yp,
-                            ),
+                            scalar.output(&mut block_tile, tiles_w, cfg);
+                        }
+                        // The same folds with independent ones side by
+                        // side: `J` transformed once per block-channel
+                        // group instead of once per tile, `z` at a time;
+                        // `P` of a stage's channels for all tiles at
+                        // once; `Pi += P ∘ J` with output channels on
+                        // the lanes, channels ascending; one output
+                        // transform for the whole block.
+                        KernelPath::Vector => {
+                            if packed != Some(bc) {
+                                micro::pack_winograd_kernels(&mut lanes, weights, oc0);
+                                packed = Some(bc);
+                            }
+                            lanes.clear();
+                            for ci0 in (0..shape.cin).step_by(depth) {
+                                let group = depth.min(shape.cin - ci0);
+                                let staged = &mut stage_in[..group * xp * yp];
+                                for (c, dst) in staged.chunks_exact_mut(xp * yp).enumerate() {
+                                    stage(ci0 + c, dst);
+                                }
+                                micro::winograd_fold_group(&mut lanes, staged, ci0);
+                            }
+                            micro::winograd_output(&mut lanes, &mut block_tile);
                         }
                     }
-                    // Output transform into the block-resident tile
-                    // (`f64 -> f32` conversion happens *here*, before any
-                    // epilogue arithmetic), then epilogue + single
+                    // Epilogue on the resident tile, then the single
                     // write-back.
-                    for th in 0..tiles_h {
-                        for tw in 0..tiles_w {
-                            for zc in 0..cfg.z {
-                                let m = &pi[(th * tiles_w + tw) * cfg.z + zc];
-                                match path {
-                                    KernelPath::Scalar => {
-                                        let y_tile = t.at.matmul(m).matmul(&t.at.t());
-                                        for dy in 0..tile.e {
-                                            for dx in 0..tile.e {
-                                                let oy = th * tile.e + dy;
-                                                let ox = tw * tile.e + dx;
-                                                block_tile[(zc * cfg.x + oy) * cfg.y + ox] =
-                                                    y_tile.at(dy, dx) as f32;
-                                            }
-                                        }
-                                    }
-                                    KernelPath::Vector => {
-                                        matmul_flat(&t.at.data, &m.data, &mut y_tmp, e, a, a);
-                                        matmul_flat(&y_tmp, &at_t.data, &mut y_flat, e, a, e);
-                                        for dy in 0..e {
-                                            for dx in 0..e {
-                                                let oy = th * e + dy;
-                                                let ox = tw * e + dx;
-                                                block_tile[(zc * cfg.x + oy) * cfg.y + ox] =
-                                                    y_flat[dy * e + dx] as f32;
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
                     write_back_with_epilogue(
                         &block_tile,
                         epilogue,
@@ -637,6 +597,88 @@ fn execute_winograd_impl(
         }
     });
     out
+}
+
+/// Per-worker state of the Winograd scalar arm — the oracle the vector
+/// arm is diffed against: two temporary `(a x a)` arrays per in-flight
+/// (tile, zc), every product a fresh [`Mat::matmul`].
+struct ScalarWinograd<'a> {
+    m: &'a micro::WinogradMats,
+    z: usize,
+    /// The running Pi sums of the block, `pi[tile * z + zc]`.
+    pi: Vec<Mat>,
+    /// The stage's z kernel slices.
+    stage_w: Vec<f32>,
+    patch: Mat,
+    g: Mat,
+}
+
+impl<'a> ScalarWinograd<'a> {
+    fn new(m: &'a micro::WinogradMats, z: usize, tiles: usize) -> Self {
+        let (r, a) = (m.t.r, m.t.a());
+        Self {
+            m,
+            z,
+            pi: vec![Mat::zeros(a, a); tiles * z],
+            stage_w: vec![0.0f32; z * r * r],
+            patch: Mat::zeros(a, a),
+            g: Mat::zeros(r, r),
+        }
+    }
+
+    /// Starts a block: `Pi = 0`.
+    fn clear(&mut self) {
+        for sum in self.pi.iter_mut() {
+            sum.data.fill(0.0);
+        }
+    }
+
+    /// Folds one channel — its input stage (row length `yp`) and
+    /// `self.stage_w` — into `Pi`.
+    fn fold_stage(&mut self, stage_in: &[f32], tiles_w: usize, yp: usize) {
+        let (m, t) = (self.m, &self.m.t);
+        let (e, r, a) = (t.e, t.r, t.a());
+        for (tile, sums) in self.pi.chunks_exact_mut(self.z).enumerate() {
+            let (th, tw) = (tile / tiles_w, tile % tiles_w);
+            // Transform the (a x a) patch once per (tile, channel);
+            // reuse across all z.
+            for dy in 0..a {
+                for dx in 0..a {
+                    *self.patch.at_mut(dy, dx) = stage_in[(th * e + dy) * yp + tw * e + dx] as f64;
+                }
+            }
+            let p = t.bt.matmul(&self.patch).matmul(&m.bt_t);
+            for (zc, dst) in sums.iter_mut().enumerate() {
+                for dy in 0..r {
+                    for dx in 0..r {
+                        *self.g.at_mut(dy, dx) = self.stage_w[(zc * r + dy) * r + dx] as f64;
+                    }
+                }
+                let j = t.g.matmul(&self.g).matmul(&m.g_t);
+                for idx in 0..a * a {
+                    dst.data[idx] += p.data[idx] * j.data[idx];
+                }
+            }
+        }
+    }
+
+    /// Inverse-transforms `Pi` into the `(zc, oy, ox)` block tile.
+    fn output(&self, block_tile: &mut [f32], tiles_w: usize, cfg: &ScheduleConfig) {
+        let (m, t) = (self.m, &self.m.t);
+        for (tile, sums) in self.pi.chunks_exact(self.z).enumerate() {
+            let (th, tw) = (tile / tiles_w, tile % tiles_w);
+            for (zc, sum) in sums.iter().enumerate() {
+                let y_tile = t.at.matmul(sum).matmul(&m.at_t);
+                for dy in 0..t.e {
+                    for dx in 0..t.e {
+                        let oy = th * t.e + dy;
+                        let ox = tw * t.e + dx;
+                        block_tile[(zc * cfg.x + oy) * cfg.y + ox] = y_tile.at(dy, dx) as f32;
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Raw pointer wrapper asserting cross-thread safety: blocks write disjoint
@@ -763,6 +805,29 @@ mod tests {
         let want = conv2d_reference(&input, &weights, params);
         let got = execute_direct(&input, &weights, params, &cfg(7, 1, 32), 1);
         assert!(got.approx_eq(&want, 1e-4, 1e-4), "diff {}", got.max_abs_diff(&want));
+    }
+
+    /// The three tiles the tuner serves ResNet-18's Winograd layers
+    /// (`layer1`, `layer2`, `layer3`), `cout` cut to two block-channel
+    /// groups: 28 and 49 tiles per block, `z` of 16 and 8, 8 to 32
+    /// stages per block.
+    #[test]
+    fn winograd_exec_served_tiles_match_reference() {
+        let mut rng = StdRng::seed_from_u64(15);
+        for (cin, hw, x, y, z) in [(64, 56, 8, 14, 16), (128, 28, 4, 28, 16), (256, 14, 14, 14, 8)]
+        {
+            let input = Tensor4::random(1, cin, hw, hw, &mut rng);
+            let weights = Tensor4::random(2 * z, cin, 3, 3, &mut rng);
+            let params = ConvParams::new(1, 1);
+            let want = conv2d_reference(&input, &weights, params);
+            let got =
+                execute_winograd(&input, &weights, params, WinogradTile::F2X3, &cfg(x, y, z), 1);
+            assert!(
+                got.approx_eq(&want, 1e-3, 1e-3),
+                "x{x} y{y} z{z} on {cin}x{hw}x{hw}: diff {}",
+                got.max_abs_diff(&want)
+            );
+        }
     }
 
     #[test]

@@ -188,7 +188,7 @@ struct Shared {
     /// final persist.
     active: AtomicUsize,
     gate: Mutex<()>,
-    /// Signalled on connection-count changes and persister wake-ups.
+    /// Signalled on connection-count changes and on shutdown.
     changed: Condvar,
     /// Serializes persists. The atomic-save protocol qualifies its temp
     /// files by *pid* (enough for the cross-process protocol, where
@@ -335,10 +335,17 @@ impl Daemon {
                 let mut last = None;
                 loop {
                     {
+                        // Sleep the whole interval unless shutting
+                        // down: `changed` is also signalled by every
+                        // departing connection, and a flush that starts
+                        // the moment a client hangs up takes the CPU
+                        // from whatever that client does next.
                         let guard = shared.gate.lock().expect("daemon gate poisoned");
                         let _ = shared
                             .changed
-                            .wait_timeout(guard, interval)
+                            .wait_timeout_while(guard, interval, |_| {
+                                !shared.shutdown.load(Ordering::SeqCst)
+                            })
                             .expect("daemon gate poisoned");
                     }
                     let stop = shared.shutdown.load(Ordering::SeqCst);

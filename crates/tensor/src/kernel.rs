@@ -27,7 +27,8 @@ pub enum KernelPath {
     Scalar,
     /// Array-chunked, autovectorizer-targeted micro-kernels (wider
     /// micro-tile, fixed-width lane accumulators, unrolled K-steps),
-    /// dispatched to an AVX2-compiled clone when the CPU supports it.
+    /// each compiled once per [`Isa`] tier and dispatched to the widest
+    /// one the CPU has.
     Vector,
 }
 
@@ -70,8 +71,8 @@ impl KernelPath {
 /// body into `#[target_feature]` clones and picks the clone by this
 /// tier; a wider tier only puts more *independent* element folds into
 /// one instruction (and never enables FMA), so every tier produces the
-/// same bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// same bits. Ordered narrowest to widest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Isa {
     /// The build's baseline features — the only tier off `x86_64`.
     Portable,

@@ -140,6 +140,79 @@ pub fn matmul_flat(lhs: &[f64], rhs: &[f64], out: &mut [f64], m: usize, k: usize
     }
 }
 
+/// The right half of a two-sided transform over `lanes` independent
+/// matrices at once: `src` holds `lanes` row-major `m x k` matrices
+/// interleaved lane-minor (`src[(i * k + p) * lanes + l]`), `coef` is one
+/// `k x n` coefficient matrix, and
+/// `out[(i * n + j) * lanes + l] = Σ_p src[(i * k + p) * lanes + l] * coef[p * n + j]`
+/// with `p` ascending from `+0.0` — per lane, the fold of
+/// `Mat::matmul(src_l, coef)`.
+///
+/// The left half needs no twin: with the data on the right,
+/// [`matmul_flat`] over `n * lanes` columns already *is* the lane-batched
+/// product, and it keeps [`Mat::matmul`]'s skip of zero **coefficients**.
+/// Here the data is the left operand and [`Mat::matmul`] would skip zero
+/// **data** terms, a branch per lane. This loop is dense instead, and no
+/// bit can tell: an accumulator that starts at `+0.0` is never `-0.0`
+/// (round-to-nearest yields `-0.0` only from `-0.0 + -0.0`), a skipped
+/// term is `0 * finite = ±0`, and `acc + ±0 == acc` bit for bit when
+/// `acc` is not `-0.0`. Non-zero data — infinities and NaNs included —
+/// is skipped by neither form. (The coefficients are transform-matrix
+/// entries, so always finite.)
+///
+/// `#[inline(always)]` for the same reason as [`matmul_flat`].
+#[inline(always)]
+pub fn matmul_lanes_right(
+    src: &[f64],
+    coef: &[f64],
+    out: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    lanes: usize,
+) {
+    debug_assert_eq!(src.len(), m * k * lanes);
+    debug_assert_eq!(coef.len(), k * n);
+    debug_assert_eq!(out.len(), m * n * lanes);
+    let l = lanes_right_blocks::<32>(src, coef, out, m, k, n, lanes, 0);
+    let l = lanes_right_blocks::<8>(src, coef, out, m, k, n, lanes, l);
+    lanes_right_blocks::<1>(src, coef, out, m, k, n, lanes, l);
+}
+
+/// [`matmul_lanes_right`] over lanes `l..` in blocks of `W` while a whole
+/// block fits; returns the first lane left over. A block's `W` folds
+/// live in registers from `+0.0` to the store.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn lanes_right_blocks<const W: usize>(
+    src: &[f64],
+    coef: &[f64],
+    out: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    lanes: usize,
+    mut l: usize,
+) -> usize {
+    while l + W <= lanes {
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = [0.0f64; W];
+                for p in 0..k {
+                    let c = coef[p * n + j];
+                    let s = &src[(i * k + p) * lanes + l..][..W];
+                    for w in 0..W {
+                        acc[w] += s[w] * c;
+                    }
+                }
+                out[(i * n + j) * lanes + l..][..W].copy_from_slice(&acc);
+            }
+        }
+        l += W;
+    }
+    l
+}
+
 /// Solves `m x = b` by Gaussian elimination with partial pivoting.
 /// `m` must be square and non-singular.
 pub fn solve(m: &Mat, b: &[f64]) -> Vec<f64> {
@@ -491,6 +564,83 @@ mod tests {
         assert_eq!(a.t().data, vec![1.0, 3.0, 2.0, 4.0]);
         let h = a.hadamard(&b);
         assert_eq!(h.data, vec![0.0, 2.0, 3.0, 0.0]);
+    }
+
+    /// `lanes` matrices of `rows x cols` in the flat lane-minor layout,
+    /// seeded with the values the batched products must not trip on:
+    /// both zeros, pairs that cancel exactly, and ordinary fractions.
+    fn lane_matrices(rows: usize, cols: usize, lanes: usize, rng: &mut StdRng) -> Vec<Mat> {
+        (0..lanes)
+            .map(|_| {
+                let mut m = Mat::zeros(rows, cols);
+                for v in m.data.iter_mut() {
+                    *v = match rng.gen_range(0..6) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => 1.0,
+                        3 => -1.0,
+                        _ => rng.gen_range(-1.0..1.0f32) as f64,
+                    };
+                }
+                m
+            })
+            .collect()
+    }
+
+    fn interleave(mats: &[Mat]) -> Vec<f64> {
+        let len = mats[0].data.len();
+        (0..len).flat_map(|at| mats.iter().map(move |m| m.data[at])).collect()
+    }
+
+    /// `left * data * right` for every lane at once — [`matmul_flat`]
+    /// over widened columns, then [`matmul_lanes_right`] — against the
+    /// per-matrix [`Mat::matmul`] chain, bit for bit.
+    fn check_two_sided(left: &Mat, right: &Mat, lanes: usize, rng: &mut StdRng) {
+        let (m, k, n) = (left.rows, left.cols, right.cols);
+        let data = lane_matrices(k, right.rows, lanes, rng);
+        let flat = interleave(&data);
+        let mut half = vec![0.0; m * right.rows * lanes];
+        matmul_flat(&left.data, &flat, &mut half, m, k, right.rows * lanes);
+        let mut got = vec![f64::NAN; m * n * lanes];
+        matmul_lanes_right(&half, &right.data, &mut got, m, right.rows, n, lanes);
+        for (l, d) in data.iter().enumerate() {
+            let want = left.matmul(d).matmul(right);
+            for (at, w) in want.data.iter().enumerate() {
+                assert_eq!(
+                    got[at * lanes + l].to_bits(),
+                    w.to_bits(),
+                    "lane {l} of {lanes}, element {at}: {} vs {w}",
+                    got[at * lanes + l]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn batched_transforms_equal_the_per_matrix_chain_bitwise() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for (e, r) in [(2, 3), (4, 3)] {
+            let t = generate(e, r);
+            for lanes in [1, 3, 8, 28, 49] {
+                check_two_sided(&t.bt, &t.bt.t(), lanes, &mut rng); // B^T d B
+                check_two_sided(&t.g, &t.g.t(), lanes, &mut rng); // G g G^T
+                check_two_sided(&t.at, &t.at.t(), lanes, &mut rng); // A^T Pi A
+            }
+        }
+    }
+
+    /// The case the dense right product has to get right: a zero
+    /// *data* term, which [`Mat::matmul`] skips and the dense fold adds
+    /// as `-0.0 * c = ∓0.0` — onto an accumulator that is `+0.0`, not
+    /// `-0.0`, so both end on `+0.0`.
+    #[test]
+    fn dense_right_product_keeps_the_sign_of_zero() {
+        let tmp = Mat::from_rows(&[&[-0.0, 1.0]]);
+        let coef = Mat::from_rows(&[&[1.0, -1.0], &[0.0, -0.0]]);
+        let want = tmp.matmul(&coef);
+        let mut got = [f64::NAN; 2];
+        matmul_lanes_right(&tmp.data, &coef.data, &mut got, 1, 2, 2, 1);
+        assert_eq!(got.map(f64::to_bits), [want.data[0].to_bits(), want.data[1].to_bits()]);
     }
 
     #[test]

@@ -239,6 +239,36 @@ fn scheduled_eviction_trims_store_on_the_persister_tick() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The persister flushes on its interval, on `Sync` and at shutdown —
+/// not whenever a client hangs up. (It shares a condvar with the
+/// connection count; a flush woken by a departure ran on the client's
+/// CPU just as the client went on to its next piece of work.)
+#[test]
+fn a_departing_client_does_not_wake_the_persister() {
+    let dir = temp_dir("depart");
+    let sock = std::env::temp_dir().join(format!("iolb-daemon-depart-{}.sock", unique_tag()));
+    let config = DaemonConfig { merge_interval: Duration::from_secs(60), ..daemon_config() };
+    let (daemon, _) = Daemon::bind(&dir, &sock, config).unwrap();
+    let server = std::thread::spawn(move || daemon.run().unwrap());
+
+    // Dirty the store, then hang up.
+    let first = SocketBackend::connect(&sock).unwrap();
+    first.submit_batch(&requests(), &device()).unwrap().wait().unwrap();
+    drop(first);
+    // Long enough for the handler thread to leave and for a flush of 36
+    // records to land, had the departure started one.
+    std::thread::sleep(Duration::from_millis(300));
+    let on_disk = || ShardedStore::load(&dir).map_or(0, |(store, _)| store.len());
+    assert_eq!(on_disk(), 0, "a departure alone must not flush");
+
+    let second = SocketBackend::connect(&sock).unwrap();
+    assert!(second.sync().unwrap().persisted);
+    assert!(on_disk() > 0, "Sync flushes at once");
+    second.shutdown().unwrap();
+    server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Two concurrent socket clients, same workload: one tuning run, both
 /// get identical bits.
 #[test]

@@ -7,7 +7,10 @@ use conv_iolb::core::optimality::{best_tile, divisors, padded_out, TileKind};
 use conv_iolb::core::shapes::{ConvShape, WinogradTile};
 use conv_iolb::core::{direct, winograd};
 use conv_iolb::dataflow::config::ScheduleConfig;
-use conv_iolb::dataflow::exec::{execute_direct, execute_direct_fused_with_path, execute_winograd};
+use conv_iolb::dataflow::exec::{
+    execute_direct, execute_direct_fused_with_path, execute_winograd,
+    execute_winograd_fused_with_path,
+};
 use conv_iolb::gpusim::TileAccess;
 use conv_iolb::tensor::conv_ref::{conv2d_reference, ConvParams};
 use conv_iolb::tensor::im2col::conv2d_im2col;
@@ -259,6 +262,91 @@ proptest! {
             bits(run(KernelPath::Vector)),
             "{:?} x{} y{} z{} {}",
             shape, x, y, z, epilogue
+        );
+    }
+
+    /// The Winograd executor's lane-batched arm equals its scalar arm
+    /// **bit for bit**: F(2,3) and F(4,3); every Hadamard lane width of
+    /// `z` plus tails; channel counts below, at and across the stage
+    /// depth; tile counts that are not multiples of 4 or 8; pad 0/1;
+    /// non-CHW inputs and weights; all three epilogues; one or three
+    /// workers; and batch 2, so a worker meets a block-channel group
+    /// twice and repacks its kernels.
+    ///
+    /// Both arms fold in `f64` and round to `f32` once, which hides a
+    /// last-place `f64` difference from all but one output in 2^29. So
+    /// three cases in four run on channels that cancel: the second half
+    /// of the input is minus the first on the same kernels (an odd
+    /// channel out is `±0.0`), every sum comes down to its own rounding
+    /// residue, and a fused multiply-add or a reordered fold shows in
+    /// every bit of the output.
+    #[test]
+    fn winograd_vector_path_bit_identical_to_scalar(
+        channels in (0usize..7, 1usize..=2, 0usize..6),
+        extents in (0usize..2, 1usize..=5, 1usize..=5, 0usize..=1),
+        tile in (0usize..4, 0usize..4),
+        layouts in (0usize..3, 0usize..3),
+        epilogue_workers in (0usize..3, 0usize..2),
+        seed in 0u64..1000,
+    ) {
+        let (zi, groups, ci) = channels;
+        let (fi, th, tw, pad) = extents;
+        let (xi, yi) = tile;
+        let (in_layout, w_layout) = layouts;
+        let (epilogue_i, workers_i) = epilogue_workers;
+        let wino = [WinogradTile::F2X3, WinogradTile::F4X3][fi];
+        let z = [1usize, 3, 4, 8, 12, 16, 24][zi];
+        let cin = [1usize, 3, 7, 8, 9, 17][ci];
+        // `th x tw` Winograd tiles of output: 1 to 25, mostly not multiples of 4.
+        let (hout, wout) = (th * wino.e, tw * wino.e);
+        let params = ConvParams::new(1, pad);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (hin, win) = (hout + 2 - 2 * pad, wout + 2 - 2 * pad);
+        let input = Tensor4::random(2, cin, hin, win, &mut rng);
+        let weights = Tensor4::random(z * groups, cin, 3, 3, &mut rng);
+        // Channel `c` is `sign * channel twin` of the random tensors.
+        let half = if seed % 4 == 0 { 0 } else { cin / 2 };
+        let twin = |c: usize| match c {
+            _ if half == 0 => (c, 1.0),
+            c if c < half => (c, 1.0),
+            c if c < 2 * half => (c - half, -1.0),
+            c => (c, 0.0),
+        };
+        let input = Tensor4::from_fn(2, cin, hin, win, |n, c, h, w| {
+            let (of, sign) = twin(c);
+            sign * input.at(n, of, h, w)
+        })
+        .to_layout(Layout::ALL[in_layout]);
+        let weights =
+            Tensor4::from_fn(z * groups, cin, 3, 3, |o, c, h, w| weights.at(o, twin(c).0, h, w))
+                .to_layout(Layout::ALL[w_layout]);
+        // Block extents: multiples of `e` that divide the output.
+        let pick = |n: usize, i: usize| {
+            let d: Vec<usize> = divisors(n).into_iter().filter(|d| d % wino.e == 0).collect();
+            d[i % d.len()]
+        };
+        let (x, y) = (pick(hout, xi), pick(wout, yi));
+        let cfg = ScheduleConfig {
+            x, y, z, nxt: 1, nyt: 1, nzt: 1, sb_bytes: 48 * 1024, layout: Layout::Chw,
+        };
+        let k = divisors(x).into_iter().filter(|k| y % k == 0).max().unwrap_or(1);
+        let epilogue = match epilogue_i {
+            0 => Epilogue::None,
+            2 if k > 1 => Epilogue::ReluPool { k },
+            _ => Epilogue::Relu,
+        };
+        let run = |path| {
+            let workers = [1, 3][workers_i];
+            execute_winograd_fused_with_path(
+                &input, &weights, params, wino, &cfg, workers, path, epilogue,
+            )
+        };
+        let bits = |t: Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        prop_assert_eq!(
+            bits(run(KernelPath::Scalar)),
+            bits(run(KernelPath::Vector)),
+            "{:?} cin{} x{} y{} z{} {}",
+            wino, cin, x, y, z, epilogue
         );
     }
 }
