@@ -33,6 +33,7 @@ use iolb_core::optimality::{best_tile, divisors, TileKind};
 use iolb_core::shapes::{ConvShape, WinogradTile};
 use iolb_dataflow::config::ScheduleConfig;
 use iolb_gpusim::DeviceSpec;
+use iolb_records::jsonl;
 use iolb_tensor::layout::Layout;
 
 /// Picks a default thread split for a tile: factors of (x, y, z) whose
@@ -245,29 +246,17 @@ impl BatchRequest {
     /// the record codec); bare convs emit the pre-fusion line
     /// byte-identically, so old peers interoperate.
     pub fn to_wire_line(&self) -> String {
-        let s = &self.shape;
-        let epi = if self.epilogue.is_none() {
-            String::new()
-        } else {
-            format!("\"epi\":\"{}\",", self.epilogue.tag())
-        };
-        format!(
-            concat!(
-                "{{\"algo\":\"{}\",{}\"batch\":{},\"cin\":{},\"hin\":{},\"win\":{},",
-                "\"cout\":{},\"kh\":{},\"kw\":{},\"stride\":{},\"pad\":{}}}"
-            ),
-            iolb_records::record::algo_tag(self.kind),
-            epi,
-            s.batch,
-            s.cin,
-            s.hin,
-            s.win,
-            s.cout,
-            s.kh,
-            s.kw,
-            s.stride,
-            s.pad,
-        )
+        let mut line = String::new();
+        self.write_wire_line(&mut line);
+        line
+    }
+
+    /// [`to_wire_line`](Self::to_wire_line) appended to a caller-owned
+    /// buffer (the frame encoder's), without allocating.
+    pub fn write_wire_line(&self, out: &mut String) {
+        out.push('{');
+        jsonl::write_workload_fields(out, self.kind, self.epilogue, &self.shape);
+        out.push('}');
     }
 
     /// Parses a line written by [`to_wire_line`](Self::to_wire_line).
@@ -275,32 +264,8 @@ impl BatchRequest {
     /// and invalid shapes (with a reason) — never panics on hostile
     /// input.
     pub fn from_wire_line(line: &str) -> Result<Self, String> {
-        let fields = iolb_records::jsonl::parse_flat_object(line)?;
-        let get = |key: &str| -> Result<&iolb_records::jsonl::Value, String> {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field {key:?}"))
-        };
-        let kind = iolb_records::record::parse_algo_tag(get("algo")?.as_str("algo")?)?;
-        let epilogue = match fields.iter().find(|(k, _)| k == "epi") {
-            Some((_, v)) => Epilogue::parse_tag(v.as_str("epi")?)?,
-            None => Epilogue::None,
-        };
-        let dim = |key: &str| -> Result<usize, String> { get(key)?.as_usize(key) };
-        let shape = ConvShape {
-            batch: dim("batch")?,
-            cin: dim("cin")?,
-            hin: dim("hin")?,
-            win: dim("win")?,
-            cout: dim("cout")?,
-            kh: dim("kh")?,
-            kw: dim("kw")?,
-            stride: dim("stride")?,
-            pad: dim("pad")?,
-        };
-        shape.validate().map_err(|e| format!("invalid shape: {e}"))?;
+        let (kind, epilogue, shape) =
+            jsonl::read_workload_fields(&jsonl::FlatObject::parse(line)?)?;
         Ok(Self { shape, kind, epilogue })
     }
 }

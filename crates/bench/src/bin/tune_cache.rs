@@ -33,6 +33,7 @@ use iolb_cnn::{NetworkTime, ServiceEconomics};
 use iolb_core::optimality::TileKind;
 use iolb_core::shapes::ConvShape;
 use iolb_gpusim::DeviceSpec;
+use iolb_records::jsonl::FlatObject;
 use iolb_records::RecordStore;
 use iolb_service::{
     load_sidecar, Backend, Daemon, DaemonConfig, DirLock, EvictionPolicy, FleetRouter, PeerAddr,
@@ -375,7 +376,7 @@ fn print_session_summary(net: &Network, timed: &NetworkTime, eco: &ServiceEconom
 }
 
 /// The `tune-net --json` end-of-run summary: one flat JSON object (the
-/// record codec's dialect, so `parse_flat_object` reads it back), with
+/// record codec's dialect, so `FlatObject` reads it back), with
 /// field names shared with `BENCH_replay.json` where the two overlap
 /// (`fresh`, `hit_rate`, `requests`, `*_ms`).
 fn print_session_json(
@@ -705,21 +706,13 @@ fn compare_replay_throughput(
     base: &str,
     tolerance_pct: usize,
 ) -> Result<String, String> {
-    use iolb_records::jsonl::parse_flat_object;
-    let read = |text: &str, key: &str| -> Result<f64, String> {
-        let fields = parse_flat_object(text)?;
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_f64(key))
-            .ok_or_else(|| format!("missing field {key:?}"))?
-    };
+    let (fresh, base) = (FlatObject::parse(fresh)?, FlatObject::parse(base)?);
     let floor = 1.0 - tolerance_pct.min(100) as f64 / 100.0;
     let mut parts = Vec::new();
     for mode in ["embedded", "daemon"] {
         let key = format!("{mode}_throughput_rps");
-        let fresh_rps = read(fresh, &key)?;
-        let base_rps = read(base, &key)?;
+        let fresh_rps = fresh.f64(&key)?;
+        let base_rps = base.f64(&key)?;
         if fresh_rps < base_rps * floor {
             return Err(format!(
                 "{key} regressed: {fresh_rps:.3} rps vs baseline {base_rps:.3} rps \
@@ -733,75 +726,63 @@ fn compare_replay_throughput(
 
 /// The schema tag of an artifact's first line.
 fn bench_schema(text: &str) -> Result<String, String> {
-    use iolb_records::jsonl::parse_flat_object;
     let first = text.lines().next().ok_or("empty file")?;
-    let fields = parse_flat_object(first)?;
-    let (_, value) =
-        fields.iter().find(|(k, _)| k == "schema").ok_or("missing field \"schema\"")?;
-    Ok(value.as_str("schema")?.to_string())
+    Ok(FlatObject::parse(first)?.str("schema")?.to_string())
 }
 
 /// The actual `BENCH_replay.json` schema check, separated so the error
 /// path is one string.
 fn validate_bench_replay(line: &str) -> Result<String, String> {
-    use iolb_records::jsonl::{parse_flat_object, Value};
-    let fields = parse_flat_object(line)?;
-    let get = |key: &str| -> Result<&Value, String> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field {key:?}"))
-    };
-    let schema = get("schema")?.as_str("schema")?;
+    let fields = FlatObject::parse(line)?;
+    let schema = fields.str("schema")?;
     if schema != "iolb-bench-replay" {
         return Err(format!("unexpected schema {schema:?}"));
     }
-    let version = get("v")?.as_u64("v")?;
+    let version = fields.u64("v")?;
     if version != 2 && version != 3 {
         return Err(format!("unsupported replay schema version {version}"));
     }
-    get("networks")?.as_str("networks")?;
+    fields.str("networks")?;
     for key in ["clients", "repeat", "sessions", "requests"] {
-        if get(key)?.as_u64(key)? == 0 {
+        if fields.u64(key)? == 0 {
             return Err(format!("field {key:?} must be positive"));
         }
     }
     // v2: the anchoring settings ride along so a trajectory point is
     // self-describing — jittered and exact replays are not comparable.
-    let jitter = get("jitter")?.as_u64("jitter")?;
+    let jitter = fields.u64("jitter")?;
     if jitter > 1 {
         return Err(format!("field \"jitter\" must be 0 or 1, got {jitter}"));
     }
     for key in ["anchor_floor", "transfer_gap_permille"] {
-        if get(key)?.as_u64(key)? == 0 {
+        if fields.u64(key)? == 0 {
             return Err(format!("field {key:?} must be positive"));
         }
     }
     for mode in ["embedded", "daemon"] {
         for suffix in ["throughput_rps", "p50_ms", "p99_ms", "total_cost_ms"] {
             let key = format!("{mode}_{suffix}");
-            let value = get(&key)?.as_f64(&key)?;
+            let value = fields.f64(&key)?;
             if !value.is_finite() || value < 0.0 {
                 return Err(format!("field {key:?} must be finite and non-negative"));
             }
         }
         for suffix in ["hit_rate", "anchored_hit_rate"] {
             let key = format!("{mode}_{suffix}");
-            let rate = get(&key)?.as_f64(&key)?;
+            let rate = fields.f64(&key)?;
             if !(0.0..=1.0).contains(&rate) {
                 return Err(format!("field {key:?} must be within [0, 1], got {rate}"));
             }
         }
-        let anchored = get(&format!("{mode}_anchored"))?.as_u64(&format!("{mode}_anchored"))?;
-        let retunes = get(&format!("{mode}_retunes"))?.as_u64(&format!("{mode}_retunes"))?;
+        let anchored = fields.u64(&format!("{mode}_anchored"))?;
+        let retunes = fields.u64(&format!("{mode}_retunes"))?;
         if retunes > anchored {
             return Err(format!(
                 "field \"{mode}_retunes\" ({retunes}) cannot exceed \
                  \"{mode}_anchored\" ({anchored}): every re-tune is an anchored serve"
             ));
         }
-        get(&format!("{mode}_fresh"))?.as_u64(&format!("{mode}_fresh"))?;
+        fields.u64(&format!("{mode}_fresh"))?;
     }
     // A jittered replay against a pre-warmed store is the anchoring
     // acceptance run: every request must be answered from the anchor
@@ -809,11 +790,11 @@ fn validate_bench_replay(line: &str) -> Result<String, String> {
     if jitter == 1 {
         for mode in ["embedded", "daemon"] {
             let key = format!("{mode}_anchored_hit_rate");
-            let rate = get(&key)?.as_f64(&key)?;
+            let rate = fields.f64(&key)?;
             if rate < 0.95 {
                 return Err(format!("field {key:?} must be >= 0.95 under --jitter, got {rate}"));
             }
-            let fresh = get(&format!("{mode}_fresh"))?.as_u64(&format!("{mode}_fresh"))?;
+            let fresh = fields.u64(&format!("{mode}_fresh"))?;
             if fresh != 0 {
                 return Err(format!(
                     "field \"{mode}_fresh\" must be 0 under --jitter, got {fresh}"
@@ -821,8 +802,8 @@ fn validate_bench_replay(line: &str) -> Result<String, String> {
             }
         }
     }
-    let embedded = get("embedded_total_cost_ms")?.as_f64("embedded_total_cost_ms")?;
-    let daemon = get("daemon_total_cost_ms")?.as_f64("daemon_total_cost_ms")?;
+    let embedded = fields.f64("embedded_total_cost_ms")?;
+    let daemon = fields.f64("daemon_total_cost_ms")?;
     if embedded.to_bits() != daemon.to_bits() {
         return Err(format!(
             "embedded and daemon total costs must be bit-identical (hermetic tuning), \
@@ -834,14 +815,14 @@ fn validate_bench_replay(line: &str) -> Result<String, String> {
     // the whole point of fusing.
     let mut fuse_summary = String::new();
     if version >= 3 {
-        let fuse = get("fuse")?.as_u64("fuse")?;
+        let fuse = fields.u64("fuse")?;
         if fuse > 1 {
             return Err(format!("field \"fuse\" must be 0 or 1, got {fuse}"));
         }
         if fuse == 1 {
-            let blocks = get("fuse_blocks")?.as_u64("fuse_blocks")?;
-            let fused = get("fuse_fused")?.as_u64("fuse_fused")?;
-            let fallbacks = get("fuse_fallbacks")?.as_u64("fuse_fallbacks")?;
+            let blocks = fields.u64("fuse_blocks")?;
+            let fused = fields.u64("fuse_fused")?;
+            let fallbacks = fields.u64("fuse_fallbacks")?;
             if blocks == 0 {
                 return Err("field \"fuse_blocks\" must be positive".to_string());
             }
@@ -855,8 +836,8 @@ fn validate_bench_replay(line: &str) -> Result<String, String> {
                     "fused ({fused}) + fallbacks ({fallbacks}) cannot exceed blocks ({blocks})"
                 ));
             }
-            let fused_ms = get("fused_total_cost_ms")?.as_f64("fused_total_cost_ms")?;
-            let perlayer_ms = get("perlayer_total_cost_ms")?.as_f64("perlayer_total_cost_ms")?;
+            let fused_ms = fields.f64("fused_total_cost_ms")?;
+            let perlayer_ms = fields.f64("perlayer_total_cost_ms")?;
             if !fused_ms.is_finite() || !perlayer_ms.is_finite() || perlayer_ms <= 0.0 {
                 return Err("fused/per-layer totals must be finite and positive".to_string());
             }
@@ -866,8 +847,8 @@ fn validate_bench_replay(line: &str) -> Result<String, String> {
                      per-layer ({perlayer_ms} ms)"
                 ));
             }
-            get("fuse_fresh")?.as_u64("fuse_fresh")?;
-            get("fuse_baseline_fresh")?.as_u64("fuse_baseline_fresh")?;
+            fields.u64("fuse_fresh")?;
+            fields.u64("fuse_baseline_fresh")?;
             fuse_summary = format!(
                 ", {fused} fused / {fallbacks} fallback block(s) \
                  ({fused_ms:.6} vs {perlayer_ms:.6} ms per-layer)"
@@ -877,9 +858,9 @@ fn validate_bench_replay(line: &str) -> Result<String, String> {
     Ok(format!(
         "{} session(s), {} request(s), jitter {jitter}, anchored hit rate {}, \
          embedded/daemon costs bit-identical{fuse_summary}",
-        get("sessions")?.as_u64("sessions")?,
-        get("requests")?.as_u64("requests")?,
-        get("embedded_anchored_hit_rate")?.as_f64("embedded_anchored_hit_rate")?
+        fields.u64("sessions")?,
+        fields.u64("requests")?,
+        fields.f64("embedded_anchored_hit_rate")?
     ))
 }
 
@@ -890,33 +871,24 @@ fn validate_bench_replay(line: &str) -> Result<String, String> {
 /// acceptance gate — the vector path must not lose to scalar on the
 /// largest GEMM row.
 fn validate_bench_kernels(text: &str) -> Result<String, String> {
-    use iolb_records::jsonl::{parse_flat_object, Value};
     let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header = parse_flat_object(lines.next().ok_or("empty file")?)?;
-    let field = |fields: &[(String, Value)], key: &str| -> Result<Value, String> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.clone())
-            .ok_or_else(|| format!("missing field {key:?}"))
-    };
-
-    let schema = field(&header, "schema")?;
-    if schema.as_str("schema")? != "iolb-bench-kernels" {
-        return Err(format!("unexpected schema {:?}", schema.as_str("schema")?));
+    let header = FlatObject::parse(lines.next().ok_or("empty file")?)?;
+    let schema = header.str("schema")?;
+    if schema != "iolb-bench-kernels" {
+        return Err(format!("unexpected schema {schema:?}"));
     }
-    let version = field(&header, "v")?.as_u64("v")?;
+    let version = header.u64("v")?;
     if version != 1 && version != 2 {
         return Err(format!("unsupported kernels schema version {version}"));
     }
-    field(&header, "sizes")?.as_str("sizes")?;
-    field(&header, "networks")?.as_str("networks")?;
+    header.str("sizes")?;
+    header.str("networks")?;
     for key in ["reps", "threads", "sram_kib", "rows"] {
-        if field(&header, key)?.as_u64(key)? == 0 {
+        if header.u64(key)? == 0 {
             return Err(format!("field {key:?} must be positive"));
         }
     }
-    let declared_rows = field(&header, "rows")?.as_u64("rows")? as usize;
+    let declared_rows = header.u64("rows")? as usize;
 
     let mut rows = 0usize;
     let mut gemm_rows = 0usize;
@@ -925,22 +897,22 @@ fn validate_bench_kernels(text: &str) -> Result<String, String> {
     let mut largest_gemm: Option<(f64, f64, String)> = None;
     for line in lines {
         rows += 1;
-        let fields = parse_flat_object(line)?;
-        let name = field(&fields, "name")?.as_str("name")?.to_string();
+        let fields = FlatObject::parse(line)?;
+        let name = fields.str("name")?.to_string();
         let err = |msg: String| format!("row {name:?}: {msg}");
-        let kind = field(&fields, "row")?.as_str("row")?.to_string();
+        let kind = fields.str("row")?.to_string();
         if kind != "gemm" && kind != "conv" {
             return Err(err(format!("unknown row kind {kind:?}")));
         }
-        field(&fields, "algo")?.as_str("algo")?;
-        field(&fields, "shape")?.as_str("shape")?;
+        fields.str("algo")?;
+        fields.str("shape")?;
         // v2: each row was timed at an explicit thread count (the
         // header's `threads` is the sweep's maximum).
-        if version >= 2 && field(&fields, "threads")?.as_u64("threads")? == 0 {
+        if version >= 2 && fields.u64("threads")? == 0 {
             return Err(err("field \"threads\" must be positive".into()));
         }
         let num = |key: &str| -> Result<f64, String> {
-            let v = field(&fields, key)?.as_f64(key)?;
+            let v = fields.f64(key)?;
             if !v.is_finite() || v < 0.0 {
                 return Err(err(format!("field {key:?} must be finite and non-negative")));
             }
@@ -969,7 +941,7 @@ fn validate_bench_kernels(text: &str) -> Result<String, String> {
         // The gap is a ratio over the bound: where the bound is 0 (the
         // shape fits in fast memory) there is none to report, and a
         // written `0` would read as "on the roofline".
-        let has_gap = fields.iter().any(|(k, _)| k == "roofline_gap");
+        let has_gap = fields.opt("roofline_gap").is_some();
         if has_gap != (q_lower > 0.0) {
             return Err(err(format!(
                 "roofline_gap must be present exactly when q_lower_bytes > 0 \

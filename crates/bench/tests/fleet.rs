@@ -107,9 +107,8 @@ fn fleet_client_json(fleet: &str, layers: &str) -> String {
 
 /// One counter out of a client's JSON summary line.
 fn summary_u64(json: &str, key: &str) -> u64 {
-    let fields = iolb_records::jsonl::parse_flat_object(json).expect("summary parses");
-    let (_, value) = fields.iter().find(|(k, _)| k == key).expect("summary field");
-    value.as_u64(key).expect("summary counter")
+    let fields = iolb_records::jsonl::FlatObject::parse(json).expect("summary parses");
+    fields.u64(key).expect("summary counter")
 }
 
 /// One named counter out of a daemon's Prometheus exposition (0 when

@@ -31,6 +31,8 @@
 use crate::optimality::TileKind;
 use crate::phi_psi::{direct_steps, winograd_steps, StepBound};
 use crate::shapes::ConvShape;
+use std::collections::HashMap;
+use std::sync::{LazyLock, Mutex};
 
 /// What follows a convolution inside one fused block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -58,10 +60,18 @@ impl Epilogue {
     /// Canonical tag appended to fingerprints and wire lines. Empty for
     /// [`Epilogue::None`], so pre-fusion fingerprints are unchanged.
     pub fn tag(&self) -> String {
+        let mut tag = String::new();
+        let _ = self.write_tag(&mut tag);
+        tag
+    }
+
+    /// [`tag`](Self::tag) written into a caller's buffer (the line
+    /// encoders').
+    pub fn write_tag(&self, out: &mut impl std::fmt::Write) -> std::fmt::Result {
         match self {
-            Epilogue::None => String::new(),
-            Epilogue::Relu => "+relu".to_string(),
-            Epilogue::ReluPool { k } => format!("+relu+pool{k}"),
+            Epilogue::None => Ok(()),
+            Epilogue::Relu => out.write_str("+relu"),
+            Epilogue::ReluPool { k } => write!(out, "+relu+pool{k}"),
         }
     }
 
@@ -271,9 +281,38 @@ pub fn fused_vertex_count(shape: &ConvShape, kind: TileKind, epilogue: Epilogue)
 /// [`Epilogue::None`] this degenerates to the convolution's own
 /// composite bound.
 pub fn fused_io_lower_bound(shape: &ConvShape, kind: TileKind, epilogue: Epilogue, s: f64) -> f64 {
-    let steps = fused_steps(shape, kind, epilogue);
     let v = fused_vertex_count(shape, kind, epilogue);
-    crate::composite::io_lower_bound(&steps, v, s)
+    crate::composite::io_lower_bound_with_t(v, s, fused_t_2s(shape, kind, epilogue, s))
+}
+
+/// Most step sequences [`fused_t_2s`] remembers.
+const T_MEMO_CAP: usize = 256;
+
+/// `T(2S)` of the fused chain, computed once per step sequence. The grid
+/// maximisation behind it costs microseconds to milliseconds (13^(n-1)
+/// points x 6 levels), yet its value depends only on the steps —
+/// `(kind, R for direct, epilogue, S)` — not on the layer, and the fusion
+/// gate asks for it on every fused request: a dozen values cover a
+/// process. Past [`T_MEMO_CAP`] distinct sequences (hostile shapes can
+/// vary `R` at will) new values are computed and not kept.
+fn fused_t_2s(shape: &ConvShape, kind: TileKind, epilogue: Epilogue, s: f64) -> f64 {
+    type Memo = Mutex<HashMap<(TileKind, u64, Epilogue, u64), f64>>;
+    static MEMO: LazyLock<Memo> = LazyLock::new(Memo::default);
+    // `R` enters the direct steps only; the Winograd ones take the tile.
+    let reuse = match kind {
+        TileKind::Direct => shape.reuse_factor().to_bits(),
+        TileKind::Winograd(_) => 0,
+    };
+    let key = (kind, reuse, epilogue, s.to_bits());
+    if let Some(&t) = MEMO.lock().expect("T(2S) memo poisoned").get(&key) {
+        return t;
+    }
+    let t = crate::composite::t_bound(&fused_steps(shape, kind, epilogue), 2.0 * s).t;
+    let mut memo = MEMO.lock().expect("T(2S) memo poisoned");
+    if memo.len() < T_MEMO_CAP {
+        memo.insert(key, t);
+    }
+    t
 }
 
 #[cfg(test)]
@@ -364,6 +403,39 @@ mod tests {
                 + epi.unfused_epilogue_traffic(&shape);
             assert!(fused < unfused, "{epi}: fused bound {fused} >= unfused traffic {unfused}");
         }
+    }
+
+    #[test]
+    fn memoised_t_is_bit_identical_to_a_fresh_maximisation() {
+        let direct = shape();
+        let strided = ConvShape::square(32, 28, 64, 3, 2, 1);
+        let f2x3 = TileKind::Winograd(crate::shapes::WinogradTile::F2X3);
+        for (shape, kind, epi) in [
+            (direct, TileKind::Direct, Epilogue::Relu),
+            (strided, TileKind::Direct, Epilogue::Relu),
+            (direct, TileKind::Direct, Epilogue::ReluPool { k: 2 }),
+            (direct, f2x3, Epilogue::Relu),
+        ] {
+            for s in [4096.0, 24576.0] {
+                let fresh = crate::composite::t_bound(&fused_steps(&shape, kind, epi), 2.0 * s).t;
+                // First call fills the memo (or finds it filled), second hits it.
+                for _ in 0..2 {
+                    let memo = fused_t_2s(&shape, kind, epi, s);
+                    assert_eq!(memo.to_bits(), fresh.to_bits(), "{kind:?} {epi} S={s}");
+                }
+                let bound = crate::composite::io_lower_bound(
+                    &fused_steps(&shape, kind, epi),
+                    fused_vertex_count(&shape, kind, epi),
+                    s,
+                );
+                assert_eq!(fused_io_lower_bound(&shape, kind, epi, s).to_bits(), bound.to_bits());
+            }
+        }
+        // A different stride is a different R, hence a different T(2S).
+        assert_ne!(
+            fused_t_2s(&direct, TileKind::Direct, Epilogue::Relu, 4096.0),
+            fused_t_2s(&strided, TileKind::Direct, Epilogue::Relu, 4096.0)
+        );
     }
 
     #[test]

@@ -98,7 +98,7 @@ pub fn divisors(n: usize) -> Vec<usize> {
 
 /// Which algorithm the tile is for; affects both the on-chip budget
 /// accounting and the reuse factor in the optimality condition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TileKind {
     /// Direct convolution: budget is the output tile itself (`xyz` partial
     /// sums stay resident), reuse factor `R = Wk Hk / mu^2`.

@@ -126,9 +126,16 @@ impl Workload {
 
 /// Canonical algorithm tag for a [`TileKind`].
 pub fn algo_tag(kind: TileKind) -> String {
+    let mut tag = String::new();
+    let _ = write_algo_tag(&mut tag, kind);
+    tag
+}
+
+/// [`algo_tag`] written into a caller's buffer (the line encoders').
+pub fn write_algo_tag(out: &mut impl std::fmt::Write, kind: TileKind) -> std::fmt::Result {
     match kind {
-        TileKind::Direct => "direct".to_string(),
-        TileKind::Winograd(t) => format!("w{}x{}", t.e, t.r),
+        TileKind::Direct => out.write_str("direct"),
+        TileKind::Winograd(t) => write!(out, "w{}x{}", t.e, t.r),
     }
 }
 

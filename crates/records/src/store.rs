@@ -230,7 +230,7 @@ impl RecordStore {
         let mut out = String::new();
         for list in self.by_workload.values() {
             for rec in list {
-                out.push_str(&jsonl::encode(rec));
+                jsonl::encode_into(rec, &mut out);
                 out.push('\n');
             }
         }

@@ -874,9 +874,18 @@ impl<S: Read + Write> WireBackend<S> {
     /// One request/response exchange. Daemon-reported errors surface as
     /// [`BackendError::Remote`].
     pub(crate) fn call(&self, request: &Request) -> Result<Response, BackendError> {
+        self.exchange(|stream, scratch| wire::write_request_buffered(stream, request, scratch))
+    }
+
+    /// Sends the frame `write` encodes and reads the response to it, the
+    /// connection held for the pair.
+    fn exchange(
+        &self,
+        write: impl FnOnce(&mut S, &mut wire::Scratch) -> Result<(), WireError>,
+    ) -> Result<Response, BackendError> {
         let mut guard = self.stream.lock().expect("wire backend poisoned");
         let (stream, scratch) = &mut *guard;
-        wire::write_request_buffered(stream, request, scratch)?;
+        write(stream, scratch)?;
         match wire::read_response_buffered(stream, scratch)? {
             Response::Error { message } => Err(BackendError::Remote(message)),
             response => Ok(response),
@@ -954,8 +963,10 @@ impl<S: Read + Write> Backend for WireBackend<S> {
         requests: &[TuneRequest],
         device: &DeviceSpec,
     ) -> Result<WireSession<S>, BackendError> {
-        let request = Request::Submit { device: device.clone(), requests: requests.to_vec() };
-        match self.call(&request)? {
+        // Encoded from the caller's slice: no owned `Request` is built.
+        match self.exchange(|stream, scratch| {
+            wire::write_submit_buffered(stream, device, requests, scratch)
+        })? {
             Response::Submitted { session, unique } => {
                 Ok(WireSession { backend: self.clone(), session, requests: requests.len(), unique })
             }

@@ -30,8 +30,9 @@
 //! to stderr, replacing the daemon's former bare `eprintln!`s; the
 //! [`crate::log_event!`] macro is the one emission path.
 
-use iolb_records::jsonl::{escape, parse_flat_object};
+use iolb_records::jsonl::{escape, Escaped, FlatObject};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -208,21 +209,32 @@ impl MetricsSnapshot {
     /// wire `stats` frame and everything reading either carry: one flat
     /// JSON object per metric, self-describing by its first key
     /// (`"c"` counter, `"g"` gauge, `"h"` histogram), in name order.
+    /// Written straight into `out`, [`line_count`](Self::line_count)
+    /// lines of it.
     pub fn encode_lines(&self, out: &mut String) {
         for (kind, list) in [("c", &self.counters), ("g", &self.gauges)] {
             for (name, value) in list {
-                out.push_str(&format!("{{\"{kind}\":\"{}\",\"val\":{value}}}\n", escape(name)));
+                let _ = writeln!(out, "{{\"{kind}\":\"{}\",\"val\":{value}}}", Escaped(name));
             }
         }
         for h in &self.histograms {
-            let buckets: Vec<String> = h.histogram.buckets().iter().map(u64::to_string).collect();
-            out.push_str(&format!(
-                "{{\"h\":\"{}\",\"sum\":{},\"buckets\":\"{}\"}}\n",
-                escape(&h.name),
-                h.histogram.sum(),
-                buckets.join(","),
-            ));
+            let _ = write!(
+                out,
+                "{{\"h\":\"{}\",\"sum\":{},\"buckets\":\"",
+                Escaped(&h.name),
+                h.histogram.sum()
+            );
+            for (i, count) in h.histogram.buckets().iter().enumerate() {
+                let _ = write!(out, "{}{count}", if i == 0 { "" } else { "," });
+            }
+            out.push_str("\"}\n");
         }
+    }
+
+    /// How many lines [`encode_lines`](Self::encode_lines) writes: one
+    /// per metric.
+    pub fn line_count(&self) -> usize {
+        self.counters.len() + self.gauges.len() + self.histograms.len()
     }
 
     /// Decodes one [`encode_lines`](Self::encode_lines) line into the
@@ -230,29 +242,21 @@ impl MetricsSnapshot {
     /// anything that is not a metric line is an error — the wire decoder
     /// surfaces it, the sidecar loader skips the line.
     pub fn decode_line(&mut self, line: &str) -> Result<(), String> {
-        let fields = parse_flat_object(line)?;
-        let get = |key: &str| {
-            fields
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("missing field {key:?}"))
-        };
-        match fields.first().map(|(k, v)| (k.as_str(), v)) {
-            Some(("c", name)) => {
-                add_scalar(&mut self.counters, name.as_str("c")?, get("val")?.as_u64("val")?)
-            }
-            Some(("g", name)) => {
-                add_scalar(&mut self.gauges, name.as_str("g")?, get("val")?.as_u64("val")?)
-            }
-            Some(("h", name)) => {
-                let buckets: Vec<u64> = get("buckets")?
-                    .as_str("buckets")?
+        let fields = FlatObject::parse(line)?;
+        // The first key says which kind of metric the line is; its value
+        // is the metric's name.
+        match fields.fields().first().map(|(kind, _)| &**kind) {
+            Some("c") => add_scalar(&mut self.counters, fields.str("c")?, fields.u64("val")?),
+            Some("g") => add_scalar(&mut self.gauges, fields.str("g")?, fields.u64("val")?),
+            Some("h") => {
+                let name = fields.str("h")?;
+                let sum = fields.u64("sum")?;
+                let buckets: Vec<u64> = fields
+                    .str("buckets")?
                     .split(',')
                     .map(|b| b.parse().map_err(|_| format!("non-numeric histogram bucket {b:?}")))
                     .collect::<Result<_, String>>()?;
-                let histogram = LatencyHistogram::from_parts(get("sum")?.as_u64("sum")?, &buckets)?;
-                self.add_histogram(name.as_str("h")?, &histogram);
+                self.add_histogram(name, &LatencyHistogram::from_parts(sum, &buckets)?);
             }
             _ => return Err(format!("not a metric line: {line:?}")),
         }
@@ -696,7 +700,7 @@ mod tests {
         assert!(lines[1].contains("\"error\":\"disk on fire\""));
         // Every line is the store's flat-object dialect.
         for line in lines {
-            iolb_records::jsonl::parse_flat_object(line).expect("event line parses");
+            FlatObject::parse(line).expect("event line parses");
         }
     }
 

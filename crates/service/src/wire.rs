@@ -4,17 +4,23 @@
 //! Every message is one **frame**: a 4-byte big-endian payload length
 //! followed by a UTF-8 payload of newline-separated flat JSON objects —
 //! the exact object dialect the record store's JSONL codec defines
-//! (string keys, number/string values, canonical writer), parsed by the
-//! same [`iolb_records::jsonl`] parser, so the socket protocol and the
-//! store files cannot drift apart. The first line of every payload is a
-//! header carrying the protocol version (`"v"`) and the message type;
-//! list-shaped messages (submit requests, batch results) follow with
-//! one object per element.
+//! (string keys, number/string values, canonical writer). Every line —
+//! header, device, request, result, metric, record, stamp — is read by
+//! the one reader of that dialect, [`iolb_records::jsonl::FlatObject`],
+//! so the socket protocol and the store files cannot drift apart. The
+//! first line of every payload is a header carrying the protocol
+//! version (`"v"`) and the message type; list-shaped messages (submit
+//! requests, batch results) follow with one object per element.
 //!
 //! The decoder is written for hostile input: truncated frames, payloads
 //! above [`MAX_FRAME_BYTES`], foreign versions, non-UTF-8 bytes and
 //! malformed objects are all **typed errors** ([`WireError`]), never
-//! panics — pinned by `crates/service/tests/proptest_wire.rs`.
+//! panics — and it is **linear in the payload** with one allocation per
+//! line, so a frame at the cap costs milliseconds (the frame deadline
+//! bounds reading a frame, this bounds decoding it). The encoders write
+//! every line straight into the caller's buffer — a connection's
+//! [`Scratch`] — and allocate nothing once it is warm. Pinned by
+//! `crates/service/tests/{proptest_wire,wire_allocs}.rs`.
 //!
 //! Six request kinds exist, mirroring the [`crate::session::Backend`]
 //! trait plus replication and lifecycle control:
@@ -43,10 +49,9 @@ use crate::session::TuneRequest;
 use crate::shard::ShardedStore;
 use crate::telemetry::MetricsSnapshot;
 use iolb_autotune::plan::BatchRequest;
-use iolb_dataflow::config::ScheduleConfig;
 use iolb_gpusim::DeviceSpec;
-use iolb_records::jsonl::{escape, parse_flat_object, Value};
-use iolb_tensor::layout::Layout;
+use iolb_records::jsonl::{self, Escaped, FlatObject};
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 
 /// Protocol version stamped into every payload header. Foreign versions
@@ -264,71 +269,70 @@ pub(crate) fn decode_request_payload(payload: &[u8]) -> Result<Request, WireErro
 
 // ------------------------------------------------------------- payloads
 
-/// Field accessor over one parsed flat object, converting the record
-/// codec's string-reason errors into [`WireError::Malformed`].
-struct Fields(Vec<(String, Value)>);
-
-impl Fields {
-    fn parse(line: &str) -> Result<Self, WireError> {
-        parse_flat_object(line).map(Self).map_err(WireError::Malformed)
-    }
-
-    fn get(&self, key: &str) -> Result<&Value, WireError> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| WireError::Malformed(format!("missing field {key:?}")))
-    }
-
-    fn str(&self, key: &str) -> Result<&str, WireError> {
-        self.get(key)?.as_str(key).map_err(WireError::Malformed)
-    }
-
-    fn u64(&self, key: &str) -> Result<u64, WireError> {
-        self.get(key)?.as_u64(key).map_err(WireError::Malformed)
-    }
-
-    fn usize(&self, key: &str) -> Result<usize, WireError> {
-        self.get(key)?.as_usize(key).map_err(WireError::Malformed)
-    }
-
-    fn u32(&self, key: &str) -> Result<u32, WireError> {
-        u32::try_from(self.u64(key)?)
-            .map_err(|_| WireError::Malformed(format!("field {key:?} out of range")))
-    }
-
-    fn finite_f64(&self, key: &str) -> Result<f64, WireError> {
-        let v = self.get(key)?.as_f64(key).map_err(WireError::Malformed)?;
-        if v.is_finite() {
-            Ok(v)
-        } else {
-            Err(WireError::Malformed(format!("field {key:?} must be finite, got {v}")))
-        }
+/// A flat-object reader's reason (a missing field, a wrong type, an
+/// unknown tag) is a malformed frame.
+impl From<String> for WireError {
+    fn from(reason: String) -> Self {
+        WireError::Malformed(reason)
     }
 }
 
-fn header(kind: &str) -> String {
-    format!("{{\"v\":{WIRE_VERSION},\"type\":\"{kind}\"}}")
+fn finite_f64(fields: &FlatObject, key: &str) -> Result<f64, WireError> {
+    let v = fields.f64(key)?;
+    if v.is_finite() {
+        Ok(v)
+    } else {
+        Err(WireError::Malformed(format!("field {key:?} must be finite, got {v}")))
+    }
 }
 
-/// Checks the header's version and returns the message type tag.
-fn parse_header(fields: &Fields) -> Result<String, WireError> {
-    let v = fields.u64("v")?;
+/// Most elements a list-shaped message's vector is sized for up front:
+/// a header's claimed count is not trusted with more memory than a
+/// large real session needs (beyond it the vector grows as lines
+/// actually decode).
+const RESERVE_CAP: usize = 1024;
+
+/// A payload's header line, parsed and its version checked, and the
+/// non-blank lines after it.
+fn open_payload<'a>(
+    payload: &'a str,
+) -> Result<(FlatObject<'a>, impl Iterator<Item = &'a str>), WireError> {
+    let mut lines = payload.lines().filter(|l| !l.trim().is_empty());
+    let head =
+        FlatObject::parse(lines.next().ok_or_else(|| WireError::Malformed("empty frame".into()))?)?;
+    let v = head.u64("v")?;
     if v != u64::from(WIRE_VERSION) {
         return Err(WireError::ForeignVersion { got: v });
     }
-    Ok(fields.str("type")?.to_string())
+    Ok((head, lines))
 }
 
-fn encode_device(d: &DeviceSpec) -> String {
-    format!(
+/// The next of a list-shaped message's `n` element lines.
+fn element<'a>(
+    lines: &mut impl Iterator<Item = &'a str>,
+    frame: &str,
+    i: usize,
+    n: usize,
+    what: &str,
+) -> Result<&'a str, WireError> {
+    lines.next().ok_or_else(|| {
+        WireError::Malformed(format!("{frame} frame ends after {i} of {n} {what}(s)"))
+    })
+}
+
+fn header(out: &mut String, kind: &str) {
+    let _ = writeln!(out, "{{\"v\":{WIRE_VERSION},\"type\":\"{kind}\"}}");
+}
+
+fn encode_device(d: &DeviceSpec, out: &mut String) {
+    let _ = writeln!(
+        out,
         concat!(
             "{{\"dev\":\"{}\",\"sms\":{},\"smem\":{},\"smem_block\":{},\"threads_sm\":{},",
             "\"threads_block\":{},\"blocks_sm\":{},\"clock_ghz\":{},\"lanes\":{},",
             "\"dram_gbps\":{},\"txn\":{},\"launch_us\":{},\"eff\":{}}}"
         ),
-        escape(d.name),
+        Escaped(d.name),
         d.num_sms,
         d.smem_per_sm,
         d.max_smem_per_block,
@@ -341,7 +345,7 @@ fn encode_device(d: &DeviceSpec) -> String {
         d.transaction_bytes,
         d.launch_overhead_us,
         d.compute_efficiency,
-    )
+    );
 }
 
 /// Decodes a device line. The preset name resolves the `&'static str`
@@ -350,7 +354,7 @@ fn encode_device(d: &DeviceSpec) -> String {
 /// served faithfully. Unknown preset names are a typed error — a record
 /// tuned for a device this build cannot even name must not be fabricated.
 fn decode_device(line: &str) -> Result<DeviceSpec, WireError> {
-    let fields = Fields::parse(line)?;
+    let fields = FlatObject::parse(line)?;
     let name = fields.str("dev")?;
     let preset = DeviceSpec::all()
         .into_iter()
@@ -364,57 +368,43 @@ fn decode_device(line: &str) -> Result<DeviceSpec, WireError> {
         max_threads_per_sm: fields.u32("threads_sm")?,
         max_threads_per_block: fields.u32("threads_block")?,
         max_blocks_per_sm: fields.u32("blocks_sm")?,
-        clock_ghz: fields.finite_f64("clock_ghz")?,
+        clock_ghz: finite_f64(&fields, "clock_ghz")?,
         fma_lanes_per_sm: fields.u32("lanes")?,
-        dram_gbps: fields.finite_f64("dram_gbps")?,
+        dram_gbps: finite_f64(&fields, "dram_gbps")?,
         transaction_bytes: fields.u32("txn")?,
-        launch_overhead_us: fields.finite_f64("launch_us")?,
-        compute_efficiency: fields.finite_f64("eff")?,
+        launch_overhead_us: finite_f64(&fields, "launch_us")?,
+        compute_efficiency: finite_f64(&fields, "eff")?,
     })
 }
 
-fn encode_result(result: &Option<ServeResult>) -> String {
-    match result {
-        None => "{\"ok\":0}".to_string(),
-        Some(r) => {
-            let (src, cancelled, retune) = match r.source {
-                ServeSource::ShardHit => ("hit", 0, 0),
-                ServeSource::Stolen => ("stolen", 0, 0),
-                ServeSource::Inline { cancelled_speculative } => {
-                    ("inline", usize::from(cancelled_speculative), 0)
-                }
-                ServeSource::Anchored { retune } => ("anchor", 0, usize::from(retune)),
-            };
-            let c = &r.config;
-            format!(
-                concat!(
-                    "{{\"ok\":1,\"src\":\"{}\",\"cancel\":{},\"retune\":{},\"fused\":{},",
-                    "\"fresh\":{},\"cached\":{},",
-                    "\"cost_ms\":{},\"x\":{},\"y\":{},\"z\":{},\"nxt\":{},\"nyt\":{},",
-                    "\"nzt\":{},\"sb\":{},\"layout\":\"{}\"}}"
-                ),
-                src,
-                cancelled,
-                retune,
-                usize::from(r.fused),
-                r.fresh_measurements,
-                r.cache_hits,
-                r.cost_ms,
-                c.x,
-                c.y,
-                c.z,
-                c.nxt,
-                c.nyt,
-                c.nzt,
-                c.sb_bytes,
-                c.layout.name(),
-            )
+fn encode_result(result: &Option<ServeResult>, out: &mut String) {
+    let Some(r) = result else {
+        out.push_str("{\"ok\":0}\n");
+        return;
+    };
+    let (src, cancelled, retune) = match r.source {
+        ServeSource::ShardHit => ("hit", 0, 0),
+        ServeSource::Stolen => ("stolen", 0, 0),
+        ServeSource::Inline { cancelled_speculative } => {
+            ("inline", usize::from(cancelled_speculative), 0)
         }
-    }
+        ServeSource::Anchored { retune } => ("anchor", 0, usize::from(retune)),
+    };
+    let _ = write!(
+        out,
+        "{{\"ok\":1,\"src\":\"{src}\",\"cancel\":{cancelled},\"retune\":{retune},\"fused\":{},\
+         \"fresh\":{},\"cached\":{},\"cost_ms\":{},",
+        usize::from(r.fused),
+        r.fresh_measurements,
+        r.cache_hits,
+        r.cost_ms,
+    );
+    jsonl::write_config_fields(out, &r.config);
+    out.push_str("}\n");
 }
 
 fn decode_result(line: &str) -> Result<Option<ServeResult>, WireError> {
-    let fields = Fields::parse(line)?;
+    let fields = FlatObject::parse(line)?;
     if fields.u64("ok")? == 0 {
         return Ok(None);
     }
@@ -425,24 +415,13 @@ fn decode_result(line: &str) -> Result<Option<ServeResult>, WireError> {
         "anchor" => ServeSource::Anchored { retune: fields.u64("retune")? != 0 },
         other => return Err(WireError::Malformed(format!("unknown serve source {other:?}"))),
     };
-    let layout: Layout = fields.str("layout")?.parse().map_err(WireError::Malformed)?;
-    let config = ScheduleConfig {
-        x: fields.usize("x")?,
-        y: fields.usize("y")?,
-        z: fields.usize("z")?,
-        nxt: fields.usize("nxt")?,
-        nyt: fields.usize("nyt")?,
-        nzt: fields.usize("nzt")?,
-        sb_bytes: fields.u32("sb")?,
-        layout,
-    };
     Ok(Some(ServeResult {
-        config,
-        cost_ms: fields.finite_f64("cost_ms")?,
         source,
+        fused: fields.u64("fused")? != 0,
         fresh_measurements: fields.usize("fresh")?,
         cache_hits: fields.usize("cached")?,
-        fused: fields.u64("fused")? != 0,
+        cost_ms: finite_f64(&fields, "cost_ms")?,
+        config: jsonl::read_config_fields(&fields)?,
     }))
 }
 
@@ -455,67 +434,47 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
 
 /// [`encode_request`] appending to a caller-owned string — the
 /// hot-path variant that lets a connection reuse one encode buffer
-/// across requests (the caller clears it).
+/// across requests (the caller clears it). Every line is written
+/// straight into `out`: no allocation beyond the buffer's own growth.
 pub fn encode_request_into(req: &Request, out: &mut String) {
     match req {
-        Request::Submit { device, requests } => {
-            out.push_str(&format!(
-                "{{\"v\":{WIRE_VERSION},\"type\":\"submit\",\"n\":{}}}\n",
-                requests.len()
-            ));
-            out.push_str(&encode_device(device));
-            out.push('\n');
-            for r in requests {
-                out.push_str(
-                    &BatchRequest { shape: r.shape, kind: r.kind, epilogue: r.epilogue }
-                        .to_wire_line(),
-                );
-                out.push('\n');
-            }
-        }
+        Request::Submit { device, requests } => encode_submit_into(device, requests, out),
         Request::Wait { session } => {
-            out.push_str(&format!(
-                "{{\"v\":{WIRE_VERSION},\"type\":\"wait\",\"session\":{session}}}\n"
-            ));
+            let _ =
+                writeln!(out, "{{\"v\":{WIRE_VERSION},\"type\":\"wait\",\"session\":{session}}}");
         }
-        Request::Sync => {
-            out.push_str(&header("sync"));
-            out.push('\n');
-        }
-        Request::Stats => {
-            out.push_str(&header("stats"));
-            out.push('\n');
-        }
-        Request::Pull => {
-            out.push_str(&header("pull"));
-            out.push('\n');
-        }
-        Request::Shutdown => {
-            out.push_str(&header("shutdown"));
-            out.push('\n');
-        }
+        Request::Sync => header(out, "sync"),
+        Request::Stats => header(out, "stats"),
+        Request::Pull => header(out, "pull"),
+        Request::Shutdown => header(out, "shutdown"),
+    }
+}
+
+/// The payload of a [`Request::Submit`] from borrowed parts, so a client
+/// holding a slice of requests encodes it without building the message.
+pub fn encode_submit_into(device: &DeviceSpec, requests: &[TuneRequest], out: &mut String) {
+    let _ = writeln!(out, "{{\"v\":{WIRE_VERSION},\"type\":\"submit\",\"n\":{}}}", requests.len());
+    encode_device(device, out);
+    for r in requests {
+        BatchRequest { shape: r.shape, kind: r.kind, epilogue: r.epilogue }.write_wire_line(out);
+        out.push('\n');
     }
 }
 
 /// Parses a request payload. Never panics: every malformation is a
 /// typed [`WireError`].
 pub fn decode_request(payload: &str) -> Result<Request, WireError> {
-    let mut lines = payload.lines().filter(|l| !l.trim().is_empty());
-    let head =
-        Fields::parse(lines.next().ok_or_else(|| WireError::Malformed("empty frame".into()))?)?;
-    let kind = parse_header(&head)?;
-    let req = match kind.as_str() {
+    let (head, mut lines) = open_payload(payload)?;
+    let req = match head.str("type")? {
         "submit" => {
             let n = head.usize("n")?;
             let device = decode_device(lines.next().ok_or_else(|| {
                 WireError::Malformed("submit frame is missing its device line".into())
             })?)?;
-            let mut requests = Vec::new();
+            let mut requests = Vec::with_capacity(n.min(RESERVE_CAP));
             for i in 0..n {
-                let line = lines.next().ok_or_else(|| {
-                    WireError::Malformed(format!("submit frame ends after {i} of {n} request(s)"))
-                })?;
-                let br = BatchRequest::from_wire_line(line).map_err(WireError::Malformed)?;
+                let br =
+                    BatchRequest::from_wire_line(element(&mut lines, "submit", i, n, "request")?)?;
                 requests.push(TuneRequest {
                     shape: br.shape,
                     kind: br.kind,
@@ -549,90 +508,80 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 pub fn encode_response_into(resp: &Response, out: &mut String) {
     match resp {
         Response::Submitted { session, unique } => {
-            out.push_str(&format!(
-                "{{\"v\":{WIRE_VERSION},\"type\":\"submitted\",\"session\":{session},\"unique\":{unique}}}\n"
-            ));
+            let _ = writeln!(
+                out,
+                "{{\"v\":{WIRE_VERSION},\"type\":\"submitted\",\"session\":{session},\"unique\":{unique}}}"
+            );
         }
         Response::Results { results } => {
-            out.push_str(&format!(
-                "{{\"v\":{WIRE_VERSION},\"type\":\"results\",\"n\":{}}}\n",
+            let _ = writeln!(
+                out,
+                "{{\"v\":{WIRE_VERSION},\"type\":\"results\",\"n\":{}}}",
                 results.len()
-            ));
+            );
             for r in results {
-                out.push_str(&encode_result(r));
-                out.push('\n');
+                encode_result(r, out);
             }
         }
         Response::Synced { persisted, total } => {
-            out.push_str(&format!(
-                "{{\"v\":{WIRE_VERSION},\"type\":\"synced\",\"persisted\":{},\"total\":{total}}}\n",
+            let _ = writeln!(
+                out,
+                "{{\"v\":{WIRE_VERSION},\"type\":\"synced\",\"persisted\":{},\"total\":{total}}}",
                 u8::from(*persisted)
-            ));
+            );
         }
         Response::Stats { metrics } => {
-            let mut body = String::new();
-            metrics.encode_lines(&mut body);
-            out.push_str(&format!(
-                "{{\"v\":{WIRE_VERSION},\"type\":\"stats\",\"n\":{}}}\n",
-                body.lines().count()
-            ));
-            out.push_str(&body);
+            let _ = writeln!(
+                out,
+                "{{\"v\":{WIRE_VERSION},\"type\":\"stats\",\"n\":{}}}",
+                metrics.line_count()
+            );
+            metrics.encode_lines(out);
         }
         Response::State { store } => {
-            let records: Vec<&iolb_records::TuningRecord> = store
-                .shards()
-                .flat_map(|(_, shard)| shard.entries())
-                .flat_map(|(_, r)| r)
-                .collect();
-            let hits: Vec<(&str, u64)> = store.hit_stamps().collect();
-            out.push_str(&format!(
-                "{{\"v\":{WIRE_VERSION},\"type\":\"state\",\"n\":{},\"h\":{},\"clock\":{}}}\n",
-                records.len(),
-                hits.len(),
+            let records =
+                || store.shards().flat_map(|(_, shard)| shard.entries()).flat_map(|(_, r)| r);
+            let _ = writeln!(
+                out,
+                "{{\"v\":{WIRE_VERSION},\"type\":\"state\",\"n\":{},\"h\":{},\"clock\":{}}}",
+                records().count(),
+                store.hit_stamps().count(),
                 store.clock()
-            ));
+            );
             // One line per record, in the record store's own canonical
             // per-line codec — the wire state and the shard files are
             // the same dialect by construction.
-            for rec in records {
-                out.push_str(&iolb_records::jsonl::encode(rec));
+            for rec in records() {
+                jsonl::encode_into(rec, out);
                 out.push('\n');
             }
-            for (fp, stamp) in hits {
-                out.push_str(&format!("{{\"fp\":\"{}\",\"stamp\":{stamp}}}\n", escape(fp)));
+            for (fp, stamp) in store.hit_stamps() {
+                let _ = writeln!(out, "{{\"fp\":\"{}\",\"stamp\":{stamp}}}", Escaped(fp));
             }
         }
-        Response::Bye => {
-            out.push_str(&header("bye"));
-            out.push('\n');
-        }
+        Response::Bye => header(out, "bye"),
         Response::Error { message } => {
-            out.push_str(&format!(
-                "{{\"v\":{WIRE_VERSION},\"type\":\"error\",\"msg\":\"{}\"}}\n",
-                escape(message)
-            ));
+            let _ = writeln!(
+                out,
+                "{{\"v\":{WIRE_VERSION},\"type\":\"error\",\"msg\":\"{}\"}}",
+                Escaped(message)
+            );
         }
     }
 }
 
 /// Parses a response payload. Never panics on hostile input.
 pub fn decode_response(payload: &str) -> Result<Response, WireError> {
-    let mut lines = payload.lines().filter(|l| !l.trim().is_empty());
-    let head =
-        Fields::parse(lines.next().ok_or_else(|| WireError::Malformed("empty frame".into()))?)?;
-    let kind = parse_header(&head)?;
-    let resp = match kind.as_str() {
+    let (head, mut lines) = open_payload(payload)?;
+    let resp = match head.str("type")? {
         "submitted" => {
             Response::Submitted { session: head.u64("session")?, unique: head.usize("unique")? }
         }
         "results" => {
             let n = head.usize("n")?;
-            let mut results = Vec::new();
+            let mut results = Vec::with_capacity(n.min(RESERVE_CAP));
             for i in 0..n {
-                let line = lines.next().ok_or_else(|| {
-                    WireError::Malformed(format!("results frame ends after {i} of {n} result(s)"))
-                })?;
-                results.push(decode_result(line)?);
+                results.push(decode_result(element(&mut lines, "results", i, n, "result")?)?);
             }
             Response::Results { results }
         }
@@ -643,10 +592,7 @@ pub fn decode_response(payload: &str) -> Result<Response, WireError> {
             let n = head.usize("n")?;
             let mut metrics = MetricsSnapshot::default();
             for i in 0..n {
-                let line = lines.next().ok_or_else(|| {
-                    WireError::Malformed(format!("stats frame ends after {i} of {n} metric(s)"))
-                })?;
-                metrics.decode_line(line).map_err(WireError::Malformed)?;
+                metrics.decode_line(element(&mut lines, "stats", i, n, "metric")?)?;
             }
             Response::Stats { metrics }
         }
@@ -655,16 +601,10 @@ pub fn decode_response(payload: &str) -> Result<Response, WireError> {
             let h = head.usize("h")?;
             let mut store = ShardedStore::new();
             for i in 0..n {
-                let line = lines.next().ok_or_else(|| {
-                    WireError::Malformed(format!("state frame ends after {i} of {n} record(s)"))
-                })?;
-                store.insert(iolb_records::jsonl::decode(line).map_err(WireError::Malformed)?);
+                store.insert(jsonl::decode(element(&mut lines, "state", i, n, "record")?)?);
             }
             for i in 0..h {
-                let line = lines.next().ok_or_else(|| {
-                    WireError::Malformed(format!("state frame ends after {i} of {h} stamp(s)"))
-                })?;
-                let fields = Fields::parse(line)?;
+                let fields = FlatObject::parse(element(&mut lines, "state", i, h, "stamp")?)?;
                 store.restore_hit(fields.str("fp")?, fields.u64("stamp")?);
             }
             store.restore_clock(head.u64("clock")?);
@@ -723,11 +663,18 @@ pub struct Scratch {
     pub(crate) frame: Vec<u8>,
 }
 
-/// Stages `scratch.encode` as one contiguous frame (prefix + payload)
-/// and writes it with a single syscall. [`write_frame`] issues two
-/// writes per frame; on the busy loop that doubles syscalls and, on
-/// TCP, can split a frame across packets even with `TCP_NODELAY`.
-fn write_encoded_frame(w: &mut impl Write, scratch: &mut Scratch) -> Result<(), WireError> {
+/// Encodes a payload into `scratch.encode`, stages it as one contiguous
+/// frame (prefix + payload) and writes it with a single syscall.
+/// [`write_frame`] issues two writes per frame; on the busy loop that
+/// doubles syscalls and, on TCP, can split a frame across packets even
+/// with `TCP_NODELAY`.
+fn write_buffered(
+    w: &mut impl Write,
+    scratch: &mut Scratch,
+    encode: impl FnOnce(&mut String),
+) -> Result<(), WireError> {
+    scratch.encode.clear();
+    encode(&mut scratch.encode);
     let payload = scratch.encode.as_bytes();
     if payload.len() > MAX_FRAME_BYTES {
         return Err(WireError::Oversized { len: payload.len() });
@@ -746,9 +693,18 @@ pub fn write_request_buffered(
     req: &Request,
     scratch: &mut Scratch,
 ) -> Result<(), WireError> {
-    scratch.encode.clear();
-    encode_request_into(req, &mut scratch.encode);
-    write_encoded_frame(w, scratch)
+    write_buffered(w, scratch, |out| encode_request_into(req, out))
+}
+
+/// Writes one framed [`Request::Submit`] from borrowed parts (see
+/// [`encode_submit_into`]) through the connection's [`Scratch`].
+pub fn write_submit_buffered(
+    w: &mut impl Write,
+    device: &DeviceSpec,
+    requests: &[TuneRequest],
+    scratch: &mut Scratch,
+) -> Result<(), WireError> {
+    write_buffered(w, scratch, |out| encode_submit_into(device, requests, out))
 }
 
 /// Writes one framed response through the connection's [`Scratch`].
@@ -757,9 +713,7 @@ pub fn write_response_buffered(
     resp: &Response,
     scratch: &mut Scratch,
 ) -> Result<(), WireError> {
-    scratch.encode.clear();
-    encode_response_into(resp, &mut scratch.encode);
-    write_encoded_frame(w, scratch)
+    write_buffered(w, scratch, |out| encode_response_into(resp, out))
 }
 
 /// Reads one framed response through the connection's [`Scratch`].
@@ -786,6 +740,8 @@ mod tests {
     use super::*;
     use iolb_core::optimality::TileKind;
     use iolb_core::shapes::{ConvShape, WinogradTile};
+    use iolb_dataflow::config::ScheduleConfig;
+    use iolb_tensor::layout::Layout;
 
     fn sample_requests() -> Vec<TuneRequest> {
         vec![

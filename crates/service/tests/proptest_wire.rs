@@ -17,6 +17,7 @@ use iolb_service::{
 };
 use iolb_tensor::layout::Layout;
 use proptest::prelude::*;
+use std::fmt::Write as _;
 
 /// A valid framed Submit built from drawn layer coordinates.
 fn framed_submit(draws: &[(u32, u32)]) -> (Request, Vec<u8>) {
@@ -275,4 +276,98 @@ fn stale_wire_versions_are_rejected_by_both_decoders() {
             }
         }
     }
+}
+
+/// ROADMAP aim 3, "never by hang": decoding is linear in the payload, so
+/// a frame at the cap costs milliseconds. The frame deadline covers
+/// *reading* a frame, not decoding it, so a quadratic decoder (the
+/// reader before `FlatObject` spent 23 s of CPU on the first frame
+/// below, in a release build) is a hang by another name. Bounds are for
+/// a debug test build on a loaded two-core host; the best of three
+/// tries is taken so a descheduled test thread does not fail the build.
+#[test]
+fn a_frame_at_the_cap_decodes_in_linear_time() {
+    fn best_of_three(mut decode: impl FnMut()) -> std::time::Duration {
+        (0..3)
+            .map(|_| {
+                let started = std::time::Instant::now();
+                decode();
+                started.elapsed()
+            })
+            .min()
+            .expect("three tries")
+    }
+    let limit = std::time::Duration::from_millis(250);
+    let device_line = String::from_utf8(wire::encode_request(&Request::Submit {
+        device: DeviceSpec::v100(),
+        requests: Vec::new(),
+    }))
+    .expect("frames are UTF-8");
+    for (kib, limit) in [(1000, limit), (256, limit / 4)] {
+        // Escape-heavy on purpose (four bytes on the wire per repeat):
+        // every other character is copied out of an escape.
+        let message = "é\"".repeat(kib * 1024 / 4);
+        let error =
+            String::from_utf8(wire::encode_response(&Response::Error { message: message.clone() }))
+                .expect("frames are UTF-8");
+        assert!(error.len() <= MAX_FRAME_BYTES && error.len() >= kib * 1024);
+        let took = best_of_three(|| match wire::decode_response(&error) {
+            Ok(Response::Error { message: got }) => assert_eq!(got, message),
+            other => panic!("expected the error message back, got {other:?}"),
+        });
+        assert!(took < limit, "{kib} KiB error frame took {took:?}");
+
+        // A submit whose device name is the whole frame: refused (no
+        // such preset), and refused quickly.
+        let submit = device_line.replace("Tesla V100", &"x".repeat(kib * 1024));
+        assert!(submit.len() <= MAX_FRAME_BYTES);
+        let took = best_of_three(|| {
+            assert!(matches!(wire::decode_request(&submit), Err(WireError::Malformed(_))));
+        });
+        assert!(took < limit, "{kib} KiB submit frame took {took:?}");
+    }
+
+    // One line of very many fields instead of one long string: the
+    // duplicate-key check must not compare every key with every other.
+    let mut wide = String::from("{\"v\":6,\"type\":\"sync\"");
+    let mut fields = 0;
+    while wide.len() < MAX_FRAME_BYTES - 32 {
+        write!(wide, ",\"k{fields}\":{fields}").expect("writing to a String");
+        fields += 1;
+    }
+    wide.push('}');
+    assert!(fields > 50_000 && wide.len() <= MAX_FRAME_BYTES);
+    let took = best_of_three(|| {
+        assert_eq!(wire::decode_request(&wide).expect("unknown fields are ignored"), Request::Sync);
+    });
+    assert!(took < limit, "a header of {fields} fields took {took:?}");
+    wide.insert_str(wide.len() - 1, ",\"k7\":7");
+    assert!(matches!(wire::decode_request(&wide), Err(WireError::Malformed(_))), "duplicate key");
+
+    // Many short lines instead of one long string: 10 000 results.
+    let hit = iolb_service::ServeResult {
+        config: ScheduleConfig {
+            x: 7,
+            y: 14,
+            z: 8,
+            nxt: 7,
+            nyt: 2,
+            nzt: 4,
+            sb_bytes: 16 * 1024,
+            layout: Layout::Chw,
+        },
+        cost_ms: 1.0 / 3.0,
+        source: iolb_service::ServeSource::ShardHit,
+        fresh_measurements: 0,
+        cache_hits: 0,
+        fused: false,
+    };
+    let results: Vec<_> = (0..10_000).map(|i| (i % 2 == 0).then(|| hit.clone())).collect();
+    let response = Response::Results { results };
+    let frame = String::from_utf8(wire::encode_response(&response)).expect("frames are UTF-8");
+    assert!(frame.len() <= MAX_FRAME_BYTES && frame.len() > MAX_FRAME_BYTES * 3 / 4);
+    let took = best_of_three(|| {
+        assert_eq!(wire::decode_response(&frame).expect("valid frame"), response);
+    });
+    assert!(took < limit, "10 000-result frame took {took:?}");
 }

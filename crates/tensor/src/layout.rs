@@ -80,12 +80,12 @@ impl std::fmt::Display for Layout {
 impl std::str::FromStr for Layout {
     type Err = String;
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_uppercase().as_str() {
-            "CHW" => Ok(Layout::Chw),
-            "CWH" => Ok(Layout::Cwh),
-            "HWC" => Ok(Layout::Hwc),
-            other => Err(format!("unknown layout {other:?}")),
-        }
+        // No allocation on the accepting path: every record and every
+        // wire result line parses one of these.
+        Layout::ALL
+            .into_iter()
+            .find(|layout| layout.name().eq_ignore_ascii_case(s))
+            .ok_or_else(|| format!("unknown layout {:?}", s.to_ascii_uppercase()))
     }
 }
 
