@@ -33,7 +33,6 @@ use iolb_cnn::{NetworkTime, ServiceEconomics};
 use iolb_core::optimality::TileKind;
 use iolb_core::shapes::ConvShape;
 use iolb_gpusim::DeviceSpec;
-use iolb_records::jsonl::FlatObject;
 use iolb_records::RecordStore;
 use iolb_service::{
     load_sidecar, Backend, Daemon, DaemonConfig, DirLock, EvictionPolicy, FleetRouter, PeerAddr,
@@ -46,7 +45,7 @@ use std::time::Duration;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: tune-cache <stats|top|check|compact|merge|gen|shard|evict|serve-stats|metrics|check-bench|tune-net|serve|stop> [args]\n\
+        "usage: tune-cache <stats|top|check|compact|merge|gen|shard|evict|serve-stats|metrics|tune-net|serve|stop> [args]\n\
          \n\
          stats   <store>                    record/workload counts and cost ranges,\n\
          \u{20}                                  broken down per device (store may be a shard dir)\n\
@@ -70,17 +69,6 @@ fn usage() -> ExitCode {
          metrics <DIR|SOCK|tcp:HOST:PORT>   Prometheus-style text exposition: from a live\n\
          \u{20}                                  daemon (socket/TCP, including latency\n\
          \u{20}                                  histograms) or a directory's stats sidecar\n\
-         check-bench <FILE> [--baseline BASE] [--tolerance PCT]\n\
-         \u{20}                                  exit non-zero unless FILE is a schema-valid\n\
-         \u{20}                                  benchmark artifact: BENCH_replay.json (from\n\
-         \u{20}                                  `tune-bench replay`; a --fuse run must show the\n\
-         \u{20}                                  fused plan beating per-layer) or\n\
-         \u{20}                                  BENCH_kernels.json (from `tune-bench kernels`;\n\
-         \u{20}                                  also fails if the vector path lost to scalar on\n\
-         \u{20}                                  the largest GEMM row). With --baseline, FILE\n\
-         \u{20}                                  must be a replay artifact and its embedded and\n\
-         \u{20}                                  daemon throughput must not regress more than\n\
-         \u{20}                                  PCT percent (default 25) below BASE's\n\
          tune-net <network|--layers SPEC> (-o DIR | --daemon SOCK | --fleet PEERS) [--json]\n\
          \u{20}                                  [--budget N] [--seed N] [--workers N]\n\
          \u{20}                                  batch-tune a whole network in one session. With\n\
@@ -183,11 +171,6 @@ fn main() -> ExitCode {
             serve_stats(Path::new(dir), rest.iter().any(|a| a == "--json"))
         }
         ("metrics", [target]) => metrics_cmd(target),
-        ("check-bench", [file, rest @ ..]) => {
-            let baseline = flag_path(rest, "--baseline");
-            let tolerance = flag_value(rest, "--tolerance").unwrap_or(25);
-            check_bench(Path::new(file), baseline.as_deref(), tolerance)
-        }
         ("serve", [dir, rest @ ..]) => {
             let socket =
                 flag_path(rest, "--socket").unwrap_or_else(|| Path::new(dir).join(SOCKET_FILE));
@@ -376,9 +359,7 @@ fn print_session_summary(net: &Network, timed: &NetworkTime, eco: &ServiceEconom
 }
 
 /// The `tune-net --json` end-of-run summary: one flat JSON object (the
-/// record codec's dialect, so `FlatObject` reads it back), with
-/// field names shared with `BENCH_replay.json` where the two overlap
-/// (`fresh`, `hit_rate`, `requests`, `*_ms`).
+/// record codec's dialect, so `FlatObject` reads it back).
 fn print_session_json(
     mode: &str,
     net: &Network,
@@ -641,343 +622,6 @@ fn metrics_cmd(target: &str) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// `check-bench`: the CI gate over benchmark artifacts — flat JSON in
-/// the record codec's dialect, dispatched on the schema tag of the
-/// first line: `iolb-bench-replay` (one object) or `iolb-bench-kernels`
-/// (header + row lines). Every required field must be present, numeric
-/// and sane. With `--baseline`, the artifact (replay only) is also
-/// diffed against a committed baseline run: embedded and daemon
-/// throughput may not regress more than `--tolerance` percent — the
-/// perf trajectory becomes CI-enforced instead of honor-system.
-/// Exit 1 with a reason otherwise, so a broken benchmark artifact can
-/// never land silently.
-fn check_bench(path: &Path, baseline: Option<&Path>, tolerance_pct: usize) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check-bench FAILED: cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = bench_schema(text.trim()).and_then(|schema| match schema.as_str() {
-        "iolb-bench-replay" => {
-            let summary = validate_bench_replay(text.trim())?;
-            match baseline {
-                None => Ok(summary),
-                Some(base) => {
-                    let base_text = std::fs::read_to_string(base)
-                        .map_err(|e| format!("cannot read baseline {}: {e}", base.display()))?;
-                    validate_bench_replay(base_text.trim())
-                        .map_err(|e| format!("baseline {}: {e}", base.display()))?;
-                    let verdict =
-                        compare_replay_throughput(text.trim(), base_text.trim(), tolerance_pct)?;
-                    Ok(format!("{summary}; {verdict}"))
-                }
-            }
-        }
-        "iolb-bench-kernels" => {
-            if baseline.is_some() {
-                return Err("--baseline only supports replay artifacts".to_string());
-            }
-            validate_bench_kernels(text.trim())
-        }
-        other => Err(format!("unexpected schema {other:?}")),
-    });
-    match result {
-        Ok(summary) => {
-            println!("check-bench OK: {summary}");
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("check-bench FAILED: {}: {e}", path.display());
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// The `--baseline` throughput gate: each mode's fresh throughput must
-/// reach at least `(100 - tolerance)%` of the baseline's. Latency and
-/// throughput are wall-clock, so a generous default tolerance absorbs
-/// machine noise while still catching order-of-magnitude regressions.
-fn compare_replay_throughput(
-    fresh: &str,
-    base: &str,
-    tolerance_pct: usize,
-) -> Result<String, String> {
-    let (fresh, base) = (FlatObject::parse(fresh)?, FlatObject::parse(base)?);
-    let floor = 1.0 - tolerance_pct.min(100) as f64 / 100.0;
-    let mut parts = Vec::new();
-    for mode in ["embedded", "daemon"] {
-        let key = format!("{mode}_throughput_rps");
-        let fresh_rps = fresh.f64(&key)?;
-        let base_rps = base.f64(&key)?;
-        if fresh_rps < base_rps * floor {
-            return Err(format!(
-                "{key} regressed: {fresh_rps:.3} rps vs baseline {base_rps:.3} rps \
-                 (tolerance {tolerance_pct}%)"
-            ));
-        }
-        parts.push(format!("{mode} {fresh_rps:.3} vs {base_rps:.3} rps"));
-    }
-    Ok(format!("within {tolerance_pct}% of baseline ({})", parts.join(", ")))
-}
-
-/// The schema tag of an artifact's first line.
-fn bench_schema(text: &str) -> Result<String, String> {
-    let first = text.lines().next().ok_or("empty file")?;
-    Ok(FlatObject::parse(first)?.str("schema")?.to_string())
-}
-
-/// The actual `BENCH_replay.json` schema check, separated so the error
-/// path is one string.
-fn validate_bench_replay(line: &str) -> Result<String, String> {
-    let fields = FlatObject::parse(line)?;
-    let schema = fields.str("schema")?;
-    if schema != "iolb-bench-replay" {
-        return Err(format!("unexpected schema {schema:?}"));
-    }
-    let version = fields.u64("v")?;
-    if version != 2 && version != 3 {
-        return Err(format!("unsupported replay schema version {version}"));
-    }
-    fields.str("networks")?;
-    for key in ["clients", "repeat", "sessions", "requests"] {
-        if fields.u64(key)? == 0 {
-            return Err(format!("field {key:?} must be positive"));
-        }
-    }
-    // v2: the anchoring settings ride along so a trajectory point is
-    // self-describing — jittered and exact replays are not comparable.
-    let jitter = fields.u64("jitter")?;
-    if jitter > 1 {
-        return Err(format!("field \"jitter\" must be 0 or 1, got {jitter}"));
-    }
-    for key in ["anchor_floor", "transfer_gap_permille"] {
-        if fields.u64(key)? == 0 {
-            return Err(format!("field {key:?} must be positive"));
-        }
-    }
-    for mode in ["embedded", "daemon"] {
-        for suffix in ["throughput_rps", "p50_ms", "p99_ms", "total_cost_ms"] {
-            let key = format!("{mode}_{suffix}");
-            let value = fields.f64(&key)?;
-            if !value.is_finite() || value < 0.0 {
-                return Err(format!("field {key:?} must be finite and non-negative"));
-            }
-        }
-        for suffix in ["hit_rate", "anchored_hit_rate"] {
-            let key = format!("{mode}_{suffix}");
-            let rate = fields.f64(&key)?;
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(format!("field {key:?} must be within [0, 1], got {rate}"));
-            }
-        }
-        let anchored = fields.u64(&format!("{mode}_anchored"))?;
-        let retunes = fields.u64(&format!("{mode}_retunes"))?;
-        if retunes > anchored {
-            return Err(format!(
-                "field \"{mode}_retunes\" ({retunes}) cannot exceed \
-                 \"{mode}_anchored\" ({anchored}): every re-tune is an anchored serve"
-            ));
-        }
-        fields.u64(&format!("{mode}_fresh"))?;
-    }
-    // A jittered replay against a pre-warmed store is the anchoring
-    // acceptance run: every request must be answered from the anchor
-    // bucket without a single fresh measurement.
-    if jitter == 1 {
-        for mode in ["embedded", "daemon"] {
-            let key = format!("{mode}_anchored_hit_rate");
-            let rate = fields.f64(&key)?;
-            if rate < 0.95 {
-                return Err(format!("field {key:?} must be >= 0.95 under --jitter, got {rate}"));
-            }
-            let fresh = fields.u64(&format!("{mode}_fresh"))?;
-            if fresh != 0 {
-                return Err(format!(
-                    "field \"{mode}_fresh\" must be 0 under --jitter, got {fresh}"
-                ));
-            }
-        }
-    }
-    let embedded = fields.f64("embedded_total_cost_ms")?;
-    let daemon = fields.f64("daemon_total_cost_ms")?;
-    if embedded.to_bits() != daemon.to_bits() {
-        return Err(format!(
-            "embedded and daemon total costs must be bit-identical (hermetic tuning), \
-             got {embedded} vs {daemon}"
-        ));
-    }
-    // v3: the fusion comparison. A `--fuse` run must record the split
-    // and show the fused plan strictly beating the per-layer baseline —
-    // the whole point of fusing.
-    let mut fuse_summary = String::new();
-    if version >= 3 {
-        let fuse = fields.u64("fuse")?;
-        if fuse > 1 {
-            return Err(format!("field \"fuse\" must be 0 or 1, got {fuse}"));
-        }
-        if fuse == 1 {
-            let blocks = fields.u64("fuse_blocks")?;
-            let fused = fields.u64("fuse_fused")?;
-            let fallbacks = fields.u64("fuse_fallbacks")?;
-            if blocks == 0 {
-                return Err("field \"fuse_blocks\" must be positive".to_string());
-            }
-            if fused == 0 {
-                return Err(
-                    "field \"fuse_fused\" must be positive: the gate fused nothing".to_string()
-                );
-            }
-            if fused + fallbacks > blocks {
-                return Err(format!(
-                    "fused ({fused}) + fallbacks ({fallbacks}) cannot exceed blocks ({blocks})"
-                ));
-            }
-            let fused_ms = fields.f64("fused_total_cost_ms")?;
-            let perlayer_ms = fields.f64("perlayer_total_cost_ms")?;
-            if !fused_ms.is_finite() || !perlayer_ms.is_finite() || perlayer_ms <= 0.0 {
-                return Err("fused/per-layer totals must be finite and positive".to_string());
-            }
-            if fused_ms >= perlayer_ms {
-                return Err(format!(
-                    "fused plan ({fused_ms} ms) must cost strictly less than \
-                     per-layer ({perlayer_ms} ms)"
-                ));
-            }
-            fields.u64("fuse_fresh")?;
-            fields.u64("fuse_baseline_fresh")?;
-            fuse_summary = format!(
-                ", {fused} fused / {fallbacks} fallback block(s) \
-                 ({fused_ms:.6} vs {perlayer_ms:.6} ms per-layer)"
-            );
-        }
-    }
-    Ok(format!(
-        "{} session(s), {} request(s), jitter {jitter}, anchored hit rate {}, \
-         embedded/daemon costs bit-identical{fuse_summary}",
-        fields.u64("sessions")?,
-        fields.u64("requests")?,
-        fields.f64("embedded_anchored_hit_rate")?
-    ))
-}
-
-/// The `BENCH_kernels.json` schema check: a header line followed by
-/// one row per swept shape. Beyond shape, every row's speedup must be
-/// consistent with its per-path GFLOP/s, the modeled schedule can
-/// never move fewer bytes than the `Q_lower` bound, and — the
-/// acceptance gate — the vector path must not lose to scalar on the
-/// largest GEMM row.
-fn validate_bench_kernels(text: &str) -> Result<String, String> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    let header = FlatObject::parse(lines.next().ok_or("empty file")?)?;
-    let schema = header.str("schema")?;
-    if schema != "iolb-bench-kernels" {
-        return Err(format!("unexpected schema {schema:?}"));
-    }
-    let version = header.u64("v")?;
-    if version != 1 && version != 2 {
-        return Err(format!("unsupported kernels schema version {version}"));
-    }
-    header.str("sizes")?;
-    header.str("networks")?;
-    for key in ["reps", "threads", "sram_kib", "rows"] {
-        if header.u64(key)? == 0 {
-            return Err(format!("field {key:?} must be positive"));
-        }
-    }
-    let declared_rows = header.u64("rows")? as usize;
-
-    let mut rows = 0usize;
-    let mut gemm_rows = 0usize;
-    // (flops, speedup) of the largest GEMM row seen — flops orders the
-    // rows without re-parsing the shape string.
-    let mut largest_gemm: Option<(f64, f64, String)> = None;
-    for line in lines {
-        rows += 1;
-        let fields = FlatObject::parse(line)?;
-        let name = fields.str("name")?.to_string();
-        let err = |msg: String| format!("row {name:?}: {msg}");
-        let kind = fields.str("row")?.to_string();
-        if kind != "gemm" && kind != "conv" {
-            return Err(err(format!("unknown row kind {kind:?}")));
-        }
-        fields.str("algo")?;
-        fields.str("shape")?;
-        // v2: each row was timed at an explicit thread count (the
-        // header's `threads` is the sweep's maximum).
-        if version >= 2 && fields.u64("threads")? == 0 {
-            return Err(err("field \"threads\" must be positive".into()));
-        }
-        let num = |key: &str| -> Result<f64, String> {
-            let v = fields.f64(key)?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(err(format!("field {key:?} must be finite and non-negative")));
-            }
-            Ok(v)
-        };
-        let gflop = num("gflop")?;
-        let scalar = num("scalar_gflops")?;
-        let vector = num("vector_gflops")?;
-        let speedup = num("speedup")?;
-        if gflop <= 0.0 || scalar <= 0.0 || vector <= 0.0 {
-            return Err(err("work and throughput fields must be positive".into()));
-        }
-        if (speedup - vector / scalar).abs() > 1e-6 * speedup.max(1.0) {
-            return Err(err(format!(
-                "speedup {speedup} inconsistent with GFLOP/s ratio {}",
-                vector / scalar
-            )));
-        }
-        let q_lower = num("q_lower_bytes")?;
-        let q_sched = num("q_sched_bytes")?;
-        if q_sched + 1e-9 < q_lower {
-            return Err(err(format!(
-                "modeled schedule moves fewer bytes ({q_sched}) than the bound ({q_lower})"
-            )));
-        }
-        // The gap is a ratio over the bound: where the bound is 0 (the
-        // shape fits in fast memory) there is none to report, and a
-        // written `0` would read as "on the roofline".
-        let has_gap = fields.opt("roofline_gap").is_some();
-        if has_gap != (q_lower > 0.0) {
-            return Err(err(format!(
-                "roofline_gap must be present exactly when q_lower_bytes > 0 \
-                 (q_lower_bytes {q_lower}, roofline_gap {})",
-                if has_gap { "present" } else { "absent" }
-            )));
-        }
-        if has_gap {
-            let gap = num("roofline_gap")?;
-            if (gap - q_sched / q_lower).abs() > 1e-6 * gap.max(1.0) {
-                return Err(err(format!(
-                    "roofline_gap {gap} inconsistent with q_sched/q_lower {}",
-                    q_sched / q_lower
-                )));
-            }
-        }
-        if kind == "gemm" {
-            gemm_rows += 1;
-            if largest_gemm.as_ref().is_none_or(|(f, _, _)| gflop > *f) {
-                largest_gemm = Some((gflop, speedup, name));
-            }
-        }
-    }
-    if rows != declared_rows {
-        return Err(format!("header declares {declared_rows} row(s), found {rows}"));
-    }
-    if gemm_rows == 0 {
-        return Err("no GEMM rows in sweep".to_string());
-    }
-    let (_, speedup, name) = largest_gemm.expect("gemm_rows > 0");
-    if speedup < 1.0 {
-        return Err(format!(
-            "vector path lost to scalar on the largest GEMM row {name:?} (speedup {speedup})"
-        ));
-    }
-    Ok(format!("{rows} row(s) ({gemm_rows} GEMM), vector/scalar speedup {speedup:.2}x on {name}"))
 }
 
 /// Loads either a flat store file or a shard directory as a

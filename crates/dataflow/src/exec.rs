@@ -9,11 +9,12 @@
 //! channel-sliding loop is executed literally. Every path is verified
 //! against `iolb_tensor::conv_ref`.
 //!
-//! Both executors honour the `IOLB_KERNEL=scalar|vector` switch (see
-//! [`KernelPath`]). The vector variants change only *which* independent
-//! per-element folds run side by side, never the order of terms within
-//! one output element, so the two paths are bit-identical, like the rest
-//! of the compute substrate:
+//! Both executors run the vector arm; the scalar arm is the oracle the
+//! `*_with_path` entry points expose to tests (see [`KernelPath`]). The
+//! vector variants change only *which* independent per-element folds run
+//! side by side, never the order of terms within one output element, so
+//! the two paths are bit-identical, like the rest of the compute
+//! substrate:
 //!
 //! * **direct** — the resident tile is kept z-minor and a register tile
 //!   of 4 output pixels x 16/8/4/1 output *channels* holds each element's
@@ -86,7 +87,7 @@ pub fn execute_direct(
     cfg: &ScheduleConfig,
     workers: usize,
 ) -> Tensor4 {
-    execute_direct_with_path(input, weights, params, cfg, workers, KernelPath::from_env())
+    execute_direct_with_path(input, weights, params, cfg, workers, KernelPath::Vector)
 }
 
 /// [`execute_direct`] with an explicit kernel path (tests diff the two).
@@ -115,7 +116,7 @@ pub fn execute_direct_fused(
     workers: usize,
     epilogue: Epilogue,
 ) -> Tensor4 {
-    execute_direct_impl(input, weights, params, cfg, workers, KernelPath::from_env(), epilogue)
+    execute_direct_impl(input, weights, params, cfg, workers, KernelPath::Vector, epilogue)
 }
 
 /// [`execute_direct_fused`] with an explicit kernel path.
@@ -386,7 +387,7 @@ pub fn execute_winograd(
     cfg: &ScheduleConfig,
     workers: usize,
 ) -> Tensor4 {
-    execute_winograd_with_path(input, weights, params, tile, cfg, workers, KernelPath::from_env())
+    execute_winograd_with_path(input, weights, params, tile, cfg, workers, KernelPath::Vector)
 }
 
 /// [`execute_winograd`] with an explicit kernel path (tests diff the two).
@@ -417,16 +418,7 @@ pub fn execute_winograd_fused(
     workers: usize,
     epilogue: Epilogue,
 ) -> Tensor4 {
-    execute_winograd_impl(
-        input,
-        weights,
-        params,
-        tile,
-        cfg,
-        workers,
-        KernelPath::from_env(),
-        epilogue,
-    )
+    execute_winograd_impl(input, weights, params, tile, cfg, workers, KernelPath::Vector, epilogue)
 }
 
 /// [`execute_winograd_fused`] with an explicit kernel path.
@@ -695,6 +687,26 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    const BOTH_ARMS: [KernelPath; 2] = [KernelPath::Scalar, KernelPath::Vector];
+
+    /// Holds `run` to the reference on the scalar oracle and on the
+    /// shipped vector arm alike.
+    fn assert_both_arms_match(
+        want: &Tensor4,
+        tol: f32,
+        what: &str,
+        run: impl Fn(KernelPath) -> Tensor4,
+    ) {
+        for path in BOTH_ARMS {
+            let got = run(path);
+            assert!(
+                got.approx_eq(want, tol, tol),
+                "{path:?} {what}: diff {}",
+                got.max_abs_diff(want)
+            );
+        }
+    }
+
     fn cfg(x: usize, y: usize, z: usize) -> ScheduleConfig {
         ScheduleConfig { x, y, z, nxt: 1, nyt: 1, nzt: 1, sb_bytes: 48 * 1024, layout: Layout::Chw }
     }
@@ -707,12 +719,9 @@ mod tests {
         let params = ConvParams::new(1, 0); // 8x8 out
         let want = conv2d_reference(&input, &weights, params);
         for (x, y, z) in [(8, 8, 8), (4, 4, 2), (2, 8, 4), (1, 1, 1)] {
-            let got = execute_direct(&input, &weights, params, &cfg(x, y, z), 4);
-            assert!(
-                got.approx_eq(&want, 1e-4, 1e-4),
-                "tile {x}x{y}x{z}: diff {}",
-                got.max_abs_diff(&want)
-            );
+            assert_both_arms_match(&want, 1e-4, &format!("tile {x}x{y}x{z}"), |path| {
+                execute_direct_with_path(&input, &weights, params, &cfg(x, y, z), 4, path)
+            });
         }
     }
 
@@ -723,8 +732,9 @@ mod tests {
         let weights = Tensor4::random(4, 3, 3, 3, &mut rng);
         let params = ConvParams::new(2, 1); // 5x5 out
         let want = conv2d_reference(&input, &weights, params);
-        let got = execute_direct(&input, &weights, params, &cfg(5, 5, 2), 3);
-        assert!(got.approx_eq(&want, 1e-4, 1e-4), "diff {}", got.max_abs_diff(&want));
+        assert_both_arms_match(&want, 1e-4, "stride 2, pad 1", |path| {
+            execute_direct_with_path(&input, &weights, params, &cfg(5, 5, 2), 3, path)
+        });
     }
 
     #[test]
@@ -746,13 +756,18 @@ mod tests {
         let params = ConvParams::new(1, 0); // 8x8 out
         let want = conv2d_reference(&input, &weights, params);
         for (x, y, z) in [(8, 8, 4), (4, 4, 2), (2, 2, 1)] {
-            let got =
-                execute_winograd(&input, &weights, params, WinogradTile::F2X3, &cfg(x, y, z), 4);
-            assert!(
-                got.approx_eq(&want, 1e-3, 1e-3),
-                "tile {x}x{y}x{z}: diff {}",
-                got.max_abs_diff(&want)
-            );
+            assert_both_arms_match(&want, 1e-3, &format!("tile {x}x{y}x{z}"), |path| {
+                let c = cfg(x, y, z);
+                execute_winograd_with_path(
+                    &input,
+                    &weights,
+                    params,
+                    WinogradTile::F2X3,
+                    &c,
+                    4,
+                    path,
+                )
+            });
         }
     }
 
@@ -763,8 +778,10 @@ mod tests {
         let weights = Tensor4::random(2, 2, 3, 3, &mut rng);
         let params = ConvParams::new(1, 1); // 8x8 out
         let want = conv2d_reference(&input, &weights, params);
-        let got = execute_winograd(&input, &weights, params, WinogradTile::F2X3, &cfg(4, 8, 2), 2);
-        assert!(got.approx_eq(&want, 1e-3, 1e-3), "diff {}", got.max_abs_diff(&want));
+        assert_both_arms_match(&want, 1e-3, "pad 1", |path| {
+            let c = cfg(4, 8, 2);
+            execute_winograd_with_path(&input, &weights, params, WinogradTile::F2X3, &c, 2, path)
+        });
     }
 
     #[test]
@@ -774,8 +791,10 @@ mod tests {
         let weights = Tensor4::random(2, 2, 3, 3, &mut rng);
         let params = ConvParams::new(1, 0); // 8x8 out
         let want = conv2d_reference(&input, &weights, params);
-        let got = execute_winograd(&input, &weights, params, WinogradTile::F4X3, &cfg(8, 8, 2), 2);
-        assert!(got.approx_eq(&want, 1e-3, 1e-3), "diff {}", got.max_abs_diff(&want));
+        assert_both_arms_match(&want, 1e-3, "F(4,3)", |path| {
+            let c = cfg(8, 8, 2);
+            execute_winograd_with_path(&input, &weights, params, WinogradTile::F4X3, &c, 2, path)
+        });
     }
 
     #[test]
@@ -803,8 +822,9 @@ mod tests {
         let weights = Tensor4::random(512, 512, 3, 3, &mut rng);
         let params = ConvParams::new(1, 1); // 7x7 out
         let want = conv2d_reference(&input, &weights, params);
-        let got = execute_direct(&input, &weights, params, &cfg(7, 1, 32), 1);
-        assert!(got.approx_eq(&want, 1e-4, 1e-4), "diff {}", got.max_abs_diff(&want));
+        assert_both_arms_match(&want, 1e-4, "x7 y1 z32", |path| {
+            execute_direct_with_path(&input, &weights, params, &cfg(7, 1, 32), 1, path)
+        });
     }
 
     /// The three tiles the tuner serves ResNet-18's Winograd layers
@@ -820,13 +840,19 @@ mod tests {
             let weights = Tensor4::random(2 * z, cin, 3, 3, &mut rng);
             let params = ConvParams::new(1, 1);
             let want = conv2d_reference(&input, &weights, params);
-            let got =
-                execute_winograd(&input, &weights, params, WinogradTile::F2X3, &cfg(x, y, z), 1);
-            assert!(
-                got.approx_eq(&want, 1e-3, 1e-3),
-                "x{x} y{y} z{z} on {cin}x{hw}x{hw}: diff {}",
-                got.max_abs_diff(&want)
-            );
+            let what = format!("x{x} y{y} z{z} on {cin}x{hw}x{hw}");
+            assert_both_arms_match(&want, 1e-3, &what, |path| {
+                let c = cfg(x, y, z);
+                execute_winograd_with_path(
+                    &input,
+                    &weights,
+                    params,
+                    WinogradTile::F2X3,
+                    &c,
+                    1,
+                    path,
+                )
+            });
         }
     }
 
@@ -895,7 +921,7 @@ mod tests {
         let weights = Tensor4::random(4, 3, 3, 3, &mut rng);
         let params = ConvParams::new(1, 1); // 10x10 out
         let c = cfg(5, 10, 2);
-        for path in [KernelPath::Scalar, KernelPath::Vector] {
+        for path in BOTH_ARMS {
             let conv = execute_direct_with_path(&input, &weights, params, &c, 3, path);
             for epilogue in [Epilogue::Relu, Epilogue::ReluPool { k: 5 }] {
                 let want = unfused_composition(&conv, epilogue);
@@ -917,7 +943,7 @@ mod tests {
         let params = ConvParams::new(1, 0); // 8x8 out
         for (tile, x, y, z) in [(WinogradTile::F2X3, 4, 8, 2), (WinogradTile::F4X3, 8, 8, 4)] {
             let c = cfg(x, y, z);
-            for path in [KernelPath::Scalar, KernelPath::Vector] {
+            for path in BOTH_ARMS {
                 let conv = execute_winograd_with_path(&input, &weights, params, tile, &c, 3, path);
                 for epilogue in [Epilogue::Relu, Epilogue::ReluPool { k: 2 }] {
                     let want = unfused_composition(&conv, epilogue);

@@ -103,9 +103,7 @@ pub use daemon::{
     WireSession, MAX_CONNECTIONS, SOCKET_FILE,
 };
 pub use fleet::{FleetRouter, FleetSession, PeerAddr, PeerClient, VNODES_PER_PEER};
-pub use queue::{
-    io_gap, shape_perturbations, Job, JobTier, PerturbationKind, PushOutcome, WorkQueue,
-};
+pub use queue::{io_gap, Job, JobTier, PerturbationKind, PushOutcome, WorkQueue};
 pub use service::{
     load_sidecar, register, KindStats, ServeResult, ServeSource, ServiceConfig, ServiceSnapshot,
     ServiceStats, TuningService, STATS_FILE,

@@ -264,7 +264,7 @@ pub fn transfer_admissible(
 /// VGG-16 vs VGG-19, ResNet widths). Spatial extents and kernel geometry
 /// stay fixed: those perturbations change the algorithm candidates
 /// themselves and transfer poorly.
-pub fn shape_perturbations(shape: &ConvShape) -> Vec<(ConvShape, PerturbationKind)> {
+pub(crate) fn shape_perturbations(shape: &ConvShape) -> Vec<(ConvShape, PerturbationKind)> {
     let mut out: Vec<(ConvShape, PerturbationKind)> = Vec::new();
     let mut push = |candidate: ConvShape, kind: PerturbationKind| {
         if candidate != *shape

@@ -55,7 +55,7 @@ use crate::queue::{shape_perturbations, Job, JobTier, PerturbationKind, PushOutc
 use crate::shard::{
     DirLock, DirMergeReport, EvictionPolicy, ShardLoadReport, ShardedStore, LOCK_TIMEOUT,
 };
-use crate::telemetry::{MetricsSnapshot, Telemetry};
+use crate::telemetry::{MetricsSnapshot, Registry, Telemetry};
 use iolb_autotune::engine::tune_with_store;
 use iolb_autotune::plan::{self, algo_candidates};
 use iolb_core::optimality::TileKind;
@@ -380,11 +380,11 @@ fn parse_sidecar(text: &str) -> Option<MetricsSnapshot> {
     if lines.next()?.trim_end() != SIDECAR_HEADER {
         return None;
     }
-    let mut metrics = MetricsSnapshot::default();
+    let mut metrics = Registry::default();
     for line in lines {
         let _ = metrics.decode_line(line);
     }
-    Some(metrics)
+    Some(metrics.snapshot())
 }
 
 /// Loads the stats sidecar of a shard directory, if one exists and

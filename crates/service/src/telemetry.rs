@@ -237,32 +237,6 @@ impl MetricsSnapshot {
         self.counters.len() + self.gauges.len() + self.histograms.len()
     }
 
-    /// Decodes one [`encode_lines`](Self::encode_lines) line into the
-    /// snapshot (added by name, so a repeated name accumulates). Strict:
-    /// anything that is not a metric line is an error — the wire decoder
-    /// surfaces it, the sidecar loader skips the line.
-    pub fn decode_line(&mut self, line: &str) -> Result<(), String> {
-        let fields = FlatObject::parse(line)?;
-        // The first key says which kind of metric the line is; its value
-        // is the metric's name.
-        match fields.fields().first().map(|(kind, _)| &**kind) {
-            Some("c") => add_scalar(&mut self.counters, fields.str("c")?, fields.u64("val")?),
-            Some("g") => add_scalar(&mut self.gauges, fields.str("g")?, fields.u64("val")?),
-            Some("h") => {
-                let name = fields.str("h")?;
-                let sum = fields.u64("sum")?;
-                let buckets: Vec<u64> = fields
-                    .str("buckets")?
-                    .split(',')
-                    .map(|b| b.parse().map_err(|_| format!("non-numeric histogram bucket {b:?}")))
-                    .collect::<Result<_, String>>()?;
-                self.add_histogram(name, &LatencyHistogram::from_parts(sum, &buckets)?);
-            }
-            _ => return Err(format!("not a metric line: {line:?}")),
-        }
-        Ok(())
-    }
-
     /// Looks up a histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&LatencyHistogram> {
         self.histograms.iter().find(|h| h.name == name).map(|h| &h.histogram)
@@ -306,11 +280,62 @@ impl MetricsSnapshot {
     }
 }
 
+/// Named metrics, keyed by name: what a [`Telemetry`] handle guards,
+/// and what [`MetricsSnapshot::encode_lines`] lines are decoded into —
+/// a frame of `n` names in any order costs `n log n`, where inserting
+/// each into the snapshot's sorted lists would cost `n^2`.
 #[derive(Default)]
-struct Registry {
+pub(crate) struct Registry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, u64>,
     histograms: BTreeMap<String, LatencyHistogram>,
+}
+
+impl Registry {
+    /// Decodes one [`MetricsSnapshot::encode_lines`] line (added by
+    /// name, so a repeated name accumulates, saturating). Strict:
+    /// anything that is not a metric line is an error and changes
+    /// nothing — the wire decoder surfaces it, the sidecar loader skips
+    /// the line.
+    pub(crate) fn decode_line(&mut self, line: &str) -> Result<(), String> {
+        let fields = FlatObject::parse(line)?;
+        // The first key says which kind of metric the line is; its value
+        // is the metric's name.
+        match fields.fields().first().map(|(kind, _)| &**kind) {
+            Some(kind @ ("c" | "g")) => {
+                let (name, value) = (fields.str(kind)?, fields.u64("val")?);
+                let list = if kind == "c" { &mut self.counters } else { &mut self.gauges };
+                let slot = list.entry(name.to_string()).or_insert(0);
+                *slot = slot.saturating_add(value);
+            }
+            Some("h") => {
+                let name = fields.str("h")?;
+                let sum = fields.u64("sum")?;
+                let buckets: Vec<u64> = fields
+                    .str("buckets")?
+                    .split(',')
+                    .map(|b| b.parse().map_err(|_| format!("non-numeric histogram bucket {b:?}")))
+                    .collect::<Result<_, String>>()?;
+                let histogram = LatencyHistogram::from_parts(sum, &buckets)?;
+                self.histograms.entry(name.to_string()).or_default().merge(&histogram);
+            }
+            _ => return Err(format!("not a metric line: {line:?}")),
+        }
+        Ok(())
+    }
+
+    /// A copy of everything, names sorted.
+    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        MetricsSnapshot {
+            counters: self.counters.iter().map(|(n, v)| (n.clone(), *v)).collect(),
+            gauges: self.gauges.iter().map(|(n, v)| (n.clone(), *v)).collect(),
+            histograms: self
+                .histograms
+                .iter()
+                .map(|(n, h)| HistogramSnapshot { name: n.clone(), histogram: h.clone() })
+                .collect(),
+        }
+    }
 }
 
 /// A cloneable handle on one metrics registry. Every
@@ -384,16 +409,7 @@ impl Telemetry {
 
     /// A point-in-time copy of everything, names sorted.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let reg = self.inner.lock().expect("telemetry registry poisoned");
-        MetricsSnapshot {
-            counters: reg.counters.iter().map(|(n, v)| (n.clone(), *v)).collect(),
-            gauges: reg.gauges.iter().map(|(n, v)| (n.clone(), *v)).collect(),
-            histograms: reg
-                .histograms
-                .iter()
-                .map(|(n, h)| HistogramSnapshot { name: n.clone(), histogram: h.clone() })
-                .collect(),
-        }
+        self.inner.lock().expect("telemetry registry poisoned").snapshot()
     }
 }
 
@@ -617,11 +633,11 @@ mod tests {
         let mut text = String::new();
         snap.encode_lines(&mut text);
         assert_eq!(text.lines().count(), 4, "one line per metric");
-        let mut back = MetricsSnapshot::default();
+        let mut back = Registry::default();
         for line in text.lines() {
             back.decode_line(line).unwrap();
         }
-        assert_eq!(back, snap);
+        assert_eq!(back.snapshot(), snap);
         for junk in [
             "not a line",
             "{\"unknown_key\":5}",
@@ -630,7 +646,7 @@ mod tests {
         ] {
             assert!(back.decode_line(junk).is_err(), "{junk} must be rejected");
         }
-        assert_eq!(back, snap, "a rejected line leaves the snapshot untouched");
+        assert_eq!(back.snapshot(), snap, "a rejected line leaves the registry untouched");
     }
 
     #[test]

@@ -47,7 +47,7 @@
 use crate::service::{ServeResult, ServeSource};
 use crate::session::TuneRequest;
 use crate::shard::ShardedStore;
-use crate::telemetry::MetricsSnapshot;
+use crate::telemetry::{MetricsSnapshot, Registry};
 use iolb_autotune::plan::BatchRequest;
 use iolb_gpusim::DeviceSpec;
 use iolb_records::jsonl::{self, Escaped, FlatObject};
@@ -590,11 +590,11 @@ pub fn decode_response(payload: &str) -> Result<Response, WireError> {
         }
         "stats" => {
             let n = head.usize("n")?;
-            let mut metrics = MetricsSnapshot::default();
+            let mut metrics = Registry::default();
             for i in 0..n {
                 metrics.decode_line(element(&mut lines, "stats", i, n, "metric")?)?;
             }
-            Response::Stats { metrics }
+            Response::Stats { metrics: metrics.snapshot() }
         }
         "state" => {
             let n = head.usize("n")?;

@@ -370,4 +370,22 @@ fn a_frame_at_the_cap_decodes_in_linear_time() {
         assert_eq!(wire::decode_response(&frame).expect("valid frame"), response);
     });
     assert!(took < limit, "10 000-result frame took {took:?}");
+
+    // A `stats` reply whose names arrive in descending order: each one
+    // belongs at the front of a name-sorted list, so decoding must not
+    // insert them into one as they come.
+    for (names, limit) in [(40_000, limit), (10_000, limit / 3)] {
+        let counters = (0..names).map(|i| (format!("m{i:05}"), 1)).collect();
+        let sorted =
+            Response::Stats { metrics: MetricsSnapshot { counters, ..Default::default() } };
+        let frame = String::from_utf8(wire::encode_response(&sorted)).expect("frames are UTF-8");
+        let mut lines: Vec<&str> = frame.lines().collect();
+        lines[1..].reverse();
+        let descending = lines.join("\n");
+        assert!(descending.len() <= MAX_FRAME_BYTES && lines.len() == names + 1);
+        let took = best_of_three(|| {
+            assert_eq!(wire::decode_response(&descending).expect("valid frame"), sorted);
+        });
+        assert!(took < limit, "a stats frame of {names} descending names took {took:?}");
+    }
 }

@@ -107,12 +107,11 @@ macro_rules! dispatch_micro {
     };
 }
 
-/// Single-threaded blocked GEMM: `c += a * b`, on the path selected by
-/// `IOLB_KERNEL` (see [`KernelPath::from_env`]).
+/// Single-threaded blocked GEMM: `c += a * b`, on the vector path.
 ///
 /// `c` must be `a.rows * b.cols`, row-major.
 pub fn gemm_acc(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
-    gemm_acc_with_path(a, b, c, KernelPath::from_env());
+    gemm_acc_with_path(a, b, c, KernelPath::Vector);
 }
 
 /// [`gemm_acc`] with an explicit kernel path (tests diff the two).
@@ -461,8 +460,8 @@ fn vector_micro_avx512() -> impl MicroKernel {
 }
 
 /// Multi-threaded GEMM: `c = a * b` (output overwritten), M split across
-/// `threads` workers owning disjoint row bands of `C`, on the path
-/// selected by `IOLB_KERNEL` (see [`KernelPath::from_env`]).
+/// `threads` workers owning disjoint row bands of `C`, on the vector
+/// path.
 ///
 /// `B` is packed **once**, up front, into per-`(jc, pc)` macro-tile
 /// panels that every band worker reads; only the (band-private) `A`
@@ -473,7 +472,7 @@ fn vector_micro_avx512() -> impl MicroKernel {
 /// runs the same `jc -> pc -> ic` loop nest as the serial path, so the
 /// result is bit-identical to `gemm(.., 1)` regardless of thread count.
 pub fn gemm(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], threads: usize) {
-    gemm_with_path(a, b, c, threads, KernelPath::from_env());
+    gemm_with_path(a, b, c, threads, KernelPath::Vector);
 }
 
 /// [`gemm`] with an explicit kernel path (tests diff the two).
@@ -588,8 +587,7 @@ mod tests {
             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                 assert!(
                     (g - w).abs() <= 1e-3 + 1e-4 * w.abs(),
-                    "({m}x{k}x{n}, t={threads}, {}) mismatch at {i}: {g} vs {w}",
-                    path.label()
+                    "({m}x{k}x{n}, t={threads}, {path:?}) mismatch at {i}: {g} vs {w}"
                 );
             }
         }
@@ -636,8 +634,7 @@ mod tests {
                         assert_eq!(
                             s.to_bits(),
                             p.to_bits(),
-                            "({m}x{k}x{n}, t={threads}, {}) bit mismatch at {i}: {s} vs {p}",
-                            path.label()
+                            "({m}x{k}x{n}, t={threads}, {path:?}) bit mismatch at {i}: {s} vs {p}"
                         );
                     }
                 }
@@ -684,7 +681,7 @@ mod tests {
         for path in [KernelPath::Scalar, KernelPath::Vector] {
             let mut c = vec![10.0; 4];
             gemm_acc_with_path(ar, br, &mut c, path);
-            assert_eq!(c, vec![11.0, 12.0, 13.0, 14.0], "{}", path.label());
+            assert_eq!(c, vec![11.0, 12.0, 13.0, 14.0], "{path:?}");
         }
     }
 

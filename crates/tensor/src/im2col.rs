@@ -61,16 +61,15 @@ pub fn flatten_weights(weights: &Tensor4) -> Vec<f32> {
     m
 }
 
-/// Full convolution via im2col + GEMM on the path selected by
-/// `IOLB_KERNEL`; numerically equivalent to
-/// [`crate::conv_ref::conv2d_reference`].
+/// Full convolution via im2col + GEMM on the vector path; numerically
+/// equivalent to [`crate::conv_ref::conv2d_reference`].
 pub fn conv2d_im2col(
     input: &Tensor4,
     weights: &Tensor4,
     params: ConvParams,
     threads: usize,
 ) -> Tensor4 {
-    conv2d_im2col_with_path(input, weights, params, threads, KernelPath::from_env())
+    conv2d_im2col_with_path(input, weights, params, threads, KernelPath::Vector)
 }
 
 /// [`conv2d_im2col`] with an explicit GEMM kernel path — the two paths

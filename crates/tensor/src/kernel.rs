@@ -1,5 +1,5 @@
-//! Runtime switch between the scalar and vectorized compute-kernel
-//! paths (`IOLB_KERNEL=scalar|vector`).
+//! The two compute-kernel tiers: the vector path every default entry
+//! point runs, and the scalar path the tests hold it to.
 //!
 //! Every kernel in this crate keeps **one fold order per output
 //! element**: each `C[i][j]` (GEMM) or transform coefficient (Winograd)
@@ -11,10 +11,12 @@
 //! `tests/proptest_kernels.rs`, diffed end-to-end in the workspace
 //! determinism suite).
 //!
-//! The switch exists so that contract stays enforceable forever: tests
-//! and the `tune-bench kernels` sweep run both paths and diff them, and
-//! an operator can pin `IOLB_KERNEL=scalar` to rule the vector tier out
-//! when bisecting a numerical surprise.
+//! [`KernelPath`] is not a runtime mode. `gemm`, `conv2d_im2col`,
+//! `conv2d_winograd` and the dataflow executors always run
+//! [`KernelPath::Vector`]; the scalar tier is the test oracle, reached
+//! only through the explicit `*_with_path` functions, whose output the
+//! tests diff against the vector path's by `to_bits` and against
+//! `conv2d_reference`.
 //!
 //! Which instruction set the vector path's bodies are *compiled for* is
 //! a separate, run-time question answered in one place: [`Isa::detect`].
@@ -30,40 +32,6 @@ pub enum KernelPath {
     /// each compiled once per [`Isa`] tier and dispatched to the widest
     /// one the CPU has.
     Vector,
-}
-
-impl KernelPath {
-    /// Environment variable consulted by [`KernelPath::from_env`].
-    pub const ENV: &'static str = "IOLB_KERNEL";
-
-    /// Parses `"scalar"` / `"vector"` (ASCII case-insensitive).
-    pub fn parse(s: &str) -> Option<Self> {
-        if s.eq_ignore_ascii_case("scalar") {
-            Some(Self::Scalar)
-        } else if s.eq_ignore_ascii_case("vector") {
-            Some(Self::Vector)
-        } else {
-            None
-        }
-    }
-
-    /// Reads `IOLB_KERNEL`. Unset, empty, or unrecognised values select
-    /// [`KernelPath::Vector`] — the default path; it is bit-identical
-    /// to scalar, so falling forward is always safe.
-    pub fn from_env() -> Self {
-        match std::env::var(Self::ENV) {
-            Ok(v) => Self::parse(&v).unwrap_or(Self::Vector),
-            Err(_) => Self::Vector,
-        }
-    }
-
-    /// Stable lowercase label (CLI/JSON field value).
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Scalar => "scalar",
-            Self::Vector => "vector",
-        }
-    }
 }
 
 /// The widest vector instruction set the running CPU offers to the
@@ -97,27 +65,5 @@ impl Isa {
             }
         }
         Self::Portable
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parse_accepts_both_labels_any_case() {
-        assert_eq!(KernelPath::parse("scalar"), Some(KernelPath::Scalar));
-        assert_eq!(KernelPath::parse("SCALAR"), Some(KernelPath::Scalar));
-        assert_eq!(KernelPath::parse("vector"), Some(KernelPath::Vector));
-        assert_eq!(KernelPath::parse("Vector"), Some(KernelPath::Vector));
-        assert_eq!(KernelPath::parse("simd"), None);
-        assert_eq!(KernelPath::parse(""), None);
-    }
-
-    #[test]
-    fn labels_round_trip() {
-        for p in [KernelPath::Scalar, KernelPath::Vector] {
-            assert_eq!(KernelPath::parse(p.label()), Some(p));
-        }
     }
 }

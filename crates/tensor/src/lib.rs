@@ -12,8 +12,8 @@
 //!   every other path is tested against).
 //! * [`gemm`] — blocked, multi-threaded `f32` GEMM (rayon workers over
 //!   disjoint row bands) with scalar and vectorized micro-kernels.
-//! * [`kernel`] — the `IOLB_KERNEL=scalar|vector` runtime switch between
-//!   the bit-identical kernel paths.
+//! * [`kernel`] — the two bit-identical kernel paths: vector (what runs)
+//!   and scalar (the oracle tests diff it against).
 //! * [`im2col`] — the cuDNN-style image-to-column convolution path built on
 //!   the GEMM (the paper's direct-convolution baseline).
 //! * [`ops`] — standalone ReLU / max-pool epilogue passes, the unfused

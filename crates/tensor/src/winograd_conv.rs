@@ -13,7 +13,7 @@
 //! tile hangs past the edge are handled by zero-padding the virtual input
 //! and discarding out-of-range outputs, so arbitrary output sizes work.
 //!
-//! Two execution paths, selected by [`KernelPath`]:
+//! Two execution paths (see [`KernelPath`]):
 //!
 //! * **scalar** — the reference implementation: the input transform `P`
 //!   is recomputed for every output channel. Products run through
@@ -79,11 +79,6 @@ impl WinogradPlan {
     fn kernel(&self, co: usize, ci: usize) -> &Mat {
         &self.transformed[co * self.cin + ci]
     }
-
-    /// The transform triple in use.
-    pub fn transforms(&self) -> &Transforms {
-        &self.t
-    }
 }
 
 /// Winograd convolution with tile edge `e`. Only unit stride is supported
@@ -99,14 +94,13 @@ pub fn conv2d_winograd(
     conv2d_winograd_with_plan(input, &plan, params)
 }
 
-/// Winograd convolution with a prebuilt plan, on the path selected by
-/// `IOLB_KERNEL` (see [`KernelPath::from_env`]).
+/// Winograd convolution with a prebuilt plan, on the vector path.
 pub fn conv2d_winograd_with_plan(
     input: &Tensor4,
     plan: &WinogradPlan,
     params: ConvParams,
 ) -> Tensor4 {
-    conv2d_winograd_with_plan_path(input, plan, params, KernelPath::from_env())
+    conv2d_winograd_with_plan_path(input, plan, params, KernelPath::Vector)
 }
 
 /// [`conv2d_winograd_with_plan`] with an explicit kernel path (tests

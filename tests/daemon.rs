@@ -11,9 +11,11 @@
 //! * **cross-client dedup** — two concurrent socket clients requesting
 //!   the same workload trigger exactly one tuning run, fanned out.
 
+use conv_iolb::autotune::fusion::epilogue_unfused_ms;
 use conv_iolb::autotune::plan::tuner_setup;
 use conv_iolb::autotune::tune_with_store;
 use conv_iolb::cnn::inference::TUNER_SEED;
+use conv_iolb::cnn::{fusion, models};
 use conv_iolb::core::optimality::TileKind;
 use conv_iolb::core::shapes::ConvShape;
 use conv_iolb::gpusim::DeviceSpec;
@@ -420,6 +422,76 @@ fn typed_stats_view_equals_the_scraped_counters() {
     backend.shutdown().unwrap();
     server.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// AlexNet + SqueezeNet segmented into conv→relu(→pool) blocks, the
+/// block batch served through `backend` per-layer and then as fused
+/// chains on the store the first pass warmed. Returns the fused plan's
+/// total modeled cost (fused cost for gate-approved chains, bare conv +
+/// unfused epilogue for fallbacks; layer repeats multiply) after checking
+/// that it undercuts the per-layer plan, that every chain is accounted
+/// fused or fallback, and that a gate-rejected chain resolves from the
+/// per-layer pass's records with zero fresh measurements.
+fn fused_plan_total_ms(backend: &impl Backend) -> f64 {
+    let blocks: Vec<_> = [models::alexnet(), models::squeezenet()]
+        .iter()
+        .flat_map(|net| fusion::segment(&fusion::op_stream(net)))
+        .filter_map(|block| Some((block.conv?, block.epilogue)))
+        .collect();
+    let serve = |requests: Vec<TuneRequest>| {
+        backend.submit_batch(&requests, &device()).unwrap().wait().unwrap()
+    };
+    let bare = serve(
+        blocks.iter().map(|(layer, _)| TuneRequest::bare(layer.shape, TileKind::Direct)).collect(),
+    );
+    let fused = serve(
+        blocks
+            .iter()
+            .map(|(layer, epilogue)| TuneRequest::fused(layer.shape, TileKind::Direct, *epilogue))
+            .collect(),
+    );
+    let (mut perlayer_ms, mut fused_ms) = (0.0, 0.0);
+    let mut chains = std::collections::BTreeSet::new();
+    for ((layer, epilogue), (bare, fused)) in blocks.iter().zip(bare.iter().zip(&fused)) {
+        let bare = bare.as_ref().expect("feasible layer");
+        let fused = fused.as_ref().expect("feasible chain");
+        let (repeat, epilogue_ms) =
+            (layer.repeat as f64, epilogue_unfused_ms(&layer.shape, *epilogue, &device()));
+        perlayer_ms += repeat * (bare.cost_ms + epilogue_ms);
+        fused_ms += repeat * if fused.fused { fused.cost_ms } else { fused.cost_ms + epilogue_ms };
+        assert!(!epilogue.is_none(), "every zoo conv carries at least its relu");
+        chains.insert(format!("{} {epilogue}", layer.shape));
+        if !fused.fused {
+            assert_eq!(fused.source, ServeSource::ShardHit, "{}: fallback re-tuned", layer.name);
+            assert_eq!(fused.fresh_measurements, 0, "{}: fallback measured", layer.name);
+        }
+    }
+    let stats = backend.stats().unwrap().snapshot.stats;
+    assert!(stats.fused_blocks > 0, "the gate fused nothing");
+    assert_eq!(stats.fused_blocks + stats.fusion_fallbacks, chains.len());
+    assert!(fused_ms < perlayer_ms, "fused plan {fused_ms} ms vs per-layer {perlayer_ms} ms");
+    fused_ms
+}
+
+/// Whole-network fused serving: the fused plan beats the per-layer plan
+/// and costs the same bits embedded and over the socket (wire `epi` /
+/// `fused` grammar).
+#[test]
+fn fused_network_plan_beats_per_layer_and_is_bit_identical_over_the_socket() {
+    let service = ServiceConfig { budget_per_workload: 4, ..daemon_config().service };
+    let embedded = fused_plan_total_ms(&TuningService::new(ShardedStore::new(), service));
+
+    let dir = temp_dir("fuse");
+    let sock = std::env::temp_dir().join(format!("iolb-daemon-fuse-{}.sock", unique_tag()));
+    let (daemon, _) =
+        Daemon::bind(&dir, &sock, DaemonConfig { service, ..daemon_config() }).unwrap();
+    let server = std::thread::spawn(move || daemon.run().unwrap());
+    let backend = SocketBackend::connect(&sock).unwrap();
+    let served = fused_plan_total_ms(&backend);
+    backend.shutdown().unwrap();
+    server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(embedded.to_bits(), served.to_bits(), "fused serving is not hermetic");
 }
 
 /// ISSUE 13 satellite: connections are capped, and the cap refuses by

@@ -28,13 +28,10 @@ fn same_seed_gives_identical_convergence_curves_with_rayon() {
     assert_identical(&a, &b, "run-to-run");
 }
 
-/// The `IOLB_KERNEL` switch must be invisible to determinism: both
-/// dataflow executors produce the same bits on the scalar and vector
-/// kernel paths, so nothing downstream of them (timing, tuning, replay)
-/// can depend on which path a host dispatches to. Uses the explicit
-/// `-_with_path` APIs — the env-var half of the contract lives in
-/// `determinism_serial.rs`, the only binary allowed to mutate the
-/// environment.
+/// The kernel tier must be invisible to determinism: both dataflow
+/// executors produce the same bits on the scalar (oracle) and vector
+/// (shipped) kernel paths, so nothing downstream of them (timing,
+/// tuning, replay) can depend on which ISA tier a host dispatches to.
 #[test]
 fn kernel_path_switch_cannot_perturb_executor_bits() {
     let mut rng = StdRng::seed_from_u64(0xD5EED);

@@ -1,54 +1,22 @@
-//! Parallel-vs-serial tuning equivalence (ISSUE 1 acceptance gate) and
-//! the env-var half of the kernel-path contract, isolated in their own
-//! test binary: these are the only tests that mutate the environment
-//! (`RAYON_NUM_THREADS`, `IOLB_KERNEL`), and on glibc a `setenv` racing
+//! Parallel-vs-serial tuning equivalence (ISSUE 1 acceptance gate),
+//! isolated in its own test binary: this is the only test that mutates
+//! the environment (`RAYON_NUM_THREADS`), and on glibc a `setenv` racing
 //! `getenv` from another thread is undefined behavior. A dedicated
-//! binary means no sibling test threads are reading the environment
-//! while this one writes it (the rayon shim re-reads the variable on
-//! every parallel call, but all worker threads are joined before each
-//! mutation below). `cargo test` runs the tests of one binary on
-//! separate threads, so every test here serializes on [`ENV_LOCK`] —
-//! no test reads or writes the environment while another runs.
+//! binary with a single test means no sibling test thread is reading
+//! the environment while this one writes it (the rayon shim re-reads
+//! the variable on every parallel call, but all worker threads are
+//! joined before each mutation below).
 
 mod common;
 
 use common::{assert_identical, run_tuning};
-use conv_iolb::tensor::kernel::KernelPath;
-use std::sync::Mutex;
-
-/// Serializes the env-mutating tests of this binary against each other.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 #[test]
 fn parallel_run_matches_forced_serial_run() {
-    let _env = ENV_LOCK.lock().unwrap();
     std::env::set_var("RAYON_NUM_THREADS", "1");
     let serial = run_tuning(0xA7E);
     std::env::set_var("RAYON_NUM_THREADS", "8");
     let parallel = run_tuning(0xA7E);
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_identical(&serial, &parallel, "serial-vs-parallel");
-}
-
-/// `IOLB_KERNEL` dispatch: recognised values select their path,
-/// unset/empty/garbage fall forward to the vector default (safe, since
-/// the paths are bit-identical — see `determinism.rs` and the tensor
-/// crate's property tests for the bits themselves).
-#[test]
-fn kernel_env_var_selects_the_advertised_path() {
-    let _env = ENV_LOCK.lock().unwrap();
-    std::env::remove_var(KernelPath::ENV);
-    assert_eq!(KernelPath::from_env(), KernelPath::Vector, "unset defaults to vector");
-    for (value, want) in [
-        ("scalar", KernelPath::Scalar),
-        ("SCALAR", KernelPath::Scalar),
-        ("vector", KernelPath::Vector),
-        ("Vector", KernelPath::Vector),
-        ("", KernelPath::Vector),
-        ("turbo", KernelPath::Vector),
-    ] {
-        std::env::set_var(KernelPath::ENV, value);
-        assert_eq!(KernelPath::from_env(), want, "IOLB_KERNEL={value:?}");
-    }
-    std::env::remove_var(KernelPath::ENV);
 }

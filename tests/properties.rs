@@ -8,8 +8,8 @@ use conv_iolb::core::shapes::{ConvShape, WinogradTile};
 use conv_iolb::core::{direct, winograd};
 use conv_iolb::dataflow::config::ScheduleConfig;
 use conv_iolb::dataflow::exec::{
-    execute_direct, execute_direct_fused_with_path, execute_winograd,
-    execute_winograd_fused_with_path,
+    execute_direct_fused_with_path, execute_direct_with_path, execute_winograd_fused_with_path,
+    execute_winograd_with_path,
 };
 use conv_iolb::gpusim::TileAccess;
 use conv_iolb::tensor::conv_ref::{conv2d_reference, ConvParams};
@@ -101,8 +101,10 @@ proptest! {
             layout: Layout::Chw,
         };
         let want = conv2d_reference(&input, &weights, params);
-        let got = execute_direct(&input, &weights, params, &cfg, 3);
-        prop_assert!(got.approx_eq(&want, 1e-3, 1e-3));
+        for path in [KernelPath::Scalar, KernelPath::Vector] {
+            let got = execute_direct_with_path(&input, &weights, params, &cfg, 3, path);
+            prop_assert!(got.approx_eq(&want, 1e-3, 1e-3), "{path:?}");
+        }
     }
 
     /// The tiled Winograd executor matches the reference.
@@ -128,8 +130,12 @@ proptest! {
             layout: Layout::Chw,
         };
         let want = conv2d_reference(&input, &weights, params);
-        let got = execute_winograd(&input, &weights, params, WinogradTile::F2X3, &cfg, 2);
-        prop_assert!(got.approx_eq(&want, 1e-3, 1e-3));
+        for path in [KernelPath::Scalar, KernelPath::Vector] {
+            let got = execute_winograd_with_path(
+                &input, &weights, params, WinogradTile::F2X3, &cfg, 2, path,
+            );
+            prop_assert!(got.approx_eq(&want, 1e-3, 1e-3), "{path:?}");
+        }
     }
 
     /// Lower bounds decrease in S and the dataflow model always dominates
