@@ -11,16 +11,18 @@
 //!
 //! ## Parallelism and determinism
 //!
-//! The measurement step is the tuning loop's hot path (auto-tuners live
-//! or die by measurement throughput), so each proposal batch is measured
-//! on rayon workers. Tuning stays **bit-for-bit deterministic given the
-//! seed**: the RNG is only consumed by the (serial) search step,
-//! `Measurer::measure_ms` is a pure function of the configuration, and
-//! the measured batch is folded into the history *serially in proposal
-//! order*, so best/patience/curve bookkeeping is independent of how the
-//! parallel measurements interleave. The same argument covers the
-//! parallel featurization of the model-training rows: a pure per-row map
-//! collected in row order.
+//! The paper measures proposal batches in parallel because a measurement
+//! on a real GPU costs seconds. Here it is one ~1 µs simulator call
+//! (< 1 % of a run) against a ~12 µs pool hand-off, so **one tuning run
+//! is serial from end to end** — train, search, measure, fold — and a
+//! pure function of `(space, measurer, params.seed)` and, store-backed,
+//! of the store's records for the workload. The one parallel grain in the
+//! tuner is *across* runs: [`tune_batch`] hands each unique workload's
+//! whole hermetic run (~3 ms, hundreds of hand-offs) to a pool worker
+//! and collects the outcomes in request order, so its result does not
+//! depend on the thread count either. README's "Parallelism &
+//! determinism" table lists every parallel site in the workspace under
+//! the same rule: a site is parallel only if one item is ≥ 100 hand-offs.
 //!
 //! ## The record store
 //!
@@ -100,9 +102,7 @@ pub struct TuneResult {
 }
 
 /// Running bookkeeping of one tuning loop: history, best-so-far,
-/// patience and the convergence curve. Folding is serial and happens in
-/// proposal order, which is what keeps parallel measurement
-/// deterministic.
+/// patience and the convergence curve, folded in proposal order.
 struct TuneState {
     history: History,
     curve: Vec<CurvePoint>,
@@ -139,8 +139,7 @@ impl TuneState {
         let rows: Vec<Vec<f64>> = self
             .history
             .entries()
-            .par_iter()
-            .with_min_len(crate::gbt::PAR_MIN_ROWS)
+            .iter()
             .map(|(c, _)| featurize(&space.shape, space.kind, c))
             .collect();
         let costs: Vec<f64> = self.history.entries().iter().map(|(_, t)| *t).collect();
@@ -208,14 +207,11 @@ pub fn tune(
         if batch.is_empty() {
             break;
         }
-        // (3) Dataset updating: measure the whole batch on rayon workers
-        // (truncated to the remaining budget, which is exactly the set the
-        // serial loop would have reached), then fold serially in proposal
-        // order so the bookkeeping is schedule-independent.
+        // (3) Dataset updating: measure and fold in proposal order,
+        // truncated to the remaining budget.
         batch.truncate(params.max_measurements - state.attempts);
-        let measured = measurer.measure_batch(&batch);
-        for (cfg, measurement) in batch.into_iter().zip(measured) {
-            state.fold(cfg, measurement, measurer);
+        for cfg in batch {
+            state.fold(cfg, measurer.measure_ms(&cfg), measurer);
         }
     }
 
@@ -250,8 +246,8 @@ pub struct StoreTuneResult {
 }
 
 /// Measures a batch through the store: exact hits replay their stored
-/// cost, misses go to the simulator (in parallel, in order). Returns the
-/// per-config `(cost, was_hit)` in proposal order.
+/// cost, misses go to the simulator. Returns the per-config
+/// `(cost, was_hit)` in proposal order.
 fn measure_batch_cached(
     measurer: &Measurer,
     batch: &[ScheduleConfig],
@@ -261,17 +257,11 @@ fn measure_batch_cached(
     // One index probe per batch (the fingerprint is loop-invariant);
     // per-config lookup is then a scan of this workload's records only.
     let records = store.records(fingerprint);
-    let cached: Vec<Option<f64>> =
-        batch.iter().map(|c| records.iter().find(|r| r.config == *c).map(|r| r.cost_ms)).collect();
-    let misses: Vec<ScheduleConfig> =
-        batch.iter().zip(&cached).filter(|(_, hit)| hit.is_none()).map(|(c, _)| *c).collect();
-    let measured = measurer.measure_batch(&misses);
-    let mut fresh = measured.into_iter();
-    cached
-        .into_iter()
-        .map(|hit| match hit {
-            Some(ms) => (Some(ms), true),
-            None => (fresh.next().expect("one fresh measurement per miss"), false),
+    batch
+        .iter()
+        .map(|c| match records.iter().find(|r| r.config == *c) {
+            Some(hit) => (Some(hit.cost_ms), true),
+            None => (measurer.measure_ms(c), false),
         })
         .collect()
 }
@@ -414,9 +404,9 @@ pub struct BatchTuneOutcome {
 /// a **fresh private store** — exactly the hermetic per-workload run the
 /// tuning service's background workers perform, so a batch-tuned config
 /// is bit-identical to an eager [`tune_with_store`] run of the same
-/// `(workload, budget, seed)`, and the unique runs can safely fan out
-/// across rayon workers (results are collected in request order, so the
-/// outcome is independent of scheduling).
+/// `(workload, budget, seed)`, and the unique runs fan out across pool
+/// workers — the tuner's only parallel region (results are collected in
+/// request order, so the outcome is independent of scheduling).
 ///
 /// Hermeticity is deliberate: sharing measurements *across* members
 /// would make each result depend on batch composition and completion
@@ -424,12 +414,12 @@ pub struct BatchTuneOutcome {
 /// dedup, setup construction — which Li et al.'s analytical DSE shows is
 /// the cheap part; the measurements it *avoids* are the duplicated ones.
 pub fn tune_batch(
-    requests: &[crate::plan::BatchRequest],
+    requests: &[crate::plan::TuneRequest],
     device: &DeviceSpec,
     budget: usize,
     seed: u64,
 ) -> BatchTuneOutcome {
-    let (unique, representative) = crate::plan::dedup_requests(requests, device);
+    let (unique, representative) = crate::plan::dedup_requests(requests.iter().copied(), device);
     let runs: Vec<Option<(StoreTuneResult, RecordStore)>> = unique
         .par_iter()
         .map(|req| {
@@ -472,59 +462,6 @@ pub fn tune_batch(
         unique_runs: unique.len(),
         deduped: requests.len() - unique.len(),
     }
-}
-
-/// Transfer tuning: tunes a sequence of related problems (e.g. the conv
-/// layers of one network) while *sharing one cost model* across them.
-///
-/// Before each layer's run the model is warmed on the accumulated
-/// cross-layer history (best configs + random probes of earlier layers);
-/// the features are shape-relative (condition deviation, occupancy proxy,
-/// modelled I/O), so what the model learns on one layer transfers to the
-/// next. Within a layer, [`tune`] retrains on the layer's own history as
-/// usual — the transfer buys a *guided first batch* instead of a blind
-/// one, which is where per-layer tuning wastes the most budget. (TVM ships
-/// the same idea as its "transfer learning" tuners.)
-///
-/// Returns one [`TuneResult`] per `(space, measurer)` pair, in order.
-pub fn tune_transfer(
-    problems: &[(ConfigSpace, Measurer)],
-    model: &mut dyn CostModel,
-    make_searcher: &mut dyn FnMut() -> Box<dyn Searcher>,
-    params: TuneParams,
-) -> Vec<Option<TuneResult>> {
-    let mut shared_rows: Vec<Vec<f64>> = Vec::new();
-    let mut shared_costs: Vec<f64> = Vec::new();
-    let mut results = Vec::with_capacity(problems.len());
-    for (i, (space, measurer)) in problems.iter().enumerate() {
-        // Warm the model with everything measured so far.
-        if !shared_rows.is_empty() {
-            model.train(&shared_rows, &shared_costs);
-        }
-        let mut searcher = make_searcher();
-        let layer_params = TuneParams { seed: params.seed.wrapping_add(i as u64), ..params };
-        let result = tune(space, measurer, model, searcher.as_mut(), layer_params);
-        // Fold this layer's strongest signal (its best config) plus a few
-        // random probes into the shared history for the next layers.
-        if let Some(r) = &result {
-            shared_rows.push(crate::features::featurize(&space.shape, space.kind, &r.best));
-            shared_costs.push(r.best_ms);
-        }
-        // Sampling stays serial (it owns the RNG stream); measuring the
-        // probes is pure and fans out on rayon.
-        let mut rng = StdRng::seed_from_u64(layer_params.seed ^ 0xBEEF);
-        let probes: Vec<ScheduleConfig> =
-            (0..16).filter_map(|_| space.sample(&mut rng, 128)).collect();
-        let probe_times = measurer.measure_batch(&probes);
-        for (cfg, ms) in probes.iter().zip(probe_times) {
-            if let Some(ms) = ms {
-                shared_rows.push(crate::features::featurize(&space.shape, space.kind, cfg));
-                shared_costs.push(ms);
-            }
-        }
-        results.push(result);
-    }
-    results
 }
 
 #[cfg(test)]
@@ -793,13 +730,13 @@ mod tests {
 
     #[test]
     fn tune_batch_dedupes_and_matches_eager_runs() {
-        use crate::plan::{tuner_setup, BatchRequest};
+        use crate::plan::{tuner_setup, TuneRequest};
         let device = DeviceSpec::v100();
         let a = ConvShape::new(32, 14, 14, 16, 1, 1, 1, 0);
         let b = ConvShape::new(16, 14, 14, 32, 1, 1, 1, 0);
         // Four requests, two unique workloads: a appears three times.
-        let requests: Vec<BatchRequest> =
-            [a, a, b, a].iter().map(|&shape| BatchRequest::bare(shape, TileKind::Direct)).collect();
+        let requests: Vec<TuneRequest> =
+            [a, a, b, a].iter().map(|&shape| TuneRequest::bare(shape, TileKind::Direct)).collect();
         let out = tune_batch(&requests, &device, 12, 7);
         assert_eq!(out.unique_runs, 2);
         assert_eq!(out.deduped, 2);
@@ -843,51 +780,16 @@ mod tests {
 
     #[test]
     fn tune_batch_reports_infeasible_members_without_sinking_the_batch() {
-        use crate::plan::BatchRequest;
+        use crate::plan::TuneRequest;
         // A device with no usable shared memory makes every run infeasible.
         let ok = ConvShape::new(32, 14, 14, 16, 1, 1, 1, 0);
         let device = DeviceSpec::v100();
         let hopeless = DeviceSpec { smem_per_sm: 1, ..device.clone() };
-        let requests = [BatchRequest::bare(ok, TileKind::Direct)];
+        let requests = [TuneRequest::bare(ok, TileKind::Direct)];
         let out = tune_batch(&requests, &hopeless, 8, 7);
         assert!(out.results[0].is_none());
         assert!(out.store.is_empty());
         let out = tune_batch(&requests, &device, 8, 7);
         assert!(out.results[0].is_some());
-    }
-
-    #[test]
-    fn transfer_tuning_covers_all_layers() {
-        let device = DeviceSpec::v100();
-        let shapes = [
-            ConvShape::square(64, 28, 32, 3, 1, 1),
-            ConvShape::square(32, 28, 64, 3, 1, 1),
-            ConvShape::square(64, 14, 64, 3, 1, 1),
-        ];
-        let problems: Vec<(ConfigSpace, Measurer)> = shapes
-            .iter()
-            .map(|&s| {
-                (
-                    ConfigSpace::new(s, TileKind::Direct, device.smem_per_sm, true),
-                    Measurer::new(device.clone(), s, TileKind::Direct),
-                )
-            })
-            .collect();
-        let mut model = GbtCostModel::default();
-        let mut make =
-            || -> Box<dyn crate::search::Searcher> { Box::new(ParallelRandomWalk::new()) };
-        let results = tune_transfer(
-            &problems,
-            &mut model,
-            &mut make,
-            TuneParams { max_measurements: 32, batch: 8, patience: 32, seed: 11 },
-        );
-        assert_eq!(results.len(), 3);
-        for (i, r) in results.iter().enumerate() {
-            let r = r.as_ref().unwrap_or_else(|| panic!("layer {i} untuned"));
-            assert!(r.best_ms > 0.0);
-        }
-        // The shared model ends up trained.
-        assert!(model.is_trained());
     }
 }

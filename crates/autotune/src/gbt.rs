@@ -11,31 +11,15 @@
 //!
 //! ## Parallelism and determinism
 //!
-//! Boosting rounds are inherently serial (each tree fits the previous
-//! round's residuals), but *within* a round the fitted tree's
-//! predictions over all training rows fan out on rayon, as do the
-//! per-row predictions of [`Gbrt::predict_batch`] and [`Gbrt::rmse`].
-//! Per-tree prediction of a *single* row parallelises only past
-//! [`PAR_PREDICT_MIN_TREES`]: one tree costs nanoseconds, so small
-//! ensembles (the tuner's default is 60 trees) stay serial rather than
-//! paying thread fan-out on every cost-model query. Every parallel path
-//! is an order-preserving map reduced serially in index order, so
-//! results are bit-for-bit identical to the serial computation.
+//! Everything here is serial. Boosting rounds depend on each other, and
+//! the per-row and per-tree maps inside a round cost well under a
+//! microsecond per item against a ~12 µs pool hand-off, at the 16–256
+//! rows and 60 trees the tuner fits — far below the "one item ≥ 100
+//! hand-offs" rule (README, "Parallelism & determinism"). A fit or a
+//! prediction is a pure function of its inputs and the caller's RNG.
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use rayon::prelude::*;
-
-/// Ensemble size above which [`Gbrt::predict`] fans the per-tree sum out
-/// on rayon (below it, thread spawn dwarfs the ~ns per-tree walk).
-pub const PAR_PREDICT_MIN_TREES: usize = 512;
-
-/// Per-worker row count below which batched per-row maps stay serial.
-/// One row costs well under a microsecond (a depth-≤5 walk per tree),
-/// while the pool-less rayon shim pays ~10 µs per spawned thread — so
-/// the tuner's usual few-hundred-row histories run inline and only
-/// genuinely large datasets fan out.
-pub const PAR_MIN_ROWS: usize = 512;
 
 /// A single regression-tree node (arena-allocated inside [`Tree`]).
 #[derive(Debug, Clone)]
@@ -249,57 +233,24 @@ impl Gbrt {
                 shuffled
             };
             let tree = Tree::fit(rows, &residuals, &index, params.tree);
-            // The fitted tree's predictions over the whole dataset are a
-            // pure per-row map: fan out (past the serial grain), then
-            // apply in row order.
-            let deltas: Vec<f64> =
-                rows.par_iter().with_min_len(PAR_MIN_ROWS).map(|row| tree.predict(row)).collect();
-            for (p, d) in preds.iter_mut().zip(deltas) {
-                *p += params.learning_rate * d;
+            for (p, row) in preds.iter_mut().zip(rows) {
+                *p += params.learning_rate * tree.predict(row);
             }
             trees.push(tree);
         }
         Gbrt { base, trees, learning_rate: params.learning_rate }
     }
 
-    /// Predicts one row.
-    ///
-    /// Large ensembles (>= [`PAR_PREDICT_MIN_TREES`]) sum their per-tree
-    /// contributions on rayon workers; the partial sums are collected in
-    /// tree order and reduced serially, so the result is bit-identical
-    /// to the serial sum for any thread count.
+    /// Predicts one row: the base plus the shrunk sum of the trees'
+    /// leaves, added in tree order.
     pub fn predict(&self, row: &[f64]) -> f64 {
-        let tree_sum = if self.trees.len() >= PAR_PREDICT_MIN_TREES {
-            self.trees
-                .par_iter()
-                .map(|t| t.predict(row))
-                .collect::<Vec<f64>>()
-                .into_iter()
-                .sum::<f64>()
-        } else {
-            self.tree_sum_serial(row)
-        };
+        let tree_sum = self.trees.iter().map(|t| t.predict(row)).sum::<f64>();
         self.base + self.learning_rate * tree_sum
     }
 
-    /// Serial ensemble walk for one row — the reduction both prediction
-    /// paths must agree with bitwise.
-    fn tree_sum_serial(&self, row: &[f64]) -> f64 {
-        self.trees.iter().map(|t| t.predict(row)).sum::<f64>()
-    }
-
-    /// Predicts many rows at once, fanning the rows out on rayon past
-    /// [`PAR_MIN_ROWS`].
-    ///
-    /// This is the grain the tuner's batched paths should use: one row's
-    /// ensemble walk is too cheap to parallelise, a batch is not. Each
-    /// row uses the serial tree sum so a large ensemble cannot nest a
-    /// second per-tree fan-out inside the per-row one.
+    /// Predicts many rows at once, in row order.
     pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        rows.par_iter()
-            .with_min_len(PAR_MIN_ROWS)
-            .map(|row| self.base + self.learning_rate * self.tree_sum_serial(row))
-            .collect()
+        rows.iter().map(|row| self.predict(row)).collect()
     }
 
     /// Root-mean-square error over a dataset.
@@ -473,26 +424,6 @@ mod tests {
             imp[0] > 5.0 * imp[1].max(1e-6),
             "importance did not separate signal from noise: {imp:?}"
         );
-    }
-
-    #[test]
-    fn parallel_predict_is_bit_identical_to_serial() {
-        // Past PAR_PREDICT_MIN_TREES the ensemble sum fans out on rayon;
-        // the chunked reduction must reproduce the serial sum exactly.
-        let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64, (i % 5) as f64]).collect();
-        let targets: Vec<f64> = rows.iter().map(|v| v[0] * 1.7 - v[1]).collect();
-        let model = Gbrt::fit(
-            &rows,
-            &targets,
-            GbrtParams { n_trees: PAR_PREDICT_MIN_TREES + 16, ..GbrtParams::default() },
-            &mut rng(),
-        );
-        assert!(model.len() >= PAR_PREDICT_MIN_TREES);
-        for probe in &rows {
-            let serial = model.base
-                + model.learning_rate * model.trees.iter().map(|t| t.predict(probe)).sum::<f64>();
-            assert_eq!(model.predict(probe).to_bits(), serial.to_bits());
-        }
     }
 
     #[test]

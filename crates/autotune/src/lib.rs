@@ -61,6 +61,6 @@ pub use engine::{
 };
 pub use fusion::{fusion_gate, FusionDecision};
 pub use measure::Measurer;
-pub use plan::BatchRequest;
+pub use plan::TuneRequest;
 pub use search::{History, Searcher};
 pub use space::ConfigSpace;

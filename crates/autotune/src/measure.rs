@@ -12,7 +12,6 @@ use iolb_core::shapes::ConvShape;
 use iolb_dataflow::config::ScheduleConfig;
 use iolb_dataflow::{direct_kernel, winograd_kernel};
 use iolb_gpusim::{simulate, DeviceSpec};
-use rayon::prelude::*;
 
 /// Measures configurations of one convolution on one device.
 #[derive(Clone)]
@@ -54,16 +53,6 @@ impl Measurer {
         };
         let epi_ms = crate::fusion::epilogue_fused_ms(&self.shape, self.epilogue, &self.device);
         simulate(&self.device, &kernel).ok().map(|s| s.time_ms + epi_ms)
-    }
-
-    /// Measures a whole proposal batch on rayon workers.
-    ///
-    /// `measure_ms` is a pure function of the configuration and results
-    /// come back in input order, so the output is identical to mapping
-    /// `measure_ms` serially — this is what keeps the parallel tuning
-    /// loop bit-for-bit deterministic.
-    pub fn measure_batch(&self, cfgs: &[ScheduleConfig]) -> Vec<Option<f64>> {
-        cfgs.par_iter().map(|cfg| self.measure_ms(cfg)).collect()
     }
 
     /// Arithmetic throughput in GFLOP/s for a measured time — the metric
@@ -124,19 +113,6 @@ mod tests {
         let skew = ScheduleConfig { x: 1, y: 1, nxt: 1, nyt: 1, z: 32, nzt: 8, ..cfg() };
         let b = m.measure_ms(&skew).unwrap();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn batch_measurement_matches_serial_in_order() {
-        let m = measurer();
-        let mut cfgs = vec![cfg()];
-        cfgs.push(ScheduleConfig { x: 1, y: 1, nxt: 1, nyt: 1, z: 32, nzt: 8, ..cfg() });
-        cfgs.push(ScheduleConfig { sb_bytes: 1024 * 1024, ..cfg() }); // build failure
-        cfgs.push(ScheduleConfig { x: 14, y: 14, z: 4, ..cfg() });
-        let parallel = m.measure_batch(&cfgs);
-        let serial: Vec<Option<f64>> = cfgs.iter().map(|c| m.measure_ms(c)).collect();
-        assert_eq!(parallel, serial);
-        assert!(parallel[2].is_none(), "oversized staging buffer must fail to build");
     }
 
     #[test]

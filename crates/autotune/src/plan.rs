@@ -215,22 +215,29 @@ pub fn anchor_fingerprint(workload: &iolb_records::Workload, floor: usize) -> St
     format!("a{floor}|{}", anchor_workload(workload, floor).fingerprint())
 }
 
-/// One member of a batch tuning call ([`crate::engine::tune_batch`]): a
-/// layer shape plus the algorithm to tune it under — and, for a fused
-/// chain, its epilogue. The device, budget and seed are batch-wide — a
-/// batch is "one network on one device".
+/// One workload a client asks for — a member of a
+/// [`crate::engine::tune_batch`] call, of a service session, of a wire
+/// `submit` frame: a layer shape plus the algorithm to tune it under —
+/// and, for a fused conv→epilogue chain, its epilogue. The device,
+/// budget and seed are batch-wide — a batch is "one network on one
+/// device".
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchRequest {
+pub struct TuneRequest {
     pub shape: ConvShape,
     pub kind: TileKind,
     /// Fused epilogue of the chain; [`Epilogue::None`] for a bare conv.
     pub epilogue: Epilogue,
 }
 
-impl BatchRequest {
+impl TuneRequest {
     /// A bare-conv request (the pre-fusion constructor shape).
     pub fn bare(shape: ConvShape, kind: TileKind) -> Self {
         Self { shape, kind, epilogue: Epilogue::None }
+    }
+
+    /// A fused-chain request.
+    pub fn fused(shape: ConvShape, kind: TileKind, epilogue: Epilogue) -> Self {
+        Self { shape, kind, epilogue }
     }
 
     /// The record-store identity of this request on a device.
@@ -281,17 +288,18 @@ impl BatchRequest {
 /// nothing next to measurement, and everything downstream (the tuning
 /// service's sessions, [`crate::engine::tune_batch`]) builds on it.
 pub fn dedup_requests(
-    requests: &[BatchRequest],
+    requests: impl IntoIterator<Item = TuneRequest>,
     device: &DeviceSpec,
-) -> (Vec<BatchRequest>, Vec<usize>) {
-    let mut unique: Vec<BatchRequest> = Vec::new();
+) -> (Vec<TuneRequest>, Vec<usize>) {
+    let requests = requests.into_iter();
+    let mut unique: Vec<TuneRequest> = Vec::new();
     let mut by_fingerprint: std::collections::BTreeMap<String, usize> =
         std::collections::BTreeMap::new();
-    let mut representative = Vec::with_capacity(requests.len());
+    let mut representative = Vec::with_capacity(requests.size_hint().0);
     for req in requests {
         let fp = req.workload(device).fingerprint();
         let at = *by_fingerprint.entry(fp).or_insert_with(|| {
-            unique.push(*req);
+            unique.push(req);
             unique.len() - 1
         });
         representative.push(at);
@@ -335,15 +343,15 @@ mod tests {
             TileKind::Winograd(WinogradTile::F2X3),
             TileKind::Winograd(WinogradTile::F4X3),
         ] {
-            let req = BatchRequest::bare(ConvShape::square(64, 28, 32, 3, 1, 1), kind);
+            let req = TuneRequest::bare(ConvShape::square(64, 28, 32, 3, 1, 1), kind);
             assert!(!req.to_wire_line().contains("epi"), "bare line must not grow a field");
-            let back = BatchRequest::from_wire_line(&req.to_wire_line()).unwrap();
+            let back = TuneRequest::from_wire_line(&req.to_wire_line()).unwrap();
             assert_eq!(back, req);
             for epilogue in [Epilogue::Relu, Epilogue::ReluPool { k: 2 }] {
-                let fused = BatchRequest { epilogue, ..req };
+                let fused = TuneRequest { epilogue, ..req };
                 let line = fused.to_wire_line();
                 assert!(line.contains("\"epi\""), "fused line missing epi: {line}");
-                assert_eq!(BatchRequest::from_wire_line(&line).unwrap(), fused);
+                assert_eq!(TuneRequest::from_wire_line(&line).unwrap(), fused);
             }
         }
         for (line, why) in [
@@ -352,7 +360,7 @@ mod tests {
             ("{\"algo\":\"im2col\",\"batch\":1,\"cin\":1,\"hin\":4,\"win\":4,\"cout\":1,\"kh\":1,\"kw\":1,\"stride\":1,\"pad\":0}", "unknown algo"),
             ("{\"algo\":\"direct\",\"batch\":1,\"cin\":0,\"hin\":4,\"win\":4,\"cout\":1,\"kh\":1,\"kw\":1,\"stride\":1,\"pad\":0}", "invalid shape"),
         ] {
-            assert!(BatchRequest::from_wire_line(line).is_err(), "{why}: accepted {line:?}");
+            assert!(TuneRequest::from_wire_line(line).is_err(), "{why}: accepted {line:?}");
         }
     }
 

@@ -6,10 +6,11 @@
 //! improves ("each random walk tends to converge on a configuration that
 //! has lower predicted costs"). The converged walker positions become the
 //! next measurement batch and are kept as the initial guesses for the
-//! following round. Walkers run concurrently under rayon — the
-//! "effective parallel searching method" of §8. Each worker chunk owns a
-//! deterministic seed derived from the chunk index, so the proposals are
-//! independent of the physical thread count.
+//! following round. "Parallel" is the paper's word for the `n_s`
+//! independent walks (§8); they run one after another here, because one
+//! walk step is a sub-microsecond model query (README, "Parallelism &
+//! determinism"). The walkers are split over `RNG_STREAMS` chunks,
+//! each with a seed derived from its chunk index.
 
 use super::{dedupe, top_up, History, Searcher};
 use crate::cost_model::CostModel;
@@ -18,7 +19,12 @@ use crate::space::ConfigSpace;
 use iolb_dataflow::config::ScheduleConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
+
+/// Number of RNG streams the walkers of one round are split over: chunk
+/// `t` of the walker list draws from `base_seed ^ (t << 32)`. Part of the
+/// seeded trajectory (changing it changes every tuned config), not a
+/// thread count.
+const RNG_STREAMS: usize = 4;
 
 /// Parallel random-walk searcher (the ATE explorer).
 pub struct ParallelRandomWalk {
@@ -27,8 +33,6 @@ pub struct ParallelRandomWalk {
     pub steps_per_round: usize,
     /// Probability of restarting a converged walker from a fresh sample.
     pub restart_prob: f64,
-    /// OS threads used for the concurrent walks.
-    pub threads: usize,
     /// Analytic warm-start configurations (e.g. the optimality-condition
     /// tile): consumed as the first walker positions. This is the point of
     /// the lower-bound theory — the searcher starts where Eq. 20/22 says
@@ -38,13 +42,7 @@ pub struct ParallelRandomWalk {
 
 impl ParallelRandomWalk {
     pub fn new() -> Self {
-        Self {
-            walkers: Vec::new(),
-            steps_per_round: 12,
-            restart_prob: 0.15,
-            threads: 4,
-            seeds: Vec::new(),
-        }
+        Self { walkers: Vec::new(), steps_per_round: 12, restart_prob: 0.15, seeds: Vec::new() }
     }
 
     /// With analytic warm-start configurations.
@@ -92,17 +90,14 @@ impl Searcher for ParallelRandomWalk {
             return Vec::new();
         }
 
-        // Concurrent greedy walks: each worker owns a disjoint slice of
-        // walkers (chunked), with a derived deterministic seed.
-        let steps = self.steps_per_round;
-        let threads = self.threads.max(1).min(self.walkers.len());
-        let chunk = self.walkers.len().div_ceil(threads);
+        // Greedy walks: each chunk of walkers has its own derived seed.
+        let chunk = self.walkers.len().div_ceil(RNG_STREAMS.min(self.walkers.len()));
         let base_seed: u64 = rng.gen();
-        self.walkers.par_chunks_mut(chunk).enumerate().for_each(|(t, slice)| {
+        for (t, slice) in self.walkers.chunks_mut(chunk).enumerate() {
             let mut local = StdRng::seed_from_u64(base_seed ^ ((t as u64) << 32));
             for w in slice.iter_mut() {
                 let mut cur = model.predict(&featurize(&space.shape, space.kind, w));
-                for _ in 0..steps {
+                for _ in 0..self.steps_per_round {
                     let cand = space.neighbor(w, &mut local);
                     let cost = model.predict(&featurize(&space.shape, space.kind, &cand));
                     if cost < cur {
@@ -111,7 +106,7 @@ impl Searcher for ParallelRandomWalk {
                     }
                 }
             }
-        });
+        }
 
         let out = dedupe(self.walkers.clone(), history, batch);
         top_up(out, space, history, batch, rng)

@@ -57,7 +57,7 @@ pub fn encode_into(rec: &TuningRecord, out: &mut String) {
 }
 
 /// Writes `"algo":…,["epi":…,]"batch":…,…,"pad":…` — what a record line
-/// and a wire submit line (`BatchRequest::to_wire_line` in
+/// and a wire submit line (`TuneRequest::to_wire_line` in
 /// `iolb-autotune`) both say about a workload, under one set of field
 /// names. The unfused case emits no `"epi"`, keeping pre-fusion lines
 /// byte-identical.

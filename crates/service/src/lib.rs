@@ -110,7 +110,6 @@ pub use service::{
 };
 pub use session::{
     Backend, BackendError, BackendSession, SessionHandle, StatsReport, SyncOutcome, TuneRequest,
-    TuningSession,
 };
 pub use shard::{
     device_key, shard_file_name, DirLock, DirMergeReport, EvictionPolicy, LockError,

@@ -2,7 +2,7 @@
 //!
 //! A client serving a whole CNN does not want one round-trip per layer —
 //! it wants to hand the service *all* its workloads and collect results
-//! as they land. A [`TuningSession`] does exactly that:
+//! as they land. A session does exactly that:
 //!
 //! 1. [`submit`] **dedupes** the requests by workload fingerprint
 //!    (repeated layer shapes — VGG's stacked 3×3 blocks — become one
@@ -33,7 +33,7 @@
 //! consumer (notably `iolb_cnn::time_network_with_backend`) runs
 //! identically embedded or client/server.
 //!
-//! [`submit`]: TuningSession::submit
+//! [`submit`]: TuningService::submit
 //! [`wait`]: SessionHandle::wait
 
 use crate::queue::{io_gap, transfer_admissible, Job, JobTier, PushOutcome};
@@ -45,46 +45,14 @@ use crate::telemetry::MetricsSnapshot;
 use iolb_autotune::engine::tune_batch;
 use iolb_autotune::fusion::fusion_gate;
 use iolb_autotune::measure::Measurer;
-use iolb_autotune::plan::{dedup_requests, BatchRequest};
+use iolb_autotune::plan::dedup_requests;
+pub use iolb_autotune::plan::TuneRequest;
 use iolb_core::epilogue::Epilogue;
 use iolb_core::optimality::TileKind;
 use iolb_core::shapes::ConvShape;
 use iolb_gpusim::DeviceSpec;
 use iolb_records::Workload;
 use std::sync::MutexGuard;
-
-/// One workload a session asks for: a conv layer, or — with a non-`None`
-/// epilogue — a fused conv→epilogue chain. Fused requests pass the
-/// server-side analytic [`fusion_gate`] at submit; a chain the gate
-/// rejects is **rewritten to its bare-conv request** before dedup, so it
-/// shares records (and measurements) with every unfused request for the
-/// same layer — the fallback costs zero extra fresh measurements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TuneRequest {
-    pub shape: ConvShape,
-    pub kind: TileKind,
-    pub epilogue: Epilogue,
-}
-
-impl TuneRequest {
-    /// A bare-conv request (the pre-fusion constructor shape).
-    pub fn bare(shape: ConvShape, kind: TileKind) -> Self {
-        Self { shape, kind, epilogue: Epilogue::None }
-    }
-
-    /// A fused-chain request.
-    pub fn fused(shape: ConvShape, kind: TileKind, epilogue: Epilogue) -> Self {
-        Self { shape, kind, epilogue }
-    }
-}
-
-/// A batch tuning session against one service on one device. Cheap to
-/// construct; [`submit`](Self::submit) does the work.
-#[derive(Clone)]
-pub struct TuningSession {
-    service: TuningService,
-    device: DeviceSpec,
-}
 
 /// How a unique session member got (or will get) its records.
 #[derive(Debug, Clone, Copy)]
@@ -148,63 +116,57 @@ pub struct SessionHandle {
     started: std::time::Instant,
 }
 
-impl TuningSession {
-    pub fn new(service: &TuningService, device: &DeviceSpec) -> Self {
-        Self { service: service.clone(), device: device.clone() }
-    }
-
-    /// Dedupes and submits a batch of requests as one tracked group.
-    /// Returns immediately; background workers are kicked so the batch
-    /// tunes concurrently with whatever the caller does before
-    /// [`SessionHandle::wait`].
-    pub fn submit(&self, requests: &[TuneRequest]) -> SessionHandle {
-        let service = &self.service;
-        // Fused requests pass the analytic gate first — server-side, so
-        // embedded and daemon clients get identical decisions. A
-        // rejected chain is rewritten to its bare-conv request *before*
-        // dedup: it then merges with every unfused request for the same
-        // layer and spends zero extra fresh measurements. Unique chains
-        // are counted per fused fingerprint (a VGG block repeated five
-        // times is one fused block, not five).
+impl TuningService {
+    /// Dedupes and submits a batch of requests on a device as one
+    /// tracked group. Returns immediately; background workers are kicked
+    /// so the batch tunes concurrently with whatever the caller does
+    /// before [`SessionHandle::wait`].
+    ///
+    /// Fused requests pass the server-side analytic [`fusion_gate`]
+    /// first; a chain the gate rejects is **rewritten to its bare-conv
+    /// request** before dedup, so it shares records (and measurements)
+    /// with every unfused request for the same layer — the fallback
+    /// costs zero extra fresh measurements.
+    pub fn submit(&self, requests: &[TuneRequest], device: &DeviceSpec) -> SessionHandle {
+        // The gate runs server-side, so embedded and daemon clients get
+        // identical decisions. Unique chains are counted per fused
+        // fingerprint (a VGG block repeated five times is one fused
+        // block, not five).
         let mut fused_chains = std::collections::BTreeSet::new();
         let mut fallback_chains = std::collections::BTreeSet::new();
-        let batch_requests: Vec<BatchRequest> = requests
-            .iter()
-            .map(|r| {
-                if r.epilogue.is_none() {
-                    return BatchRequest::bare(r.shape, r.kind);
+        let gated = requests.iter().map(|r| {
+            if r.epilogue.is_none() {
+                return *r;
+            }
+            let decision = fusion_gate(&r.shape, r.kind, r.epilogue, device);
+            let fingerprint = r.workload(device).fingerprint();
+            match decision.reason() {
+                None => {
+                    fused_chains.insert(fingerprint);
+                    *r
                 }
-                let fused = BatchRequest { shape: r.shape, kind: r.kind, epilogue: r.epilogue };
-                let decision = fusion_gate(&r.shape, r.kind, r.epilogue, &self.device);
-                let fingerprint = fused.workload(&self.device).fingerprint();
-                match decision.reason() {
-                    None => {
-                        fused_chains.insert(fingerprint);
-                        fused
+                Some(reason) => {
+                    if fallback_chains.insert(fingerprint.clone()) {
+                        crate::log_event!(
+                            Debug,
+                            "fusion.fallback",
+                            fingerprint = fingerprint,
+                            reason = reason,
+                        );
                     }
-                    Some(reason) => {
-                        if fallback_chains.insert(fingerprint.clone()) {
-                            crate::log_event!(
-                                Debug,
-                                "fusion.fallback",
-                                fingerprint = fingerprint,
-                                reason = reason,
-                            );
-                        }
-                        BatchRequest::bare(r.shape, r.kind)
-                    }
+                    TuneRequest::bare(r.shape, r.kind)
                 }
-            })
-            .collect();
+            }
+        });
         // Dedup by workload fingerprint, preserving first-seen order —
         // the same network-level planning step the engine's tune_batch
         // uses, so the two layers can never disagree on what counts as
         // a duplicate.
-        let (unique, representative) = dedup_requests(&batch_requests, &self.device);
+        let (unique, representative) = dedup_requests(gated, device);
         let mut members: Vec<Member> = unique
             .iter()
             .map(|req| {
-                let workload = req.workload(&self.device);
+                let workload = req.workload(device);
                 Member {
                     shape: req.shape,
                     kind: req.kind,
@@ -232,7 +194,7 @@ impl TuningSession {
         // (config + donor shape), so the transfer gate and the donor
         // re-cost also run outside the lock.
         let (group, needs_gap, donors) = {
-            let mut st = service.lock();
+            let mut st = self.lock();
             st.telemetry.incr(COUNTER.batch_groups, 1);
             st.telemetry.incr(COUNTER.batch_requests, requests.len() as u64);
             st.telemetry.incr(COUNTER.batch_deduped, (requests.len() - members.len()) as u64);
@@ -272,7 +234,7 @@ impl TuningSession {
         let gaps: Vec<Option<f64>> = members
             .iter()
             .zip(&needs_gap)
-            .map(|(m, &needed)| needed.then(|| io_gap(&m.shape, m.kind, &self.device)))
+            .map(|(m, &needed)| needed.then(|| io_gap(&m.shape, m.kind, device)))
             .collect();
         // Evaluate each donor outside the lock: project the donated
         // config onto the target's divisor lattice, then run the
@@ -280,7 +242,7 @@ impl TuningSession {
         // re-cost on the *target* shape. An unevaluable donor (the
         // projection fails to validate) falls through to the normal
         // miss path.
-        let gap_bound = service.config().transfer_gap_bound();
+        let gap_bound = self.config().transfer_gap_bound();
         let anchor_evals: Vec<Option<AnchorEval>> = members
             .iter()
             .zip(&donors)
@@ -296,24 +258,18 @@ impl TuningSession {
                         return None;
                     }
                 }
-                let cost_ms = Measurer::new(self.device.clone(), m.shape, m.kind)
+                let cost_ms = Measurer::new(device.clone(), m.shape, m.kind)
                     .with_epilogue(m.epilogue)
                     .measure_ms(&cfg)?;
-                let admissible = transfer_admissible(
-                    &m.shape,
-                    donor_shape,
-                    m.kind,
-                    &self.device,
-                    &cfg,
-                    gap_bound,
-                );
+                let admissible =
+                    transfer_admissible(&m.shape, donor_shape, m.kind, device, &cfg, gap_bound);
                 Some(AnchorEval { config: cfg, cost_ms, admissible })
             })
             .collect();
         // Authoritative classification + enqueue, under one lock.
         let mut pushed = false;
         {
-            let mut st = service.lock();
+            let mut st = self.lock();
             for ((member, gap), anchor) in members.iter_mut().zip(gaps).zip(anchor_evals) {
                 if !st.shards.records(&member.workload).is_empty() {
                     member.resolution = Some(Resolution::Hit);
@@ -339,13 +295,12 @@ impl TuningSession {
                         retune: !eval.admissible,
                     });
                     if !eval.admissible {
-                        let gap =
-                            gap.unwrap_or_else(|| io_gap(&member.shape, member.kind, &self.device));
+                        let gap = gap.unwrap_or_else(|| io_gap(&member.shape, member.kind, device));
                         let job = Job {
                             shape: member.shape,
                             kind: member.kind,
                             epilogue: member.epilogue,
-                            device: self.device.clone(),
+                            device: device.clone(),
                             tier: JobTier::Transfer,
                             perturbation: None,
                             enqueued_at: None,
@@ -367,12 +322,12 @@ impl TuningSession {
                 // tier. The gap was precomputed unless the snapshot saw
                 // the workload pending/settled; the rare race re-computes
                 // under the lock (correctness over elegance).
-                let gap = gap.unwrap_or_else(|| io_gap(&member.shape, member.kind, &self.device));
+                let gap = gap.unwrap_or_else(|| io_gap(&member.shape, member.kind, device));
                 let job = Job {
                     shape: member.shape,
                     kind: member.kind,
                     epilogue: member.epilogue,
-                    device: self.device.clone(),
+                    device: device.clone(),
                     tier: JobTier::Batch { group },
                     perturbation: None,
                     enqueued_at: None,
@@ -398,9 +353,9 @@ impl TuningSession {
             }
         }
         if pushed {
-            service.inner.changed.notify_all();
+            self.inner.changed.notify_all();
         }
-        service.kick();
+        self.kick();
         crate::log_event!(
             Info,
             "session.submit",
@@ -409,8 +364,8 @@ impl TuningSession {
             unique = members.len(),
         );
         SessionHandle {
-            service: service.clone(),
-            device: self.device.clone(),
+            service: self.clone(),
+            device: device.clone(),
             group,
             members,
             requests: request_map,
@@ -494,7 +449,7 @@ pub trait Backend {
     type Session: BackendSession;
 
     /// Submits a batch of requests on a device as one deduplicated
-    /// session (see [`TuningSession::submit`] for the semantics every
+    /// session (see [`TuningService::submit`] for the semantics every
     /// backend must preserve).
     fn submit_batch(
         &self,
@@ -573,14 +528,6 @@ impl BackendSession for SessionHandle {
 fn confirm_speculation(st: &mut State, fingerprint: &str) {
     if let Some(kind) = st.speculative_origin.remove(fingerprint) {
         st.telemetry.incr(&kind_counter(KIND_COUNTER.hits, kind), 1);
-    }
-}
-
-impl TuningService {
-    /// Submits a batch of requests on a device — shorthand for
-    /// [`TuningSession::new`] + [`TuningSession::submit`].
-    pub fn submit(&self, requests: &[TuneRequest], device: &DeviceSpec) -> SessionHandle {
-        TuningSession::new(self, device).submit(requests)
     }
 }
 
@@ -692,13 +639,9 @@ impl SessionHandle {
     /// the panic resumes.
     fn run_claimed(&mut self, claimed: Vec<(usize, Job)>) {
         let config = self.service.config();
-        let requests: Vec<BatchRequest> = claimed
+        let requests: Vec<TuneRequest> = claimed
             .iter()
-            .map(|(_, job)| BatchRequest {
-                shape: job.shape,
-                kind: job.kind,
-                epilogue: job.epilogue,
-            })
+            .map(|(_, job)| TuneRequest::fused(job.shape, job.kind, job.epilogue))
             .collect();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             tune_batch(&requests, &self.device, config.budget_per_workload, config.seed)

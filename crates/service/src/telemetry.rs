@@ -155,38 +155,55 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<HistogramSnapshot>,
 }
 
-/// Adds `value` under `name` in a name-sorted `(name, value)` list.
-fn add_scalar(list: &mut Vec<(String, u64)>, name: &str, value: u64) {
-    match list.binary_search_by(|(n, _)| n.as_str().cmp(name)) {
-        Ok(at) => list[at].1 = list[at].1.saturating_add(value),
-        Err(at) => list.insert(at, (name.to_string(), value)),
+/// Folds `theirs` into the name-sorted `mine` in one pass over both:
+/// equal names combine through `fold`, new names are cloned in, `mine`
+/// stays name-sorted.
+fn merge_named<T: Clone>(
+    mine: &mut Vec<T>,
+    theirs: &[T],
+    name: impl Fn(&T) -> &str,
+    fold: impl Fn(&mut T, &T),
+) {
+    if theirs.is_empty() {
+        return;
     }
+    // Snapshots are name-sorted by construction, so this sort is one
+    // comparison per element; it only moves anything for a hand-built
+    // list.
+    let mut theirs: Vec<&T> = theirs.iter().collect();
+    theirs.sort_by(|a, b| name(a).cmp(name(b)));
+    let mut out: Vec<T> = Vec::with_capacity(mine.len() + theirs.len());
+    let mut rest = std::mem::take(mine).into_iter().peekable();
+    for t in theirs {
+        while let Some(m) = rest.next_if(|m| name(m) <= name(t)) {
+            out.push(m);
+        }
+        match out.last_mut() {
+            Some(last) if name(last) == name(t) => fold(last, t),
+            _ => out.push(t.clone()),
+        }
+    }
+    out.extend(rest);
+    *mine = out;
 }
 
 impl MetricsSnapshot {
-    /// Folds another snapshot in: counters and gauges add by name,
-    /// histograms merge by name. Order-free, like the fleet's stats
-    /// aggregation that uses it.
+    /// Folds another snapshot in: counters and gauges add by name
+    /// (saturating), histograms merge by name. Order-free, like the
+    /// fleet's stats aggregation that uses it, and linear in the two
+    /// snapshots' sizes — a peer's reply may hold 40 000 names.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (name, value) in &other.counters {
-            add_scalar(&mut self.counters, name, *value);
-        }
-        for (name, value) in &other.gauges {
-            add_scalar(&mut self.gauges, name, *value);
-        }
-        for h in &other.histograms {
-            self.add_histogram(&h.name, &h.histogram);
-        }
-    }
-
-    fn add_histogram(&mut self, name: &str, histogram: &LatencyHistogram) {
-        match self.histograms.binary_search_by(|s| s.name.as_str().cmp(name)) {
-            Ok(at) => self.histograms[at].histogram.merge(histogram),
-            Err(at) => self.histograms.insert(
-                at,
-                HistogramSnapshot { name: name.to_string(), histogram: histogram.clone() },
-            ),
-        }
+        let add = |mine: &mut (String, u64), theirs: &(String, u64)| {
+            mine.1 = mine.1.saturating_add(theirs.1);
+        };
+        merge_named(&mut self.counters, &other.counters, |c| c.0.as_str(), add);
+        merge_named(&mut self.gauges, &other.gauges, |g| g.0.as_str(), add);
+        merge_named(
+            &mut self.histograms,
+            &other.histograms,
+            |h| h.name.as_str(),
+            |mine, theirs| mine.histogram.merge(&theirs.histogram),
+        );
     }
 
     /// What `self` counted on top of `baseline`: every counter becomes

@@ -48,7 +48,6 @@ use crate::service::{ServeResult, ServeSource};
 use crate::session::TuneRequest;
 use crate::shard::ShardedStore;
 use crate::telemetry::{MetricsSnapshot, Registry};
-use iolb_autotune::plan::BatchRequest;
 use iolb_gpusim::DeviceSpec;
 use iolb_records::jsonl::{self, Escaped, FlatObject};
 use std::fmt::Write as _;
@@ -456,7 +455,7 @@ pub fn encode_submit_into(device: &DeviceSpec, requests: &[TuneRequest], out: &m
     let _ = writeln!(out, "{{\"v\":{WIRE_VERSION},\"type\":\"submit\",\"n\":{}}}", requests.len());
     encode_device(device, out);
     for r in requests {
-        BatchRequest { shape: r.shape, kind: r.kind, epilogue: r.epilogue }.write_wire_line(out);
+        r.write_wire_line(out);
         out.push('\n');
     }
 }
@@ -473,13 +472,8 @@ pub fn decode_request(payload: &str) -> Result<Request, WireError> {
             })?)?;
             let mut requests = Vec::with_capacity(n.min(RESERVE_CAP));
             for i in 0..n {
-                let br =
-                    BatchRequest::from_wire_line(element(&mut lines, "submit", i, n, "request")?)?;
-                requests.push(TuneRequest {
-                    shape: br.shape,
-                    kind: br.kind,
-                    epilogue: br.epilogue,
-                });
+                let line = element(&mut lines, "submit", i, n, "request")?;
+                requests.push(TuneRequest::from_wire_line(line)?);
             }
             Request::Submit { device, requests }
         }

@@ -388,4 +388,23 @@ fn a_frame_at_the_cap_decodes_in_linear_time() {
         });
         assert!(took < limit, "a stats frame of {names} descending names took {took:?}");
     }
+
+    // The fleet folds its peers' `stats` replies into one snapshot: two
+    // full-frame replies with no name in common (every incoming name
+    // sorts before every held one) must merge in one pass, not by
+    // inserting each name into a sorted list.
+    for (names, limit) in [(40_000, limit), (10_000, limit / 3)] {
+        let snapshot = |prefix: char| MetricsSnapshot {
+            counters: (0..names).map(|i| (format!("{prefix}{i:05}"), 1)).collect(),
+            ..Default::default()
+        };
+        let (incoming, held) = (snapshot('a'), snapshot('b'));
+        let took = best_of_three(|| {
+            let mut merged = held.clone();
+            merged.merge(&incoming);
+            assert_eq!(merged.counters.len(), 2 * names);
+            assert!(merged.counters.windows(2).all(|w| w[0].0 < w[1].0), "names stay sorted");
+        });
+        assert!(took < limit, "merging two disjoint {names}-name snapshots took {took:?}");
+    }
 }

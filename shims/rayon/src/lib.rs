@@ -1,19 +1,38 @@
-//! Offline stand-in for the `rayon` crate: genuinely parallel slice
-//! iterators, [`join`], and [`scope`] backed by a **persistent worker
-//! pool** (like the real crate's global pool).
+//! Offline stand-in for the `rayon` crate: the four primitives the
+//! workspace uses — `par_iter().map().collect()`,
+//! `par_chunks_mut().enumerate().for_each()`, [`scope`] and [`spawn`] —
+//! backed by a **persistent worker pool** (like the real crate's global
+//! pool).
 //!
 //! The build environment has no network access, so the real crates.io
 //! `rayon` cannot be vendored. This shim keeps call sites
-//! source-compatible for the subset the workspace uses and preserves the
-//! property the auto-tuner depends on: **order-preserving results**.
+//! source-compatible for that subset and preserves the property the
+//! auto-tuner depends on: **order-preserving results**.
 //! `par_iter().map(f).collect::<Vec<_>>()` returns outputs in input
 //! order regardless of thread interleaving, so a caller that reduces the
 //! collected vector serially is bit-for-bit deterministic.
 //!
 //! Work is split into contiguous chunks, one per worker, capped by
-//! [`current_num_threads`]. Small inputs (fewer than two elements per
-//! potential worker, or below a caller-tunable `min_len`) run inline on
-//! the calling thread.
+//! [`current_num_threads`]. Inputs of fewer than two elements per
+//! potential worker run inline on the calling thread.
+//!
+//! ## Who calls it, and why only they do
+//!
+//! Handing a two-item batch to the pool and getting it back costs ~12 µs
+//! on the 2-vCPU reference host (`rayon.handoff_us` in the repository
+//! benchmark). The workspace's rule is that **a site is parallel only if
+//! one work item is ≥ 100 hand-offs**; everything finer is a plain serial
+//! loop at its call site, not a thresholded parallel one. What is left
+//! (README, "Parallelism & determinism", has the measured table):
+//!
+//! | primitive | caller | one work item |
+//! |-----------|--------|---------------|
+//! | `par_iter().map().collect()` | `iolb_autotune::engine::tune_batch` | one unique workload's whole hermetic tuning run (~3 ms) |
+//! | `par_chunks_mut().enumerate().for_each()` | `iolb_tensor::gemm` row bands | one band of `C` rows of a conv-sized GEMM (ms) |
+//! | [`scope`] | `iolb_dataflow::exec` direct and Winograd executors | a worker's share of one layer's output blocks (ms) |
+//! | [`spawn`] | `iolb_service::TuningService::kick` | a background worker draining the job queue, one tuning run per job |
+//!
+//! None of these regions nests inside another.
 //!
 //! ## The pool
 //!
@@ -23,11 +42,9 @@
 //! parallel primitive turns its chunks into a batch of tasks; pool
 //! workers *help* with the batch, and the **caller always works on its
 //! own batch too**, so a batch completes even if every pool worker is
-//! busy elsewhere — which also makes nested parallelism deadlock-free by
-//! construction. This removes the ~10 µs thread-spawn cost the old
-//! scoped-thread implementation paid on every call, which is what made
-//! fine-grained fan-outs (small GEMM bands, per-batch measurement) lose
-//! to serial execution.
+//! busy elsewhere (the service's background workers, another daemon
+//! connection's `tune_batch`) — and a nested call, should one appear,
+//! cannot deadlock.
 //!
 //! Idle workers block on the job queue and **read no environment
 //! variables**; `RAYON_NUM_THREADS` is consulted only by the thread that
@@ -367,24 +384,6 @@ pub fn current_num_threads() -> usize {
     std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1)
 }
 
-/// Runs both closures, potentially in parallel, returning both results
-/// (mirrors `rayon::join`).
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    let mut ra: Option<RA> = None;
-    let mut rb: Option<RB> = None;
-    pool::run_batch(vec![Box::new(|| ra = Some(a())), Box::new(|| rb = Some(b()))]);
-    (ra.expect("join closure did not run"), rb.expect("join closure did not run"))
-}
-
 /// Structured task scope (mirrors `rayon::scope`).
 ///
 /// Spawned tasks run on the persistent pool (the scoping thread helps)
@@ -432,27 +431,25 @@ impl<'scope, 'env> Scope<'scope, 'env> {
     }
 }
 
-/// How many elements each worker should get at minimum before a parallel
-/// primitive bothers spawning threads.
-const DEFAULT_MIN_LEN: usize = 2;
+/// How many elements each worker must get before `par_iter` hands
+/// chunks to the pool; shorter slices run inline.
+const MIN_LEN: usize = 2;
 
+/// Workers for `pieces` units of work: at most the thread cap, at least
+/// one (the caller).
 #[inline]
-fn worker_count(len: usize, min_len: usize) -> usize {
-    if len == 0 {
-        return 1;
-    }
-    let by_grain = len / min_len.max(1);
-    current_num_threads().min(by_grain).max(1)
+fn worker_count(pieces: usize) -> usize {
+    current_num_threads().min(pieces).max(1)
 }
 
 /// Order-preserving parallel map over a slice.
-fn par_map_slice<'a, T, R, F>(slice: &'a [T], min_len: usize, f: &F) -> Vec<R>
+fn par_map_slice<'a, T, R, F>(slice: &'a [T], f: &F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&'a T) -> R + Sync,
 {
-    let workers = worker_count(slice.len(), min_len);
+    let workers = worker_count(slice.len() / MIN_LEN);
     if workers <= 1 {
         return slice.iter().map(f).collect();
     }
@@ -482,7 +479,7 @@ where
 {
     let chunk = chunk.max(1);
     let pieces = slice.len().div_ceil(chunk).max(1);
-    let workers = worker_count(pieces, 1);
+    let workers = worker_count(pieces);
     if workers <= 1 || pieces <= 1 {
         for (i, c) in slice.chunks_mut(chunk).enumerate() {
             f(i, c);
@@ -515,29 +512,25 @@ pub trait IntoParallelRefIterator<'a> {
 impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
     type Item = T;
     fn par_iter(&'a self) -> ParIter<'a, T> {
-        ParIter { slice: self, min_len: DEFAULT_MIN_LEN }
+        ParIter { slice: self }
     }
 }
 
 impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     type Item = T;
     fn par_iter(&'a self) -> ParIter<'a, T> {
-        ParIter { slice: self, min_len: DEFAULT_MIN_LEN }
+        ParIter { slice: self }
     }
 }
 
-/// `.par_iter_mut()` / `.par_chunks_mut()` on slices.
+/// `.par_chunks_mut()` on slices.
 pub trait IntoParallelRefMutIterator<'a> {
     type Item: Send + 'a;
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, Self::Item>;
     fn par_chunks_mut(&'a mut self, chunk: usize) -> ParChunksMut<'a, Self::Item>;
 }
 
 impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
     type Item = T;
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, T> {
-        ParIterMut { slice: self }
-    }
     fn par_chunks_mut(&'a mut self, chunk: usize) -> ParChunksMut<'a, T> {
         ParChunksMut { slice: self, chunk }
     }
@@ -545,9 +538,6 @@ impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for [T] {
 
 impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
     type Item = T;
-    fn par_iter_mut(&'a mut self) -> ParIterMut<'a, T> {
-        ParIterMut { slice: self }
-    }
     fn par_chunks_mut(&'a mut self, chunk: usize) -> ParChunksMut<'a, T> {
         ParChunksMut { slice: self, chunk }
     }
@@ -556,37 +546,21 @@ impl<'a, T: Send + 'a> IntoParallelRefMutIterator<'a> for Vec<T> {
 /// Borrowing parallel iterator over a slice.
 pub struct ParIter<'a, T> {
     slice: &'a [T],
-    min_len: usize,
 }
 
 impl<'a, T: Sync> ParIter<'a, T> {
-    /// Lower bound on per-worker elements before threads spawn (mirrors
-    /// `IndexedParallelIterator::with_min_len`).
-    pub fn with_min_len(mut self, min_len: usize) -> Self {
-        self.min_len = min_len.max(1);
-        self
-    }
-
     pub fn map<R, F>(self, f: F) -> ParMap<'a, T, F>
     where
         R: Send,
         F: Fn(&'a T) -> R + Sync,
     {
-        ParMap { slice: self.slice, min_len: self.min_len, f }
-    }
-
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&'a T) + Sync,
-    {
-        par_map_slice(self.slice, self.min_len, &|t| f(t));
+        ParMap { slice: self.slice, f }
     }
 }
 
 /// Mapped parallel iterator: terminal ops preserve input order.
 pub struct ParMap<'a, T, F> {
     slice: &'a [T],
-    min_len: usize,
     f: F,
 }
 
@@ -598,53 +572,7 @@ where
 {
     /// Collects mapped values **in input order**.
     pub fn collect<C: From<Vec<R>>>(self) -> C {
-        C::from(par_map_slice(self.slice, self.min_len, &self.f))
-    }
-}
-
-/// Mutable parallel iterator over a slice.
-pub struct ParIterMut<'a, T> {
-    slice: &'a mut [T],
-}
-
-impl<'a, T: Send> ParIterMut<'a, T> {
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut T) + Sync,
-    {
-        par_for_each_chunks_mut(
-            self.slice,
-            self.slice.len().div_ceil(current_num_threads().max(1)).max(1),
-            &|_, chunk| {
-                for item in chunk {
-                    f(item);
-                }
-            },
-        );
-    }
-
-    /// Pairs each element with its index, like rayon's
-    /// `par_iter_mut().enumerate()`.
-    pub fn enumerate(self) -> ParIterMutEnumerate<'a, T> {
-        ParIterMutEnumerate { slice: self.slice }
-    }
-}
-
-pub struct ParIterMutEnumerate<'a, T> {
-    slice: &'a mut [T],
-}
-
-impl<'a, T: Send> ParIterMutEnumerate<'a, T> {
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn((usize, &mut T)) + Sync,
-    {
-        let chunk = self.slice.len().div_ceil(current_num_threads().max(1)).max(1);
-        par_for_each_chunks_mut(self.slice, chunk, &|ci, items| {
-            for (off, item) in items.iter_mut().enumerate() {
-                f((ci * chunk + off, item));
-            }
-        });
+        C::from(par_map_slice(self.slice, &self.f))
     }
 }
 
@@ -655,13 +583,6 @@ pub struct ParChunksMut<'a, T> {
 }
 
 impl<'a, T: Send> ParChunksMut<'a, T> {
-    pub fn for_each<F>(self, f: F)
-    where
-        F: Fn(&mut [T]) + Sync,
-    {
-        par_for_each_chunks_mut(self.slice, self.chunk, &|_, c| f(c));
-    }
-
     pub fn enumerate(self) -> ParChunksMutEnumerate<'a, T> {
         ParChunksMutEnumerate { slice: self.slice, chunk: self.chunk }
     }
@@ -686,11 +607,6 @@ pub mod prelude {
     pub use super::{IntoParallelRefIterator, IntoParallelRefMutIterator};
 }
 
-pub mod iter {
-    //! Namespace parity with the real crate.
-    pub use super::{ParChunksMut, ParIter, ParIterMut, ParMap};
-}
-
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
@@ -712,20 +628,6 @@ mod tests {
     }
 
     #[test]
-    fn par_iter_mut_touches_every_element() {
-        let mut v = vec![1i64; 1000];
-        v.par_iter_mut().for_each(|x| *x += 41);
-        assert!(v.iter().all(|&x| x == 42));
-    }
-
-    #[test]
-    fn enumerate_indices_are_global() {
-        let mut v = vec![0usize; 517];
-        v.par_iter_mut().enumerate().for_each(|(i, x)| *x = i);
-        assert_eq!(v, (0..517).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn chunks_mut_partitions_exactly() {
         let mut v = vec![0u32; 103];
         v.par_chunks_mut(10).enumerate().for_each(|(i, c)| {
@@ -736,12 +638,6 @@ mod tests {
         for (i, &x) in v.iter().enumerate() {
             assert_eq!(x, (i / 10) as u32);
         }
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = super::join(|| 2 + 2, || "ok");
-        assert_eq!((a, b), (4, "ok"));
     }
 
     #[test]

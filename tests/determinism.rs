@@ -1,9 +1,9 @@
-//! Tuning determinism under parallel measurement (ISSUE 1 acceptance
-//! gate): the engine measures proposal batches on rayon, and that must
-//! not perturb a single bit of the tuning trajectory.
+//! Tuning determinism (ISSUE 1 acceptance gate): the same seed must
+//! reproduce the tuning trajectory to the bit.
 //!
 //! Run-to-run identity lives here; the parallel-vs-forced-serial check
-//! lives in `determinism_serial.rs` — its own binary, because it
+//! (of `tune_batch`, the tuner's one parallel region) lives in
+//! `determinism_serial.rs` — its own binary, because it
 //! mutates `RAYON_NUM_THREADS` and environment writes must not race
 //! sibling test threads' reads.
 
