@@ -18,7 +18,7 @@
 //! pure function of `(space, measurer, params.seed)` and, store-backed,
 //! of the store's records for the workload. The one parallel grain in the
 //! tuner is *across* runs: [`tune_batch`] hands each unique workload's
-//! whole hermetic run (~3 ms, hundreds of hand-offs) to a pool worker
+//! whole hermetic run (1.5–1.8 ms, 125–150 hand-offs) to a pool worker
 //! and collects the outcomes in request order, so its result does not
 //! depend on the thread count either. README's "Parallelism &
 //! determinism" table lists every parallel site in the workspace under

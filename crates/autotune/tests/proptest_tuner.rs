@@ -108,3 +108,40 @@ proptest! {
         prop_assert_eq!(m1.predict(&probe), m2.predict(&probe));
     }
 }
+
+/// Golden bits: a fit on one real featurised sample (ResNet-18 `layer1`,
+/// 24 sampled configurations, log-costs from the `Measurer`) predicts
+/// four training rows and four unseen ones to exactly these bits. The
+/// constants were generated at the commit before the split search was
+/// presorted, so the in-crate oracle cannot drift together with the code
+/// it checks.
+#[test]
+fn gbt_predictions_on_a_real_sample_are_pinned() {
+    use iolb_autotune::Measurer;
+    use iolb_gpusim::DeviceSpec;
+    const GOLDEN: [u64; 8] = [
+        0xbffe4763a08a9eee,
+        0xbffc554da7152369,
+        0xbffa9f470707e941,
+        0xc001320d73da30f6,
+        0xbffa47ad589f86e0,
+        0xc001a9ca3d1a22e3,
+        0xbffbf09f34aafb6e,
+        0xbff892095fb06a54,
+    ];
+    let shape = ConvShape::square(64, 56, 64, 3, 1, 1);
+    let device = DeviceSpec::v100();
+    let space = ConfigSpace::new(shape, TileKind::Direct, device.smem_per_sm, true);
+    let measurer = Measurer::new(device, shape, TileKind::Direct);
+    let mut rng = StdRng::seed_from_u64(0xA7E);
+    let (mut rows, mut targets) = (Vec::new(), Vec::new());
+    while rows.len() < 28 {
+        let cfg = space.sample(&mut rng, 64).expect("layer1 has configurations");
+        let Some(ms) = measurer.measure_ms(&cfg) else { continue };
+        rows.push(featurize(&shape, TileKind::Direct, &cfg));
+        targets.push(ms.ln());
+    }
+    let model = Gbrt::fit(&rows[..24], &targets[..24], GbrtParams::default(), &mut rng);
+    let got: Vec<u64> = rows[20..].iter().map(|r| model.predict(r).to_bits()).collect();
+    assert_eq!(got, GOLDEN, "{got:#018x?}");
+}

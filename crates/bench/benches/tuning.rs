@@ -6,6 +6,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use iolb_autotune::cost_model::GbtCostModel;
 use iolb_autotune::engine::{tune, TuneParams};
+use iolb_autotune::features::featurize;
 use iolb_autotune::gbt::{Gbrt, GbrtParams};
 use iolb_autotune::search::walk::ParallelRandomWalk;
 use iolb_autotune::search::{History, Searcher};
@@ -32,6 +33,30 @@ fn gbt(c: &mut Criterion) {
     });
     let model = Gbrt::fit(&rows, &targets, GbrtParams::default(), &mut rng);
     group.bench_function("predict", |b| b.iter(|| black_box(model.predict(&rows[7]))));
+
+    // The regime the tuner runs in: real feature rows (discrete tile
+    // sizes, so ties and near-duplicate columns) at the history lengths a
+    // budget-32 run refits on, plus 64 as the benchmark's
+    // `autotune.gbt_fit_ms` probe does — same recipe.
+    let shape = ConvShape::square(64, 56, 64, 3, 1, 1); // ResNet-18 layer1
+    let device = DeviceSpec::v100();
+    let space = ConfigSpace::new(shape, TileKind::Direct, device.smem_per_sm, true);
+    let measurer = Measurer::new(device, shape, TileKind::Direct);
+    let (mut rows, mut targets) = (Vec::new(), Vec::new());
+    while rows.len() < 64 {
+        let cfg = space.sample(&mut rng, 64).expect("layer1 has configurations");
+        let Some(ms) = measurer.measure_ms(&cfg) else { continue };
+        rows.push(featurize(&shape, TileKind::Direct, &cfg));
+        targets.push(ms.ln());
+    }
+    for n in [8, 16, 24, 64] {
+        group.bench_function(format!("fit-{n}"), |b| {
+            b.iter(|| {
+                let mut r = StdRng::seed_from_u64(2);
+                black_box(Gbrt::fit(&rows[..n], &targets[..n], GbrtParams::default(), &mut r))
+            })
+        });
+    }
     group.finish();
 }
 
