@@ -800,11 +800,14 @@ mod tests {
     #[test]
     fn direct_vector_path_bit_identical_to_scalar() {
         let mut rng = StdRng::seed_from_u64(7);
-        let input = Tensor4::random(2, 3, 9, 9, &mut rng);
-        let weights = Tensor4::random(4, 3, 3, 3, &mut rng);
-        // Unit stride with padding, and the strided fallback lanes.
+        // 19 channels: two full stages of the vector arm and a ragged
+        // one of 3. z = 36: a 32-lane step and a 4-lane one.
+        let input = Tensor4::random(2, 19, 9, 9, &mut rng);
+        let weights = Tensor4::random(72, 19, 3, 3, &mut rng);
+        // Unit stride with padding (27 points: tails of 3), and stride 2
+        // (25 points: tails of 1).
         for (params, x, y) in [(ConvParams::new(1, 1), 3, 9), (ConvParams::new(2, 1), 5, 5)] {
-            let c = cfg(x, y, 2);
+            let c = cfg(x, y, 36);
             let s = execute_direct_with_path(&input, &weights, params, &c, 3, KernelPath::Scalar);
             let v = execute_direct_with_path(&input, &weights, params, &c, 3, KernelPath::Vector);
             let sb: Vec<u32> = s.as_slice().iter().map(|f| f.to_bits()).collect();

@@ -638,25 +638,21 @@ mod tests {
     fn every_isa_tier_computes_the_same_bits() {
         let mut rng = StdRng::seed_from_u64(21);
 
-        // Direct: a 3 x 5 block (15 points: three 4-point steps and a
-        // tail of 3), z = 29 (16 + 8 + 4 + 1 lanes), 3 x 3 taps.
-        let (x, y, z, k) = (3, 5, 29, 3);
+        // Direct: a 3 x 5 block (15 points: a tail of 3 past 4-point
+        // steps, of 7 past an 8-point one), z = 61 (32 + 16 + 8 + 4 + 1
+        // lanes), 3 x 3 taps, 11 channels folded in ascending order.
+        let (x, y, z, k, cin) = (3, 5, 61, 3, 11);
         let (xp, yp) = (x + k - 1, y + k - 1);
-        let stage_in = random(xp * yp, &mut rng);
-        let stage_w = random(k * k * z, &mut rng);
+        let stage_in = random(cin * xp * yp, &mut rng);
+        let w_pack = random(cin * k * k * z, &mut rng);
         let pts = point_offsets(x, y, 1, yp);
         let direct = |isa| {
             let mut acc = random(x * y * z, &mut StdRng::seed_from_u64(22));
-            let s = DirectStage {
-                stage_in: &stage_in,
-                stage_w: &stage_w,
-                pts: &pts,
-                z,
-                kh: k,
-                kw: k,
-                yp,
-            };
-            fold_stage_on(isa, &mut acc, s);
+            let stages = stage_in.chunks(xp * yp).zip(w_pack.chunks(k * k * z));
+            for (stage_in, stage_w) in stages {
+                let s = DirectStage { stage_in, stage_w, pts: &pts, z, kh: k, kw: k, yp };
+                fold_stage_on(isa, &mut acc, s);
+            }
             acc.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
         };
 

@@ -218,36 +218,71 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The direct executor's channel-lane micro-kernel equals its scalar
-    /// arm **bit for bit**: over tiles with `y = 1` and fewer than four
-    /// points, every lane-cascade width of `z` plus tails, stride 2,
-    /// pad 0/1/3, `kh != kw`, non-CHW tensors, all three epilogues and
-    /// one or three workers.
+    /// arm **bit for bit**: channel counts below, at and across the
+    /// stage depth of 8 (1, 7, 8, 9, 19 — a ragged last stage); every
+    /// lane-cascade width of `z`, two-chunk steps plus every remainder
+    /// (32, 48, 52, 61, 64) and tails; tiles whose point count is every
+    /// tail 1..7 past a multiple of 4 and of 8, and exact multiples of
+    /// both, `y = 1` among them; stride 2, pad 0/1/3, `kh != kw`,
+    /// non-CHW tensors, all three epilogues, one or three workers; and
+    /// batch 2, so a worker meets a block-channel group twice and
+    /// repacks its kernels.
+    ///
+    /// Three cases in four run on channels that cancel, as the Winograd
+    /// twin below does: the second half of the input is minus the first
+    /// on the same kernels (an odd channel out is `±0.0`), so every
+    /// output is the rounding residue of its own channel fold and a
+    /// reordered, merged or fused fold shows in every bit of it.
     #[test]
     fn direct_vector_path_bit_identical_to_scalar(
-        channels in (0usize..7, 1usize..=2, 1usize..=3, 1usize..=2),
-        extents in (4usize..=9, 4usize..=9, 1usize..=3, 1usize..=3),
-        stride_pad in (1usize..=2, 0usize..3),
-        tile in (0usize..4, 0usize..4),
+        channels in (0usize..12, 1usize..=2, 0usize..6),
+        tile_blocks in (0usize..16, 1usize..=2, 1usize..=2),
+        kernel in (1usize..=3, 1usize..=3, 1usize..=2, 0usize..3),
         layouts in (0usize..3, 0usize..3),
         epilogue_workers in (0usize..3, 0usize..2),
         seed in 0u64..1000,
     ) {
-        let (zi, groups, cin, batch) = channels;
-        let (hin, win, kh, kw) = extents;
-        let (stride, pad_i) = stride_pad;
-        let (xi, yi) = tile;
+        let (zi, groups, ci) = channels;
+        let (ti, blocks_h, blocks_w) = tile_blocks;
+        let (kh, kw, stride, pad_i) = kernel;
         let (in_layout, w_layout) = layouts;
         let (epilogue_i, workers_i) = epilogue_workers;
-        let z = [1usize, 3, 4, 8, 12, 20, 36][zi];
-        let params = ConvParams::new(stride, [0usize, 1, 3][pad_i]);
+        let z = [1usize, 3, 4, 8, 12, 20, 36, 32, 48, 52, 61, 64][zi];
+        let cin = [1usize, 3, 7, 8, 9, 19][ci];
+        // Points per block: 1 to 16, every residue mod 4 and mod 8.
+        let (x, y) = [
+            (1usize, 1usize), (2, 1), (1, 3), (2, 2), (5, 1), (2, 3), (7, 1), (2, 4),
+            (3, 3), (2, 5), (11, 1), (3, 4), (13, 1), (7, 2), (3, 5), (4, 4),
+        ][ti];
+        let (hout, wout) = (x * blocks_h, y * blocks_w);
+        // The input extents that give exactly that output; a pad too
+        // wide for them is dropped.
+        let span = |out: usize, k: usize| (out - 1) * stride + k;
+        let pad = [0usize, 1, 3][pad_i];
+        let pad = if span(hout, kh).min(span(wout, kw)) > 2 * pad { pad } else { 0 };
+        let (hin, win) = (span(hout, kh) - 2 * pad, span(wout, kw) - 2 * pad);
+        let params = ConvParams::new(stride, pad);
         let mut rng = StdRng::seed_from_u64(seed);
-        let input =
-            Tensor4::random(batch, cin, hin, win, &mut rng).to_layout(Layout::ALL[in_layout]);
+        let input = Tensor4::random(2, cin, hin, win, &mut rng);
+        let weights = Tensor4::random(z * groups, cin, kh, kw, &mut rng);
+        // Channel `c` is `sign * channel twin` of the random tensors.
+        let half = if seed % 4 == 0 { 0 } else { cin / 2 };
+        let twin = |c: usize| match c {
+            _ if half == 0 => (c, 1.0),
+            c if c < half => (c, 1.0),
+            c if c < 2 * half => (c - half, -1.0),
+            c => (c, 0.0),
+        };
+        let input = Tensor4::from_fn(2, cin, hin, win, |n, c, h, w| {
+            let (of, sign) = twin(c);
+            sign * input.at(n, of, h, w)
+        })
+        .to_layout(Layout::ALL[in_layout]);
         let weights =
-            Tensor4::random(z * groups, cin, kh, kw, &mut rng).to_layout(Layout::ALL[w_layout]);
+            Tensor4::from_fn(z * groups, cin, kh, kw, |o, c, h, w| weights.at(o, twin(c).0, h, w))
+                .to_layout(Layout::ALL[w_layout]);
         let shape = conv_iolb::dataflow::exec::shape_of(&input, &weights, params);
-        let pick = |n: usize, i: usize| { let d = divisors(n); d[i % d.len()] };
-        let (x, y) = (pick(shape.hout(), xi), pick(shape.wout(), yi));
+        prop_assert_eq!((shape.hout(), shape.wout()), (hout, wout));
         let cfg = ScheduleConfig {
             x, y, z, nxt: 1, nyt: 1, nzt: 1, sb_bytes: 48 * 1024, layout: Layout::Chw,
         };
