@@ -63,7 +63,8 @@ fn conv_paths(c: &mut Criterion) {
 /// The dataflow executors on the ResNet-18 layers and tiles the tuner
 /// serves them (the ones `benchmark/`'s `conv-exec` workload runs), one
 /// worker: per-layer times behind `exec_winograd_gflops` and
-/// `exec_direct_gflops`. Each 3x3 layer is 231 MFLOP.
+/// `exec_direct_gflops`. Each 3x3/s1 layer is 231 MFLOP; `conv1` is 236,
+/// `layer3.0.downsample` 12.8 and `layer4.0.conv1` 115.6.
 fn dataflow_served(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(3);
     let tile = |x, y, z| ScheduleConfig {
@@ -76,24 +77,35 @@ fn dataflow_served(c: &mut Criterion) {
         sb_bytes: 48 * 1024,
         layout: Layout::Chw,
     };
-    // (layer, channels, extent, Winograd tile, direct tile)
+    // (layer, C_in, C_out, extent, kernel, stride, pad, direct tile,
+    // Winograd tile where the tuner serves one). After the three 3x3
+    // mid layers, the direct executor's slow classes: few output
+    // channels to a block (`z < 16`: lanes mostly empty), one tap to a
+    // channel (1x1), a `7 x 1` tile.
     let layers = [
-        ("layer1", 64, 56, tile(8, 14, 16), tile(8, 28, 16)),
-        ("layer2", 128, 28, tile(4, 28, 16), tile(14, 14, 32)),
-        ("layer3", 256, 14, tile(14, 14, 8), tile(14, 14, 32)),
+        ("layer1", 64, 64, 56, 3, 1, 1, tile(8, 28, 16), Some(tile(8, 14, 16))),
+        ("layer2", 128, 128, 28, 3, 1, 1, tile(14, 14, 32), Some(tile(4, 28, 16))),
+        ("layer3", 256, 256, 14, 3, 1, 1, tile(14, 14, 32), Some(tile(14, 14, 8))),
+        ("conv1", 3, 64, 224, 7, 2, 3, tile(16, 7, 4), None),
+        ("layer3.0.downsample", 128, 256, 28, 1, 2, 0, tile(2, 14, 256), None),
+        ("layer4.0.conv1", 256, 512, 14, 3, 2, 1, tile(7, 7, 8), None),
+        ("layer4.rest", 512, 512, 7, 3, 1, 1, tile(7, 1, 32), None),
     ];
-    let params = ConvParams::new(1, 1);
-    for (name, ch, hw, wino, direct) in layers {
-        let input = Tensor4::random(1, ch, hw, hw, &mut rng);
-        let weights = Tensor4::random(ch, ch, 3, 3, &mut rng);
-        let mut group = c.benchmark_group("dataflow-winograd-served");
-        group.sample_size(10);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                black_box(execute_winograd(&input, &weights, params, WinogradTile::F2X3, &wino, 1))
-            })
-        });
-        group.finish();
+    for (name, cin, cout, hw, k, stride, pad, direct, wino) in layers {
+        let input = Tensor4::random(1, cin, hw, hw, &mut rng);
+        let weights = Tensor4::random(cout, cin, k, k, &mut rng);
+        let params = ConvParams::new(stride, pad);
+        if let Some(wino) = wino {
+            let mut group = c.benchmark_group("dataflow-winograd-served");
+            group.sample_size(10);
+            group.bench_function(name, |b| {
+                b.iter(|| {
+                    let tile = WinogradTile::F2X3;
+                    black_box(execute_winograd(&input, &weights, params, tile, &wino, 1))
+                })
+            });
+            group.finish();
+        }
         let mut group = c.benchmark_group("dataflow-direct-served");
         group.sample_size(10);
         group.bench_function(name, |b| {

@@ -5,9 +5,10 @@
 //! become rayon-scoped worker tasks, shared memory becomes a per-block
 //! scratch buffer with exactly the schedule's staging structure (resident
 //! output tile + one `x' * y' * alpha` input stage + the stage's weights;
-//! `alpha = 1` except on the Winograd vector arm), and the
-//! channel-sliding loop is executed literally. Every path is verified
-//! against `iolb_tensor::conv_ref`.
+//! the stage depth `alpha` is 1 channel on the scalar arms and
+//! `micro::STAGE_GROUP` on the vector arms), and the channel-sliding loop
+//! is executed literally. Every path is verified against
+//! `iolb_tensor::conv_ref`.
 //!
 //! Both executors run the vector arm; the scalar arm is the oracle the
 //! `*_with_path` entry points expose to tests (see [`KernelPath`]). The
@@ -17,12 +18,14 @@
 //! substrate:
 //!
 //! * **direct** — the resident tile is kept z-minor and a register tile
-//!   of 4 output pixels x 16/8/4/1 output *channels* holds each element's
-//!   `sum` through the `(dy, dx)`-ascending tap fold (input tap
-//!   broadcast, weights repacked z-minor once per block-channel group so
-//!   a stage's weights are one contiguous copy), followed by the one
-//!   `acc += sum` the scalar path does; the tile is transposed back to
-//!   `(zc, oy, ox)` for the write-back;
+//!   of 4 output pixels x 32 output *channels*, or 8 x 16/8/4/1, is
+//!   held across the channels of a stage: per channel, ascending, each
+//!   element's `sum` runs through the `(dy, dx)`-ascending tap fold
+//!   (input tap broadcast, weights repacked z-minor once per
+//!   block-channel group so a stage's weights are one contiguous slice
+//!   of the pack), followed by the one `acc += sum` the scalar path
+//!   does; the tile is transposed back to `(zc, oy, ox)` for the
+//!   write-back;
 //! * **Winograd** — every array is flat `f64` with independent matrices
 //!   on the lanes, so each of the three two-sided transforms is two
 //!   batched products: `J = G g G^T` once per block-channel group (the
@@ -31,12 +34,14 @@
 //!   `A^T Pi A` of the whole block at once. `Pi += P ∘ J` keeps a
 //!   register tile of 4 Winograd tiles x 16/8/4/1 output channels
 //!   across the channels of a stage, each element folding `ci`
-//!   ascending. The stage depth (`alpha` of §5.3) is 1 channel on the
-//!   scalar arm and `micro::WINOGRAD_GROUP` on the vector arm: `Pi` is
-//!   then read and written once per stage instead of once per channel.
-//!   What a block reads from slow memory does not change with the
-//!   depth: every input channel's halo tile, once; its weight stages
-//!   are slices of the per-group pack, as on the direct arm.
+//!   ascending: `Pi` is read and written once per stage instead of once
+//!   per channel.
+//!
+//! What a block reads from slow memory does not change with the stage
+//! depth: every input channel's halo tile, once, and its kernels, once
+//! (`direct::exact_io_elems` / `winograd::exact_io_elems` count the
+//! scalar and the vector arm alike). What grows is the on-chip footprint, from `x'y' + x*y*z` to
+//! `STAGE_GROUP * x'y' + x*y*z` floats beside the weights.
 //!
 //! All inner stages live in `micro.rs`, compiled once per
 //! [`iolb_tensor::kernel::Isa`] tier; packing and the transposition sit
@@ -167,6 +172,11 @@ fn execute_direct_impl(
 
     let pts = micro::point_offsets(cfg.x, cfg.y, shape.stride, yp);
     let taps = shape.kh * shape.kw;
+    // Input channels per stage (the paper's stage depth `alpha`).
+    let depth = match path {
+        KernelPath::Scalar => 1,
+        KernelPath::Vector => micro::STAGE_GROUP,
+    };
 
     rayon::scope(|scope| {
         for _ in 0..workers {
@@ -176,16 +186,18 @@ fn execute_direct_impl(
             let pts = &pts;
             scope.spawn(move |_| {
                 // "Shared memory" of this worker: resident output tile +
-                // one input stage + one weight stage.
+                // `depth` input stages + the stage's weights — on the
+                // scalar path a buffer of its own, on the vector path a
+                // slice of the kernels of block-channel group `packed`,
+                // repacked z-minor: blocks come `bc`-major, so a worker
+                // repacks once per group it meets, not per block, and
+                // holds one group, not the whole tensor. And the
+                // resident tile in write-back order (vector path only:
+                // untouched, so never resident, on the scalar path).
                 let mut acc = vec![0.0f32; cfg.x * cfg.y * cfg.z];
-                let mut stage_in = vec![0.0f32; xp * yp];
-                let mut stage_w = vec![0.0f32; taps * cfg.z];
-                // Vector path only (untouched, so never resident, on the
-                // scalar path). The kernels of block-channel group
-                // `packed`, repacked z-minor: blocks come `bc`-major, so
-                // a worker repacks once per group it meets, not per
-                // block, and holds one group, not the whole tensor. And
-                // the resident tile in write-back order.
+                let mut stage_in = vec![0.0f32; depth * xp * yp];
+                let scalar_w = if path == KernelPath::Scalar { taps * cfg.z } else { 0 };
+                let mut stage_w = vec![0.0f32; scalar_w];
                 let mut w_pack = vec![0.0f32; shape.cin * taps * cfg.z];
                 let mut packed = None;
                 let mut tile = vec![0.0f32; acc.len()];
@@ -203,16 +215,10 @@ fn execute_direct_impl(
                     let oy0 = bh * cfg.x;
                     let ox0 = bw * cfg.y;
                     let oc0 = bc * cfg.z;
-                    if path == KernelPath::Vector && packed != Some(bc) {
-                        micro::pack_weights_z_minor(weights, oc0, cfg.z, &mut w_pack);
-                        packed = Some(bc);
-                    }
-
-                    acc.fill(0.0);
-                    // Channel-sliding stages (alpha = 1, §5.2).
-                    for ci in 0..shape.cin {
-                        // Stage-load the x' * y' input tile (halo included,
-                        // zero padding at the borders).
+                    // Stage-loads the block's x' * y' input tile at
+                    // channel `ci` (halo included, zero padding at the
+                    // borders).
+                    let stage = |ci: usize, dst: &mut [f32]| {
                         micro::stage_rows(
                             input,
                             n,
@@ -221,12 +227,18 @@ fn execute_direct_impl(
                             (ox0 * shape.stride) as isize - shape.pad as isize,
                             xp,
                             yp,
-                            &mut stage_in,
-                        );
-                        // Stage-load the z kernel slices at channel ci,
-                        // then the partial-sum update of the resident tile.
-                        match path {
-                            KernelPath::Scalar => {
+                            dst,
+                        )
+                    };
+
+                    acc.fill(0.0);
+                    // Channel-sliding stages (§5.2): the input tiles and
+                    // the z kernel slices of the stage's channels, then
+                    // the partial-sum update of the resident tile.
+                    match path {
+                        KernelPath::Scalar => {
+                            for ci in 0..shape.cin {
+                                stage(ci, &mut stage_in);
                                 micro::stage_kernels(weights, oc0, ci, cfg.z, &mut stage_w);
                                 for zc in 0..cfg.z {
                                     for oy in 0..cfg.x {
@@ -245,19 +257,31 @@ fn execute_direct_impl(
                                     }
                                 }
                             }
-                            // Same folds, output channels on the lanes:
-                            // the tile is kept z-minor and the weight
-                            // stage is one contiguous slice of the pack.
-                            KernelPath::Vector => {
-                                stage_w
-                                    .copy_from_slice(&w_pack[ci * taps * cfg.z..][..taps * cfg.z]);
+                        }
+                        // Same folds, output channels on the lanes and
+                        // `depth` channels to a stage: the tile is kept
+                        // z-minor and the weight stage is one contiguous
+                        // slice of the pack.
+                        KernelPath::Vector => {
+                            if packed != Some(bc) {
+                                micro::pack_weights_z_minor(weights, oc0, cfg.z, &mut w_pack);
+                                packed = Some(bc);
+                            }
+                            for ci0 in (0..shape.cin).step_by(depth) {
+                                let group = depth.min(shape.cin - ci0);
+                                let staged = &mut stage_in[..group * xp * yp];
+                                for (c, dst) in staged.chunks_exact_mut(xp * yp).enumerate() {
+                                    stage(ci0 + c, dst);
+                                }
                                 let stage = micro::DirectStage {
-                                    stage_in: &stage_in,
-                                    stage_w: &stage_w,
+                                    stage_in: staged,
+                                    stage_w: &w_pack[ci0 * taps * cfg.z..][..group * taps * cfg.z],
                                     pts,
+                                    group,
                                     z: cfg.z,
                                     kh: shape.kh,
                                     kw: shape.kw,
+                                    xp,
                                     yp,
                                 };
                                 micro::fold_stage(&mut acc, stage);
@@ -328,21 +352,22 @@ fn write_back_with_epilogue(
     match epilogue {
         Epilogue::None | Epilogue::Relu => {
             let fuse_relu = matches!(epilogue, Epilogue::Relu);
-            for zc in 0..cfg.z {
-                for oy in 0..cfg.x {
-                    for ox in 0..cfg.y {
-                        let c = oc0 + zc;
-                        let yy = oy0 + oy;
-                        let xx = ox0 + ox;
-                        let off = n * image_len + (c * out_h + yy) * out_w + xx;
-                        let v = tile[(zc * cfg.x + oy) * cfg.y + ox];
-                        let v = if fuse_relu { relu_val(v) } else { v };
-                        // SAFETY: blocks write disjoint output regions;
-                        // indices are in range by construction.
-                        unsafe {
-                            *out_ptr.0.add(off) = v;
-                        }
+            // A block row is `y` contiguous floats of the tile and of
+            // the output alike.
+            for (row, src) in tile.chunks_exact(cfg.y).enumerate() {
+                let (zc, oy) = (row / cfg.x, row % cfg.x);
+                let off = n * image_len + ((oc0 + zc) * out_h + oy0 + oy) * out_w + ox0;
+                // SAFETY: the tile has `z * x` rows and `x`, `y`, `z`
+                // divide the output's extents, so the row lies inside
+                // the output tensor; blocks write disjoint regions, so
+                // nothing else refers to these `y` floats.
+                let dst = unsafe { std::slice::from_raw_parts_mut(out_ptr.0.add(off), cfg.y) };
+                if fuse_relu {
+                    for (d, &v) in dst.iter_mut().zip(src) {
+                        *d = relu_val(v);
                     }
+                } else {
+                    dst.copy_from_slice(src);
                 }
             }
         }
@@ -478,7 +503,7 @@ fn execute_winograd_impl(
     // Input channels per stage (the paper's stage depth `alpha`).
     let depth = match path {
         KernelPath::Scalar => 1,
-        KernelPath::Vector => micro::WINOGRAD_GROUP,
+        KernelPath::Vector => micro::STAGE_GROUP,
     };
 
     rayon::scope(|scope| {

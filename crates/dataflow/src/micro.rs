@@ -123,14 +123,33 @@ pub(crate) fn pack_weights_z_minor(weights: &Tensor4, oc0: usize, z: usize, dst:
     let taps = cin * kh * kw;
     assert_eq!(dst.len(), taps * z, "weight pack size mismatch");
     let (sc, sh, sw) = weights.layout.strides(cin, kh, kw);
-    for zc in 0..z {
-        let kernel = &weights.as_slice()[(oc0 + zc) * taps..][..taps];
-        let mut t = 0;
-        for ci in 0..cin {
-            for dy in 0..kh {
-                for dx in 0..kw {
-                    dst[t * z + zc] = kernel[ci * sc + dy * sh + dx * sw];
-                    t += 1;
+    let kernels = &weights.as_slice()[oc0 * taps..][..z * taps];
+    if (sc, sh, sw) == (kh * kw, kw, 1) {
+        // Kernels stored in tap order: the pack is the transpose of a
+        // `z x taps` matrix, done in square blocks so that neither side
+        // is walked with a stride of a whole row per element.
+        const B: usize = 16;
+        for zc0 in (0..z).step_by(B) {
+            let z1 = (zc0 + B).min(z);
+            for t0 in (0..taps).step_by(B) {
+                for t in t0..(t0 + B).min(taps) {
+                    let row = &mut dst[t * z..][zc0..z1];
+                    for (v, zc) in row.iter_mut().zip(zc0..z1) {
+                        *v = kernels[zc * taps + t];
+                    }
+                }
+            }
+        }
+    } else {
+        for zc in 0..z {
+            let kernel = &kernels[zc * taps..][..taps];
+            let mut t = 0;
+            for ci in 0..cin {
+                for dy in 0..kh {
+                    for dx in 0..kw {
+                        dst[t * z + zc] = kernel[ci * sc + dy * sh + dx * sw];
+                        t += 1;
+                    }
                 }
             }
         }
@@ -145,58 +164,92 @@ pub(crate) fn point_offsets(x: usize, y: usize, stride: usize, yp: usize) -> Vec
     (0..x).flat_map(|oy| (0..y).map(move |ox| oy * stride * yp + ox * stride)).collect()
 }
 
-/// Output pixels per micro-step.
-const PT: usize = 4;
+/// Input channels per stage of both vector arms (the stage depth `alpha`
+/// of §5.2 and §5.3): what is resident — the direct arm's register tile
+/// of `acc`, the Winograd arm's `Pi` — is read and written once per
+/// stage instead of once per channel. 8 serves both. Direct: on the
+/// largest served tile (`x14 y14 z32`) the tile (25 KiB), the stage's
+/// inputs (8 KiB) and its weights (9 KiB) still sit in a 48 KiB L1
+/// together; 4 reads 3 to 7 % slower on the served ResNet-18 layers and
+/// 16 the same as 8. Winograd: a stage's `P` (`8 a^2 tiles` doubles,
+/// 28 KiB on the served 28-tile blocks) and the transform rows beside it
+/// still sit in L1 when the Hadamard reads `P` back, while `Pi` (57 KiB
+/// there), which cannot, is read and written 8x less often.
+pub(crate) const STAGE_GROUP: usize = 8;
 
-/// What one channel stage of the direct dataflow reads: the input stage
-/// (`x' x y'`, row length `yp`), the stage's weights z-minor
-/// (`stage_w[(dy * kw + dx) * z + zc]`) and the block's
-/// [`point_offsets`] into `stage_in`.
+/// What one stage of the direct dataflow reads: the input stages of its
+/// channels one after the other (`x' x y'` each, row length `yp`), their
+/// weights z-minor (`stage_w[((c * kh + dy) * kw + dx) * z + zc]` — a
+/// slice of [`pack_weights_z_minor`]'s pack) and the block's
+/// [`point_offsets`] into one input stage.
 #[derive(Clone, Copy)]
 pub(crate) struct DirectStage<'a> {
     pub stage_in: &'a [f32],
     pub stage_w: &'a [f32],
     pub pts: &'a [usize],
+    pub group: usize,
     pub z: usize,
     pub kh: usize,
     pub kw: usize,
+    pub xp: usize,
     pub yp: usize,
 }
 
 isa_dispatched! {
-    /// One channel stage of the direct dataflow folded into the resident
-    /// tile, output channels on the SIMD lanes.
+    /// One stage of the direct dataflow — at most [`STAGE_GROUP`]
+    /// channels — folded into the resident tile, output channels on the
+    /// SIMD lanes.
     ///
     /// `acc` is the block's tile kept **z-minor** (`acc[p * z + zc]`, `p`
-    /// indexing `s.pts`). The lane width cascades 16 → 8 → 4 → 1 over
-    /// `z` and the points go [`PT`] at a time (then singly), so every
-    /// `(p, zc)` is visited exactly once and sees the scalar path's
-    /// fold: `sum` from `0.0` over `(dy, dx)` ascending, then one
-    /// `acc += sum`.
+    /// indexing `s.pts`). The lane width cascades 32 → 16 → 8 → 4 → 1
+    /// over `z` and the points go 4 (at 32 lanes) or 8 at a time, a
+    /// shorter tail in one step of its own, so every `(p, zc)` is
+    /// visited exactly once and sees the scalar path's fold: per
+    /// channel, ascending, `sum` from `0.0` over `(dy, dx)` ascending,
+    /// then one `acc += sum`.
     fn fold_stage, fold_stage_on = fold_stage_body(acc: &mut [f32], s: DirectStage<'_>)
 }
 
 #[inline(always)]
 fn fold_stage_body(acc: &mut [f32], s: DirectStage<'_>) {
-    let zc = fold_lanes::<16>(acc, s, 0);
-    let zc = fold_lanes::<8>(acc, s, zc);
-    let zc = fold_lanes::<4>(acc, s, zc);
-    fold_lanes::<1>(acc, s, zc);
+    let zc = fold_lanes::<4, 32>(acc, s, 0);
+    let zc = fold_lanes::<8, 16>(acc, s, zc);
+    let zc = fold_lanes::<8, 8>(acc, s, zc);
+    let zc = fold_lanes::<8, 4>(acc, s, zc);
+    fold_lanes::<8, 1>(acc, s, zc);
 }
 
-/// Runs `L`-lane micro-steps over channels `zc..` while a whole chunk of
-/// `L` fits below `z`; returns the first channel left over.
+/// Most output pixels in one micro-step.
+const PT: usize = 8;
+
+/// Runs `P`-point x `L`-lane micro-steps over channels `zc..` while a
+/// whole chunk of `L` fits below `z`; returns the first channel left
+/// over. Every `(P, L)` [`fold_stage`] runs has eight independent add
+/// chains — 4 points x two 16-lane vectors, or 8 points x one vector of
+/// `L` lanes — which is what a multiply and an add port each four
+/// cycles deep need to stay busy.
 #[inline(always)]
-fn fold_lanes<const L: usize>(acc: &mut [f32], s: DirectStage<'_>, mut zc: usize) -> usize {
+fn fold_lanes<const P: usize, const L: usize>(
+    acc: &mut [f32],
+    s: DirectStage<'_>,
+    mut zc: usize,
+) -> usize {
     while zc + L <= s.z {
         let mut p = 0;
-        while p + PT <= s.pts.len() {
-            micro_step::<PT, L>(acc, s, p, zc);
-            p += PT;
+        while p + P <= s.pts.len() {
+            micro_step::<P, L>(acc, s, p, zc);
+            p += P;
         }
-        while p < s.pts.len() {
-            micro_step::<1, L>(acc, s, p, zc);
-            p += 1;
+        // The tail, exactly as wide as it is.
+        match s.pts.len() - p {
+            0 => {}
+            1 => micro_step::<1, L>(acc, s, p, zc),
+            2 => micro_step::<2, L>(acc, s, p, zc),
+            3 => micro_step::<3, L>(acc, s, p, zc),
+            4 => micro_step::<4, L>(acc, s, p, zc),
+            5 => micro_step::<5, L>(acc, s, p, zc),
+            6 => micro_step::<6, L>(acc, s, p, zc),
+            _ => micro_step::<7, L>(acc, s, p, zc),
         }
         zc += L;
     }
@@ -209,32 +262,25 @@ fn fold_lanes<const L: usize>(acc: &mut [f32], s: DirectStage<'_>, mut zc: usize
 /// runtime-indexed access and it falls back to the stack — see
 /// `unroll_rows!` in `iolb_tensor::gemm`).
 macro_rules! each_point {
-    ($p:expr, $j:ident => $body:block) => {{
-        {
-            let $j = 0;
+    ($p:expr, $j:ident => $body:block) => {
+        each_point!(@at $p, $j, $body, 0 1 2 3 4 5 6 7)
+    };
+    (@at $p:expr, $j:ident, $body:block, $($at:literal)*) => {{
+        $(if $p > $at {
+            let $j = $at;
             $body
-        }
-        if $p > 1 {
-            let $j = 1;
-            $body
-        }
-        if $p > 2 {
-            let $j = 2;
-            $body
-        }
-        if $p > 3 {
-            let $j = 3;
-            $body
-        }
+        })*
     }};
 }
-const _: () = assert!(PT == 4, "each_point! covers exactly 0..PT");
+const _: () = assert!(PT == 8, "each_point! covers exactly 0..PT");
 
-/// The register tile: `P <= PT` points x `L` channel lanes of `sum`,
-/// held through the whole tap fold with the input tap broadcast across
-/// the lanes. Each lane of each point is one output element's own
-/// serial fold — `sum += in * w` is a separately rounded multiply and
-/// add, no FMA — so neither `P` nor `L` can change a bit.
+/// The register tile: `P <= PT` points x `L` channel lanes of `acc`,
+/// loaded once, folded over the stage's channels in ascending order and
+/// stored once. Per channel each lane of each point is one output
+/// element's own serial fold — `sum` from `0.0`, `sum += in * w` over the
+/// taps with the input tap broadcast across the lanes, then `acc += sum`,
+/// every multiply and add separately rounded, no FMA — so neither `P`,
+/// `L` nor the stage depth can change a bit.
 #[inline(always)]
 fn micro_step<const P: usize, const L: usize>(
     acc: &mut [f32],
@@ -242,24 +288,41 @@ fn micro_step<const P: usize, const L: usize>(
     p: usize,
     zc: usize,
 ) {
-    let pts = &s.pts[p..p + P];
-    let mut sum = [[0.0f32; L]; PT];
-    for dy in 0..s.kh {
-        for dx in 0..s.kw {
-            let w = &s.stage_w[(dy * s.kw + dx) * s.z + zc..][..L];
+    let (taps, chan_len) = (s.kh * s.kw, s.xp * s.yp);
+    let mut off = [0usize; PT];
+    let mut tile = [[0.0f32; L]; PT];
+    each_point!(P, j => {
+        off[j] = s.pts[p + j];
+        tile[j].copy_from_slice(&acc[(p + j) * s.z + zc..][..L]);
+    });
+    for c in 0..s.group {
+        let chan = &s.stage_in[c * chan_len..][..chan_len];
+        let chan_w = &s.stage_w[c * taps * s.z..][..taps * s.z];
+        let mut sum = [[0.0f32; L]; PT];
+        for dy in 0..s.kh {
+            // One bounds check per point and tap row, none per tap.
+            let mut rows = [&chan[..0]; PT];
             each_point!(P, j => {
-                let v = s.stage_in[pts[j] + dy * s.yp + dx];
-                for l in 0..L {
-                    sum[j][l] += v * w[l];
-                }
+                rows[j] = &chan[off[j] + dy * s.yp..][..s.kw];
             });
+            for dx in 0..s.kw {
+                let w: [f32; L] = *chan_w[(dy * s.kw + dx) * s.z + zc..].first_chunk().unwrap();
+                each_point!(P, j => {
+                    let v = rows[j][dx];
+                    for l in 0..L {
+                        sum[j][l] += v * w[l];
+                    }
+                });
+            }
         }
+        each_point!(P, j => {
+            for l in 0..L {
+                tile[j][l] += sum[j][l];
+            }
+        });
     }
     each_point!(P, j => {
-        let a = &mut acc[(p + j) * s.z + zc..][..L];
-        for l in 0..L {
-            a[l] += sum[j][l];
-        }
+        acc[(p + j) * s.z + zc..][..L].copy_from_slice(&tile[j]);
     });
 }
 
@@ -291,13 +354,6 @@ impl WinogradMats {
         Self { bt_t: t.bt.t(), g_t: t.g.t(), at_t: t.at.t(), t }
     }
 }
-
-/// Input channels per stage of the Winograd vector arm (the stage depth
-/// `alpha` of §5.3). 8: a stage's `P` (`8 a^2 tiles` doubles, 28 KiB on
-/// the served 28-tile blocks) and the transform rows beside it still sit
-/// in a 48 KiB L1 when the Hadamard reads `P` back, while `Pi` (57 KiB
-/// there), which cannot, is read and written 8x less often.
-pub(crate) const WINOGRAD_GROUP: usize = 8;
 
 /// A zeroed `f64` buffer whose first element sits on a cache-line
 /// boundary, so that a 64-byte vector of a row that starts on a multiple
@@ -371,7 +427,7 @@ impl<'a> WinogradLanes<'a> {
     ) -> Self {
         let (e, r, a) = (m.t.e, m.t.r, m.t.a());
         let tiles = tiles_h * tiles_w;
-        let group = WINOGRAD_GROUP.min(cin);
+        let group = STAGE_GROUP.min(cin);
         Self {
             m,
             z,
@@ -411,12 +467,12 @@ fn pack_winograd_kernels_body(w: &mut WinogradLanes<'_>, weights: &Tensor4, oc0:
     let (r, a, z) = (w.m.t.r, w.m.t.a(), w.z);
     let (cin, taps) = (weights.c, r * r);
     let (sc, sh, sw) = weights.layout.strides(cin, r, r);
-    for (s, j) in w.j_pack.chunks_mut(WINOGRAD_GROUP * a * a * z).enumerate() {
+    for (s, j) in w.j_pack.chunks_mut(STAGE_GROUP * a * a * z).enumerate() {
         let lanes = j.len() / (a * a);
         let g = &mut w.operand[..taps * lanes];
         let left = &mut w.left[..a * r * lanes];
         for c in 0..lanes / z {
-            let ci = s * WINOGRAD_GROUP + c;
+            let ci = s * STAGE_GROUP + c;
             for zc in 0..z {
                 let kernel = &weights.as_slice()[(oc0 + zc) * cin * taps..][..cin * taps];
                 for dy in 0..r {
@@ -435,7 +491,7 @@ fn pack_winograd_kernels_body(w: &mut WinogradLanes<'_>, weights: &Tensor4, oc0:
 isa_dispatched! {
     /// One stage of the Winograd dataflow folded into the block's `Pi`:
     /// `stage_in` holds the input stages (`x' x y'`, by rows) of
-    /// channels `ci0..`, at most [`WINOGRAD_GROUP`] of them, and the
+    /// channels `ci0..`, at most [`STAGE_GROUP`] of them, and the
     /// weight stage is their slice of `w.j_pack`. `P = B^T d B` of all
     /// tiles of all staged channels at once; then `Pi += P ∘ J` over
     /// the staged channels in ascending order.
@@ -638,9 +694,10 @@ mod tests {
     fn every_isa_tier_computes_the_same_bits() {
         let mut rng = StdRng::seed_from_u64(21);
 
-        // Direct: a 3 x 5 block (15 points: a tail of 3 past 4-point
-        // steps, of 7 past an 8-point one), z = 61 (32 + 16 + 8 + 4 + 1
-        // lanes), 3 x 3 taps, 11 channels folded in ascending order.
+        // Direct: a 3 x 5 block (15 points: an 8-point step and a tail
+        // of 7, or three 4-point steps and a tail of 3), z = 61 (32 +
+        // 16 + 8 + 4 + 1 lanes), 3 x 3 taps, 11 channels (a full stage
+        // and a ragged one of 3).
         let (x, y, z, k, cin) = (3, 5, 61, 3, 11);
         let (xp, yp) = (x + k - 1, y + k - 1);
         let stage_in = random(cin * xp * yp, &mut rng);
@@ -648,9 +705,11 @@ mod tests {
         let pts = point_offsets(x, y, 1, yp);
         let direct = |isa| {
             let mut acc = random(x * y * z, &mut StdRng::seed_from_u64(22));
-            let stages = stage_in.chunks(xp * yp).zip(w_pack.chunks(k * k * z));
-            for (stage_in, stage_w) in stages {
-                let s = DirectStage { stage_in, stage_w, pts: &pts, z, kh: k, kw: k, yp };
+            let stages = stage_in.chunks(STAGE_GROUP * xp * yp);
+            for (stage_in, stage_w) in stages.zip(w_pack.chunks(STAGE_GROUP * k * k * z)) {
+                let group = stage_in.len() / (xp * yp);
+                let s =
+                    DirectStage { stage_in, stage_w, pts: &pts, group, z, kh: k, kw: k, xp, yp };
                 fold_stage_on(isa, &mut acc, s);
             }
             acc.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
@@ -666,8 +725,8 @@ mod tests {
             let stage_in = random(cin * xp * yp, &mut StdRng::seed_from_u64(23));
             let mut w = WinogradLanes::new(&m, cin, z, tiles_h, tiles_w);
             pack_winograd_kernels_on(isa, &mut w, &weights, 0);
-            for (g, stage) in stage_in.chunks(WINOGRAD_GROUP * xp * yp).enumerate() {
-                winograd_fold_group_on(isa, &mut w, stage, g * WINOGRAD_GROUP);
+            for (g, stage) in stage_in.chunks(STAGE_GROUP * xp * yp).enumerate() {
+                winograd_fold_group_on(isa, &mut w, stage, g * STAGE_GROUP);
             }
             let mut block = vec![0.0f32; z * tiles_h * tiles_w * tile.0 * tile.0];
             winograd_output_on(isa, &mut w, &mut block);
