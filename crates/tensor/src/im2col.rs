@@ -109,6 +109,7 @@ pub fn im2col_materialised_elems(cin: usize, kh: usize, kw: usize, oh: usize, ow
 mod tests {
     use super::*;
     use crate::conv_ref::conv2d_reference;
+    use crate::layout::Layout;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -198,6 +199,123 @@ mod tests {
         // Last column = window at (1,1): [5,6,8,9].
         let col3: Vec<f32> = (0..rows).map(|r| m[r * cols + 3]).collect();
         assert_eq!(col3, vec![5.0, 6.0, 8.0, 9.0]);
+    }
+
+    /// The per-element unroll `im2col` replaced: one `at_padded` per
+    /// matrix element. The oracle the span-wise unroll is diffed against.
+    fn im2col_oracle(
+        input: &Tensor4,
+        n: usize,
+        kh: usize,
+        kw: usize,
+        params: ConvParams,
+    ) -> (Vec<f32>, usize, usize) {
+        let oh = params.out_extent(input.h, kh);
+        let ow = params.out_extent(input.w, kw);
+        let rows = input.c * kh * kw;
+        let cols = oh * ow;
+        let mut m = vec![0.0f32; rows * cols];
+        for ci in 0..input.c {
+            for dy in 0..kh {
+                for dx in 0..kw {
+                    let row = (ci * kh + dy) * kw + dx;
+                    for y in 0..oh {
+                        for x in 0..ow {
+                            let iy = (y * params.stride + dy) as isize - params.pad as isize;
+                            let ix = (x * params.stride + dx) as isize - params.pad as isize;
+                            m[row * cols + y * ow + x] = input.at_padded(n, ci, iy, ix);
+                        }
+                    }
+                }
+            }
+        }
+        (m, rows, cols)
+    }
+
+    /// The per-element weight gather: `C_out x (C_in*Kh*Kw)` in tap
+    /// order, whatever the tensor's layout.
+    fn weights_oracle(weights: &Tensor4) -> Vec<f32> {
+        let mut m = Vec::with_capacity(weights.len());
+        for co in 0..weights.n {
+            for ci in 0..weights.c {
+                for dy in 0..weights.h {
+                    for dx in 0..weights.w {
+                        m.push(weights.at(co, ci, dy, dx));
+                    }
+                }
+            }
+        }
+        m
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// The unroll equals the per-element oracle, bit for bit: every input
+    /// layout, stride 1..=4, pad `0..=k+1` (so whole output rows and
+    /// columns whose window lies in the padding), `kh != kw`, and an image
+    /// index past the first.
+    #[test]
+    fn im2col_matches_the_per_element_oracle() {
+        let mut rng = StdRng::seed_from_u64(21);
+        let base = Tensor4::random(2, 3, 7, 9, &mut rng);
+        for layout in Layout::ALL {
+            let input = base.to_layout(layout);
+            for (kh, kw) in [(1, 1), (3, 2), (2, 3), (1, 4), (5, 3)] {
+                for stride in 1..=4 {
+                    for pad in 0..=kh.max(kw) + 1 {
+                        let params = ConvParams::new(stride, pad);
+                        for n in 0..input.n {
+                            let (got, gr, gc) = im2col(&input, n, kh, kw, params);
+                            let (want, wr, wc) = im2col_oracle(&input, n, kh, kw, params);
+                            assert_eq!((gr, gc), (wr, wc));
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "{layout} n={n} k={kh}x{kw} s={stride} p={pad}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `conv2d_im2col` gives the oracle pipeline's bits (per-element
+    /// unroll, per-element weight gather, the same GEMM) on both paths,
+    /// whatever the layout of the input and of the weights: `Chw` kernels
+    /// are already the GEMM's A operand, `Cwh`/`Hwc` ones are not, and a
+    /// `kh != kw` kernel tells the two apart.
+    #[test]
+    fn conv2d_im2col_bits_do_not_depend_on_the_weight_layout() {
+        let mut rng = StdRng::seed_from_u64(22);
+        let base_in = Tensor4::random(2, 3, 8, 7, &mut rng);
+        let base_w = Tensor4::random(5, 3, 3, 2, &mut rng);
+        for (stride, pad) in [(1, 1), (2, 0), (2, 3)] {
+            let params = ConvParams::new(stride, pad);
+            for in_layout in Layout::ALL {
+                let input = base_in.to_layout(in_layout);
+                for w_layout in Layout::ALL {
+                    let weights = base_w.to_layout(w_layout);
+                    let w_flat = weights_oracle(&weights);
+                    let a = MatRef::new(&w_flat, weights.n, weights.c * weights.h * weights.w);
+                    for path in [KernelPath::Scalar, KernelPath::Vector] {
+                        let got = conv2d_im2col_with_path(&input, &weights, params, 1, path);
+                        let mut want = vec![0.0f32; got.len()];
+                        for (n, dst) in want.chunks_exact_mut(got.len() / input.n).enumerate() {
+                            let (m, rows, cols) = im2col_oracle(&input, n, 3, 2, params);
+                            gemm_with_path(a, MatRef::new(&m, rows, cols), dst, 1, path);
+                        }
+                        assert_eq!(
+                            bits(got.as_slice()),
+                            bits(&want),
+                            "input {in_layout}, weights {w_layout}, s={stride} p={pad}, {path:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,8 +7,9 @@
 
 use iolb_tensor::conv_ref::ConvParams;
 use iolb_tensor::gemm::{gemm_with_path, MatRef};
-use iolb_tensor::im2col::conv2d_im2col_with_path;
+use iolb_tensor::im2col::{conv2d_im2col, conv2d_im2col_with_path};
 use iolb_tensor::kernel::KernelPath;
+use iolb_tensor::layout::Layout;
 use iolb_tensor::tensor::Tensor4;
 use iolb_tensor::winograd_conv::{conv2d_winograd_with_plan_path, WinogradPlan};
 use proptest::prelude::*;
@@ -90,23 +91,27 @@ proptest! {
     }
 
     /// im2col convolution (the GEMM consumer) produces the same bits on
-    /// both paths for arbitrary shapes, strides, and padding.
+    /// both paths for arbitrary shapes, strides, padding and layouts of
+    /// the input and of the weights (`kh != kw`, so a weight matrix read
+    /// in the wrong tap order cannot pass).
     #[test]
     fn im2col_paths_bit_identical(
         n in 1usize..3,
         cin in 1usize..5,
         cout in 1usize..6,
         hw in 5usize..12,
-        kh in 1usize..4,
-        stride in 1usize..3,
-        pad in 0usize..2,
+        kernel in (1usize..5, 1usize..5),
+        stride in 1usize..5,
+        pad in 0usize..3,
+        layouts in (0usize..3, 0usize..3),
         threads in 1usize..3,
         seed in 0u64..1000,
     ) {
-        prop_assume!(hw + 2 * pad >= kh);
+        let ((kh, kw), (in_layout, w_layout)) = (kernel, layouts);
+        prop_assume!(hw + 2 * pad >= kh.max(kw));
         let mut rng = StdRng::seed_from_u64(seed);
-        let input = random_tensor(&mut rng, n, cin, hw, hw);
-        let weights = random_tensor(&mut rng, cout, cin, kh, kh);
+        let input = random_tensor(&mut rng, n, cin, hw, hw).to_layout(Layout::ALL[in_layout]);
+        let weights = random_tensor(&mut rng, cout, cin, kh, kw).to_layout(Layout::ALL[w_layout]);
         let params = ConvParams { stride, pad };
         let scalar = conv2d_im2col_with_path(&input, &weights, params, threads, KernelPath::Scalar);
         let vector = conv2d_im2col_with_path(&input, &weights, params, threads, KernelPath::Vector);
@@ -141,4 +146,37 @@ proptest! {
             prop_assert_eq!(s.to_bits(), v.to_bits());
         }
     }
+}
+
+/// Golden bits: `conv2d_im2col` on four ResNet-18-class shapes (channel
+/// counts and extents cut down so the debug suite stays quick) hashes to
+/// exactly these values — FNV-1a over every output's `to_bits`. The
+/// constants were generated at the commit before the unroll went by row
+/// spans and the weight matrix was borrowed, so the in-crate oracle
+/// cannot drift together with the code it checks.
+#[test]
+fn im2col_outputs_on_resnet_class_shapes_are_pinned() {
+    // (C_in, C_out, extent, kernel, stride, pad, golden)
+    const GOLDEN: [(usize, usize, usize, usize, usize, usize, u64); 4] = [
+        (3, 16, 32, 7, 2, 3, 0xed038fea0a15ebd2), // conv1: 7x7/s2/p3
+        (16, 16, 14, 3, 1, 1, 0x2274e8afcfe7192b), // layer1-3: 3x3/s1/p1
+        (16, 32, 14, 1, 2, 0, 0x2621257cf92ecacf), // downsample: 1x1/s2
+        (16, 32, 14, 3, 2, 1, 0x4d8a565974bdd725), // layerN.0.conv1: 3x3/s2/p1
+    ];
+    let mut rng = StdRng::seed_from_u64(0x1_2C01);
+    let mut got = Vec::new();
+    for (cin, cout, hw, k, stride, pad, _) in GOLDEN {
+        let input = random_tensor(&mut rng, 2, cin, hw, hw);
+        let weights = random_tensor(&mut rng, cout, cin, k, k);
+        let out = conv2d_im2col(&input, &weights, ConvParams { stride, pad }, 2);
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for v in out.as_slice() {
+            for b in v.to_bits().to_le_bytes() {
+                hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        got.push(hash);
+    }
+    let want: Vec<u64> = GOLDEN.iter().map(|g| g.6).collect();
+    assert_eq!(got, want, "{got:#018x?}");
 }
