@@ -115,6 +115,34 @@ fn dataflow_served(c: &mut Criterion) {
     }
 }
 
+/// `conv2d_im2col` on five ResNet-18 layers, one thread: the per-layer
+/// times behind `exec_im2col_gflops` (ARCHITECTURE's im2col table). The
+/// layers span the shapes the unroll and the GEMM find hard — `conv1`'s
+/// `K = 147` and stride 2, `layer1`'s wide matrix, `layer3`, a 1x1/s2
+/// downsample and `layer4`'s `N = 49`.
+fn im2col_served(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(4);
+    // (layer, C_in, C_out, extent, kernel, stride, pad)
+    let layers = [
+        ("conv1", 3, 64, 224, 7, 2, 3),
+        ("layer1", 64, 64, 56, 3, 1, 1),
+        ("layer3", 256, 256, 14, 3, 1, 1),
+        ("layer3.0.downsample", 128, 256, 28, 1, 2, 0),
+        ("layer4.rest", 512, 512, 7, 3, 1, 1),
+    ];
+    let mut group = c.benchmark_group("im2col-served");
+    group.sample_size(10);
+    for (name, cin, cout, hw, k, stride, pad) in layers {
+        let input = Tensor4::random(1, cin, hw, hw, &mut rng);
+        let weights = Tensor4::random(cout, cin, k, k, &mut rng);
+        let params = ConvParams::new(stride, pad);
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(conv2d_im2col(&input, &weights, params, 1)))
+        });
+    }
+    group.finish();
+}
+
 fn gemm_scaling(c: &mut Criterion) {
     use iolb_tensor::gemm::{gemm, MatRef};
     let mut rng = StdRng::seed_from_u64(2);
@@ -140,5 +168,5 @@ fn gemm_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, conv_paths, dataflow_served, gemm_scaling);
+criterion_group!(benches, conv_paths, dataflow_served, im2col_served, gemm_scaling);
 criterion_main!(benches);

@@ -219,16 +219,9 @@ fn execute_direct_impl(
                     // channel `ci` (halo included, zero padding at the
                     // borders).
                     let stage = |ci: usize, dst: &mut [f32]| {
-                        micro::stage_rows(
-                            input,
-                            n,
-                            ci,
-                            (oy0 * shape.stride) as isize - shape.pad as isize,
-                            (ox0 * shape.stride) as isize - shape.pad as isize,
-                            xp,
-                            yp,
-                            dst,
-                        )
+                        let iy0 = (oy0 * shape.stride) as isize - shape.pad as isize;
+                        let ix0 = (ox0 * shape.stride) as isize - shape.pad as isize;
+                        input.padded_window(n, ci, (iy0, ix0), 1, (xp, yp), dst)
                     };
 
                     acc.fill(0.0);
@@ -545,16 +538,9 @@ fn execute_winograd_impl(
                     // Stage-loads the block's input tile at channel `ci`
                     // (halo included, zero padding at the borders).
                     let stage = |ci: usize, dst: &mut [f32]| {
-                        micro::stage_rows(
-                            input,
-                            n,
-                            ci,
-                            oy0 as isize - shape.pad as isize,
-                            ox0 as isize - shape.pad as isize,
-                            xp,
-                            yp,
-                            dst,
-                        )
+                        let iy0 = oy0 as isize - shape.pad as isize;
+                        let ix0 = ox0 as isize - shape.pad as isize;
+                        input.padded_window(n, ci, (iy0, ix0), 1, (xp, yp), dst)
                     };
                     // Channel-sliding stages, then the output transform
                     // into the block-resident tile (the `f64 -> f32`

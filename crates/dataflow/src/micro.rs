@@ -4,12 +4,13 @@
 //! Nothing here knows about blocks, workers or epilogues: the executors
 //! keep the schedule's staging structure (input stages in, one resident
 //! tile, one write-back) and call in here for the things that decide how
-//! fast a stage runs — loading an input stage by rows, handing the stage
-//! its weights as one contiguous slice with output channels minor, and
-//! folding the stage into the resident tile with output channels on the
-//! SIMD lanes. For Winograd the weights are handed over already
-//! transformed, and the three transforms run over many independent
-//! matrices at a time.
+//! fast a stage runs — handing the stage its weights as one contiguous
+//! slice with output channels minor, and folding the stage into the
+//! resident tile with output channels on the SIMD lanes. For Winograd the
+//! weights are handed over already transformed, and the three transforms
+//! run over many independent matrices at a time. Input stages are loaded
+//! by `Tensor4::padded_window`, the same row-span loader `im2col` unrolls
+//! its matrix with.
 
 use iolb_tensor::kernel::Isa;
 use iolb_tensor::tensor::Tensor4;
@@ -56,49 +57,6 @@ macro_rules! isa_dispatched {
             _ => $body($($arg),*),
         }
     }};
-}
-
-/// Loads the `rows x cols` window of channel `c` of image `n` whose
-/// top-left corner is `(iy0, ix0)` into `dst` (row-major), zero-filling
-/// whatever lies outside the image — `at_padded` semantics, one row at a
-/// time: the in-image span of each row is a single `copy_from_slice`
-/// when the layout's `w` stride is 1 (`Layout::Chw`) and a strided
-/// gather otherwise.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stage_rows(
-    input: &Tensor4,
-    n: usize,
-    c: usize,
-    iy0: isize,
-    ix0: isize,
-    rows: usize,
-    cols: usize,
-    dst: &mut [f32],
-) {
-    assert_eq!(dst.len(), rows * cols, "stage buffer size mismatch");
-    let (sc, sh, sw) = input.layout.strides(input.c, input.h, input.w);
-    let image_len = input.c * input.h * input.w;
-    let image = &input.as_slice()[n * image_len..][..image_len];
-    // Columns `lo..hi` of the window lie inside the image.
-    let lo = (-ix0).clamp(0, cols as isize) as usize;
-    let hi = (input.w as isize - ix0).clamp(0, cols as isize) as usize;
-    for (ty, row) in dst.chunks_exact_mut(cols).enumerate() {
-        let iy = iy0 + ty as isize;
-        if iy < 0 || iy >= input.h as isize || lo >= hi {
-            row.fill(0.0);
-            continue;
-        }
-        row[..lo].fill(0.0);
-        row[hi..].fill(0.0);
-        let src = c * sc + iy as usize * sh + (ix0 + lo as isize) as usize * sw;
-        if sw == 1 {
-            row[lo..hi].copy_from_slice(&image[src..src + (hi - lo)]);
-        } else {
-            for (i, v) in row[lo..hi].iter_mut().enumerate() {
-                *v = image[src + i * sw];
-            }
-        }
-    }
 }
 
 /// Stage-loads the `z` kernel slices of input channel `ci`, one slice

@@ -1,9 +1,10 @@
 //! Blocked, multi-threaded GEMM: `C = A * B` for row-major `f32` matrices.
 //!
 //! This is the compute substrate behind the im2col convolution path (the
-//! cuDNN-style baseline) and the Winograd batched elementwise stage. It
-//! uses classic cache blocking (MC x KC x NC macro-tiles) with two
-//! register micro-kernels selected by [`KernelPath`]:
+//! cuDNN-style baseline); the Winograd paths run their elementwise stage
+//! with their own batched kernels, not through here. It uses classic
+//! cache blocking (MC x KC x NC macro-tiles) with two register
+//! micro-kernels selected by [`KernelPath`]:
 //!
 //! * **scalar** — the reference `4x8` element-loop kernel;
 //! * **vector** — a 6-row micro-tile with fixed-width `[f32; LANES]`

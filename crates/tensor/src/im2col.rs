@@ -4,14 +4,24 @@
 //!
 //! The input is unrolled into a `(C_in*Kh*Kw) x (Oh*Ow)` matrix whose
 //! columns are the flattened sliding windows; convolution then becomes a
-//! `C_out x (C_in*Kh*Kw)` by `(C_in*Kh*Kw) x (Oh*Ow)` GEMM. The
-//! materialised matrix is the *extra I/O* this baseline pays relative to
-//! the paper's dataflow — `dataflow::baselines` models exactly that.
+//! `C_out x (C_in*Kh*Kw)` by `(C_in*Kh*Kw) x (Oh*Ow)` GEMM.
+//!
+//! * **Materialised:** the unrolled matrix, once per image. It is the
+//!   *extra I/O* this baseline pays relative to the paper's dataflow —
+//!   [`im2col_materialised_elems`], and `dataflow::baselines::im2col_gemm`
+//!   models exactly that. Row `(ci, dy, dx)` is a strided window of
+//!   channel `ci`, filled by [`Tensor4::padded_window`] a row span at a
+//!   time.
+//! * **Borrowed:** the weight matrix. `Layout::Chw` kernels are stored in
+//!   tap order, so the tensor's own storage is the GEMM's A operand;
+//!   only `Cwh`/`Hwc` kernels are gathered into a copy.
 
 use crate::conv_ref::ConvParams;
 use crate::gemm::{gemm_with_path, MatRef};
 use crate::kernel::KernelPath;
+use crate::layout::Layout;
 use crate::tensor::Tensor4;
+use std::borrow::Cow;
 
 /// Unrolls one image of `input` into the im2col matrix, row-major
 /// `(C_in*Kh*Kw) x (Oh*Ow)`.
@@ -27,38 +37,35 @@ pub fn im2col(
     let rows = input.c * kh * kw;
     let cols = oh * ow;
     let mut m = vec![0.0f32; rows * cols];
-    for ci in 0..input.c {
-        for dy in 0..kh {
-            for dx in 0..kw {
-                let row = (ci * kh + dy) * kw + dx;
-                for y in 0..oh {
-                    for x in 0..ow {
-                        let iy = (y * params.stride + dy) as isize - params.pad as isize;
-                        let ix = (x * params.stride + dx) as isize - params.pad as isize;
-                        m[row * cols + y * ow + x] = input.at_padded(n, ci, iy, ix);
-                    }
-                }
-            }
-        }
+    let pad = params.pad as isize;
+    // Row `(ci, dy, dx)` is the `oh x ow` window of channel `ci` whose
+    // top-left tap is `(dy - pad, dx - pad)`, stepping by the stride.
+    for (row, dst) in m.chunks_exact_mut(cols).enumerate() {
+        let (ci, dy, dx) = (row / (kh * kw), row / kw % kh, row % kw);
+        let origin = (dy as isize - pad, dx as isize - pad);
+        input.padded_window(n, ci, origin, params.stride, (oh, ow), dst);
     }
     (m, rows, cols)
 }
 
-/// Flattens the weight tensor into the row-major `C_out x (C_in*Kh*Kw)`
-/// GEMM operand.
-pub fn flatten_weights(weights: &Tensor4) -> Vec<f32> {
-    let (cout, cin, kh, kw) = (weights.n, weights.c, weights.h, weights.w);
-    let mut m = vec![0.0f32; cout * cin * kh * kw];
-    for co in 0..cout {
-        for ci in 0..cin {
-            for dy in 0..kh {
-                for dx in 0..kw {
-                    m[co * (cin * kh * kw) + (ci * kh + dy) * kw + dx] = weights.at(co, ci, dy, dx);
+/// The row-major `C_out x (C_in*Kh*Kw)` GEMM operand, taps in
+/// `(ci, dy, dx)` order: `Layout::Chw` kernels already are that matrix and
+/// are borrowed; `Cwh`/`Hwc` ones are gathered into a copy.
+pub fn flatten_weights(weights: &Tensor4) -> Cow<'_, [f32]> {
+    if weights.layout == Layout::Chw {
+        return Cow::Borrowed(weights.as_slice());
+    }
+    let mut m = Vec::with_capacity(weights.len());
+    for co in 0..weights.n {
+        for ci in 0..weights.c {
+            for dy in 0..weights.h {
+                for dx in 0..weights.w {
+                    m.push(weights.at(co, ci, dy, dx));
                 }
             }
         }
     }
-    m
+    Cow::Owned(m)
 }
 
 /// Full convolution via im2col + GEMM on the vector path; numerically
@@ -73,7 +80,8 @@ pub fn conv2d_im2col(
 }
 
 /// [`conv2d_im2col`] with an explicit GEMM kernel path — the two paths
-/// are bit-identical (the benchmark sweep diffs them every run).
+/// are bit-identical (`tests/proptest_kernels.rs::im2col_paths_bit_identical`
+/// diffs them).
 pub fn conv2d_im2col_with_path(
     input: &Tensor4,
     weights: &Tensor4,
@@ -109,7 +117,6 @@ pub fn im2col_materialised_elems(cin: usize, kh: usize, kw: usize, oh: usize, ow
 mod tests {
     use super::*;
     use crate::conv_ref::conv2d_reference;
-    use crate::layout::Layout;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -7,7 +7,8 @@
 //! * [`layout`] — the CHW / CWH / HWC image layouts from the paper's
 //!   Table 1 searching domain.
 //! * [`tensor`] — dense batched 4-D `f32` tensors with layout-aware
-//!   indexing and approximate comparison.
+//!   indexing, approximate comparison, and the one zero-padded window
+//!   loader (`padded_window`) that im2col and the dataflow executors share.
 //! * [`conv_ref`] — the golden-reference direct convolution (the oracle
 //!   every other path is tested against).
 //! * [`gemm`] — blocked, multi-threaded `f32` GEMM (rayon workers over

@@ -105,6 +105,60 @@ impl Tensor4 {
         }
     }
 
+    /// [`Self::at_padded`] a row at a time: loads the `rows x cols` window
+    /// of channel `c` of image `n` that starts at `(iy0, ix0)` and steps
+    /// `stride` pixels in both directions into `dst` (row-major), so
+    /// `dst[ty * cols + tx] = at_padded(n, c, iy0 + ty*stride, ix0 + tx*stride)`.
+    ///
+    /// Every element of `dst` is written: what lies in the padding is
+    /// zero-filled, the in-image span of a row is one `copy_from_slice`
+    /// when `stride` and the layout's `w` stride are both 1, and a strided
+    /// gather otherwise. The executors stage their halo tiles with
+    /// `stride = 1`; `im2col` unrolls one matrix row with the conv stride.
+    pub fn padded_window(
+        &self,
+        n: usize,
+        c: usize,
+        (iy0, ix0): (isize, isize),
+        stride: usize,
+        (rows, cols): (usize, usize),
+        dst: &mut [f32],
+    ) {
+        assert_eq!(dst.len(), rows * cols, "window buffer size mismatch");
+        assert!(stride > 0, "window stride must be positive");
+        let (sc, sh, sw) = self.layout.strides(self.c, self.h, self.w);
+        let image_len = self.c * self.h * self.w;
+        let image = &self.data[n * image_len..][..image_len];
+        let s = stride as isize;
+        // The first window column at or past image column `edge`: columns
+        // `lo..hi` of every row lie inside the image.
+        let first_from = |edge: isize| ((edge - ix0).max(0) + s - 1) / s;
+        let lo = first_from(0).min(cols as isize) as usize;
+        let hi = first_from(self.w as isize).min(cols as isize) as usize;
+        let step = stride * sw;
+        for (ty, row) in dst.chunks_exact_mut(cols).enumerate() {
+            let iy = iy0 + ty as isize * s;
+            if iy < 0 || iy >= self.h as isize || lo >= hi {
+                row.fill(0.0);
+                continue;
+            }
+            row[..lo].fill(0.0);
+            row[hi..].fill(0.0);
+            let start = c * sc + iy as usize * sh + (ix0 + lo as isize * s) as usize * sw;
+            let span = &mut row[lo..hi];
+            // Sliced to the span's last element, so the gather's index
+            // checks fold into this one.
+            let src = &image[start..][..(span.len() - 1) * step + 1];
+            if step == 1 {
+                span.copy_from_slice(src);
+            } else {
+                for (i, v) in span.iter_mut().enumerate() {
+                    *v = src[i * step];
+                }
+            }
+        }
+    }
+
     /// Raw storage (layout-ordered).
     pub fn as_slice(&self) -> &[f32] {
         &self.data
@@ -230,6 +284,41 @@ mod tests {
         assert_eq!(t.at_padded(0, 0, 0, -3), 0.0);
         assert_eq!(t.at_padded(0, 0, 2, 0), 0.0);
         assert_eq!(t.at_padded(0, 0, 1, 1), 4.0);
+    }
+
+    /// `padded_window` is `at_padded` element for element, into a buffer
+    /// that held garbage: every layout, stride 1..=4, origins from wholly
+    /// before the image to wholly past it, windows narrower and wider than
+    /// the image, image index past the first.
+    #[test]
+    fn padded_window_matches_at_padded() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let base = Tensor4::random(2, 2, 5, 7, &mut rng);
+        for layout in Layout::ALL {
+            let t = base.to_layout(layout);
+            for stride in 1..=4 {
+                for (rows, cols) in [(1, 1), (3, 4), (6, 9)] {
+                    for iy0 in -8..7 {
+                        for ix0 in -10..9 {
+                            let mut dst = vec![f32::NAN; rows * cols];
+                            t.padded_window(1, 1, (iy0, ix0), stride, (rows, cols), &mut dst);
+                            for ty in 0..rows {
+                                for tx in 0..cols {
+                                    let s = stride as isize;
+                                    let (iy, ix) = (iy0 + ty as isize * s, ix0 + tx as isize * s);
+                                    assert_eq!(
+                                        dst[ty * cols + tx].to_bits(),
+                                        t.at_padded(1, 1, iy, ix).to_bits(),
+                                        "{layout} s={stride} {rows}x{cols} at ({iy0},{ix0}): \
+                                         ({ty},{tx})"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
