@@ -693,46 +693,69 @@ unsafe impl Sync for SendPtr {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iolb_tensor::conv_ref::conv2d_reference;
+    use iolb_tensor::conv_ref::conv2d_channel_staged;
     use iolb_tensor::layout::Layout;
+    use iolb_tensor::ops::{maxpool2d, relu};
+    use iolb_tensor::winograd_conv::conv2d_winograd;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    const BOTH_ARMS: [KernelPath; 2] = [KernelPath::Scalar, KernelPath::Vector];
-
-    /// Holds `run` to the reference on the scalar oracle and on the
-    /// shipped vector arm alike.
-    fn assert_both_arms_match(
-        want: &Tensor4,
-        tol: f32,
-        what: &str,
-        run: impl Fn(KernelPath) -> Tensor4,
-    ) {
-        for path in BOTH_ARMS {
-            let got = run(path);
-            assert!(
-                got.approx_eq(want, tol, tol),
-                "{path:?} {what}: diff {}",
-                got.max_abs_diff(want)
-            );
-        }
-    }
 
     fn cfg(x: usize, y: usize, z: usize) -> ScheduleConfig {
         ScheduleConfig { x, y, z, nxt: 1, nyt: 1, nzt: 1, sb_bytes: 48 * 1024, layout: Layout::Chw }
     }
 
+    fn bits(t: &Tensor4) -> Vec<u32> {
+        t.as_slice().iter().map(|f| f.to_bits()).collect()
+    }
+
+    /// A conv output followed by the standalone `iolb_tensor::ops`
+    /// passes: what a fused executor must equal bit for bit.
+    fn with_epilogue(conv: Tensor4, epilogue: Epilogue) -> Tensor4 {
+        match epilogue {
+            Epilogue::None => conv,
+            Epilogue::Relu => relu(&conv),
+            Epilogue::ReluPool { k } => maxpool2d(&relu(&conv), k),
+        }
+    }
+
+    /// Holds the direct executor to its oracle, `conv2d_channel_staged`,
+    /// by `to_bits`.
+    fn assert_direct_is_oracle(
+        input: &Tensor4,
+        weights: &Tensor4,
+        params: ConvParams,
+        c: &ScheduleConfig,
+        what: &str,
+    ) {
+        let got = execute_direct(input, weights, params, c, 3);
+        let want = conv2d_channel_staged(input, weights, params);
+        assert_eq!(bits(&got), bits(&want), "{what}");
+    }
+
+    /// Holds the Winograd executor to its oracle, `conv2d_winograd`, by
+    /// `to_bits`.
+    fn assert_winograd_is_oracle(
+        input: &Tensor4,
+        weights: &Tensor4,
+        params: ConvParams,
+        tile: WinogradTile,
+        c: &ScheduleConfig,
+        what: &str,
+    ) {
+        let got = execute_winograd(input, weights, params, tile, c, 3);
+        let want = conv2d_winograd(input, weights, params, tile.e);
+        assert_eq!(bits(&got), bits(&want), "{tile:?} {what}");
+    }
+
     #[test]
-    fn direct_exec_matches_reference() {
+    fn direct_exec_matches_oracle() {
         let mut rng = StdRng::seed_from_u64(1);
         let input = Tensor4::random(1, 4, 10, 10, &mut rng);
         let weights = Tensor4::random(8, 4, 3, 3, &mut rng);
         let params = ConvParams::new(1, 0); // 8x8 out
-        let want = conv2d_reference(&input, &weights, params);
         for (x, y, z) in [(8, 8, 8), (4, 4, 2), (2, 8, 4), (1, 1, 1)] {
-            assert_both_arms_match(&want, 1e-4, &format!("tile {x}x{y}x{z}"), |path| {
-                execute_direct_with_path(&input, &weights, params, &cfg(x, y, z), 4, path)
-            });
+            let what = format!("tile {x}x{y}x{z}");
+            assert_direct_is_oracle(&input, &weights, params, &cfg(x, y, z), &what);
         }
     }
 
@@ -742,10 +765,7 @@ mod tests {
         let input = Tensor4::random(2, 3, 9, 9, &mut rng);
         let weights = Tensor4::random(4, 3, 3, 3, &mut rng);
         let params = ConvParams::new(2, 1); // 5x5 out
-        let want = conv2d_reference(&input, &weights, params);
-        assert_both_arms_match(&want, 1e-4, "stride 2, pad 1", |path| {
-            execute_direct_with_path(&input, &weights, params, &cfg(5, 5, 2), 3, path)
-        });
+        assert_direct_is_oracle(&input, &weights, params, &cfg(5, 5, 2), "stride 2, pad 1");
     }
 
     #[test]
@@ -760,25 +780,45 @@ mod tests {
     }
 
     #[test]
-    fn winograd_exec_matches_reference() {
+    fn direct_exec_across_stages_and_lane_chunks_matches_oracle() {
+        let mut rng = StdRng::seed_from_u64(7);
+        // 19 channels: two full stages and a ragged one of 3. z = 36: a
+        // 32-lane step and a 4-lane one.
+        let input = Tensor4::random(2, 19, 9, 9, &mut rng);
+        let weights = Tensor4::random(72, 19, 3, 3, &mut rng);
+        // Unit stride with padding (27 points: tails of 3), and stride 2
+        // (25 points: tails of 1).
+        for (params, x, y) in [(ConvParams::new(1, 1), 3, 9), (ConvParams::new(2, 1), 5, 5)] {
+            let what = format!("stride {}", params.stride);
+            assert_direct_is_oracle(&input, &weights, params, &cfg(x, y, 36), &what);
+        }
+    }
+
+    /// ResNet-18 `layer4.rest` on the config the tuner serves for it: a
+    /// `7 x 1` tile, so the lanes must come from `z`, not from `y`.
+    #[test]
+    fn direct_exec_single_column_tile_matches_oracle() {
+        let mut rng = StdRng::seed_from_u64(14);
+        let input = Tensor4::random(1, 512, 7, 7, &mut rng);
+        let weights = Tensor4::random(512, 512, 3, 3, &mut rng);
+        let params = ConvParams::new(1, 1); // 7x7 out
+        assert_direct_is_oracle(&input, &weights, params, &cfg(7, 1, 32), "x7 y1 z32");
+    }
+
+    #[test]
+    fn winograd_exec_matches_oracle() {
         let mut rng = StdRng::seed_from_u64(4);
         let input = Tensor4::random(1, 3, 10, 10, &mut rng);
         let weights = Tensor4::random(4, 3, 3, 3, &mut rng);
         let params = ConvParams::new(1, 0); // 8x8 out
-        let want = conv2d_reference(&input, &weights, params);
-        for (x, y, z) in [(8, 8, 4), (4, 4, 2), (2, 2, 1)] {
-            assert_both_arms_match(&want, 1e-3, &format!("tile {x}x{y}x{z}"), |path| {
-                let c = cfg(x, y, z);
-                execute_winograd_with_path(
-                    &input,
-                    &weights,
-                    params,
-                    WinogradTile::F2X3,
-                    &c,
-                    4,
-                    path,
-                )
-            });
+        for (tile, x, y, z) in [
+            (WinogradTile::F2X3, 8, 8, 4),
+            (WinogradTile::F2X3, 4, 4, 2),
+            (WinogradTile::F2X3, 2, 2, 1),
+            (WinogradTile::F4X3, 8, 8, 4),
+        ] {
+            let what = format!("tile {x}x{y}x{z}");
+            assert_winograd_is_oracle(&input, &weights, params, tile, &cfg(x, y, z), &what);
         }
     }
 
@@ -788,11 +828,8 @@ mod tests {
         let input = Tensor4::random(2, 2, 8, 8, &mut rng);
         let weights = Tensor4::random(2, 2, 3, 3, &mut rng);
         let params = ConvParams::new(1, 1); // 8x8 out
-        let want = conv2d_reference(&input, &weights, params);
-        assert_both_arms_match(&want, 1e-3, "pad 1", |path| {
-            let c = cfg(4, 8, 2);
-            execute_winograd_with_path(&input, &weights, params, WinogradTile::F2X3, &c, 2, path)
-        });
+        let c = cfg(4, 8, 2);
+        assert_winograd_is_oracle(&input, &weights, params, WinogradTile::F2X3, &c, "pad 1");
     }
 
     #[test]
@@ -801,44 +838,8 @@ mod tests {
         let input = Tensor4::random(1, 2, 10, 10, &mut rng);
         let weights = Tensor4::random(2, 2, 3, 3, &mut rng);
         let params = ConvParams::new(1, 0); // 8x8 out
-        let want = conv2d_reference(&input, &weights, params);
-        assert_both_arms_match(&want, 1e-3, "F(4,3)", |path| {
-            let c = cfg(8, 8, 2);
-            execute_winograd_with_path(&input, &weights, params, WinogradTile::F4X3, &c, 2, path)
-        });
-    }
-
-    #[test]
-    fn direct_vector_path_bit_identical_to_scalar() {
-        let mut rng = StdRng::seed_from_u64(7);
-        // 19 channels: two full stages of the vector arm and a ragged
-        // one of 3. z = 36: a 32-lane step and a 4-lane one.
-        let input = Tensor4::random(2, 19, 9, 9, &mut rng);
-        let weights = Tensor4::random(72, 19, 3, 3, &mut rng);
-        // Unit stride with padding (27 points: tails of 3), and stride 2
-        // (25 points: tails of 1).
-        for (params, x, y) in [(ConvParams::new(1, 1), 3, 9), (ConvParams::new(2, 1), 5, 5)] {
-            let c = cfg(x, y, 36);
-            let s = execute_direct_with_path(&input, &weights, params, &c, 3, KernelPath::Scalar);
-            let v = execute_direct_with_path(&input, &weights, params, &c, 3, KernelPath::Vector);
-            let sb: Vec<u32> = s.as_slice().iter().map(|f| f.to_bits()).collect();
-            let vb: Vec<u32> = v.as_slice().iter().map(|f| f.to_bits()).collect();
-            assert_eq!(sb, vb, "stride {}", params.stride);
-        }
-    }
-
-    /// ResNet-18 `layer4.rest` on the config the tuner serves for it: a
-    /// `7 x 1` tile, so the lanes must come from `z`, not from `y`.
-    #[test]
-    fn direct_exec_single_column_tile_matches_reference() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let input = Tensor4::random(1, 512, 7, 7, &mut rng);
-        let weights = Tensor4::random(512, 512, 3, 3, &mut rng);
-        let params = ConvParams::new(1, 1); // 7x7 out
-        let want = conv2d_reference(&input, &weights, params);
-        assert_both_arms_match(&want, 1e-4, "x7 y1 z32", |path| {
-            execute_direct_with_path(&input, &weights, params, &cfg(7, 1, 32), 1, path)
-        });
+        let c = cfg(8, 8, 2);
+        assert_winograd_is_oracle(&input, &weights, params, WinogradTile::F4X3, &c, "F(4,3)");
     }
 
     /// The three tiles the tuner serves ResNet-18's Winograd layers
@@ -846,59 +847,16 @@ mod tests {
     /// groups: 28 and 49 tiles per block, `z` of 16 and 8, 8 to 32
     /// stages per block.
     #[test]
-    fn winograd_exec_served_tiles_match_reference() {
+    fn winograd_exec_served_tiles_match_oracle() {
         let mut rng = StdRng::seed_from_u64(15);
         for (cin, hw, x, y, z) in [(64, 56, 8, 14, 16), (128, 28, 4, 28, 16), (256, 14, 14, 14, 8)]
         {
             let input = Tensor4::random(1, cin, hw, hw, &mut rng);
             let weights = Tensor4::random(2 * z, cin, 3, 3, &mut rng);
             let params = ConvParams::new(1, 1);
-            let want = conv2d_reference(&input, &weights, params);
             let what = format!("x{x} y{y} z{z} on {cin}x{hw}x{hw}");
-            assert_both_arms_match(&want, 1e-3, &what, |path| {
-                let c = cfg(x, y, z);
-                execute_winograd_with_path(
-                    &input,
-                    &weights,
-                    params,
-                    WinogradTile::F2X3,
-                    &c,
-                    1,
-                    path,
-                )
-            });
-        }
-    }
-
-    #[test]
-    fn winograd_vector_path_bit_identical_to_scalar() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let input = Tensor4::random(1, 3, 10, 10, &mut rng);
-        let weights = Tensor4::random(4, 3, 3, 3, &mut rng);
-        let params = ConvParams::new(1, 0); // 8x8 out
-        for (tile, x, y, z) in [(WinogradTile::F2X3, 4, 4, 2), (WinogradTile::F4X3, 8, 8, 4)] {
             let c = cfg(x, y, z);
-            let s = execute_winograd_with_path(
-                &input,
-                &weights,
-                params,
-                tile,
-                &c,
-                3,
-                KernelPath::Scalar,
-            );
-            let v = execute_winograd_with_path(
-                &input,
-                &weights,
-                params,
-                tile,
-                &c,
-                3,
-                KernelPath::Vector,
-            );
-            let sb: Vec<u32> = s.as_slice().iter().map(|f| f.to_bits()).collect();
-            let vb: Vec<u32> = v.as_slice().iter().map(|f| f.to_bits()).collect();
-            assert_eq!(sb, vb, "{tile:?}");
+            assert_winograd_is_oracle(&input, &weights, params, WinogradTile::F2X3, &c, &what);
         }
     }
 
@@ -910,24 +868,6 @@ mod tests {
         let _ = execute_direct(&input, &weights, ConvParams::new(1, 0), &cfg(4, 3, 1), 1);
     }
 
-    /// The fused contract, bitwise: fused conv→epilogue equals the bare
-    /// conv followed by the standalone `iolb_tensor::ops` passes.
-    fn assert_bits_eq(a: &Tensor4, b: &Tensor4, what: &str) {
-        let ab: Vec<u32> = a.as_slice().iter().map(|f| f.to_bits()).collect();
-        let bb: Vec<u32> = b.as_slice().iter().map(|f| f.to_bits()).collect();
-        assert_eq!(ab, bb, "{what}");
-    }
-
-    fn unfused_composition(conv: &Tensor4, epilogue: Epilogue) -> Tensor4 {
-        match epilogue {
-            Epilogue::None => conv.clone(),
-            Epilogue::Relu => iolb_tensor::ops::relu(conv),
-            Epilogue::ReluPool { k } => {
-                iolb_tensor::ops::maxpool2d(&iolb_tensor::ops::relu(conv), k)
-            }
-        }
-    }
-
     #[test]
     fn fused_direct_bit_identical_to_unfused_composition() {
         let mut rng = StdRng::seed_from_u64(9);
@@ -935,16 +875,12 @@ mod tests {
         let weights = Tensor4::random(4, 3, 3, 3, &mut rng);
         let params = ConvParams::new(1, 1); // 10x10 out
         let c = cfg(5, 10, 2);
-        for path in BOTH_ARMS {
-            let conv = execute_direct_with_path(&input, &weights, params, &c, 3, path);
-            for epilogue in [Epilogue::Relu, Epilogue::ReluPool { k: 5 }] {
-                let want = unfused_composition(&conv, epilogue);
-                for workers in [1, 4] {
-                    let got = execute_direct_fused_with_path(
-                        &input, &weights, params, &c, workers, path, epilogue,
-                    );
-                    assert_bits_eq(&got, &want, &format!("{path:?} {epilogue} w={workers}"));
-                }
+        let conv = conv2d_channel_staged(&input, &weights, params);
+        for epilogue in [Epilogue::Relu, Epilogue::ReluPool { k: 5 }] {
+            let want = with_epilogue(conv.clone(), epilogue);
+            for workers in [1, 4] {
+                let got = execute_direct_fused(&input, &weights, params, &c, workers, epilogue);
+                assert_eq!(bits(&got), bits(&want), "{epilogue} w={workers}");
             }
         }
     }
@@ -957,20 +893,14 @@ mod tests {
         let params = ConvParams::new(1, 0); // 8x8 out
         for (tile, x, y, z) in [(WinogradTile::F2X3, 4, 8, 2), (WinogradTile::F4X3, 8, 8, 4)] {
             let c = cfg(x, y, z);
-            for path in BOTH_ARMS {
-                let conv = execute_winograd_with_path(&input, &weights, params, tile, &c, 3, path);
-                for epilogue in [Epilogue::Relu, Epilogue::ReluPool { k: 2 }] {
-                    let want = unfused_composition(&conv, epilogue);
-                    for workers in [1, 4] {
-                        let got = execute_winograd_fused_with_path(
-                            &input, &weights, params, tile, &c, workers, path, epilogue,
-                        );
-                        assert_bits_eq(
-                            &got,
-                            &want,
-                            &format!("{tile:?} {path:?} {epilogue} w={workers}"),
-                        );
-                    }
+            let conv = conv2d_winograd(&input, &weights, params, tile.e);
+            for epilogue in [Epilogue::Relu, Epilogue::ReluPool { k: 2 }] {
+                let want = with_epilogue(conv.clone(), epilogue);
+                for workers in [1, 4] {
+                    let got = execute_winograd_fused(
+                        &input, &weights, params, tile, &c, workers, epilogue,
+                    );
+                    assert_eq!(bits(&got), bits(&want), "{tile:?} {epilogue} w={workers}");
                 }
             }
         }
@@ -1008,5 +938,85 @@ mod tests {
             1,
             Epilogue::ReluPool { k: 2 },
         );
+    }
+
+    /// FNV-1a over every output's `to_bits`.
+    fn fnv1a(t: &Tensor4) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for v in t.as_slice() {
+            for b in v.to_bits().to_le_bytes() {
+                hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
+            }
+        }
+        hash
+    }
+
+    /// Golden bits: both executors on ResNet-18-class shapes, each on a
+    /// cut-down tile of the class the tuner serves it (channel counts and
+    /// extents cut so the debug suite stays quick), hash to exactly these
+    /// values. The constants were generated at the commit before the
+    /// scalar arms left the executors, so neither the executors nor their
+    /// oracles can drift unseen.
+    #[test]
+    fn executor_outputs_on_resnet_class_shapes_are_pinned() {
+        const NONE: Epilogue = Epilogue::None;
+        const RELU: Epilogue = Epilogue::Relu;
+        const fn pool(k: usize) -> Epilogue {
+            Epilogue::ReluPool { k }
+        }
+        type Conv = (usize, usize, usize, usize, usize, usize, usize);
+        type Tile = (usize, usize, usize);
+        // (C_in, C_out, H, W, kernel, stride, pad), (x, y, z), epilogue, golden
+        const DIRECT: [(Conv, Tile, Epilogue, u64); 14] = [
+            // conv1: 7x7/s2/p3
+            ((3, 8, 32, 32, 7, 2, 3), (16, 8, 4), NONE, 0xd01a49bf6311885d),
+            ((3, 8, 32, 32, 7, 2, 3), (16, 8, 4), RELU, 0xfc7a0657f82da114),
+            ((3, 8, 32, 32, 7, 2, 3), (16, 8, 4), pool(2), 0x8992db3f9dfcdaca),
+            // layer1-3: 3x3/s1/p1
+            ((12, 32, 14, 14, 3, 1, 1), (14, 14, 16), NONE, 0x181842c7887c32f6),
+            ((12, 32, 14, 14, 3, 1, 1), (14, 14, 16), RELU, 0x2b0e5d28c48a6200),
+            ((12, 32, 14, 14, 3, 1, 1), (14, 14, 16), pool(2), 0x5c4bd85adbb9cb97),
+            // downsample: 1x1/s2
+            ((16, 64, 16, 16, 1, 2, 0), (2, 8, 64), NONE, 0xc3882f37a9fd61f9),
+            ((16, 64, 16, 16, 1, 2, 0), (2, 8, 64), RELU, 0xa5a841e9d6b4645a),
+            ((16, 64, 16, 16, 1, 2, 0), (2, 8, 64), pool(2), 0x5620f57f5ded81b1),
+            // layer4.0.conv1: 3x3/s2/p1
+            ((16, 16, 14, 14, 3, 2, 1), (7, 7, 8), NONE, 0xee37ba7caae6875b),
+            ((16, 16, 14, 14, 3, 2, 1), (7, 7, 8), RELU, 0x0107fee8bf041699),
+            ((16, 16, 14, 14, 3, 2, 1), (7, 7, 8), pool(7), 0xd06798a715a22cc7),
+            // layer4.rest: 3x3/s1/p1 on a 7 x 1 tile, which no pool tiles
+            ((32, 32, 7, 7, 3, 1, 1), (7, 1, 32), NONE, 0x6f31e5692901b9a3),
+            ((32, 32, 7, 7, 3, 1, 1), (7, 1, 32), RELU, 0x8f0dd9bd0bf07889),
+        ];
+        // (tile, C_in, C_out, H, W), (x, y, z), golden; 3x3/s1/p1
+        const WINOGRAD: [(WinogradTile, usize, usize, usize, usize, Tile, u64); 4] = [
+            (WinogradTile::F2X3, 16, 32, 16, 28, (8, 14, 16), 0x23873a7919daaea2), // layer1
+            (WinogradTile::F2X3, 12, 16, 8, 28, (4, 28, 16), 0xc41f820e304cade6),  // layer2
+            (WinogradTile::F2X3, 20, 16, 14, 14, (14, 14, 8), 0xed4da29a10910987), // layer3
+            (WinogradTile::F4X3, 9, 8, 16, 16, (8, 8, 4), 0x018121e541208d28),
+        ];
+        // Every row draws its tensors from the same seed.
+        let seed = || StdRng::seed_from_u64(0x1_2C1C);
+        let mut got = Vec::new();
+        for ((cin, cout, h, w, k, stride, pad), (x, y, z), epilogue, _) in DIRECT {
+            let mut rng = seed();
+            let input = Tensor4::random(2, cin, h, w, &mut rng);
+            let weights = Tensor4::random(cout, cin, k, k, &mut rng);
+            let (params, c) = (ConvParams::new(stride, pad), cfg(x, y, z));
+            got.push(fnv1a(&match epilogue {
+                Epilogue::None => execute_direct(&input, &weights, params, &c, 2),
+                _ => execute_direct_fused(&input, &weights, params, &c, 2, epilogue),
+            }));
+        }
+        for (tile, cin, cout, h, w, (x, y, z), _) in WINOGRAD {
+            let mut rng = seed();
+            let input = Tensor4::random(2, cin, h, w, &mut rng);
+            let weights = Tensor4::random(cout, cin, 3, 3, &mut rng);
+            let params = ConvParams::new(1, 1);
+            got.push(fnv1a(&execute_winograd(&input, &weights, params, tile, &cfg(x, y, z), 2)));
+        }
+        let want: Vec<u64> =
+            DIRECT.iter().map(|row| row.3).chain(WINOGRAD.iter().map(|row| row.6)).collect();
+        assert_eq!(got, want, "{got:#018x?}");
     }
 }

@@ -65,6 +65,45 @@ pub fn conv2d_reference(input: &Tensor4, weights: &Tensor4, params: ConvParams) 
     out
 }
 
+/// The same convolution folded one input channel at a time: per output
+/// element, `ci` ascending, `sum` from `0.0` over `(dy, dx)` ascending
+/// (padding taps included, as zeros), then one `acc += sum`. Every
+/// multiply and add rounds separately.
+///
+/// This is the bit-exact oracle of the direct dataflow executor, whose
+/// stages fold channels in exactly this order whatever the tile; it
+/// differs from [`conv2d_reference`] only in where the partial sums are
+/// rounded.
+pub fn conv2d_channel_staged(input: &Tensor4, weights: &Tensor4, params: ConvParams) -> Tensor4 {
+    assert_eq!(input.c, weights.c, "C_in mismatch between input and weights");
+    let (kh, kw) = (weights.h, weights.w);
+    let oh = params.out_extent(input.h, kh);
+    let ow = params.out_extent(input.w, kw);
+    let mut out = Tensor4::zeros(input.n, weights.n, oh, ow);
+    for n in 0..input.n {
+        for co in 0..weights.n {
+            for y in 0..oh {
+                for x in 0..ow {
+                    let mut acc = 0.0f32;
+                    for ci in 0..input.c {
+                        let mut sum = 0.0f32;
+                        for dy in 0..kh {
+                            for dx in 0..kw {
+                                let iy = (y * params.stride + dy) as isize - params.pad as isize;
+                                let ix = (x * params.stride + dx) as isize - params.pad as isize;
+                                sum += input.at_padded(n, ci, iy, ix) * weights.at(co, ci, dy, dx);
+                            }
+                        }
+                        acc += sum;
+                    }
+                    *out.at_mut(n, co, y, x) = acc;
+                }
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,6 +219,24 @@ mod tests {
             let out = conv2d_reference(&input.to_layout(layout), &weights, ConvParams::new(2, 1));
             assert_eq!(out.max_abs_diff(&base), 0.0, "layout {layout}");
         }
+    }
+
+    #[test]
+    fn channel_staged_is_the_reference_up_to_rounding() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let params = ConvParams::new(2, 1);
+        // One channel: the same fold term for term, so the same bits.
+        let input = Tensor4::random(2, 1, 9, 9, &mut rng);
+        let weights = Tensor4::random(3, 1, 3, 2, &mut rng);
+        let one = conv2d_channel_staged(&input, &weights, params);
+        let want = conv2d_reference(&input, &weights, params);
+        assert_eq!(one.max_abs_diff(&want), 0.0);
+        assert_eq!((one.n, one.c, one.h, one.w), (want.n, want.c, want.h, want.w));
+        // Many: the partial sums round elsewhere.
+        let input = Tensor4::random(2, 7, 9, 9, &mut rng).to_layout(Layout::Hwc);
+        let weights = Tensor4::random(3, 7, 3, 2, &mut rng).to_layout(Layout::Cwh);
+        let many = conv2d_channel_staged(&input, &weights, params);
+        assert!(many.approx_eq(&conv2d_reference(&input, &weights, params), 1e-5, 1e-5));
     }
 
     #[test]

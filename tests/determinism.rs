@@ -11,12 +11,12 @@ mod common;
 
 use common::{assert_identical, run_tuning};
 use conv_iolb::core::shapes::WinogradTile;
-use conv_iolb::dataflow::exec::{execute_direct_with_path, execute_winograd_with_path};
+use conv_iolb::dataflow::exec::{execute_direct, execute_winograd};
 use conv_iolb::dataflow::ScheduleConfig;
-use conv_iolb::tensor::conv_ref::ConvParams;
-use conv_iolb::tensor::kernel::KernelPath;
+use conv_iolb::tensor::conv_ref::{conv2d_channel_staged, ConvParams};
 use conv_iolb::tensor::layout::Layout;
 use conv_iolb::tensor::tensor::Tensor4;
+use conv_iolb::tensor::winograd_conv::conv2d_winograd;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -29,11 +29,12 @@ fn same_seed_gives_identical_convergence_curves_with_rayon() {
 }
 
 /// The kernel tier must be invisible to determinism: both dataflow
-/// executors produce the same bits on the scalar (oracle) and vector
-/// (shipped) kernel paths, so nothing downstream of them (timing,
-/// tuning, replay) can depend on which ISA tier a host dispatches to.
+/// executors produce the bits of their tiling-free oracles
+/// (`conv2d_channel_staged`, the tensor-level `conv2d_winograd`), so
+/// nothing downstream of them (timing, tuning, replay) can depend on
+/// which ISA tier a host dispatches to.
 #[test]
-fn kernel_path_switch_cannot_perturb_executor_bits() {
+fn executor_bits_equal_their_oracles() {
     let mut rng = StdRng::seed_from_u64(0xD5EED);
     let mut fill = |t: &mut Tensor4| {
         for v in t.as_mut_slice().iter_mut() {
@@ -56,25 +57,18 @@ fn kernel_path_switch_cannot_perturb_executor_bits() {
         layout: Layout::Chw,
     };
 
-    let direct_scalar =
-        execute_direct_with_path(&input, &weights, params, &cfg, 4, KernelPath::Scalar);
-    let direct_vector =
-        execute_direct_with_path(&input, &weights, params, &cfg, 4, KernelPath::Vector);
+    let bits = |t: Tensor4| t.as_slice().iter().map(|f| f.to_bits()).collect::<Vec<_>>();
     assert_eq!(
-        direct_scalar.as_slice().iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-        direct_vector.as_slice().iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-        "direct executor bits differ across kernel paths"
+        bits(execute_direct(&input, &weights, params, &cfg, 4)),
+        bits(conv2d_channel_staged(&input, &weights, params)),
+        "direct executor bits differ from its oracle"
     );
 
     let tile = WinogradTile::F2X3;
-    let wino_scalar =
-        execute_winograd_with_path(&input, &weights, params, tile, &cfg, 4, KernelPath::Scalar);
-    let wino_vector =
-        execute_winograd_with_path(&input, &weights, params, tile, &cfg, 4, KernelPath::Vector);
     assert_eq!(
-        wino_scalar.as_slice().iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-        wino_vector.as_slice().iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
-        "winograd executor bits differ across kernel paths"
+        bits(execute_winograd(&input, &weights, params, tile, &cfg, 4)),
+        bits(conv2d_winograd(&input, &weights, params, tile.e)),
+        "winograd executor bits differ from its oracle"
     );
 }
 

@@ -8,19 +8,32 @@ use conv_iolb::core::shapes::{ConvShape, WinogradTile};
 use conv_iolb::core::{direct, winograd};
 use conv_iolb::dataflow::config::ScheduleConfig;
 use conv_iolb::dataflow::exec::{
-    execute_direct_fused_with_path, execute_direct_with_path, execute_winograd_fused_with_path,
-    execute_winograd_with_path,
+    execute_direct, execute_direct_fused, execute_winograd, execute_winograd_fused,
 };
 use conv_iolb::gpusim::TileAccess;
-use conv_iolb::tensor::conv_ref::{conv2d_reference, ConvParams};
+use conv_iolb::tensor::conv_ref::{conv2d_channel_staged, conv2d_reference, ConvParams};
 use conv_iolb::tensor::im2col::conv2d_im2col;
-use conv_iolb::tensor::kernel::KernelPath;
 use conv_iolb::tensor::layout::Layout;
+use conv_iolb::tensor::ops::{maxpool2d, relu};
 use conv_iolb::tensor::tensor::Tensor4;
 use conv_iolb::tensor::winograd_conv::conv2d_winograd;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// A conv output followed by the standalone `ops` passes: what a fused
+/// executor must equal bit for bit.
+fn with_epilogue(conv: Tensor4, epilogue: Epilogue) -> Tensor4 {
+    match epilogue {
+        Epilogue::None => conv,
+        Epilogue::Relu => relu(&conv),
+        Epilogue::ReluPool { k } => maxpool2d(&relu(&conv), k),
+    }
+}
+
+fn bits(t: &Tensor4) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
 
 /// Strategy: small but varied convolution shapes (valid by construction).
 fn small_shape() -> impl Strategy<Value = ConvShape> {
@@ -101,10 +114,8 @@ proptest! {
             layout: Layout::Chw,
         };
         let want = conv2d_reference(&input, &weights, params);
-        for path in [KernelPath::Scalar, KernelPath::Vector] {
-            let got = execute_direct_with_path(&input, &weights, params, &cfg, 3, path);
-            prop_assert!(got.approx_eq(&want, 1e-3, 1e-3), "{path:?}");
-        }
+        let got = execute_direct(&input, &weights, params, &cfg, 3);
+        prop_assert!(got.approx_eq(&want, 1e-3, 1e-3), "diff {}", got.max_abs_diff(&want));
     }
 
     /// The tiled Winograd executor matches the reference.
@@ -130,12 +141,8 @@ proptest! {
             layout: Layout::Chw,
         };
         let want = conv2d_reference(&input, &weights, params);
-        for path in [KernelPath::Scalar, KernelPath::Vector] {
-            let got = execute_winograd_with_path(
-                &input, &weights, params, WinogradTile::F2X3, &cfg, 2, path,
-            );
-            prop_assert!(got.approx_eq(&want, 1e-3, 1e-3), "{path:?}");
-        }
+        let got = execute_winograd(&input, &weights, params, WinogradTile::F2X3, &cfg, 2);
+        prop_assert!(got.approx_eq(&want, 1e-3, 1e-3), "diff {}", got.max_abs_diff(&want));
     }
 
     /// Lower bounds decrease in S and the dataflow model always dominates
@@ -217,10 +224,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The direct executor's channel-lane micro-kernel equals its scalar
-    /// arm **bit for bit**: channel counts below, at and across the
-    /// stage depth of 8 (1, 7, 8, 9, 19 — a ragged last stage); every
-    /// lane-cascade width of `z`, two-chunk steps plus every remainder
+    /// The direct executor equals its oracle, `conv2d_channel_staged`
+    /// followed by the `ops` epilogue, **bit for bit**: channel counts
+    /// below, at and across the stage depth of 8 (1, 7, 8, 9, 19 — a
+    /// ragged last stage); every lane-cascade width of `z`, two-chunk
+    /// steps plus every remainder
     /// (32, 48, 52, 61, 64) and tails; tiles whose point count is every
     /// tail 1..7 past a multiple of 4 and of 8, and exact multiples of
     /// both, `y = 1` among them; stride 2, pad 0/1/3, `kh != kw`,
@@ -234,7 +242,7 @@ proptest! {
     /// output is the rounding residue of its own channel fold and a
     /// reordered, merged or fused fold shows in every bit of it.
     #[test]
-    fn direct_vector_path_bit_identical_to_scalar(
+    fn direct_executor_bits_equal_the_oracle(
         channels in (0usize..12, 1usize..=2, 0usize..6),
         tile_blocks in (0usize..16, 1usize..=2, 1usize..=2),
         kernel in (1usize..=3, 1usize..=3, 1usize..=2, 0usize..3),
@@ -293,28 +301,22 @@ proptest! {
             2 if k > 1 => Epilogue::ReluPool { k },
             _ => Epilogue::Relu,
         };
-        let run = |path| {
-            let workers = [1, 3][workers_i];
-            execute_direct_fused_with_path(&input, &weights, params, &cfg, workers, path, epilogue)
-        };
-        let bits = |t: Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
-        prop_assert_eq!(
-            bits(run(KernelPath::Scalar)),
-            bits(run(KernelPath::Vector)),
-            "{:?} x{} y{} z{} {}",
-            shape, x, y, z, epilogue
-        );
+        let workers = [1, 3][workers_i];
+        let got = execute_direct_fused(&input, &weights, params, &cfg, workers, epilogue);
+        let want = with_epilogue(conv2d_channel_staged(&input, &weights, params), epilogue);
+        prop_assert_eq!(bits(&got), bits(&want), "{:?} x{} y{} z{} {}", shape, x, y, z, epilogue);
     }
 
-    /// The Winograd executor's lane-batched arm equals its scalar arm
-    /// **bit for bit**: F(2,3) and F(4,3); every Hadamard lane width of
+    /// The Winograd executor equals its oracle, the tensor-level
+    /// `conv2d_winograd` followed by the `ops` epilogue, **bit for bit**:
+    /// F(2,3) and F(4,3); every Hadamard lane width of
     /// `z` plus tails; channel counts below, at and across the stage
     /// depth; tile counts that are not multiples of 4 or 8; pad 0/1;
     /// non-CHW inputs and weights; all three epilogues; one or three
     /// workers; and batch 2, so a worker meets a block-channel group
     /// twice and repacks its kernels.
     ///
-    /// Both arms fold in `f64` and round to `f32` once, which hides a
+    /// Both sides fold in `f64` and round to `f32` once, which hides a
     /// last-place `f64` difference from all but one output in 2^29. So
     /// three cases in four run on channels that cancel: the second half
     /// of the input is minus the first on the same kernels (an odd
@@ -322,7 +324,7 @@ proptest! {
     /// residue, and a fused multiply-add or a reordered fold shows in
     /// every bit of the output.
     #[test]
-    fn winograd_vector_path_bit_identical_to_scalar(
+    fn winograd_executor_bits_equal_the_oracle(
         channels in (0usize..7, 1usize..=2, 0usize..6),
         extents in (0usize..2, 1usize..=5, 1usize..=5, 0usize..=1),
         tile in (0usize..4, 0usize..4),
@@ -376,18 +378,11 @@ proptest! {
             2 if k > 1 => Epilogue::ReluPool { k },
             _ => Epilogue::Relu,
         };
-        let run = |path| {
-            let workers = [1, 3][workers_i];
-            execute_winograd_fused_with_path(
-                &input, &weights, params, wino, &cfg, workers, path, epilogue,
-            )
-        };
-        let bits = |t: Tensor4| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        let workers = [1, 3][workers_i];
+        let got = execute_winograd_fused(&input, &weights, params, wino, &cfg, workers, epilogue);
+        let want = with_epilogue(conv2d_winograd(&input, &weights, params, wino.e), epilogue);
         prop_assert_eq!(
-            bits(run(KernelPath::Scalar)),
-            bits(run(KernelPath::Vector)),
-            "{:?} cin{} x{} y{} z{} {}",
-            wino, cin, x, y, z, epilogue
+            bits(&got), bits(&want), "{:?} cin{} x{} y{} z{} {}", wino, cin, x, y, z, epilogue
         );
     }
 }
