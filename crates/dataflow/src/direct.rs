@@ -8,7 +8,7 @@
 //! single channel (`alpha = 1`, §5.2) plus the corresponding `z` kernel
 //! slices, and accumulates partial sums. Inputs and weights are therefore
 //! read exactly once per sub-block, and outputs written exactly once.
-//! (The CPU executor's vector arm stages several channels at a time —
+//! (The CPU executor stages several channels at a time —
 //! `crate::exec` — which changes the on-chip footprint, not these reads.)
 
 use crate::config::ScheduleConfig;

@@ -2,34 +2,37 @@
 //!
 //! The simulator establishes the schedules' I/O behaviour; this module
 //! establishes their *correctness* by actually running them: thread blocks
-//! become rayon-scoped worker tasks, shared memory becomes a per-block
+//! become rayon-scoped worker tasks, shared memory becomes a per-worker
 //! scratch buffer with exactly the schedule's staging structure (resident
-//! output tile + one `x' * y' * alpha` input stage + the stage's weights;
-//! the stage depth `alpha` is 1 channel on the scalar arms and
-//! `micro::STAGE_GROUP` on the vector arms), and the channel-sliding loop
-//! is executed literally. Every path is verified against
-//! `iolb_tensor::conv_ref`.
+//! output tile + one `x' * y' * alpha` input stage + the stage's weights,
+//! the stage depth `alpha` being `micro::STAGE_GROUP` channels), and the
+//! channel-sliding loop is executed literally.
 //!
-//! Both executors run the vector arm; the scalar arm is the oracle the
-//! `*_with_path` entry points expose to tests (see [`KernelPath`]). The
-//! vector variants change only *which* independent per-element folds run
-//! side by side, never the order of terms within one output element, so
-//! the two paths are bit-identical, like the rest of the compute
-//! substrate:
+//! One entry point, [`execute`], runs the dataflow of the [`TileKind`] the
+//! tuner serves over one block loop: block decode, stage loads, the
+//! epilogue and the single write-back are shared, and each dataflow
+//! supplies only its per-worker state and its fold of one stage into the
+//! block. [`execute_direct`], [`execute_winograd`] and
+//! [`execute_direct_fused`] are that call with the kind and the epilogue
+//! filled in.
 //!
-//! * **direct** — the resident tile is kept z-minor and a register tile
-//!   of 4 output pixels x 32 output *channels*, or 8 x 16/8/4/1, is
-//!   held across the channels of a stage: per channel, ascending, each
-//!   element's `sum` runs through the `(dy, dx)`-ascending tap fold
-//!   (input tap broadcast, weights repacked z-minor once per
-//!   block-channel group so a stage's weights are one contiguous slice
-//!   of the pack), followed by the one `acc += sum` the scalar path
-//!   does; the tile is transposed back to `(zc, oy, ox)` for the
+//! Each dataflow is held by `to_bits` to an oracle that knows nothing of
+//! tiles. The lanes change only *which* independent per-element folds run
+//! side by side, never the order of terms within one output element:
+//!
+//! * **direct** — oracle `iolb_tensor::conv_ref::conv2d_channel_staged`.
+//!   The resident tile is kept z-minor and a register tile of 4 output
+//!   pixels x 32 output *channels*, or 8 x 16/8/4/1, is held across the
+//!   channels of a stage: per channel, ascending, each element's `sum`
+//!   runs through the `(dy, dx)`-ascending tap fold (input tap broadcast,
+//!   weights repacked z-minor once per block-channel group so a stage's
+//!   weights are one contiguous slice of the pack), followed by one
+//!   `acc += sum`; the tile is transposed back to `(zc, oy, ox)` for the
 //!   write-back;
-//! * **Winograd** — every array is flat `f64` with independent matrices
-//!   on the lanes, so each of the three two-sided transforms is two
-//!   batched products: `J = G g G^T` once per block-channel group (the
-//!   scalar arm recomputes those bits per tile) with output channels on
+//! * **Winograd** — oracle `iolb_tensor::winograd_conv::conv2d_winograd`.
+//!   Every array is flat `f64` with independent matrices on the lanes, so
+//!   each of the three two-sided transforms is two batched products:
+//!   `J = G g G^T` once per block-channel group with output channels on
 //!   the lanes, `P = B^T d B` of all tiles of a stage at once, and
 //!   `A^T Pi A` of the whole block at once. `Pi += P ∘ J` keeps a
 //!   register tile of 4 Winograd tiles x 16/8/4/1 output channels
@@ -37,34 +40,32 @@
 //!   ascending: `Pi` is read and written once per stage instead of once
 //!   per channel.
 //!
-//! What a block reads from slow memory does not change with the stage
+//! What a block reads from slow memory does not depend on the stage
 //! depth: every input channel's halo tile, once, and its kernels, once
-//! (`direct::exact_io_elems` / `winograd::exact_io_elems` count the
-//! scalar and the vector arm alike). What grows is the on-chip footprint, from `x'y' + x*y*z` to
-//! `STAGE_GROUP * x'y' + x*y*z` floats beside the weights.
+//! (`direct::exact_io_elems` / `winograd::exact_io_elems`). The depth
+//! sets the on-chip footprint, `STAGE_GROUP * x'y' + x*y*z` floats beside
+//! the weights.
 //!
 //! All inner stages live in `micro.rs`, compiled once per
 //! [`iolb_tensor::kernel::Isa`] tier; packing and the transposition sit
 //! *outside* the staging structure above — per stage it is still one
 //! input stage in, one weight stage in, one update of the resident tile.
 //!
-//! Fused conv→epilogue chains run through [`execute_direct_fused`] /
-//! [`execute_winograd_fused`]: the epilogue (ReLU, ReLU + non-overlapping
-//! max-pool) is applied to the block's *resident* output tile before the
-//! single write-back, so the intermediate conv output never touches the
-//! output tensor — and the result is bit-identical to composing the
-//! unfused executor with the standalone [`iolb_tensor::ops`] passes,
-//! because both sides share the same per-element expressions.
+//! The epilogue (ReLU, ReLU + non-overlapping max-pool) is applied to the
+//! block's *resident* output tile before the single write-back, so the
+//! intermediate conv output never touches the output tensor — and the
+//! result is bit-identical to composing the unfused executor with the
+//! standalone [`iolb_tensor::ops`] passes, because both sides share the
+//! same per-element expressions.
 
 use crate::config::ScheduleConfig;
 use crate::micro;
 use iolb_core::epilogue::Epilogue;
+use iolb_core::optimality::TileKind;
 use iolb_core::shapes::{ConvShape, WinogradTile};
 use iolb_tensor::conv_ref::ConvParams;
-use iolb_tensor::kernel::KernelPath;
 use iolb_tensor::ops::relu_val;
 use iolb_tensor::tensor::Tensor4;
-use iolb_tensor::winograd_math::Mat;
 
 /// Derives the [`ConvShape`] of an input/weight pair.
 pub fn shape_of(input: &Tensor4, weights: &Tensor4, params: ConvParams) -> ConvShape {
@@ -81,10 +82,62 @@ pub fn shape_of(input: &Tensor4, weights: &Tensor4, params: ConvParams) -> ConvS
     }
 }
 
-/// Executes the direct dataflow of §5.2 on the CPU.
+/// Executes the dataflow of `kind` on the CPU — direct (§5.2) or
+/// Winograd (§5.3: per block, per `e x e` tile, the two temporary
+/// `(a x a)` arrays accumulate the channel sum `Pi`, inverse-transformed
+/// once at the end) — with `epilogue` applied to each block's resident
+/// output tile before its single write-back, so no intermediate conv
+/// tensor is ever materialized.
 ///
-/// Requires `x | H_out`, `y | W_out`, `z | C_out` (as the schedule does).
-/// `workers` caps the number of OS threads processing blocks.
+/// Requires `x | H_out`, `y | W_out`, `z | C_out` (as the schedule does),
+/// for Winograd unit stride and `e | x`, `e | y`. A pool epilogue writes
+/// the *pooled* tensor; its window must tile the output and the block
+/// (`k | H_out`, `k | x`, `k | y`) — the same alignment the fused search
+/// space enforces on every configuration it offers. `workers` caps the
+/// number of OS threads processing blocks.
+pub fn execute(
+    input: &Tensor4,
+    weights: &Tensor4,
+    params: ConvParams,
+    kind: TileKind,
+    cfg: &ScheduleConfig,
+    epilogue: Epilogue,
+    workers: usize,
+) -> Tensor4 {
+    assert_eq!(input.c, weights.c, "C_in mismatch");
+    let shape = shape_of(input, weights, params);
+    match kind {
+        TileKind::Direct => {
+            let (xp, yp) = crate::direct::halo(&shape, cfg.x, cfg.y);
+            let pts = micro::point_offsets(cfg.x, cfg.y, shape.stride, yp);
+            run_blocks(input, &shape, cfg, epilogue, workers, || DirectFold {
+                weights,
+                pts: &pts,
+                z: cfg.z,
+                kh: shape.kh,
+                kw: shape.kw,
+                xp,
+                yp,
+                w_pack: vec![0.0f32; shape.cin * shape.kh * shape.kw * cfg.z],
+                acc: vec![0.0f32; cfg.x * cfg.y * cfg.z],
+            })
+        }
+        TileKind::Winograd(tile) => {
+            assert_eq!(params.stride, 1, "winograd requires unit stride");
+            assert!(shape.supports_winograd(tile), "shape incompatible with F(e,r)");
+            assert_eq!(cfg.x % tile.e, 0, "x must be a multiple of e");
+            assert_eq!(cfg.y % tile.e, 0, "y must be a multiple of e");
+            let m = micro::WinogradMats::generate(tile.e, tile.r);
+            let (tiles_h, tiles_w) = (cfg.x / tile.e, cfg.y / tile.e);
+            run_blocks(input, &shape, cfg, epilogue, workers, || WinogradFold {
+                weights,
+                lanes: micro::WinogradLanes::new(&m, shape.cin, cfg.z, tiles_h, tiles_w),
+            })
+        }
+    }
+}
+
+/// [`execute`] of the direct dataflow, no epilogue.
 pub fn execute_direct(
     input: &Tensor4,
     weights: &Tensor4,
@@ -92,27 +145,22 @@ pub fn execute_direct(
     cfg: &ScheduleConfig,
     workers: usize,
 ) -> Tensor4 {
-    execute_direct_with_path(input, weights, params, cfg, workers, KernelPath::Vector)
+    execute(input, weights, params, TileKind::Direct, cfg, Epilogue::None, workers)
 }
 
-/// [`execute_direct`] with an explicit kernel path (tests diff the two).
-pub fn execute_direct_with_path(
+/// [`execute`] of the Winograd dataflow with tile `tile`, no epilogue.
+pub fn execute_winograd(
     input: &Tensor4,
     weights: &Tensor4,
     params: ConvParams,
+    tile: WinogradTile,
     cfg: &ScheduleConfig,
     workers: usize,
-    path: KernelPath,
 ) -> Tensor4 {
-    execute_direct_impl(input, weights, params, cfg, workers, path, Epilogue::None)
+    execute(input, weights, params, TileKind::Winograd(tile), cfg, Epilogue::None, workers)
 }
 
-/// Executes a fused direct conv→epilogue chain: the epilogue is applied
-/// to each block's resident output tile before its single write-back,
-/// so no intermediate conv tensor is ever materialized. A pool epilogue
-/// writes the *pooled* tensor; its window must tile the output and the
-/// block (`k | H_out`, `k | x`, `k | y`) — the same alignment the fused
-/// search space enforces on every configuration it offers.
+/// [`execute`] of a fused direct conv→epilogue chain.
 pub fn execute_direct_fused(
     input: &Tensor4,
     weights: &Tensor4,
@@ -121,33 +169,111 @@ pub fn execute_direct_fused(
     workers: usize,
     epilogue: Epilogue,
 ) -> Tensor4 {
-    execute_direct_impl(input, weights, params, cfg, workers, KernelPath::Vector, epilogue)
+    execute(input, weights, params, TileKind::Direct, cfg, epilogue, workers)
 }
 
-/// [`execute_direct_fused`] with an explicit kernel path.
-pub fn execute_direct_fused_with_path(
-    input: &Tensor4,
-    weights: &Tensor4,
-    params: ConvParams,
-    cfg: &ScheduleConfig,
-    workers: usize,
-    path: KernelPath,
-    epilogue: Epilogue,
-) -> Tensor4 {
-    execute_direct_impl(input, weights, params, cfg, workers, path, epilogue)
+/// What a dataflow adds to the block loop: one worker's state, which
+/// folds a block's input stages into its resident sums.
+trait BlockFold {
+    /// Prepares the kernels of output channels `oc0..oc0 + z`.
+    fn pack(&mut self, oc0: usize);
+    /// Starts a block: the resident sums are zero.
+    fn clear(&mut self);
+    /// Folds the input stages of channels `ci0..` — one `x' x y'` tile
+    /// each, by rows, at most [`micro::STAGE_GROUP`] of them — into the
+    /// block.
+    fn fold(&mut self, staged: &[f32], ci0: usize);
+    /// Writes the block's conv output into `tile`, `(zc, oy, ox)` order.
+    fn output(&mut self, tile: &mut [f32]);
 }
 
-#[allow(clippy::too_many_arguments)]
-fn execute_direct_impl(
+/// The direct dataflow's worker state: the resident tile `acc`, kept
+/// z-minor, and the kernels of one block-channel group repacked z-minor,
+/// so that a stage's weights are one contiguous slice of the pack.
+struct DirectFold<'a> {
+    weights: &'a Tensor4,
+    /// [`micro::point_offsets`] of the block.
+    pts: &'a [usize],
+    z: usize,
+    kh: usize,
+    kw: usize,
+    xp: usize,
+    yp: usize,
+    w_pack: Vec<f32>,
+    acc: Vec<f32>,
+}
+
+impl BlockFold for DirectFold<'_> {
+    fn pack(&mut self, oc0: usize) {
+        micro::pack_weights_z_minor(self.weights, oc0, self.z, &mut self.w_pack);
+    }
+
+    fn clear(&mut self) {
+        self.acc.fill(0.0);
+    }
+
+    fn fold(&mut self, staged: &[f32], ci0: usize) {
+        let group = staged.len() / (self.xp * self.yp);
+        let taps_z = self.kh * self.kw * self.z;
+        let stage = micro::DirectStage {
+            stage_in: staged,
+            stage_w: &self.w_pack[ci0 * taps_z..][..group * taps_z],
+            pts: self.pts,
+            group,
+            z: self.z,
+            kh: self.kh,
+            kw: self.kw,
+            xp: self.xp,
+            yp: self.yp,
+        };
+        micro::fold_stage(&mut self.acc, stage);
+    }
+
+    fn output(&mut self, tile: &mut [f32]) {
+        micro::transpose_tile(&self.acc, self.z, tile);
+    }
+}
+
+/// The Winograd dataflow's worker state: the block's running `Pi` and
+/// the transformed kernels `J` of one block-channel group.
+struct WinogradFold<'a> {
+    weights: &'a Tensor4,
+    lanes: micro::WinogradLanes<'a>,
+}
+
+impl BlockFold for WinogradFold<'_> {
+    fn pack(&mut self, oc0: usize) {
+        micro::pack_winograd_kernels(&mut self.lanes, self.weights, oc0);
+    }
+
+    fn clear(&mut self) {
+        self.lanes.clear();
+    }
+
+    fn fold(&mut self, staged: &[f32], ci0: usize) {
+        micro::winograd_fold_group(&mut self.lanes, staged, ci0);
+    }
+
+    /// The `f64 -> f32` conversion happens here, before any epilogue
+    /// arithmetic.
+    fn output(&mut self, tile: &mut [f32]) {
+        micro::winograd_output(&mut self.lanes, tile);
+    }
+}
+
+/// The block loop of both dataflows: each worker takes a fresh
+/// `new_fold()` and claims blocks until none are left; per block it
+/// stages the input channels [`micro::STAGE_GROUP`] at a time, has the
+/// fold consume them, and writes the resident tile back through the
+/// epilogue.
+fn run_blocks<F: BlockFold>(
     input: &Tensor4,
-    weights: &Tensor4,
-    params: ConvParams,
+    shape: &ConvShape,
     cfg: &ScheduleConfig,
-    workers: usize,
-    path: KernelPath,
     epilogue: Epilogue,
+    workers: usize,
+    new_fold: impl Fn() -> F + Sync,
 ) -> Tensor4 {
-    let shape = shape_of(input, weights, params);
     let (hout, wout) = (shape.hout(), shape.wout());
     assert_eq!(hout % cfg.x, 0, "x must divide H_out");
     assert_eq!(wout % cfg.y, 0, "y must divide W_out");
@@ -162,7 +288,7 @@ fn execute_direct_impl(
     let (out_h, out_w) = epilogue_out_dims(epilogue, hout, wout);
     let mut out = Tensor4::zeros(shape.batch, shape.cout, out_h, out_w);
     let image_len = shape.cout * out_h * out_w;
-    let (xp, yp) = crate::direct::halo(&shape, cfg.x, cfg.y);
+    let (xp, yp) = crate::direct::halo(shape, cfg.x, cfg.y);
 
     // Partition output storage by batch image; within an image blocks are
     // disjoint, so workers claim whole block indices via an atomic cursor.
@@ -170,37 +296,20 @@ fn execute_direct_impl(
     let cursor = std::sync::atomic::AtomicUsize::new(0);
     let workers = workers.max(1).min(total_blocks.max(1));
 
-    let pts = micro::point_offsets(cfg.x, cfg.y, shape.stride, yp);
-    let taps = shape.kh * shape.kw;
-    // Input channels per stage (the paper's stage depth `alpha`).
-    let depth = match path {
-        KernelPath::Scalar => 1,
-        KernelPath::Vector => micro::STAGE_GROUP,
-    };
-
     rayon::scope(|scope| {
         for _ in 0..workers {
-            let cursor = &cursor;
-            let shape = &shape;
-            let out_ptr = &out_ptr;
-            let pts = &pts;
+            let (cursor, out_ptr, new_fold) = (&cursor, &out_ptr, &new_fold);
             scope.spawn(move |_| {
-                // "Shared memory" of this worker: resident output tile +
-                // `depth` input stages + the stage's weights — on the
-                // scalar path a buffer of its own, on the vector path a
-                // slice of the kernels of block-channel group `packed`,
-                // repacked z-minor: blocks come `bc`-major, so a worker
-                // repacks once per group it meets, not per block, and
-                // holds one group, not the whole tensor. And the
-                // resident tile in write-back order (vector path only:
-                // untouched, so never resident, on the scalar path).
-                let mut acc = vec![0.0f32; cfg.x * cfg.y * cfg.z];
-                let mut stage_in = vec![0.0f32; depth * xp * yp];
-                let scalar_w = if path == KernelPath::Scalar { taps * cfg.z } else { 0 };
-                let mut stage_w = vec![0.0f32; scalar_w];
-                let mut w_pack = vec![0.0f32; shape.cin * taps * cfg.z];
+                // "Shared memory" of this worker: the input stages, the
+                // fold's resident sums and the kernels of block-channel
+                // group `packed` (blocks come `bc`-major, so a worker
+                // packs once per group it meets, not per block, and holds
+                // one group, not the whole tensor), and the resident tile
+                // in write-back order.
+                let mut fold = new_fold();
+                let mut stage_in = vec![0.0f32; micro::STAGE_GROUP * xp * yp];
+                let mut tile = vec![0.0f32; cfg.x * cfg.y * cfg.z];
                 let mut packed = None;
-                let mut tile = vec![0.0f32; acc.len()];
                 loop {
                     let b = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if b >= total_blocks {
@@ -215,83 +324,30 @@ fn execute_direct_impl(
                     let oy0 = bh * cfg.x;
                     let ox0 = bw * cfg.y;
                     let oc0 = bc * cfg.z;
-                    // Stage-loads the block's x' * y' input tile at
-                    // channel `ci` (halo included, zero padding at the
-                    // borders).
-                    let stage = |ci: usize, dst: &mut [f32]| {
-                        let iy0 = (oy0 * shape.stride) as isize - shape.pad as isize;
-                        let ix0 = (ox0 * shape.stride) as isize - shape.pad as isize;
-                        input.padded_window(n, ci, (iy0, ix0), 1, (xp, yp), dst)
-                    };
-
-                    acc.fill(0.0);
-                    // Channel-sliding stages (§5.2): the input tiles and
-                    // the z kernel slices of the stage's channels, then
-                    // the partial-sum update of the resident tile.
-                    match path {
-                        KernelPath::Scalar => {
-                            for ci in 0..shape.cin {
-                                stage(ci, &mut stage_in);
-                                micro::stage_kernels(weights, oc0, ci, cfg.z, &mut stage_w);
-                                for zc in 0..cfg.z {
-                                    for oy in 0..cfg.x {
-                                        for ox in 0..cfg.y {
-                                            let mut sum = 0.0f32;
-                                            for dy in 0..shape.kh {
-                                                let row = (oy * shape.stride + dy) * yp
-                                                    + ox * shape.stride;
-                                                let wrow = (zc * shape.kh + dy) * shape.kw;
-                                                for dx in 0..shape.kw {
-                                                    sum += stage_in[row + dx] * stage_w[wrow + dx];
-                                                }
-                                            }
-                                            acc[(zc * cfg.x + oy) * cfg.y + ox] += sum;
-                                        }
-                                    }
-                                }
-                            }
+                    if packed != Some(bc) {
+                        fold.pack(oc0);
+                        packed = Some(bc);
+                    }
+                    fold.clear();
+                    // Channel-sliding stages (§5.2, §5.3): the block's
+                    // x' * y' input tiles of the stage's channels (halo
+                    // included, zero padding at the borders), then the
+                    // update of the resident sums.
+                    let iy0 = (oy0 * shape.stride) as isize - shape.pad as isize;
+                    let ix0 = (ox0 * shape.stride) as isize - shape.pad as isize;
+                    for ci0 in (0..shape.cin).step_by(micro::STAGE_GROUP) {
+                        let group = micro::STAGE_GROUP.min(shape.cin - ci0);
+                        let staged = &mut stage_in[..group * xp * yp];
+                        for (c, dst) in staged.chunks_exact_mut(xp * yp).enumerate() {
+                            input.padded_window(n, ci0 + c, (iy0, ix0), 1, (xp, yp), dst);
                         }
-                        // Same folds, output channels on the lanes and
-                        // `depth` channels to a stage: the tile is kept
-                        // z-minor and the weight stage is one contiguous
-                        // slice of the pack.
-                        KernelPath::Vector => {
-                            if packed != Some(bc) {
-                                micro::pack_weights_z_minor(weights, oc0, cfg.z, &mut w_pack);
-                                packed = Some(bc);
-                            }
-                            for ci0 in (0..shape.cin).step_by(depth) {
-                                let group = depth.min(shape.cin - ci0);
-                                let staged = &mut stage_in[..group * xp * yp];
-                                for (c, dst) in staged.chunks_exact_mut(xp * yp).enumerate() {
-                                    stage(ci0 + c, dst);
-                                }
-                                let stage = micro::DirectStage {
-                                    stage_in: staged,
-                                    stage_w: &w_pack[ci0 * taps * cfg.z..][..group * taps * cfg.z],
-                                    pts,
-                                    group,
-                                    z: cfg.z,
-                                    kh: shape.kh,
-                                    kw: shape.kw,
-                                    xp,
-                                    yp,
-                                };
-                                micro::fold_stage(&mut acc, stage);
-                            }
-                        }
+                        fold.fold(staged, ci0);
                     }
                     // Epilogue on the resident tile, then the single
                     // write-back.
-                    let resident = match path {
-                        KernelPath::Scalar => &acc,
-                        KernelPath::Vector => {
-                            micro::transpose_tile(&acc, cfg.z, &mut tile);
-                            &tile
-                        }
-                    };
+                    fold.output(&mut tile);
                     write_back_with_epilogue(
-                        resident, epilogue, out_ptr, image_len, out_h, out_w, n, oc0, oy0, ox0, cfg,
+                        &tile, epilogue, out_ptr, image_len, out_h, out_w, n, oc0, oy0, ox0, cfg,
                     );
                 }
             });
@@ -321,8 +377,8 @@ fn epilogue_out_dims(epilogue: Epilogue, hout: usize, wout: usize) -> (usize, us
 }
 
 /// Applies `epilogue` to one block's resident `z * x * y` conv tile and
-/// performs the block's only write-back. `Epilogue::None` reproduces the
-/// unfused executors' write loop exactly; `Relu` maps each element
+/// performs the block's only write-back. `Epilogue::None` copies each
+/// block row as it is; `Relu` maps each element
 /// through [`relu_val`]; `ReluPool` folds each `k x k` window with the
 /// same `f32::max`-from-`NEG_INFINITY` fold as
 /// [`iolb_tensor::ops::maxpool2d`], writing only the pooled cells —
@@ -387,296 +443,6 @@ fn write_back_with_epilogue(
                         unsafe {
                             *out_ptr.0.add(off) = m;
                         }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Executes the Winograd dataflow of §5.3 on the CPU: per block, per
-/// `e x e` tile, the two temporary `(a x a)` arrays accumulate the channel
-/// sum `Pi` which is inverse-transformed once at the end.
-pub fn execute_winograd(
-    input: &Tensor4,
-    weights: &Tensor4,
-    params: ConvParams,
-    tile: WinogradTile,
-    cfg: &ScheduleConfig,
-    workers: usize,
-) -> Tensor4 {
-    execute_winograd_with_path(input, weights, params, tile, cfg, workers, KernelPath::Vector)
-}
-
-/// [`execute_winograd`] with an explicit kernel path (tests diff the two).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_winograd_with_path(
-    input: &Tensor4,
-    weights: &Tensor4,
-    params: ConvParams,
-    tile: WinogradTile,
-    cfg: &ScheduleConfig,
-    workers: usize,
-    path: KernelPath,
-) -> Tensor4 {
-    execute_winograd_impl(input, weights, params, tile, cfg, workers, path, Epilogue::None)
-}
-
-/// Executes a fused Winograd conv→epilogue chain (see
-/// [`execute_direct_fused`]): the inverse-transformed tiles land in the
-/// block's resident output tile as `f32` — the same values the unfused
-/// path writes back — and the epilogue is applied there, before the
-/// block's single write-back.
-pub fn execute_winograd_fused(
-    input: &Tensor4,
-    weights: &Tensor4,
-    params: ConvParams,
-    tile: WinogradTile,
-    cfg: &ScheduleConfig,
-    workers: usize,
-    epilogue: Epilogue,
-) -> Tensor4 {
-    execute_winograd_impl(input, weights, params, tile, cfg, workers, KernelPath::Vector, epilogue)
-}
-
-/// [`execute_winograd_fused`] with an explicit kernel path.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_winograd_fused_with_path(
-    input: &Tensor4,
-    weights: &Tensor4,
-    params: ConvParams,
-    tile: WinogradTile,
-    cfg: &ScheduleConfig,
-    workers: usize,
-    path: KernelPath,
-    epilogue: Epilogue,
-) -> Tensor4 {
-    execute_winograd_impl(input, weights, params, tile, cfg, workers, path, epilogue)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_winograd_impl(
-    input: &Tensor4,
-    weights: &Tensor4,
-    params: ConvParams,
-    tile: WinogradTile,
-    cfg: &ScheduleConfig,
-    workers: usize,
-    path: KernelPath,
-    epilogue: Epilogue,
-) -> Tensor4 {
-    assert_eq!(params.stride, 1, "winograd requires unit stride");
-    let shape = shape_of(input, weights, params);
-    assert!(shape.supports_winograd(tile), "shape incompatible with F(e,r)");
-    let (hout, wout) = (shape.hout(), shape.wout());
-    assert_eq!(hout % cfg.x, 0, "x must divide H_out");
-    assert_eq!(wout % cfg.y, 0, "y must divide W_out");
-    assert_eq!(shape.cout % cfg.z, 0, "z must divide C_out");
-    assert_eq!(cfg.x % tile.e, 0, "x must be a multiple of e");
-    assert_eq!(cfg.y % tile.e, 0, "y must be a multiple of e");
-    assert_epilogue_alignment(epilogue, hout, wout, cfg);
-
-    let m = micro::WinogradMats::generate(tile.e, tile.r);
-    let e = tile.e;
-    let blocks_h = hout / cfg.x;
-    let blocks_w = wout / cfg.y;
-    let blocks_c = shape.cout / cfg.z;
-    let total_blocks = blocks_h * blocks_w * blocks_c * shape.batch;
-    // Winograd tiles per block: along the height (x) and width (y) axes.
-    let tiles_h = cfg.x / e;
-    let tiles_w = cfg.y / e;
-
-    let (out_h, out_w) = epilogue_out_dims(epilogue, hout, wout);
-    let mut out = Tensor4::zeros(shape.batch, shape.cout, out_h, out_w);
-    let image_len = shape.cout * out_h * out_w;
-    let (xp, yp) = crate::direct::halo(&shape, cfg.x, cfg.y);
-    let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
-    let cursor = std::sync::atomic::AtomicUsize::new(0);
-    let workers = workers.max(1).min(total_blocks.max(1));
-    // Input channels per stage (the paper's stage depth `alpha`).
-    let depth = match path {
-        KernelPath::Scalar => 1,
-        KernelPath::Vector => micro::STAGE_GROUP,
-    };
-
-    rayon::scope(|scope| {
-        for _ in 0..workers {
-            let cursor = &cursor;
-            let shape = &shape;
-            let out_ptr = &out_ptr;
-            let m = &m;
-            scope.spawn(move |_| {
-                // `depth` x' * y' input stages.
-                let mut stage_in = vec![0.0f32; depth * xp * yp];
-                // Block-resident output tile: the inverse-transformed
-                // `f32` values land here (the exact bits the unfused
-                // path would write back) so the epilogue can run on the
-                // resident tile before the single write-back.
-                let mut block_tile = vec![0.0f32; cfg.z * cfg.x * cfg.y];
-                // The running Pi sums of the block, one arm's or the
-                // other's. On the vector arm also the transformed
-                // kernels of block-channel group `packed`: blocks come
-                // `bc`-major, so a worker transforms once per group it
-                // meets, not per block.
-                let scalar_tiles = if path == KernelPath::Scalar { tiles_h * tiles_w } else { 0 };
-                let mut scalar = ScalarWinograd::new(m, cfg.z, scalar_tiles);
-                let mut lanes = micro::WinogradLanes::new(m, shape.cin, cfg.z, tiles_h, tiles_w);
-                let mut packed = None;
-                loop {
-                    let b = cursor.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if b >= total_blocks {
-                        break;
-                    }
-                    let n = b / (blocks_h * blocks_w * blocks_c);
-                    let rem = b % (blocks_h * blocks_w * blocks_c);
-                    let bc = rem / (blocks_h * blocks_w);
-                    let bh = (rem / blocks_w) % blocks_h;
-                    let bw = rem % blocks_w;
-                    let oy0 = bh * cfg.x;
-                    let ox0 = bw * cfg.y;
-                    let oc0 = bc * cfg.z;
-                    // Stage-loads the block's input tile at channel `ci`
-                    // (halo included, zero padding at the borders).
-                    let stage = |ci: usize, dst: &mut [f32]| {
-                        let iy0 = oy0 as isize - shape.pad as isize;
-                        let ix0 = ox0 as isize - shape.pad as isize;
-                        input.padded_window(n, ci, (iy0, ix0), 1, (xp, yp), dst)
-                    };
-                    // Channel-sliding stages, then the output transform
-                    // into the block-resident tile (the `f64 -> f32`
-                    // conversion happens *there*, before any epilogue
-                    // arithmetic).
-                    match path {
-                        KernelPath::Scalar => {
-                            scalar.clear();
-                            for ci in 0..shape.cin {
-                                stage(ci, &mut stage_in);
-                                micro::stage_kernels(weights, oc0, ci, cfg.z, &mut scalar.stage_w);
-                                scalar.fold_stage(&stage_in, tiles_w, yp);
-                            }
-                            scalar.output(&mut block_tile, tiles_w, cfg);
-                        }
-                        // The same folds with independent ones side by
-                        // side: `J` transformed once per block-channel
-                        // group instead of once per tile, `z` at a time;
-                        // `P` of a stage's channels for all tiles at
-                        // once; `Pi += P ∘ J` with output channels on
-                        // the lanes, channels ascending; one output
-                        // transform for the whole block.
-                        KernelPath::Vector => {
-                            if packed != Some(bc) {
-                                micro::pack_winograd_kernels(&mut lanes, weights, oc0);
-                                packed = Some(bc);
-                            }
-                            lanes.clear();
-                            for ci0 in (0..shape.cin).step_by(depth) {
-                                let group = depth.min(shape.cin - ci0);
-                                let staged = &mut stage_in[..group * xp * yp];
-                                for (c, dst) in staged.chunks_exact_mut(xp * yp).enumerate() {
-                                    stage(ci0 + c, dst);
-                                }
-                                micro::winograd_fold_group(&mut lanes, staged, ci0);
-                            }
-                            micro::winograd_output(&mut lanes, &mut block_tile);
-                        }
-                    }
-                    // Epilogue on the resident tile, then the single
-                    // write-back.
-                    write_back_with_epilogue(
-                        &block_tile,
-                        epilogue,
-                        out_ptr,
-                        image_len,
-                        out_h,
-                        out_w,
-                        n,
-                        oc0,
-                        oy0,
-                        ox0,
-                        cfg,
-                    );
-                }
-            });
-        }
-    });
-    out
-}
-
-/// Per-worker state of the Winograd scalar arm — the oracle the vector
-/// arm is diffed against: two temporary `(a x a)` arrays per in-flight
-/// (tile, zc), every product a fresh [`Mat::matmul`].
-struct ScalarWinograd<'a> {
-    m: &'a micro::WinogradMats,
-    z: usize,
-    /// The running Pi sums of the block, `pi[tile * z + zc]`.
-    pi: Vec<Mat>,
-    /// The stage's z kernel slices.
-    stage_w: Vec<f32>,
-    patch: Mat,
-    g: Mat,
-}
-
-impl<'a> ScalarWinograd<'a> {
-    fn new(m: &'a micro::WinogradMats, z: usize, tiles: usize) -> Self {
-        let (r, a) = (m.t.r, m.t.a());
-        Self {
-            m,
-            z,
-            pi: vec![Mat::zeros(a, a); tiles * z],
-            stage_w: vec![0.0f32; z * r * r],
-            patch: Mat::zeros(a, a),
-            g: Mat::zeros(r, r),
-        }
-    }
-
-    /// Starts a block: `Pi = 0`.
-    fn clear(&mut self) {
-        for sum in self.pi.iter_mut() {
-            sum.data.fill(0.0);
-        }
-    }
-
-    /// Folds one channel — its input stage (row length `yp`) and
-    /// `self.stage_w` — into `Pi`.
-    fn fold_stage(&mut self, stage_in: &[f32], tiles_w: usize, yp: usize) {
-        let (m, t) = (self.m, &self.m.t);
-        let (e, r, a) = (t.e, t.r, t.a());
-        for (tile, sums) in self.pi.chunks_exact_mut(self.z).enumerate() {
-            let (th, tw) = (tile / tiles_w, tile % tiles_w);
-            // Transform the (a x a) patch once per (tile, channel);
-            // reuse across all z.
-            for dy in 0..a {
-                for dx in 0..a {
-                    *self.patch.at_mut(dy, dx) = stage_in[(th * e + dy) * yp + tw * e + dx] as f64;
-                }
-            }
-            let p = t.bt.matmul(&self.patch).matmul(&m.bt_t);
-            for (zc, dst) in sums.iter_mut().enumerate() {
-                for dy in 0..r {
-                    for dx in 0..r {
-                        *self.g.at_mut(dy, dx) = self.stage_w[(zc * r + dy) * r + dx] as f64;
-                    }
-                }
-                let j = t.g.matmul(&self.g).matmul(&m.g_t);
-                for idx in 0..a * a {
-                    dst.data[idx] += p.data[idx] * j.data[idx];
-                }
-            }
-        }
-    }
-
-    /// Inverse-transforms `Pi` into the `(zc, oy, ox)` block tile.
-    fn output(&self, block_tile: &mut [f32], tiles_w: usize, cfg: &ScheduleConfig) {
-        let (m, t) = (self.m, &self.m.t);
-        for (tile, sums) in self.pi.chunks_exact(self.z).enumerate() {
-            let (th, tw) = (tile / tiles_w, tile % tiles_w);
-            for (zc, sum) in sums.iter().enumerate() {
-                let y_tile = t.at.matmul(sum).matmul(&m.at_t);
-                for dy in 0..t.e {
-                    for dx in 0..t.e {
-                        let oy = th * t.e + dy;
-                        let ox = tw * t.e + dx;
-                        block_tile[(zc * cfg.x + oy) * cfg.y + ox] = y_tile.at(dy, dx) as f32;
                     }
                 }
             }
@@ -868,6 +634,28 @@ mod tests {
         let _ = execute_direct(&input, &weights, ConvParams::new(1, 0), &cfg(4, 3, 1), 1);
     }
 
+    /// 2 input channels against 3-channel kernels: refused up front, not
+    /// convolved over the first 2 kernel channels, nor failed inside a
+    /// pool worker on a pack size.
+    fn mismatched_channels(kind: TileKind) {
+        let input = Tensor4::zeros(1, 2, 8, 8);
+        let weights = Tensor4::zeros(4, 3, 3, 3);
+        let params = ConvParams::new(1, 1);
+        let _ = execute(&input, &weights, params, kind, &cfg(4, 8, 2), Epilogue::None, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "C_in mismatch")]
+    fn direct_rejects_c_in_mismatch() {
+        mismatched_channels(TileKind::Direct);
+    }
+
+    #[test]
+    #[should_panic(expected = "C_in mismatch")]
+    fn winograd_rejects_c_in_mismatch() {
+        mismatched_channels(TileKind::Winograd(WinogradTile::F2X3));
+    }
+
     #[test]
     fn fused_direct_bit_identical_to_unfused_composition() {
         let mut rng = StdRng::seed_from_u64(9);
@@ -897,9 +685,8 @@ mod tests {
             for epilogue in [Epilogue::Relu, Epilogue::ReluPool { k: 2 }] {
                 let want = with_epilogue(conv.clone(), epilogue);
                 for workers in [1, 4] {
-                    let got = execute_winograd_fused(
-                        &input, &weights, params, tile, &c, workers, epilogue,
-                    );
+                    let kind = TileKind::Winograd(tile);
+                    let got = execute(&input, &weights, params, kind, &c, epilogue, workers);
                     assert_eq!(bits(&got), bits(&want), "{tile:?} {epilogue} w={workers}");
                 }
             }

@@ -6,8 +6,9 @@
 //! * to **simulator kernels** ([`direct::direct_kernel`],
 //!   [`winograd::winograd_kernel`]) whose exact traffic the `iolb-gpusim`
 //!   engine counts and times, and
-//! * to **real CPU execution** ([`exec`]) with crossbeam thread blocks and
-//!   literal staging buffers, verified against the reference convolution.
+//! * to **real CPU execution** ([`exec`]) with thread blocks on rayon
+//!   workers and literal staging buffers, verified bit for bit against
+//!   tiling-free oracles.
 //!
 //! [`config`] holds the Table 1 schedule configuration and its constraint
 //! checking; [`baselines`] provides the cuDNN/MIOpen stand-ins (im2col +

@@ -1,9 +1,9 @@
 //! Staging helpers and the ISA-dispatched inner kernels behind
-//! [`crate::exec`]'s vector path.
+//! [`crate::exec`].
 //!
-//! Nothing here knows about blocks, workers or epilogues: the executors
-//! keep the schedule's staging structure (input stages in, one resident
-//! tile, one write-back) and call in here for the things that decide how
+//! Nothing here knows about blocks, workers or epilogues: the executor
+//! keeps the schedule's staging structure (input stages in, one resident
+//! tile, one write-back) and calls in here for the things that decide how
 //! fast a stage runs — handing the stage its weights as one contiguous
 //! slice with output channels minor, and folding the stage into the
 //! resident tile with output channels on the SIMD lanes. For Winograd the
@@ -59,19 +59,6 @@ macro_rules! isa_dispatched {
     }};
 }
 
-/// Stage-loads the `z` kernel slices of input channel `ci`, one slice
-/// after the other: `dst[(zc * kh + dy) * kw + dx]`.
-pub(crate) fn stage_kernels(weights: &Tensor4, oc0: usize, ci: usize, z: usize, dst: &mut [f32]) {
-    let (kh, kw) = (weights.h, weights.w);
-    for zc in 0..z {
-        for dy in 0..kh {
-            for dx in 0..kw {
-                dst[(zc * kh + dy) * kw + dx] = weights.at(oc0 + zc, ci, dy, dx);
-            }
-        }
-    }
-}
-
 /// Repacks the kernels of output channels `oc0..oc0 + z` z-minor:
 /// `dst[((ci * kh + dy) * kw + dx) * z + zc]`, so the `kh * kw * z`
 /// weights of one channel stage are one contiguous slice whose lanes
@@ -122,10 +109,10 @@ pub(crate) fn point_offsets(x: usize, y: usize, stride: usize, yp: usize) -> Vec
     (0..x).flat_map(|oy| (0..y).map(move |ox| oy * stride * yp + ox * stride)).collect()
 }
 
-/// Input channels per stage of both vector arms (the stage depth `alpha`
-/// of §5.2 and §5.3): what is resident — the direct arm's register tile
-/// of `acc`, the Winograd arm's `Pi` — is read and written once per
-/// stage instead of once per channel. 8 serves both. Direct: on the
+/// Input channels per stage of both dataflows (the stage depth `alpha`
+/// of §5.2 and §5.3): what is resident — the direct register tile of
+/// `acc`, the Winograd `Pi` — is read and written once per stage
+/// instead of once per channel. 8 serves both. Direct: on the
 /// largest served tile (`x14 y14 z32`) the tile (25 KiB), the stage's
 /// inputs (8 KiB) and its weights (9 KiB) still sit in a 48 KiB L1
 /// together; 4 reads 3 to 7 % slower on the served ResNet-18 layers and
@@ -162,9 +149,9 @@ isa_dispatched! {
     /// indexing `s.pts`). The lane width cascades 32 → 16 → 8 → 4 → 1
     /// over `z` and the points go 4 (at 32 lanes) or 8 at a time, a
     /// shorter tail in one step of its own, so every `(p, zc)` is
-    /// visited exactly once and sees the scalar path's fold: per
-    /// channel, ascending, `sum` from `0.0` over `(dy, dx)` ascending,
-    /// then one `acc += sum`.
+    /// visited exactly once and sees the oracle's fold
+    /// (`conv_ref::conv2d_channel_staged`): per channel, ascending, `sum`
+    /// from `0.0` over `(dy, dx)` ascending, then one `acc += sum`.
     fn fold_stage, fold_stage_on = fold_stage_body(acc: &mut [f32], s: DirectStage<'_>)
 }
 
@@ -343,8 +330,8 @@ impl std::ops::DerefMut for Lines {
     }
 }
 
-/// Per-worker state of the lane-batched Winograd arm. Every array is one
-/// flat `f64` buffer of `a x a` (or `e x a`, `a x r`, …) matrices
+/// Per-worker state of the lane-batched Winograd dataflow. Every array
+/// is one flat `f64` buffer of `a x a` (or `e x a`, `a x r`, …) matrices
 /// interleaved lane-minor, `buf[(row * cols + col) * lanes + lane]`: the
 /// layout [`matmul_flat`] and [`matmul_lanes_right`] transform `lanes`
 /// matrices at a time in.
@@ -409,10 +396,9 @@ impl<'a> WinogradLanes<'a> {
 
 isa_dispatched! {
     /// Transforms the kernels of output channels `oc0..oc0 + z` into
-    /// `w.j_pack`, once per (worker, block-channel group) — the scalar
-    /// arm recomputes these bits for every tile of every block. Per
-    /// stage: its kernels gathered lane-minor, then `G g G^T` for all
-    /// of them at once.
+    /// `w.j_pack`, once per (worker, block-channel group). Per stage:
+    /// its kernels gathered lane-minor, then `G g G^T` for all of them
+    /// at once.
     fn pack_winograd_kernels, pack_winograd_kernels_on = pack_winograd_kernels_body(
         w: &mut WinogradLanes<'_>,
         weights: &Tensor4,

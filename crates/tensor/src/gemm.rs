@@ -108,15 +108,9 @@ macro_rules! dispatch_micro {
     };
 }
 
-/// Single-threaded blocked GEMM: `c += a * b`, on the vector path.
-///
-/// `c` must be `a.rows * b.cols`, row-major.
-pub fn gemm_acc(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
-    gemm_acc_with_path(a, b, c, KernelPath::Vector);
-}
-
-/// [`gemm_acc`] with an explicit kernel path (tests diff the two).
-pub fn gemm_acc_with_path(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], path: KernelPath) {
+/// Single-threaded blocked GEMM: `c += a * b` on `path`. `c` must be
+/// `a.rows * b.cols`, row-major.
+fn gemm_acc_with_path(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], path: KernelPath) {
     dispatch_micro!(path, gemm_acc_driver(a, b, c));
 }
 
@@ -467,11 +461,12 @@ fn vector_micro_avx512() -> impl MicroKernel {
 /// `B` is packed **once**, up front, into per-`(jc, pc)` macro-tile
 /// panels that every band worker reads; only the (band-private) `A`
 /// panels are packed inside the parallel region. The old scheme ran
-/// [`gemm_acc`] per band, so each of `t` workers re-packed the whole of
-/// `B` — `(t-1) * k * n` redundant pack traffic that grew with the
-/// thread count. Each worker still owns a disjoint row band of `C` and
-/// runs the same `jc -> pc -> ic` loop nest as the serial path, so the
-/// result is bit-identical to `gemm(.., 1)` regardless of thread count.
+/// the single-threaded GEMM per band, so each of `t` workers re-packed
+/// the whole of `B` — `(t-1) * k * n` redundant pack traffic that grew
+/// with the thread count. Each worker still owns a disjoint row band of
+/// `C` and runs the same `jc -> pc -> ic` loop nest as the serial path,
+/// so the result is bit-identical to `gemm(.., 1)` regardless of thread
+/// count.
 pub fn gemm(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], threads: usize) {
     gemm_with_path(a, b, c, threads, KernelPath::Vector);
 }

@@ -11,12 +11,13 @@
 //! `tests/proptest_kernels.rs`, diffed end-to-end in the workspace
 //! determinism suite).
 //!
-//! [`KernelPath`] is not a runtime mode. `gemm`, `conv2d_im2col`,
-//! `conv2d_winograd` and the dataflow executors always run
-//! [`KernelPath::Vector`]; the scalar tier is the test oracle, reached
-//! only through the explicit `*_with_path` functions, whose output the
-//! tests diff against the vector path's by `to_bits` and against
-//! `conv2d_reference`.
+//! [`KernelPath`] is not a runtime mode. `gemm`, `conv2d_im2col` and
+//! `conv2d_winograd` always run [`KernelPath::Vector`]; the scalar tier
+//! is the test oracle, reached only through the explicit `*_with_path`
+//! functions, whose output the tests diff against the vector path's by
+//! `to_bits` and against `conv2d_reference`. The dataflow executors take
+//! no path: they have one arm, held by `to_bits` to oracles outside them
+//! (`conv_ref::conv2d_channel_staged` and `conv2d_winograd`).
 //!
 //! Which instruction set the vector path's bodies are *compiled for* is
 //! a separate, run-time question answered in one place: [`Isa::detect`].

@@ -91,20 +91,11 @@ pub fn conv2d_winograd(
 ) -> Tensor4 {
     assert_eq!(params.stride, 1, "winograd requires unit stride");
     let plan = WinogradPlan::new(weights, e);
-    conv2d_winograd_with_plan(input, &plan, params)
+    conv2d_winograd_with_plan_path(input, &plan, params, KernelPath::Vector)
 }
 
-/// Winograd convolution with a prebuilt plan, on the vector path.
-pub fn conv2d_winograd_with_plan(
-    input: &Tensor4,
-    plan: &WinogradPlan,
-    params: ConvParams,
-) -> Tensor4 {
-    conv2d_winograd_with_plan_path(input, plan, params, KernelPath::Vector)
-}
-
-/// [`conv2d_winograd_with_plan`] with an explicit kernel path (tests
-/// diff the two — they are bit-identical).
+/// Winograd convolution with a prebuilt plan on an explicit kernel path
+/// (tests diff the two — they are bit-identical).
 pub fn conv2d_winograd_with_plan_path(
     input: &Tensor4,
     plan: &WinogradPlan,
@@ -382,8 +373,8 @@ mod tests {
         let a = Tensor4::random(1, 3, 6, 6, &mut rng);
         let b = Tensor4::random(1, 3, 6, 6, &mut rng);
         let params = ConvParams::new(1, 1);
-        let out_a = conv2d_winograd_with_plan(&a, &plan, params);
-        let out_b = conv2d_winograd_with_plan(&b, &plan, params);
+        let out_a = conv2d_winograd_with_plan_path(&a, &plan, params, KernelPath::Vector);
+        let out_b = conv2d_winograd_with_plan_path(&b, &plan, params, KernelPath::Vector);
         let want_a = conv2d_reference(&a, &weights, params);
         let want_b = conv2d_reference(&b, &weights, params);
         assert!(out_a.approx_eq(&want_a, 1e-3, 1e-3));

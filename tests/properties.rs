@@ -7,9 +7,7 @@ use conv_iolb::core::optimality::{best_tile, divisors, padded_out, TileKind};
 use conv_iolb::core::shapes::{ConvShape, WinogradTile};
 use conv_iolb::core::{direct, winograd};
 use conv_iolb::dataflow::config::ScheduleConfig;
-use conv_iolb::dataflow::exec::{
-    execute_direct, execute_direct_fused, execute_winograd, execute_winograd_fused,
-};
+use conv_iolb::dataflow::exec::{execute, execute_direct, execute_direct_fused, execute_winograd};
 use conv_iolb::gpusim::TileAccess;
 use conv_iolb::tensor::conv_ref::{conv2d_channel_staged, conv2d_reference, ConvParams};
 use conv_iolb::tensor::im2col::conv2d_im2col;
@@ -379,7 +377,8 @@ proptest! {
             _ => Epilogue::Relu,
         };
         let workers = [1, 3][workers_i];
-        let got = execute_winograd_fused(&input, &weights, params, wino, &cfg, workers, epilogue);
+        let kind = TileKind::Winograd(wino);
+        let got = execute(&input, &weights, params, kind, &cfg, epilogue, workers);
         let want = with_epilogue(conv2d_winograd(&input, &weights, params, wino.e), epilogue);
         prop_assert_eq!(
             bits(&got), bits(&want), "{:?} cin{} x{} y{} z{} {}", wino, cin, x, y, z, epilogue
