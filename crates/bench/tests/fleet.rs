@@ -4,6 +4,10 @@
 //! request is answered from an anchor bucket with zero fresh
 //! measurements, and the per-daemon `iolb_anchor_hits_total` telemetry
 //! counters aggregate to the fleet-wide anchored total.
+//!
+//! Also the fleet smoke: three TCP daemons serve a network bit-identically
+//! to an embedded run, and keep doing so through the unchanged peer list
+//! after one of them is stopped.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -43,20 +47,13 @@ struct FleetDaemon {
 }
 
 impl FleetDaemon {
-    fn spawn(dir: &Path) -> Self {
+    /// `serve DIR --tcp 127.0.0.1:0 --budget 8` plus `extra` flags.
+    fn spawn(dir: &Path, extra: &[&str]) -> Self {
         let mut child = Command::new(TUNE_CACHE)
             .arg("serve")
             .arg(dir)
-            .args([
-                "--tcp",
-                "127.0.0.1:0",
-                "--budget",
-                "8",
-                "--merge-interval-ms",
-                "50",
-                "--transfer-gap-permille",
-                "1000000",
-            ])
+            .args(["--tcp", "127.0.0.1:0", "--budget", "8", "--merge-interval-ms", "50"])
+            .args(extra)
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()
@@ -135,8 +132,9 @@ fn scrape_counter(addr: &str, name: &str) -> u64 {
 fn jittered_traffic_is_served_anchored_across_the_fleet() {
     let dir1 = temp_dir("d1");
     let dir2 = temp_dir("d2");
-    let d1 = FleetDaemon::spawn(&dir1);
-    let d2 = FleetDaemon::spawn(&dir2);
+    let wide_open_gap = ["--transfer-gap-permille", "1000000"];
+    let d1 = FleetDaemon::spawn(&dir1, &wide_open_gap);
+    let d2 = FleetDaemon::spawn(&dir2, &wide_open_gap);
     let fleet = format!("tcp:{},tcp:{}", d1.addr, d2.addr);
 
     // Warm *each* daemon on the exact shapes (hermetic tuning makes the
@@ -186,4 +184,67 @@ fn jittered_traffic_is_served_anchored_across_the_fleet() {
     d2.stop_and_wait();
     let _ = std::fs::remove_dir_all(&dir1);
     let _ = std::fs::remove_dir_all(&dir2);
+}
+
+/// Runs `tune-cache ARGS...`, requires success, and returns its stdout.
+fn run_ok(args: &[&str]) -> String {
+    let out = Command::new(TUNE_CACHE).args(args).output().expect("run tune-cache");
+    assert!(out.status.success(), "tune-cache {args:?} failed: {}", out.status);
+    String::from_utf8(out.stdout).expect("utf8 output")
+}
+
+/// The per-layer lines of a `tune-net` summary (cost, algorithm, name).
+fn layer_lines(summary: &str) -> Vec<&str> {
+    summary.lines().filter(|l| l.starts_with("  ")).collect()
+}
+
+/// Three TCP daemons serve a network bit-identically to an embedded
+/// `tune-net -o` run at the same budget and seed; after one daemon is
+/// stopped, the unchanged three-peer spec fails over to the survivors
+/// and still serves the identical configs.
+#[test]
+fn fleet_serves_like_embedded_and_fails_over_through_the_unchanged_spec() {
+    const NET: &str =
+        "32,14,14,16,1,1,1,0;16,14,14,32,1,1,1,0;32,14,14,16,1,1,1,0;24,14,14,12,1,1,1,0";
+    let dirs: Vec<PathBuf> = (1..=3).map(|i| temp_dir(&format!("smoke{i}"))).collect();
+    let mut daemons: Vec<Option<FleetDaemon>> =
+        dirs.iter().map(|d| Some(FleetDaemon::spawn(d, &[]))).collect();
+    let fleet = daemons
+        .iter()
+        .map(|d| format!("tcp:{}", d.as_ref().expect("daemon").addr))
+        .collect::<Vec<_>>()
+        .join(",");
+
+    let reference_dir = temp_dir("smoke-ref");
+    let reference_dir_str = reference_dir.to_str().expect("utf8 temp path");
+    let reference = run_ok(&[
+        "tune-net",
+        "--layers",
+        NET,
+        "-o",
+        reference_dir_str,
+        "--budget",
+        "8",
+        "--seed",
+        "7",
+    ]);
+    assert_eq!(layer_lines(&reference).len(), 4, "{reference}");
+
+    let full = run_ok(&["tune-net", "--layers", NET, "--fleet", &fleet]);
+    assert_eq!(layer_lines(&full), layer_lines(&reference), "fleet differs from embedded");
+
+    daemons[1].take().expect("daemon 2").stop_and_wait();
+    let failover = run_ok(&["tune-net", "--layers", NET, "--fleet", &fleet]);
+    assert_eq!(layer_lines(&failover), layer_lines(&reference), "failover differs from embedded");
+    assert!(failover.contains("across 2 of 3 peer(s)"), "dead peer not reported: {failover}");
+
+    for (i, daemon) in daemons.iter_mut().enumerate() {
+        if let Some(daemon) = daemon.take() {
+            daemon.stop_and_wait();
+            run_ok(&["serve-stats", dirs[i].to_str().expect("utf8 temp path")]);
+        }
+    }
+    for dir in dirs.iter().chain([&reference_dir]) {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

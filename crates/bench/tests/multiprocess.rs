@@ -9,10 +9,14 @@
 //! pid-qualified temp + atomic rename. Per-workload runs are hermetic,
 //! so two processes that tune the same workload produce bit-identical
 //! records that merge to one copy.
+//!
+//! Also the offline recovery path an operator runs on a directory no
+//! daemon holds: `tune-net -o` replays, `serve-stats` reports, `evict`
+//! trims the store and keeps every workload's best record.
 
 use iolb_service::ShardedStore;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, Output, Stdio};
 
 const TUNE_CACHE: &str = env!("CARGO_BIN_EXE_tune-cache");
 
@@ -111,5 +115,52 @@ fn reading_a_directory_mid_write_is_always_consistent() {
         }
     }
     assert!(clean_loads > 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `tune-cache ARGS...` to completion and returns its output.
+fn tune_cache(args: &[&str]) -> Output {
+    Command::new(TUNE_CACHE).args(args).stderr(Stdio::inherit()).output().expect("run tune-cache")
+}
+
+fn stdout_of(out: &Output) -> String {
+    assert!(out.status.success(), "tune-cache failed: {}", out.status);
+    String::from_utf8(out.stdout.clone()).expect("utf8 stdout")
+}
+
+#[test]
+fn offline_replay_report_and_eviction_on_an_unheld_directory() {
+    let dir = temp_dir("recovery");
+    let d = dir.to_str().expect("utf8 temp path");
+    let tune = ["tune-net", "--layers", NET_A, "-o", d, "--budget", "8"];
+    stdout_of(&tune_cache(&tune));
+    let replay = stdout_of(&tune_cache(&tune));
+    assert!(replay.contains(" 0 fresh measurement(s)"), "second run must replay: {replay}");
+
+    let (before, report) = ShardedStore::load(&dir).expect("load tuned dir");
+    assert!(report.is_clean());
+    let total = before.len();
+    let stats = stdout_of(&tune_cache(&["serve-stats", d]));
+    assert!(stats.contains(&format!(" {total} record(s)")), "serve-stats total: {stats}");
+
+    let max_records = before.workload_count() + 1;
+    assert!(total > max_records, "the store must be over budget for the test to mean anything");
+    let max = max_records.to_string();
+    let evicted = stdout_of(&tune_cache(&["evict", d, "--max-records", &max, "--top-k", "1"]));
+    let (after, report) = ShardedStore::load(&dir).expect("load evicted dir");
+    assert!(report.is_clean());
+    let kept = after.len();
+    assert!(kept < total);
+    assert!(
+        evicted.contains(&format!("dropped {} of {total} record(s), kept {kept}", total - kept)),
+        "evict must report what it dropped: {evicted}"
+    );
+    let (before, after) = (before.merged(), after.merged());
+    for (fp, records) in before.entries() {
+        let best = after.records(fp).first().expect("workload kept");
+        assert_eq!(best, &records[0], "best record of {fp} lost");
+    }
+    let stats = stdout_of(&tune_cache(&["serve-stats", d]));
+    assert!(stats.contains(&format!(" {kept} record(s)")), "serve-stats after evict: {stats}");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,8 +3,12 @@
 //! field for field — strings with every escape and multi-byte text,
 //! integers at the edges of `u64`, floats in their shortest round-trip
 //! form — and the owning adaptor agrees with it.
+//!
+//! Also the codec gate on the committed fixture store: a codec change
+//! that would corrupt or silently rewrite users' stores fails here.
 
 use iolb_records::jsonl::{escape, parse_flat_object, Field, FlatObject, Value};
+use iolb_records::RecordStore;
 use proptest::prelude::*;
 
 /// What a drawn field holds.
@@ -98,4 +102,23 @@ proptest! {
             prop_assert!(FlatObject::parse(&doubled).is_err());
         }
     }
+}
+
+/// The committed fixture store (80 records over two AlexNet layers),
+/// written once by an earlier build and frozen: it pins the codec's
+/// on-disk form, so it is never regenerated.
+const FIXTURE: &str =
+    include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/tuning_records.jsonl"));
+
+#[test]
+fn fixture_store_parses_is_canonical_and_round_trips_byte_identically() {
+    let (store, report) = RecordStore::from_jsonl(FIXTURE);
+    assert!(report.is_clean(), "fixture lines no longer parse: {:?}", report.skipped);
+    assert_eq!(store.len(), 80);
+    assert_eq!(FIXTURE.lines().count(), 80);
+    let canonical = store.to_jsonl();
+    assert!(canonical == FIXTURE, "the fixture is no longer the codec's canonical serialization");
+    let (reparsed, report) = RecordStore::from_jsonl(&canonical);
+    assert!(report.is_clean());
+    assert!(reparsed.to_jsonl() == canonical, "parse -> serialize -> parse is not byte-stable");
 }

@@ -4,6 +4,9 @@
 //!   back is the identity on the record set (canonical JSONL equality);
 //! * eviction never removes a workload's best-cost record, whatever the
 //!   policy, the record population or the LRU history.
+//!
+//! Plus the on-disk round trip of the committed fixture store:
+//! split → save → load → save writes a byte-identical directory.
 
 use iolb_core::optimality::TileKind;
 use iolb_core::shapes::ConvShape;
@@ -97,4 +100,37 @@ proptest! {
             );
         }
     }
+}
+
+/// Every file of a directory, by name, with its bytes.
+fn dir_contents(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("readable directory")
+        .map(|e| {
+            let e = e.expect("directory entry");
+            (e.file_name().to_string_lossy().into_owned(), std::fs::read(e.path()).expect("file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn fixture_store_round_trips_through_a_shard_directory_byte_identically() {
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/tuning_records.jsonl");
+    let (flat, report) = RecordStore::load(fixture).expect("fixture readable");
+    assert!(report.is_clean() && flat.len() == 80);
+    let base = std::env::temp_dir().join(format!("iolb-shard-fixture-{}", std::process::id()));
+    let (first, second) = (base.join("first"), base.join("second"));
+    let _ = std::fs::remove_dir_all(&base);
+
+    ShardedStore::from_flat(flat.clone()).save(&first).expect("save split fixture");
+    let (loaded, report) = ShardedStore::load(&first).expect("load shard directory");
+    assert!(report.is_clean(), "warnings: {:?}", report.warnings);
+    loaded.save(&second).expect("re-save loaded directory");
+
+    assert_eq!(dir_contents(&first), dir_contents(&second));
+    assert_eq!(loaded.len(), 80);
+    assert!(loaded.merged().to_jsonl() == flat.to_jsonl(), "record set changed on the way");
+    let _ = std::fs::remove_dir_all(&base);
 }
