@@ -1,67 +1,41 @@
-//! `tune-cache` — inspect, verify, compact, merge, shard and evict
-//! tuning-record stores (the operational face of `iolb-records` and
-//! `iolb-service`).
+//! `tune-cache` — the operator's CLI over `iolb-service` shard
+//! directories: run, stop and query the resident daemon, tune a network
+//! in one session, and evict an over-grown directory offline.
 //!
 //! ```console
-//! $ tune-cache stats   store.jsonl              # size / workload summary, per-device breakdown
-//! $ tune-cache top     store.jsonl [--k N]      # best records per workload
-//! $ tune-cache check   store.jsonl              # codec gate (CI): canonical + stable round-trip
-//! $ tune-cache compact store.jsonl --keep N [-o out.jsonl]
-//! $ tune-cache merge   -o out.jsonl a.jsonl b.jsonl [...]
-//! $ tune-cache gen     store.jsonl              # deterministically tune two small layers into a store
-//! $ tune-cache shard   store.jsonl -o shards/   # split into device shards (manifest + file per device)
-//! $ tune-cache shard   shards/ -o store.jsonl   # cross-shard merge back into one flat store
-//! $ tune-cache evict   shards/ --max-records N [--top-k K]
-//! $ tune-cache serve-stats shards/              # manifest, LRU and per-device summary
+//! $ tune-cache serve DIR [--tcp HOST:PORT] ...   # resident shard-server daemon
+//! $ tune-cache stop SOCK|tcp:HOST:PORT           # persist and exit
+//! $ tune-cache tune-net NET (-o DIR | --daemon SOCK | --fleet PEERS)
+//! $ tune-cache metrics DIR|SOCK|tcp:HOST:PORT    # Prometheus-style exposition
+//! $ tune-cache serve-stats DIR [--json]          # manifest, LRU, per-device summary
+//! $ tune-cache evict DIR --max-records N [--top-k K]
 //! ```
 //!
-//! `check` is wired into CI against a committed fixture store: it fails
-//! (exit 1) if any line no longer parses, if the file is not in the
-//! canonical serialization the current codec produces, or if
-//! parse→serialize→parse→serialize is not byte-stable — i.e. any codec
-//! regression that would corrupt or silently rewrite users' stores.
-//! The `shard`/`evict`/`serve-stats` path is smoke-tested by CI too, so
-//! the service's on-disk format cannot rot.
+//! Everything else the store needs the daemon does live: it merges with
+//! `absorb`, evicts on `--evict-max-records`, and reports through
+//! `serve-stats`/`metrics`. `evict DIR` is the recovery path for a
+//! directory no daemon holds (docs/OPERATIONS.md §3). Every verb is
+//! exercised by the cargo tests under `crates/bench/tests/`.
 
-use iolb_bench::{
-    flag_path, flag_string, flag_strings, flag_value, load_store_or_exit, run_tuner_with_store,
-    save_store_or_exit, StoreMode, TunerKind,
-};
+use iolb_bench::{flag_path, flag_string, flag_strings, flag_value};
 use iolb_cnn::inference::{time_network_with_backend, time_network_with_service};
 use iolb_cnn::layers::{ConvLayer, Network};
 use iolb_cnn::{NetworkTime, ServiceEconomics};
-use iolb_core::optimality::TileKind;
 use iolb_core::shapes::ConvShape;
 use iolb_gpusim::DeviceSpec;
-use iolb_records::RecordStore;
 use iolb_service::{
     load_sidecar, Backend, Daemon, DaemonConfig, DirLock, EvictionPolicy, FleetRouter, PeerAddr,
     PerturbationKind, ServiceConfig, ServiceSnapshot, ShardedStore, SocketBackend, TuningService,
     LOCK_TIMEOUT, SOCKET_FILE,
 };
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: tune-cache <stats|top|check|compact|merge|gen|shard|evict|serve-stats|metrics|tune-net|serve|stop> [args]\n\
+        "usage: tune-cache <serve|stop|tune-net|metrics|serve-stats|evict> [args]\n\
          \n\
-         stats   <store>                    record/workload counts and cost ranges,\n\
-         \u{20}                                  broken down per device (store may be a shard dir)\n\
-         top     <store> [--k N]            best N records per workload (default 3)\n\
-         check   <store>                    exit non-zero unless the store parses cleanly,\n\
-         \u{20}                                  is canonical, and round-trips byte-identically\n\
-         compact <store> --keep N [-o OUT]  keep only the N best records per workload\n\
-         merge   -o OUT <in> [<in>...]      merge stores (best cost wins on duplicates)\n\
-         gen     <store>                    generate a small deterministic store by tuning\n\
-         \u{20}                                  two AlexNet-style layers (fixture/demo)\n\
-         shard   <store.jsonl> -o DIR       split a flat store into device shards\n\
-         shard   <DIR> -o OUT.jsonl         merge a shard directory back into a flat store\n\
-         evict   <DIR|store> --max-records N [--top-k K]\n\
-         \u{20}                                  LRU-evict cold workloads down to their K best\n\
-         \u{20}                                  (never dropping a workload's best record;\n\
-         \u{20}                                  shard dirs are locked against other writers)\n\
          serve-stats <DIR> [--json]         manifest, LRU, per-device shard summary and the\n\
          \u{20}                                  service stats sidecar (queue depth, budget,\n\
          \u{20}                                  speculation telemetry); --json emits the sidecar\n\
@@ -102,10 +76,17 @@ fn usage() -> ExitCode {
          \u{20}                                  workload first, keeping K best records per\n\
          \u{20}                                  trimmed workload (best-cost never evicted)\n\
          stop    <SOCK|tcp:HOST:PORT>       ask the daemon there to persist and exit\n\
+         evict   <DIR> --max-records N [--top-k K]\n\
+         \u{20}                                  LRU-evict cold workloads down to their K best\n\
+         \u{20}                                  (never dropping a workload's best record), under\n\
+         \u{20}                                  DIR's lock: the offline recovery path when no\n\
+         \u{20}                                  daemon holds DIR. Refuses, changing nothing, if\n\
+         \u{20}                                  a shard the manifest lists is unreadable\n\
          \n\
          every directory-locking command also takes --lock-timeout SECS\n\
          (default 30): how long to wait for the advisory lock before\n\
-         failing with a typed timeout"
+         failing with a typed timeout. A numeric flag given a value that\n\
+         is not a non-negative integer exits 2 naming the flag"
     );
     ExitCode::from(2)
 }
@@ -123,49 +104,13 @@ fn main() -> ExitCode {
         return usage();
     };
     match (cmd.as_str(), &args[1..]) {
-        ("stats", [store]) => stats(Path::new(store)),
-        ("top", [store, rest @ ..]) => top(Path::new(store), flag_value(rest, "--k").unwrap_or(3)),
-        ("check", [store]) => check(Path::new(store)),
-        ("compact", [store, rest @ ..]) => {
-            let Some(keep) = flag_value(rest, "--keep") else {
-                eprintln!("compact requires --keep N");
-                return ExitCode::from(2);
-            };
-            let out = flag_path(rest, "-o").unwrap_or_else(|| PathBuf::from(store));
-            compact(Path::new(store), keep, &out)
-        }
-        ("merge", rest) => {
-            let Some(out) = flag_path(rest, "-o") else {
-                eprintln!("merge requires -o OUT");
-                return ExitCode::from(2);
-            };
-            let inputs: Vec<&String> = rest
-                .iter()
-                .skip_while(|a| *a != "-o")
-                .skip(2)
-                .chain(rest.iter().take_while(|a| *a != "-o"))
-                .collect();
-            if inputs.is_empty() {
-                eprintln!("merge requires at least one input store");
-                return ExitCode::from(2);
-            }
-            merge(&inputs, &out)
-        }
-        ("gen", [store]) => gen(Path::new(store)),
-        ("shard", [input, rest @ ..]) => {
-            let Some(out) = flag_path(rest, "-o") else {
-                eprintln!("shard requires -o OUT (a directory for split, a .jsonl for merge)");
-                return ExitCode::from(2);
-            };
-            shard(Path::new(input), &out, lock_timeout_flag(rest))
-        }
-        ("evict", [input, rest @ ..]) => {
+        ("evict", [dir, rest @ ..]) => {
             let Some(max_records) = flag_value(rest, "--max-records") else {
                 eprintln!("evict requires --max-records N");
                 return ExitCode::from(2);
             };
             let top_k = flag_value(rest, "--top-k").unwrap_or(EvictionPolicy::default().top_k);
-            evict(Path::new(input), EvictionPolicy { max_records, top_k }, lock_timeout_flag(rest))
+            evict(Path::new(dir), EvictionPolicy { max_records, top_k }, lock_timeout_flag(rest))
         }
         ("serve-stats", [dir, rest @ ..]) => {
             serve_stats(Path::new(dir), rest.iter().any(|a| a == "--json"))
@@ -334,9 +279,9 @@ fn spec_network(layers: &[ConvShape]) -> Network {
     }
 }
 
-/// The session summary both `tune-net` modes print (CI greps this line
-/// for "0 fresh measurement(s)" on replay, so embedded and daemon mode
-/// must emit the identical shape).
+/// The session summary every `tune-net` mode prints (the process tests
+/// look for "0 fresh measurement(s)" on replay and compare the per-layer
+/// lines across modes, so all modes must emit the identical shape).
 fn print_session_summary(net: &Network, timed: &NetworkTime, eco: &ServiceEconomics) {
     println!(
         "tuned {} layer(s) in one session: {:.6} ms total ({} deduped, {} hit(s), \
@@ -546,7 +491,7 @@ fn serve(dir: &Path, socket: &Path, config: DaemonConfig) -> ExitCode {
         config.merge_interval.as_millis(),
         socket.display()
     );
-    // The actual port matters when the config said `:0`; fleet scripts
+    // The actual port matters when the config said `:0`; fleet tests
     // parse this line to learn where the daemon really listens.
     if let Some(addr) = daemon.tcp_addr() {
         println!("listening on tcp {addr}");
@@ -624,24 +569,23 @@ fn metrics_cmd(target: &str) -> ExitCode {
     }
 }
 
-/// Loads either a flat store file or a shard directory as a
-/// `ShardedStore` (flat files shard by routing every record).
-fn load_sharded_or_exit(path: &Path) -> ShardedStore {
-    if path.is_dir() {
-        match ShardedStore::load(path) {
-            Ok((sharded, report)) => {
-                for w in &report.warnings {
-                    eprintln!("warning: {w}");
-                }
-                sharded
+/// Loads a shard directory, printing the loader's warnings; exits 1 if
+/// it cannot. A writer (`for_write`) also refuses a directory whose
+/// manifest lists a shard it cannot read.
+fn load_dir_or_exit(dir: &Path, for_write: bool) -> ShardedStore {
+    let loaded =
+        if for_write { ShardedStore::load_for_write(dir) } else { ShardedStore::load(dir) };
+    match loaded {
+        Ok((sharded, report)) => {
+            for w in &report.warnings {
+                eprintln!("warning: {w}");
             }
-            Err(e) => {
-                eprintln!("error: cannot load shard directory {}: {e}", path.display());
-                std::process::exit(1);
-            }
+            sharded
         }
-    } else {
-        ShardedStore::from_flat(load_store_or_exit(path))
+        Err(e) => {
+            eprintln!("error: cannot load shard directory {}: {e}", dir.display());
+            std::process::exit(1);
+        }
     }
 }
 
@@ -693,112 +637,31 @@ fn print_sidecar(dir: &Path) {
     }
 }
 
-fn stats(path: &Path) -> ExitCode {
-    let sharded = load_sharded_or_exit(path);
-    println!(
-        "{}: {} record(s) across {} workload(s) on {} device(s)",
-        path.display(),
-        sharded.len(),
-        sharded.workload_count(),
-        sharded.shard_count()
-    );
-    if path.is_dir() {
-        print_sidecar(path);
-    }
-    // Per-device breakdown first — one flat store silently mixing
-    // several devices is exactly what this report exists to expose.
-    for (key, shard) in sharded.shards() {
-        println!(
-            "device {key}: {} record(s) across {} workload(s) in {} anchor bucket(s) (floor {})",
-            shard.len(),
-            shard.workload_count(),
-            sharded.anchor_bucket_count(key),
-            sharded.anchor_floor()
-        );
-        for fp in shard.fingerprints() {
-            let recs = shard.records(fp);
-            let best = recs.first().map_or(f64::NAN, |r| r.cost_ms);
-            let worst = recs.last().map_or(f64::NAN, |r| r.cost_ms);
-            println!("  {:>5} record(s)  best {best:.6} ms  worst {worst:.6} ms  {fp}", recs.len());
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-/// Splits a flat store into a device-sharded directory, or merges a
-/// shard directory back into one flat store, depending on the input.
-fn shard(input: &Path, out: &Path, lock_timeout: Duration) -> ExitCode {
-    if input.is_dir() {
-        let sharded = load_sharded_or_exit(input);
-        let flat = sharded.merged();
-        save_store_or_exit(&flat, out);
-        println!(
-            "merged {} shard(s) ({} record(s)) -> {}",
-            sharded.shard_count(),
-            flat.len(),
-            out.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-    let sharded = ShardedStore::from_flat(load_store_or_exit(input));
-    // The split writes (overwrites) a shard directory: take its writer
-    // lock like every other directory writer, so a concurrent tune-net
-    // merge can never interleave with (and lose records to) this save.
-    let lock = DirLock::acquire(out, lock_timeout).map_err(std::io::Error::from);
-    if let Err(e) = lock.and_then(|_lock| sharded.save(out)) {
-        eprintln!("error: cannot write shard directory {}: {e}", out.display());
+/// Applies the LRU eviction policy to a shard directory in place, under
+/// its advisory [`DirLock`] so it can never interleave with (and lose) a
+/// concurrent writer's records.
+fn evict(dir: &Path, policy: EvictionPolicy, lock_timeout: Duration) -> ExitCode {
+    if !dir.is_dir() {
+        eprintln!("error: {} is not a shard directory", dir.display());
         return ExitCode::FAILURE;
     }
-    println!(
-        "sharded {} -> {}: {} device(s), {} record(s)",
-        input.display(),
-        out.display(),
-        sharded.shard_count(),
-        sharded.len()
-    );
-    for (key, store) in sharded.shards() {
-        println!(
-            "  {:>5} record(s)  {} -> {}",
-            store.len(),
-            key,
-            iolb_service::shard_file_name(key)
-        );
-    }
-    ExitCode::SUCCESS
-}
-
-/// Applies the LRU eviction policy to a shard directory (or flat store)
-/// in place. Shard directories are rewritten under their advisory
-/// [`DirLock`], so an eviction can never interleave with (and lose) a
-/// concurrent writer's records.
-fn evict(input: &Path, policy: EvictionPolicy, lock_timeout: Duration) -> ExitCode {
-    let _lock = if input.is_dir() {
-        match DirLock::acquire(input, lock_timeout) {
-            Ok(lock) => Some(lock),
-            Err(e) => {
-                eprintln!("error: cannot lock {}: {e}", input.display());
-                return ExitCode::FAILURE;
-            }
+    let _lock = match DirLock::acquire(dir, lock_timeout) {
+        Ok(lock) => lock,
+        Err(e) => {
+            eprintln!("error: cannot lock {}: {e}", dir.display());
+            return ExitCode::FAILURE;
         }
-    } else {
-        None
     };
-    let mut sharded = load_sharded_or_exit(input);
+    let mut sharded = load_dir_or_exit(dir, true);
     let before = sharded.len();
     let dropped = sharded.evict(&policy);
-    let saved = if input.is_dir() {
-        sharded.save(input).map_err(|e| format!("{}: {e}", input.display()))
-    } else {
-        let flat = sharded.merged();
-        flat.save(input).map_err(|e| format!("{}: {e}", input.display()))
-    };
-    if let Err(e) = saved {
-        eprintln!("error: cannot rewrite {e}");
+    if let Err(e) = sharded.save(dir) {
+        eprintln!("error: cannot rewrite {}: {e}", dir.display());
         return ExitCode::FAILURE;
     }
     println!(
         "evicted {}: dropped {dropped} of {before} record(s), kept {} (max {}, top-{} per cold workload)",
-        input.display(),
+        dir.display(),
         sharded.len(),
         policy.max_records,
         policy.top_k
@@ -814,7 +677,7 @@ fn serve_stats(dir: &Path, json: bool) -> ExitCode {
         eprintln!("error: {} is not a shard directory", dir.display());
         return ExitCode::FAILURE;
     }
-    let sharded = load_sharded_or_exit(dir);
+    let sharded = load_dir_or_exit(dir, false);
     if json {
         let snap = match ServiceSnapshot::load(dir) {
             Ok(snap) => snap.unwrap_or_default(),
@@ -888,119 +751,5 @@ fn serve_stats(dir: &Path, json: bool) -> ExitCode {
             );
         }
     }
-    ExitCode::SUCCESS
-}
-
-fn top(path: &Path, k: usize) -> ExitCode {
-    let store = load_store_or_exit(path);
-    for fp in store.fingerprints() {
-        println!("{fp}");
-        for rec in store.records(fp).iter().take(k) {
-            println!("  {:>10.6} ms  seed {:>6}  {}", rec.cost_ms, rec.seed, rec.config);
-        }
-    }
-    ExitCode::SUCCESS
-}
-
-fn check(path: &Path) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check FAILED: cannot read {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let (store, report) = RecordStore::from_jsonl(&text);
-    if !report.is_clean() {
-        eprintln!("check FAILED: {} line(s) no longer parse:", report.skipped.len());
-        for (line, reason) in &report.skipped {
-            eprintln!("  {}:{line}: {reason}", path.display());
-        }
-        return ExitCode::FAILURE;
-    }
-    let canonical = store.to_jsonl();
-    if text != canonical {
-        eprintln!(
-            "check FAILED: {} is not in the codec's canonical serialization \
-             (re-save it with `tune-cache compact {} --keep 1000000`)",
-            path.display(),
-            path.display()
-        );
-        return ExitCode::FAILURE;
-    }
-    let (reparsed, report2) = RecordStore::from_jsonl(&canonical);
-    if !report2.is_clean() || reparsed.to_jsonl() != canonical {
-        eprintln!("check FAILED: parse -> serialize -> parse is not byte-stable");
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "check OK: {} record(s), {} workload(s), canonical and byte-stable",
-        store.len(),
-        store.workload_count()
-    );
-    ExitCode::SUCCESS
-}
-
-fn compact(path: &Path, keep: usize, out: &Path) -> ExitCode {
-    let mut store = load_store_or_exit(path);
-    let dropped = store.compact(keep);
-    save_store_or_exit(&store, out);
-    println!(
-        "compacted {}: dropped {dropped}, kept {} -> {}",
-        path.display(),
-        store.len(),
-        out.display()
-    );
-    ExitCode::SUCCESS
-}
-
-fn merge(inputs: &[&String], out: &Path) -> ExitCode {
-    let mut merged = RecordStore::new();
-    for input in inputs {
-        let store = load_store_or_exit(Path::new(input));
-        let inserted = merged.merge(store);
-        println!("merged {input}: {inserted} record(s) new or improved");
-    }
-    save_store_or_exit(&merged, out);
-    ExitCode::SUCCESS
-}
-
-/// Deterministically tunes two related AlexNet-style layers into a fresh
-/// store: everything is seeded, so the output is byte-reproducible —
-/// which is exactly what a committed CI fixture needs.
-fn gen(path: &Path) -> ExitCode {
-    let device = DeviceSpec::v100();
-    let mut store = RecordStore::new();
-    let layers = [
-        ConvShape::new(256, 13, 13, 384, 3, 3, 1, 1), // AlexNet conv3
-        ConvShape::new(384, 13, 13, 256, 3, 3, 1, 1), // AlexNet conv4
-    ];
-    for (i, shape) in layers.iter().enumerate() {
-        let out = run_tuner_with_store(
-            TunerKind::Ate,
-            shape,
-            TileKind::Direct,
-            &device,
-            48,
-            1000 + i as u64,
-            &mut store,
-            StoreMode::WarmStart,
-        );
-        match out {
-            Some(r) => println!(
-                "tuned {shape}: best {:.6} ms in {} attempt(s) ({} fresh, {} cached{})",
-                r.result.best_ms,
-                r.result.measurements,
-                r.fresh_measurements,
-                r.cache_hits,
-                if r.transferred { ", transfer-seeded" } else { "" },
-            ),
-            None => {
-                eprintln!("error: no measurable configuration for {shape}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    save_store_or_exit(&store, path);
     ExitCode::SUCCESS
 }

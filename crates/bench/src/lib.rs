@@ -12,9 +12,9 @@
 //! | `fig13` | cross-architecture sensitivity (1080Ti / Titan X / gfx906) |
 //! | `theory`| lower-bound validation: pebbling sandwich + 1/sqrt(S) scaling |
 //!
-//! Plus `tune-cache`, the operational CLI over `iolb-records` and
-//! `iolb-service` stores (stats/check/compact/merge/shard/evict/
-//! serve-stats), and `ablation`/`probe` for model studies.
+//! Plus `tune-cache`, the operator's CLI over `iolb-service` shard
+//! directories (serve/stop/tune-net/metrics/serve-stats/evict), and
+//! `ablation`/`probe` for model studies.
 //!
 //! This library holds the shared runners (planning, tuning, printing).
 //!
@@ -235,9 +235,19 @@ pub fn records_flag() -> Option<std::path::PathBuf> {
 }
 
 /// The value after `flag` in a subcommand's arguments, parsed as a
-/// number (`None` when the flag is absent, dangling or not numeric).
+/// number; `None` when the flag is absent. A flag that is present with a
+/// missing or non-numeric value exits 2 naming it: a typo must never
+/// silently become the default.
 pub fn flag_value(args: &[String], flag: &str) -> Option<usize> {
-    flag_string(args, flag)?.parse().ok()
+    args.iter().position(|a| a == flag)?;
+    let value = flag_string(args, flag).unwrap_or_default();
+    match value.parse() {
+        Ok(n) => Some(n),
+        Err(_) => {
+            eprintln!("error: {flag} takes a non-negative integer, got {value:?}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// The value after `flag`, as a path.

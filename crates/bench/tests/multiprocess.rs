@@ -12,7 +12,10 @@
 //!
 //! Also the offline recovery path an operator runs on a directory no
 //! daemon holds: `tune-net -o` replays, `serve-stats` reports, `evict`
-//! trims the store and keeps every workload's best record.
+//! trims the store and keeps every workload's best record — and refuses
+//! a directory whose manifest lists a shard it cannot read, and a
+//! malformed numeric flag, instead of silently losing records or
+//! falling back to a default.
 
 use iolb_service::ShardedStore;
 use std::path::{Path, PathBuf};
@@ -163,4 +166,58 @@ fn offline_replay_report_and_eviction_on_an_unheld_directory() {
     let stats = stdout_of(&tune_cache(&["serve-stats", d]));
     assert!(stats.contains(&format!(" {kept} record(s)")), "serve-stats after evict: {stats}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `evict`, `tune-net -o` and `serve` all rewrite the directory, so
+/// none may run over a shard the manifest lists but cannot read: each
+/// exits 1 and leaves the manifest as it was.
+#[test]
+fn writers_refuse_a_directory_with_an_unreadable_shard() {
+    let dir = temp_dir("unreadable");
+    let d = dir.to_str().expect("utf8 temp path");
+    stdout_of(&tune_cache(&["tune-net", "--layers", NET_B, "-o", d, "--budget", "8"]));
+    let manifest = std::fs::read(dir.join("manifest.tsv")).expect("manifest");
+    let shard = std::fs::read_dir(&dir)
+        .expect("tuned dir")
+        .map(|e| e.expect("entry").path())
+        .find(|p| {
+            p.extension().is_some_and(|x| x == "jsonl") && !p.ends_with("service-stats.jsonl")
+        })
+        .expect("one shard file");
+    let aside = dir.join("aside");
+    std::fs::rename(&shard, &aside).expect("move shard aside");
+    std::fs::create_dir(&shard).expect("directory in the shard's place");
+
+    for args in [
+        vec!["evict", d, "--max-records", "1"],
+        vec!["tune-net", "--layers", NET_A, "-o", d, "--budget", "8"],
+        vec!["serve", d, "--lock-timeout", "5"],
+    ] {
+        assert_eq!(tune_cache(&args).status.code(), Some(1), "{args:?} must refuse");
+        assert_eq!(std::fs::read(dir.join("manifest.tsv")).expect("manifest"), manifest);
+    }
+
+    std::fs::remove_dir(&shard).expect("remove placeholder");
+    std::fs::rename(&aside, &shard).expect("restore shard");
+    let (store, report) = ShardedStore::load(&dir).expect("load restored dir");
+    assert!(report.is_clean() && store.workload_count() == 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn malformed_numeric_flags_exit_2_naming_the_flag() {
+    let dir = temp_dir("typo");
+    let d = dir.to_str().expect("utf8 temp path");
+    for (args, flag) in [
+        (vec!["serve", d, "--evict-max-records", "4O", "--budget", "16"], "--evict-max-records"),
+        (vec!["serve", d, "--budget", "l6"], "--budget"),
+        (vec!["evict", d, "--max-records", "40", "--top-k", "two"], "--top-k"),
+        (vec!["evict", d, "--max-records"], "--max-records"),
+    ] {
+        let out = Command::new(TUNE_CACHE).args(&args).output().expect("run tune-cache");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+    }
+    assert!(!dir.exists(), "a rejected command must not touch the directory");
 }

@@ -269,7 +269,7 @@ impl<'a> FlatObject<'a> {
     }
 
     /// The value under `key`, if the line has one.
-    pub fn opt(&self, key: &str) -> Option<&Field<'a>> {
+    pub(crate) fn opt(&self, key: &str) -> Option<&Field<'a>> {
         let start = self.cursor.get();
         let at = (start..self.fields.len()).chain(0..start).find(|&i| self.fields[i].0 == key)?;
         self.cursor.set(at + 1);

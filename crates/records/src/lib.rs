@@ -18,7 +18,7 @@
 //! * [`store`] — the in-memory index: keyed by workload fingerprint,
 //!   top-k-by-cost queries, exact-config lookup (the measurement cache),
 //!   nearest-workload queries by feature distance (cross-layer
-//!   transfer), merge/compaction, and corruption-tolerant loading that
+//!   transfer), merge, and corruption-tolerant loading that
 //!   skips and reports malformed lines instead of failing the run.
 //!
 //! ```
@@ -47,5 +47,5 @@ pub mod jsonl;
 pub mod record;
 pub mod store;
 
-pub use record::{TuningRecord, Workload, SCHEMA_VERSION};
+pub use record::{TuningRecord, Workload};
 pub use store::{LoadReport, RecordStore};

@@ -14,7 +14,7 @@ use iolb_dataflow::config::ScheduleConfig;
 /// Version stamped into every serialized record. Loaders reject records
 /// written under any other version (forward compatibility is handled by
 /// re-tuning, never by guessing at field semantics).
-pub const SCHEMA_VERSION: u32 = 1;
+pub(crate) const SCHEMA_VERSION: u32 = 1;
 
 /// What was tuned: one convolution layer, one algorithm, one device.
 ///
@@ -57,7 +57,7 @@ impl Workload {
 
     /// Canonical algorithm tag: `direct` or `w{e}x{r}` (e.g. `w2x3` for
     /// Winograd `F(2x2, 3x3)`).
-    pub fn algo_tag(&self) -> String {
+    fn algo_tag(&self) -> String {
         algo_tag(self.kind)
     }
 
@@ -90,7 +90,7 @@ impl Workload {
     /// the quantity spans decades, so "twice the channels" is the same
     /// step everywhere; kernel/stride stay linear (they are small
     /// integers whose unit steps matter).
-    pub fn features(&self) -> [f64; 8] {
+    pub(crate) fn features(&self) -> [f64; 8] {
         let s = &self.shape;
         [
             (s.cin as f64).log2(),
@@ -106,7 +106,7 @@ impl Workload {
 
     /// Euclidean distance in feature space. Only meaningful between
     /// workloads of the same algorithm (the caller filters).
-    pub fn distance(&self, other: &Workload) -> f64 {
+    pub(crate) fn distance(&self, other: &Workload) -> f64 {
         let a = self.features();
         let b = other.features();
         a.iter().zip(&b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>().sqrt()
@@ -125,14 +125,14 @@ impl Workload {
 }
 
 /// Canonical algorithm tag for a [`TileKind`].
-pub fn algo_tag(kind: TileKind) -> String {
+fn algo_tag(kind: TileKind) -> String {
     let mut tag = String::new();
     let _ = write_algo_tag(&mut tag, kind);
     tag
 }
 
 /// [`algo_tag`] written into a caller's buffer (the line encoders').
-pub fn write_algo_tag(out: &mut impl std::fmt::Write, kind: TileKind) -> std::fmt::Result {
+pub(crate) fn write_algo_tag(out: &mut impl std::fmt::Write, kind: TileKind) -> std::fmt::Result {
     match kind {
         TileKind::Direct => out.write_str("direct"),
         TileKind::Winograd(t) => write!(out, "w{}x{}", t.e, t.r),
@@ -140,7 +140,7 @@ pub fn write_algo_tag(out: &mut impl std::fmt::Write, kind: TileKind) -> std::fm
 }
 
 /// Parses an algorithm tag written by [`algo_tag`].
-pub fn parse_algo_tag(tag: &str) -> Result<TileKind, String> {
+pub(crate) fn parse_algo_tag(tag: &str) -> Result<TileKind, String> {
     if tag == "direct" {
         return Ok(TileKind::Direct);
     }
@@ -192,9 +192,7 @@ impl TuningRecord {
 }
 
 /// Deterministic ordering key for a configuration.
-pub fn config_key(
-    c: &ScheduleConfig,
-) -> (usize, usize, usize, usize, usize, usize, u32, &'static str) {
+fn config_key(c: &ScheduleConfig) -> (usize, usize, usize, usize, usize, usize, u32, &'static str) {
     (c.x, c.y, c.z, c.nxt, c.nyt, c.nzt, c.sb_bytes, c.layout.name())
 }
 

@@ -151,7 +151,7 @@ impl RecordStore {
     /// The nearest transfer-compatible workload by feature distance,
     /// excluding the exact fingerprint itself. Ties break toward the
     /// lexicographically smaller fingerprint (determinism).
-    pub fn nearest_workload(&self, workload: &Workload) -> Option<(&str, f64)> {
+    fn nearest_workload(&self, workload: &Workload) -> Option<(&str, f64)> {
         let own = workload.fingerprint();
         let mut best: Option<(&str, f64)> = None;
         for (fp, list) in &self.by_workload {
@@ -206,20 +206,6 @@ impl RecordStore {
             }
         }
         inserted
-    }
-
-    /// Keeps only the `keep` best records per workload. Returns how many
-    /// records were dropped. (`compact(0)` empties the store.)
-    pub fn compact(&mut self, keep: usize) -> usize {
-        let mut dropped = 0;
-        self.by_workload.retain(|_, list| {
-            if list.len() > keep {
-                dropped += list.len() - keep;
-                list.truncate(keep);
-            }
-            !list.is_empty()
-        });
-        dropped
     }
 
     /// Canonical JSONL serialization of the whole store (deterministic:
@@ -442,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_and_compact() {
+    fn merge_keeps_the_cheaper_duplicate_and_adds_new_workloads() {
         let mut a = RecordStore::new();
         a.insert(rec(64, 7, 2.0));
         a.insert(rec(64, 14, 1.0));
@@ -454,10 +440,6 @@ mod tests {
         assert_eq!(a.len(), 3);
         assert_eq!(a.lookup(&wl(64), &cfg(7)), Some(1.5));
         assert_eq!(a.lookup(&wl(64), &cfg(14)), Some(1.0));
-        let dropped = a.compact(1);
-        assert_eq!(dropped, 1);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.top_k(&wl(64), 9)[0].cost_ms, 1.0, "compaction keeps the best");
     }
 
     #[test]

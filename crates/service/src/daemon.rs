@@ -302,20 +302,10 @@ impl Daemon {
         &self.service
     }
 
-    /// The socket clients connect to.
-    pub fn socket_path(&self) -> &Path {
-        &self.socket_path
-    }
-
     /// The TCP address actually bound, when [`DaemonConfig::tcp`] was
     /// set — with the real port even if the config said `:0`.
     pub fn tcp_addr(&self) -> Option<SocketAddr> {
         self.tcp_addr
-    }
-
-    /// The shard directory this daemon owns.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Serves until a client sends `Shutdown`: accepts connections on
@@ -922,12 +912,6 @@ pub struct WireSession<S> {
     requests: usize,
     unique: usize,
 }
-
-/// [`WireSession`] over a Unix domain socket.
-pub type SocketSession = WireSession<UnixStream>;
-
-/// [`WireSession`] over TCP.
-pub type TcpSession = WireSession<TcpStream>;
 
 impl<S: Read + Write> BackendSession for WireSession<S> {
     fn request_count(&self) -> usize {

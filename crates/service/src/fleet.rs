@@ -7,7 +7,7 @@
 //! *which* daemon owns *which* workload:
 //!
 //! * **Consistent hashing on workload fingerprints.** Every peer
-//!   contributes [`VNODES_PER_PEER`] virtual nodes to a hash ring
+//!   contributes `VNODES_PER_PEER` virtual nodes to a hash ring
 //!   (FNV-1a of `"{peer label}#{replica}"` — the same dependency-free
 //!   hash the shard file names use); a request routes to the first
 //!   virtual node clockwise from the FNV-1a hash of its workload
@@ -54,7 +54,7 @@ use std::sync::{Arc, Mutex};
 /// three peers split a fingerprint space roughly evenly (the balance is
 /// pinned by a unit test), few enough that ring construction and lookup
 /// stay trivial.
-pub const VNODES_PER_PEER: usize = 64;
+const VNODES_PER_PEER: usize = 64;
 
 /// Where a fleet peer listens: a filesystem Unix-socket path or a TCP
 /// `host:port`.
@@ -227,13 +227,6 @@ impl FleetRouter {
     pub fn live_peers(&self) -> usize {
         let st = self.inner.state.lock().expect("fleet state poisoned");
         st.dead.iter().filter(|&&d| !d).count()
-    }
-
-    /// The router's client-side metrics registry (per-peer request
-    /// counters `iolb_fleet_requests{peer="..."}`, failovers). Shared by
-    /// clones; [`Backend::stats`] folds it into the fleet aggregate.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.inner.telemetry
     }
 
     /// The fingerprint of one request on one device — the routing key.

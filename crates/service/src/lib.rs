@@ -11,7 +11,10 @@
 //!   (coldest-workload truncation that never drops a workload's
 //!   best-cost record), and the cross-process protocol: an advisory
 //!   [`DirLock`] plus [`ShardedStore::merge_into_dir`] so any number of
-//!   OS processes append to one directory without corruption.
+//!   OS processes append to one directory without corruption. Readers
+//!   load tolerantly; writers use [`ShardedStore::load_for_write`],
+//!   which refuses a manifest-listed shard it cannot read rather than
+//!   save a manifest that drops it.
 //! * [`queue`] — the tiered work queue: client batch jobs before
 //!   registered layers before shape-perturbation neighbors, ranked
 //!   within a tier by predicted I/O-bound gap `Q_model / Q_lower`,
@@ -48,7 +51,7 @@
 //!   metrics registry (monotonic counters, gauges, log-spaced
 //!   [`LatencyHistogram`]s with exact quantile readout and associative
 //!   merge), Prometheus-style exposition, and a leveled structured
-//!   [`EventLog`] (JSONL sink via `IOLB_EVENT_LOG`). Strictly
+//!   event log (JSONL sink via `IOLB_EVENT_LOG`). Strictly
 //!   observational: no wall-clock reading feeds tuning decisions, so
 //!   instrumented runs stay bit-identical to bare ones.
 //!
@@ -98,25 +101,20 @@ pub mod shard;
 pub mod telemetry;
 pub mod wire;
 
-pub use daemon::{
-    Daemon, DaemonConfig, SocketBackend, SocketSession, TcpBackend, TcpSession, WireBackend,
-    WireSession, MAX_CONNECTIONS, SOCKET_FILE,
-};
-pub use fleet::{FleetRouter, FleetSession, PeerAddr, PeerClient, VNODES_PER_PEER};
-pub use queue::{io_gap, Job, JobTier, PerturbationKind, PushOutcome, WorkQueue};
+pub use daemon::{Daemon, DaemonConfig, SocketBackend, TcpBackend, MAX_CONNECTIONS, SOCKET_FILE};
+pub use fleet::{FleetRouter, PeerAddr};
+pub use queue::{io_gap, PerturbationKind};
 pub use service::{
     load_sidecar, register, KindStats, ServeResult, ServeSource, ServiceConfig, ServiceSnapshot,
-    ServiceStats, TuningService, STATS_FILE,
+    ServiceStats, TuningService,
 };
 pub use session::{
     Backend, BackendError, BackendSession, SessionHandle, StatsReport, SyncOutcome, TuneRequest,
 };
 pub use shard::{
-    device_key, shard_file_name, DirLock, DirMergeReport, EvictionPolicy, LockError,
-    ShardLoadReport, ShardedStore, LOCK_FILE, LOCK_TIMEOUT, MANIFEST_FILE,
+    shard_file_name, DirLock, DirMergeReport, EvictionPolicy, LockError, ShardLoadReport,
+    ShardedStore, LOCK_TIMEOUT,
 };
-pub use telemetry::{
-    events, EventLog, HistogramSnapshot, LatencyHistogram, Level, MetricsSnapshot, Telemetry,
-    NUM_BUCKETS,
-};
+pub(crate) use telemetry::log_event;
+pub use telemetry::{HistogramSnapshot, LatencyHistogram, MetricsSnapshot, Telemetry, NUM_BUCKETS};
 pub use wire::{WireError, MAX_FRAME_BYTES, WIRE_VERSION};

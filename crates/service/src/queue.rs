@@ -60,7 +60,7 @@ impl PerturbationKind {
         [Self::CinHalved, Self::CinDoubled, Self::CoutHalved, Self::CoutDoubled];
 
     /// Index into per-kind telemetry arrays.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             Self::CinHalved => 0,
             Self::CinDoubled => 1,
@@ -85,7 +85,7 @@ impl PerturbationKind {
 /// (a client is waiting) before registered layers (background fill)
 /// before speculative neighbors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobTier {
+pub(crate) enum JobTier {
     /// Member of a client batch session; `group` identifies the session
     /// so completion is countable per group.
     Batch { group: u64 },
@@ -102,7 +102,7 @@ pub enum JobTier {
 impl JobTier {
     /// Smaller drains first. Batch jobs share one rank regardless of
     /// group: which session submitted first must not starve another.
-    pub fn rank(self) -> u8 {
+    pub(crate) fn rank(self) -> u8 {
         match self {
             Self::Batch { .. } => 0,
             Self::Transfer => 1,
@@ -114,12 +114,12 @@ impl JobTier {
     /// Whether budget exhaustion may drop this job. Batch jobs are user
     /// work — a session is blocked on them — so they are never dropped
     /// and never billed to the speculative budget.
-    pub fn droppable(self) -> bool {
+    pub(crate) fn droppable(self) -> bool {
         !matches!(self, Self::Batch { .. })
     }
 
     /// Stable tag for telemetry (the per-tier drain-latency histograms).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Self::Batch { .. } => "batch",
             Self::Transfer => "transfer",
@@ -131,7 +131,7 @@ impl JobTier {
 
 /// One pending tuning task.
 #[derive(Debug, Clone)]
-pub struct Job {
+pub(crate) struct Job {
     pub shape: ConvShape,
     pub kind: TileKind,
     /// Fused epilogue of the chain ([`Epilogue::None`] for bare convs —
@@ -152,12 +152,12 @@ pub struct Job {
 
 impl Job {
     /// The record-store identity of this job.
-    pub fn workload(&self) -> Workload {
+    pub(crate) fn workload(&self) -> Workload {
         Workload::new(self.shape, self.kind, self.device.name, self.device.smem_per_sm)
             .with_epilogue(self.epilogue)
     }
 
-    pub fn fingerprint(&self) -> String {
+    pub(crate) fn fingerprint(&self) -> String {
         self.workload().fingerprint()
     }
 }
@@ -193,7 +193,7 @@ pub fn io_gap(shape: &ConvShape, kind: TileKind, device: &DeviceSpec) -> f64 {
 /// dataflow I/O over the shape's I/O lower bound at the configuration's
 /// stage-buffer size. `None` when the configuration does not validate on
 /// the shape — a transferred config that cannot even launch has no gap.
-pub fn config_io_gap(
+pub(crate) fn config_io_gap(
     shape: &ConvShape,
     kind: TileKind,
     device: &DeviceSpec,
@@ -299,7 +299,7 @@ struct JobKey {
 
 /// What [`WorkQueue::push`] did with a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushOutcome {
+pub(crate) enum PushOutcome {
     /// The workload was new: the queue grew.
     Added,
     /// The workload was already pending at a *weaker* tier and has been
@@ -314,38 +314,33 @@ pub enum PushOutcome {
 /// Deterministic tiered priority queue of pending jobs, deduplicated by
 /// workload fingerprint.
 #[derive(Debug, Default)]
-pub struct WorkQueue {
+pub(crate) struct WorkQueue {
     jobs: BTreeMap<JobKey, Job>,
     by_fingerprint: BTreeMap<String, JobKey>,
 }
 
 impl WorkQueue {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.jobs.len()
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.jobs.is_empty()
     }
 
-    pub fn contains(&self, fingerprint: &str) -> bool {
+    pub(crate) fn contains(&self, fingerprint: &str) -> bool {
         self.by_fingerprint.contains_key(fingerprint)
     }
 
     /// Every pending workload fingerprint with its tier, in fingerprint
     /// order. Registration snapshots this to avoid recomputing
     /// priorities for already-pending workloads.
-    pub fn pending(&self) -> impl Iterator<Item = (&str, JobTier)> {
+    pub(crate) fn pending(&self) -> impl Iterator<Item = (&str, JobTier)> {
         self.by_fingerprint.iter().map(|(fp, key)| (fp.as_str(), self.jobs[key].tier))
-    }
-
-    /// Pending jobs belonging to a batch group.
-    pub fn group_pending(&self, group: u64) -> usize {
-        self.jobs.values().filter(|j| j.tier == JobTier::Batch { group }).count()
     }
 
     /// Enqueues a job at the given [`io_gap`] priority (computed by the
@@ -354,7 +349,7 @@ impl WorkQueue {
     /// weaker tier is *promoted* to the incoming tier — a job someone is
     /// waiting on must never drain at (or be budget-dropped from)
     /// background priority just because speculation staged it first.
-    pub fn push(&mut self, mut job: Job, gap: f64) -> PushOutcome {
+    pub(crate) fn push(&mut self, mut job: Job, gap: f64) -> PushOutcome {
         job.enqueued_at.get_or_insert_with(std::time::Instant::now);
         let fingerprint = job.fingerprint();
         if let Some(existing_key) = self.by_fingerprint.get(&fingerprint) {
@@ -384,7 +379,7 @@ impl WorkQueue {
     }
 
     /// Removes and returns the highest-priority job.
-    pub fn pop_first(&mut self) -> Option<Job> {
+    pub(crate) fn pop_first(&mut self) -> Option<Job> {
         let (key, job) = self.jobs.pop_first()?;
         self.by_fingerprint.remove(&key.fingerprint);
         Some(job)
@@ -393,21 +388,15 @@ impl WorkQueue {
     /// Removes and returns a pending job by workload fingerprint — the
     /// session claim path: a waiter tunes the jobs it needs itself,
     /// whatever tier (or group) staged them.
-    pub fn take(&mut self, fingerprint: &str) -> Option<Job> {
+    pub(crate) fn take(&mut self, fingerprint: &str) -> Option<Job> {
         let key = self.by_fingerprint.remove(fingerprint)?;
         self.jobs.remove(&key)
-    }
-
-    /// Cancels a pending job by workload fingerprint. Returns whether a
-    /// job was actually cancelled.
-    pub fn remove(&mut self, fingerprint: &str) -> bool {
-        self.take(fingerprint).is_some()
     }
 
     /// Drops every *droppable* pending job (budget exhaustion). Batch
     /// jobs survive: sessions are blocked on them and user work is never
     /// budget-limited. Returns how many jobs were dropped.
-    pub fn clear_droppable(&mut self) -> usize {
+    pub(crate) fn clear_droppable(&mut self) -> usize {
         let doomed: Vec<JobKey> =
             self.jobs.iter().filter(|(_, j)| j.tier.droppable()).map(|(k, _)| k.clone()).collect();
         for key in &doomed {
@@ -457,7 +446,6 @@ mod tests {
         assert_eq!(push(&mut q, job(128, JobTier::Registered)), PushOutcome::Added);
         assert_eq!(push(&mut q, job(16, JobTier::Transfer)), PushOutcome::Added);
         assert_eq!(push(&mut q, job(32, JobTier::Batch { group: 1 })), PushOutcome::Added);
-        assert_eq!(q.group_pending(1), 1);
         assert_eq!(q.pop_first().unwrap().tier, JobTier::Batch { group: 1 });
         assert_eq!(q.pop_first().unwrap().tier, JobTier::Transfer);
         assert_eq!(q.pop_first().unwrap().tier, JobTier::Registered);
@@ -529,8 +517,8 @@ mod tests {
         assert_eq!(q.len(), 1);
         let fp = job(64, JobTier::Registered).fingerprint();
         assert!(q.contains(&fp));
-        assert!(q.remove(&fp));
-        assert!(!q.remove(&fp));
+        assert!(q.take(&fp).is_some());
+        assert!(q.take(&fp).is_none());
         assert!(q.is_empty());
     }
 
@@ -556,7 +544,6 @@ mod tests {
             PushOutcome::Promoted { from: JobTier::Registered, perturbation: None }
         );
         assert_eq!(q.len(), 2);
-        assert_eq!(q.group_pending(9), 1);
         assert_eq!(q.pop_first().unwrap().tier, JobTier::Batch { group: 9 });
         assert_eq!(q.pop_first().unwrap().tier, JobTier::Registered);
     }

@@ -1,7 +1,7 @@
 //! The tuning service: speculative background tuning over sharded stores.
 //!
 //! A [`TuningService`] owns a [`ShardedStore`], a tiered priority
-//! [`WorkQueue`], and a set of background tuner workers on the rayon
+//! `WorkQueue`, and a set of background tuner workers on the rayon
 //! shim's persistent pool. Registering a network enqueues every layer ×
 //! algorithm-candidate workload (plus shape-perturbation neighbors),
 //! prioritized by predicted I/O-bound gap; workers drain the queue in
@@ -42,7 +42,7 @@
 //! tuned neighbor replayed from the shard, or a pending neighbor job
 //! promoted into a client batch). The learning acts on two timescales:
 //! continuously, each kind's smoothed hit *rate*
-//! ([`TuningService::speculation_weight`]) scales the priority of its
+//! (`TuningService::speculation_weight`) scales the priority of its
 //! neighbor jobs in the queue (rate-weighted `Q_model / Q_lower` rank,
 //! deterministic fingerprint tie-breaks preserved); and terminally,
 //! after [`ServiceConfig::speculation_probation`] completed sessions,
@@ -86,7 +86,7 @@ pub struct ServiceConfig {
     /// and never budget-limited.
     pub background_budget: usize,
     /// Background workers spawned onto the persistent pool per
-    /// [`TuningService::kick`]. `0` disables background tuning; the
+    /// `TuningService::kick`. `0` disables background tuning; the
     /// queue then drains only via [`TuningService::drain`] or waiting
     /// sessions.
     pub workers: usize,
@@ -121,7 +121,7 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// The transfer gate's gap bound as a ratio.
-    pub fn transfer_gap_bound(&self) -> f64 {
+    pub(crate) fn transfer_gap_bound(&self) -> f64 {
         self.transfer_gap_permille as f64 / 1000.0
     }
 }
@@ -163,7 +163,7 @@ pub enum ServeSource {
     /// measurements. `retune` reports whether the analytic gate could
     /// *not* prove the transfer within the configured gap bound, so the
     /// result is provisional and a background re-tune was enqueued at
-    /// [`JobTier::Transfer`].
+    /// `JobTier::Transfer`.
     Anchored { retune: bool },
 }
 
@@ -214,7 +214,7 @@ macro_rules! service_counters {
         pub struct ServiceStats {
             $($(#[$doc])* pub $field: usize,)*
             /// Per-perturbation-kind speculation telemetry, indexed by
-            /// [`PerturbationKind::index`].
+            /// `PerturbationKind::index`.
             pub speculation: [KindStats; 4],
         }
 
@@ -345,7 +345,7 @@ impl ServiceStats {
 /// `tune-cache serve-stats` / `metrics` can report queue depth, remaining
 /// budget and the service counters from a directory instead of only
 /// in-process. Its body is the [`MetricsSnapshot`] line encoding.
-pub const STATS_FILE: &str = "service-stats.jsonl";
+pub(crate) const STATS_FILE: &str = "service-stats.jsonl";
 
 /// First line of the stats sidecar. A file that starts with anything
 /// else — a foreign version, the pre-registry `service-stats.tsv`
@@ -412,8 +412,8 @@ fn save_sidecar(dir: &Path, metrics: &MetricsSnapshot) -> std::io::Result<()> {
 }
 
 /// A point-in-time view of a service's observable state: the counters
-/// plus the two live numbers ([`queue_len`](TuningService::queue_len),
-/// [`budget_left`](TuningService::budget_left)). Like [`ServiceStats`]
+/// plus the two live numbers (queue depth and the remaining background
+/// budget). Like [`ServiceStats`]
 /// it is only ever read out of a [`MetricsSnapshot`] — live
 /// ([`TuningService::snapshot`]), off the wire, or from the sidecar.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -561,13 +561,17 @@ impl TuningService {
     /// [`sync_dir`](Self::sync_dir) contributes only what *this* process
     /// added on top of them. Queue depth and remaining budget are *not*
     /// restored: pending work died with the previous process and the
-    /// budget is per-process by design.
+    /// budget is per-process by design. A service writes the directory
+    /// back, so it loads as a writer
+    /// ([`ShardedStore::load_for_write`]): a shard the manifest lists but
+    /// that cannot be read fails the open instead of being dropped from
+    /// the next manifest.
     pub fn open(
         dir: impl AsRef<Path>,
         config: ServiceConfig,
     ) -> std::io::Result<(Self, ShardLoadReport)> {
         let dir = dir.as_ref();
-        let (shards, report) = ShardedStore::load(dir)?;
+        let (shards, report) = ShardedStore::load_for_write(dir)?;
         let service = Self::new(shards, config);
         if let Some(sidecar) = load_sidecar(dir)? {
             let mut st = service.lock();
@@ -579,7 +583,7 @@ impl TuningService {
         Ok((service, report))
     }
 
-    pub fn config(&self) -> ServiceConfig {
+    pub(crate) fn config(&self) -> ServiceConfig {
         self.inner.config
     }
 
@@ -598,11 +602,6 @@ impl TuningService {
         self.lock().queue.len()
     }
 
-    /// Remaining background fresh-measurement budget.
-    pub fn budget_left(&self) -> usize {
-        self.lock().budget_left
-    }
-
     /// The full observable state in one consistent snapshot.
     pub fn snapshot(&self) -> ServiceSnapshot {
         ServiceSnapshot::from_metrics(&self.metrics())
@@ -610,7 +609,7 @@ impl TuningService {
 
     /// The service's metrics registry (shared with the daemon when this
     /// service is served over a socket).
-    pub fn telemetry(&self) -> &Telemetry {
+    pub(crate) fn telemetry(&self) -> &Telemetry {
         &self.inner.telemetry
     }
 
@@ -700,38 +699,6 @@ impl TuningService {
         self.lock().shards.evict(policy)
     }
 
-    /// Enqueues one workload for background tuning (deduplicated against
-    /// the shards, the queue, in-flight work and known-infeasible
-    /// workloads). `speculative` enqueues at neighbor priority. Returns
-    /// whether the queue grew. Call [`kick`](Self::kick) afterwards, or
-    /// let [`drain`](Self::drain) / waiting sessions pick it up.
-    pub fn enqueue(
-        &self,
-        shape: &ConvShape,
-        kind: TileKind,
-        device: &DeviceSpec,
-        speculative: bool,
-    ) -> bool {
-        let tier = if speculative { JobTier::Neighbor } else { JobTier::Registered };
-        let job = Job {
-            shape: *shape,
-            kind,
-            epilogue: iolb_core::epilogue::Epilogue::None,
-            device: device.clone(),
-            tier,
-            perturbation: None,
-            enqueued_at: None,
-        };
-        // The priority is a pure function of the workload: compute it
-        // before taking the lock (it enumerates tile spaces).
-        let gap = crate::queue::io_gap(shape, kind, device);
-        let grew = Self::enqueue_locked(&mut self.lock(), job, gap);
-        if grew {
-            self.inner.changed.notify_all();
-        }
-        grew
-    }
-
     pub(crate) fn enqueue_locked(st: &mut State, job: Job, gap: f64) -> bool {
         let fingerprint = job.fingerprint();
         if !st.shards.records(&job.workload()).is_empty()
@@ -776,7 +743,7 @@ impl TuningService {
     /// binary probation cutoff. Deterministic: the weight is a pure
     /// function of the counters snapshotted at registration, and the
     /// queue still tie-breaks on the workload fingerprint.
-    pub fn speculation_weight(stats: &ServiceStats, kind: PerturbationKind) -> f64 {
+    pub(crate) fn speculation_weight(stats: &ServiceStats, kind: PerturbationKind) -> f64 {
         let k = stats.speculation[kind.index()];
         (1 + k.hits) as f64 / (1 + k.enqueued) as f64
     }
@@ -882,7 +849,7 @@ impl TuningService {
     /// on" into "block until the whole queue is tuned". There is no
     /// background parallelism to exploit there anyway — the queue
     /// drains via [`drain`](Self::drain) and waiting sessions instead.
-    pub fn kick(&self) {
+    pub(crate) fn kick(&self) {
         if rayon::pool_thread_count() == 0 || self.lock().queue.is_empty() {
             return;
         }
@@ -1455,7 +1422,7 @@ mod tests {
         let sidecar = ServiceSnapshot::load(&dir).unwrap().expect("sidecar written by save");
         assert_eq!(sidecar.stats, service.stats());
         assert_eq!(sidecar.queue_len, 0);
-        assert_eq!(sidecar.budget_left, service.budget_left());
+        assert_eq!(sidecar.budget_left, service.snapshot().budget_left);
         // Round trip: a reopened service continues the persisted history —
         // hit rates and the probation clock survive the restart...
         let (reopened, report) = TuningService::open(&dir, config).unwrap();
@@ -1464,7 +1431,7 @@ mod tests {
         assert!(reopened.stats().speculation_of(PerturbationKind::CinHalved).hits > 0);
         // ...while the queue and budget start fresh (per-process state).
         assert_eq!(reopened.queue_len(), 0);
-        assert_eq!(reopened.budget_left(), config.background_budget);
+        assert_eq!(reopened.snapshot().budget_left, config.background_budget);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

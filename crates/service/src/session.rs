@@ -9,7 +9,7 @@
 //!    job with fan-out waiters), classifies each unique workload
 //!    against the service (already stored → instant; already being
 //!    tuned → steal when it lands), and enqueues the rest as one
-//!    tracked **batch group**: [`JobTier::Batch`] members outrank every
+//!    tracked **batch group**: `JobTier::Batch` members outrank every
 //!    speculative neighbor in the queue, survive budget exhaustion, and
 //!    are never billed to the background budget (they are user work).
 //! 2. [`wait`] **collects**: it claims whatever of its jobs are still

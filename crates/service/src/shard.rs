@@ -29,12 +29,12 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Manifest file name inside a shard directory.
-pub const MANIFEST_FILE: &str = "manifest.tsv";
+pub(crate) const MANIFEST_FILE: &str = "manifest.tsv";
 
 /// Advisory lock file name inside a shard directory. The file itself is
 /// permanent (never deleted — unlinking an advisory lock file races
 /// with concurrent acquirers); the *lock* is an OS `flock` on it.
-pub const LOCK_FILE: &str = "manifest.lock";
+pub(crate) const LOCK_FILE: &str = "manifest.lock";
 
 /// Default time writers wait for the directory lock before giving up.
 /// Configurable per service via `ServiceConfig::lock_timeout` and on the
@@ -100,17 +100,17 @@ impl From<LockError> for std::io::Error {
 
 /// Version tag written into the manifest header. Loaders reject foreign
 /// versions (same stance as the record schema: re-tune, never guess).
-pub const MANIFEST_VERSION: u32 = 1;
+const MANIFEST_VERSION: u32 = 1;
 
 /// The device fingerprint a record is sharded by: preset name plus
 /// shared-memory size, exactly the two fields [`Workload`] identifies a
 /// device with.
-pub fn device_key(device: &str, smem_bytes: u32) -> String {
+fn device_key(device: &str, smem_bytes: u32) -> String {
     format!("{device}|{smem_bytes}")
 }
 
 /// The device key of a workload.
-pub fn workload_device_key(w: &Workload) -> String {
+fn workload_device_key(w: &Workload) -> String {
     device_key(&w.device, w.smem_bytes)
 }
 
@@ -169,14 +169,15 @@ impl Default for EvictionPolicy {
 /// write protocol.
 ///
 /// **Who takes it:** every *writer* ([`ShardedStore::merge_into_dir`],
-/// the service's `save`/`sync_dir`, `tune-cache evict`/`tune-net`), for
-/// the duration of one load → mutate → save cycle (milliseconds; tuning
+/// the service's `save`/`sync_dir` (so `tune-cache tune-net -o` and the
+/// daemon's persister), and the offline `tune-cache evict`), for the
+/// duration of one load → mutate → save cycle (milliseconds; tuning
 /// itself happens *outside* the lock). **Readers never lock**: every
 /// file in the directory is replaced atomically (pid-qualified temp +
 /// rename), so a concurrent load always sees a consistent manifest and
 /// consistent shard files — at worst one save older than the newest.
 ///
-/// **Crash behavior:** the lock is an OS `flock` on [`LOCK_FILE`], so
+/// **Crash behavior:** the lock is an OS `flock` on `manifest.lock`, so
 /// the kernel releases it the instant the holding process dies — a
 /// crashed writer can never wedge the directory. The lock *file* is
 /// deliberately never deleted: unlinking it would race a concurrent
@@ -185,7 +186,6 @@ impl Default for EvictionPolicy {
 #[derive(Debug)]
 pub struct DirLock {
     file: std::fs::File,
-    path: PathBuf,
 }
 
 impl DirLock {
@@ -223,12 +223,7 @@ impl DirLock {
         // pid must not fail the acquisition.
         let _ = file.set_len(0);
         let _ = (&file).write_all(format!("pid {}\n", std::process::id()).as_bytes());
-        Ok(Self { file, path })
-    }
-
-    /// The lock file's path (diagnostics).
-    pub fn path(&self) -> &Path {
-        &self.path
+        Ok(Self { file })
     }
 }
 
@@ -344,16 +339,6 @@ impl ShardedStore {
         self.shards.values().map(RecordStore::workload_count).sum()
     }
 
-    /// Device keys in deterministic order.
-    pub fn device_keys(&self) -> impl Iterator<Item = &str> {
-        self.shards.keys().map(String::as_str)
-    }
-
-    /// One device's shard, if any.
-    pub fn shard(&self, key: &str) -> Option<&RecordStore> {
-        self.shards.get(key)
-    }
-
     /// `(device key, shard)` pairs in deterministic order.
     pub fn shards(&self) -> impl Iterator<Item = (&str, &RecordStore)> {
         self.shards.iter().map(|(k, s)| (k.as_str(), s))
@@ -375,15 +360,10 @@ impl ShardedStore {
         self.shards.entry(device).or_default().insert(rec)
     }
 
-    /// The anchor floor the secondary index is built under.
-    pub fn anchor_floor(&self) -> usize {
-        self.anchor_floor
-    }
-
     /// Re-buckets the secondary index under a new anchor floor (the
     /// service threads `ServiceConfig::anchor_floor` through here when
     /// it adopts a store). A no-op at the current floor.
-    pub fn set_anchor_floor(&mut self, floor: usize) {
+    pub(crate) fn set_anchor_floor(&mut self, floor: usize) {
         if floor != self.anchor_floor {
             self.anchor_floor = floor;
             self.rebuild_anchor_index();
@@ -466,7 +446,7 @@ impl ShardedStore {
     /// All persisted `(fingerprint, last-hit stamp)` pairs in
     /// deterministic (fingerprint) order — the wire codec serializes a
     /// store's LRU metadata from here.
-    pub fn hit_stamps(&self) -> impl Iterator<Item = (&str, u64)> {
+    pub(crate) fn hit_stamps(&self) -> impl Iterator<Item = (&str, u64)> {
         self.last_hit.iter().map(|(fp, &stamp)| (fp.as_str(), stamp))
     }
 
@@ -474,7 +454,7 @@ impl ShardedStore {
     /// (the deserialization inverse of [`hit_stamps`](Self::hit_stamps);
     /// [`touch`](Self::touch) is the live path). Keeps the stamp
     /// invariant: the clock never falls behind a restored stamp.
-    pub fn restore_hit(&mut self, fingerprint: &str, stamp: u64) {
+    pub(crate) fn restore_hit(&mut self, fingerprint: &str, stamp: u64) {
         let entry = self.last_hit.entry(fingerprint.to_string()).or_insert(0);
         *entry = (*entry).max(stamp);
         self.clock = self.clock.max(stamp);
@@ -482,7 +462,7 @@ impl ShardedStore {
 
     /// Forces the logical clock to at least `clock` (state transfer;
     /// the clock never runs backwards).
-    pub fn restore_clock(&mut self, clock: u64) {
+    pub(crate) fn restore_clock(&mut self, clock: u64) {
         self.clock = self.clock.max(clock);
     }
 
@@ -493,7 +473,7 @@ impl ShardedStore {
 
     /// Merges a flat store in, routing every record to its device shard.
     /// Returns how many records changed the store.
-    pub fn merge_flat(&mut self, flat: RecordStore) -> usize {
+    pub(crate) fn merge_flat(&mut self, flat: RecordStore) -> usize {
         let mut inserted = 0;
         for (_, list) in flat.into_entries() {
             for rec in list {
@@ -538,23 +518,14 @@ impl ShardedStore {
     /// whatever the interleaving. Records are deduplicated by
     /// `(workload, config)`, so two processes that tuned the same
     /// workload (hermetic runs are bit-identical) merge to one copy.
+    /// Refuses, naming the file, when a shard the manifest lists cannot
+    /// be read (see [`load_for_write`](Self::load_for_write)).
     ///
     /// [`absorb`]: Self::absorb
     /// [`save`]: Self::save
     pub fn merge_into_dir(&self, dir: impl AsRef<Path>) -> std::io::Result<DirMergeReport> {
-        self.merge_into_dir_with(dir, LOCK_TIMEOUT)
-    }
-
-    /// [`merge_into_dir`](Self::merge_into_dir) with a caller-chosen
-    /// lock-acquisition timeout (the service threads its
-    /// `ServiceConfig::lock_timeout` through here).
-    pub fn merge_into_dir_with(
-        &self,
-        dir: impl AsRef<Path>,
-        lock_timeout: Duration,
-    ) -> std::io::Result<DirMergeReport> {
         let dir = dir.as_ref();
-        let _lock = DirLock::acquire(dir, lock_timeout)?;
+        let _lock = DirLock::acquire(dir, LOCK_TIMEOUT)?;
         self.merge_into_dir_locked(dir)
     }
 
@@ -564,8 +535,8 @@ impl ShardedStore {
     /// sidecar inside one critical section (a sidecar written after the
     /// lock drops could be overwritten by a concurrent writer,
     /// silently losing telemetry).
-    pub fn merge_into_dir_locked(&self, dir: &Path) -> std::io::Result<DirMergeReport> {
-        let (mut disk, load) = Self::load(dir)?;
+    pub(crate) fn merge_into_dir_locked(&self, dir: &Path) -> std::io::Result<DirMergeReport> {
+        let (mut disk, load) = Self::load_for_write(dir)?;
         let inserted = disk.absorb(self.clone());
         disk.save(dir)?;
         Ok(DirMergeReport { inserted, total: disk.len(), load })
@@ -655,7 +626,19 @@ impl ShardedStore {
     /// skipped records are reported as warnings, never errors —
     /// corruption costs re-tuning, not availability.
     pub fn load(dir: impl AsRef<Path>) -> std::io::Result<(Self, ShardLoadReport)> {
-        let dir = dir.as_ref();
+        Self::load_checked(dir.as_ref(), false)
+    }
+
+    /// [`load`](Self::load) for a writer that will [`save`](Self::save)
+    /// the result over the directory: a shard file the manifest lists
+    /// but that cannot be read is an error naming the file, because the
+    /// manifest saved without it would unindex its records for good.
+    /// Corrupt *lines* are still skipped and reported, as on load.
+    pub fn load_for_write(dir: impl AsRef<Path>) -> std::io::Result<(Self, ShardLoadReport)> {
+        Self::load_checked(dir.as_ref(), true)
+    }
+
+    fn load_checked(dir: &Path, for_write: bool) -> std::io::Result<(Self, ShardLoadReport)> {
         let mut sharded = Self::new();
         let mut report = ShardLoadReport::default();
         let manifest_path = dir.join(MANIFEST_FILE);
@@ -706,6 +689,16 @@ impl ShardedStore {
                                     sharded.insert(rec);
                                 }
                             }
+                        }
+                        Err(e) if for_write => {
+                            return Err(std::io::Error::new(
+                                e.kind(),
+                                format!(
+                                    "{}: shard listed in the manifest is unreadable ({e}); \
+                                     refusing to rewrite the directory without it",
+                                    path.display()
+                                ),
+                            ));
                         }
                         Err(e) => {
                             report.warnings.push(format!("{file}: unreadable shard: {e}"));
@@ -902,7 +895,7 @@ mod tests {
         let dir = temp_dir("lock");
         std::fs::create_dir_all(&dir).unwrap();
         let held = DirLock::acquire(&dir, Duration::from_secs(5)).unwrap();
-        assert!(held.path().exists());
+        assert!(dir.join(LOCK_FILE).exists());
         let contended = DirLock::acquire(&dir, Duration::from_millis(20));
         let err = contended.unwrap_err();
         assert!(
@@ -958,6 +951,36 @@ mod tests {
         let mut expected = a;
         expected.absorb(b);
         assert_eq!(merged.merged().to_jsonl(), expected.merged().to_jsonl());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn writers_refuse_a_directory_with_an_unreadable_shard() {
+        let fixture =
+            concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/tuning_records.jsonl");
+        let (flat, _) = RecordStore::load(fixture).unwrap();
+        let dir = temp_dir("unreadable");
+        ShardedStore::from_flat(flat).save(&dir).unwrap();
+        let manifest = std::fs::read(dir.join(MANIFEST_FILE)).unwrap();
+        // Swap the one shard file for a directory: listed, not readable.
+        let shard = dir.join(shard_file_name(&device_key("Tesla V100", 96 * 1024)));
+        let aside = dir.join("aside");
+        std::fs::rename(&shard, &aside).unwrap();
+        std::fs::create_dir(&shard).unwrap();
+
+        let (read, report) = ShardedStore::load(&dir).unwrap();
+        assert!(read.is_empty() && report.warnings.len() == 1, "readers tolerate it");
+        let mut writer = ShardedStore::new();
+        writer.insert(rec(64, "Tesla V100", 7, 1.0));
+        let err = writer.merge_into_dir(&dir).unwrap_err();
+        assert!(err.to_string().contains(&shard.display().to_string()), "{err}");
+        assert_eq!(std::fs::read(dir.join(MANIFEST_FILE)).unwrap(), manifest);
+
+        std::fs::remove_dir(&shard).unwrap();
+        std::fs::rename(&aside, &shard).unwrap();
+        let (restored, report) = ShardedStore::load(&dir).unwrap();
+        assert!(report.is_clean());
+        assert_eq!(restored.len(), 80);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1028,7 +1051,7 @@ mod tests {
         s.insert(TuningRecord::new(shaped(12), cfg(2), 1.0, 7).unwrap());
         // At the default floor (16), hin 12 vs 10 stay exact: no bucket
         // sharing, no donor.
-        assert_eq!(s.anchor_floor(), iolb_autotune::plan::ANCHOR_FLOOR);
+        assert_eq!(s.anchor_floor, iolb_autotune::plan::ANCHOR_FLOOR);
         assert!(s.anchor_donor(&shaped(10)).is_none());
         // At floor 8 both anchor to 16: the donor appears.
         s.set_anchor_floor(8);

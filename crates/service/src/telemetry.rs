@@ -6,7 +6,7 @@
 //! monotonic counters, gauges, and fixed-bucket [`LatencyHistogram`]s —
 //! which is also where every service counter lives
 //! ([`crate::service::ServiceStats`] is a view read out of it). Its
-//! snapshots have one line encoding ([`MetricsSnapshot::encode_lines`]):
+//! snapshots have one line encoding (`MetricsSnapshot::encode_lines`):
 //! the wire `Stats` response carries it, the stats sidecar stores it,
 //! and `tune-cache metrics` renders either as Prometheus-style text.
 //!
@@ -28,7 +28,7 @@
 //! assigned under the sink lock, so under `RAYON_NUM_THREADS=1` the
 //! emitted order is deterministic. Warn/error events additionally mirror
 //! to stderr, replacing the daemon's former bare `eprintln!`s; the
-//! [`crate::log_event!`] macro is the one emission path.
+//! `log_event!` macro is the one emission path.
 
 use iolb_records::jsonl::{escape, Escaped, FlatObject};
 use std::collections::BTreeMap;
@@ -212,7 +212,7 @@ impl MetricsSnapshot {
     /// are carried as they are. [`merge`](Self::merge)-ing the result
     /// into another process's snapshot is how counters add up across
     /// writers instead of the last one erasing the rest.
-    pub fn counters_since(&self, baseline: &MetricsSnapshot) -> MetricsSnapshot {
+    pub(crate) fn counters_since(&self, baseline: &MetricsSnapshot) -> MetricsSnapshot {
         let counters = self
             .counters
             .iter()
@@ -228,7 +228,7 @@ impl MetricsSnapshot {
     /// (`"c"` counter, `"g"` gauge, `"h"` histogram), in name order.
     /// Written straight into `out`, [`line_count`](Self::line_count)
     /// lines of it.
-    pub fn encode_lines(&self, out: &mut String) {
+    pub(crate) fn encode_lines(&self, out: &mut String) {
         for (kind, list) in [("c", &self.counters), ("g", &self.gauges)] {
             for (name, value) in list {
                 let _ = writeln!(out, "{{\"{kind}\":\"{}\",\"val\":{value}}}", Escaped(name));
@@ -250,7 +250,7 @@ impl MetricsSnapshot {
 
     /// How many lines [`encode_lines`](Self::encode_lines) writes: one
     /// per metric.
-    pub fn line_count(&self) -> usize {
+    pub(crate) fn line_count(&self) -> usize {
         self.counters.len() + self.gauges.len() + self.histograms.len()
     }
 
@@ -298,7 +298,7 @@ impl MetricsSnapshot {
 }
 
 /// Named metrics, keyed by name: what a [`Telemetry`] handle guards,
-/// and what [`MetricsSnapshot::encode_lines`] lines are decoded into —
+/// and what `MetricsSnapshot::encode_lines` lines are decoded into —
 /// a frame of `n` names in any order costs `n log n`, where inserting
 /// each into the snapshot's sorted lists would cost `n^2`.
 #[derive(Default)]
@@ -309,7 +309,7 @@ pub(crate) struct Registry {
 }
 
 impl Registry {
-    /// Decodes one [`MetricsSnapshot::encode_lines`] line (added by
+    /// Decodes one `MetricsSnapshot::encode_lines` line (added by
     /// name, so a repeated name accumulates, saturating). Strict:
     /// anything that is not a metric line is an error and changes
     /// nothing — the wire decoder surfaces it, the sidecar loader skips
@@ -388,7 +388,7 @@ impl Telemetry {
     /// Moves one count from counter `from` to counter `to`, atomically —
     /// an event booked under one name turned out to belong to another
     /// (a queued job promoted to a stronger tier).
-    pub fn rebook(&self, from: &str, to: &str) {
+    pub(crate) fn rebook(&self, from: &str, to: &str) {
         let mut reg = self.inner.lock().expect("telemetry registry poisoned");
         if let Some(slot) = reg.counters.get_mut(from) {
             *slot = slot.saturating_sub(1);
@@ -397,7 +397,7 @@ impl Telemetry {
     }
 
     /// Sets a gauge to its current value.
-    pub fn gauge(&self, name: &str, value: u64) {
+    pub(crate) fn gauge(&self, name: &str, value: u64) {
         let mut reg = self.inner.lock().expect("telemetry registry poisoned");
         reg.gauges.insert(name.to_string(), value);
     }
@@ -409,7 +409,7 @@ impl Telemetry {
     }
 
     /// Records a duration (as whole microseconds) into a named histogram.
-    pub fn observe_since(&self, name: &str, start: Instant) {
+    pub(crate) fn observe_since(&self, name: &str, start: Instant) {
         let us = u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.observe(name, us);
     }
@@ -434,7 +434,7 @@ impl Telemetry {
 
 /// Event severity. Warn and above mirror to stderr.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Level {
+pub(crate) enum Level {
     Debug,
     Info,
     Warn,
@@ -442,7 +442,7 @@ pub enum Level {
 }
 
 impl Level {
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             Level::Debug => "debug",
             Level::Info => "info",
@@ -458,40 +458,33 @@ struct Sink {
 }
 
 /// A seq-numbered structured event log writing flat-JSON lines. The
-/// global instance ([`events`]) is what [`crate::log_event!`] emits to;
+/// global instance ([`events`]) is what [`log_event!`] emits to;
 /// tests construct their own. Without a sink, only warn/error events do
 /// anything (the stderr mirror); set `IOLB_EVENT_LOG=<path>` (and
 /// optionally `IOLB_EVENT_LEVEL=debug|info|warn|error`) before first use
 /// to capture the full lifecycle as JSONL.
 #[derive(Default)]
-pub struct EventLog {
+pub(crate) struct EventLog {
     seq: AtomicU64,
     sink: Mutex<Option<Sink>>,
-    /// Test hook: suppress the stderr mirror.
-    quiet: AtomicU64,
 }
 
 impl EventLog {
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
     /// Directs events at `level` and above into a JSONL writer.
-    pub fn set_sink(&self, writer: Box<dyn Write + Send>, level: Level) {
+    fn set_sink(&self, writer: Box<dyn Write + Send>, level: Level) {
         *self.sink.lock().expect("event sink poisoned") = Some(Sink { writer, level });
-    }
-
-    /// Silences the stderr mirror (tests that provoke warnings).
-    pub fn set_quiet(&self, quiet: bool) {
-        self.quiet.store(u64::from(quiet), Ordering::Relaxed);
     }
 
     /// Emits one event. The sequence number is assigned under the sink
     /// lock, so sink order always equals seq order; under
     /// `RAYON_NUM_THREADS=1` both are deterministic.
-    pub fn emit(&self, level: Level, event: &str, fields: &[(&str, String)]) {
+    pub(crate) fn emit(&self, level: Level, event: &str, fields: &[(&str, String)]) {
         let mut sink = self.sink.lock().expect("event sink poisoned");
-        if level >= Level::Warn && self.quiet.load(Ordering::Relaxed) == 0 {
+        if level >= Level::Warn {
             let mut line = format!("iolb[{}] {event}", level.label());
             for (k, v) in fields {
                 line.push_str(&format!(" {k}={v}"));
@@ -520,7 +513,7 @@ impl EventLog {
 
 /// The process-wide event log. First use installs a JSONL sink from
 /// `IOLB_EVENT_LOG` / `IOLB_EVENT_LEVEL` if set.
-pub fn events() -> &'static EventLog {
+pub(crate) fn events() -> &'static EventLog {
     static EVENTS: OnceLock<EventLog> = OnceLock::new();
     EVENTS.get_or_init(|| {
         let log = EventLog::new();
@@ -543,7 +536,6 @@ pub fn events() -> &'static EventLog {
 /// `log_event!(Warn, "daemon.persist_failed", dir = dir.display(), error = e)`.
 /// Field values format through `Display`. Warn/error mirror to stderr;
 /// everything lands in the JSONL sink when one is configured.
-#[macro_export]
 macro_rules! log_event {
     ($level:ident, $event:expr $(, $key:ident = $value:expr)* $(,)?) => {
         $crate::telemetry::events().emit(
@@ -553,6 +545,7 @@ macro_rules! log_event {
         )
     };
 }
+pub(crate) use log_event;
 
 #[cfg(test)]
 mod tests {
@@ -720,7 +713,6 @@ mod tests {
         }
         let buffer = Arc::new(Mutex::new(Vec::new()));
         let log = EventLog::new();
-        log.set_quiet(true);
         log.set_sink(Box::new(Shared(buffer.clone())), Level::Info);
         log.emit(Level::Info, "session.submit", &[("requests", "4".to_string())]);
         log.emit(Level::Debug, "queue.claim", &[]); // below sink level: dropped

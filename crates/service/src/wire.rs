@@ -65,7 +65,7 @@ use std::io::{Read, Write};
 /// serve result carries a `fused` flag marking gate-approved fused
 /// chains; version 6 made the `Stats` response the metrics registry
 /// alone, in its own line encoding
-/// ([`MetricsSnapshot::encode_lines`]) — the service counters are
+/// (`MetricsSnapshot::encode_lines`) — the service counters are
 /// registry counters now, so no separate counter snapshot rides beside it.
 /// Version-1 through version-5 peers alike are rejected with
 /// [`WireError::ForeignVersion`] rather than served a grammar they
@@ -201,7 +201,7 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, WireError> {
 /// Writes one frame (length prefix + payload). Rejects oversized
 /// payloads on the way *out* too, so a misbehaving caller cannot emit a
 /// frame no peer will accept.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
+pub(crate) fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
     if payload.len() > MAX_FRAME_BYTES {
         return Err(WireError::Oversized { len: payload.len() });
     }
@@ -215,7 +215,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> 
 /// between frames); a stream ending *inside* a frame is
 /// [`WireError::Truncated`], and a length prefix above the cap is
 /// rejected before any payload byte is read or allocated.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
+pub(crate) fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
     let mut len_buf = [0u8; 4];
     let got = read_full(r, &mut len_buf)?;
     if got == 0 {
@@ -451,7 +451,7 @@ pub fn encode_request_into(req: &Request, out: &mut String) {
 
 /// The payload of a [`Request::Submit`] from borrowed parts, so a client
 /// holding a slice of requests encodes it without building the message.
-pub fn encode_submit_into(device: &DeviceSpec, requests: &[TuneRequest], out: &mut String) {
+pub(crate) fn encode_submit_into(device: &DeviceSpec, requests: &[TuneRequest], out: &mut String) {
     let _ = writeln!(out, "{{\"v\":{WIRE_VERSION},\"type\":\"submit\",\"n\":{}}}", requests.len());
     encode_device(device, out);
     for r in requests {
@@ -692,7 +692,7 @@ pub fn write_request_buffered(
 
 /// Writes one framed [`Request::Submit`] from borrowed parts (see
 /// [`encode_submit_into`]) through the connection's [`Scratch`].
-pub fn write_submit_buffered(
+pub(crate) fn write_submit_buffered(
     w: &mut impl Write,
     device: &DeviceSpec,
     requests: &[TuneRequest],
@@ -711,7 +711,7 @@ pub fn write_response_buffered(
 }
 
 /// Reads one framed response through the connection's [`Scratch`].
-pub fn read_response_buffered(
+pub(crate) fn read_response_buffered(
     r: &mut impl Read,
     scratch: &mut Scratch,
 ) -> Result<Response, WireError> {
