@@ -626,6 +626,28 @@ mod tests {
         }
     }
 
+    /// The executor's half of the numeric contract's price: on deep
+    /// channel sums its worst error stays within `tol * max|ref|` of the
+    /// direct reference — `1e-5` for F(2,3), `5e-5` for F(4,3) (see
+    /// `conv2d_winograd`'s envelope test for why F(4,3) is looser).
+    #[test]
+    fn winograd_error_stays_inside_its_envelope() {
+        use iolb_tensor::conv_ref::conv2d_reference;
+        for (tile, tol) in [(WinogradTile::F2X3, 1e-5), (WinogradTile::F4X3, 5e-5)] {
+            for cin in [64, 256, 512] {
+                let mut rng = StdRng::seed_from_u64(cin as u64 + tile.e as u64);
+                let input = Tensor4::random(1, cin, 8, 8, &mut rng);
+                let weights = Tensor4::random(4, cin, 3, 3, &mut rng);
+                let params = ConvParams::new(1, 1);
+                let want = conv2d_reference(&input, &weights, params);
+                let got = execute_winograd(&input, &weights, params, tile, &cfg(8, 8, 4), 2);
+                let scale = want.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                let err = got.max_abs_diff(&want) / scale;
+                assert!(err <= tol, "{tile:?} C_in={cin}: error {err:e} of max|ref| > {tol:e}");
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "x must divide")]
     fn rejects_non_dividing_tile() {

@@ -365,6 +365,28 @@ mod tests {
         }
     }
 
+    /// The price of the numeric contract, pinned: on deep channel sums
+    /// the worst error stays within `tol * max|ref|` of the direct
+    /// reference — `1e-5` for F(2,3), `5e-5` for F(4,3), whose transforms
+    /// carry coefficients up to 8 and fractions like 1/6 that `f32` cannot
+    /// hold exactly.
+    #[test]
+    fn error_stays_inside_its_envelope() {
+        for (e, tol) in [(2, 1e-5), (4, 5e-5)] {
+            for cin in [64, 256, 512] {
+                let mut rng = StdRng::seed_from_u64(cin as u64 + e as u64);
+                let input = Tensor4::random(1, cin, 8, 8, &mut rng);
+                let weights = Tensor4::random(4, cin, 3, 3, &mut rng);
+                let params = ConvParams::new(1, 1);
+                let want = conv2d_reference(&input, &weights, params);
+                let got = conv2d_winograd(&input, &weights, params, e);
+                let scale = want.as_slice().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+                let err = got.max_abs_diff(&want) / scale;
+                assert!(err <= tol, "F({e},3) C_in={cin}: error {err:e} of max|ref| > {tol:e}");
+            }
+        }
+    }
+
     #[test]
     fn plan_reuse_is_consistent() {
         let mut rng = StdRng::seed_from_u64(9);
