@@ -30,14 +30,17 @@
 //!   `acc += sum`; the tile is transposed back to `(zc, oy, ox)` for the
 //!   write-back;
 //! * **Winograd** — oracle `iolb_tensor::winograd_conv::conv2d_winograd`.
-//!   Every array is flat `f64` with independent matrices on the lanes, so
-//!   each of the three two-sided transforms is two batched products:
-//!   `J = G g G^T` once per block-channel group with output channels on
-//!   the lanes, `P = B^T d B` of all tiles of a stage at once, and
-//!   `A^T Pi A` of the whole block at once. `Pi += P ∘ J` keeps a
-//!   register tile of 4 Winograd tiles x 16/8/4/1 output channels
-//!   across the channels of a stage, each element folding `ci`
-//!   ascending: `Pi` is read and written once per stage instead of once
+//!   Every array is flat `f32`, as in the oracle, with independent
+//!   matrices on the lanes, and the transform coefficients are the
+//!   oracle's own `f32` roundings (`TransformsF32`). Each of the three
+//!   two-sided transforms is two batched products: `J = G g G^T` once
+//!   per block-channel group with output channels on the lanes,
+//!   `P = B^T d B` of all tiles of a stage at once (the patches gathered
+//!   a stage row at a time), and `A^T Pi A` of the whole block at once.
+//!   `Pi += P ∘ J` keeps a register tile of 4 Winograd tiles x 16
+//!   output channels, or 8 x 8/4, across the channels of a stage, each
+//!   element folding `ci` ascending with a separately rounded multiply
+//!   and add: `Pi` is read and written once per stage instead of once
 //!   per channel.
 //!
 //! What a block reads from slow memory does not depend on the stage
@@ -66,6 +69,7 @@ use iolb_core::shapes::{ConvShape, WinogradTile};
 use iolb_tensor::conv_ref::ConvParams;
 use iolb_tensor::ops::relu_val;
 use iolb_tensor::tensor::Tensor4;
+use iolb_tensor::winograd_math::TransformsF32;
 
 /// Derives the [`ConvShape`] of an input/weight pair.
 pub fn shape_of(input: &Tensor4, weights: &Tensor4, params: ConvParams) -> ConvShape {
@@ -127,7 +131,7 @@ pub fn execute(
             assert!(shape.supports_winograd(tile), "shape incompatible with F(e,r)");
             assert_eq!(cfg.x % tile.e, 0, "x must be a multiple of e");
             assert_eq!(cfg.y % tile.e, 0, "y must be a multiple of e");
-            let m = micro::WinogradMats::generate(tile.e, tile.r);
+            let m = TransformsF32::generate(tile.e, tile.r);
             let (tiles_h, tiles_w) = (cfg.x / tile.e, cfg.y / tile.e);
             run_blocks(input, &shape, cfg, epilogue, workers, || WinogradFold {
                 weights,
@@ -254,8 +258,6 @@ impl BlockFold for WinogradFold<'_> {
         micro::winograd_fold_group(&mut self.lanes, staged, ci0);
     }
 
-    /// The `f64 -> f32` conversion happens here, before any epilogue
-    /// arithmetic.
     fn output(&mut self, tile: &mut [f32]) {
         micro::winograd_output(&mut self.lanes, tile);
     }
@@ -763,9 +765,11 @@ mod tests {
     /// Golden bits: both executors on ResNet-18-class shapes, each on a
     /// cut-down tile of the class the tuner serves it (channel counts and
     /// extents cut so the debug suite stays quick), hash to exactly these
-    /// values. The constants were generated at the commit before the
-    /// scalar arms left the executors, so neither the executors nor their
-    /// oracles can drift unseen.
+    /// values. The direct constants were generated at the commit before
+    /// the scalar arms left the executors; the Winograd ones when its
+    /// contract moved from `f64` to `f32`, by both Winograd
+    /// implementations alike. Neither the executors nor their oracles can
+    /// drift unseen.
     #[test]
     fn executor_outputs_on_resnet_class_shapes_are_pinned() {
         const NONE: Epilogue = Epilogue::None;
@@ -799,10 +803,10 @@ mod tests {
         ];
         // (tile, C_in, C_out, H, W), (x, y, z), golden; 3x3/s1/p1
         const WINOGRAD: [(WinogradTile, usize, usize, usize, usize, Tile, u64); 4] = [
-            (WinogradTile::F2X3, 16, 32, 16, 28, (8, 14, 16), 0x23873a7919daaea2), // layer1
-            (WinogradTile::F2X3, 12, 16, 8, 28, (4, 28, 16), 0xc41f820e304cade6),  // layer2
-            (WinogradTile::F2X3, 20, 16, 14, 14, (14, 14, 8), 0xed4da29a10910987), // layer3
-            (WinogradTile::F4X3, 9, 8, 16, 16, (8, 8, 4), 0x018121e541208d28),
+            (WinogradTile::F2X3, 16, 32, 16, 28, (8, 14, 16), 0x8b7c2851dd4ba60d), // layer1
+            (WinogradTile::F2X3, 12, 16, 8, 28, (4, 28, 16), 0xbdf4b0ed8e5724ad),  // layer2
+            (WinogradTile::F2X3, 20, 16, 14, 14, (14, 14, 8), 0xe440191b448d4aa8), // layer3
+            (WinogradTile::F4X3, 9, 8, 16, 16, (8, 8, 4), 0x1feae64df114d4a5),
         ];
         // Every row draws its tensors from the same seed.
         let seed = || StdRng::seed_from_u64(0x1_2C1C);

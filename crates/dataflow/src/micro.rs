@@ -14,7 +14,7 @@
 
 use iolb_tensor::kernel::Isa;
 use iolb_tensor::tensor::Tensor4;
-use iolb_tensor::winograd_math::{generate, matmul_flat, matmul_lanes_right, Mat, Transforms};
+use iolb_tensor::winograd_math::{matmul_flat, matmul_lanes_right, TransformsF32};
 
 /// Stamps out `fn $name(args..)`: `$body(args..)` compiled once per
 /// [`Isa`] tier, the tier picked per call by [`Isa::detect`] (a cached
@@ -116,10 +116,11 @@ pub(crate) fn point_offsets(x: usize, y: usize, stride: usize, yp: usize) -> Vec
 /// largest served tile (`x14 y14 z32`) the tile (25 KiB), the stage's
 /// inputs (8 KiB) and its weights (9 KiB) still sit in a 48 KiB L1
 /// together; 4 reads 3 to 7 % slower on the served ResNet-18 layers and
-/// 16 the same as 8. Winograd: a stage's `P` (`8 a^2 tiles` doubles,
-/// 28 KiB on the served 28-tile blocks) and the transform rows beside it
-/// still sit in L1 when the Hadamard reads `P` back, while `Pi` (57 KiB
-/// there), which cannot, is read and written 8x less often.
+/// 16 the same as 8. Winograd: a stage's `P` (`8 a^2 tiles` floats,
+/// 14 KiB on the served 28-tile blocks) and the transform rows beside it
+/// still sit in L1 when the Hadamard reads `P` back, while `Pi` (28 KiB
+/// there at `z = 16`), which shares L1 with them and the stage's `J`, is
+/// read and written 8x less often than once per channel.
 pub(crate) const STAGE_GROUP: usize = 8;
 
 /// What one stage of the direct dataflow reads: the input stages of its
@@ -282,72 +283,54 @@ pub(crate) fn transpose_tile(src: &[f32], z: usize, dst: &mut [f32]) {
     }
 }
 
-/// The `F(e, r)` transform matrices with their transposes hoisted: pure
-/// permutations, computed once per call instead of once per tile.
-pub(crate) struct WinogradMats {
-    pub t: Transforms,
-    /// `B`, `G^T` and `A`: the right-hand factors of the three
-    /// two-sided transforms.
-    pub bt_t: Mat,
-    pub g_t: Mat,
-    pub at_t: Mat,
-}
-
-impl WinogradMats {
-    pub(crate) fn generate(e: usize, r: usize) -> Self {
-        let t = generate(e, r);
-        Self { bt_t: t.bt.t(), g_t: t.g.t(), at_t: t.at.t(), t }
-    }
-}
-
-/// A zeroed `f64` buffer whose first element sits on a cache-line
+/// A zeroed `f32` buffer whose first element sits on a cache-line
 /// boundary, so that a 64-byte vector of a row that starts on a multiple
-/// of 8 elements never straddles two lines.
+/// of 16 elements never straddles two lines.
 pub(crate) struct Lines {
-    buf: Vec<f64>,
+    buf: Vec<f32>,
     off: usize,
     len: usize,
 }
 
 impl Lines {
     fn zeros(len: usize) -> Self {
-        let buf = vec![0.0f64; len + 7];
+        let buf = vec![0.0f32; len + 15];
         let off = buf.as_ptr().align_offset(64);
         Self { buf, off, len }
     }
 }
 
 impl std::ops::Deref for Lines {
-    type Target = [f64];
-    fn deref(&self) -> &[f64] {
+    type Target = [f32];
+    fn deref(&self) -> &[f32] {
         &self.buf[self.off..self.off + self.len]
     }
 }
 
 impl std::ops::DerefMut for Lines {
-    fn deref_mut(&mut self) -> &mut [f64] {
+    fn deref_mut(&mut self) -> &mut [f32] {
         &mut self.buf[self.off..self.off + self.len]
     }
 }
 
 /// Per-worker state of the lane-batched Winograd dataflow. Every array
-/// is one flat `f64` buffer of `a x a` (or `e x a`, `a x r`, …) matrices
+/// is one flat `f32` buffer of `a x a` (or `e x a`, `a x r`, …) matrices
 /// interleaved lane-minor, `buf[(row * cols + col) * lanes + lane]`: the
 /// layout [`matmul_flat`] and [`matmul_lanes_right`] transform `lanes`
 /// matrices at a time in.
 pub(crate) struct WinogradLanes<'a> {
-    m: &'a WinogradMats,
+    m: &'a TransformsF32,
     z: usize,
     tiles_h: usize,
     tiles_w: usize,
-    /// Offset of every tile's top-left corner in an input stage.
-    corners: Vec<usize>,
     /// `J = G g G^T` of one block-channel group, stage after stage; the
     /// stage of channels `ci0..ci0 + g` starts at `ci0 * a*a * z` and
     /// has (channel, output channel) on the lanes:
     /// `[(k * g + c) * z + zc]`.
     j_pack: Lines,
-    /// The block's running sums, `pi[(k * tiles + tile) * z + zc]`.
+    /// The block's running sums, one `tiles x z` plane per coefficient
+    /// `k`: `pi[k * tiles * z + tile * ts + zc * zs]`, with the strides
+    /// `(ts, zs)` of [`WinogradLanes::pi_strides`].
     pi: Lines,
     /// `P = B^T d B` of the staged channels, (channel, tile) on the
     /// lanes: `p[(k * g + c) * tiles + tile]`.
@@ -356,7 +339,8 @@ pub(crate) struct WinogradLanes<'a> {
     operand: Lines,
     /// Its left product (one row of it for the input transform).
     left: Lines,
-    /// The inverse-transformed block, `y[((dy * e + dx) * tiles + tile) * z + zc]`.
+    /// The inverse-transformed block, `Pi`'s lanes per output pixel:
+    /// `y[(dy * e + dx) * tiles * z + tile * ts + zc * zs]`.
     y: Lines,
 }
 
@@ -364,13 +348,14 @@ impl<'a> WinogradLanes<'a> {
     /// State for blocks of `tiles_h x tiles_w` tiles x `z` output
     /// channels over `cin` input channels.
     pub(crate) fn new(
-        m: &'a WinogradMats,
+        m: &'a TransformsF32,
         cin: usize,
         z: usize,
         tiles_h: usize,
         tiles_w: usize,
     ) -> Self {
-        let (e, r, a) = (m.t.e, m.t.r, m.t.a());
+        let (e, r, a) = (m.e, m.r, m.a());
+        assert!(a <= MAX_A, "F({e},{r}) patches are wider than the gather's phase buffer");
         let tiles = tiles_h * tiles_w;
         let group = STAGE_GROUP.min(cin);
         Self {
@@ -378,13 +363,24 @@ impl<'a> WinogradLanes<'a> {
             z,
             tiles_h,
             tiles_w,
-            corners: point_offsets(tiles_h, tiles_w, e, tiles_w * e + r - 1),
             j_pack: Lines::zeros(cin * a * a * z),
             pi: Lines::zeros(a * a * tiles * z),
             p: Lines::zeros(group * a * a * tiles),
             operand: Lines::zeros(group * (a * a * tiles).max(r * r * z)),
             left: Lines::zeros((group * a * tiles.max(r * z)).max(e * a * tiles * z)),
             y: Lines::zeros(e * e * tiles * z),
+        }
+    }
+
+    /// Strides of a tile and of an output channel within a plane of `Pi`.
+    /// Output channels go on the SIMD lanes when there are 16 of them or
+    /// more; fewer would leave a 16-lane vector half empty, so then the
+    /// tiles do.
+    fn pi_strides(&self) -> (usize, usize) {
+        if self.z >= 16 {
+            (self.z, 1)
+        } else {
+            (1, self.tiles_h * self.tiles_w)
         }
     }
 
@@ -408,7 +404,7 @@ isa_dispatched! {
 
 #[inline(always)]
 fn pack_winograd_kernels_body(w: &mut WinogradLanes<'_>, weights: &Tensor4, oc0: usize) {
-    let (r, a, z) = (w.m.t.r, w.m.t.a(), w.z);
+    let (r, a, z) = (w.m.r, w.m.a(), w.z);
     let (cin, taps) = (weights.c, r * r);
     let (sc, sh, sw) = weights.layout.strides(cin, r, r);
     for (s, j) in w.j_pack.chunks_mut(STAGE_GROUP * a * a * z).enumerate() {
@@ -421,14 +417,13 @@ fn pack_winograd_kernels_body(w: &mut WinogradLanes<'_>, weights: &Tensor4, oc0:
                 let kernel = &weights.as_slice()[(oc0 + zc) * cin * taps..][..cin * taps];
                 for dy in 0..r {
                     for dx in 0..r {
-                        g[(dy * r + dx) * lanes + c * z + zc] =
-                            kernel[ci * sc + dy * sh + dx * sw] as f64;
+                        g[(dy * r + dx) * lanes + c * z + zc] = kernel[ci * sc + dy * sh + dx * sw];
                     }
                 }
             }
         }
-        matmul_flat(&w.m.t.g.data, g, left, a, r, r * lanes);
-        matmul_lanes_right(left, &w.m.g_t.data, j, a, r, a, lanes);
+        matmul_flat(&w.m.g, g, left, a, r, r * lanes);
+        matmul_lanes_right(left, &w.m.g_t, j, a, r, a, lanes);
     }
 }
 
@@ -446,20 +441,38 @@ isa_dispatched! {
     )
 }
 
-/// [`fold_group_tile`] with the extents of the paper's two tiles as
-/// constants: the transform loops then unroll and the patch gather has a
-/// fixed stride — 15 to 25 % of the executor's time on the served tiles.
+/// [`transform_group_tile`] with the extents of the paper's two tiles as
+/// constants: the transform loops then unroll and the patch gather's
+/// phase split is a fixed shuffle — 15 to 25 % of the executor's time on
+/// the served tiles.
 #[inline(always)]
 fn winograd_fold_group_body(w: &mut WinogradLanes<'_>, stage_in: &[f32], ci0: usize) {
-    match (w.m.t.e, w.m.t.r) {
-        (2, 3) => fold_group_tile(w, stage_in, ci0, 2, 3),
-        (4, 3) => fold_group_tile(w, stage_in, ci0, 4, 3),
-        (e, r) => fold_group_tile(w, stage_in, ci0, e, r),
+    let group = match (w.m.e, w.m.r) {
+        (2, 3) => transform_group_tile(w, stage_in, 2, 3),
+        (4, 3) => transform_group_tile(w, stage_in, 4, 3),
+        (e, r) => transform_group_tile(w, stage_in, e, r),
+    };
+    // `Pi += P ∘ J`: the Hadamard does not depend on the tile.
+    let (aa, tiles) = (w.m.a() * w.m.a(), w.tiles_h * w.tiles_w);
+    let lanes = group * tiles;
+    let p = &w.p[..aa * lanes];
+    let j = &w.j_pack[ci0 * aa * w.z..][..group * aa * w.z];
+    let (ts, zs) = w.pi_strides();
+    let planes = w.pi.chunks_exact_mut(tiles * w.z);
+    for (pi_k, (p_k, j_k)) in planes.zip(p.chunks_exact(lanes).zip(j.chunks_exact(group * w.z))) {
+        let (p_k, j_k) = (Operand { v: p_k, len: tiles }, Operand { v: j_k, len: w.z });
+        if zs == 1 {
+            hadamard_plane(pi_k, p_k, j_k, ts);
+        } else {
+            hadamard_plane(pi_k, j_k, p_k, zs);
+        }
     }
 }
 
+/// `P = B^T d B` of a stage into `w.p`; returns the number of staged
+/// channels.
 #[inline(always)]
-fn fold_group_tile(w: &mut WinogradLanes<'_>, stage_in: &[f32], ci0: usize, e: usize, r: usize) {
+fn transform_group_tile(w: &mut WinogradLanes<'_>, stage_in: &[f32], e: usize, r: usize) -> usize {
     let a = e + r - 1;
     let (aa, tiles) = (a * a, w.tiles_h * w.tiles_w);
     // An input stage is the block plus its halo, by rows.
@@ -470,116 +483,166 @@ fn fold_group_tile(w: &mut WinogradLanes<'_>, stage_in: &[f32], ci0: usize, e: u
     let d = &mut w.operand[..aa * lanes];
     let left = &mut w.left[..a * lanes];
     // d[(dy, dx)][(channel, tile)]: the tiles' (overlapping) a x a
-    // patches. A patch row is one contiguous run of the stage; its `a`
-    // values go to the same lane of `a` consecutive rows of `d`.
+    // patches, gathered one stage row at a time.
     for (c, chan) in stage_in.chunks_exact(xp * yp).enumerate() {
-        for dy in 0..a {
-            let rows = &chan[dy * yp..];
-            let d_dy = &mut d[dy * a * lanes + c * tiles..];
-            for (t, &corner) in w.corners.iter().enumerate() {
-                let patch_row = &rows[corner..][..a];
-                for dx in 0..a {
-                    d_dy[dx * lanes + t] = patch_row[dx] as f64;
+        for th in 0..w.tiles_h {
+            for dy in 0..a {
+                let row = &chan[(th * e + dy) * yp..][..yp];
+                let dst = &mut d[dy * a * lanes + c * tiles + th * w.tiles_w..];
+                match w.tiles_w {
+                    8.. => gather_row::<8>(row, dst, lanes, w.tiles_w, e, a),
+                    4.. => gather_row::<4>(row, dst, lanes, w.tiles_w, e, a),
+                    _ => gather_row::<1>(row, dst, lanes, w.tiles_w, e, a),
                 }
             }
         }
     }
     // P = B^T d B, one row of B^T at a time: the left product's row is
     // consumed while it is still in L1.
-    for (bt_i, p_i) in w.m.t.bt.data.chunks_exact(a).zip(w.p.chunks_exact_mut(a * lanes)) {
+    for (bt_i, p_i) in w.m.bt.chunks_exact(a).zip(w.p.chunks_exact_mut(a * lanes)) {
         matmul_flat(bt_i, d, left, 1, a, a * lanes);
-        matmul_lanes_right(left, &w.m.bt_t.data, p_i, 1, a, a, lanes);
+        matmul_lanes_right(left, &w.m.bt_t, p_i, 1, a, a, lanes);
     }
-    let s = HadamardStage {
-        p: &w.p[..aa * lanes],
-        j: &w.j_pack[ci0 * aa * w.z..][..group * aa * w.z],
-        group,
-        tiles,
-        z: w.z,
-    };
-    let zc = hadamard_lanes::<16>(&mut w.pi, s, 0);
-    let zc = hadamard_lanes::<8>(&mut w.pi, s, zc);
-    let zc = hadamard_lanes::<4>(&mut w.pi, s, zc);
-    hadamard_lanes::<1>(&mut w.pi, s, zc);
+    group
 }
 
-/// What the Hadamard-accumulate of one stage reads: `P` and `J` of the
-/// `group` staged channels (layouts as in [`WinogradLanes`]).
-#[derive(Clone, Copy)]
-struct HadamardStage<'a> {
-    p: &'a [f64],
-    j: &'a [f64],
-    group: usize,
-    tiles: usize,
-    z: usize,
-}
-
-/// Tiles per Hadamard micro-step.
-const TT: usize = 4;
-
-/// Runs `L`-lane Hadamard micro-steps over channels `zc..` while a whole
-/// chunk of `L` fits below `z`; returns the first channel left over.
+/// One stage row's share of the patches of a tile row: for every tile
+/// `tw < tiles_w` and patch column `dx < a`,
+/// `dst[dx * lanes + tw] = row[tw * e + dx]`. Along the tile row, patch
+/// column `dx` is every `e`-th value of the row from `dx` on, so the row
+/// is split into its `e` phases (`phase[q][k] = row[k * e + q]`) and
+/// column `dx` is phase `dx % e` from `dx / e` on. `C <= tiles_w` tiles
+/// go at a time: with `e` and `a` constant, the split is a fixed shuffle
+/// and each column one vector copy. The chunks start at 0, `C`, `2C`, …
+/// and the last one ends flush with the tile row, rewriting the values
+/// it shares with the one before it.
 #[inline(always)]
-fn hadamard_lanes<const L: usize>(pi: &mut [f64], s: HadamardStage<'_>, mut zc: usize) -> usize {
-    while zc + L <= s.z {
-        // Coefficient by coefficient: a (tiles x group) by (group x z)
-        // product into the coefficient's plane of `Pi`.
-        let planes = pi.chunks_exact_mut(s.tiles * s.z);
-        let stage = s.p.chunks_exact(s.group * s.tiles).zip(s.j.chunks_exact(s.group * s.z));
-        for (pi_k, (p_k, j_k)) in planes.zip(stage) {
-            let mut tile = 0;
-            while tile + TT <= s.tiles {
-                hadamard_step::<TT, L>(pi_k, p_k, j_k, s, tile, zc);
-                tile += TT;
-            }
-            while tile < s.tiles {
-                hadamard_step::<1, L>(pi_k, p_k, j_k, s, tile, zc);
-                tile += 1;
-            }
-        }
-        zc += L;
-    }
-    zc
-}
-
-/// The register tile: `T` tiles x `L` channel lanes of one coefficient
-/// plane of `Pi`, loaded once, folded over the staged channels in
-/// ascending order and stored once. Each lane of each tile is one `Pi`
-/// element's own serial fold — `pi += p * j` is a separately rounded
-/// multiply and add, no FMA — so neither `T`, `L` nor the group size can
-/// change a bit.
-#[inline(always)]
-fn hadamard_step<const T: usize, const L: usize>(
-    pi_k: &mut [f64],
-    p_k: &[f64],
-    j_k: &[f64],
-    s: HadamardStage<'_>,
-    tile: usize,
-    zc: usize,
+fn gather_row<const C: usize>(
+    row: &[f32],
+    dst: &mut [f32],
+    lanes: usize,
+    tiles_w: usize,
+    e: usize,
+    a: usize,
 ) {
-    let mut acc = [[0.0f64; L]; T];
-    for (t, a) in acc.iter_mut().enumerate() {
-        a.copy_from_slice(&pi_k[(tile + t) * s.z + zc..][..L]);
+    let mut phase = [[0.0f32; PHASE_LEN]; MAX_A];
+    let mut tw0 = 0;
+    loop {
+        let start = tw0.min(tiles_w - C);
+        let src = &row[start * e..][..(C - 1) * e + a];
+        for (k, v) in src.chunks(e).enumerate() {
+            for (q, &v) in v.iter().enumerate() {
+                phase[q][k] = v;
+            }
+        }
+        for dx in 0..a {
+            let from = &phase[dx % e][dx / e..][..C];
+            dst[dx * lanes + start..][..C].copy_from_slice(from);
+        }
+        if start + C == tiles_w {
+            break;
+        }
+        tw0 += C;
     }
-    // The same `T` tiles and `L` lanes of every staged channel.
-    let p = p_k[tile..].windows(T).step_by(s.tiles);
-    let j = j_k[zc..].windows(L).step_by(s.z);
-    for (p, j) in p.zip(j) {
-        for t in 0..T {
-            for l in 0..L {
-                acc[t][l] += p[t] * j[l];
+}
+
+/// Bounds of [`gather_row`]'s phase buffer: `e <= a <= MAX_A`, and a
+/// chunk of at most 8 tiles spans `8 + (a - 1) / e <= PHASE_LEN` values
+/// of a phase.
+const MAX_A: usize = 16;
+const PHASE_LEN: usize = 8 + MAX_A;
+
+/// One factor of a coefficient's Hadamard product: `len` values per
+/// staged channel, channel `c` at `v[c * len..]` — `P` (a value per
+/// tile) or `J` (a value per output channel).
+#[derive(Clone, Copy)]
+struct Operand<'a> {
+    v: &'a [f32],
+    len: usize,
+}
+
+/// `pi_k[row * stride + lane] += rows[c][row] * lanes[c][lane]` over
+/// the staged channels `c` ascending, for one coefficient's plane of
+/// `Pi`: whichever of `P` and `J` has its values on `Pi`'s SIMD lanes is
+/// `lanes`. The lanes go 16, 8, 4, 1 at a time, with 4 rows per step at
+/// 16 lanes (four independent 16-lane add chains) and 8 at fewer, then
+/// 4- and 1-row steps for what is left.
+#[inline(always)]
+fn hadamard_plane(pi_k: &mut [f32], rows: Operand<'_>, lanes: Operand<'_>, stride: usize) {
+    let l = hadamard_lanes::<4, 16>(pi_k, rows, lanes, stride, 0);
+    let l = hadamard_lanes::<8, 8>(pi_k, rows, lanes, stride, l);
+    let l = hadamard_lanes::<8, 4>(pi_k, rows, lanes, stride, l);
+    hadamard_lanes::<4, 1>(pi_k, rows, lanes, stride, l);
+}
+
+/// Runs `R`-row x `L`-lane Hadamard micro-steps over lanes `l..` while
+/// a whole chunk of `L` fits; returns the first lane left over.
+#[inline(always)]
+fn hadamard_lanes<const R: usize, const L: usize>(
+    pi_k: &mut [f32],
+    rows: Operand<'_>,
+    lanes: Operand<'_>,
+    stride: usize,
+    mut l: usize,
+) -> usize {
+    while l + L <= lanes.len {
+        let mut row = 0;
+        while row + R <= rows.len {
+            hadamard_step::<R, L>(pi_k, rows, lanes, stride, row, l);
+            row += R;
+        }
+        while row + 4 <= rows.len {
+            hadamard_step::<4, L>(pi_k, rows, lanes, stride, row, l);
+            row += 4;
+        }
+        while row < rows.len {
+            hadamard_step::<1, L>(pi_k, rows, lanes, stride, row, l);
+            row += 1;
+        }
+        l += L;
+    }
+    l
+}
+
+/// The register tile: `R` rows x `L` lanes of one coefficient plane of
+/// `Pi`, loaded once, folded over the staged channels in ascending order
+/// and stored once. Each lane of each row is one `Pi` element's own
+/// serial fold — `pi += p * j` is a separately rounded multiply and add,
+/// no FMA, and which factor is on the lanes does not matter to an
+/// exactly rounded multiply — so neither `R`, `L`, the orientation nor
+/// the group size can change a bit.
+#[inline(always)]
+fn hadamard_step<const R: usize, const L: usize>(
+    pi_k: &mut [f32],
+    rows: Operand<'_>,
+    lanes: Operand<'_>,
+    stride: usize,
+    row: usize,
+    l: usize,
+) {
+    let mut acc = [[0.0f32; L]; R];
+    for (i, a) in acc.iter_mut().enumerate() {
+        a.copy_from_slice(&pi_k[(row + i) * stride + l..][..L]);
+    }
+    // The same `R` rows and `L` lanes of every staged channel.
+    let r = rows.v[row..].windows(R).step_by(rows.len);
+    let v = lanes.v[l..].windows(L).step_by(lanes.len);
+    for (r, v) in r.zip(v) {
+        for i in 0..R {
+            for k in 0..L {
+                acc[i][k] += r[i] * v[k];
             }
         }
     }
-    for (t, a) in acc.iter().enumerate() {
-        pi_k[(tile + t) * s.z + zc..][..L].copy_from_slice(a);
+    for (i, a) in acc.iter().enumerate() {
+        pi_k[(row + i) * stride + l..][..L].copy_from_slice(a);
     }
 }
 
 isa_dispatched! {
     /// Inverse-transforms the block: `Y = A^T Pi A` for every (tile,
-    /// channel) at once, rounded to `f32` into the `(zc, oy, ox)`
-    /// resident tile the write-back expects.
+    /// channel) at once, into the `(zc, oy, ox)` resident tile the
+    /// write-back expects.
     fn winograd_output, winograd_output_on = winograd_output_body(
         w: &mut WinogradLanes<'_>,
         block_tile: &mut [f32],
@@ -588,13 +651,14 @@ isa_dispatched! {
 
 #[inline(always)]
 fn winograd_output_body(w: &mut WinogradLanes<'_>, block_tile: &mut [f32]) {
-    let (e, a, z) = (w.m.t.e, w.m.t.a(), w.z);
+    let (e, a, z) = (w.m.e, w.m.a(), w.z);
     let tiles = w.tiles_h * w.tiles_w;
     let lanes = tiles * z;
     let left = &mut w.left[..e * a * lanes];
-    matmul_flat(&w.m.t.at.data, &w.pi, left, e, a, a * lanes);
-    matmul_lanes_right(left, &w.m.at_t.data, &mut w.y, e, a, e, lanes);
+    matmul_flat(&w.m.at, &w.pi, left, e, a, a * lanes);
+    matmul_lanes_right(left, &w.m.at_t, &mut w.y, e, a, e, lanes);
     let (x, y) = (w.tiles_h * e, w.tiles_w * e);
+    let (ts, zs) = w.pi_strides();
     for zc in 0..z {
         for th in 0..w.tiles_h {
             for dy in 0..e {
@@ -602,7 +666,7 @@ fn winograd_output_body(w: &mut WinogradLanes<'_>, block_tile: &mut [f32]) {
                 for tw in 0..w.tiles_w {
                     let tile = th * w.tiles_w + tw;
                     for dx in 0..e {
-                        row[tw * e + dx] = w.y[((dy * e + dx) * tiles + tile) * z + zc] as f32;
+                        row[tw * e + dx] = w.y[(dy * e + dx) * lanes + tile * ts + zc * zs];
                     }
                 }
             }
@@ -631,9 +695,9 @@ mod tests {
     /// "ISA tier never changes a bit", checked: the dispatcher only ever
     /// runs the widest clone the host has, so run every clone it has on
     /// the same stage and diff what they leave behind — the direct
-    /// tile, and for Winograd the packed `J`, the running `Pi` (both
-    /// `f64`, before any rounding to `f32` could hide a difference) and
-    /// the inverse-transformed block.
+    /// tile, and for Winograd the packed `J`, the running `Pi` (before
+    /// the inverse transform could absorb a difference) and the
+    /// inverse-transformed block.
     #[test]
     fn every_isa_tier_computes_the_same_bits() {
         let mut rng = StdRng::seed_from_u64(21);
@@ -659,12 +723,13 @@ mod tests {
             acc.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
         };
 
-        // Winograd: 3 x 3 tiles (two 4-tile steps and a tail), z = 29,
-        // 11 channels (a full stage and a stage of 3).
+        // Winograd: 3 x 3 tiles (two 4-tile steps and a tail at 16 lanes,
+        // an 8-tile step and a tail at 8 and 4), z = 29 (16 + 8 + 4 + 1
+        // lanes), 11 channels (a full stage and a stage of 3).
         let (tiles_h, tiles_w, cin) = (3, 3, 11);
         let weights = Tensor4::random(z, cin, 3, 3, &mut rng);
         let winograd = |isa, tile: (usize, usize)| {
-            let m = WinogradMats::generate(tile.0, tile.1);
+            let m = TransformsF32::generate(tile.0, tile.1);
             let (xp, yp) = (tiles_h * tile.0 + tile.1 - 1, tiles_w * tile.0 + tile.1 - 1);
             let stage_in = random(cin * xp * yp, &mut StdRng::seed_from_u64(23));
             let mut w = WinogradLanes::new(&m, cin, z, tiles_h, tiles_w);
@@ -674,12 +739,8 @@ mod tests {
             }
             let mut block = vec![0.0f32; z * tiles_h * tiles_w * tile.0 * tile.0];
             winograd_output_on(isa, &mut w, &mut block);
-            let f64_bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
-            (
-                f64_bits(&w.j_pack),
-                f64_bits(&w.pi),
-                block.iter().map(|v| v.to_bits()).collect::<Vec<u32>>(),
-            )
+            let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+            (bits(&w.j_pack), bits(&w.pi), bits(&block))
         };
 
         let tiers = tiers();

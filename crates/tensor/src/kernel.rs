@@ -2,22 +2,21 @@
 //! point runs, and the scalar path the tests hold it to.
 //!
 //! Every kernel in this crate keeps **one fold order per output
-//! element**: each `C[i][j]` (GEMM) or transform coefficient (Winograd)
-//! is a serial left-fold whose term order never depends on the path,
-//! the micro-tile shape, or the thread count. Vectorization only maps
-//! *independent* element folds onto SIMD lanes — IEEE-754 `f32`/`f64`
-//! mul/add are exactly rounded at any lane width, so the vector path is
-//! **bit-identical** to the scalar one (property-tested in
-//! `tests/proptest_kernels.rs`, diffed end-to-end in the workspace
-//! determinism suite).
+//! element**: each `C[i][j]` of a GEMM is a serial left-fold whose term
+//! order never depends on the path, the micro-tile shape, or the thread
+//! count. Vectorization only maps *independent* element folds onto SIMD
+//! lanes — IEEE-754 `f32` mul/add are exactly rounded at any lane width,
+//! so the vector path is **bit-identical** to the scalar one
+//! (property-tested in `tests/proptest_kernels.rs`, diffed end-to-end in
+//! the workspace determinism suite).
 //!
-//! [`KernelPath`] is not a runtime mode. `gemm`, `conv2d_im2col` and
-//! `conv2d_winograd` always run [`KernelPath::Vector`]; the scalar tier
-//! is the test oracle, reached only through the explicit `*_with_path`
-//! functions, whose output the tests diff against the vector path's by
-//! `to_bits` and against `conv2d_reference`. The dataflow executors take
-//! no path: they have one arm, held by `to_bits` to oracles outside them
-//! (`conv_ref::conv2d_channel_staged` and `conv2d_winograd`).
+//! [`KernelPath`] is not a runtime mode. `gemm` and `conv2d_im2col`
+//! always run [`KernelPath::Vector`]; the scalar tier is the test oracle,
+//! reached only through the explicit `*_with_path` functions, whose
+//! output the tests diff against the vector path's by `to_bits` and
+//! against `conv2d_reference`. `conv2d_winograd` has one path, and so do
+//! the dataflow executors: they are held by `to_bits` to oracles outside
+//! them (`conv_ref::conv2d_channel_staged` and `conv2d_winograd`).
 //!
 //! Which instruction set the vector path's bodies are *compiled for* is
 //! a separate, run-time question answered in one place: [`Isa::detect`].

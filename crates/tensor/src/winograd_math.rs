@@ -106,21 +106,21 @@ impl Mat {
     }
 }
 
-/// `out = lhs * rhs` over flat row-major `f64` slices (`m x k` times
-/// `k x n`), preserving [`Mat::matmul`]'s fold order **exactly**: for
+/// `out = lhs * rhs` over flat row-major `f32` slices (`m x k` times
+/// `k x n`), in [`Mat::matmul`]'s fold order **exactly**: for
 /// each output row, `k` ascends and rows of `rhs` whose `lhs`
 /// coefficient is zero are skipped, so every `out[i][j]` sees the same
 /// terms in the same order as [`Mat::matmul`] (the skip matters —
 /// `-0.0 + 0.0*b` can flip a sign bit). The inner loop is a unit-stride
 /// axpy over the output row: independent element folds side by side,
 /// the shape the autovectorizer maps onto SIMD lanes. This is the
-/// allocation-free substrate of the vectorized Winograd paths.
+/// allocation-free substrate of both `f32` Winograd convolutions.
 ///
 /// `#[inline(always)]` so a caller compiled for a wider instruction set
 /// (an [`Isa`](crate::kernel::Isa) clone) gets this loop nest compiled
 /// for it too, not a call into the baseline build.
 #[inline(always)]
-pub fn matmul_flat(lhs: &[f64], rhs: &[f64], out: &mut [f64], m: usize, k: usize, n: usize) {
+pub fn matmul_flat(lhs: &[f32], rhs: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(lhs.len(), m * k);
     debug_assert_eq!(rhs.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
@@ -163,9 +163,9 @@ pub fn matmul_flat(lhs: &[f64], rhs: &[f64], out: &mut [f64], m: usize, k: usize
 /// `#[inline(always)]` for the same reason as [`matmul_flat`].
 #[inline(always)]
 pub fn matmul_lanes_right(
-    src: &[f64],
-    coef: &[f64],
-    out: &mut [f64],
+    src: &[f32],
+    coef: &[f32],
+    out: &mut [f32],
     m: usize,
     k: usize,
     n: usize,
@@ -185,9 +185,9 @@ pub fn matmul_lanes_right(
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn lanes_right_blocks<const W: usize>(
-    src: &[f64],
-    coef: &[f64],
-    out: &mut [f64],
+    src: &[f32],
+    coef: &[f32],
+    out: &mut [f32],
     m: usize,
     k: usize,
     n: usize,
@@ -197,7 +197,7 @@ fn lanes_right_blocks<const W: usize>(
     while l + W <= lanes {
         for i in 0..m {
             for j in 0..n {
-                let mut acc = [0.0f64; W];
+                let mut acc = [0.0f32; W];
                 for p in 0..k {
                     let c = coef[p * n + j];
                     let s = &src[(i * k + p) * lanes + l..][..W];
@@ -278,6 +278,49 @@ pub struct Transforms {
 }
 
 impl Transforms {
+    /// Input tile edge `a = e + r - 1`.
+    pub fn a(&self) -> usize {
+        self.e + self.r - 1
+    }
+}
+
+/// The [`generate`]d `F(e, r)` transforms rounded to `f32` once, each
+/// beside its transpose (the right-hand factor of its two-sided
+/// product), flat row-major. Both `f32` Winograd convolutions — the
+/// tensor-level `conv2d_winograd` and the dataflow executor — read their
+/// coefficients from here, so no coefficient can round one way in one
+/// and another way in the other.
+#[derive(Debug, Clone)]
+pub struct TransformsF32 {
+    pub e: usize,
+    pub r: usize,
+    /// `B^T` (`a x a`) and `B`.
+    pub bt: Vec<f32>,
+    pub bt_t: Vec<f32>,
+    /// `G` (`a x r`) and `G^T`.
+    pub g: Vec<f32>,
+    pub g_t: Vec<f32>,
+    /// `A^T` (`e x a`) and `A`.
+    pub at: Vec<f32>,
+    pub at_t: Vec<f32>,
+}
+
+impl TransformsF32 {
+    pub fn generate(e: usize, r: usize) -> Self {
+        let t = generate(e, r);
+        let round = |m: &Mat| m.data.iter().map(|&v| v as f32).collect::<Vec<f32>>();
+        Self {
+            e,
+            r,
+            bt: round(&t.bt),
+            bt_t: round(&t.bt.t()),
+            g: round(&t.g),
+            g_t: round(&t.g.t()),
+            at: round(&t.at),
+            at_t: round(&t.at.t()),
+        }
+    }
+
     /// Input tile edge `a = e + r - 1`.
     pub fn a(&self) -> usize {
         self.e + self.r - 1
@@ -566,46 +609,47 @@ mod tests {
         assert_eq!(h.data, vec![0.0, 2.0, 3.0, 0.0]);
     }
 
-    /// `lanes` matrices of `rows x cols` in the flat lane-minor layout,
-    /// seeded with the values the batched products must not trip on:
-    /// both zeros, pairs that cancel exactly, and ordinary fractions.
-    fn lane_matrices(rows: usize, cols: usize, lanes: usize, rng: &mut StdRng) -> Vec<Mat> {
-        (0..lanes)
-            .map(|_| {
-                let mut m = Mat::zeros(rows, cols);
-                for v in m.data.iter_mut() {
-                    *v = match rng.gen_range(0..6) {
-                        0 => 0.0,
-                        1 => -0.0,
-                        2 => 1.0,
-                        3 => -1.0,
-                        _ => rng.gen_range(-1.0..1.0f32) as f64,
-                    };
-                }
-                m
-            })
-            .collect()
+    /// `lanes` matrices of `len` elements each, seeded with the values
+    /// the batched products must not trip on: both zeros, pairs that
+    /// cancel exactly, and ordinary fractions.
+    fn lane_matrices(len: usize, lanes: usize, rng: &mut StdRng) -> Vec<Vec<f32>> {
+        let mut value = || match rng.gen_range(0..6) {
+            0 => 0.0,
+            1 => -0.0,
+            2 => 1.0,
+            3 => -1.0,
+            _ => rng.gen_range(-1.0..1.0f32),
+        };
+        (0..lanes).map(|_| (0..len).map(|_| value()).collect()).collect()
     }
 
-    fn interleave(mats: &[Mat]) -> Vec<f64> {
-        let len = mats[0].data.len();
-        (0..len).flat_map(|at| mats.iter().map(move |m| m.data[at])).collect()
+    /// The matrices interleaved lane-minor: `flat[at * lanes + lane]`.
+    fn interleave(mats: &[Vec<f32>]) -> Vec<f32> {
+        (0..mats[0].len()).flat_map(|at| mats.iter().map(move |m| m[at])).collect()
     }
 
     /// `left * data * right` for every lane at once — [`matmul_flat`]
     /// over widened columns, then [`matmul_lanes_right`] — against the
-    /// per-matrix [`Mat::matmul`] chain, bit for bit.
-    fn check_two_sided(left: &Mat, right: &Mat, lanes: usize, rng: &mut StdRng) {
-        let (m, k, n) = (left.rows, left.cols, right.cols);
-        let data = lane_matrices(k, right.rows, lanes, rng);
-        let flat = interleave(&data);
-        let mut half = vec![0.0; m * right.rows * lanes];
-        matmul_flat(&left.data, &flat, &mut half, m, k, right.rows * lanes);
-        let mut got = vec![f64::NAN; m * n * lanes];
-        matmul_lanes_right(&half, &right.data, &mut got, m, right.rows, n, lanes);
+    /// per-matrix chain of two [`matmul_flat`]s (the second of which
+    /// skips zero *data* terms, as [`Mat::matmul`] does), bit for bit.
+    /// `left` is `m x k`, `right` is `k2 x n`.
+    fn check_two_sided(
+        left: &[f32],
+        right: &[f32],
+        (m, k, k2, n): Dims,
+        lanes: usize,
+        rng: &mut StdRng,
+    ) {
+        let data = lane_matrices(k * k2, lanes, rng);
+        let mut half = vec![0.0; m * k2 * lanes];
+        matmul_flat(left, &interleave(&data), &mut half, m, k, k2 * lanes);
+        let mut got = vec![f32::NAN; m * n * lanes];
+        matmul_lanes_right(&half, right, &mut got, m, k2, n, lanes);
         for (l, d) in data.iter().enumerate() {
-            let want = left.matmul(d).matmul(right);
-            for (at, w) in want.data.iter().enumerate() {
+            let (mut tmp, mut want) = (vec![0.0; m * k2], vec![0.0; m * n]);
+            matmul_flat(left, d, &mut tmp, m, k, k2);
+            matmul_flat(&tmp, right, &mut want, m, k2, n);
+            for (at, w) in want.iter().enumerate() {
                 assert_eq!(
                     got[at * lanes + l].to_bits(),
                     w.to_bits(),
@@ -616,31 +660,34 @@ mod tests {
         }
     }
 
+    type Dims = (usize, usize, usize, usize);
+
     #[test]
     fn batched_transforms_equal_the_per_matrix_chain_bitwise() {
         let mut rng = StdRng::seed_from_u64(11);
         for (e, r) in [(2, 3), (4, 3)] {
-            let t = generate(e, r);
+            let t = TransformsF32::generate(e, r);
+            let a = t.a();
             for lanes in [1, 3, 8, 28, 49] {
-                check_two_sided(&t.bt, &t.bt.t(), lanes, &mut rng); // B^T d B
-                check_two_sided(&t.g, &t.g.t(), lanes, &mut rng); // G g G^T
-                check_two_sided(&t.at, &t.at.t(), lanes, &mut rng); // A^T Pi A
+                check_two_sided(&t.bt, &t.bt_t, (a, a, a, a), lanes, &mut rng); // B^T d B
+                check_two_sided(&t.g, &t.g_t, (a, r, r, a), lanes, &mut rng); // G g G^T
+                check_two_sided(&t.at, &t.at_t, (e, a, a, e), lanes, &mut rng); // A^T Pi A
             }
         }
     }
 
     /// The case the dense right product has to get right: a zero
-    /// *data* term, which [`Mat::matmul`] skips and the dense fold adds
+    /// *data* term, which [`matmul_flat`] skips and the dense fold adds
     /// as `-0.0 * c = ∓0.0` — onto an accumulator that is `+0.0`, not
     /// `-0.0`, so both end on `+0.0`.
     #[test]
     fn dense_right_product_keeps_the_sign_of_zero() {
-        let tmp = Mat::from_rows(&[&[-0.0, 1.0]]);
-        let coef = Mat::from_rows(&[&[1.0, -1.0], &[0.0, -0.0]]);
-        let want = tmp.matmul(&coef);
-        let mut got = [f64::NAN; 2];
-        matmul_lanes_right(&tmp.data, &coef.data, &mut got, 1, 2, 2, 1);
-        assert_eq!(got.map(f64::to_bits), [want.data[0].to_bits(), want.data[1].to_bits()]);
+        let (tmp, coef) = ([-0.0, 1.0], [1.0, -1.0, 0.0, -0.0]);
+        let mut want = [f32::NAN; 2];
+        matmul_flat(&tmp, &coef, &mut want, 1, 2, 2);
+        let mut got = [f32::NAN; 2];
+        matmul_lanes_right(&tmp, &coef, &mut got, 1, 2, 2, 1);
+        assert_eq!(got.map(f32::to_bits), want.map(f32::to_bits));
     }
 
     #[test]

@@ -11,7 +11,6 @@ use iolb_tensor::im2col::{conv2d_im2col, conv2d_im2col_with_path};
 use iolb_tensor::kernel::KernelPath;
 use iolb_tensor::layout::Layout;
 use iolb_tensor::tensor::Tensor4;
-use iolb_tensor::winograd_conv::{conv2d_winograd_with_plan_path, WinogradPlan};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -115,32 +114,6 @@ proptest! {
         let params = ConvParams { stride, pad };
         let scalar = conv2d_im2col_with_path(&input, &weights, params, threads, KernelPath::Scalar);
         let vector = conv2d_im2col_with_path(&input, &weights, params, threads, KernelPath::Vector);
-        prop_assert_eq!((scalar.n, scalar.c, scalar.h, scalar.w), (vector.n, vector.c, vector.h, vector.w));
-        for (s, v) in scalar.as_slice().iter().zip(vector.as_slice()) {
-            prop_assert_eq!(s.to_bits(), v.to_bits());
-        }
-    }
-
-    /// Winograd convolution on the vector path matches the scalar
-    /// oracle bit-for-bit across tile sizes F(2,3)/F(4,3) and shapes
-    /// that leave partial tiles at the right/bottom edges.
-    #[test]
-    fn winograd_paths_bit_identical(
-        n in 1usize..3,
-        cin in 1usize..4,
-        cout in 1usize..5,
-        hw in 6usize..14,
-        e in 2usize..5,
-        pad in 0usize..2,
-        seed in 0u64..1000,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let input = random_tensor(&mut rng, n, cin, hw, hw);
-        let weights = random_tensor(&mut rng, cout, cin, 3, 3);
-        let params = ConvParams { stride: 1, pad };
-        let plan = WinogradPlan::new(&weights, e);
-        let scalar = conv2d_winograd_with_plan_path(&input, &plan, params, KernelPath::Scalar);
-        let vector = conv2d_winograd_with_plan_path(&input, &plan, params, KernelPath::Vector);
         prop_assert_eq!((scalar.n, scalar.c, scalar.h, scalar.w), (vector.n, vector.c, vector.h, vector.w));
         for (s, v) in scalar.as_slice().iter().zip(vector.as_slice()) {
             prop_assert_eq!(s.to_bits(), v.to_bits());

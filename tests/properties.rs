@@ -314,13 +314,14 @@ proptest! {
     /// workers; and batch 2, so a worker meets a block-channel group
     /// twice and repacks its kernels.
     ///
-    /// Both sides fold in `f64` and round to `f32` once, which hides a
-    /// last-place `f64` difference from all but one output in 2^29. So
-    /// three cases in four run on channels that cancel: the second half
-    /// of the input is minus the first on the same kernels (an odd
-    /// channel out is `±0.0`), every sum comes down to its own rounding
-    /// residue, and a fused multiply-add or a reordered fold shows in
-    /// every bit of the output.
+    /// Both sides fold in `f32` from `P` to `Y`, so there is no final
+    /// rounding to hide a last-place difference in: it reaches the output
+    /// through `A^T Pi A`, though an add with a larger neighbour term can
+    /// still absorb it. So three cases in four run on channels that
+    /// cancel: the second half of the input is minus the first on the
+    /// same kernels (an odd channel out is `±0.0`), every `Pi` sum comes
+    /// down to its own rounding residue, and a fused multiply-add or a
+    /// reordered fold shows in every bit of the output.
     #[test]
     fn winograd_executor_bits_equal_the_oracle(
         channels in (0usize..7, 1usize..=2, 0usize..6),
