@@ -255,6 +255,20 @@ mod tests {
         m
     }
 
+    /// Per-element GEMM: `k` ascending from `0.0`. The blocked GEMM folds
+    /// the same way while `k` stays inside one K block, as it does here.
+    fn gemm_oracle(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
+        for i in 0..a.rows {
+            for j in 0..b.cols {
+                let mut acc = 0.0f32;
+                for p in 0..a.cols {
+                    acc += a.at(i, p) * b.at(p, j);
+                }
+                c[i * b.cols + j] = 0.0 + acc;
+            }
+        }
+    }
+
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|f| f.to_bits()).collect()
     }
@@ -290,7 +304,7 @@ mod tests {
     }
 
     /// `conv2d_im2col` gives the oracle pipeline's bits (per-element
-    /// unroll, per-element weight gather, the same GEMM) on both paths,
+    /// unroll, per-element weight gather, per-element GEMM) on both paths,
     /// whatever the layout of the input and of the weights: `Chw` kernels
     /// are already the GEMM's A operand, `Cwh`/`Hwc` ones are not, and a
     /// `kh != kw` kernel tells the two apart.
@@ -312,7 +326,7 @@ mod tests {
                         let mut want = vec![0.0f32; got.len()];
                         for (n, dst) in want.chunks_exact_mut(got.len() / input.n).enumerate() {
                             let (m, rows, cols) = im2col_oracle(&input, n, 3, 2, params);
-                            gemm_with_path(a, MatRef::new(&m, rows, cols), dst, 1, path);
+                            gemm_oracle(a, MatRef::new(&m, rows, cols), dst);
                         }
                         assert_eq!(
                             bits(got.as_slice()),

@@ -1,9 +1,9 @@
 //! Property tests for the numerics substrate: all convolution paths agree,
-//! Winograd transforms are exact for arbitrary F(e, r), GEMM matches the
-//! naive triple loop, layouts round-trip.
+//! Winograd transforms are exact for arbitrary F(e, r), GEMM equals its
+//! per-element oracle bit for bit, layouts round-trip.
 
 use iolb_tensor::conv_ref::{conv2d_reference, ConvParams};
-use iolb_tensor::gemm::{gemm, gemm_naive, MatRef};
+use iolb_tensor::gemm::{gemm, MatRef};
 use iolb_tensor::im2col::conv2d_im2col;
 use iolb_tensor::layout::Layout;
 use iolb_tensor::tensor::Tensor4;
@@ -13,28 +13,69 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The GEMM's K block: its blocked loop nest adds one fresh partial sum
+/// into `C` per `KC` terms.
+const KC: usize = 512;
+
+/// Every `C[i][j]` folded as the blocked GEMM folds it: `k` ascending
+/// into a partial sum from `0.0`, restarted every `KC` terms, each
+/// block's sum added into an output that starts at `0.0`.
+fn gemm_oracle(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            for block in (0..k).step_by(KC) {
+                let mut acc = 0.0f32;
+                for p in block..k.min(block + KC) {
+                    acc += a[i * k + p] * b[p * n + j];
+                }
+                c[i * n + j] += acc;
+            }
+        }
+    }
+    c
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// GEMM equals the naive triple loop for arbitrary sizes and thread
-    /// counts.
+    /// GEMM equals its oracle bit for bit: arbitrary small sizes, `k`
+    /// straddling one `KC` block, and shapes big enough for the row-band
+    /// workers; at any thread count, on uniform values or on adversarial
+    /// ones (signed zeros, denormals, magnitudes near 1e6 that make the
+    /// fold order show in the low mantissa bits).
     #[test]
-    fn gemm_equals_naive(
-        m in 1usize..24,
-        k in 1usize..24,
-        n in 1usize..24,
+    fn gemm_bits_equal_the_oracle(
+        shape in prop_oneof![
+            (1usize..24, 1usize..24, 1usize..24),
+            (1usize..6, KC - 8..KC + 40, 1usize..10),
+            (64usize..72, 1usize..8, 64usize..72),
+        ],
         threads in 1usize..5,
+        adversarial in any::<bool>(),
         seed in 0u64..1000,
     ) {
+        let (m, k, n) = shape;
         let mut rng = StdRng::seed_from_u64(seed);
-        let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let mut want = vec![0.0; m * n];
-        gemm_naive(MatRef::new(&a, m, k), MatRef::new(&b, k, n), &mut want);
+        let value = |rng: &mut StdRng| -> f32 {
+            match if adversarial { rng.gen_range(0u8..6) } else { 5 } {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::MIN_POSITIVE / 2.0, // denormal
+                3 => rng.gen_range(-1e6..1e6),
+                _ => rng.gen_range(-1.0..1.0),
+            }
+        };
+        let a: Vec<f32> = (0..m * k).map(|_| value(&mut rng)).collect();
+        let b: Vec<f32> = (0..k * n).map(|_| value(&mut rng)).collect();
+        let want = gemm_oracle(&a, &b, m, k, n);
         let mut got = vec![0.0; m * n];
         gemm(MatRef::new(&a, m, k), MatRef::new(&b, k, n), &mut got, threads);
-        for (g, w) in got.iter().zip(&want) {
-            prop_assert!((g - w).abs() <= 1e-3 + 1e-4 * w.abs());
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(
+                g.to_bits(), w.to_bits(),
+                "element {} of {}x{}x{} ({} threads): {} vs {}", i, m, k, n, threads, g, w
+            );
         }
     }
 
