@@ -27,8 +27,11 @@ impl ConvParams {
     }
 
     /// Output spatial extent for an input extent and kernel extent.
+    /// Panics if the kernel does not fit in the padded input.
     pub fn out_extent(&self, in_extent: usize, k: usize) -> usize {
-        (in_extent + 2 * self.pad - k) / self.stride + 1
+        let padded = in_extent + 2 * self.pad;
+        assert!(padded >= k, "kernel extent {k} exceeds the padded input extent {padded}");
+        (padded - k) / self.stride + 1
     }
 }
 
@@ -255,5 +258,15 @@ mod tests {
             *v *= 2.0;
         }
         assert!(out2.approx_eq(&doubled, 1e-5, 1e-6));
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel extent 3 exceeds the padded input extent 2")]
+    fn kernel_larger_than_padded_input_panics() {
+        let _ = conv2d_reference(
+            &Tensor4::zeros(1, 1, 2, 2),
+            &Tensor4::zeros(1, 1, 3, 3),
+            ConvParams::unit(),
+        );
     }
 }

@@ -3,28 +3,25 @@
 //! This is the compute substrate behind the im2col convolution path (the
 //! cuDNN-style baseline); the Winograd paths run their elementwise stage
 //! with their own batched kernels, not through here. It uses classic
-//! cache blocking (MC x KC x NC macro-tiles) with two register
-//! micro-kernels selected by [`KernelPath`]:
+//! cache blocking (MC x KC x NC macro-tiles) around one register
+//! micro-kernel: a 6-row micro-tile with fixed-width `[f32; LANES]` lane
+//! accumulators and unrolled K-steps, written so the autovectorizer must
+//! keep each output element in a SIMD lane. On `x86_64` the same body is
+//! dispatched (by [`Isa::detect`]) to a `6x32` clone compiled with
+//! 512-bit vectors when AVX-512F is present, else a `6x16` AVX2 clone,
+//! else the `6x16` baseline build; no FMA — fused multiply-add would
+//! change rounding.
 //!
-//! * **scalar** — the reference `4x8` element-loop kernel;
-//! * **vector** — a 6-row micro-tile with fixed-width `[f32; LANES]`
-//!   lane accumulators and unrolled K-steps, written so the
-//!   autovectorizer must keep each output element in a SIMD lane. On
-//!   `x86_64` the same body is dispatched (by [`Isa::detect`])
-//!   to a `6x32` clone compiled with 512-bit vectors when AVX-512F is
-//!   present, else a `6x16` AVX2 clone, else the `6x16` baseline
-//!   build; no FMA — fused multiply-add would change rounding.
-//!
-//! Both kernels accumulate every `C[i][j]` as a serial left-fold over
-//! `k` in ascending order, one accumulator per element, so the paths
-//! are **bit-identical** — the micro-tile shape only changes *which*
-//! independent folds run together, never the order of terms within one.
-//! The M dimension is split across rayon workers — each worker owns a
-//! disjoint row band of `C`, so no synchronisation is needed and the
-//! result is bit-identical to the serial computation regardless of
-//! thread count.
+//! Every `C[i][j]` is a serial left-fold over `k` in ascending order, one
+//! accumulator per element and `KC` block, so the micro-tile shape and
+//! the lane width only change *which* independent folds run together,
+//! never the order of terms within one: the kernel equals
+//! [`gemm_reference`] bit for bit. The M dimension is split across rayon
+//! workers — each worker owns a disjoint row band of `C`, so no
+//! synchronisation is needed and the result is bit-identical to the
+//! serial computation regardless of thread count.
 
-use crate::kernel::{Isa, KernelPath};
+use crate::kernel::Isa;
 use rayon::prelude::*;
 
 /// Row-major matrix view: `rows x cols`, leading dimension = `cols`.
@@ -52,17 +49,14 @@ impl<'a> MatRef<'a> {
 const MC: usize = 64;
 const KC: usize = 512;
 const NC: usize = 512;
-// Scalar register micro-tile.
-const MR: usize = 4;
-const NR: usize = 8;
 // Vector register micro-tile: 6x16 = 12 lane-chunk accumulators of
 // [f32; LANES], which together with two B-row chunks and one broadcast
 // fits the 16 architectural 256-bit registers of AVX2.
 const MR_V: usize = 6;
 const NR_V: usize = 16;
-/// Elements per vector-kernel accumulator chunk (one 256-bit register
-/// of `f32`, or two 128-bit ones on SSE-only targets).
-pub const LANES: usize = 8;
+// Elements per vector-kernel accumulator chunk (one 256-bit register
+// of `f32`, or two 128-bit ones on SSE-only targets).
+const LANES: usize = 8;
 // AVX-512 tier: same 6-row tile, doubled lane width (6x32 = twelve
 // 512-bit accumulators; zmm has 32 architectural registers, so the two
 // B chunks and the broadcast fit with room to spare).
@@ -74,8 +68,7 @@ const KU: usize = 2;
 // Every micro-panel width must divide NC: the shared packed-B slots of
 // the parallel path are sized KC * NC, which covers a padded partial
 // panel only when NC is a multiple of the panel width.
-const _: () =
-    assert!(NC.is_multiple_of(NR) && NC.is_multiple_of(NR_V) && NC.is_multiple_of(NR_V512));
+const _: () = assert!(NC.is_multiple_of(NR_V) && NC.is_multiple_of(NR_V512));
 
 /// A register micro-kernel: accumulates an `mr x nr` tile of `C` from
 /// packed A/B panels over `kc` terms. Passed as a generic (not a fn
@@ -86,34 +79,22 @@ impl<F: Fn(&[f32], &[f32], usize, &mut [f32], usize, usize, usize, usize) + Sync
 {
 }
 
-/// `$driver::<MR, NR, _>($args.., &micro_kernel)` with the micro-tile
-/// and micro-kernel of `$path`; the vector path takes the widest clone
-/// [`Isa::detect`] allows.
+/// `$driver::<MR_V, NR, _>($args.., &micro)` with the micro-tile width
+/// and micro-kernel clone of the widest tier [`Isa::detect`] allows.
 macro_rules! dispatch_micro {
-    ($path:expr, $driver:ident($($arg:expr),*)) => {
-        match ($path, Isa::detect()) {
-            (KernelPath::Scalar, _) => $driver::<MR, NR, _>($($arg,)* &micro_kernel),
+    ($driver:ident($($arg:expr),*)) => {
+        match Isa::detect() {
             #[cfg(target_arch = "x86_64")]
-            (KernelPath::Vector, Isa::Avx512) => {
-                $driver::<MR_V, NR_V512, _>($($arg,)* &vector_micro_avx512())
-            }
+            Isa::Avx512 => $driver::<MR_V, NR_V512, _>($($arg,)* &vector_micro_avx512()),
             #[cfg(target_arch = "x86_64")]
-            (KernelPath::Vector, Isa::Avx2) => {
-                $driver::<MR_V, NR_V, _>($($arg,)* &vector_micro_avx2())
-            }
-            (KernelPath::Vector, _) => {
-                $driver::<MR_V, NR_V, _>($($arg,)* &micro_kernel_vector_portable)
-            }
+            Isa::Avx2 => $driver::<MR_V, NR_V, _>($($arg,)* &vector_micro_avx2()),
+            _ => $driver::<MR_V, NR_V, _>($($arg,)* &micro_kernel_vector_portable),
         }
     };
 }
 
-/// Single-threaded blocked GEMM: `c += a * b` on `path`. `c` must be
+/// Single-threaded blocked GEMM: `c += a * b`. `c` must be
 /// `a.rows * b.cols`, row-major.
-fn gemm_acc_with_path(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], path: KernelPath) {
-    dispatch_micro!(path, gemm_acc_driver(a, b, c));
-}
-
 fn gemm_acc_driver<const MRP: usize, const NRP: usize, F: MicroKernel>(
     a: MatRef<'_>,
     b: MatRef<'_>,
@@ -225,37 +206,6 @@ fn macro_kernel<const MRP: usize, const NRP: usize, F: MicroKernel>(
     }
 }
 
-/// `MR x NR` register-blocked inner product over `kc` terms; accumulates
-/// into `c[c_off..]`. Edge tiles (`mr < MR` or `nr < NR`) write partially.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn micro_kernel(
-    a_panel: &[f32],
-    b_panel: &[f32],
-    kc: usize,
-    c: &mut [f32],
-    c_off: usize,
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for p in 0..kc {
-        let a_row = &a_panel[p * MR..p * MR + MR];
-        let b_row = &b_panel[p * NR..p * NR + NR];
-        for (i, &av) in a_row.iter().enumerate() {
-            for (j, &bv) in b_row.iter().enumerate() {
-                acc[i][j] += av * bv;
-            }
-        }
-    }
-    for i in 0..mr {
-        for j in 0..nr {
-            c[c_off + i * ldc + j] += acc[i][j];
-        }
-    }
-}
-
 /// Statement-level unroll over the vector micro-tile's row index: the
 /// body is stamped out once per row with `$i` bound to a literal, so
 /// every accumulator access below is a compile-time-constant index.
@@ -320,9 +270,10 @@ fn vector_step<const L: usize, const NRV: usize>(
     });
 }
 
-/// `MR_V x NRV` vector micro-kernel body: same per-element fold as
-/// [`micro_kernel`] (ascending `p`, one accumulator each), K-unrolled by
-/// [`KU`]. Generic over the lane width so each ISA tier below stamps out
+/// `MR_V x NRV` vector micro-kernel body over `kc` terms: ascending `p`,
+/// one accumulator per element from `0.0`, added into `c[c_off..]` at the
+/// end; K-unrolled by [`KU`]. Edge tiles (`mr < MR_V` or `nr < NRV`)
+/// write partially. Generic over the lane width so each ISA tier below stamps out
 /// its own copy; `#[inline(always)]` so each wrapper compiles it with
 /// its own target features.
 #[allow(clippy::too_many_arguments)]
@@ -419,8 +370,8 @@ unsafe fn micro_kernel_vector_avx2(
 /// The widest tier: 512-bit registers, a `6 x 32` micro-tile (twelve
 /// zmm accumulators), still no FMA. Wider lanes only map more
 /// *independent* element folds per instruction — each `C[i][j]` keeps
-/// the exact same serial fold, so this tier too is bit-identical to
-/// scalar.
+/// the exact same serial fold, so this tier too is bit-identical to the
+/// others.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx512f")]
@@ -455,8 +406,8 @@ fn vector_micro_avx512() -> impl MicroKernel {
 }
 
 /// Multi-threaded GEMM: `c = a * b` (output overwritten), M split across
-/// `threads` workers owning disjoint row bands of `C`, on the vector
-/// path.
+/// `threads` workers owning disjoint row bands of `C`. Its bits are
+/// [`gemm_reference`]'s.
 ///
 /// `B` is packed **once**, up front, into per-`(jc, pc)` macro-tile
 /// panels that every band worker reads; only the (band-private) `A`
@@ -468,26 +419,15 @@ fn vector_micro_avx512() -> impl MicroKernel {
 /// so the result is bit-identical to `gemm(.., 1)` regardless of thread
 /// count.
 pub fn gemm(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], threads: usize) {
-    gemm_with_path(a, b, c, threads, KernelPath::Vector);
-}
-
-/// [`gemm`] with an explicit kernel path (tests diff the two).
-pub fn gemm_with_path(
-    a: MatRef<'_>,
-    b: MatRef<'_>,
-    c: &mut [f32],
-    threads: usize,
-    path: KernelPath,
-) {
     assert_eq!(a.cols, b.rows, "inner dimension mismatch");
     assert_eq!(c.len(), a.rows * b.cols, "output buffer size mismatch");
     c.fill(0.0);
     let threads = threads.max(1).min(a.rows.max(1));
     if threads == 1 || a.rows * b.cols < 64 * 64 {
-        gemm_acc_with_path(a, b, c, path);
+        dispatch_micro!(gemm_acc_driver(a, b, c));
         return;
     }
-    dispatch_micro!(path, gemm_par_driver(a, b, c, threads));
+    dispatch_micro!(gemm_par_driver(a, b, c, threads));
 }
 
 fn gemm_par_driver<const MRP: usize, const NRP: usize, F: MicroKernel>(
@@ -544,17 +484,28 @@ fn gemm_par_driver<const MRP: usize, const NRP: usize, F: MicroKernel>(
     });
 }
 
-/// Naive triple loop for testing.
-pub fn gemm_naive(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
-    assert_eq!(a.cols, b.rows);
-    assert_eq!(c.len(), a.rows * b.cols);
+/// The bit-exact oracle of [`gemm`]: every `C[i][j]` folds `k` ascending
+/// into a partial sum that starts at `0.0` and restarts every `KC` terms,
+/// and each block's sum is added into an output that starts at `0.0`.
+///
+/// That is the kernel's order whatever the micro-tile, lane width or
+/// thread count: the blocked loop nest packs one `KC` block at a time and
+/// the micro-kernel adds a fresh accumulator into `C` once per block. A
+/// plain triple loop differs from it in the last bits once `k > KC`.
+pub fn gemm_reference(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
+    assert_eq!(a.cols, b.rows, "inner dimension mismatch");
+    assert_eq!(c.len(), a.rows * b.cols, "output buffer size mismatch");
     for i in 0..a.rows {
         for j in 0..b.cols {
-            let mut acc = 0.0f32;
-            for p in 0..a.cols {
-                acc += a.at(i, p) * b.at(p, j);
+            let mut out = 0.0f32;
+            for block in (0..a.cols).step_by(KC) {
+                let mut acc = 0.0f32;
+                for p in block..a.cols.min(block + KC) {
+                    acc += a.at(i, p) * b.at(p, j);
+                }
+                out += acc;
             }
-            c[i * b.cols + j] = acc;
+            c[i * b.cols + j] = out;
         }
     }
 }
@@ -569,116 +520,63 @@ mod tests {
         (0..rows * cols).map(|_| rng.gen_range(-1.0..1.0)).collect()
     }
 
-    fn check_against_naive(m: usize, k: usize, n: usize, threads: usize, seed: u64) {
+    fn check_against_reference(m: usize, k: usize, n: usize, threads: usize, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = random_mat(&mut rng, m, k);
         let b = random_mat(&mut rng, k, n);
         let ar = MatRef::new(&a, m, k);
         let br = MatRef::new(&b, k, n);
         let mut want = vec![0.0; m * n];
-        gemm_naive(ar, br, &mut want);
-        for path in [KernelPath::Scalar, KernelPath::Vector] {
-            let mut got = vec![0.0; m * n];
-            gemm_with_path(ar, br, &mut got, threads, path);
-            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert!(
-                    (g - w).abs() <= 1e-3 + 1e-4 * w.abs(),
-                    "({m}x{k}x{n}, t={threads}, {path:?}) mismatch at {i}: {g} vs {w}"
-                );
-            }
+        gemm_reference(ar, br, &mut want);
+        let mut got = vec![f32::NAN; m * n];
+        gemm(ar, br, &mut got, threads);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "({m}x{k}x{n}, t={threads}) bit mismatch at {i}: {g} vs {w}"
+            );
         }
     }
 
     #[test]
     fn small_exact_sizes() {
-        check_against_naive(4, 8, 8, 1, 1);
-        check_against_naive(8, 8, 16, 1, 2);
+        check_against_reference(4, 8, 8, 1, 1);
+        check_against_reference(8, 8, 16, 1, 2);
     }
 
     #[test]
     fn odd_edge_sizes() {
         // Exercise every partial-tile path.
-        check_against_naive(1, 1, 1, 1, 3);
-        check_against_naive(5, 7, 9, 1, 4);
-        check_against_naive(67, 259, 131, 1, 5);
-        check_against_naive(3, 300, 11, 1, 6);
+        check_against_reference(1, 1, 1, 1, 3);
+        check_against_reference(5, 7, 9, 1, 4);
+        check_against_reference(67, 259, 131, 1, 5);
+        check_against_reference(3, 300, 11, 1, 6);
     }
 
     #[test]
-    fn multithreaded_matches_naive() {
-        check_against_naive(97, 64, 83, 4, 7);
-        check_against_naive(256, 128, 64, 8, 8);
-    }
-
-    #[test]
-    fn multithreaded_bit_identical_to_single_threaded() {
-        // The shared-packed-B parallel path must not change a single bit
-        // relative to one worker: bands run the same jc -> pc -> ic nest.
-        for (m, k, n) in [(97, 259, 131), (MC + 3, KC + 5, NC + 7), (40, 40, 40)] {
-            let mut rng = StdRng::seed_from_u64(11);
-            let a = random_mat(&mut rng, m, k);
-            let b = random_mat(&mut rng, k, n);
-            let ar = MatRef::new(&a, m, k);
-            let br = MatRef::new(&b, k, n);
-            for path in [KernelPath::Scalar, KernelPath::Vector] {
-                let mut serial = vec![0.0; m * n];
-                gemm_with_path(ar, br, &mut serial, 1, path);
-                for threads in [2, 3, 8] {
-                    let mut parallel = vec![0.0; m * n];
-                    gemm_with_path(ar, br, &mut parallel, threads, path);
-                    for (i, (s, p)) in serial.iter().zip(&parallel).enumerate() {
-                        assert_eq!(
-                            s.to_bits(),
-                            p.to_bits(),
-                            "({m}x{k}x{n}, t={threads}, {path:?}) bit mismatch at {i}: {s} vs {p}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn vector_path_bit_identical_to_scalar() {
-        // The kernel-path contract at its sharpest: micro-tile shape and
-        // lane width may differ, the per-element fold may not. The full
-        // shape sweep lives in tests/proptest_kernels.rs.
-        for (m, k, n) in [(1, 1, 1), (5, 7, 9), (67, 259, 131), (MC + 3, KC + 5, NC + 7)] {
-            let mut rng = StdRng::seed_from_u64(13);
-            let a = random_mat(&mut rng, m, k);
-            let b = random_mat(&mut rng, k, n);
-            let ar = MatRef::new(&a, m, k);
-            let br = MatRef::new(&b, k, n);
-            let mut scalar = vec![0.0; m * n];
-            gemm_with_path(ar, br, &mut scalar, 1, KernelPath::Scalar);
-            let mut vector = vec![0.0; m * n];
-            gemm_with_path(ar, br, &mut vector, 1, KernelPath::Vector);
-            for (i, (s, v)) in scalar.iter().zip(&vector).enumerate() {
-                assert_eq!(
-                    s.to_bits(),
-                    v.to_bits(),
-                    "({m}x{k}x{n}) scalar/vector bit mismatch at {i}: {s} vs {v}"
-                );
-            }
-        }
+    fn multithreaded_matches_reference() {
+        check_against_reference(97, 64, 83, 4, 7);
+        check_against_reference(256, 128, 64, 8, 8);
+        check_against_reference(97, 259, 131, 3, 11);
     }
 
     #[test]
     fn spanning_multiple_macro_tiles() {
-        check_against_naive(MC + 3, KC + 5, NC + 7, 2, 9);
+        // `k > KC`: the output adds two partial sums, at one thread and on
+        // the row bands.
+        for threads in [1, 2, 3, 8] {
+            check_against_reference(MC + 3, KC + 5, NC + 7, threads, 9);
+        }
     }
 
     #[test]
     fn gemm_acc_accumulates() {
         let a = vec![1.0, 2.0, 3.0, 4.0];
         let b = vec![1.0, 0.0, 0.0, 1.0];
-        let ar = MatRef::new(&a, 2, 2);
-        let br = MatRef::new(&b, 2, 2);
-        for path in [KernelPath::Scalar, KernelPath::Vector] {
-            let mut c = vec![10.0; 4];
-            gemm_acc_with_path(ar, br, &mut c, path);
-            assert_eq!(c, vec![11.0, 12.0, 13.0, 14.0], "{path:?}");
-        }
+        let mut c = vec![10.0; 4];
+        dispatch_micro!(gemm_acc_driver(MatRef::new(&a, 2, 2), MatRef::new(&b, 2, 2), &mut c));
+        assert_eq!(c, vec![11.0, 12.0, 13.0, 14.0]);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 //! `C_out x (C_in*Kh*Kw)` by `(C_in*Kh*Kw) x (Oh*Ow)` GEMM.
 //!
 //! * **Materialised:** the unrolled matrix, once per image. It is the
-//!   *extra I/O* this baseline pays relative to the paper's dataflow —
-//!   [`im2col_materialised_elems`], and `dataflow::baselines::im2col_gemm`
-//!   models exactly that. Row `(ci, dy, dx)` is a strided window of
+//!   *extra I/O* this baseline pays relative to the paper's dataflow;
+//!   `dataflow::baselines::im2col_gemm` models exactly that. Row `(ci, dy, dx)` is a strided window of
 //!   channel `ci`, filled by [`Tensor4::padded_window`] a row span at a
 //!   time.
 //! * **Borrowed:** the weight matrix. `Layout::Chw` kernels are stored in
@@ -17,8 +16,7 @@
 //!   only `Cwh`/`Hwc` kernels are gathered into a copy.
 
 use crate::conv_ref::ConvParams;
-use crate::gemm::{gemm_with_path, MatRef};
-use crate::kernel::KernelPath;
+use crate::gemm::{gemm, MatRef};
 use crate::layout::Layout;
 use crate::tensor::Tensor4;
 use std::borrow::Cow;
@@ -51,7 +49,7 @@ pub fn im2col(
 /// The row-major `C_out x (C_in*Kh*Kw)` GEMM operand, taps in
 /// `(ci, dy, dx)` order: `Layout::Chw` kernels already are that matrix and
 /// are borrowed; `Cwh`/`Hwc` ones are gathered into a copy.
-pub fn flatten_weights(weights: &Tensor4) -> Cow<'_, [f32]> {
+fn flatten_weights(weights: &Tensor4) -> Cow<'_, [f32]> {
     if weights.layout == Layout::Chw {
         return Cow::Borrowed(weights.as_slice());
     }
@@ -68,26 +66,14 @@ pub fn flatten_weights(weights: &Tensor4) -> Cow<'_, [f32]> {
     Cow::Owned(m)
 }
 
-/// Full convolution via im2col + GEMM on the vector path; numerically
-/// equivalent to [`crate::conv_ref::conv2d_reference`].
+/// Full convolution via im2col + GEMM; numerically equivalent to
+/// [`crate::conv_ref::conv2d_reference`], and bit for bit the
+/// per-element unroll fed through [`crate::gemm::gemm_reference`].
 pub fn conv2d_im2col(
     input: &Tensor4,
     weights: &Tensor4,
     params: ConvParams,
     threads: usize,
-) -> Tensor4 {
-    conv2d_im2col_with_path(input, weights, params, threads, KernelPath::Vector)
-}
-
-/// [`conv2d_im2col`] with an explicit GEMM kernel path — the two paths
-/// are bit-identical (`tests/proptest_kernels.rs::im2col_paths_bit_identical`
-/// diffs them).
-pub fn conv2d_im2col_with_path(
-    input: &Tensor4,
-    weights: &Tensor4,
-    params: ConvParams,
-    threads: usize,
-    path: KernelPath,
 ) -> Tensor4 {
     assert_eq!(input.c, weights.c, "C_in mismatch");
     let (kh, kw) = (weights.h, weights.w);
@@ -102,21 +88,16 @@ pub fn conv2d_im2col_with_path(
         let (cols, rows_dim, cols_dim) = im2col(input, n, kh, kw, params);
         let col_ref = MatRef::new(&cols, rows_dim, cols_dim);
         let dst = &mut out.as_mut_slice()[n * image_len..(n + 1) * image_len];
-        gemm_with_path(w_ref, col_ref, dst, threads, path);
+        gemm(w_ref, col_ref, dst, threads);
     }
     out
-}
-
-/// Number of elements the im2col path *materialises* per image — the extra
-/// slow-memory traffic of this baseline (written once, read once by GEMM).
-pub fn im2col_materialised_elems(cin: usize, kh: usize, kw: usize, oh: usize, ow: usize) -> u64 {
-    cin as u64 * kh as u64 * kw as u64 * oh as u64 * ow as u64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::conv_ref::conv2d_reference;
+    use crate::gemm::gemm_reference;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -172,16 +153,10 @@ mod tests {
     }
 
     #[test]
-    fn path_variants_bit_identical() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let input = Tensor4::random(2, 3, 9, 9, &mut rng);
-        let weights = Tensor4::random(4, 3, 3, 3, &mut rng);
-        let params = ConvParams::new(1, 1);
-        let s = conv2d_im2col_with_path(&input, &weights, params, 2, KernelPath::Scalar);
-        let v = conv2d_im2col_with_path(&input, &weights, params, 2, KernelPath::Vector);
-        let sb: Vec<u32> = s.as_slice().iter().map(|f| f.to_bits()).collect();
-        let vb: Vec<u32> = v.as_slice().iter().map(|f| f.to_bits()).collect();
-        assert_eq!(sb, vb);
+    #[should_panic(expected = "kernel extent 3 exceeds the padded input extent 2")]
+    fn kernel_larger_than_padded_input_panics() {
+        let (input, weights) = (Tensor4::zeros(1, 1, 2, 2), Tensor4::zeros(1, 1, 3, 3));
+        let _ = conv2d_im2col(&input, &weights, ConvParams::new(2, 0), 1);
     }
 
     #[test]
@@ -255,20 +230,6 @@ mod tests {
         m
     }
 
-    /// Per-element GEMM: `k` ascending from `0.0`. The blocked GEMM folds
-    /// the same way while `k` stays inside one K block, as it does here.
-    fn gemm_oracle(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
-        for i in 0..a.rows {
-            for j in 0..b.cols {
-                let mut acc = 0.0f32;
-                for p in 0..a.cols {
-                    acc += a.at(i, p) * b.at(p, j);
-                }
-                c[i * b.cols + j] = 0.0 + acc;
-            }
-        }
-    }
-
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|f| f.to_bits()).collect()
     }
@@ -304,7 +265,7 @@ mod tests {
     }
 
     /// `conv2d_im2col` gives the oracle pipeline's bits (per-element
-    /// unroll, per-element weight gather, per-element GEMM) on both paths,
+    /// unroll, per-element weight gather, [`gemm_reference`]),
     /// whatever the layout of the input and of the weights: `Chw` kernels
     /// are already the GEMM's A operand, `Cwh`/`Hwc` ones are not, and a
     /// `kh != kw` kernel tells the two apart.
@@ -321,26 +282,19 @@ mod tests {
                     let weights = base_w.to_layout(w_layout);
                     let w_flat = weights_oracle(&weights);
                     let a = MatRef::new(&w_flat, weights.n, weights.c * weights.h * weights.w);
-                    for path in [KernelPath::Scalar, KernelPath::Vector] {
-                        let got = conv2d_im2col_with_path(&input, &weights, params, 1, path);
-                        let mut want = vec![0.0f32; got.len()];
-                        for (n, dst) in want.chunks_exact_mut(got.len() / input.n).enumerate() {
-                            let (m, rows, cols) = im2col_oracle(&input, n, 3, 2, params);
-                            gemm_oracle(a, MatRef::new(&m, rows, cols), dst);
-                        }
-                        assert_eq!(
-                            bits(got.as_slice()),
-                            bits(&want),
-                            "input {in_layout}, weights {w_layout}, s={stride} p={pad}, {path:?}"
-                        );
+                    let got = conv2d_im2col(&input, &weights, params, 1);
+                    let mut want = vec![0.0f32; got.len()];
+                    for (n, dst) in want.chunks_exact_mut(got.len() / input.n).enumerate() {
+                        let (m, rows, cols) = im2col_oracle(&input, n, 3, 2, params);
+                        gemm_reference(a, MatRef::new(&m, rows, cols), dst);
                     }
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        bits(&want),
+                        "input {in_layout}, weights {w_layout}, s={stride} p={pad}"
+                    );
                 }
             }
         }
-    }
-
-    #[test]
-    fn materialised_volume_formula() {
-        assert_eq!(im2col_materialised_elems(256, 3, 3, 56, 56), 256 * 9 * 56 * 56);
     }
 }

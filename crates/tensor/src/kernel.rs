@@ -1,41 +1,20 @@
-//! The two compute-kernel tiers: the vector path every default entry
-//! point runs, and the scalar path the tests hold it to.
+//! The instruction-set tier the compute kernels are compiled for.
 //!
 //! Every kernel in this crate keeps **one fold order per output
 //! element**: each `C[i][j]` of a GEMM is a serial left-fold whose term
-//! order never depends on the path, the micro-tile shape, or the thread
-//! count. Vectorization only maps *independent* element folds onto SIMD
-//! lanes — IEEE-754 `f32` mul/add are exactly rounded at any lane width,
-//! so the vector path is **bit-identical** to the scalar one
-//! (property-tested in `tests/proptest_kernels.rs`, diffed end-to-end in
-//! the workspace determinism suite).
+//! order never depends on the micro-tile shape, the lane width or the
+//! thread count. Vectorization only maps *independent* element folds onto
+//! SIMD lanes — IEEE-754 `f32` mul/add are exactly rounded at any lane
+//! width — so each kernel has one path, held by `to_bits` to a plain
+//! per-element oracle: `gemm` (and through it `conv2d_im2col`) to
+//! `gemm::gemm_reference`, and the dataflow executors to
+//! `conv_ref::conv2d_channel_staged` and `conv2d_winograd`.
 //!
-//! [`KernelPath`] is not a runtime mode. `gemm` and `conv2d_im2col`
-//! always run [`KernelPath::Vector`]; the scalar tier is the test oracle,
-//! reached only through the explicit `*_with_path` functions, whose
-//! output the tests diff against the vector path's by `to_bits` and
-//! against `conv2d_reference`. `conv2d_winograd` has one path, and so do
-//! the dataflow executors: they are held by `to_bits` to oracles outside
-//! them (`conv_ref::conv2d_channel_staged` and `conv2d_winograd`).
-//!
-//! Which instruction set the vector path's bodies are *compiled for* is
-//! a separate, run-time question answered in one place: [`Isa::detect`].
-
-/// Which compute-kernel implementation the tensor crate runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelPath {
-    /// The reference micro-kernels: plain element loops, the seed
-    /// implementation every other path is diffed against.
-    Scalar,
-    /// Array-chunked, autovectorizer-targeted micro-kernels (wider
-    /// micro-tile, fixed-width lane accumulators, unrolled K-steps),
-    /// each compiled once per [`Isa`] tier and dispatched to the widest
-    /// one the CPU has.
-    Vector,
-}
+//! Which instruction set those bodies are *compiled for* is a run-time
+//! question answered in one place: [`Isa::detect`].
 
 /// The widest vector instruction set the running CPU offers to the
-/// vector-path kernels. Each kernel compiles one `#[inline(always)]`
+/// kernels. Each kernel compiles one `#[inline(always)]`
 /// body into `#[target_feature]` clones and picks the clone by this
 /// tier; a wider tier only puts more *independent* element folds into
 /// one instruction (and never enables FMA), so every tier produces the

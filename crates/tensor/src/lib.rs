@@ -12,9 +12,10 @@
 //! * [`conv_ref`] — the golden-reference direct convolution (the oracle
 //!   every other path is tested against).
 //! * [`gemm`] — blocked, multi-threaded `f32` GEMM (rayon workers over
-//!   disjoint row bands) with scalar and vectorized micro-kernels.
-//! * [`kernel`] — the two bit-identical kernel paths: vector (what runs)
-//!   and scalar (the oracle tests diff it against).
+//!   disjoint row bands) with a vectorized micro-kernel, and its
+//!   per-element oracle.
+//! * [`kernel`] — the instruction-set tier (`Isa`) the vector kernels
+//!   are compiled for, detected once at run time.
 //! * [`im2col`] — the cuDNN-style image-to-column convolution path built on
 //!   the GEMM (the paper's direct-convolution baseline).
 //! * [`ops`] — standalone ReLU / max-pool epilogue passes, the unfused
@@ -53,7 +54,6 @@ pub mod winograd_math;
 
 pub use conv_ref::{conv2d_reference, ConvParams};
 pub use im2col::conv2d_im2col;
-pub use kernel::KernelPath;
 pub use layout::Layout;
 pub use tensor::Tensor4;
-pub use winograd_conv::{conv2d_winograd, WinogradPlan};
+pub use winograd_conv::conv2d_winograd;

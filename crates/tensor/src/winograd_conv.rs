@@ -15,9 +15,8 @@
 //! discarding out-of-range outputs, so arbitrary output sizes work.
 //!
 //! Everything is `f32`: the transform coefficients are rounded once
-//! ([`TransformsF32`]), every product runs through [`matmul_flat`] in
-//! [`Mat::matmul`](crate::winograd_math::Mat::matmul)'s fold order, and
-//! `Pi` folds `ci` ascending with a separately rounded multiply and add.
+//! ([`TransformsF32`]), every product folds in [`matmul_flat`]'s order,
+//! and `Pi` folds `ci` ascending with a separately rounded multiply and add.
 //! This is the bit-exact oracle of the dataflow crate's Winograd
 //! executor, which keeps every one of those per-element folds.
 
@@ -25,47 +24,12 @@ use crate::conv_ref::ConvParams;
 use crate::tensor::Tensor4;
 use crate::winograd_math::{matmul_flat, TransformsF32};
 
-/// Pre-transformed kernels plus the transform set: reusable across calls
-/// with the same weights.
-pub struct WinogradPlan {
-    t: TransformsF32,
-    /// `J[co][ci]`: `a x a` transformed kernel, flat.
-    transformed: Vec<f32>,
-    cout: usize,
-    cin: usize,
-}
-
-impl WinogradPlan {
-    /// Builds a plan for the given weights (`n = C_out`, square `r x r`
-    /// kernels) and output tile edge `e`.
-    pub fn new(weights: &Tensor4, e: usize) -> Self {
-        assert_eq!(weights.h, weights.w, "winograd requires square kernels");
-        let r = weights.h;
-        let t = TransformsF32::generate(e, r);
-        let a = t.a();
-        let mut transformed = vec![0.0f32; weights.n * weights.c * a * a];
-        let mut g = vec![0.0f32; r * r];
-        let mut tmp = vec![0.0f32; a * r];
-        for (co_ci, j) in transformed.chunks_exact_mut(a * a).enumerate() {
-            let (co, ci) = (co_ci / weights.c, co_ci % weights.c);
-            for (at, v) in g.iter_mut().enumerate() {
-                *v = weights.at(co, ci, at / r, at % r);
-            }
-            // J = G g G^T : a x a.
-            matmul_flat(&t.g, &g, &mut tmp, a, r, r);
-            matmul_flat(&tmp, &t.g_t, j, a, r, a);
-        }
-        Self { t, transformed, cout: weights.n, cin: weights.c }
-    }
-
-    fn kernel(&self, co: usize, ci: usize) -> &[f32] {
-        let aa = self.t.a() * self.t.a();
-        &self.transformed[(co * self.cin + ci) * aa..][..aa]
-    }
-}
-
-/// Winograd convolution with tile edge `e`. Only unit stride is supported
-/// (the algorithm's precondition, §2.3); padding is honoured.
+/// Winograd convolution with tile edge `e` (square `r x r` kernels,
+/// `weights.n = C_out`). Only unit stride is supported (the algorithm's
+/// precondition, §2.3); padding is honoured. Per element: `J` folds
+/// `G g G^T`, `P` folds `B^T d B`, `Pi` folds `P ⊙ J` over `ci` ascending
+/// from `0.0`, and `Y` folds `A^T Pi A`, each product in [`matmul_flat`]'s
+/// order.
 pub fn conv2d_winograd(
     input: &Tensor4,
     weights: &Tensor4,
@@ -73,26 +37,30 @@ pub fn conv2d_winograd(
     e: usize,
 ) -> Tensor4 {
     assert_eq!(params.stride, 1, "winograd requires unit stride");
-    let plan = WinogradPlan::new(weights, e);
-    conv2d_winograd_with_plan(input, &plan, params)
-}
-
-/// Winograd convolution with a prebuilt plan. Per element: `P` folds
-/// `B^T d B`, `Pi` folds `P ⊙ J` over `ci` ascending from `0.0`, and
-/// `Y` folds `A^T Pi A`, each product in [`matmul_flat`]'s order.
-pub fn conv2d_winograd_with_plan(
-    input: &Tensor4,
-    plan: &WinogradPlan,
-    params: ConvParams,
-) -> Tensor4 {
-    assert_eq!(params.stride, 1, "winograd requires unit stride");
-    assert_eq!(input.c, plan.cin, "C_in mismatch");
-    let t = &plan.t;
-    let (e, r, a) = (t.e, t.r, t.a());
+    assert_eq!(weights.h, weights.w, "winograd requires square kernels");
+    assert_eq!(input.c, weights.c, "C_in mismatch");
+    let (cout, cin, r) = (weights.n, weights.c, weights.h);
+    let t = TransformsF32::generate(e, r);
+    let a = t.a();
     let aa = a * a;
+
+    // J[co][ci] = G g G^T: a x a, once per kernel, hoisted out of every
+    // spatial loop.
+    let mut transformed = vec![0.0f32; cout * cin * aa];
+    let mut g = vec![0.0f32; r * r];
+    let mut g_tmp = vec![0.0f32; a * r];
+    for (co_ci, j) in transformed.chunks_exact_mut(aa).enumerate() {
+        let (co, ci) = (co_ci / cin, co_ci % cin);
+        for (at, v) in g.iter_mut().enumerate() {
+            *v = weights.at(co, ci, at / r, at % r);
+        }
+        matmul_flat(&t.g, &g, &mut g_tmp, a, r, r);
+        matmul_flat(&g_tmp, &t.g_t, j, a, r, a);
+    }
+
     let oh = params.out_extent(input.h, r);
     let ow = params.out_extent(input.w, r);
-    let mut out = Tensor4::zeros(input.n, plan.cout, oh, ow);
+    let mut out = Tensor4::zeros(input.n, cout, oh, ow);
 
     let tiles_y = oh.div_ceil(e);
     let tiles_x = ow.div_ceil(e);
@@ -100,7 +68,7 @@ pub fn conv2d_winograd_with_plan(
     // Flat scratch reused across tiles.
     let mut patch = vec![0.0f32; aa];
     let mut tmp = vec![0.0f32; aa];
-    let mut p_all = vec![0.0f32; input.c * aa]; // P per input channel
+    let mut p_all = vec![0.0f32; cin * aa]; // P per input channel
     let mut pi = vec![0.0f32; aa];
     let mut y_tmp = vec![0.0f32; e * a];
     let mut y_tile = vec![0.0f32; e * e];
@@ -111,7 +79,7 @@ pub fn conv2d_winograd_with_plan(
                 let oy = (ty * e) as isize - params.pad as isize;
                 let ox = (tx * e) as isize - params.pad as isize;
                 // Step 1: P = B^T d B for every input channel.
-                for ci in 0..input.c {
+                for ci in 0..cin {
                     for y in 0..a {
                         for x in 0..a {
                             patch[y * a + x] =
@@ -121,12 +89,12 @@ pub fn conv2d_winograd_with_plan(
                     matmul_flat(&t.bt, &patch, &mut tmp, a, a, a);
                     matmul_flat(&tmp, &t.bt_t, &mut p_all[ci * aa..][..aa], a, a, a);
                 }
-                for co in 0..plan.cout {
+                for co in 0..cout {
                     // Steps 2+3: Pi = sum_ci P ⊙ J, `ci` ascending.
                     pi.fill(0.0);
-                    for ci in 0..input.c {
+                    for ci in 0..cin {
                         let p = &p_all[ci * aa..][..aa];
-                        let j = plan.kernel(co, ci);
+                        let j = &transformed[(co * cin + ci) * aa..][..aa];
                         for (o, (&pv, &jv)) in pi.iter_mut().zip(p.iter().zip(j)) {
                             *o += pv * jv;
                         }
@@ -246,22 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_reuse_is_consistent() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let weights = Tensor4::random(2, 3, 3, 3, &mut rng);
-        let plan = WinogradPlan::new(&weights, 2);
-        let a = Tensor4::random(1, 3, 6, 6, &mut rng);
-        let b = Tensor4::random(1, 3, 6, 6, &mut rng);
-        let params = ConvParams::new(1, 1);
-        let out_a = conv2d_winograd_with_plan(&a, &plan, params);
-        let out_b = conv2d_winograd_with_plan(&b, &plan, params);
-        let want_a = conv2d_reference(&a, &weights, params);
-        let want_b = conv2d_reference(&b, &weights, params);
-        assert!(out_a.approx_eq(&want_a, 1e-3, 1e-3));
-        assert!(out_b.approx_eq(&want_b, 1e-3, 1e-3));
-    }
-
-    #[test]
     #[should_panic(expected = "unit stride")]
     fn rejects_strided_convolution() {
         let input = Tensor4::zeros(1, 1, 6, 6);
@@ -272,7 +224,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "square kernels")]
     fn rejects_rectangular_kernels() {
+        let input = Tensor4::zeros(1, 1, 6, 6);
         let weights = Tensor4::zeros(1, 1, 3, 5);
-        let _ = WinogradPlan::new(&weights, 2);
+        let _ = conv2d_winograd(&input, &weights, ConvParams::unit(), 2);
     }
 }

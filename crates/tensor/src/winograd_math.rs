@@ -28,18 +28,18 @@
 /// Small dense row-major `f64` matrix — the substrate for transform
 /// generation (tiny sizes, clarity over speed).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Mat {
+pub(crate) struct Mat {
     pub rows: usize,
     pub cols: usize,
     pub data: Vec<f64>,
 }
 
 impl Mat {
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    fn zeros(rows: usize, cols: usize) -> Self {
         Self { rows, cols, data: vec![0.0; rows * cols] }
     }
 
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
+    fn from_rows(rows: &[&[f64]]) -> Self {
         let r = rows.len();
         let c = rows[0].len();
         let mut m = Mat::zeros(r, c);
@@ -51,17 +51,17 @@ impl Mat {
     }
 
     #[inline]
-    pub fn at(&self, r: usize, c: usize) -> f64 {
+    fn at(&self, r: usize, c: usize) -> f64 {
         self.data[r * self.cols + c]
     }
 
     #[inline]
-    pub fn at_mut(&mut self, r: usize, c: usize) -> &mut f64 {
+    fn at_mut(&mut self, r: usize, c: usize) -> &mut f64 {
         &mut self.data[r * self.cols + c]
     }
 
     /// `self * other`.
-    pub fn matmul(&self, other: &Mat) -> Mat {
+    fn matmul(&self, other: &Mat) -> Mat {
         assert_eq!(self.cols, other.rows, "matmul dim mismatch");
         let mut out = Mat::zeros(self.rows, other.cols);
         for i in 0..self.rows {
@@ -79,7 +79,7 @@ impl Mat {
     }
 
     /// Transpose.
-    pub fn t(&self) -> Mat {
+    fn t(&self) -> Mat {
         let mut out = Mat::zeros(self.cols, self.rows);
         for i in 0..self.rows {
             for j in 0..self.cols {
@@ -88,29 +88,13 @@ impl Mat {
         }
         out
     }
-
-    /// Elementwise (Hadamard) product.
-    pub fn hadamard(&self, other: &Mat) -> Mat {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let mut out = self.clone();
-        for (o, b) in out.data.iter_mut().zip(&other.data) {
-            *o *= b;
-        }
-        out
-    }
-
-    /// Max absolute difference.
-    pub fn max_abs_diff(&self, other: &Mat) -> f64 {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max)
-    }
 }
 
 /// `out = lhs * rhs` over flat row-major `f32` slices (`m x k` times
-/// `k x n`), in [`Mat::matmul`]'s fold order **exactly**: for
+/// `k x n`), in `Mat::matmul`'s fold order **exactly**: for
 /// each output row, `k` ascends and rows of `rhs` whose `lhs`
 /// coefficient is zero are skipped, so every `out[i][j]` sees the same
-/// terms in the same order as [`Mat::matmul`] (the skip matters —
+/// terms in the same order as `Mat::matmul` (the skip matters —
 /// `-0.0 + 0.0*b` can flip a sign bit). The inner loop is a unit-stride
 /// axpy over the output row: independent element folds side by side,
 /// the shape the autovectorizer maps onto SIMD lanes. This is the
@@ -150,8 +134,8 @@ pub fn matmul_flat(lhs: &[f32], rhs: &[f32], out: &mut [f32], m: usize, k: usize
 ///
 /// The left half needs no twin: with the data on the right,
 /// [`matmul_flat`] over `n * lanes` columns already *is* the lane-batched
-/// product, and it keeps [`Mat::matmul`]'s skip of zero **coefficients**.
-/// Here the data is the left operand and [`Mat::matmul`] would skip zero
+/// product, and it keeps `Mat::matmul`'s skip of zero **coefficients**.
+/// Here the data is the left operand and `Mat::matmul` would skip zero
 /// **data** terms, a branch per lane. This loop is dense instead, and no
 /// bit can tell: an accumulator that starts at `+0.0` is never `-0.0`
 /// (round-to-nearest yields `-0.0` only from `-0.0 + -0.0`), a skipped
@@ -215,7 +199,7 @@ fn lanes_right_blocks<const W: usize>(
 
 /// Solves `m x = b` by Gaussian elimination with partial pivoting.
 /// `m` must be square and non-singular.
-pub fn solve(m: &Mat, b: &[f64]) -> Vec<f64> {
+fn solve(m: &Mat, b: &[f64]) -> Vec<f64> {
     assert_eq!(m.rows, m.cols, "solve requires a square system");
     assert_eq!(b.len(), m.rows);
     let n = m.rows;
@@ -270,11 +254,11 @@ pub struct Transforms {
     /// Kernel edge.
     pub r: usize,
     /// `A^T`: `e x a` output interpolation map.
-    pub at: Mat,
+    pub(crate) at: Mat,
     /// `G` (the paper's `L`): `a x r` kernel evaluation map.
-    pub g: Mat,
+    pub(crate) g: Mat,
     /// `B^T`: `a x a` input transform.
-    pub bt: Mat,
+    pub(crate) bt: Mat,
 }
 
 impl Transforms {
@@ -329,7 +313,7 @@ impl TransformsF32 {
 
 /// Standard evaluation-point sequence: `0, 1, -1, 2, -2, 3, -3, ...`
 /// (small-magnitude points keep the Vandermonde systems well conditioned).
-pub fn standard_points(count: usize) -> Vec<f64> {
+fn standard_points(count: usize) -> Vec<f64> {
     let mut pts = Vec::with_capacity(count);
     pts.push(0.0);
     let mut k = 1.0;
@@ -605,8 +589,6 @@ mod tests {
         let c = a.matmul(&b);
         assert_eq!(c.data, vec![2.0, 1.0, 4.0, 3.0]);
         assert_eq!(a.t().data, vec![1.0, 3.0, 2.0, 4.0]);
-        let h = a.hadamard(&b);
-        assert_eq!(h.data, vec![0.0, 2.0, 3.0, 0.0]);
     }
 
     /// `lanes` matrices of `len` elements each, seeded with the values

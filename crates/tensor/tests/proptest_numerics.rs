@@ -3,7 +3,7 @@
 //! per-element oracle bit for bit, layouts round-trip.
 
 use iolb_tensor::conv_ref::{conv2d_reference, ConvParams};
-use iolb_tensor::gemm::{gemm, MatRef};
+use iolb_tensor::gemm::{gemm, gemm_reference, MatRef};
 use iolb_tensor::im2col::conv2d_im2col;
 use iolb_tensor::layout::Layout;
 use iolb_tensor::tensor::Tensor4;
@@ -13,28 +13,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The GEMM's K block: its blocked loop nest adds one fresh partial sum
-/// into `C` per `KC` terms.
+/// The GEMM's K block: the `k` range below straddles one.
 const KC: usize = 512;
-
-/// Every `C[i][j]` folded as the blocked GEMM folds it: `k` ascending
-/// into a partial sum from `0.0`, restarted every `KC` terms, each
-/// block's sum added into an output that starts at `0.0`.
-fn gemm_oracle(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut c = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            for block in (0..k).step_by(KC) {
-                let mut acc = 0.0f32;
-                for p in block..k.min(block + KC) {
-                    acc += a[i * k + p] * b[p * n + j];
-                }
-                c[i * n + j] += acc;
-            }
-        }
-    }
-    c
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -68,9 +48,11 @@ proptest! {
         };
         let a: Vec<f32> = (0..m * k).map(|_| value(&mut rng)).collect();
         let b: Vec<f32> = (0..k * n).map(|_| value(&mut rng)).collect();
-        let want = gemm_oracle(&a, &b, m, k, n);
+        let (ar, br) = (MatRef::new(&a, m, k), MatRef::new(&b, k, n));
+        let mut want = vec![0.0; m * n];
+        gemm_reference(ar, br, &mut want);
         let mut got = vec![0.0; m * n];
-        gemm(MatRef::new(&a, m, k), MatRef::new(&b, k, n), &mut got, threads);
+        gemm(ar, br, &mut got, threads);
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             prop_assert_eq!(
                 g.to_bits(), w.to_bits(),
