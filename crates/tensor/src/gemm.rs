@@ -49,18 +49,18 @@ impl<'a> MatRef<'a> {
 const MC: usize = 64;
 const KC: usize = 512;
 const NC: usize = 512;
-// Vector register micro-tile: 6x16 = 12 lane-chunk accumulators of
+// Register micro-tile: 6x16 = 12 lane-chunk accumulators of
 // [f32; LANES], which together with two B-row chunks and one broadcast
 // fits the 16 architectural 256-bit registers of AVX2.
-const MR_V: usize = 6;
-const NR_V: usize = 16;
+const MR: usize = 6;
+const NR: usize = 16;
 // Elements per vector-kernel accumulator chunk (one 256-bit register
 // of `f32`, or two 128-bit ones on SSE-only targets).
 const LANES: usize = 8;
 // AVX-512 tier: same 6-row tile, doubled lane width (6x32 = twelve
 // 512-bit accumulators; zmm has 32 architectural registers, so the two
 // B chunks and the broadcast fit with room to spare).
-const NR_V512: usize = 32;
+const NR512: usize = 32;
 const LANES512: usize = 16;
 // K-step unroll depth of the vector micro-kernel.
 const KU: usize = 2;
@@ -68,7 +68,7 @@ const KU: usize = 2;
 // Every micro-panel width must divide NC: the shared packed-B slots of
 // the parallel path are sized KC * NC, which covers a padded partial
 // panel only when NC is a multiple of the panel width.
-const _: () = assert!(NC.is_multiple_of(NR_V) && NC.is_multiple_of(NR_V512));
+const _: () = assert!(NC.is_multiple_of(NR) && NC.is_multiple_of(NR512));
 
 /// A register micro-kernel: accumulates an `mr x nr` tile of `C` from
 /// packed A/B panels over `kc` terms. Passed as a generic (not a fn
@@ -79,23 +79,23 @@ impl<F: Fn(&[f32], &[f32], usize, &mut [f32], usize, usize, usize, usize) + Sync
 {
 }
 
-/// `$driver::<MR_V, NR, _>($args.., &micro)` with the micro-tile width
-/// and micro-kernel clone of the widest tier [`Isa::detect`] allows.
+/// `$driver::<NR, _>($args.., &micro)` with the micro-tile width and
+/// micro-kernel clone of the widest tier [`Isa::detect`] allows.
 macro_rules! dispatch_micro {
     ($driver:ident($($arg:expr),*)) => {
         match Isa::detect() {
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => $driver::<MR_V, NR_V512, _>($($arg,)* &vector_micro_avx512()),
+            Isa::Avx512 => $driver::<NR512, _>($($arg,)* &vector_micro_avx512()),
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => $driver::<MR_V, NR_V, _>($($arg,)* &vector_micro_avx2()),
-            _ => $driver::<MR_V, NR_V, _>($($arg,)* &micro_kernel_vector_portable),
+            Isa::Avx2 => $driver::<NR, _>($($arg,)* &vector_micro_avx2()),
+            _ => $driver::<NR, _>($($arg,)* &micro_kernel_vector_portable),
         }
     };
 }
 
 /// Single-threaded blocked GEMM: `c += a * b`. `c` must be
 /// `a.rows * b.cols`, row-major.
-fn gemm_acc_driver<const MRP: usize, const NRP: usize, F: MicroKernel>(
+fn gemm_acc_driver<const NRP: usize, F: MicroKernel>(
     a: MatRef<'_>,
     b: MatRef<'_>,
     c: &mut [f32],
@@ -105,7 +105,7 @@ fn gemm_acc_driver<const MRP: usize, const NRP: usize, F: MicroKernel>(
     assert_eq!(c.len(), a.rows * b.cols, "output buffer size mismatch");
     let (m, k, n) = (a.rows, a.cols, b.cols);
 
-    let mut a_pack = vec![0.0f32; MC.div_ceil(MRP) * MRP * KC];
+    let mut a_pack = vec![0.0f32; MC.div_ceil(MR) * MR * KC];
     let mut b_pack = vec![0.0f32; KC * NC];
 
     let mut jc = 0;
@@ -118,8 +118,8 @@ fn gemm_acc_driver<const MRP: usize, const NRP: usize, F: MicroKernel>(
             let mut ic = 0;
             while ic < m {
                 let mc = MC.min(m - ic);
-                pack_a::<MRP>(a, ic, pc, mc, kc, &mut a_pack);
-                macro_kernel::<MRP, NRP, _>(&a_pack, &b_pack, c, ic, jc, mc, nc, kc, n, micro);
+                pack_a(a, ic, pc, mc, kc, &mut a_pack);
+                macro_kernel::<NRP, _>(&a_pack, &b_pack, c, ic, jc, mc, nc, kc, n, micro);
                 ic += MC;
             }
             pc += KC;
@@ -128,28 +128,21 @@ fn gemm_acc_driver<const MRP: usize, const NRP: usize, F: MicroKernel>(
     }
 }
 
-/// Packs an `mc x kc` block of `a` into row-panels of height `MRP`.
-fn pack_a<const MRP: usize>(
-    a: MatRef<'_>,
-    ic: usize,
-    pc: usize,
-    mc: usize,
-    kc: usize,
-    out: &mut [f32],
-) {
+/// Packs an `mc x kc` block of `a` into row-panels of height `MR`.
+fn pack_a(a: MatRef<'_>, ic: usize, pc: usize, mc: usize, kc: usize, out: &mut [f32]) {
     let mut dst = 0;
     let mut i = 0;
     while i < mc {
-        let mr = MRP.min(mc - i);
+        let mr = MR.min(mc - i);
         for p in 0..kc {
-            let col = &mut out[dst..dst + MRP];
+            let col = &mut out[dst..dst + MR];
             for (r, slot) in col[..mr].iter_mut().enumerate() {
                 *slot = a.at(ic + i + r, pc + p);
             }
             col[mr..].fill(0.0);
-            dst += MRP;
+            dst += MR;
         }
-        i += MRP;
+        i += MR;
     }
 }
 
@@ -179,7 +172,7 @@ fn pack_b<const NRP: usize>(
 
 /// Runs the packed micro-kernels over one macro-tile.
 #[allow(clippy::too_many_arguments)]
-fn macro_kernel<const MRP: usize, const NRP: usize, F: MicroKernel>(
+fn macro_kernel<const NRP: usize, F: MicroKernel>(
     a_pack: &[f32],
     b_pack: &[f32],
     c: &mut [f32],
@@ -197,10 +190,10 @@ fn macro_kernel<const MRP: usize, const NRP: usize, F: MicroKernel>(
         let b_panel = &b_pack[(j / NRP) * kc * NRP..][..kc * NRP];
         let mut i = 0;
         while i < mc {
-            let mr = MRP.min(mc - i);
-            let a_panel = &a_pack[(i / MRP) * kc * MRP..][..kc * MRP];
+            let mr = MR.min(mc - i);
+            let a_panel = &a_pack[(i / MR) * kc * MR..][..kc * MR];
             micro(a_panel, b_panel, kc, c, (ic + i) * ldc + jc + j, ldc, mr, nr);
-            i += MRP;
+            i += MR;
         }
         j += NRP;
     }
@@ -241,19 +234,19 @@ macro_rules! unroll_rows {
         }
     }};
 }
-// unroll_rows! covers exactly 0..MR_V; vector_step splits B into two chunks.
-const _: () = assert!(MR_V == 6 && NR_V == 2 * LANES && NR_V512 == 2 * LANES512);
+// unroll_rows! covers exactly 0..MR; vector_step splits B into two chunks.
+const _: () = assert!(MR == 6 && NR == 2 * LANES && NR512 == 2 * LANES512);
 
 /// One K-step of the vector micro-kernel: rank-1 update of the full
-/// `MR_V x 2L` accumulator tile from fixed-size panel rows. The
+/// `MR x 2L` accumulator tile from fixed-size panel rows. The
 /// `[f32; L]` chunks are the vectorization contract — every lane is an
 /// independent output element's fold, so lane width never reorders
 /// terms. `L` is the ISA tier's register width in `f32`s (8 for
 /// AVX2/portable, 16 for AVX-512); `NRV == 2 * L` always.
 #[inline(always)]
 fn vector_step<const L: usize, const NRV: usize>(
-    acc: &mut [[[f32; L]; 2]; MR_V],
-    a_row: &[f32; MR_V],
+    acc: &mut [[[f32; L]; 2]; MR],
+    a_row: &[f32; MR],
     b_row: &[f32; NRV],
 ) {
     const { assert!(NRV == 2 * L) }
@@ -270,9 +263,9 @@ fn vector_step<const L: usize, const NRV: usize>(
     });
 }
 
-/// `MR_V x NRV` vector micro-kernel body over `kc` terms: ascending `p`,
+/// `MR x NRV` vector micro-kernel body over `kc` terms: ascending `p`,
 /// one accumulator per element from `0.0`, added into `c[c_off..]` at the
-/// end; K-unrolled by [`KU`]. Edge tiles (`mr < MR_V` or `nr < NRV`)
+/// end; K-unrolled by [`KU`]. Edge tiles (`mr < MR` or `nr < NRV`)
 /// write partially. Generic over the lane width so each ISA tier below stamps out
 /// its own copy; `#[inline(always)]` so each wrapper compiles it with
 /// its own target features.
@@ -288,8 +281,8 @@ fn micro_kernel_vector_body<const L: usize, const NRV: usize>(
     mr: usize,
     nr: usize,
 ) {
-    let mut acc = [[[0.0f32; L]; 2]; MR_V];
-    let row_a = |p: usize| -> &[f32; MR_V] { a_panel[p * MR_V..].first_chunk().unwrap() };
+    let mut acc = [[[0.0f32; L]; 2]; MR];
+    let row_a = |p: usize| -> &[f32; MR] { a_panel[p * MR..].first_chunk().unwrap() };
     let row_b = |p: usize| -> &[f32; NRV] { b_panel[p * NRV..].first_chunk().unwrap() };
     let mut p = 0;
     while p + KU <= kc {
@@ -305,7 +298,7 @@ fn micro_kernel_vector_body<const L: usize, const NRV: usize>(
     // one runtime-indexed read would make the tile addressable and force
     // the register allocator to keep all accumulators on the stack
     // (measured ~2x slower). Partial tiles go through a spill copy.
-    if mr == MR_V && nr == NRV {
+    if mr == MR && nr == NRV {
         unroll_rows!(i => {
             let c_row = &mut c[c_off + i * ldc..][..NRV];
             for l in 0..L {
@@ -316,7 +309,7 @@ fn micro_kernel_vector_body<const L: usize, const NRV: usize>(
             }
         });
     } else {
-        let mut spill = [[0.0f32; NRV]; MR_V];
+        let mut spill = [[0.0f32; NRV]; MR];
         unroll_rows!(i => {
             for l in 0..L {
                 spill[i][l] = acc[i][0][l];
@@ -345,7 +338,7 @@ fn micro_kernel_vector_portable(
     mr: usize,
     nr: usize,
 ) {
-    micro_kernel_vector_body::<LANES, NR_V>(a_panel, b_panel, kc, c, c_off, ldc, mr, nr);
+    micro_kernel_vector_body::<LANES, NR>(a_panel, b_panel, kc, c, c_off, ldc, mr, nr);
 }
 
 /// The same body autovectorized with 256-bit registers. AVX2 widens the
@@ -364,7 +357,7 @@ unsafe fn micro_kernel_vector_avx2(
     mr: usize,
     nr: usize,
 ) {
-    micro_kernel_vector_body::<LANES, NR_V>(a_panel, b_panel, kc, c, c_off, ldc, mr, nr);
+    micro_kernel_vector_body::<LANES, NR>(a_panel, b_panel, kc, c, c_off, ldc, mr, nr);
 }
 
 /// The widest tier: 512-bit registers, a `6 x 32` micro-tile (twelve
@@ -385,7 +378,7 @@ unsafe fn micro_kernel_vector_avx512(
     mr: usize,
     nr: usize,
 ) {
-    micro_kernel_vector_body::<LANES512, NR_V512>(a_panel, b_panel, kc, c, c_off, ldc, mr, nr);
+    micro_kernel_vector_body::<LANES512, NR512>(a_panel, b_panel, kc, c, c_off, ldc, mr, nr);
 }
 
 /// Safe shim over the AVX2 kernel. Callers must hold [`Isa::Avx2`] or
@@ -430,7 +423,7 @@ pub fn gemm(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], threads: usize) {
     dispatch_micro!(gemm_par_driver(a, b, c, threads));
 }
 
-fn gemm_par_driver<const MRP: usize, const NRP: usize, F: MicroKernel>(
+fn gemm_par_driver<const NRP: usize, F: MicroKernel>(
     a: MatRef<'_>,
     b: MatRef<'_>,
     c: &mut [f32],
@@ -462,7 +455,7 @@ fn gemm_par_driver<const MRP: usize, const NRP: usize, F: MicroKernel>(
     c.par_chunks_mut(band * n).enumerate().for_each(|(t, band_c)| {
         let row = t * band;
         let rows_here = band.min(m - row);
-        let mut a_pack = vec![0.0f32; MC.div_ceil(MRP) * MRP * KC];
+        let mut a_pack = vec![0.0f32; MC.div_ceil(MR) * MR * KC];
         for jb in 0..n_blocks {
             let jc = jb * NC;
             let nc = NC.min(n - jc);
@@ -473,10 +466,8 @@ fn gemm_par_driver<const MRP: usize, const NRP: usize, F: MicroKernel>(
                 let mut ic = 0;
                 while ic < rows_here {
                     let mc = MC.min(rows_here - ic);
-                    pack_a::<MRP>(a, row + ic, pc, mc, kc, &mut a_pack);
-                    macro_kernel::<MRP, NRP, _>(
-                        &a_pack, b_panel, band_c, ic, jc, mc, nc, kc, n, micro,
-                    );
+                    pack_a(a, row + ic, pc, mc, kc, &mut a_pack);
+                    macro_kernel::<NRP, _>(&a_pack, b_panel, band_c, ic, jc, mc, nc, kc, n, micro);
                     ic += MC;
                 }
             }
