@@ -8,9 +8,9 @@
 //!
 //! * **Materialised:** the unrolled matrix, once per image. It is the
 //!   *extra I/O* this baseline pays relative to the paper's dataflow;
-//!   `dataflow::baselines::im2col_gemm` models exactly that. Row `(ci, dy, dx)` is a strided window of
-//!   channel `ci`, filled by [`Tensor4::padded_window`] a row span at a
-//!   time.
+//!   `dataflow::baselines::im2col_gemm` models exactly that. Row
+//!   `(ci, dy, dx)` is a strided window of channel `ci`, filled by
+//!   [`Tensor4::padded_window`] a row span at a time.
 //! * **Borrowed:** the weight matrix. `Layout::Chw` kernels are stored in
 //!   tap order, so the tensor's own storage is the GEMM's A operand;
 //!   only `Cwh`/`Hwc` kernels are gathered into a copy.

@@ -14,11 +14,11 @@
 //! question answered in one place: [`Isa::detect`].
 
 /// The widest vector instruction set the running CPU offers to the
-/// kernels. Each kernel compiles one `#[inline(always)]`
-/// body into `#[target_feature]` clones and picks the clone by this
-/// tier; a wider tier only puts more *independent* element folds into
-/// one instruction (and never enables FMA), so every tier produces the
-/// same bits. Ordered narrowest to widest.
+/// kernels. Each kernel compiles one `#[inline(always)]` body into
+/// `#[target_feature]` clones and picks the clone by this tier; a wider
+/// tier only puts more *independent* element folds into one instruction
+/// (and never enables FMA), so every tier produces the same bits.
+/// Ordered narrowest to widest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Isa {
     /// The build's baseline features — the only tier off `x86_64`.

@@ -29,9 +29,9 @@
 /// generation (tiny sizes, clarity over speed).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Mat {
-    pub rows: usize,
-    pub cols: usize,
-    pub data: Vec<f64>,
+    rows: usize,
+    cols: usize,
+    data: Vec<f64>,
 }
 
 impl Mat {
