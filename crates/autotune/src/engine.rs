@@ -625,6 +625,74 @@ mod tests {
     }
 
     #[test]
+    fn tune_equals_cache_only_tuning_over_an_empty_store() {
+        use crate::search::genetic::GeneticSearch;
+        use crate::search::sa::SimulatedAnnealing;
+        use iolb_core::shapes::WinogradTile;
+        let device = DeviceSpec::v100();
+        let cases = [
+            (ConvShape::square(64, 28, 32, 3, 1, 1), TileKind::Direct),
+            (ConvShape::new(32, 14, 14, 16, 1, 1, 1, 0), TileKind::Direct),
+            (ConvShape::square(32, 28, 64, 3, 1, 1), TileKind::Winograd(WinogradTile::F2X3)),
+            (ConvShape::square(64, 14, 32, 3, 1, 1), TileKind::Winograd(WinogradTile::F4X3)),
+        ];
+        let searcher = |which: usize| -> (Box<dyn Searcher>, Box<dyn CostModel>) {
+            match which {
+                0 => (Box::new(ParallelRandomWalk::new()), Box::new(GbtCostModel::default())),
+                1 => (Box::new(SimulatedAnnealing::new()), Box::new(GbtCostModel::default())),
+                2 => (Box::new(GeneticSearch::new()), Box::new(NoModel)),
+                _ => (Box::new(RandomSearch), Box::new(NoModel)),
+            }
+        };
+        let mut compared = 0;
+        for (shape, kind) in cases {
+            let measurer = Measurer::new(device.clone(), shape, kind);
+            for pruned in [true, false] {
+                let space = ConfigSpace::new(shape, kind, device.smem_per_sm, pruned);
+                for which in 0..4 {
+                    for seed in [1, 7, 42] {
+                        let params =
+                            TuneParams { max_measurements: 24, batch: 8, patience: 12, seed };
+                        let (mut s, mut m) = searcher(which);
+                        let plain = tune(&space, &measurer, m.as_mut(), s.as_mut(), params);
+                        let (mut s, mut m) = searcher(which);
+                        let cached = tune_with_store_mode(
+                            &space,
+                            &measurer,
+                            m.as_mut(),
+                            s.as_mut(),
+                            params,
+                            &mut RecordStore::new(),
+                            StoreMode::CacheOnly,
+                        )
+                        .map(|o| o.result);
+                        let case = format!("{shape} {kind:?} pruned={pruned} #{which} seed={seed}");
+                        let (Some(plain), Some(cached)) = (plain, cached) else {
+                            panic!("{case}: a run found nothing");
+                        };
+                        assert_eq!(plain.best, cached.best, "{case}");
+                        assert_eq!(plain.best_ms.to_bits(), cached.best_ms.to_bits(), "{case}");
+                        assert_eq!(plain.measurements, cached.measurements, "{case}");
+                        assert_eq!(plain.to_best, cached.to_best, "{case}");
+                        assert_eq!(plain.searcher, cached.searcher, "{case}");
+                        let bits = |r: &TuneResult| -> Vec<(usize, u64, u64)> {
+                            r.curve
+                                .iter()
+                                .map(|p| {
+                                    (p.measurement, p.best_ms.to_bits(), p.best_gflops.to_bits())
+                                })
+                                .collect()
+                        };
+                        assert_eq!(bits(&plain), bits(&cached), "{case}");
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(compared, 96);
+    }
+
+    #[test]
     fn second_run_hits_the_cache_and_never_regresses() {
         let (space, measurer) = setup(true);
         // patience == budget so both runs spend the whole budget: the
