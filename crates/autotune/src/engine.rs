@@ -26,10 +26,11 @@
 //!
 //! ## The record store
 //!
-//! [`tune_with_store`] is the loop production services run: identical to
-//! [`tune`] except that an [`iolb_records::RecordStore`] sits between
-//! the searcher and the simulator. Known configurations replay their
-//! stored cost instead of re-measuring (the store is a *measurement
+//! There is one loop, [`tune_with_store_mode`]: an
+//! [`iolb_records::RecordStore`] sits between the searcher and the
+//! simulator. [`tune`] runs it over an empty store that is then dropped;
+//! [`tune_with_store`] is the production face. Known configurations
+//! replay their stored cost instead of re-measuring (the store is a *measurement
 //! cache*; the simulator is deterministic, so a replayed cost equals a
 //! re-measured one bit for bit), the best stored configurations seed the
 //! searcher's population (*warm start* — exact-workload records first,
@@ -185,7 +186,11 @@ impl TuneState {
     }
 }
 
-/// Runs the full tuning loop.
+/// Runs the full tuning loop with no persistent store: the storeless face
+/// of [`tune_with_store_mode`], run over an empty [`RecordStore`] in
+/// [`StoreMode::CacheOnly`]. With nothing cached and nothing to warm-start
+/// from, that loop measures every proposal, so the trajectory is the
+/// plain train–search–measure loop of the paper.
 ///
 /// Returns `None` only if the space yields no measurable configuration at
 /// all (practically: an infeasible shape/device pairing).
@@ -196,26 +201,16 @@ pub fn tune(
     searcher: &mut dyn Searcher,
     params: TuneParams,
 ) -> Option<TuneResult> {
-    let mut rng = StdRng::seed_from_u64(params.seed);
-    let mut state = TuneState::new();
-
-    while state.live(&params) {
-        // (1) Model training.
-        state.train(space, model);
-        // (2) Configuration searching.
-        let mut batch = searcher.propose(space, model, &state.history, params.batch, &mut rng);
-        if batch.is_empty() {
-            break;
-        }
-        // (3) Dataset updating: measure and fold in proposal order,
-        // truncated to the remaining budget.
-        batch.truncate(params.max_measurements - state.attempts);
-        for cfg in batch {
-            state.fold(cfg, measurer.measure_ms(&cfg), measurer);
-        }
-    }
-
-    state.into_result(measurer, searcher.name())
+    tune_with_store_mode(
+        space,
+        measurer,
+        model,
+        searcher,
+        params,
+        &mut RecordStore::new(),
+        StoreMode::CacheOnly,
+    )
+    .map(|o| o.result)
 }
 
 /// The [`Workload`] identity of a tuning problem — the record store's

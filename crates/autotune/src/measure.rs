@@ -59,10 +59,7 @@ impl Measurer {
     /// Table 2 and Figs. 11/13 report. Uses the *algorithm's* flop count
     /// (direct-equivalent for direct, transform-reduced for Winograd).
     pub fn gflops(&self, time_ms: f64) -> f64 {
-        let flops = match self.kind {
-            TileKind::Direct => self.shape.flops() as f64,
-            TileKind::Winograd(t) => iolb_core::Algorithm::Winograd(t).flops(&self.shape),
-        } + self.epilogue.flops(&self.shape);
+        let flops = self.kind.flops(&self.shape) + self.epilogue.flops(&self.shape);
         flops / (time_ms * 1e-3) / 1e9
     }
 }

@@ -102,9 +102,12 @@ fn best_kind_tile(shape: &ConvShape, kind: TileKind, budget: f64) -> Option<(usi
 /// always, the two Winograd variants when the shape admits them.
 pub fn algo_candidates(shape: &ConvShape) -> Vec<(TileKind, &'static str)> {
     let mut candidates: Vec<(TileKind, &'static str)> = vec![(TileKind::Direct, "direct")];
-    if shape.kh == shape.kw && shape.kh == 3 && shape.stride == 1 {
-        candidates.push((TileKind::Winograd(WinogradTile::F2X3), "winograd-F2x3"));
-        candidates.push((TileKind::Winograd(WinogradTile::F4X3), "winograd-F4x3"));
+    for (tile, label) in
+        [(WinogradTile::F2X3, "winograd-F2x3"), (WinogradTile::F4X3, "winograd-F4x3")]
+    {
+        if shape.supports_winograd(tile) {
+            candidates.push((TileKind::Winograd(tile), label));
+        }
     }
     candidates
 }

@@ -11,10 +11,10 @@
 //!    condition-violating tile at the same budget (why `xy = Rz` matters).
 
 use iolb_autotune::engine::{tune, TuneParams};
+use iolb_autotune::plan::fast_config;
 use iolb_autotune::search::walk::ParallelRandomWalk;
 use iolb_autotune::{ConfigSpace, GbtCostModel, Measurer, NoModel};
 use iolb_bench::banner;
-use iolb_cnn::inference::fast_config;
 use iolb_core::optimality::{feasible_tiles, TileKind};
 use iolb_core::shapes::ConvShape;
 use iolb_dataflow::config::ScheduleConfig;

@@ -2,7 +2,8 @@
 //! `Hin = Win in {14, 56, 112}`, `C_out = 128`, `C_in = 256`,
 //! `H_ker = W_ker = 3`, `mu = 1`, batch in {32, 64, 128}.
 
-use iolb_bench::{banner, cudnn_direct_ms, fmt_speedup, ours_fast_ms};
+use iolb_bench::{banner, fmt_speedup};
+use iolb_cnn::inference::{cudnn_direct_ms, ours_fast_ms};
 use iolb_core::optimality::TileKind;
 use iolb_core::shapes::ConvShape;
 use iolb_gpusim::DeviceSpec;

@@ -13,9 +13,10 @@
 //! competitors' best configurations.
 
 use iolb_bench::{
-    banner, cudnn_direct_ms, load_store_or_exit, records_flag, run_tuner, run_tuner_with_store,
-    save_store_or_exit, StoreMode, TunerKind,
+    banner, load_store_or_exit, records_flag, run_tuner, run_tuner_with_store, save_store_or_exit,
+    StoreMode, TunerKind,
 };
+use iolb_cnn::inference::cudnn_direct_ms;
 use iolb_core::optimality::TileKind;
 use iolb_core::shapes::ConvShape;
 use iolb_gpusim::DeviceSpec;

@@ -3,7 +3,7 @@
 //! Inception-v3.
 
 use iolb_bench::banner;
-use iolb_cnn::inference::{time_network, PlanMode};
+use iolb_cnn::inference::time_network;
 use iolb_cnn::models;
 use iolb_gpusim::DeviceSpec;
 
@@ -28,7 +28,7 @@ fn main() {
         models::inception_v3(),
     ];
     for net in &nets {
-        let t = time_network(net, &device, PlanMode::Fast);
+        let t = time_network(net, &device);
         let convs: usize = net.layers.iter().map(|l| l.repeat).sum();
         println!(
             "{:<14} {:>8} {:>12.3} {:>12.3} {:>8.2}x",
@@ -41,7 +41,7 @@ fn main() {
     }
     println!();
     println!("Per-layer detail for SqueezeNet (algorithm picks):");
-    let t = time_network(&models::squeezenet(), &device, PlanMode::Fast);
+    let t = time_network(&models::squeezenet(), &device);
     for l in t.layers.iter().take(10) {
         println!(
             "  {:<22} ours {:>8.4} ms  cudnn {:>8.4} ms  via {}",

@@ -3,7 +3,8 @@
 //! the TVM stand-in vs cuDNN/MIOpen, for the paper's four convolution
 //! cases.
 
-use iolb_bench::{banner, cudnn_direct_ms, cudnn_winograd_ms, run_tuner, TunerKind};
+use iolb_bench::{banner, run_tuner, TunerKind};
+use iolb_cnn::inference::{cudnn_direct_ms, cudnn_winograd_ms};
 use iolb_core::optimality::TileKind;
 use iolb_core::shapes::{ConvShape, WinogradTile};
 use iolb_gpusim::DeviceSpec;
@@ -56,10 +57,7 @@ fn main() {
             };
             // Report the baseline at the direct-equivalent flop count like
             // the tuners do for their own algorithm.
-            let flops = match case.kind {
-                TileKind::Direct => case.shape.flops() as f64,
-                TileKind::Winograd(t) => iolb_core::Algorithm::Winograd(t).flops(&case.shape),
-            };
+            let flops = case.kind.flops(&case.shape);
             let base_gf = flops / (base_ms * 1e-3) / 1e9;
             println!(
                 "{:<14} {:>12.1} {:>12.1} {:>14.1}",

@@ -4,7 +4,8 @@
 //! `C_out in {128, 256, 512, 1024}`, `H_in = W_in in {14, 56, 112, 196,
 //! 224}` — the paper's 16 sub-plots as 4 speedup tables.
 
-use iolb_bench::{banner, cudnn_direct_ms, cudnn_winograd_ms, fmt_speedup, ours_fast_ms};
+use iolb_bench::{banner, fmt_speedup};
+use iolb_cnn::inference::{cudnn_direct_ms, cudnn_winograd_ms, ours_fast_ms};
 use iolb_core::optimality::TileKind;
 use iolb_core::shapes::{ConvShape, WinogradTile};
 use iolb_gpusim::DeviceSpec;

@@ -1,6 +1,6 @@
 //! Ad-hoc diagnostic: per-kernel timing breakdown for one Fig. 9 cell.
 
-use iolb_cnn::inference::fast_config;
+use iolb_autotune::plan::fast_config;
 use iolb_core::optimality::TileKind;
 use iolb_core::shapes::ConvShape;
 use iolb_dataflow::baselines;

@@ -28,59 +28,18 @@
 //! assert!(!TunerKind::TvmSa.pruned());
 //! ```
 
-use iolb_autotune::engine::{tune, tune_with_store_mode, TuneParams, TuneResult};
+use iolb_autotune::engine::{tune_with_store_mode, TuneParams, TuneResult};
+use iolb_autotune::plan::fast_config;
 use iolb_autotune::search::genetic::GeneticSearch;
 use iolb_autotune::search::random::RandomSearch;
 use iolb_autotune::search::sa::SimulatedAnnealing;
 use iolb_autotune::search::walk::ParallelRandomWalk;
 pub use iolb_autotune::StoreMode;
 use iolb_autotune::{ConfigSpace, GbtCostModel, Measurer, NoModel, Searcher, StoreTuneResult};
-use iolb_cnn::inference::fast_config;
 use iolb_core::optimality::TileKind;
-use iolb_core::shapes::{ConvShape, WinogradTile};
-use iolb_dataflow::baselines;
-use iolb_dataflow::{direct_kernel, winograd_kernel};
-use iolb_gpusim::{simulate, simulate_sequence, DeviceSpec};
+use iolb_core::shapes::ConvShape;
+use iolb_gpusim::DeviceSpec;
 use iolb_records::RecordStore;
-
-/// Our dataflow's simulated time (ms) with the fast (analytic) plan.
-pub fn ours_fast_ms(shape: &ConvShape, kind: TileKind, device: &DeviceSpec) -> Option<f64> {
-    let cfg = fast_config(shape, kind, device)?;
-    let kernel = match kind {
-        TileKind::Direct => direct_kernel(shape, &cfg),
-        TileKind::Winograd(t) => winograd_kernel(shape, t, &cfg),
-    };
-    simulate(device, &kernel).ok().map(|s| s.time_ms)
-}
-
-/// cuDNN stand-in time (ms) for the *direct* algorithm family: best of
-/// im2col+GEMM and the naive direct kernel (paper §7: "the best one of two
-/// direct implementations in cuDNN").
-pub fn cudnn_direct_ms(shape: &ConvShape, device: &DeviceSpec) -> f64 {
-    let mut best = f64::INFINITY;
-    if let Ok(s) = simulate_sequence(device, &baselines::im2col_gemm(shape)) {
-        best = best.min(s.time_ms);
-    }
-    if let Ok(s) = simulate_sequence(device, &baselines::naive_direct(shape)) {
-        best = best.min(s.time_ms);
-    }
-    best
-}
-
-/// cuDNN stand-in time (ms) for the Winograd family (unfused pipeline,
-/// best tile).
-pub fn cudnn_winograd_ms(shape: &ConvShape, device: &DeviceSpec) -> f64 {
-    let mut best = f64::INFINITY;
-    for tile in [WinogradTile::F2X3, WinogradTile::F4X3] {
-        if !shape.supports_winograd(tile) {
-            continue;
-        }
-        if let Ok(s) = simulate_sequence(device, &baselines::winograd_unfused(shape, tile)) {
-            best = best.min(s.time_ms);
-        }
-    }
-    best
-}
 
 /// Which auto-tuner to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -140,7 +99,9 @@ fn tuner_setup(
     (space, measurer, params, searcher)
 }
 
-/// Runs one tuner on one convolution; `budget` caps measurements.
+/// Runs one tuner on one convolution; `budget` caps measurements. The
+/// storeless face of [`run_tuner_with_store`]: an empty store in
+/// [`StoreMode::CacheOnly`], as [`iolb_autotune::engine::tune`] runs it.
 pub fn run_tuner(
     kind: TunerKind,
     shape: &ConvShape,
@@ -149,18 +110,18 @@ pub fn run_tuner(
     budget: usize,
     seed: u64,
 ) -> Option<TuneResult> {
-    let (space, measurer, params, mut searcher) =
-        tuner_setup(kind, shape, tile_kind, device, budget, seed);
-    match kind {
-        TunerKind::TvmGa | TunerKind::TvmRandom => {
-            let mut model = NoModel;
-            tune(&space, &measurer, &mut model, searcher.as_mut(), params)
-        }
-        _ => {
-            let mut model = GbtCostModel::default();
-            tune(&space, &measurer, &mut model, searcher.as_mut(), params)
-        }
-    }
+    let mut store = RecordStore::new();
+    run_tuner_with_store(
+        kind,
+        shape,
+        tile_kind,
+        device,
+        budget,
+        seed,
+        &mut store,
+        StoreMode::CacheOnly,
+    )
+    .map(|o| o.result)
 }
 
 /// [`run_tuner`] against a persistent tuning-record store: measurements
@@ -328,15 +289,6 @@ pub fn banner(title: &str, detail: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fast_runner_produces_speedups() {
-        let shape = ConvShape::square(256, 56, 128, 3, 1, 1);
-        let d = DeviceSpec::gtx1080ti();
-        let ours = ours_fast_ms(&shape, TileKind::Direct, &d).unwrap();
-        let base = cudnn_direct_ms(&shape, &d);
-        assert!(ours > 0.0 && base.is_finite());
-    }
 
     #[test]
     fn tuners_run_to_completion() {

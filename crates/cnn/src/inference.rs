@@ -4,37 +4,25 @@
 //! configuration, times it on the simulator, and sums across the network.
 //! Two planners are compared:
 //!
-//! * **ours** — the dataflow schedules with configurations chosen by the
-//!   optimality condition (fast mode) or by the full auto-tuning engine
-//!   (tuned mode), taking the better of direct and Winograd per layer;
-//! * **baseline** — the cuDNN stand-in: the best of im2col+GEMM and the
-//!   unfused Winograd pipeline per layer.
+//! * **ours** — the dataflow schedules, either with the configurations
+//!   the optimality condition picks ([`time_network`], via
+//!   [`ours_fast_ms`]) or with the tuned configurations a tuning
+//!   [`Backend`] serves ([`time_network_with_backend`]), taking the
+//!   better of direct and Winograd per layer;
+//! * **baseline** — the cuDNN stand-in: the best of im2col+GEMM, the
+//!   naive direct kernel and the unfused Winograd pipeline per layer
+//!   ([`cudnn_direct_ms`], [`cudnn_winograd_ms`]).
 
-use crate::layers::{ConvLayer, Network};
-use iolb_autotune::engine::{tune, tune_with_store};
-// The analytic planning defaults live in `iolb_autotune::plan` (shared
-// with the tuning service); re-exported here because they are part of
-// this module's historical API.
-pub use iolb_autotune::plan::{algo_candidates, fast_config};
+use crate::layers::Network;
+use iolb_autotune::plan::{algo_candidates, fast_config};
 use iolb_core::optimality::TileKind;
 use iolb_core::shapes::{ConvShape, WinogradTile};
 use iolb_dataflow::baselines;
 use iolb_dataflow::{direct_kernel, winograd_kernel};
 use iolb_gpusim::{simulate, simulate_sequence, DeviceSpec};
-use iolb_records::RecordStore;
 use iolb_service::{
     Backend, BackendError, BackendSession, ServeSource, TuneRequest, TuningService,
 };
-
-/// Planning effort for our schedules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanMode {
-    /// Analytic: best integer tile under the optimality condition, default
-    /// thread split. No search.
-    Fast,
-    /// Full auto-tuning with the given measurement budget per layer.
-    Tuned { budget: usize },
-}
 
 /// Per-layer timing entry.
 #[derive(Debug, Clone)]
@@ -70,121 +58,45 @@ impl NetworkTime {
 /// reference runs in tests all replay the same trajectories.
 pub const TUNER_SEED: u64 = 7;
 
-/// Times one layer under our planner; returns (ms, algorithm label).
-pub fn time_ours(
-    shape: &ConvShape,
-    device: &DeviceSpec,
-    mode: PlanMode,
-) -> Option<(f64, &'static str)> {
-    let mut best: Option<(f64, &'static str)> = None;
-    for (kind, label) in algo_candidates(shape) {
-        let ms = match mode {
-            PlanMode::Fast => {
-                let Some(cfg) = fast_config(shape, kind, device) else { continue };
-                let kernel = match kind {
-                    TileKind::Direct => direct_kernel(shape, &cfg),
-                    TileKind::Winograd(t) => winograd_kernel(shape, t, &cfg),
-                };
-                match simulate(device, &kernel) {
-                    Ok(s) => s.time_ms,
-                    Err(_) => continue,
-                }
-            }
-            PlanMode::Tuned { budget } => {
-                let mut s =
-                    iolb_autotune::plan::tuner_setup(shape, kind, device, budget, TUNER_SEED);
-                match tune(&s.space, &s.measurer, &mut s.model, &mut s.searcher, s.params) {
-                    Some(r) => r.best_ms,
-                    None => continue,
-                }
-            }
-        };
-        if best.as_ref().is_none_or(|&(b, _)| ms < b) {
-            best = Some((ms, label));
-        }
+/// Our dataflow's simulated time (ms) with the fast (analytic) plan:
+/// the configuration [`fast_config`] picks for `kind`, timed on the
+/// simulator. `None` when no tile fits or the kernel cannot launch.
+pub fn ours_fast_ms(shape: &ConvShape, kind: TileKind, device: &DeviceSpec) -> Option<f64> {
+    let cfg = fast_config(shape, kind, device)?;
+    let kernel = match kind {
+        TileKind::Direct => direct_kernel(shape, &cfg),
+        TileKind::Winograd(t) => winograd_kernel(shape, t, &cfg),
+    };
+    simulate(device, &kernel).ok().map(|s| s.time_ms)
+}
+
+/// cuDNN stand-in time (ms) for the *direct* algorithm family: best of
+/// im2col+GEMM and the naive direct kernel (paper §7: "the best one of two
+/// direct implementations in cuDNN").
+pub fn cudnn_direct_ms(shape: &ConvShape, device: &DeviceSpec) -> f64 {
+    let mut best = f64::INFINITY;
+    if let Ok(s) = simulate_sequence(device, &baselines::im2col_gemm(shape)) {
+        best = best.min(s.time_ms);
+    }
+    if let Ok(s) = simulate_sequence(device, &baselines::naive_direct(shape)) {
+        best = best.min(s.time_ms);
     }
     best
 }
 
-/// Store economics of a tuning pass: how much the record store saved.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TuneEconomics {
-    /// Simulator invocations actually performed.
-    pub fresh_measurements: usize,
-    /// Measurements replayed from the store.
-    pub cache_hits: usize,
-    /// Tuning runs that warm-started from a *different* workload
-    /// (cross-layer transfer).
-    pub transfers: usize,
-}
-
-impl TuneEconomics {
-    fn absorb(&mut self, out: &iolb_autotune::StoreTuneResult) {
-        self.fresh_measurements += out.fresh_measurements;
-        self.cache_hits += out.cache_hits;
-        self.transfers += usize::from(out.transferred);
-    }
-
-    fn merge(&mut self, other: TuneEconomics) {
-        self.fresh_measurements += other.fresh_measurements;
-        self.cache_hits += other.cache_hits;
-        self.transfers += other.transfers;
-    }
-}
-
-/// Times one layer by full auto-tuning against a persistent record
-/// store (the store-backed analogue of [`time_ours`] in
-/// [`PlanMode::Tuned`]): per-algorithm tuning runs replay cached
-/// measurements, warm-start from the store's best records — transferring
-/// from the nearest already-tuned layer when this one is new — and write
-/// everything they measure back.
-pub fn time_ours_with_store(
-    shape: &ConvShape,
-    device: &DeviceSpec,
-    budget: usize,
-    store: &mut RecordStore,
-) -> Option<(f64, &'static str, TuneEconomics)> {
-    let mut economics = TuneEconomics::default();
-    let mut best: Option<(f64, &'static str)> = None;
-    for (kind, label) in algo_candidates(shape) {
-        let mut s = iolb_autotune::plan::tuner_setup(shape, kind, device, budget, TUNER_SEED);
-        let Some(out) =
-            tune_with_store(&s.space, &s.measurer, &mut s.model, &mut s.searcher, s.params, store)
-        else {
+/// cuDNN stand-in time (ms) for the Winograd family (unfused pipeline,
+/// best tile); infinite when the shape admits no Winograd tile.
+pub fn cudnn_winograd_ms(shape: &ConvShape, device: &DeviceSpec) -> f64 {
+    let mut best = f64::INFINITY;
+    for tile in [WinogradTile::F2X3, WinogradTile::F4X3] {
+        if !shape.supports_winograd(tile) {
             continue;
-        };
-        economics.absorb(&out);
-        if best.as_ref().is_none_or(|&(b, _)| out.result.best_ms < b) {
-            best = Some((out.result.best_ms, label));
+        }
+        if let Ok(s) = simulate_sequence(device, &baselines::winograd_unfused(shape, tile)) {
+            best = best.min(s.time_ms);
         }
     }
-    best.map(|(ms, label)| (ms, label, economics))
-}
-
-/// Tunes a whole network against a persistent record store and times it.
-///
-/// The first pass over a network measures (and records) everything; a
-/// second pass against the same store replays almost every measurement,
-/// and *new* networks sharing layer geometries warm-start from their
-/// neighbours — this is how the measurement cost of the paper's §7.3
-/// experiment amortizes across invocations.
-pub fn time_network_with_store(
-    net: &Network,
-    device: &DeviceSpec,
-    budget: usize,
-    store: &mut RecordStore,
-) -> (NetworkTime, TuneEconomics) {
-    let mut economics = TuneEconomics::default();
-    let time = time_network_impl(net, device, |shape| {
-        match time_ours_with_store(shape, device, budget, store) {
-            Some((ms, label, eco)) => {
-                economics.merge(eco);
-                (ms, label)
-            }
-            None => (f64::INFINITY, "none"),
-        }
-    });
-    (time, economics)
+    best
 }
 
 /// Economics of serving a network through the tuning service: how the
@@ -232,9 +144,8 @@ impl ServiceEconomics {
     }
 }
 
-/// Times a whole network through the background [`TuningService`] — the
-/// service-backed analogue of [`time_network_with_store`], built on one
-/// batch **session** over every layer × algorithm candidate.
+/// Times a whole network through the background [`TuningService`], built
+/// on one batch **session** over every layer × algorithm candidate.
 ///
 /// The session dedupes repeated layer shapes (one tuning job with
 /// fan-out waiters), submits the batch as a tracked group that outranks
@@ -244,8 +155,8 @@ impl ServiceEconomics {
 /// parallel hermetic batch (at the service's per-workload budget).
 /// After the service's queue has drained, serving a registered network
 /// performs **zero** new simulator measurements and returns costs
-/// bit-identical to eager [`time_network_with_store`] runs at the same
-/// budget and seed — that contract is pinned by `tests/service.rs` and
+/// bit-identical to eager store-backed runs
+/// (`iolb_autotune::engine::tune_with_store`) at the same budget and seed — that contract is pinned by `tests/service.rs` and
 /// `tests/session.rs`.
 pub fn time_network_with_service(
     net: &Network,
@@ -306,7 +217,7 @@ pub fn time_network_with_backend<B: Backend>(
 }
 
 /// The shared per-layer timing loop behind [`time_network`] and
-/// [`time_network_with_store`]: `time_layer` supplies our planner's
+/// [`time_network_with_backend`]: `time_layer` supplies our planner's
 /// (ms, algorithm) per shape, the baseline and repeat accounting are
 /// common.
 fn time_network_impl(
@@ -319,7 +230,8 @@ fn time_network_impl(
     let mut base_total = 0.0;
     for layer in &net.layers {
         let (ours, algorithm) = time_layer(&layer.shape);
-        let baseline = time_baseline(&layer.shape, device);
+        let baseline =
+            cudnn_direct_ms(&layer.shape, device).min(cudnn_winograd_ms(&layer.shape, device));
         let reps = layer.repeat as f64;
         ours_total += ours * reps;
         base_total += baseline * reps;
@@ -333,47 +245,46 @@ fn time_network_impl(
     NetworkTime { network: net.name, layers, ours_ms: ours_total, baseline_ms: base_total }
 }
 
-/// Times one layer under the baseline library (best available algorithm).
-pub fn time_baseline(shape: &ConvShape, device: &DeviceSpec) -> f64 {
-    let mut best = f64::INFINITY;
-    if let Ok(seq) = simulate_sequence(device, &baselines::im2col_gemm(shape)) {
-        best = best.min(seq.time_ms);
-    }
-    if let Ok(seq) = simulate_sequence(device, &baselines::naive_direct(shape)) {
-        best = best.min(seq.time_ms);
-    }
-    if shape.kh == shape.kw && shape.kh == 3 && shape.stride == 1 {
-        for tile in [WinogradTile::F2X3, WinogradTile::F4X3] {
-            if let Ok(seq) = simulate_sequence(device, &baselines::winograd_unfused(shape, tile)) {
-                best = best.min(seq.time_ms);
+/// Times a whole network with the analytic plan: per layer, the fastest
+/// of [`ours_fast_ms`] over the [`algo_candidates`], against the cuDNN
+/// stand-in.
+pub fn time_network(net: &Network, device: &DeviceSpec) -> NetworkTime {
+    time_network_impl(net, device, |shape| {
+        let mut best: Option<(f64, &'static str)> = None;
+        for (kind, label) in algo_candidates(shape) {
+            let Some(ms) = ours_fast_ms(shape, kind, device) else { continue };
+            if best.as_ref().is_none_or(|&(b, _)| ms < b) {
+                best = Some((ms, label));
             }
         }
-    }
-    best
-}
-
-/// Times a whole network.
-pub fn time_network(net: &Network, device: &DeviceSpec, mode: PlanMode) -> NetworkTime {
-    time_network_impl(net, device, |shape| {
-        time_ours(shape, device, mode).unwrap_or((f64::INFINITY, "none"))
+        best.unwrap_or((f64::INFINITY, "none"))
     })
-}
-
-/// Convenience for tests / examples: layer accessor on networks.
-pub fn layer<'n>(net: &'n Network, name: &str) -> &'n ConvLayer {
-    net.layers
-        .iter()
-        .find(|l| l.name == name)
-        .unwrap_or_else(|| panic!("{} has no layer {name}", net.name))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::ConvLayer;
     use crate::models;
 
     fn device() -> DeviceSpec {
         DeviceSpec::v100()
+    }
+
+    /// Our analytic plan for a one-layer network: (ms, algorithm).
+    fn time_one(shape: ConvShape) -> (f64, &'static str) {
+        let net = Network { name: "one", layers: vec![ConvLayer::new("l", shape)] };
+        let t = time_network(&net, &device());
+        (t.layers[0].ours_ms, t.layers[0].algorithm)
+    }
+
+    #[test]
+    fn fast_runner_produces_speedups() {
+        let shape = ConvShape::square(256, 56, 128, 3, 1, 1);
+        let d = DeviceSpec::gtx1080ti();
+        let ours = ours_fast_ms(&shape, TileKind::Direct, &d).unwrap();
+        let base = cudnn_direct_ms(&shape, &d);
+        assert!(ours > 0.0 && base.is_finite());
     }
 
     #[test]
@@ -388,7 +299,7 @@ mod tests {
     #[test]
     fn our_time_finite_and_positive() {
         let shape = ConvShape::square(64, 28, 64, 3, 1, 1);
-        let (ms, alg) = time_ours(&shape, &device(), PlanMode::Fast).unwrap();
+        let (ms, alg) = time_one(shape);
         assert!(ms.is_finite() && ms > 0.0);
         assert!(!alg.is_empty());
     }
@@ -398,14 +309,14 @@ mod tests {
         // 3x3 s1 layers must at least consider Winograd; deep-channel
         // layers favour it via the flop reduction.
         let shape = ConvShape::square(512, 28, 512, 3, 1, 1);
-        let (_, alg) = time_ours(&shape, &device(), PlanMode::Fast).unwrap();
+        let (_, alg) = time_one(shape);
         assert!(alg == "direct" || alg.starts_with("winograd"));
     }
 
     #[test]
     fn network_timing_sums_layers() {
         let net = models::alexnet();
-        let t = time_network(&net, &device(), PlanMode::Fast);
+        let t = time_network(&net, &device());
         let sum: f64 = t.layers.iter().map(|l| l.ours_ms).sum();
         assert!((t.ours_ms - sum).abs() < 1e-9);
         assert!(t.ours_ms > 0.0 && t.baseline_ms > 0.0);
@@ -414,7 +325,7 @@ mod tests {
     #[test]
     fn ours_beats_baseline_end_to_end_on_alexnet() {
         let net = models::alexnet();
-        let t = time_network(&net, &device(), PlanMode::Fast);
+        let t = time_network(&net, &device());
         assert!(t.speedup() > 1.0, "ours {} ms vs baseline {} ms", t.ours_ms, t.baseline_ms);
     }
 
@@ -422,7 +333,7 @@ mod tests {
     fn one_by_one_layers_are_plannable() {
         // SqueezeNet's squeeze layers: R = 1, stride 1, k = 1.
         let shape = ConvShape::new(96, 54, 54, 16, 1, 1, 1, 0);
-        let (ms, alg) = time_ours(&shape, &device(), PlanMode::Fast).unwrap();
+        let (ms, alg) = time_one(shape);
         assert!(ms.is_finite());
         assert_eq!(alg, "direct");
     }
@@ -431,19 +342,12 @@ mod tests {
     fn rectangular_kernels_are_plannable() {
         // Inception 1x7.
         let shape = ConvShape::new(128, 17, 17, 128, 1, 7, 1, 3);
-        let (ms, _) = time_ours(&shape, &device(), PlanMode::Fast).unwrap();
+        let (ms, _) = time_one(shape);
         assert!(ms.is_finite());
     }
 
     #[test]
-    fn layer_lookup() {
-        let net = models::alexnet();
-        assert_eq!(layer(&net, "conv3").shape.cout, 384);
-    }
-
-    #[test]
     fn service_serving_after_drain_is_all_hits() {
-        use crate::layers::{ConvLayer, Network};
         use iolb_service::{ServiceConfig, ShardedStore, TuningService};
         let net = Network {
             name: "toy",
@@ -473,45 +377,5 @@ mod tests {
         assert_eq!(eco_cold.inline_tuned, 2);
         assert!(eco_cold.fresh_measurements > 0);
         assert_eq!(timed_cold.ours_ms.to_bits(), timed.ours_ms.to_bits());
-    }
-
-    #[test]
-    fn network_retuning_against_a_store_is_mostly_cached() {
-        use crate::layers::{ConvLayer, Network};
-        // A two-layer toy network; 1x1 layers keep the candidate list to
-        // `direct` only, so the test stays fast.
-        let net = Network {
-            name: "toy",
-            layers: vec![
-                ConvLayer::new("a", ConvShape::new(32, 28, 28, 16, 1, 1, 1, 0)),
-                ConvLayer::new("b", ConvShape::new(16, 28, 28, 32, 1, 1, 1, 0)),
-            ],
-        };
-        let mut store = iolb_records::RecordStore::new();
-        let (cold, eco_cold) = time_network_with_store(&net, &device(), 16, &mut store);
-        let (warm, eco_warm) = time_network_with_store(&net, &device(), 16, &mut store);
-        assert_eq!(eco_cold.cache_hits, 0);
-        assert!(eco_cold.fresh_measurements > 0);
-        assert!(
-            eco_warm.fresh_measurements < eco_cold.fresh_measurements,
-            "second network pass re-measured everything ({} vs {})",
-            eco_warm.fresh_measurements,
-            eco_cold.fresh_measurements
-        );
-        assert!(eco_warm.cache_hits > 0);
-        assert!(
-            warm.ours_ms <= cold.ours_ms + 1e-12,
-            "store-backed retune regressed: {} vs {}",
-            warm.ours_ms,
-            cold.ours_ms
-        );
-        // Related layers transfer: a third, unseen layer with the same
-        // spatial extents warm-starts from its neighbours.
-        let related = Network {
-            name: "toy2",
-            layers: vec![ConvLayer::new("c", ConvShape::new(64, 28, 28, 16, 1, 1, 1, 0))],
-        };
-        let (_, eco_rel) = time_network_with_store(&related, &device(), 16, &mut store);
-        assert!(eco_rel.transfers > 0, "unseen layer did not transfer from neighbours");
     }
 }

@@ -1,6 +1,6 @@
 //! Named convolution layers.
 
-use iolb_core::shapes::ConvShape;
+use iolb_core::shapes::{ConvShape, WinogradTile};
 
 /// A named conv layer with an occurrence count (identical layers inside a
 /// network are folded with `repeat > 1`).
@@ -29,10 +29,10 @@ impl ConvLayer {
         self.shape.macs() * self.repeat as u64
     }
 
-    /// Whether a Winograd `F(e,r)` implementation applies (square kernel,
-    /// unit stride).
+    /// Whether the planner's Winograd tiles (`F(2x2,3x3)`, `F(4x4,3x3)`)
+    /// apply: a square 3x3 kernel at unit stride.
     pub fn winograd_eligible(&self) -> bool {
-        self.shape.kh == self.shape.kw && self.shape.stride == 1 && self.shape.kh == 3
+        self.shape.supports_winograd(WinogradTile::F2X3)
     }
 }
 

@@ -3,10 +3,10 @@
 //! The workload side of the evaluation: exact conv-layer inventories for
 //! AlexNet, SqueezeNet, VGG-19, ResNet-18/34 and Inception-v3
 //! ([`models`]), and the per-layer algorithm selection + timing pipeline
-//! behind the paper's Fig. 12 end-to-end comparison ([`inference`]) —
-//! analytic fast mode, full per-layer tuning, store-backed tuning
-//! ([`inference::time_network_with_store`]), and backend-served tuning
-//! ([`inference::time_network_with_backend`] over any
+//! behind the paper's Fig. 12 end-to-end comparison ([`inference`]). A
+//! network is timed two ways: with the analytic plan
+//! ([`inference::time_network`]), or with the configurations a tuning
+//! backend serves ([`inference::time_network_with_backend`] over any
 //! `iolb_service::Backend` — the embedded [`TuningService`] wrapper is
 //! [`inference::time_network_with_service`]; a `SocketBackend` runs the
 //! same session against a resident shard-server daemon). [`fusion`]
@@ -22,7 +22,8 @@
 //! let net = models::alexnet();
 //! assert_eq!(net.name, "AlexNet");
 //! assert!(net.len() >= 5 && net.total_macs() > 0);
-//! assert_eq!(iolb_cnn::inference::layer(&net, "conv3").shape.cout, 384);
+//! let conv3 = net.layers.iter().find(|l| l.name == "conv3").unwrap();
+//! assert_eq!(conv3.shape.cout, 384);
 //! ```
 
 pub mod fusion;
@@ -31,7 +32,7 @@ pub mod layers;
 pub mod models;
 
 pub use inference::{
-    time_network, time_network_with_backend, time_network_with_service, time_network_with_store,
-    LayerTime, NetworkTime, PlanMode, ServiceEconomics, TuneEconomics,
+    time_network, time_network_with_backend, time_network_with_service, LayerTime, NetworkTime,
+    ServiceEconomics,
 };
 pub use layers::{ConvLayer, Network};

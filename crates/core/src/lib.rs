@@ -59,91 +59,3 @@ pub mod winograd;
 
 pub use epilogue::Epilogue;
 pub use shapes::{ConvShape, ShapeError, WinogradTile};
-
-/// Which convolution algorithm a bound or schedule refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Algorithm {
-    /// Direct convolution (paper §2.2, Fig. 4).
-    Direct,
-    /// Winograd algorithm with the given tile (paper §2.3, Fig. 5).
-    Winograd(WinogradTile),
-}
-
-impl Algorithm {
-    /// I/O lower bound for this algorithm on `shape` with fast memory `s`
-    /// (elements). Dispatches to Theorem 4.12 / Theorem 4.20.
-    pub fn io_lower_bound(&self, shape: &ConvShape, s: f64) -> f64 {
-        match self {
-            Algorithm::Direct => direct::io_lower_bound(shape, s),
-            Algorithm::Winograd(t) => winograd::io_lower_bound(shape, *t, s),
-        }
-    }
-
-    /// I/O volume of the paper's near-optimal dataflow (Eq. 21 / Eq. 23).
-    pub fn dataflow_io(&self, shape: &ConvShape, s: f64, np: f64) -> f64 {
-        match self {
-            Algorithm::Direct => direct::dataflow_optimal_io(shape, s, np),
-            Algorithm::Winograd(t) => winograd::dataflow_optimal_io(shape, *t, s, np),
-        }
-    }
-
-    /// Arithmetic cost (FLOPs) of this algorithm on `shape`. Winograd
-    /// divides the direct multiply count by the per-tile saving and adds
-    /// transform overhead proportional to tile count.
-    pub fn flops(&self, shape: &ConvShape) -> f64 {
-        match self {
-            Algorithm::Direct => shape.flops() as f64,
-            Algorithm::Winograd(t) => {
-                let tiles = (shape.hout().div_ceil(t.e) * shape.wout().div_ceil(t.e)) as f64
-                    * shape.batch as f64;
-                let a2 = (t.a() * t.a()) as f64;
-                // Elementwise multiplies: tiles * Cout * Cin * a^2 MACs.
-                let mul = tiles * shape.cout as f64 * shape.cin as f64 * a2;
-                // Transform adds (input, kernel amortised, output), counted
-                // as ~4 a^2 ops per tile-channel per stage.
-                let transforms = tiles * (shape.cin as f64 + shape.cout as f64) * 4.0 * a2;
-                2.0 * mul + transforms
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for Algorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Algorithm::Direct => write!(f, "direct"),
-            Algorithm::Winograd(t) => write!(f, "winograd-F({}x{},{}x{})", t.e, t.e, t.r, t.r),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn algorithm_dispatch_consistent_with_modules() {
-        let shape = ConvShape::square(256, 56, 128, 3, 1, 1);
-        let s = 4096.0;
-        assert_eq!(Algorithm::Direct.io_lower_bound(&shape, s), direct::io_lower_bound(&shape, s));
-        let t = WinogradTile::F2X3;
-        assert_eq!(
-            Algorithm::Winograd(t).io_lower_bound(&shape, s),
-            winograd::io_lower_bound(&shape, t, s)
-        );
-    }
-
-    #[test]
-    fn winograd_flops_below_direct_for_3x3() {
-        let shape = ConvShape::square(256, 56, 256, 3, 1, 1);
-        let d = Algorithm::Direct.flops(&shape);
-        let w = Algorithm::Winograd(WinogradTile::F4X3).flops(&shape);
-        assert!(w < d, "winograd {w} direct {d}");
-    }
-
-    #[test]
-    fn display_names() {
-        assert_eq!(format!("{}", Algorithm::Direct), "direct");
-        assert_eq!(format!("{}", Algorithm::Winograd(WinogradTile::F2X3)), "winograd-F(2x2,3x3)");
-    }
-}

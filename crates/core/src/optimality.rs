@@ -117,6 +117,26 @@ impl TileKind {
         }
     }
 
+    /// Arithmetic cost (FLOPs) of this algorithm on `shape`. Winograd
+    /// divides the direct multiply count by the per-tile saving and adds
+    /// transform overhead proportional to tile count.
+    pub fn flops(&self, shape: &ConvShape) -> f64 {
+        match self {
+            TileKind::Direct => shape.flops() as f64,
+            TileKind::Winograd(t) => {
+                let tiles = (shape.hout().div_ceil(t.e) * shape.wout().div_ceil(t.e)) as f64
+                    * shape.batch as f64;
+                let a2 = (t.a() * t.a()) as f64;
+                // Elementwise multiplies: tiles * Cout * Cin * a^2 MACs.
+                let mul = tiles * shape.cout as f64 * shape.cin as f64 * a2;
+                // Transform adds (input, kernel amortised, output), counted
+                // as ~4 a^2 ops per tile-channel per stage.
+                let transforms = tiles * (shape.cin as f64 + shape.cout as f64) * 4.0 * a2;
+                2.0 * mul + transforms
+            }
+        }
+    }
+
     /// On-chip elements consumed by a tile under the *paper's* accounting
     /// (§5.3 keeps two temporary arrays per in-flight Winograd tile).
     pub fn onchip_elems(&self, tile: &Tile) -> f64 {
@@ -175,6 +195,15 @@ impl TileKind {
                 let yp = (tile.y + t.r - 1) as f64;
                 blocks * shape.cin as f64 * (xp * yp + (t.r * t.r * tile.z) as f64)
             }
+        }
+    }
+}
+
+impl std::fmt::Display for TileKind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TileKind::Direct => write!(f, "direct"),
+            TileKind::Winograd(t) => write!(f, "winograd-F({}x{},{}x{})", t.e, t.e, t.r, t.r),
         }
     }
 }
@@ -349,6 +378,20 @@ mod tests {
             assert!(best.read_io <= prev * 1.0001, "sb={sb}");
             prev = best.read_io;
         }
+    }
+
+    #[test]
+    fn winograd_flops_below_direct_for_3x3() {
+        let shape = ConvShape::square(256, 56, 256, 3, 1, 1);
+        let d = TileKind::Direct.flops(&shape);
+        let w = TileKind::Winograd(WinogradTile::F4X3).flops(&shape);
+        assert!(w < d, "winograd {w} direct {d}");
+    }
+
+    #[test]
+    fn display_names() {
+        assert_eq!(format!("{}", TileKind::Direct), "direct");
+        assert_eq!(format!("{}", TileKind::Winograd(WinogradTile::F2X3)), "winograd-F(2x2,3x3)");
     }
 
     #[test]

@@ -2,14 +2,14 @@
 //! theoretical lower bound.
 
 use crate::config::ScheduleConfig;
+use iolb_core::optimality::TileKind;
 use iolb_core::shapes::{ConvShape, WinogradTile};
-use iolb_core::Algorithm;
 
 /// Comparison of a schedule against the theory.
 #[derive(Debug, Clone)]
 pub struct OptimalityReport {
     /// The algorithm analysed.
-    pub algorithm: Algorithm,
+    pub algorithm: TileKind,
     /// Exact useful-element I/O of the lowered schedule.
     pub q_schedule: f64,
     /// The paper's analytic dataflow model (Eq. 20/22 + stores).
@@ -29,7 +29,7 @@ pub fn analyze_direct(shape: &ConvShape, cfg: &ScheduleConfig) -> OptimalityRepo
     let q_model = crate::direct::analytic_io_elems(shape, cfg);
     let q_lower = iolb_core::direct::io_lower_bound(shape, cfg.sb_elems());
     OptimalityReport {
-        algorithm: Algorithm::Direct,
+        algorithm: TileKind::Direct,
         q_schedule,
         q_model,
         q_lower,
@@ -53,7 +53,7 @@ pub fn analyze_winograd(
     let q_model = crate::winograd::analytic_io_elems(shape, tile, cfg);
     let q_lower = iolb_core::winograd::io_lower_bound(shape, tile, cfg.sb_elems());
     OptimalityReport {
-        algorithm: Algorithm::Winograd(tile),
+        algorithm: TileKind::Winograd(tile),
         q_schedule,
         q_model,
         q_lower,

@@ -13,7 +13,6 @@
 //! * [`kernel`] — kernel descriptions (grid x block shape x per-block
 //!   work) and result statistics.
 //! * [`engine`] — occupancy-aware wave scheduling with roofline timing.
-//! * [`trace`] — run logs, tables and CSV for the experiment harnesses.
 //!
 //! Design stance (see DESIGN.md): traffic is counted **exactly** — that is
 //! what the theory bounds — while time is a monotone roofline model, good
@@ -42,7 +41,6 @@ pub mod engine;
 pub mod kernel;
 pub mod memory;
 pub mod occupancy;
-pub mod trace;
 
 pub use device::DeviceSpec;
 pub use engine::{simulate, simulate_sequence, SequenceStats, SimError};

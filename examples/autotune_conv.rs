@@ -6,9 +6,9 @@
 //! ```
 
 use conv_iolb::autotune::engine::{tune, TuneParams};
+use conv_iolb::autotune::plan::fast_config;
 use conv_iolb::autotune::search::walk::ParallelRandomWalk;
 use conv_iolb::autotune::{ConfigSpace, GbtCostModel, Measurer};
-use conv_iolb::cnn::inference::fast_config;
 use conv_iolb::core::optimality::TileKind;
 use conv_iolb::core::shapes::ConvShape;
 use conv_iolb::gpusim::DeviceSpec;

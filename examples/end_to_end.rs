@@ -5,7 +5,7 @@
 //! cargo run --release --example end_to_end [squeezenet|vgg19|resnet18|resnet34|inception]
 //! ```
 
-use conv_iolb::cnn::inference::{time_network, PlanMode};
+use conv_iolb::cnn::inference::time_network;
 use conv_iolb::cnn::models;
 use conv_iolb::gpusim::DeviceSpec;
 
@@ -33,7 +33,7 @@ fn main() {
         net.total_macs() as f64 / 1e9
     );
 
-    let t = time_network(&net, &device, PlanMode::Fast);
+    let t = time_network(&net, &device);
     println!("{:<26} {:>10} {:>10} {:>8}  algorithm", "layer", "ours(ms)", "base(ms)", "speedup");
     for l in &t.layers {
         println!(

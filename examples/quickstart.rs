@@ -4,7 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use conv_iolb::cnn::inference::fast_config;
+use conv_iolb::autotune::plan::fast_config;
 use conv_iolb::core::direct;
 use conv_iolb::core::optimality::TileKind;
 use conv_iolb::core::shapes::ConvShape;

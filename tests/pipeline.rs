@@ -2,9 +2,10 @@
 //! verify pipeline, end to end.
 
 use conv_iolb::autotune::engine::{tune, TuneParams};
+use conv_iolb::autotune::plan::fast_config;
 use conv_iolb::autotune::search::walk::ParallelRandomWalk;
 use conv_iolb::autotune::{ConfigSpace, GbtCostModel, Measurer};
-use conv_iolb::cnn::inference::{fast_config, time_network, PlanMode};
+use conv_iolb::cnn::inference::time_network;
 use conv_iolb::cnn::models;
 use conv_iolb::core::optimality::TileKind;
 use conv_iolb::core::shapes::{ConvShape, WinogradTile};
@@ -127,7 +128,7 @@ fn pruned_domain_compression_on_alexnet() {
 fn end_to_end_speedup_on_resnets() {
     let device = DeviceSpec::v100();
     for net in [models::resnet18(), models::resnet34()] {
-        let t = time_network(&net, &device, PlanMode::Fast);
+        let t = time_network(&net, &device);
         assert!(
             t.speedup() > 1.0,
             "{}: ours {} ms vs baseline {} ms",
@@ -144,7 +145,7 @@ fn end_to_end_speedup_on_resnets() {
 fn every_layer_of_every_network_is_plannable() {
     let device = DeviceSpec::gtx1080ti();
     for net in models::all_networks() {
-        let t = time_network(&net, &device, PlanMode::Fast);
+        let t = time_network(&net, &device);
         for l in &t.layers {
             assert!(l.ours_ms.is_finite(), "{}/{} unplannable", net.name, l.name);
         }

@@ -97,7 +97,8 @@ fn stores_serialize_bit_identically_across_runs() {
 
 #[test]
 fn store_backed_network_tuning_is_incremental() {
-    use conv_iolb::cnn::inference::time_network_with_store;
+    use conv_iolb::autotune::plan::{algo_candidates, tuner_setup};
+    use conv_iolb::cnn::inference::TUNER_SEED;
     use conv_iolb::cnn::layers::{ConvLayer, Network};
     let net = Network {
         name: "mini",
@@ -107,10 +108,34 @@ fn store_backed_network_tuning_is_incremental() {
         ],
     };
     let device = DeviceSpec::v100();
+    // One pass over the network: every layer x algorithm candidate tuned
+    // against the shared store; returns (summed best ms, fresh measurements).
+    let pass = |store: &mut RecordStore| {
+        let (mut ms, mut fresh) = (0.0, 0);
+        for layer in &net.layers {
+            let mut best = f64::INFINITY;
+            for (kind, _) in algo_candidates(&layer.shape) {
+                let mut s = tuner_setup(&layer.shape, kind, &device, 12, TUNER_SEED);
+                let out = tune_with_store(
+                    &s.space,
+                    &s.measurer,
+                    &mut s.model,
+                    &mut s.searcher,
+                    s.params,
+                    store,
+                )
+                .expect("1x1 layers are tunable");
+                fresh += out.fresh_measurements;
+                best = best.min(out.result.best_ms);
+            }
+            ms += best * layer.repeat as f64;
+        }
+        (ms, fresh)
+    };
     let mut store = RecordStore::new();
-    let (t1, eco1) = time_network_with_store(&net, &device, 12, &mut store);
-    let (t2, eco2) = time_network_with_store(&net, &device, 12, &mut store);
-    assert!(t1.ours_ms.is_finite() && t2.ours_ms.is_finite());
-    assert!(eco2.fresh_measurements < eco1.fresh_measurements);
-    assert!(t2.ours_ms <= t1.ours_ms + 1e-12);
+    let (t1, fresh1) = pass(&mut store);
+    let (t2, fresh2) = pass(&mut store);
+    assert!(t1.is_finite() && t2.is_finite());
+    assert!(fresh2 < fresh1);
+    assert!(t2 <= t1 + 1e-12);
 }
