@@ -71,7 +71,13 @@ impl ConvShape {
     }
 
     /// Validates the shape: all dims positive, kernel fits into the padded
-    /// input, stride positive.
+    /// input, stride positive, and the padded extents and every derived
+    /// count ([`output_elems`](Self::output_elems),
+    /// [`input_elems`](Self::input_elems),
+    /// [`weight_elems`](Self::weight_elems), [`macs`](Self::macs),
+    /// [`flops`](Self::flops)) representable. A shape that passes can be
+    /// asked for any of them without overflow, so decoders of untrusted
+    /// input call this before anything else.
     pub fn validate(&self) -> Result<(), ShapeError> {
         if self.batch == 0
             || self.cin == 0
@@ -86,8 +92,25 @@ impl ConvShape {
         if self.stride == 0 {
             return Err(ShapeError::ZeroStride);
         }
-        if self.hin + 2 * self.pad < self.kh || self.win + 2 * self.pad < self.kw {
+        let padded = |n: usize| self.pad.checked_mul(2).and_then(|p| n.checked_add(p));
+        let (Some(hp), Some(wp)) = (padded(self.hin), padded(self.win)) else {
+            return Err(ShapeError::Overflow);
+        };
+        if hp < self.kh || wp < self.kw {
             return Err(ShapeError::KernelTooLarge);
+        }
+        // Every factor is positive, so a product that fits has every
+        // partial product fit: the FLOP count covers `output_elems`,
+        // `weight_elems` and `macs` too.
+        let product =
+            |factors: &[usize]| factors.iter().try_fold(1u64, |acc, &f| acc.checked_mul(f as u64));
+        let (hout, wout) = ((hp - self.kh) / self.stride + 1, (wp - self.kw) / self.stride + 1);
+        let counts = [
+            product(&[self.batch, self.cin, self.hin, self.win]),
+            product(&[self.batch, self.cout, hout, wout, self.kh, self.kw, self.cin, 2]),
+        ];
+        if counts.contains(&None) {
+            return Err(ShapeError::Overflow);
         }
         Ok(())
     }
@@ -205,6 +228,9 @@ pub enum ShapeError {
     ZeroStride,
     /// Kernel larger than padded input.
     KernelTooLarge,
+    /// A padded extent or a derived element, MAC or FLOP count does not
+    /// fit in its integer type.
+    Overflow,
 }
 
 impl std::fmt::Display for ShapeError {
@@ -213,6 +239,7 @@ impl std::fmt::Display for ShapeError {
             ShapeError::ZeroDim => write!(f, "shape has a zero dimension"),
             ShapeError::ZeroStride => write!(f, "stride must be positive"),
             ShapeError::KernelTooLarge => write!(f, "kernel larger than padded input"),
+            ShapeError::Overflow => write!(f, "shape's extents or counts overflow"),
         }
     }
 }
@@ -301,6 +328,29 @@ mod tests {
             Err(ShapeError::KernelTooLarge)
         );
         assert!(ConvShape::new(1, 2, 2, 1, 5, 5, 1, 2).validate().is_ok());
+    }
+
+    #[test]
+    fn validation_refuses_overflowing_shapes() {
+        // `hin + 2 * pad` wraps: in a debug build computing it panics, in
+        // release it wrapped to a small extent and the shape was accepted.
+        let pad = ConvShape::new(1, 4, 4, 1, 3, 3, 1, 1 << 63);
+        assert_eq!(pad.validate(), Err(ShapeError::Overflow));
+        assert_eq!(ConvShape { pad: usize::MAX, ..pad }.validate(), Err(ShapeError::Overflow));
+        // Every extent fits, but batch * cout is 2^64: the element and
+        // MAC counts wrapped to zero.
+        let wide = ConvShape::new(1 << 32, 1, 1, 1 << 32, 1, 1, 1, 0).with_batch(1 << 32);
+        assert_eq!(wide.validate(), Err(ShapeError::Overflow));
+        // Input elements alone overflow (outputs stay small at stride 4).
+        let input = ConvShape::new(1 << 31, 1 << 17, 1 << 17, 1, 1, 1, 1 << 17, 0);
+        assert_eq!(input.validate(), Err(ShapeError::Overflow));
+        // Weights fit but MACs do not.
+        let macs = ConvShape::new(1 << 20, 1 << 12, 1 << 12, 1 << 20, 1, 1, 1, 0);
+        assert_eq!(macs.validate(), Err(ShapeError::Overflow));
+        // The largest layers of the zoo are far inside the limits.
+        let big = ConvShape::square(1024, 224, 1024, 11, 1, 5).with_batch(128);
+        assert!(big.validate().is_ok());
+        assert!(big.flops() > 0);
     }
 
     #[test]

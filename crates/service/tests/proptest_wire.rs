@@ -278,6 +278,44 @@ fn stale_wire_versions_are_rejected_by_both_decoders() {
     }
 }
 
+/// A `Submit` whose shape overflows is refused with a typed error, in a
+/// debug build (where the unchecked `hin + 2 * pad` panicked) and in
+/// release (where it wrapped and the shape was accepted with a two-row
+/// output, or with zero MACs).
+#[test]
+fn hostile_shapes_in_a_submit_are_refused_with_a_typed_error() {
+    let shape = ConvShape::new(16, 14, 14, 8, 1, 1, 1, 0);
+    let request = Request::Submit {
+        device: DeviceSpec::v100(),
+        requests: vec![TuneRequest::bare(shape, TileKind::Direct)],
+    };
+    let payload = String::from_utf8(wire::encode_request(&request)).expect("frames are UTF-8");
+    let fields = |batch: u64, cin: u64, cout: u64, k: u64, pad: u64| {
+        format!(
+            "\"batch\":{batch},\"cin\":{cin},\"hin\":14,\"win\":14,\"cout\":{cout},\
+             \"kh\":{k},\"kw\":{k},\"stride\":1,\"pad\":{pad}"
+        )
+    };
+    let valid = fields(1, 16, 8, 1, 0);
+    assert!(payload.contains(&valid), "submit line moved: {payload}");
+    let big = 1u64 << 32;
+    for hostile in [fields(1, 16, 8, 3, 1 << 63), fields(big, big, big, 1, 0)] {
+        let payload = payload.replace(&valid, &hostile);
+        match wire::decode_request(&payload) {
+            Err(WireError::Malformed(why)) => assert!(why.contains("overflow"), "{why}"),
+            other => panic!("{hostile}: expected a typed refusal, got {other:?}"),
+        }
+        let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(payload.as_bytes());
+        match read_request(&mut frame.as_slice()) {
+            Err(WireError::Malformed(why)) => assert!(why.contains("overflow"), "{why}"),
+            other => {
+                panic!("{hostile}: expected a typed refusal from the framed reader, got {other:?}")
+            }
+        }
+    }
+}
+
 /// ROADMAP aim 3, "never by hang": decoding is linear in the payload, so
 /// a frame at the cap costs milliseconds. The frame deadline covers
 /// *reading* a frame, not decoding it, so a quadratic decoder (the
