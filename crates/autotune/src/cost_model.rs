@@ -28,7 +28,7 @@ pub struct GbtCostModel {
 }
 
 impl GbtCostModel {
-    pub fn new(params: GbrtParams, seed: u64) -> Self {
+    pub(crate) fn new(params: GbrtParams, seed: u64) -> Self {
         Self { model: None, params, seed }
     }
 }

@@ -215,7 +215,7 @@ pub fn tune(
 
 /// The [`Workload`] identity of a tuning problem — the record store's
 /// primary key for everything this `(space, measurer)` pair measures.
-pub fn workload_for(space: &ConfigSpace, measurer: &Measurer) -> Workload {
+pub(crate) fn workload_for(space: &ConfigSpace, measurer: &Measurer) -> Workload {
     Workload::new(space.shape, space.kind, measurer.device.name, measurer.device.smem_per_sm)
         .with_epilogue(measurer.epilogue)
 }

@@ -68,10 +68,6 @@ pub enum FusionDecision {
 }
 
 impl FusionDecision {
-    pub fn is_fuse(&self) -> bool {
-        matches!(self, FusionDecision::Fuse)
-    }
-
     /// The fallback reason, if any.
     pub fn reason(&self) -> Option<&'static str> {
         match self {
@@ -153,7 +149,6 @@ mod tests {
         // 28 % 3 != 0: the forced-loss chain of the acceptance criteria.
         let d = fusion_gate(&shape(), TileKind::Direct, Epilogue::ReluPool { k: 3 }, &device());
         assert_eq!(d, FusionDecision::Fallback("pool-tiling"));
-        assert!(!d.is_fuse());
         assert_eq!(d.reason(), Some("pool-tiling"));
     }
 

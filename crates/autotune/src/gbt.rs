@@ -65,7 +65,7 @@ enum Node {
 
 /// A CART regression tree.
 #[derive(Debug, Clone)]
-pub struct Tree {
+pub(crate) struct Tree {
     nodes: Vec<Node>,
 }
 
@@ -83,7 +83,9 @@ impl Default for TreeParams {
 }
 
 impl Tree {
-    /// Fits a tree to `(rows, targets)` restricted to `index` (row ids).
+    /// Fits a tree to `(rows, targets)` restricted to `index` (row ids),
+    /// on the matrix ranked once by [`Presorted::new`] — what [`Gbrt::fit`]
+    /// calls once per boosting round.
     ///
     /// Contract, asserted rather than mis-sorted or wrapped around:
     /// `index` must hold **distinct** row ids (a sample without
@@ -99,12 +101,6 @@ impl Tree {
     /// NaN that no query reaches); any NaN or infinite target makes
     /// every candidate's squared error NaN, so no split is taken and the
     /// tree is a single leaf holding the non-finite mean.
-    pub fn fit(rows: &[Vec<f64>], targets: &[f64], index: &[usize], params: TreeParams) -> Tree {
-        Tree::fit_presorted(&Presorted::new(rows), targets, index, params)
-    }
-
-    /// [`Tree::fit`] on a matrix that is already ranked — what
-    /// [`Gbrt::fit`] calls once per boosting round.
     fn fit_presorted(
         data: &Presorted,
         targets: &[f64],
@@ -119,7 +115,7 @@ impl Tree {
     }
 
     /// Predicts one row. The root is node 0.
-    pub fn predict(&self, row: &[f64]) -> f64 {
+    pub(crate) fn predict(&self, row: &[f64]) -> f64 {
         let mut at = 0usize;
         loop {
             match &self.nodes[at] {
@@ -129,16 +125,6 @@ impl Tree {
                 }
             }
         }
-    }
-
-    /// Number of nodes (diagnostics).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether the tree is a bare stump.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 }
 
@@ -235,7 +221,7 @@ impl<'a> Grower<'a> {
         let mut pos = vec![UNSAMPLED; n];
         let mut index = Vec::with_capacity(m);
         for (k, &i) in sample.iter().enumerate() {
-            assert!(pos[i] == UNSAMPLED, "Tree::fit: index must hold distinct row ids");
+            assert!(pos[i] == UNSAMPLED, "gbt: index must hold distinct row ids");
             pos[i] = k as u32;
             index.push(i as u32);
         }
@@ -441,7 +427,7 @@ impl Default for GbrtParams {
 }
 
 impl Gbrt {
-    /// Fits the ensemble. Requires at least one row; [`Tree::fit`]'s
+    /// Fits the ensemble. Requires at least one row; [`Tree::fit_presorted`]'s
     /// contract on `rows` applies.
     pub fn fit(rows: &[Vec<f64>], targets: &[f64], params: GbrtParams, rng: &mut impl Rng) -> Gbrt {
         let data = Presorted::new(rows);
@@ -511,16 +497,6 @@ impl Gbrt {
             })
             .sum();
         (se / rows.len() as f64).sqrt()
-    }
-
-    /// Number of boosted trees.
-    pub fn len(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Whether the ensemble has no trees (prediction = base mean).
-    pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
     }
 
     /// Permutation feature importance: the RMSE increase when feature
@@ -692,8 +668,12 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64]).collect();
         let targets: Vec<f64> = (0..20).map(|i| if i < 10 { 1.0 } else { 5.0 }).collect();
         let idx: Vec<usize> = (0..20).collect();
-        let tree =
-            Tree::fit(&rows, &targets, &idx, TreeParams { max_depth: 2, min_samples_leaf: 1 });
+        let tree = Tree::fit_presorted(
+            &Presorted::new(&rows),
+            &targets,
+            &idx,
+            TreeParams { max_depth: 2, min_samples_leaf: 1 },
+        );
         assert!((tree.predict(&[3.0]) - 1.0).abs() < 1e-9);
         assert!((tree.predict(&[15.0]) - 5.0).abs() < 1e-9);
     }
@@ -703,8 +683,9 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
         let targets = vec![2.5; 10];
         let idx: Vec<usize> = (0..10).collect();
-        let tree = Tree::fit(&rows, &targets, &idx, TreeParams::default());
-        assert_eq!(tree.len(), 1);
+        let tree =
+            Tree::fit_presorted(&Presorted::new(&rows), &targets, &idx, TreeParams::default());
+        assert_eq!(tree.nodes.len(), 1);
         assert!((tree.predict(&[100.0]) - 2.5).abs() < 1e-12);
     }
 
@@ -810,9 +791,13 @@ mod tests {
         let rows: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64]).collect();
         let targets: Vec<f64> = (0..8).map(|i| i as f64).collect();
         let idx: Vec<usize> = (0..8).collect();
-        let tree =
-            Tree::fit(&rows, &targets, &idx, TreeParams { max_depth: 10, min_samples_leaf: 5 });
-        assert!(tree.len() <= 3, "tree has {} nodes", tree.len());
+        let tree = Tree::fit_presorted(
+            &Presorted::new(&rows),
+            &targets,
+            &idx,
+            TreeParams { max_depth: 10, min_samples_leaf: 5 },
+        );
+        assert!(tree.nodes.len() <= 3, "tree has {} nodes", tree.nodes.len());
     }
 
     /// `a` and `b` are the same tree to the bit. NaN leaves (an empty
@@ -931,19 +916,24 @@ mod tests {
             }
             let params =
                 TreeParams { max_depth: r.gen_range(1..=6), min_samples_leaf: r.gen_range(1..=3) };
-            let got = Tree::fit(&rows, &targets, &index, params);
+            let got = Tree::fit_presorted(&Presorted::new(&rows), &targets, &index, params);
             let want = Tree::fit_reference(&rows, &targets, &index, params);
             assert_same_tree(&got, &want, &format!("case {case}"));
             if case % 3 == 0 {
-                assert_eq!(got.len(), 1, "a non-finite target must leave a stump");
+                assert_eq!(got.nodes.len(), 1, "a non-finite target must leave a stump");
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "Tree::fit: index must hold distinct row ids")]
+    #[should_panic(expected = "gbt: index must hold distinct row ids")]
     fn repeated_row_ids_are_refused() {
         let rows: Vec<Vec<f64>> = (0..4).map(|i| vec![i as f64]).collect();
-        Tree::fit(&rows, &[1.0, 2.0, 3.0, 4.0], &[0, 2, 2], TreeParams::default());
+        Tree::fit_presorted(
+            &Presorted::new(&rows),
+            &[1.0, 2.0, 3.0, 4.0],
+            &[0, 2, 2],
+            TreeParams::default(),
+        );
     }
 }

@@ -56,8 +56,8 @@ pub mod space;
 
 pub use cost_model::{CostModel, GbtCostModel, NoModel};
 pub use engine::{
-    tune, tune_batch, tune_with_store, tune_with_store_mode, workload_for, BatchTuneOutcome,
-    CurvePoint, StoreMode, StoreTuneResult, TuneParams, TuneResult,
+    tune, tune_batch, tune_with_store, tune_with_store_mode, BatchTuneOutcome, CurvePoint,
+    StoreMode, StoreTuneResult, TuneParams, TuneResult,
 };
 pub use fusion::{fusion_gate, FusionDecision};
 pub use measure::Measurer;

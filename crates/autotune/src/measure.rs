@@ -58,7 +58,7 @@ impl Measurer {
     /// Arithmetic throughput in GFLOP/s for a measured time — the metric
     /// Table 2 and Figs. 11/13 report. Uses the *algorithm's* flop count
     /// (direct-equivalent for direct, transform-reduced for Winograd).
-    pub fn gflops(&self, time_ms: f64) -> f64 {
+    pub(crate) fn gflops(&self, time_ms: f64) -> f64 {
         let flops = self.kind.flops(&self.shape) + self.epilogue.flops(&self.shape);
         flops / (time_ms * 1e-3) / 1e9
     }

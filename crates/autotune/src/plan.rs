@@ -77,7 +77,7 @@ fn best_kind_tile(shape: &ConvShape, kind: TileKind, budget: f64) -> Option<(usi
     match kind {
         TileKind::Direct => best_tile(shape, kind, budget).map(|c| (c.tile.x, c.tile.y, c.tile.z)),
         TileKind::Winograd(w) => {
-            let (hp, wp) = iolb_dataflow::config::padded_out(shape, kind);
+            let (hp, wp) = iolb_core::optimality::padded_out(shape, kind);
             let mut best: Option<((usize, usize, usize), f64)> = None;
             for &x in divisors(hp).iter().filter(|&&d| d % w.e == 0) {
                 for &y in divisors(wp).iter().filter(|&&d| d % w.e == 0) {
@@ -249,27 +249,20 @@ impl TuneRequest {
             .with_epilogue(self.epilogue)
     }
 
-    /// Canonical flat-JSON wire line for this request: the shape and
-    /// algorithm under the same field names the record codec uses, so
-    /// the socket protocol and the store files share one vocabulary.
-    /// A fused chain adds an `"epi"` field after `"algo"` (mirroring
-    /// the record codec); bare convs emit the pre-fusion line
+    /// Appends the canonical flat-JSON wire line for this request to a
+    /// caller-owned buffer (the frame encoder's), without allocating: the
+    /// shape and algorithm under the same field names the record codec
+    /// uses, so the socket protocol and the store files share one
+    /// vocabulary. A fused chain adds an `"epi"` field after `"algo"`
+    /// (mirroring the record codec); bare convs emit the pre-fusion line
     /// byte-identically, so old peers interoperate.
-    pub fn to_wire_line(&self) -> String {
-        let mut line = String::new();
-        self.write_wire_line(&mut line);
-        line
-    }
-
-    /// [`to_wire_line`](Self::to_wire_line) appended to a caller-owned
-    /// buffer (the frame encoder's), without allocating.
     pub fn write_wire_line(&self, out: &mut String) {
         out.push('{');
         jsonl::write_workload_fields(out, self.kind, self.epilogue, &self.shape);
         out.push('}');
     }
 
-    /// Parses a line written by [`to_wire_line`](Self::to_wire_line).
+    /// Parses a line written by [`write_wire_line`](Self::write_wire_line).
     /// Rejects malformed JSON, missing fields, unknown algorithm tags
     /// and invalid shapes (with a reason) — never panics on hostile
     /// input.
@@ -346,13 +339,18 @@ mod tests {
             TileKind::Winograd(WinogradTile::F2X3),
             TileKind::Winograd(WinogradTile::F4X3),
         ] {
+            let wire_line = |req: &TuneRequest| {
+                let mut line = String::new();
+                req.write_wire_line(&mut line);
+                line
+            };
             let req = TuneRequest::bare(ConvShape::square(64, 28, 32, 3, 1, 1), kind);
-            assert!(!req.to_wire_line().contains("epi"), "bare line must not grow a field");
-            let back = TuneRequest::from_wire_line(&req.to_wire_line()).unwrap();
+            assert!(!wire_line(&req).contains("epi"), "bare line must not grow a field");
+            let back = TuneRequest::from_wire_line(&wire_line(&req)).unwrap();
             assert_eq!(back, req);
             for epilogue in [Epilogue::Relu, Epilogue::ReluPool { k: 2 }] {
                 let fused = TuneRequest { epilogue, ..req };
-                let line = fused.to_wire_line();
+                let line = wire_line(&fused);
                 assert!(line.contains("\"epi\""), "fused line missing epi: {line}");
                 assert_eq!(TuneRequest::from_wire_line(&line).unwrap(), fused);
             }

@@ -34,32 +34,28 @@ impl History {
     }
 
     /// Records a measured configuration.
-    pub fn push(&mut self, cfg: ScheduleConfig, cost_ms: f64) {
+    pub(crate) fn push(&mut self, cfg: ScheduleConfig, cost_ms: f64) {
         self.entries.push((cfg, cost_ms));
     }
 
     /// Whether `cfg` has been measured already.
-    pub fn contains(&self, cfg: &ScheduleConfig) -> bool {
+    pub(crate) fn contains(&self, cfg: &ScheduleConfig) -> bool {
         self.entries.iter().any(|(c, _)| c == cfg)
     }
 
     /// All measurements.
-    pub fn entries(&self) -> &[(ScheduleConfig, f64)] {
+    pub(crate) fn entries(&self) -> &[(ScheduleConfig, f64)] {
         &self.entries
     }
 
     /// The best (lowest-cost) measurement so far.
-    pub fn best(&self) -> Option<(ScheduleConfig, f64)> {
+    #[cfg(test)]
+    pub(crate) fn best(&self) -> Option<(ScheduleConfig, f64)> {
         self.entries.iter().min_by(|a, b| a.1.total_cmp(&b.1)).copied()
     }
 
-    /// Number of measurements.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Whether no measurements exist yet.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 }

@@ -20,7 +20,8 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 /// Shared-memory size choices offered to the tuner (bytes).
-pub const SB_CHOICES: [u32; 6] = [8 * 1024, 16 * 1024, 24 * 1024, 32 * 1024, 40 * 1024, 48 * 1024];
+pub(crate) const SB_CHOICES: [u32; 6] =
+    [8 * 1024, 16 * 1024, 24 * 1024, 32 * 1024, 40 * 1024, 48 * 1024];
 
 /// A convolution's schedule search space on a given device.
 #[derive(Debug, Clone)]
@@ -54,7 +55,7 @@ impl ConfigSpace {
     /// [`Epilogue::None`] or [`Epilogue::Relu`] this is exactly
     /// [`new`](Self::new)'s space: relu is pointwise and constrains
     /// nothing.
-    pub fn fused(
+    pub(crate) fn fused(
         shape: ConvShape,
         kind: TileKind,
         ssm_bytes: u32,
@@ -71,7 +72,7 @@ impl ConfigSpace {
             Epilogue::ReluPool { k } => e / gcd(e, k) * k,
             Epilogue::None | Epilogue::Relu => e,
         };
-        let (hp, wp) = iolb_dataflow::config::padded_out(&shape, kind);
+        let (hp, wp) = iolb_core::optimality::padded_out(&shape, kind);
         let keep = |d: &usize| (*d).is_multiple_of(step);
         let xs: Vec<usize> = divisors(hp).into_iter().filter(keep).collect();
         let ys: Vec<usize> = divisors(wp).into_iter().filter(keep).collect();
@@ -84,7 +85,7 @@ impl ConfigSpace {
     /// dimension — the fusion gate's structural check: a pool window
     /// that shares no divisors with the padded output extent empties
     /// `xs`/`ys` and the chain cannot be tuned fused at all.
-    pub fn tile_choices_nonempty(&self) -> bool {
+    pub(crate) fn tile_choices_nonempty(&self) -> bool {
         !self.xs.is_empty() && !self.ys.is_empty() && !self.zs.is_empty() && !self.sbs.is_empty()
     }
 
@@ -113,7 +114,7 @@ impl ConfigSpace {
 
     /// Iterates every valid configuration. The visitor returns `true` to
     /// continue, `false` to stop early.
-    pub fn for_each(&self, mut f: impl FnMut(&ScheduleConfig) -> bool) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(&ScheduleConfig) -> bool) {
         for &x in &self.xs {
             for &y in &self.ys {
                 for &z in &self.zs {
@@ -211,7 +212,7 @@ impl ConfigSpace {
 
     /// Crossover of two parents (for the genetic searcher): each dimension
     /// drawn from either parent, re-legalised.
-    pub fn crossover(
+    pub(crate) fn crossover(
         &self,
         a: &ScheduleConfig,
         b: &ScheduleConfig,

@@ -19,13 +19,13 @@ impl ConvLayer {
         Self { name: name.into(), shape, repeat: 1 }
     }
 
-    pub fn repeated(name: impl Into<String>, shape: ConvShape, repeat: usize) -> Self {
+    pub(crate) fn repeated(name: impl Into<String>, shape: ConvShape, repeat: usize) -> Self {
         assert!(repeat >= 1);
         Self { name: name.into(), shape, repeat }
     }
 
     /// Total multiply-accumulate work contributed by this layer.
-    pub fn total_macs(&self) -> u64 {
+    pub(crate) fn total_macs(&self) -> u64 {
         self.shape.macs() * self.repeat as u64
     }
 
@@ -49,36 +49,13 @@ impl Network {
     pub fn total_macs(&self) -> u64 {
         self.layers.iter().map(ConvLayer::total_macs).sum()
     }
-
-    /// The distinct layer shapes, in network order (what the tuning
-    /// service registers).
-    pub fn layer_shapes(&self) -> Vec<&iolb_core::shapes::ConvShape> {
-        self.layers.iter().map(|l| &l.shape).collect()
-    }
-
-    /// Number of distinct conv layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Whether the network has no conv layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
-    /// Validates every layer shape.
-    pub fn validate(&self) -> Result<(), String> {
-        for l in &self.layers {
-            l.shape.validate().map_err(|e| format!("{}/{}: {e}", self.name, l.name))?;
-        }
-        Ok(())
-    }
 }
 
-/// Networks register directly with the tuning service.
+/// Networks register directly with the tuning service: the layer shapes,
+/// in network order.
 impl iolb_service::register::LayerSource for Network {
-    fn layer_shapes(&self) -> Vec<&iolb_core::shapes::ConvShape> {
-        self.layer_shapes()
+    fn layer_shapes(&self) -> Vec<&ConvShape> {
+        self.layers.iter().map(|l| &l.shape).collect()
     }
 }
 

@@ -21,7 +21,7 @@
 //! // Layer inventories carry exact geometry; repeats fold duplicates.
 //! let net = models::alexnet();
 //! assert_eq!(net.name, "AlexNet");
-//! assert!(net.len() >= 5 && net.total_macs() > 0);
+//! assert!(net.layers.len() >= 5 && net.total_macs() > 0);
 //! let conv3 = net.layers.iter().find(|l| l.name == "conv3").unwrap();
 //! assert_eq!(conv3.shape.cout, 384);
 //! ```

@@ -234,8 +234,10 @@ mod tests {
     #[test]
     fn all_networks_validate() {
         for n in all_networks() {
-            n.validate().unwrap_or_else(|e| panic!("{e}"));
-            assert!(!n.is_empty());
+            assert!(!n.layers.is_empty());
+            for l in &n.layers {
+                l.shape.validate().unwrap_or_else(|e| panic!("{}/{}: {e}", n.name, l.name));
+            }
         }
     }
 

@@ -25,7 +25,7 @@ use crate::phi_psi::StepBound;
 ///
 /// `ks` are the per-step budgets `k_j`; `s` is the fast-memory size (some
 /// step bounds depend on it directly).
-pub fn nested_sum(steps: &[Box<dyn StepBound>], s: f64, ks: &[f64]) -> f64 {
+pub(crate) fn nested_sum(steps: &[Box<dyn StepBound>], s: f64, ks: &[f64]) -> f64 {
     assert_eq!(steps.len(), ks.len(), "one budget per step");
     let mut total = 0.0;
     let mut carry = 0.0; // psi_{j-1}(a_{j-1}); zero before the first step
@@ -134,7 +134,7 @@ pub fn io_lower_bound(steps: &[Box<dyn StepBound>], v: f64, s: f64) -> f64 {
 }
 
 /// Same bound, but with a caller-supplied `T(2S)` (e.g. a closed form).
-pub fn io_lower_bound_with_t(v: f64, s: f64, t_2s: f64) -> f64 {
+pub(crate) fn io_lower_bound_with_t(v: f64, s: f64, t_2s: f64) -> f64 {
     (s * (v / t_2s - 1.0)).max(0.0)
 }
 

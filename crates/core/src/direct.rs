@@ -12,13 +12,6 @@ pub fn vertex_count(shape: &ConvShape) -> u64 {
     per_out * shape.output_elems()
 }
 
-/// Closed-form `T(S)` upper bound of Lemma 4.11:
-/// `T(S) <= 4 S sqrt(R S) + S - 1`.
-pub fn t_closed(shape: &ConvShape, s: f64) -> f64 {
-    let r = shape.reuse_factor();
-    4.0 * s * (r * s).sqrt() + s - 1.0
-}
-
 /// Precise I/O lower bound following the proof of Theorem 4.12:
 ///
 /// ```text
@@ -32,13 +25,6 @@ pub fn io_lower_bound(shape: &ConvShape, s: f64) -> f64 {
     let v = vertex_count(shape) as f64;
     let denom = 8.0 * (2.0 * shape.reuse_factor() * s).sqrt() + 2.0 - 1.0 / s;
     (v / denom - s).max(0.0)
-}
-
-/// The headline asymptotic form of Theorem 4.12:
-/// `Q = Omega( Wk Hk Cin Wout Hout Cout / (4 sqrt(2 R S)) )`.
-pub fn io_lower_bound_leading(shape: &ConvShape, s: f64) -> f64 {
-    let work = (shape.kw * shape.kh * shape.cin) as f64 * shape.output_elems() as f64;
-    work / (4.0 * (2.0 * shape.reuse_factor() * s).sqrt())
 }
 
 /// Read I/O volume of the paper's dataflow with an explicit output tile
@@ -84,13 +70,6 @@ pub fn optimality_deviation(shape: &ConvShape, x: f64, y: f64, z: f64) -> f64 {
     (lhs - rhs).abs() / lhs.max(rhs)
 }
 
-/// Ratio of the dataflow's optimal I/O to the precise lower bound — the
-/// paper's near-optimality claim is that this approaches a small constant
-/// when `Hker Wker Cin / sqrt(S R) >> 1` and `Np = 1`.
-pub fn optimality_ratio(shape: &ConvShape, s: f64) -> f64 {
-    dataflow_optimal_io(shape, s, 1.0) / io_lower_bound(shape, s).max(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,6 +79,13 @@ mod tests {
 
     fn layer() -> ConvShape {
         ConvShape::square(256, 56, 128, 3, 1, 1)
+    }
+
+    /// Closed-form `T(S)` upper bound of Lemma 4.11:
+    /// `T(S) <= 4 S sqrt(R S) + S - 1`.
+    fn t_closed(shape: &ConvShape, s: f64) -> f64 {
+        let r = shape.reuse_factor();
+        4.0 * s * (r * s).sqrt() + s - 1.0
     }
 
     #[test]
@@ -153,17 +139,6 @@ mod tests {
         // 4x S should roughly halve the bound (1/sqrt(S) scaling).
         let ratio = q1 / q2;
         assert!((1.8..2.2).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn leading_term_tracks_precise_bound() {
-        let shape = layer();
-        for s in [1024.0, 4096.0] {
-            let lead = io_lower_bound_leading(&shape, s);
-            let precise = io_lower_bound(&shape, s);
-            let rel = (lead - precise).abs() / precise;
-            assert!(rel < 0.1, "S={s}: leading {lead} vs precise {precise}");
-        }
     }
 
     #[test]
@@ -221,7 +196,8 @@ mod tests {
         // Q_DC approaches the bound within a constant (the paper's
         // constants give a ratio around 2*4*sqrt(2) / ... ~ O(10)).
         let shape = ConvShape::square(512, 112, 512, 3, 1, 1);
-        let ratio = optimality_ratio(&shape, 1024.0);
+        let ratio =
+            dataflow_optimal_io(&shape, 1024.0, 1.0) / io_lower_bound(&shape, 1024.0).max(1.0);
         assert!(ratio > 1.0, "dataflow cannot beat the bound: {ratio}");
         assert!(ratio < 16.0, "dataflow should be within a small constant: {ratio}");
     }

@@ -97,7 +97,7 @@ impl Epilogue {
     /// identical for `None`/`Relu`, divided by `k` for the pool.
     /// `None` when the pool window does not tile the conv output evenly
     /// (such a chain is not fusable — see [`fusable_on`](Self::fusable_on)).
-    pub fn out_extent(&self, conv_extent: usize) -> Option<usize> {
+    pub(crate) fn out_extent(&self, conv_extent: usize) -> Option<usize> {
         match self {
             Epilogue::None | Epilogue::Relu => Some(conv_extent),
             Epilogue::ReluPool { k } => {
@@ -119,7 +119,7 @@ impl Epilogue {
 
     /// Final output elements of the fused block across the batch.
     /// `None` when the chain is not fusable on `shape`.
-    pub fn out_elems(&self, shape: &ConvShape) -> Option<u64> {
+    pub(crate) fn out_elems(&self, shape: &ConvShape) -> Option<u64> {
         let h = self.out_extent(shape.hout())? as u64;
         let w = self.out_extent(shape.wout())? as u64;
         Some(shape.batch as u64 * shape.cout as u64 * h * w)
@@ -130,7 +130,7 @@ impl Epilogue {
     /// comparison tree over each `k x k` window — `k^2 - 1` internal
     /// vertices per pooled output, i.e. `conv_out - pooled` max vertices
     /// plus the `pooled` outputs themselves equal `conv_out` again.
-    pub fn extra_vertices(&self, shape: &ConvShape) -> f64 {
+    pub(crate) fn extra_vertices(&self, shape: &ConvShape) -> f64 {
         let conv_out = shape.output_elems() as f64;
         match self {
             Epilogue::None => 0.0,
@@ -191,7 +191,7 @@ impl Epilogue {
 
     /// The epilogue's own [`StepBound`] sequence, appended after the
     /// convolution's steps by [`fused_steps`].
-    pub fn steps(&self) -> Vec<Box<dyn StepBound>> {
+    pub(crate) fn steps(&self) -> Vec<Box<dyn StepBound>> {
         match self {
             Epilogue::None => Vec::new(),
             Epilogue::Relu => vec![Box::new(EpilogueMapStep)],
@@ -216,7 +216,7 @@ impl std::fmt::Display for Epilogue {
 /// output vertex, so `phi(h) = psi(h) = h` — a pure map has no internal
 /// vertices and no fan-in.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct EpilogueMapStep;
+pub(crate) struct EpilogueMapStep;
 
 impl StepBound for EpilogueMapStep {
     fn phi(&self, _s: f64, h: f64) -> f64 {
@@ -232,7 +232,7 @@ impl StepBound for EpilogueMapStep {
 /// `h` available inputs generate at most `h - 1` tree vertices; at most
 /// `h / k^2` of them can be tree *roots* (outputs).
 #[derive(Debug, Clone, Copy)]
-pub struct EpiloguePoolStep {
+pub(crate) struct EpiloguePoolStep {
     /// Pool window edge (and stride).
     pub k: usize,
 }
@@ -253,7 +253,7 @@ impl StepBound for EpiloguePoolStep {
 /// The full step sequence of a fused `conv -> epilogue` chain: the
 /// convolution algorithm's own steps (Fig. 4 / Fig. 5) followed by the
 /// epilogue's.
-pub fn fused_steps(
+pub(crate) fn fused_steps(
     shape: &ConvShape,
     kind: TileKind,
     epilogue: Epilogue,
@@ -268,7 +268,7 @@ pub fn fused_steps(
 
 /// `|V|` of the fused chain: the convolution's vertex count plus the
 /// epilogue's extra vertices.
-pub fn fused_vertex_count(shape: &ConvShape, kind: TileKind, epilogue: Epilogue) -> f64 {
+pub(crate) fn fused_vertex_count(shape: &ConvShape, kind: TileKind, epilogue: Epilogue) -> f64 {
     let conv_v = match kind {
         TileKind::Direct => crate::direct::vertex_count(shape) as f64,
         TileKind::Winograd(tile) => crate::winograd::vertex_count_exact(shape, tile) as f64,

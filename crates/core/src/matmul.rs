@@ -40,12 +40,6 @@ impl MatmulShape {
         let n = self.n as u64;
         2 * n * n * n - n * n
     }
-
-    /// Total multiply-accumulate operations.
-    pub fn macs(&self) -> u64 {
-        let n = self.n as u64;
-        n * n * n
-    }
 }
 
 /// Step-bound sequence for matmul: the product step behaves like the
@@ -55,26 +49,12 @@ pub fn matmul_steps() -> Vec<Box<dyn StepBound>> {
     vec![Box::new(DirectProductStep { reuse: 1.0 }), Box::new(SummationTreeStep)]
 }
 
-/// `T(S)` closed form, mirroring Lemma 4.11 with `R = 1`:
-/// `T(S) <= 4 S sqrt(S) + S - 1`.
-pub fn t_closed(s: f64) -> f64 {
-    4.0 * s * s.sqrt() + s - 1.0
-}
-
 /// The composite-machinery matmul bound:
 /// `Q >= (2n^3 - n^2) / (8 sqrt(2S) + 2 - 1/S) - S = Omega(n^3 / sqrt(S))`.
 pub fn io_lower_bound(shape: &MatmulShape, s: f64) -> f64 {
     let v = shape.vertex_count() as f64;
     let denom = 8.0 * (2.0 * s).sqrt() + 2.0 - 1.0 / s;
     (v / denom - s).max(0.0)
-}
-
-/// Leading-order form `n^3 / (4 sqrt(2S))` for comparison against the
-/// literature's `2 n^3 / sqrt(S)` (Kwasniewski et al.): same law, constant
-/// `8sqrt(2)` looser — the generic dominator-counting argument trades
-/// tightness for applicability to arbitrary composites.
-pub fn io_lower_bound_leading(shape: &MatmulShape, s: f64) -> f64 {
-    shape.macs() as f64 / (4.0 * (2.0 * s).sqrt())
 }
 
 /// I/O of the classic blocked GEMM schedule (square `b x b` output blocks
@@ -90,6 +70,12 @@ mod tests {
     use super::*;
     use crate::composite;
     use crate::composite::t_bound;
+
+    /// `T(S)` closed form, mirroring Lemma 4.11 with `R = 1`:
+    /// `T(S) <= 4 S sqrt(S) + S - 1`.
+    fn t_closed(s: f64) -> f64 {
+        4.0 * s * s.sqrt() + s - 1.0
+    }
 
     #[test]
     fn vertex_count_matches_tree_structure() {
@@ -140,17 +126,6 @@ mod tests {
                 // (8sqrt(2)/... ~ 23x between loose bound and schedule).
                 assert!(q < 32.0 * lb.max(1.0), "n={n} S={s}: gap too large");
             }
-        }
-    }
-
-    #[test]
-    fn leading_form_tracks_precise_bound() {
-        let m = MatmulShape::new(2048);
-        for s in [512.0, 4096.0] {
-            let lead = io_lower_bound_leading(&m, s);
-            let precise = io_lower_bound(&m, s);
-            let rel = (lead - precise).abs() / precise;
-            assert!(rel < 0.1, "S={s}: lead {lead} precise {precise}");
         }
     }
 

@@ -137,17 +137,6 @@ impl TileKind {
         }
     }
 
-    /// On-chip elements consumed by a tile under the *paper's* accounting
-    /// (§5.3 keeps two temporary arrays per in-flight Winograd tile).
-    pub fn onchip_elems(&self, tile: &Tile) -> f64 {
-        match self {
-            TileKind::Direct => tile.volume() as f64,
-            TileKind::Winograd(t) => {
-                crate::winograd::onchip_budget(*t, tile.x as f64, tile.y as f64, tile.z as f64)
-            }
-        }
-    }
-
     /// Resident accumulator elements of the *implementation*: the direct
     /// dataflow keeps the `xyz` partial sums; the Winograd dataflow keeps
     /// one `(e+r-1)^2` accumulator per tile (`Pi += P ⊙ J` fuses the
@@ -265,32 +254,18 @@ pub fn best_tile(shape: &ConvShape, kind: TileKind, sb: f64) -> Option<TileChoic
         })
 }
 
-/// The relaxed (real-valued) optimum read I/O for the same budget — a floor
-/// no integer tile can beat. For `TileKind::Direct` with on-chip budget
-/// `sb`: `xyz = sb`, `xy = Rz`; for Winograd the budget is deflated by the
-/// temporary-array factor first.
-pub fn relaxed_optimum_read_io(shape: &ConvShape, kind: TileKind, sb: f64) -> f64 {
-    let r = kind.reuse(shape);
-    let xyz = match kind {
-        TileKind::Direct => sb,
-        TileKind::Winograd(t) => {
-            let a = t.a() as f64;
-            sb * (t.e * t.e) as f64 / (2.0 * a * a)
-        }
-    };
-    let z = (xyz / r).sqrt();
-    let xy = r * z;
-    let x = xy.sqrt();
-    kind.read_io(shape, &Tile { x: 1, y: 1, z: 1 }) * 0.0 // keep shape borrow simple
-        + match kind {
-            TileKind::Direct => crate::direct::dataflow_read_io(shape, x, x, z),
-            TileKind::Winograd(t) => crate::winograd::dataflow_read_io(shape, t, x, x, z),
-        }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The relaxed (real-valued) optimum read I/O for the same budget — a
+    /// floor no integer tile can beat. For `TileKind::Direct` with on-chip
+    /// budget `sb`: `xyz = sb`, `xy = Rz`.
+    fn relaxed_optimum_read_io(shape: &ConvShape, sb: f64) -> f64 {
+        let z = (sb / shape.reuse_factor()).sqrt();
+        let x = (shape.reuse_factor() * z).sqrt();
+        crate::direct::dataflow_read_io(shape, x, x, z)
+    }
 
     #[test]
     fn divisors_are_complete_and_sorted() {
@@ -320,7 +295,7 @@ mod tests {
             let shape = ConvShape::square(128, hw, 64, 3, 1, 1);
             for sb in [256.0, 1024.0, 4096.0] {
                 let best = best_tile(&shape, TileKind::Direct, sb).unwrap();
-                let floor = relaxed_optimum_read_io(&shape, TileKind::Direct, sb);
+                let floor = relaxed_optimum_read_io(&shape, sb);
                 assert!(
                     best.read_io >= floor * 0.999,
                     "hw={hw} sb={sb}: integer {0} < relaxed {floor}",
@@ -337,18 +312,8 @@ mod tests {
         let shape = ConvShape::square(256, 56, 64, 3, 1, 1);
         let sb = 2048.0;
         let best = best_tile(&shape, TileKind::Direct, sb).unwrap();
-        let floor = relaxed_optimum_read_io(&shape, TileKind::Direct, sb);
+        let floor = relaxed_optimum_read_io(&shape, sb);
         assert!(best.read_io < 2.0 * floor, "integer {} floor {floor}", best.read_io);
-    }
-
-    #[test]
-    fn winograd_budget_includes_temporary_arrays() {
-        let tile = Tile { x: 4, y: 4, z: 4 };
-        let kind = TileKind::Winograd(WinogradTile::F2X3);
-        // 2 * 16/4 * 64 = 512 elements.
-        assert!((kind.onchip_elems(&tile) - 512.0).abs() < 1e-9);
-        // Direct budget is just the volume.
-        assert!((TileKind::Direct.onchip_elems(&tile) - 64.0).abs() < 1e-9);
     }
 
     #[test]
@@ -358,11 +323,6 @@ mod tests {
         let sb = 6144.0;
         let best = best_tile(&shape, kind, sb).unwrap();
         assert!(kind.accumulator_elems(&best.tile) <= sb);
-        // The paper's two-array accounting is exactly double the fused
-        // implementation footprint.
-        assert!(
-            (kind.onchip_elems(&best.tile) - 2.0 * kind.accumulator_elems(&best.tile)).abs() < 1e-9
-        );
         // Condition xy = r^2 z should be approachable with rich factors
         // (the halo-exact scorer shifts the optimum slightly toward deeper
         // z, so the Eq. 22 deviation is loose but bounded).

@@ -86,7 +86,7 @@ impl StepBound for SummationTreeStep {
 /// Lemma 4.15: `phi_1(h) <= 6 h (e+r-1)^4 / (e r)` and
 /// `psi_1(h) <= 3 h (e+r-1)^2 / (e r)`.
 #[derive(Debug, Clone, Copy)]
-pub struct WinogradTransformStep {
+pub(crate) struct WinogradTransformStep {
     pub tile: WinogradTile,
 }
 
@@ -110,7 +110,7 @@ impl StepBound for WinogradTransformStep {
 /// Lemma 4.16: `phi_2(h) <= h sqrt(h) + (e+r-1)^2 S sqrt(h) / e^2`, and
 /// `psi_2 = phi_2` (no internal vertices).
 #[derive(Debug, Clone, Copy)]
-pub struct WinogradElementwiseStep {
+pub(crate) struct WinogradElementwiseStep {
     pub tile: WinogradTile,
 }
 
@@ -132,7 +132,7 @@ impl StepBound for WinogradElementwiseStep {
 /// `psi_3(h) <= min(h/2, S (e+r-1)^2 / e^2)`. As outputs are a subset of the
 /// step's vertices, we additionally clamp `psi <= phi`.
 #[derive(Debug, Clone, Copy)]
-pub struct WinogradChannelSumStep {
+pub(crate) struct WinogradChannelSumStep {
     pub tile: WinogradTile,
 }
 
@@ -155,7 +155,7 @@ impl StepBound for WinogradChannelSumStep {
 ///
 /// Lemma 4.18: `phi_4(h) <= min((2h - 1) e^2, (2(e+r-1)^2 - 1) S)`.
 #[derive(Debug, Clone, Copy)]
-pub struct WinogradOutputStep {
+pub(crate) struct WinogradOutputStep {
     pub tile: WinogradTile,
 }
 

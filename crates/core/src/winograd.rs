@@ -45,7 +45,7 @@ pub fn vertex_count_exact(shape: &ConvShape, tile: WinogradTile) -> u64 {
 
 /// Closed-form `T(S)` of Lemma 4.19 (leading + second-order term):
 /// `T(S) = 2 (e+r-1)^3/(e r) S sqrt(S) + 6 (e+r-1)^2/(e r) S`.
-pub fn t_closed(tile: WinogradTile, s: f64) -> f64 {
+pub(crate) fn t_closed(tile: WinogradTile, s: f64) -> f64 {
     let a = tile.a() as f64;
     let er = (tile.e * tile.r) as f64;
     2.0 * a.powi(3) / er * s * s.sqrt() + 6.0 * a * a / er * s
@@ -60,13 +60,6 @@ pub fn io_lower_bound(shape: &ConvShape, tile: WinogradTile, s: f64) -> f64 {
     (s * (v / t2s - 1.0)).max(0.0)
 }
 
-/// Headline asymptotic form of Theorem 4.20:
-/// `Q = Omega( Wout Hout Cout Cin (e+r-1) r / (e sqrt(S)) )`.
-pub fn io_lower_bound_leading(shape: &ConvShape, tile: WinogradTile, s: f64) -> f64 {
-    let a = tile.a() as f64;
-    shape.output_elems() as f64 * shape.cin as f64 * a * tile.r as f64 / (tile.e as f64 * s.sqrt())
-}
-
 /// Read I/O volume of the Winograd dataflow with an explicit output tile
 /// `x * y * z` (Eq. 22):
 ///
@@ -75,7 +68,13 @@ pub fn io_lower_bound_leading(shape: &ConvShape, tile: WinogradTile, s: f64) -> 
 /// ```
 ///
 /// (`mu = 1` for Winograd, so `x' ~= x`, `y' ~= y`.)
-pub fn dataflow_read_io(shape: &ConvShape, tile: WinogradTile, x: f64, y: f64, z: f64) -> f64 {
+pub(crate) fn dataflow_read_io(
+    shape: &ConvShape,
+    tile: WinogradTile,
+    x: f64,
+    y: f64,
+    z: f64,
+) -> f64 {
     let blocks = shape.output_elems() as f64 / (x * y * z);
     let r2 = (tile.r * tile.r) as f64;
     blocks * shape.cin as f64 * (x * y + z * r2)
@@ -97,26 +96,6 @@ pub fn dataflow_optimal_io(shape: &ConvShape, tile: WinogradTile, s: f64, np: f6
     let out = shape.output_elems() as f64;
     let a = tile.a() as f64;
     2.0 * out * shape.cin as f64 * tile.r as f64 * a / (tile.e as f64 * (s / np).sqrt()) + out
-}
-
-/// On-chip memory consumed by the temporary arrays for a tile `x*y*z`
-/// (§5.3): `2 (e+r-1)^2 / e^2 * x y z` elements.
-pub fn onchip_budget(tile: WinogradTile, x: f64, y: f64, z: f64) -> f64 {
-    let a = tile.a() as f64;
-    2.0 * a * a / (tile.e * tile.e) as f64 * x * y * z
-}
-
-/// Optimality condition of §5.3: `x y = r^2 z` (equivalently `x y = R z`
-/// with `R = r^2` since `mu = 1`). Returns relative deviation.
-pub fn optimality_deviation(tile: WinogradTile, x: f64, y: f64, z: f64) -> f64 {
-    let lhs = x * y;
-    let rhs = (tile.r * tile.r) as f64 * z;
-    (lhs - rhs).abs() / lhs.max(rhs)
-}
-
-/// Dataflow-to-lower-bound ratio (near-optimality figure of merit).
-pub fn optimality_ratio(shape: &ConvShape, tile: WinogradTile, s: f64) -> f64 {
-    dataflow_optimal_io(shape, tile, s, 1.0) / io_lower_bound(shape, tile, s).max(1.0)
 }
 
 #[cfg(test)]
@@ -177,22 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn leading_form_tracks_precise_bound() {
-        let shape = layer();
-        let tile = WinogradTile::F2X3;
-        for s in [1024.0, 8192.0] {
-            let lead = io_lower_bound_leading(&shape, tile, s);
-            let precise = io_lower_bound(&shape, tile, s);
-            // The precise form evaluates T at 2S (Theorem 4.6), which costs
-            // a factor 2*sqrt(2) on the S^1.5 leading term, plus the
-            // +6a^2/(er)S second-order term; the Omega-form absorbs both.
-            // Expected ratio therefore hovers around 2*sqrt(2) ~ 2.83.
-            let rel = lead / precise;
-            assert!((1.5..4.0).contains(&rel), "S={s}: lead {lead} precise {precise}");
-        }
-    }
-
-    #[test]
     fn eq22_minimised_at_optimality_condition() {
         let shape = layer();
         let tile = WinogradTile::F2X3;
@@ -209,7 +172,6 @@ mod tests {
             let q = dataflow_read_io(&shape, tile, x2, x2, z2);
             assert!(q >= best - 1e-6, "perturbation {factor} beat optimum");
         }
-        assert!(optimality_deviation(tile, x, x, z) < 1e-9);
     }
 
     #[test]
@@ -236,8 +198,6 @@ mod tests {
             (rel - std::f64::consts::SQRT_2).abs() < 1e-9,
             "tiles {via_tiles} closed {closed} rel {rel}"
         );
-        // And the stated budget really is what onchip_budget computes.
-        assert!((onchip_budget(tile, x, x, z) - s).abs() / s < 1e-9);
     }
 
     #[test]
@@ -262,8 +222,11 @@ mod tests {
         // each dataflow is within a small constant of its own bound.
         let shape = ConvShape::square(256, 112, 512, 3, 1, 1);
         let s = 4096.0;
-        let wino_ratio = optimality_ratio(&shape, WinogradTile::F4X3, s);
-        let direct_ratio = crate::direct::optimality_ratio(&shape, s);
+        let tile = WinogradTile::F4X3;
+        let wino_ratio =
+            dataflow_optimal_io(&shape, tile, s, 1.0) / io_lower_bound(&shape, tile, s).max(1.0);
+        let direct_ratio = crate::direct::dataflow_optimal_io(&shape, s, 1.0)
+            / crate::direct::io_lower_bound(&shape, s).max(1.0);
         assert!((1.0..16.0).contains(&wino_ratio), "wino ratio {wino_ratio}");
         assert!((1.0..16.0).contains(&direct_ratio), "direct ratio {direct_ratio}");
     }

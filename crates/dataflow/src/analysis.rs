@@ -3,7 +3,7 @@
 
 use crate::config::ScheduleConfig;
 use iolb_core::optimality::TileKind;
-use iolb_core::shapes::{ConvShape, WinogradTile};
+use iolb_core::shapes::ConvShape;
 
 /// Comparison of a schedule against the theory.
 #[derive(Debug, Clone)]
@@ -36,30 +36,6 @@ pub fn analyze_direct(shape: &ConvShape, cfg: &ScheduleConfig) -> OptimalityRepo
         ratio: q_schedule / q_lower.max(1.0),
         condition_deviation: iolb_core::direct::optimality_deviation(
             shape,
-            cfg.x as f64,
-            cfg.y as f64,
-            cfg.z as f64,
-        ),
-    }
-}
-
-/// Analyses a Winograd-dataflow configuration.
-pub fn analyze_winograd(
-    shape: &ConvShape,
-    tile: WinogradTile,
-    cfg: &ScheduleConfig,
-) -> OptimalityReport {
-    let q_schedule = crate::winograd::exact_io_elems(shape, tile, cfg) as f64;
-    let q_model = crate::winograd::analytic_io_elems(shape, tile, cfg);
-    let q_lower = iolb_core::winograd::io_lower_bound(shape, tile, cfg.sb_elems());
-    OptimalityReport {
-        algorithm: TileKind::Winograd(tile),
-        q_schedule,
-        q_model,
-        q_lower,
-        ratio: q_schedule / q_lower.max(1.0),
-        condition_deviation: iolb_core::winograd::optimality_deviation(
-            tile,
             cfg.x as f64,
             cfg.y as f64,
             cfg.z as f64,
@@ -129,13 +105,5 @@ mod tests {
         let bad = analyze_direct(&shape(), &skew);
         assert!(bad.q_schedule > good.q_schedule);
         assert!(bad.condition_deviation > good.condition_deviation);
-    }
-
-    #[test]
-    fn winograd_report_consistent() {
-        let c = ScheduleConfig { x: 8, y: 8, z: 8, nxt: 4, nyt: 4, nzt: 4, ..cfg() };
-        let r = analyze_winograd(&shape(), WinogradTile::F2X3, &c);
-        assert!(r.ratio >= 1.0);
-        assert!(format!("{r}").contains("winograd"));
     }
 }

@@ -14,14 +14,14 @@ use iolb_gpusim::{BlockShape, BlockWork, KernelDesc, TileAccess};
 
 /// GEMM macro-tile used by all baseline GEMM kernels (a typical
 /// library-quality 64x64x8 configuration with 256 threads).
-pub const GEMM_TILE_M: usize = 64;
-pub const GEMM_TILE_N: usize = 64;
-pub const GEMM_TILE_K: usize = 8;
+pub(crate) const GEMM_TILE_M: usize = 64;
+pub(crate) const GEMM_TILE_N: usize = 64;
+pub(crate) const GEMM_TILE_K: usize = 8;
 
 /// A generic tiled-GEMM kernel: `C[M x N] += A[M x K] * B[K x N]`,
 /// repeated `batch` times (batched GEMM). Per block: the classic
 /// double-buffered panel loop reading `K*(Tm + Tn)` elements.
-pub fn gemm_kernel(
+pub(crate) fn gemm_kernel(
     name: impl Into<String>,
     m: usize,
     k: usize,

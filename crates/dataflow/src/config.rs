@@ -12,7 +12,7 @@
 //! * for the *pruned* domain additionally `z <= sqrt(S_b/R)` and
 //!   `xy <= sqrt(S_b * R)` — the optimality-condition band.
 
-use iolb_core::optimality::TileKind;
+use iolb_core::optimality::{padded_out, TileKind};
 use iolb_core::shapes::ConvShape;
 use iolb_tensor::layout::Layout;
 
@@ -152,7 +152,7 @@ impl ScheduleConfig {
     /// Elements of the per-stage staging buffers (the `x' * y' * 1` input
     /// tile plus the stage's weights) that share `S_b` with the resident
     /// tile, per §5.2/§5.3.
-    pub fn stage_buffer_elems(&self, shape: &ConvShape, kind: TileKind) -> f64 {
+    pub(crate) fn stage_buffer_elems(&self, shape: &ConvShape, kind: TileKind) -> f64 {
         match kind {
             TileKind::Direct => {
                 let xp = (self.x - 1) * shape.stride + shape.kh;
@@ -227,13 +227,7 @@ fn snap_divisor(n: usize, want: usize, step: usize) -> usize {
 /// triples rarely hit the real-valued optimum, so the domain keeps
 /// configurations within 1.5x of the condition boundary (Table 2's
 /// 20-55% space compression comes from this band).
-pub const PRUNE_SLACK: f64 = 1.5;
-
-/// Output extents a tile must divide — re-exported from
-/// [`iolb_core::optimality::padded_out`]: slightly padded extents so
-/// factor-constrained tiles exist even for prime output sizes (real
-/// kernels launch ceil-grids with predicated edges).
-pub use iolb_core::optimality::padded_out;
+pub(crate) const PRUNE_SLACK: f64 = 1.5;
 
 /// Configuration validation errors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

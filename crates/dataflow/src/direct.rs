@@ -18,13 +18,18 @@ use iolb_gpusim::{BlockShape, BlockWork, KernelDesc, TileAccess};
 use iolb_tensor::layout::Layout;
 
 /// Input halo extents `x' = (x-1)*mu + Kh`, `y' = (y-1)*mu + Kw`.
-pub fn halo(shape: &ConvShape, x: usize, y: usize) -> (usize, usize) {
+pub(crate) fn halo(shape: &ConvShape, x: usize, y: usize) -> (usize, usize) {
     ((x - 1) * shape.stride + shape.kh, (y - 1) * shape.stride + shape.kw)
 }
 
 /// The global-memory access pattern of one `x' * y'` single-channel input
 /// tile under the given layout.
-pub fn input_tile_access(shape: &ConvShape, layout: Layout, xp: usize, yp: usize) -> TileAccess {
+pub(crate) fn input_tile_access(
+    shape: &ConvShape,
+    layout: Layout,
+    xp: usize,
+    yp: usize,
+) -> TileAccess {
     // Halo rows can extend past the image edge into (free) zero padding;
     // the physical row never exceeds the image row, so the stride clamps
     // to the tile row (a tiny, conservative traffic overcount at borders).
@@ -42,7 +47,7 @@ pub fn input_tile_access(shape: &ConvShape, layout: Layout, xp: usize, yp: usize
 /// Shared-memory bank-conflict factor of the staging stores per layout.
 /// CHW staging is conflict-free; CWH transposes on the way in; HWC
 /// scatters. Values are the simulator's modelling knob, not measurements.
-pub fn bank_conflict_factor(layout: Layout) -> f64 {
+pub(crate) fn bank_conflict_factor(layout: Layout) -> f64 {
     match layout {
         Layout::Chw => 1.0,
         Layout::Cwh => 1.12,
@@ -58,7 +63,8 @@ pub fn bank_conflict_factor(layout: Layout) -> f64 {
 pub fn direct_kernel(shape: &ConvShape, cfg: &ScheduleConfig) -> KernelDesc {
     // Tiles divide the (slightly) padded output extents; edge blocks run
     // as full tiles, as on real hardware.
-    let (hout, wout) = crate::config::padded_out(shape, iolb_core::optimality::TileKind::Direct);
+    let (hout, wout) =
+        iolb_core::optimality::padded_out(shape, iolb_core::optimality::TileKind::Direct);
     assert_eq!(hout % cfg.x, 0, "x must divide padded H_out");
     assert_eq!(wout % cfg.y, 0, "y must divide padded W_out");
     assert_eq!(shape.cout % cfg.z, 0, "z must divide C_out");
@@ -104,8 +110,9 @@ pub fn analytic_io_elems(shape: &ConvShape, cfg: &ScheduleConfig) -> f64 {
 /// count): per-block `cin * (x'y' + Kh Kw z)` reads plus `xyz` writes,
 /// times the grid. Differs from Eq. 20 only by the halo
 /// (`x' = (x-1)mu + Kh` vs the paper's `x' ~= mu x`).
-pub fn exact_io_elems(shape: &ConvShape, cfg: &ScheduleConfig) -> u64 {
-    let (hout, wout) = crate::config::padded_out(shape, iolb_core::optimality::TileKind::Direct);
+pub(crate) fn exact_io_elems(shape: &ConvShape, cfg: &ScheduleConfig) -> u64 {
+    let (hout, wout) =
+        iolb_core::optimality::padded_out(shape, iolb_core::optimality::TileKind::Direct);
     let blocks = (hout / cfg.x) as u64
         * (wout / cfg.y) as u64
         * (shape.cout / cfg.z) as u64

@@ -40,7 +40,7 @@ pub mod exec;
 mod micro;
 pub mod winograd;
 
-pub use analysis::{analyze_direct, analyze_winograd, OptimalityReport};
+pub use analysis::{analyze_direct, OptimalityReport};
 pub use config::{ConfigError, ScheduleConfig};
 pub use direct::direct_kernel;
 pub use exec::{execute_direct, execute_winograd};

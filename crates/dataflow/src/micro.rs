@@ -347,13 +347,7 @@ pub(crate) struct WinogradLanes<'a> {
 impl<'a> WinogradLanes<'a> {
     /// State for blocks of `tiles_h x tiles_w` tiles x `z` output
     /// channels over `cin` input channels.
-    pub(crate) fn new(
-        m: &'a TransformsF32,
-        cin: usize,
-        z: usize,
-        tiles_h: usize,
-        tiles_w: usize,
-    ) -> Self {
+    pub fn new(m: &'a TransformsF32, cin: usize, z: usize, tiles_h: usize, tiles_w: usize) -> Self {
         let (e, r, a) = (m.e, m.r, m.a());
         assert!(a <= MAX_A, "F({e},{r}) patches are wider than the gather's phase buffer");
         let tiles = tiles_h * tiles_w;

@@ -26,7 +26,7 @@ pub fn winograd_kernel(shape: &ConvShape, tile: WinogradTile, cfg: &ScheduleConf
     // Tiles divide the e-padded output extent; ragged edges run as full
     // (padded) tiles, exactly like practical Winograd kernels.
     let (hout, wout) =
-        crate::config::padded_out(shape, iolb_core::optimality::TileKind::Winograd(tile));
+        iolb_core::optimality::padded_out(shape, iolb_core::optimality::TileKind::Winograd(tile));
     assert_eq!(hout % cfg.x, 0, "x must divide padded H_out");
     assert_eq!(wout % cfg.y, 0, "y must divide padded W_out");
     assert_eq!(shape.cout % cfg.z, 0, "z must divide C_out");
@@ -87,21 +87,6 @@ pub fn analytic_io_elems(shape: &ConvShape, tile: WinogradTile, cfg: &ScheduleCo
     core_wino::dataflow_total_io(shape, tile, cfg.x as f64, cfg.y as f64, cfg.z as f64)
 }
 
-/// Exact useful-element I/O of the lowered kernel: per block
-/// `cin * ((x+r-1)(y+r-1) + r^2 z)` reads plus `xyz` writes.
-pub fn exact_io_elems(shape: &ConvShape, tile: WinogradTile, cfg: &ScheduleConfig) -> u64 {
-    let (hout, wout) =
-        crate::config::padded_out(shape, iolb_core::optimality::TileKind::Winograd(tile));
-    let blocks = (hout / cfg.x) as u64
-        * (wout / cfg.y) as u64
-        * (shape.cout / cfg.z) as u64
-        * shape.batch as u64;
-    let xp = (cfg.x + tile.r - 1) as u64;
-    let yp = (cfg.y + tile.r - 1) as u64;
-    let per_block_reads = shape.cin as u64 * (xp * yp + (tile.r * tile.r * cfg.z) as u64);
-    blocks * (per_block_reads + (cfg.x * cfg.y * cfg.z) as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,6 +96,23 @@ mod tests {
 
     fn shape() -> ConvShape {
         ConvShape::square(256, 56, 128, 3, 1, 1)
+    }
+
+    /// Exact useful-element I/O of the lowered kernel: per block
+    /// `cin * ((x+r-1)(y+r-1) + r^2 z)` reads plus `xyz` writes.
+    fn exact_io_elems(shape: &ConvShape, tile: WinogradTile, cfg: &ScheduleConfig) -> u64 {
+        let (hout, wout) = iolb_core::optimality::padded_out(
+            shape,
+            iolb_core::optimality::TileKind::Winograd(tile),
+        );
+        let blocks = (hout / cfg.x) as u64
+            * (wout / cfg.y) as u64
+            * (shape.cout / cfg.z) as u64
+            * shape.batch as u64;
+        let xp = (cfg.x + tile.r - 1) as u64;
+        let yp = (cfg.y + tile.r - 1) as u64;
+        let per_block_reads = shape.cin as u64 * (xp * yp + (tile.r * tile.r * cfg.z) as u64);
+        blocks * (per_block_reads + (cfg.x * cfg.y * cfg.z) as u64)
     }
 
     fn cfg() -> ScheduleConfig {

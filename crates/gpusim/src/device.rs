@@ -58,11 +58,6 @@ impl DeviceSpec {
         self.smem_per_sm as f64 / 4.0
     }
 
-    /// Machine balance: flops per byte at the roofline ridge.
-    pub fn ridge_flops_per_byte(&self) -> f64 {
-        self.sustained_gflops() / self.dram_gbps
-    }
-
     /// NVIDIA GTX 1080 Ti (Pascal GP102).
     pub fn gtx1080ti() -> Self {
         DeviceSpec {
@@ -169,15 +164,6 @@ mod tests {
     fn smem_elems_is_bytes_over_4() {
         let d = DeviceSpec::gtx1080ti();
         assert_eq!(d.smem_elems(), 96.0 * 1024.0 / 4.0);
-    }
-
-    #[test]
-    fn ridge_point_reasonable() {
-        // Modern GPUs sit around 10-25 flops/byte.
-        for d in DeviceSpec::all() {
-            let ridge = d.ridge_flops_per_byte();
-            assert!((5.0..30.0).contains(&ridge), "{}: ridge {ridge}", d.name);
-        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ impl BlockWork {
     }
 
     /// Aggregates the block's traffic with a given transaction granule.
-    pub fn traffic(&self, transaction_bytes: u64) -> Traffic {
+    pub(crate) fn traffic(&self, transaction_bytes: u64) -> Traffic {
         let mut t = Traffic::default();
         for &r in &self.reads {
             t.read(r, transaction_bytes);

@@ -32,12 +32,6 @@ impl TileAccess {
         Self { rows, row_elems, row_stride_elems }
     }
 
-    /// Gather of `count` isolated elements (stride larger than any
-    /// transaction — worst coalescing).
-    pub fn gather(count: u64) -> Self {
-        Self { rows: count, row_elems: 1, row_stride_elems: u64::MAX / 2 }
-    }
-
     /// Useful payload in elements.
     pub fn elems(&self) -> u64 {
         self.rows * self.row_elems
@@ -99,13 +93,13 @@ pub struct Traffic {
 
 impl Traffic {
     /// Adds a read access.
-    pub fn read(&mut self, access: TileAccess, transaction_bytes: u64) {
+    pub(crate) fn read(&mut self, access: TileAccess, transaction_bytes: u64) {
         self.read_elems += access.elems();
         self.read_transactions += access.transactions(transaction_bytes);
     }
 
     /// Adds a write access.
-    pub fn write(&mut self, access: TileAccess, transaction_bytes: u64) {
+    pub(crate) fn write(&mut self, access: TileAccess, transaction_bytes: u64) {
         self.write_elems += access.elems();
         self.write_transactions += access.transactions(transaction_bytes);
     }
@@ -116,25 +110,17 @@ impl Traffic {
     }
 
     /// Bytes moved over the DRAM pipe in both directions.
-    pub fn moved_bytes(&self, transaction_bytes: u64) -> u64 {
+    pub(crate) fn moved_bytes(&self, transaction_bytes: u64) -> u64 {
         (self.read_transactions + self.write_transactions) * transaction_bytes
     }
 
     /// Total useful elements (the red-blue `Q` analogue).
-    pub fn total_elems(&self) -> u64 {
+    pub(crate) fn total_elems(&self) -> u64 {
         self.read_elems + self.write_elems
     }
 
-    /// Merges another traffic record (e.g. from another block).
-    pub fn merge(&mut self, other: &Traffic) {
-        self.read_elems += other.read_elems;
-        self.write_elems += other.write_elems;
-        self.read_transactions += other.read_transactions;
-        self.write_transactions += other.write_transactions;
-    }
-
     /// Scales the record by `n` identical repetitions.
-    pub fn scaled(&self, n: u64) -> Traffic {
+    pub(crate) fn scaled(&self, n: u64) -> Traffic {
         Traffic {
             read_elems: self.read_elems * n,
             write_elems: self.write_elems * n,
@@ -192,13 +178,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_is_worst_case() {
-        let g = TileAccess::gather(16);
-        assert_eq!(g.transactions(32), 16);
-        assert!((g.efficiency(32) - 4.0 / 32.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn traffic_accumulates_and_scales() {
         let mut t = Traffic::default();
         t.read(TileAccess::contiguous(64), 32);
@@ -209,10 +188,6 @@ mod tests {
         assert_eq!(t.useful_bytes(), 320);
         let s = t.scaled(3);
         assert_eq!(s.total_elems(), 240);
-        let mut m = Traffic::default();
-        m.merge(&t);
-        m.merge(&t);
-        assert_eq!(m.total_elems(), 160);
     }
 
     #[test]

@@ -10,7 +10,6 @@ use iolb_core::shapes::{ConvShape, WinogradTile};
 /// vertices `I_i ⊙ K_j`; step 2 sums them per output through a sequential
 /// summation tree (in-degree ≤ 2, Lemma 4.7 structure).
 ///
-/// Steps: inputs = 0, products = 1, summation internals/outputs = 2.
 /// Only `batch == 1` shapes are supported (one image per DAG, as in §4.2).
 pub fn direct_conv_dag(shape: &ConvShape) -> Dag {
     assert_eq!(shape.batch, 1, "one image per DAG");
@@ -20,14 +19,14 @@ pub fn direct_conv_dag(shape: &ConvShape) -> Dag {
     // Input-image vertices (index map for sliding-window access).
     let mut img = vec![0 as VertexId; shape.cin * shape.hin * shape.win];
     for v in img.iter_mut() {
-        *v = dag.add_vertex(0);
+        *v = dag.add_vertex();
     }
     let img_at = |c: usize, h: usize, w: usize| img[(c * shape.hin + h) * shape.win + w];
 
     // Weight vertices.
     let mut wgt = vec![0 as VertexId; shape.cout * shape.cin * shape.kh * shape.kw];
     for v in wgt.iter_mut() {
-        *v = dag.add_vertex(0);
+        *v = dag.add_vertex();
     }
     let wgt_at = |co: usize, c: usize, y: usize, x: usize| {
         wgt[((co * shape.cin + c) * shape.kh + y) * shape.kw + x]
@@ -47,7 +46,7 @@ pub fn direct_conv_dag(shape: &ConvShape) -> Dag {
                             // Padding would contribute constant zeros (no
                             // I/O); our builder requires pad = 0 windows.
                             assert!(shape.pad == 0, "direct_conv_dag models unpadded convolutions");
-                            let p = dag.add_vertex(1);
+                            let p = dag.add_vertex();
                             dag.add_edge(img_at(c, iy, ix), p);
                             dag.add_edge(wgt_at(co, c, dy, dx), p);
                             products.push(p);
@@ -55,7 +54,7 @@ pub fn direct_conv_dag(shape: &ConvShape) -> Dag {
                     }
                 }
                 // Step 2: sequential summation tree.
-                add_summation_tree(&mut dag, &products, 2);
+                add_summation_tree(&mut dag, &products);
             }
         }
     }
@@ -65,19 +64,19 @@ pub fn direct_conv_dag(shape: &ConvShape) -> Dag {
 /// Appends a sequential summation tree over `inputs` (Lemma 4.7: `k-2`
 /// internal vertices + 1 output for `k >= 2`); returns the root. With a
 /// single input the input itself is returned (degenerate tree).
-pub fn add_summation_tree(dag: &mut Dag, inputs: &[VertexId], step: u32) -> VertexId {
+pub(crate) fn add_summation_tree(dag: &mut Dag, inputs: &[VertexId]) -> VertexId {
     assert!(!inputs.is_empty());
     if inputs.len() == 1 {
         return inputs[0];
     }
     let mut acc = {
-        let v = dag.add_vertex(step);
+        let v = dag.add_vertex();
         dag.add_edge(inputs[0], v);
         dag.add_edge(inputs[1], v);
         v
     };
     for &inp in &inputs[2..] {
-        let v = dag.add_vertex(step);
+        let v = dag.add_vertex();
         dag.add_edge(acc, v);
         dag.add_edge(inp, v);
         acc = v;
@@ -89,12 +88,12 @@ pub fn add_summation_tree(dag: &mut Dag, inputs: &[VertexId], step: u32) -> Vert
 /// private scaling vertex (coefficient multiply; coefficients live in fast
 /// memory and are not DAG inputs), then a summation tree combines the
 /// scaled values. `2k - 2` internal vertices + 1 output for `k >= 2`.
-pub fn add_linear_combination_tree(dag: &mut Dag, inputs: &[VertexId], step: u32) -> VertexId {
+pub(crate) fn add_linear_combination_tree(dag: &mut Dag, inputs: &[VertexId]) -> VertexId {
     assert!(!inputs.is_empty());
     let scaled: Vec<VertexId> = inputs
         .iter()
         .map(|&i| {
-            let v = dag.add_vertex(step);
+            let v = dag.add_vertex();
             dag.add_edge(i, v);
             v
         })
@@ -102,7 +101,7 @@ pub fn add_linear_combination_tree(dag: &mut Dag, inputs: &[VertexId], step: u32
     if scaled.len() == 1 {
         return scaled[0];
     }
-    add_summation_tree(dag, &scaled, step)
+    add_summation_tree(dag, &scaled)
 }
 
 /// Transform sharing mode for the Winograd DAG.
@@ -119,8 +118,8 @@ pub enum WinogradDagMode {
 
 /// Builds the Winograd DAG (Fig. 5) for `F(e x e, r x r)`. Requires unit
 /// stride, square kernels of edge `tile.r`, spatial output divisible by
-/// `tile.e`, and `pad == 0`. Steps: inputs 0, transforms 1, elementwise 2,
-/// channel summation 3, output transform 4.
+/// `tile.e`, and `pad == 0`. Steps: transforms 1, elementwise 2, channel
+/// summation 3, output transform 4.
 pub fn winograd_dag(shape: &ConvShape, tile: WinogradTile, mode: WinogradDagMode) -> Dag {
     assert_eq!(shape.batch, 1, "one image per DAG");
     assert!(shape.supports_winograd(tile), "shape incompatible with tile");
@@ -135,14 +134,14 @@ pub fn winograd_dag(shape: &ConvShape, tile: WinogradTile, mode: WinogradDagMode
     // Image inputs.
     let mut img = vec![0 as VertexId; shape.cin * shape.hin * shape.win];
     for v in img.iter_mut() {
-        *v = dag.add_vertex(0);
+        *v = dag.add_vertex();
     }
     let img_at = |c: usize, h: usize, w: usize| img[(c * shape.hin + h) * shape.win + w];
 
     // Kernel inputs.
     let mut wgt = vec![0 as VertexId; shape.cout * shape.cin * tile.r * tile.r];
     for v in wgt.iter_mut() {
-        *v = dag.add_vertex(0);
+        *v = dag.add_vertex();
     }
     let wgt_at = |co: usize, c: usize, y: usize, x: usize| {
         wgt[((co * shape.cin + c) * tile.r + y) * tile.r + x]
@@ -160,7 +159,7 @@ pub fn winograd_dag(shape: &ConvShape, tile: WinogradTile, mode: WinogradDagMode
             .flat_map(|dy| (0..a).map(move |dx| (dy, dx)))
             .map(|(dy, dx)| img_at(c, oy + dy, ox + dx))
             .collect();
-        (0..a * a).map(|_| add_linear_combination_tree(dag, &patch, 1)).collect()
+        (0..a * a).map(|_| add_linear_combination_tree(dag, &patch)).collect()
     };
     // Transformed kernel J for (cout, cin): a^2 vertices from r^2 weights.
     let build_j = |dag: &mut Dag, co: usize, c: usize| -> Vec<VertexId> {
@@ -168,7 +167,7 @@ pub fn winograd_dag(shape: &ConvShape, tile: WinogradTile, mode: WinogradDagMode
             .flat_map(|y| (0..tile.r).map(move |x| (y, x)))
             .map(|(y, x)| wgt_at(co, c, y, x))
             .collect();
-        (0..a * a).map(|_| add_linear_combination_tree(dag, &taps, 1)).collect()
+        (0..a * a).map(|_| add_linear_combination_tree(dag, &taps)).collect()
     };
 
     // Shared-mode caches.
@@ -203,7 +202,7 @@ pub fn winograd_dag(shape: &ConvShape, tile: WinogradTile, mode: WinogradDagMode
                     };
                     // Step 2: elementwise multiplication Lambda = P ⊙ J.
                     for (idx, lane) in lanes.iter_mut().enumerate() {
-                        let m = dag.add_vertex(2);
+                        let m = dag.add_vertex();
                         dag.add_edge(p[idx], m);
                         dag.add_edge(j[idx], m);
                         lane.push(m);
@@ -211,39 +210,12 @@ pub fn winograd_dag(shape: &ConvShape, tile: WinogradTile, mode: WinogradDagMode
                 }
                 // Step 3: channel summation trees -> Pi (a^2 vertices).
                 let pi: Vec<VertexId> =
-                    lanes.iter().map(|lane| add_summation_tree(&mut dag, lane, 3)).collect();
+                    lanes.iter().map(|lane| add_summation_tree(&mut dag, lane)).collect();
                 // Step 4: e^2 outputs, each an LC tree over all of Pi.
                 for _ in 0..tile.e * tile.e {
-                    add_linear_combination_tree(&mut dag, &pi, 4);
+                    add_linear_combination_tree(&mut dag, &pi);
                 }
             }
-        }
-    }
-    dag
-}
-
-/// Builds the dense matrix-multiplication DAG `C[n x n] = A[n x n] * B[n x n]`
-/// with the same two-step structure as the direct convolution (products,
-/// then per-output summation trees) — the substrate for validating
-/// `iolb_core::matmul`'s composite-machinery bound empirically.
-pub fn gemm_dag(n: usize) -> Dag {
-    assert!(n >= 1);
-    let mut dag = Dag::new();
-    let a: Vec<VertexId> = (0..n * n).map(|_| dag.add_vertex(0)).collect();
-    let b: Vec<VertexId> = (0..n * n).map(|_| dag.add_vertex(0)).collect();
-    for i in 0..n {
-        for j in 0..n {
-            // Step 1: the n products a_ik * b_kj.
-            let products: Vec<VertexId> = (0..n)
-                .map(|k| {
-                    let p = dag.add_vertex(1);
-                    dag.add_edge(a[i * n + k], p);
-                    dag.add_edge(b[k * n + j], p);
-                    p
-                })
-                .collect();
-            // Step 2: their summation tree -> c_ij.
-            add_summation_tree(&mut dag, &products, 2);
         }
     }
     dag
@@ -254,6 +226,33 @@ mod tests {
     use super::*;
     use iolb_core::{direct, winograd};
 
+    /// Builds the dense matrix-multiplication DAG `C[n x n] = A[n x n] * B[n x n]`
+    /// with the same two-step structure as the direct convolution (products,
+    /// then per-output summation trees) — the substrate for validating
+    /// `iolb_core::matmul`'s composite-machinery bound empirically.
+    fn gemm_dag(n: usize) -> Dag {
+        assert!(n >= 1);
+        let mut dag = Dag::new();
+        let a: Vec<VertexId> = (0..n * n).map(|_| dag.add_vertex()).collect();
+        let b: Vec<VertexId> = (0..n * n).map(|_| dag.add_vertex()).collect();
+        for i in 0..n {
+            for j in 0..n {
+                // Step 1: the n products a_ik * b_kj.
+                let products: Vec<VertexId> = (0..n)
+                    .map(|k| {
+                        let p = dag.add_vertex();
+                        dag.add_edge(a[i * n + k], p);
+                        dag.add_edge(b[k * n + j], p);
+                        p
+                    })
+                    .collect();
+                // Step 2: their summation tree -> c_ij.
+                add_summation_tree(&mut dag, &products);
+            }
+        }
+        dag
+    }
+
     fn tiny_direct() -> ConvShape {
         // 2 channels, 4x4 image, 2 kernels of 3x3, stride 1: 2x2 output.
         ConvShape::new(2, 4, 4, 2, 3, 3, 1, 0)
@@ -263,8 +262,7 @@ mod tests {
     fn direct_dag_vertex_count_matches_lemma_4_8() {
         let shape = tiny_direct();
         let dag = direct_conv_dag(&shape);
-        assert_eq!(dag.validate(), Ok(()));
-        assert_eq!(dag.validate_multistep(), Ok(()));
+        assert!(dag.try_topo_order().is_some());
         // Computed (internal + output) vertices must equal Lemma 4.8.
         assert_eq!(dag.computed_count(), direct::vertex_count(&shape));
         // Inputs: image + weights.
@@ -284,9 +282,9 @@ mod tests {
     #[test]
     fn summation_tree_counts_match_lemma_4_7() {
         let mut dag = Dag::new();
-        let inputs: Vec<_> = (0..6).map(|_| dag.add_vertex(0)).collect();
+        let inputs: Vec<_> = (0..6).map(|_| dag.add_vertex()).collect();
         let before = dag.len();
-        let root = add_summation_tree(&mut dag, &inputs, 1);
+        let root = add_summation_tree(&mut dag, &inputs);
         // k inputs -> k-2 internal + 1 output = k-1 new vertices.
         assert_eq!(dag.len() - before, 5);
         assert!(dag.succs(root).is_empty());
@@ -295,9 +293,9 @@ mod tests {
     #[test]
     fn linear_combination_tree_counts_match_lemma_4_13() {
         let mut dag = Dag::new();
-        let inputs: Vec<_> = (0..5).map(|_| dag.add_vertex(0)).collect();
+        let inputs: Vec<_> = (0..5).map(|_| dag.add_vertex()).collect();
         let before = dag.len();
-        let _ = add_linear_combination_tree(&mut dag, &inputs, 1);
+        let _ = add_linear_combination_tree(&mut dag, &inputs);
         // k inputs -> 2k-2 internal + 1 output = 2k-1 new vertices.
         assert_eq!(dag.len() - before, 9);
     }
@@ -308,8 +306,7 @@ mod tests {
         let shape = ConvShape::new(2, 4, 4, 2, 3, 3, 1, 0);
         let tile = WinogradTile::F2X3;
         let dag = winograd_dag(&shape, tile, WinogradDagMode::PerPair);
-        assert_eq!(dag.validate(), Ok(()));
-        assert_eq!(dag.validate_multistep(), Ok(()));
+        assert!(dag.try_topo_order().is_some());
         assert_eq!(dag.computed_count(), winograd::vertex_count_exact(&shape, tile));
     }
 
@@ -331,17 +328,6 @@ mod tests {
         let tile = WinogradTile::F2X3;
         let dag = winograd_dag(&shape, tile, WinogradDagMode::Shared);
         assert_eq!(dag.outputs().len(), 4 * 4 * 3);
-    }
-
-    #[test]
-    fn winograd_steps_are_ordered() {
-        // cin >= 2 so the channel summation trees (step 3) are non-trivial.
-        let shape = ConvShape::new(2, 4, 4, 1, 3, 3, 1, 0);
-        let dag = winograd_dag(&shape, WinogradTile::F2X3, WinogradDagMode::Shared);
-        for s in 1..=4 {
-            assert!(!dag.step_vertices(s).is_empty(), "step {s} empty");
-        }
-        assert_eq!(dag.validate_multistep(), Ok(()));
     }
 
     #[test]
@@ -369,8 +355,7 @@ mod tests {
         use iolb_core::matmul::MatmulShape;
         for n in [2usize, 3, 4] {
             let dag = gemm_dag(n);
-            assert_eq!(dag.validate(), Ok(()));
-            assert_eq!(dag.validate_multistep(), Ok(()));
+            assert!(dag.try_topo_order().is_some());
             assert_eq!(dag.computed_count(), MatmulShape::new(n).vertex_count(), "n = {n}");
             assert_eq!(dag.inputs().len(), 2 * n * n);
             assert_eq!(dag.outputs().len(), n * n);

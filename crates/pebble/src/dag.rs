@@ -1,39 +1,33 @@
 //! Computation DAGs for the red-blue pebble game (paper §2.1).
 //!
-//! Vertices are operations, edges are data dependencies. Vertices carry an
-//! optional *step* label assigning them to a sub-computation of a
-//! multi-step partition (Definition 4.1).
+//! Vertices are operations, edges are data dependencies.
 
 /// Vertex identifier (index into the DAG's vertex arrays).
 pub type VertexId = u32;
 
-/// A directed acyclic graph with per-vertex step labels.
+/// A directed acyclic graph.
 #[derive(Debug, Clone)]
 pub struct Dag {
     preds: Vec<Vec<VertexId>>,
     succs: Vec<Vec<VertexId>>,
-    /// Sub-computation index of each vertex (0 for inputs / single-step
-    /// algorithms).
-    step: Vec<u32>,
 }
 
 impl Dag {
     /// Empty DAG.
     pub fn new() -> Self {
-        Self { preds: Vec::new(), succs: Vec::new(), step: Vec::new() }
+        Self { preds: Vec::new(), succs: Vec::new() }
     }
 
-    /// Adds a vertex labelled with sub-computation `step`; returns its id.
-    pub fn add_vertex(&mut self, step: u32) -> VertexId {
+    /// Adds a vertex; returns its id.
+    pub fn add_vertex(&mut self) -> VertexId {
         let id = self.preds.len() as VertexId;
         self.preds.push(Vec::new());
         self.succs.push(Vec::new());
-        self.step.push(step);
         id
     }
 
     /// Adds a dependency edge `from -> to`. Panics on self-loops; cycle
-    /// freedom is checked by [`Dag::validate`].
+    /// freedom is checked by [`Dag::try_topo_order`].
     pub fn add_edge(&mut self, from: VertexId, to: VertexId) {
         assert_ne!(from, to, "self-loop");
         assert!((from as usize) < self.len() && (to as usize) < self.len());
@@ -61,11 +55,6 @@ impl Dag {
         &self.succs[v as usize]
     }
 
-    /// Step label of `v`.
-    pub fn step(&self, v: VertexId) -> u32 {
-        self.step[v as usize]
-    }
-
     /// Vertices with no predecessors (the game's initial blue pebbles).
     pub fn inputs(&self) -> Vec<VertexId> {
         (0..self.len() as VertexId).filter(|&v| self.preds(v).is_empty()).collect()
@@ -90,13 +79,13 @@ impl Dag {
     }
 
     /// A topological order (Kahn). Panics if the graph has a cycle — use
-    /// [`Dag::validate`] for a checked variant.
-    pub fn topo_order(&self) -> Vec<VertexId> {
+    /// [`Dag::try_topo_order`] for a checked variant.
+    pub(crate) fn topo_order(&self) -> Vec<VertexId> {
         self.try_topo_order().expect("graph has a cycle")
     }
 
     /// Topological order, or `None` if cyclic.
-    pub fn try_topo_order(&self) -> Option<Vec<VertexId>> {
+    pub(crate) fn try_topo_order(&self) -> Option<Vec<VertexId>> {
         let n = self.len();
         let mut indeg: Vec<usize> = (0..n).map(|v| self.preds[v].len()).collect();
         let mut queue: Vec<VertexId> =
@@ -115,15 +104,6 @@ impl Dag {
             }
         }
         (order.len() == n).then_some(order)
-    }
-
-    /// Structural validation: acyclic and edges in range (the latter is
-    /// enforced on insertion; this re-checks for defensive use).
-    pub fn validate(&self) -> Result<(), DagError> {
-        if self.try_topo_order().is_none() {
-            return Err(DagError::Cyclic);
-        }
-        Ok(())
     }
 
     /// Vertex-generation test (Definition 4.2): does `blockers` generate
@@ -194,46 +174,6 @@ impl Dag {
         (0..self.len() as VertexId).filter(|&v| !reach[v as usize]).collect()
     }
 
-    /// Validates that the step labels form a *multi-step partition*
-    /// (Definition 4.1): edges never go from a later step to an earlier
-    /// one, and every cross-step edge lands exactly one step later (data
-    /// flows through the steps in order). Input vertices (step of their
-    /// consumers' choosing) are exempt from the one-step rule.
-    pub fn validate_multistep(&self) -> Result<(), DagError> {
-        for v in 0..self.len() as VertexId {
-            for &s in self.succs(v) {
-                let from = self.step(v);
-                let to = self.step(s);
-                if to < from {
-                    return Err(DagError::StepBackEdge { from: v, to: s });
-                }
-                if self.preds(v).is_empty() {
-                    continue; // pure inputs feed any step
-                }
-                if to > from + 1 {
-                    return Err(DagError::StepSkip { from: v, to: s });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Vertices of a given step.
-    pub fn step_vertices(&self, step: u32) -> Vec<VertexId> {
-        (0..self.len() as VertexId).filter(|&v| self.step(v) == step).collect()
-    }
-
-    /// Output set of step `j` (the `Õ_j` of §4.1.1): vertices of step `j`
-    /// with a successor in a later step, or with no successors at all.
-    pub fn step_outputs(&self, step: u32) -> Vec<VertexId> {
-        self.step_vertices(step)
-            .into_iter()
-            .filter(|&v| {
-                self.succs(v).is_empty() || self.succs(v).iter().any(|&s| self.step(s) > step)
-            })
-            .collect()
-    }
-
     /// Total edge count.
     pub fn edge_count(&self) -> usize {
         self.succs.iter().map(Vec::len).sum()
@@ -246,33 +186,6 @@ impl Default for Dag {
     }
 }
 
-/// DAG validation errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DagError {
-    /// The graph contains a cycle.
-    Cyclic,
-    /// An edge goes from a later step to an earlier one.
-    StepBackEdge { from: VertexId, to: VertexId },
-    /// An edge skips over an intermediate step.
-    StepSkip { from: VertexId, to: VertexId },
-}
-
-impl std::fmt::Display for DagError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DagError::Cyclic => write!(f, "graph has a cycle"),
-            DagError::StepBackEdge { from, to } => {
-                write!(f, "edge {from}->{to} goes backwards across steps")
-            }
-            DagError::StepSkip { from, to } => {
-                write!(f, "edge {from}->{to} skips a step")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DagError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,10 +193,10 @@ mod tests {
     /// Diamond: 0 -> {1, 2} -> 3.
     fn diamond() -> Dag {
         let mut d = Dag::new();
-        let a = d.add_vertex(0);
-        let b = d.add_vertex(1);
-        let c = d.add_vertex(1);
-        let e = d.add_vertex(2);
+        let a = d.add_vertex();
+        let b = d.add_vertex();
+        let c = d.add_vertex();
+        let e = d.add_vertex();
         d.add_edge(a, b);
         d.add_edge(a, c);
         d.add_edge(b, e);
@@ -314,11 +227,10 @@ mod tests {
     #[test]
     fn cycle_detection() {
         let mut d = Dag::new();
-        let a = d.add_vertex(0);
-        let b = d.add_vertex(0);
+        let a = d.add_vertex();
+        let b = d.add_vertex();
         d.add_edge(a, b);
         d.add_edge(b, a);
-        assert_eq!(d.validate(), Err(DagError::Cyclic));
         assert!(d.try_topo_order().is_none());
     }
 
@@ -347,41 +259,10 @@ mod tests {
     }
 
     #[test]
-    fn multistep_validation_accepts_diamond() {
-        let d = diamond();
-        assert_eq!(d.validate_multistep(), Ok(()));
-        assert_eq!(d.step_vertices(1), vec![1, 2]);
-        assert_eq!(d.step_outputs(1), vec![1, 2]);
-        assert_eq!(d.step_outputs(2), vec![3]);
-    }
-
-    #[test]
-    fn multistep_validation_rejects_back_edges() {
-        let mut d = Dag::new();
-        let a = d.add_vertex(2);
-        let b = d.add_vertex(1);
-        d.add_edge(a, b);
-        // a is an input so the skip rule doesn't apply, but back-edges are
-        // always invalid.
-        assert!(matches!(d.validate_multistep(), Err(DagError::StepBackEdge { .. })));
-    }
-
-    #[test]
-    fn multistep_validation_rejects_step_skips() {
-        let mut d = Dag::new();
-        let a = d.add_vertex(0);
-        let b = d.add_vertex(0);
-        let c = d.add_vertex(2);
-        d.add_edge(a, b); // b now internal of step 0
-        d.add_edge(b, c); // 0 -> 2 skips step 1
-        assert!(matches!(d.validate_multistep(), Err(DagError::StepSkip { .. })));
-    }
-
-    #[test]
     #[should_panic(expected = "self-loop")]
     fn self_loops_rejected() {
         let mut d = Dag::new();
-        let a = d.add_vertex(0);
+        let a = d.add_vertex();
         d.add_edge(a, a);
     }
 
@@ -389,7 +270,7 @@ mod tests {
     fn chain_generation() {
         // 0 -> 1 -> 2 -> 3: {2} generates 3 but not 1.
         let mut d = Dag::new();
-        let v: Vec<_> = (0..4).map(|_| d.add_vertex(0)).collect();
+        let v: Vec<_> = (0..4).map(|_| d.add_vertex()).collect();
         for i in 0..3 {
             d.add_edge(v[i], v[i + 1]);
         }

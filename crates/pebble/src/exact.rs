@@ -21,7 +21,7 @@ use crate::dag::{Dag, VertexId};
 use std::collections::{HashMap, VecDeque};
 
 /// Maximum DAG size the exact search accepts.
-pub const MAX_EXACT_VERTICES: usize = 20;
+pub(crate) const MAX_EXACT_VERTICES: usize = 20;
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 struct State {
@@ -140,7 +140,7 @@ mod tests {
 
     fn chain(len: usize) -> Dag {
         let mut d = Dag::new();
-        let vs: Vec<_> = (0..len).map(|_| d.add_vertex(0)).collect();
+        let vs: Vec<_> = (0..len).map(|_| d.add_vertex()).collect();
         for i in 0..len - 1 {
             d.add_edge(vs[i], vs[i + 1]);
         }
@@ -170,10 +170,10 @@ mod tests {
         // in -> {a, b} -> out. S=3: load the input once, compute a, b, out
         // (evicting in before out), store out: Q = 2.
         let mut d = Dag::new();
-        let i = d.add_vertex(0);
-        let a = d.add_vertex(0);
-        let b = d.add_vertex(0);
-        let o = d.add_vertex(0);
+        let i = d.add_vertex();
+        let a = d.add_vertex();
+        let b = d.add_vertex();
+        let o = d.add_vertex();
         d.add_edge(i, a);
         d.add_edge(i, b);
         d.add_edge(a, o);
@@ -189,11 +189,11 @@ mod tests {
         // 3 inputs summed pairwise: (i0+i1)+i2. S=2 forces nothing extra:
         // load i0, i1, compute s1 needs 3 slots... S=3: loads 3, store 1.
         let mut d = Dag::new();
-        let i0 = d.add_vertex(0);
-        let i1 = d.add_vertex(0);
-        let i2 = d.add_vertex(0);
-        let s1 = d.add_vertex(1);
-        let s2 = d.add_vertex(1);
+        let i0 = d.add_vertex();
+        let i1 = d.add_vertex();
+        let i2 = d.add_vertex();
+        let s1 = d.add_vertex();
+        let s2 = d.add_vertex();
         d.add_edge(i0, s1);
         d.add_edge(i1, s1);
         d.add_edge(s1, s2);
@@ -209,10 +209,10 @@ mod tests {
         // it: Q = load(i) + store(o1) + store(o2) = 3. A no-recompute model
         // (red-blue-white) would pay 4 (store m or reload i).
         let mut d = Dag::new();
-        let i = d.add_vertex(0);
-        let m = d.add_vertex(0);
-        let o1 = d.add_vertex(0);
-        let o2 = d.add_vertex(0);
+        let i = d.add_vertex();
+        let m = d.add_vertex();
+        let o1 = d.add_vertex();
+        let o2 = d.add_vertex();
         d.add_edge(i, m);
         d.add_edge(m, o1);
         d.add_edge(m, o2);
@@ -224,9 +224,9 @@ mod tests {
     fn exact_at_most_heuristic() {
         // Sandwich property on a few small DAGs.
         let mut dense = Dag::new();
-        let ins: Vec<_> = (0..3).map(|_| dense.add_vertex(0)).collect();
+        let ins: Vec<_> = (0..3).map(|_| dense.add_vertex()).collect();
         for _ in 0..3 {
-            let o = dense.add_vertex(1);
+            let o = dense.add_vertex();
             for &i in &ins {
                 dense.add_edge(i, o);
             }
@@ -243,15 +243,15 @@ mod tests {
     #[test]
     fn smaller_s_never_cheaper() {
         let mut d = Dag::new();
-        let ins: Vec<_> = (0..4).map(|_| d.add_vertex(0)).collect();
+        let ins: Vec<_> = (0..4).map(|_| d.add_vertex()).collect();
         let mut mids = Vec::new();
         for pair in ins.chunks(2) {
-            let m = d.add_vertex(1);
+            let m = d.add_vertex();
             d.add_edge(pair[0], m);
             d.add_edge(pair[1], m);
             mids.push(m);
         }
-        let o = d.add_vertex(2);
+        let o = d.add_vertex();
         d.add_edge(mids[0], o);
         d.add_edge(mids[1], o);
         let mut prev = u64::MAX;

@@ -14,7 +14,7 @@ use crate::dag::{Dag, VertexId};
 const INF: i64 = i64::MAX / 4;
 
 /// A directed flow network with integer capacities (Dinic's algorithm).
-pub struct FlowNet {
+pub(crate) struct FlowNet {
     /// Adjacency: per node, indices into `edges`.
     adj: Vec<Vec<usize>>,
     /// Flat edge list; edge `i ^ 1` is the reverse of edge `i`.
@@ -29,7 +29,7 @@ impl FlowNet {
     }
 
     /// Adds a directed edge `u -> v` with capacity `c` (plus its residual).
-    pub fn add_edge(&mut self, u: usize, v: usize, c: i64) {
+    pub(crate) fn add_edge(&mut self, u: usize, v: usize, c: i64) {
         let id = self.to.len();
         self.to.push(v);
         self.cap.push(c);
@@ -40,7 +40,7 @@ impl FlowNet {
     }
 
     /// Maximum flow from `s` to `t`.
-    pub fn max_flow(&mut self, s: usize, t: usize) -> i64 {
+    pub(crate) fn max_flow(&mut self, s: usize, t: usize) -> i64 {
         assert_ne!(s, t, "source equals sink");
         let n = self.adj.len();
         let mut flow = 0i64;
@@ -177,10 +177,10 @@ mod tests {
 
     fn diamond() -> Dag {
         let mut d = Dag::new();
-        let a = d.add_vertex(0);
-        let b = d.add_vertex(0);
-        let c = d.add_vertex(0);
-        let e = d.add_vertex(0);
+        let a = d.add_vertex();
+        let b = d.add_vertex();
+        let c = d.add_vertex();
+        let e = d.add_vertex();
         d.add_edge(a, b);
         d.add_edge(a, c);
         d.add_edge(b, e);
@@ -199,10 +199,10 @@ mod tests {
     fn dominator_of_two_independent_chains() {
         // Two disjoint chains: dominating both sinks needs 2 vertices.
         let mut d = Dag::new();
-        let a0 = d.add_vertex(0);
-        let a1 = d.add_vertex(0);
-        let b0 = d.add_vertex(0);
-        let b1 = d.add_vertex(0);
+        let a0 = d.add_vertex();
+        let a1 = d.add_vertex();
+        let b0 = d.add_vertex();
+        let b1 = d.add_vertex();
         d.add_edge(a0, a1);
         d.add_edge(b0, b1);
         assert_eq!(min_dominator_size(&d, &[a1, b1]), 2);
@@ -214,9 +214,9 @@ mod tests {
         // the output alone is 1 (itself), but dominating the full middle
         // layer takes k vertices.
         let mut d = Dag::new();
-        let inputs: Vec<_> = (0..4).map(|_| d.add_vertex(0)).collect();
-        let mids: Vec<_> = (0..4).map(|_| d.add_vertex(0)).collect();
-        let out = d.add_vertex(0);
+        let inputs: Vec<_> = (0..4).map(|_| d.add_vertex()).collect();
+        let mids: Vec<_> = (0..4).map(|_| d.add_vertex()).collect();
+        let out = d.add_vertex();
         for i in 0..4 {
             d.add_edge(inputs[i], mids[i]);
             d.add_edge(mids[i], out);

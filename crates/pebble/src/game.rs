@@ -31,19 +31,9 @@ pub enum Move {
     FreeBlue(VertexId),
 }
 
-impl Move {
-    /// I/O cost of this move.
-    pub fn cost(&self) -> u64 {
-        match self {
-            Move::Load(_) | Move::Store(_) => 1,
-            _ => 0,
-        }
-    }
-}
-
 /// Errors raised by illegal moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GameError {
+pub(crate) enum GameError {
     /// Load target holds no blue pebble.
     LoadWithoutBlue(VertexId),
     /// Store source holds no red pebble.
@@ -79,7 +69,7 @@ impl std::error::Error for GameError {}
 
 /// Live game state.
 #[derive(Debug, Clone)]
-pub struct Game<'a> {
+pub(crate) struct Game<'a> {
     dag: &'a Dag,
     /// Fast-memory capacity `S`.
     pub s: usize,
@@ -102,37 +92,37 @@ impl<'a> Game<'a> {
     }
 
     /// Whether `v` currently holds a red pebble.
-    pub fn is_red(&self, v: VertexId) -> bool {
+    pub(crate) fn is_red(&self, v: VertexId) -> bool {
         self.red[v as usize]
     }
 
     /// Whether `v` currently holds a blue pebble.
-    pub fn is_blue(&self, v: VertexId) -> bool {
+    pub(crate) fn is_blue(&self, v: VertexId) -> bool {
         self.blue[v as usize]
     }
 
     /// Number of red pebbles in use.
-    pub fn red_count(&self) -> usize {
+    pub(crate) fn red_count(&self) -> usize {
         self.red_count
     }
 
     /// Loads so far.
-    pub fn loads(&self) -> u64 {
+    pub(crate) fn loads(&self) -> u64 {
         self.loads
     }
 
     /// Stores so far.
-    pub fn stores(&self) -> u64 {
+    pub(crate) fn stores(&self) -> u64 {
         self.stores
     }
 
     /// Total I/O `Q` so far.
-    pub fn io(&self) -> u64 {
+    pub(crate) fn io(&self) -> u64 {
         self.loads + self.stores
     }
 
     /// Applies one move, enforcing legality.
-    pub fn apply(&mut self, m: Move) -> Result<(), GameError> {
+    pub(crate) fn apply(&mut self, m: Move) -> Result<(), GameError> {
         match m {
             Move::Load(v) => {
                 if !self.blue[v as usize] {
@@ -193,14 +183,18 @@ impl<'a> Game<'a> {
     }
 
     /// True when every output vertex holds a blue pebble — the game's goal.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.dag.outputs().iter().all(|&v| self.blue[v as usize])
     }
 }
 
 /// Replays a whole trace on a fresh game; returns the final game or the
 /// first illegal move's error with its index.
-pub fn replay<'a>(dag: &'a Dag, s: usize, trace: &[Move]) -> Result<Game<'a>, (usize, GameError)> {
+pub(crate) fn replay<'a>(
+    dag: &'a Dag,
+    s: usize,
+    trace: &[Move],
+) -> Result<Game<'a>, (usize, GameError)> {
     let mut game = Game::new(dag, s);
     for (i, &m) in trace.iter().enumerate() {
         game.apply(m).map_err(|e| (i, e))?;
@@ -224,10 +218,10 @@ mod tests {
     /// 0,1 inputs -> 2 -> 3 chain.
     fn chain() -> Dag {
         let mut d = Dag::new();
-        let a = d.add_vertex(0);
-        let b = d.add_vertex(0);
-        let c = d.add_vertex(0);
-        let e = d.add_vertex(0);
+        let a = d.add_vertex();
+        let b = d.add_vertex();
+        let c = d.add_vertex();
+        let e = d.add_vertex();
         d.add_edge(a, c);
         d.add_edge(b, c);
         d.add_edge(c, e);

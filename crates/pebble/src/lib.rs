@@ -46,6 +46,4 @@ pub mod game;
 pub mod partition;
 pub mod strategies;
 
-pub use dag::{Dag, DagError, VertexId};
-pub use game::{Game, GameError, Move};
 pub use strategies::{pebble_topological, Eviction, StrategyOutcome};

@@ -174,10 +174,10 @@ mod tests {
 
     fn diamond() -> Dag {
         let mut d = Dag::new();
-        let a = d.add_vertex(0);
-        let b = d.add_vertex(0);
-        let c = d.add_vertex(0);
-        let e = d.add_vertex(0);
+        let a = d.add_vertex();
+        let b = d.add_vertex();
+        let c = d.add_vertex();
+        let e = d.add_vertex();
         d.add_edge(a, b);
         d.add_edge(a, c);
         d.add_edge(b, e);
@@ -213,12 +213,12 @@ mod tests {
         // Two independent chains; class = both middle vertices requires a
         // dominator of 2 > 1.
         let mut d = Dag::new();
-        let a0 = d.add_vertex(0);
-        let a1 = d.add_vertex(0);
-        let a2 = d.add_vertex(0);
-        let b0 = d.add_vertex(0);
-        let b1 = d.add_vertex(0);
-        let b2 = d.add_vertex(0);
+        let a0 = d.add_vertex();
+        let a1 = d.add_vertex();
+        let a2 = d.add_vertex();
+        let b0 = d.add_vertex();
+        let b1 = d.add_vertex();
+        let b2 = d.add_vertex();
         d.add_edge(a0, a1);
         d.add_edge(a1, a2);
         d.add_edge(b0, b1);
@@ -248,7 +248,7 @@ mod tests {
         // Chain 0->1->2->3 split as {0,2} and {1,3}: edges 0->1 (A->B),
         // 1->2 (B->A) form a 2-cycle in the quotient.
         let mut d = Dag::new();
-        let v: Vec<_> = (0..4).map(|_| d.add_vertex(0)).collect();
+        let v: Vec<_> = (0..4).map(|_| d.add_vertex()).collect();
         for i in 0..3 {
             d.add_edge(v[i], v[i + 1]);
         }
@@ -269,9 +269,9 @@ mod tests {
     fn greedy_class_count_shrinks_with_s() {
         // Wide layer graph.
         let mut d = Dag::new();
-        let ins: Vec<_> = (0..6).map(|_| d.add_vertex(0)).collect();
+        let ins: Vec<_> = (0..6).map(|_| d.add_vertex()).collect();
         for i in 0..6 {
-            let o = d.add_vertex(1);
+            let o = d.add_vertex();
             d.add_edge(ins[i], o);
         }
         let h1 = greedy_partition(&d, 1).len();
@@ -289,9 +289,9 @@ mod tests {
         // UPPER bound on P(2S), this is only a smoke test that the numbers
         // are mutually consistent on a small dense DAG.
         let mut d = Dag::new();
-        let ins: Vec<_> = (0..3).map(|_| d.add_vertex(0)).collect();
+        let ins: Vec<_> = (0..3).map(|_| d.add_vertex()).collect();
         for _ in 0..3 {
-            let o = d.add_vertex(1);
+            let o = d.add_vertex();
             for &i in &ins {
                 d.add_edge(i, o);
             }

@@ -34,29 +34,6 @@ pub struct StrategyOutcome {
     pub stores: u64,
 }
 
-impl StrategyOutcome {
-    /// Attributes the trace's I/O to the multi-step partition: entry `j`
-    /// counts loads+stores of vertices whose step label is `j`.
-    ///
-    /// This makes §5.1's reading of the bounds *measurable*: the step whose
-    /// `phi_j` carries the highest-order term of the lower bound should
-    /// dominate the traffic of any schedule that has not exploited that
-    /// step's data reuse — and shrink once it has.
-    pub fn io_by_step(&self, dag: &Dag) -> Vec<u64> {
-        let max_step = (0..dag.len() as VertexId).map(|v| dag.step(v)).max().unwrap_or(0) as usize;
-        let mut by_step = vec![0u64; max_step + 1];
-        for m in &self.trace {
-            match *m {
-                Move::Load(v) | Move::Store(v) => {
-                    by_step[dag.step(v) as usize] += 1;
-                }
-                _ => {}
-            }
-        }
-        by_step
-    }
-}
-
 /// Pebbles the whole DAG in topological order with write-back eviction:
 /// computes every non-input vertex exactly once; when fast memory is full,
 /// evicts per `policy`, storing the victim first if it is still needed and
@@ -226,15 +203,15 @@ mod tests {
     /// Lemma 4.7's structure).
     fn summation_chain(k: usize) -> Dag {
         let mut d = Dag::new();
-        let inputs: Vec<_> = (0..k).map(|_| d.add_vertex(0)).collect();
+        let inputs: Vec<_> = (0..k).map(|_| d.add_vertex()).collect();
         let mut acc = {
-            let v = d.add_vertex(1);
+            let v = d.add_vertex();
             d.add_edge(inputs[0], v);
             d.add_edge(inputs[1], v);
             v
         };
         for &inp in &inputs[2..] {
-            let v = d.add_vertex(1);
+            let v = d.add_vertex();
             d.add_edge(acc, v);
             d.add_edge(inp, v);
             acc = v;
@@ -245,9 +222,9 @@ mod tests {
     /// Dense bipartite layer: every one of `m` outputs reads all `k` inputs.
     fn dense_layer(k: usize, m: usize) -> Dag {
         let mut d = Dag::new();
-        let inputs: Vec<_> = (0..k).map(|_| d.add_vertex(0)).collect();
+        let inputs: Vec<_> = (0..k).map(|_| d.add_vertex()).collect();
         for _ in 0..m {
-            let o = d.add_vertex(1);
+            let o = d.add_vertex();
             for &i in &inputs {
                 d.add_edge(i, o);
             }
@@ -325,38 +302,5 @@ mod tests {
         assert_eq!(out.loads, 5);
         assert_eq!(out.stores, 1);
         assert_eq!(out.io, 6);
-    }
-
-    #[test]
-    fn io_by_step_partitions_the_traffic() {
-        // Direct-conv DAG: step 0 = inputs, 1 = products, 2 = summations.
-        use iolb_core::shapes::ConvShape;
-        let shape = ConvShape::new(2, 4, 4, 2, 3, 3, 1, 0);
-        let dag = crate::conv_dag::direct_conv_dag(&shape);
-        let out = pebble_topological(&dag, 24, Eviction::Belady);
-        let by_step = out.io_by_step(&dag);
-        assert_eq!(by_step.iter().sum::<u64>(), out.io);
-        // Inputs (step 0) account for all the loads of raw data; outputs
-        // live in step 2. Products (step 1) are transient and should move
-        // little relative to inputs under a decent schedule.
-        assert!(by_step[0] > 0, "no input traffic?");
-        assert!(by_step[2] > 0, "no output traffic?");
-    }
-
-    #[test]
-    fn tight_memory_shifts_traffic_toward_intermediates() {
-        use iolb_core::shapes::ConvShape;
-        let shape = ConvShape::new(2, 4, 4, 2, 3, 3, 1, 0);
-        let dag = crate::conv_dag::direct_conv_dag(&shape);
-        let tight = pebble_topological(&dag, 20, Eviction::Belady);
-        let ample = pebble_topological(&dag, 256, Eviction::Belady);
-        let t = tight.io_by_step(&dag);
-        let a = ample.io_by_step(&dag);
-        // With ample memory the only traffic is compulsory (inputs +
-        // outputs); intermediate steps move nothing.
-        assert_eq!(a[1], 0);
-        // Tight memory spills intermediates (steps 1-2 write-backs), so
-        // the non-input share must not shrink.
-        assert!(t[1] + t[2] >= a[1] + a[2]);
     }
 }

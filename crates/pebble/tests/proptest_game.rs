@@ -20,7 +20,7 @@ fn layered_dag() -> impl Strategy<Value = Dag> {
     )
         .prop_map(|(inputs, layers, seed)| {
             let mut dag = Dag::new();
-            let mut prev: Vec<VertexId> = (0..inputs).map(|_| dag.add_vertex(0)).collect();
+            let mut prev: Vec<VertexId> = (0..inputs).map(|_| dag.add_vertex()).collect();
             let mut state = seed;
             let mut next_rand = move || {
                 // xorshift64 — deterministic, no external RNG needed.
@@ -29,10 +29,10 @@ fn layered_dag() -> impl Strategy<Value = Dag> {
                 state ^= state << 17;
                 state
             };
-            for (li, &width) in layers.iter().enumerate() {
+            for &width in &layers {
                 let mut layer = Vec::with_capacity(width);
                 for _ in 0..width {
-                    let v = dag.add_vertex(li as u32 + 1);
+                    let v = dag.add_vertex();
                     let npred = 1 + (next_rand() as usize % 2).min(prev.len() - 1);
                     // Distinct predecessors from the previous layer.
                     let start = next_rand() as usize % prev.len();
