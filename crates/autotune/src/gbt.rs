@@ -427,8 +427,9 @@ impl Default for GbrtParams {
 }
 
 impl Gbrt {
-    /// Fits the ensemble. Requires at least one row; [`Tree::fit_presorted`]'s
-    /// contract on `rows` applies.
+    /// Fits the ensemble. Requires at least one row; the tree fit's
+    /// contract on `rows` applies (every row the same length, and no more
+    /// rows than `u32` row ids can name).
     pub fn fit(rows: &[Vec<f64>], targets: &[f64], params: GbrtParams, rng: &mut impl Rng) -> Gbrt {
         let data = Presorted::new(rows);
         Gbrt::boost(rows, targets, params, rng, |residuals, index| {

@@ -15,7 +15,7 @@
 //!   or `relu` + a non-overlapping `k x k` max-pool) with a canonical
 //!   string tag, so a fused workload fingerprints differently from its
 //!   conv-only sibling.
-//! * [`EpilogueMapStep`] / [`EpiloguePoolStep`] are the [`StepBound`]s
+//! * `EpilogueMapStep` / `EpiloguePoolStep` are the [`StepBound`]s
 //!   of the two epilogue sub-computations, letting the generic
 //!   [`crate::composite`] maximisation produce a *real* composite
 //!   `Q_lower` for the whole chain via [`fused_io_lower_bound`].

@@ -27,7 +27,7 @@ impl Dag {
     }
 
     /// Adds a dependency edge `from -> to`. Panics on self-loops; cycle
-    /// freedom is checked by [`Dag::try_topo_order`].
+    /// freedom is checked by `Dag::try_topo_order`.
     pub fn add_edge(&mut self, from: VertexId, to: VertexId) {
         assert_ne!(from, to, "self-loop");
         assert!((from as usize) < self.len() && (to as usize) < self.len());

@@ -34,7 +34,7 @@ struct State {
 /// vertex with in-degree `d` needs `s >= d + 1`) **or** when the search
 /// exceeds `node_limit` explored states (safety valve).
 ///
-/// Panics if the DAG has more than [`MAX_EXACT_VERTICES`] vertices.
+/// Panics if the DAG has more than `MAX_EXACT_VERTICES` vertices.
 pub fn min_io(dag: &Dag, s: usize, node_limit: usize) -> Option<u64> {
     let n = dag.len();
     assert!(n <= MAX_EXACT_VERTICES, "exact search limited to {MAX_EXACT_VERTICES} vertices");
