@@ -30,13 +30,14 @@
 //! [`iolb_records::RecordStore`] sits between the searcher and the
 //! simulator. [`tune`] runs it over an empty store that is then dropped;
 //! [`tune_with_store`] is the production face. Known configurations
-//! replay their stored cost instead of re-measuring (the store is a *measurement
-//! cache*; the simulator is deterministic, so a replayed cost equals a
-//! re-measured one bit for bit), the best stored configurations seed the
-//! searcher's population (*warm start* — exact-workload records first,
-//! falling back to the nearest compatible workload by feature distance,
-//! *cross-layer transfer*), and every fresh measurement is written back,
-//! so measurement cost amortizes across runs, layers and networks.
+//! replay their stored cost instead of re-measuring (the store is a
+//! *measurement cache*; the simulator is deterministic, so a replayed cost
+//! equals a re-measured one bit for bit), the best stored configurations
+//! seed the searcher's population (*warm start* — exact-workload records
+//! first, falling back to the nearest compatible workload by feature
+//! distance, *cross-layer transfer*), and every fresh measurement is
+//! written back, so measurement cost amortizes across runs, layers and
+//! networks.
 
 use crate::cost_model::CostModel;
 use crate::features::featurize;
