@@ -10,8 +10,9 @@
 //!   always; the two Winograd variants for square 3x3 stride-1 kernels);
 //! * [`fast_config`] — the no-search configuration: the best integer
 //!   tile under the paper's optimality condition `xy = Rz`, with a
-//!   default thread split — both the "fast mode" planner and the warm
-//!   seed the tuned mode starts from;
+//!   default thread split — both the analytic plan
+//!   (`iolb_cnn::inference::time_network`) and the warm seed every tuning
+//!   run starts from;
 //! * [`tuner_setup`] — the canonical single-workload tuner: pruned
 //!   space, GBT cost model, parallel random walk seeded at
 //!   [`fast_config`], fixed batch/patience. Given the same

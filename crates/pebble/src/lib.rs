@@ -4,8 +4,7 @@
 //! is stated over the red-blue pebble game of Hong & Kung. This crate makes
 //! that model *executable* so the bounds can be validated empirically:
 //!
-//! * [`dag`] — computation DAGs with step labels, multi-step-partition
-//!   validation (Definition 4.1) and the vertex-generation relation
+//! * [`dag`] — computation DAGs and the vertex-generation relation
 //!   (Definition 4.2).
 //! * [`game`] — the pebble game itself: legal moves, trace replay, I/O
 //!   accounting. Re-computation is allowed, matching the paper's model
