@@ -20,13 +20,16 @@ use conv_iolb::core::optimality::TileKind;
 use conv_iolb::core::shapes::ConvShape;
 use conv_iolb::gpusim::DeviceSpec;
 use conv_iolb::records::RecordStore;
+use conv_iolb::service::wire::{Request, Response};
 use conv_iolb::service::{
     Backend, BackendError, BackendSession, Daemon, DaemonConfig, EvictionPolicy, PerturbationKind,
     ServeSource, ServiceConfig, ShardedStore, SocketBackend, TuneRequest, TuningService,
     MAX_CONNECTIONS,
 };
+use std::io::{Read, Write};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const BUDGET: usize = 12;
 
@@ -319,7 +322,7 @@ fn concurrent_socket_clients_share_one_tuning_run() {
 /// bucket-for-bucket.
 #[test]
 fn wire_stats_equal_in_process_registry() {
-    use conv_iolb::service::wire::{self, Response};
+    use conv_iolb::service::wire;
     use conv_iolb::service::TuningService;
 
     let config = ServiceConfig {
@@ -535,6 +538,148 @@ fn connections_over_the_cap_are_refused_not_queued() {
     };
     drop(served);
     admitted.shutdown().unwrap();
+    server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A request framed by hand — 4-byte big-endian length, then the payload —
+/// so the connection tests below can send part of one and stop.
+fn framed(request: &Request) -> Vec<u8> {
+    let payload = conv_iolb::service::wire::encode_request(request);
+    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(&payload);
+    frame
+}
+
+/// Reads one reply frame by hand off a raw connection.
+fn read_reply(stream: &mut UnixStream) -> Response {
+    let mut prefix = [0u8; 4];
+    stream.read_exact(&mut prefix).expect("reply prefix");
+    let mut payload = vec![0u8; u32::from_be_bytes(prefix) as usize];
+    stream.read_exact(&mut payload).expect("reply payload");
+    let text = std::str::from_utf8(&payload).expect("replies are UTF-8");
+    conv_iolb::service::wire::decode_response(text).expect("a well-formed reply")
+}
+
+/// A raw client connection that gives up on a silent daemon after 5 s.
+fn raw_client(sock: &PathBuf) -> UnixStream {
+    let stream = UnixStream::connect(sock).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    stream
+}
+
+/// A connection that sends nothing is dropped once `idle_timeout` runs
+/// out, the drop is counted, and its slot under `MAX_CONNECTIONS` comes
+/// back: a full cap of new clients is served after it.
+#[test]
+fn an_idle_client_is_evicted_and_its_slot_comes_back() {
+    let dir = temp_dir("idle");
+    let sock = std::env::temp_dir().join(format!("iolb-daemon-idle-{}.sock", unique_tag()));
+    let idle_timeout = Duration::from_millis(500);
+    let (daemon, _) =
+        Daemon::bind(&dir, &sock, DaemonConfig { idle_timeout, ..daemon_config() }).unwrap();
+    let server = std::thread::spawn(move || daemon.run().unwrap());
+
+    let mut idle = raw_client(&sock);
+    let connected = Instant::now();
+    assert_eq!(idle.read(&mut [0u8; 1]).unwrap(), 0, "the daemon closes an idle connection");
+    let waited = connected.elapsed();
+    assert!(waited >= idle_timeout && waited < Duration::from_secs(5), "evicted after {waited:?}");
+
+    let probe = SocketBackend::connect(&sock).unwrap();
+    let metrics = probe.stats().unwrap().metrics;
+    assert_eq!(metrics.counter("iolb_daemon_idle_evictions_total"), Some(1));
+    let mut served = vec![probe];
+    for i in 1..MAX_CONNECTIONS {
+        let client = SocketBackend::connect(&sock).unwrap();
+        client.stats().unwrap_or_else(|e| panic!("connection {i} under the cap: {e}"));
+        served.push(client);
+    }
+    drop(served);
+    SocketBackend::connect(&sock).unwrap().shutdown().unwrap();
+    server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A length prefix that arrives in two halves, more than two idle ticks
+/// apart, still frames the request that follows it.
+#[test]
+fn a_length_prefix_split_across_idle_ticks_is_answered() {
+    let dir = temp_dir("split");
+    let sock = std::env::temp_dir().join(format!("iolb-daemon-split-{}.sock", unique_tag()));
+    let (daemon, _) = Daemon::bind(&dir, &sock, daemon_config()).unwrap();
+    let server = std::thread::spawn(move || daemon.run().unwrap());
+
+    let mut raw = raw_client(&sock);
+    let frame = framed(&Request::Stats);
+    raw.write_all(&frame[..2]).unwrap();
+    std::thread::sleep(Duration::from_millis(600));
+    raw.write_all(&frame[2..]).unwrap();
+    match read_reply(&mut raw) {
+        Response::Stats { metrics } => {
+            assert_eq!(metrics.counter("iolb_daemon_connections_total"), Some(1))
+        }
+        other => panic!("expected Stats, got {other:?}"),
+    }
+    drop(raw);
+    SocketBackend::connect(&sock).unwrap().shutdown().unwrap();
+    server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Clients stalled halfway through a length prefix and halfway through a
+/// payload do not hold up shutdown: `run()` returns within 2 s of `Shutdown`.
+#[test]
+fn shutdown_is_not_held_up_by_half_sent_frames() {
+    let dir = temp_dir("halfsent");
+    let sock = std::env::temp_dir().join(format!("iolb-daemon-halfsent-{}.sock", unique_tag()));
+    let (daemon, _) = Daemon::bind(&dir, &sock, daemon_config()).unwrap();
+    let server = std::thread::spawn(move || daemon.run().unwrap());
+
+    let frame = framed(&Request::Submit { device: device(), requests: requests() });
+    let asked_by = Instant::now() + Duration::from_secs(10);
+    let mut half_prefix = raw_client(&sock);
+    half_prefix.write_all(&frame[..2]).unwrap();
+    let mut half_payload = raw_client(&sock);
+    half_payload.write_all(&frame[..4 + (frame.len() - 4) / 2]).unwrap();
+    // Both stalled clients are being served before the shutdown arrives.
+    let control = SocketBackend::connect(&sock).unwrap();
+    let started =
+        |c: &SocketBackend| c.stats().unwrap().metrics.counter("iolb_daemon_connections_total");
+    while started(&control) != Some(3) {
+        assert!(Instant::now() < asked_by, "the stalled clients were never picked up");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    control.shutdown().unwrap();
+    let asked = Instant::now();
+    while !server.is_finished() {
+        assert!(asked.elapsed() < Duration::from_secs(2), "run() still draining after 2 s");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    server.join().unwrap();
+    drop((half_prefix, half_payload));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A frame whose payload is not UTF-8 is answered with a typed `Error`,
+/// and then the daemon hangs up.
+#[test]
+fn a_payload_that_is_not_utf8_gets_a_typed_error_then_eof() {
+    let dir = temp_dir("utf8");
+    let sock = std::env::temp_dir().join(format!("iolb-daemon-utf8-{}.sock", unique_tag()));
+    let (daemon, _) = Daemon::bind(&dir, &sock, daemon_config()).unwrap();
+    let server = std::thread::spawn(move || daemon.run().unwrap());
+
+    let mut raw = raw_client(&sock);
+    raw.write_all(&[0, 0, 0, 4, 0xff, 0xfe, 0xfd, 0xfc]).unwrap();
+    match read_reply(&mut raw) {
+        Response::Error { message } => assert!(message.contains("UTF-8"), "{message}"),
+        other => panic!("expected a typed Error, got {other:?}"),
+    }
+    assert_eq!(raw.read(&mut [0u8; 1]).unwrap(), 0, "the daemon hangs up after the error");
+    drop(raw);
+    SocketBackend::connect(&sock).unwrap().shutdown().unwrap();
     server.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
