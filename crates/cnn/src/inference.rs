@@ -170,7 +170,7 @@ pub fn time_network_with_service(
 /// Times a whole network through any tuning [`Backend`] — the
 /// transport-abstracted generalization of [`time_network_with_service`]:
 /// pass the in-process [`TuningService`] and this is the embedded path,
-/// pass an [`iolb_service::SocketBackend`] / [`iolb_service::TcpBackend`]
+/// pass an [`iolb_service::SocketBackend`] (Unix or TCP)
 /// and the same session runs against a resident shard-server daemon over
 /// its Unix socket or TCP listener, pass an
 /// [`iolb_service::FleetRouter`] and it is consistent-hash-scattered

@@ -9,7 +9,8 @@
 //! backend serves ([`inference::time_network_with_backend`] over any
 //! `iolb_service::Backend` — the embedded [`TuningService`] wrapper is
 //! [`inference::time_network_with_service`]; a `SocketBackend` runs the
-//! same session against a resident shard-server daemon). [`fusion`]
+//! same session against a resident shard-server daemon, over its Unix
+//! socket or TCP). [`fusion`]
 //! reconstructs each network's conv→relu(→pool) operator stream and
 //! segments it into fusable blocks served as composite workloads.
 //!

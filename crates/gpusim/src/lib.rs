@@ -14,10 +14,11 @@
 //!   work) and result statistics.
 //! * [`engine`] — occupancy-aware wave scheduling with roofline timing.
 //!
-//! Design stance (see DESIGN.md): traffic is counted **exactly** — that is
-//! what the theory bounds — while time is a monotone roofline model, good
-//! enough to rank schedules the way real hardware does. Absolute ms/GFLOPs
-//! are not comparable to the paper's; relative speedups are.
+//! Design stance (see `docs/ARCHITECTURE.md`): traffic is counted
+//! **exactly** — that is what the theory bounds — while time is a
+//! monotone roofline model, good enough to rank schedules the way real
+//! hardware does. Absolute ms/GFLOPs are not comparable to the paper's;
+//! relative speedups are.
 //!
 //! ```
 //! use iolb_gpusim::kernel::{BlockWork, KernelDesc};

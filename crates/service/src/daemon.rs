@@ -46,9 +46,15 @@
 //!   other. Peers that are down are skipped silently: unreachable is
 //!   the *normal* state anti-entropy exists to heal.
 //!
-//! [`SocketBackend`] and [`TcpBackend`] are the client half — the same
-//! generic [`WireBackend`] over a Unix or TCP stream. Both implement
-//! [`Backend`], so everything written against the trait
+//! Both ends of a connection speak through one stream type, Unix or TCP,
+//! framed by [`wire`]'s one reader and one writer. The daemon bounds every
+//! read with one deadline policy: idle time between frames counts towards
+//! [`DaemonConfig::idle_timeout`], a frame once started must arrive within
+//! a fixed deadline, and a requested shutdown is noticed within one tick.
+//!
+//! [`SocketBackend`] is the client half, over either transport
+//! ([`PeerAddr::connect`] opens a TCP one). It implements [`Backend`], so
+//! everything written against the trait
 //! (`iolb_cnn::time_network_with_backend`, `tune-net`) runs embedded,
 //! against one daemon, or — through
 //! [`FleetRouter`](crate::fleet::FleetRouter) — against a whole fleet
@@ -69,7 +75,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Conventional socket file name inside a shard directory
 /// (`tune-cache serve DIR` listens on `DIR/daemon.sock` by default).
@@ -138,51 +144,62 @@ impl Default for DaemonConfig {
     }
 }
 
-/// One accepted server-side connection, whichever listener it came in
-/// on. The framing layer only needs `Read + Write`, so the daemon
-/// serves both transports through one handler.
-enum ServerStream {
+/// One daemon connection, whichever transport carries it. The daemon's
+/// accepted connections and the client both speak through it, so framing
+/// and deadlines are written once for both transports.
+pub(crate) enum Stream {
     Unix(UnixStream),
     Tcp(TcpStream),
 }
 
-impl ServerStream {
+impl Stream {
+    /// A TCP connection with Nagle disabled: the protocol is small
+    /// request/response frames, where coalescing only adds latency. The
+    /// accept loop and the client both wrap TCP streams here.
+    pub(crate) fn tcp(stream: TcpStream) -> Self {
+        let _ = stream.set_nodelay(true);
+        Stream::Tcp(stream)
+    }
+
     fn set_read_timeout(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         match self {
-            ServerStream::Unix(s) => s.set_read_timeout(timeout),
-            ServerStream::Tcp(s) => s.set_read_timeout(timeout),
+            Stream::Unix(s) => s.set_read_timeout(timeout),
+            Stream::Tcp(s) => s.set_read_timeout(timeout),
         }
     }
 }
 
-impl Read for ServerStream {
+impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
         match self {
-            ServerStream::Unix(s) => s.read(buf),
-            ServerStream::Tcp(s) => s.read(buf),
+            Stream::Unix(s) => s.read(buf),
+            Stream::Tcp(s) => s.read(buf),
         }
     }
 }
 
-impl Write for ServerStream {
+impl Write for Stream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
-            ServerStream::Unix(s) => s.write(buf),
-            ServerStream::Tcp(s) => s.write(buf),
+            Stream::Unix(s) => s.write(buf),
+            Stream::Tcp(s) => s.write(buf),
         }
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
         match self {
-            ServerStream::Unix(s) => s.flush(),
-            ServerStream::Tcp(s) => s.flush(),
+            Stream::Unix(s) => s.flush(),
+            Stream::Tcp(s) => s.flush(),
         }
     }
 }
 
-/// State shared between the accept loops, connection handlers and the
-/// persister / peer-sync threads.
+/// What the daemon's threads share: the accept loops, the connection
+/// handlers, the persister and the peer-sync thread.
 struct Shared {
+    service: TuningService,
+    dir: PathBuf,
+    idle_timeout: Duration,
     shutdown: AtomicBool,
     /// Live client connections; shutdown drains to zero before the
     /// final persist.
@@ -204,6 +221,10 @@ struct Shared {
 }
 
 impl Shared {
+    fn stopping(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         {
@@ -216,19 +237,210 @@ impl Shared {
             let _ = TcpStream::connect(addr);
         }
     }
+
+    /// Overwrite-saves the service's authoritative state into the
+    /// daemon's directory. No [`DirLock`] here — the daemon already holds
+    /// the directory's flock for its lifetime (re-acquiring on the same
+    /// file would deadlock against ourselves, and nobody else may write).
+    /// Errors are reported, not fatal to *serving* — but the returned
+    /// flag is honest, so a client `Sync` answers `persisted: false` and
+    /// the interval persister retries rather than believing the flush
+    /// landed. Returns `(total records, persisted ok)`.
+    fn persist(&self) -> (usize, bool) {
+        // One persist at a time: see `Shared::persist_gate`.
+        let _serialized = self.persist_gate.lock().expect("daemon persist gate poisoned");
+        let (service, dir) = (&self.service, &self.dir);
+        let started = Instant::now();
+        let outcome = match service.save_locked(dir) {
+            Ok(total) => {
+                crate::log_event!(Info, "daemon.persisted", records = total, dir = dir.display());
+                (total, true)
+            }
+            Err(e) => {
+                crate::log_event!(Error, "daemon.persist_failed", dir = dir.display(), error = e);
+                (service.lock().shards.len(), false)
+            }
+        };
+        service.telemetry().observe_since("iolb_daemon_persist_us", started);
+        outcome
+    }
+
+    /// Accepts connections until shutdown is requested, handing each to
+    /// its own thread. Serves the Unix and the TCP listener alike.
+    fn accept_loop(self: &Arc<Self>, mut accept: impl FnMut() -> std::io::Result<Stream>) {
+        loop {
+            let accepted = accept();
+            if self.stopping() {
+                break;
+            }
+            match accepted {
+                Ok(stream) => self.spawn_handler(stream),
+                // A persistent accept failure (fd exhaustion) must not
+                // busy-spin a core; back off briefly and retry.
+                Err(_) => std::thread::sleep(Duration::from_millis(50)),
+            }
+        }
+    }
+
+    /// Registers a connection as active and hands it to its own thread.
+    fn spawn_handler(self: &Arc<Self>, stream: Stream) {
+        // Decrement even if the handler panics or the thread never starts
+        // (shutdown must still drain).
+        struct Departure(Arc<Shared>);
+        impl Drop for Departure {
+            fn drop(&mut self) {
+                self.0.active.fetch_sub(1, Ordering::SeqCst);
+                let _g = self.0.gate.lock().expect("daemon gate poisoned");
+                self.0.changed.notify_all();
+            }
+        }
+        let over_cap = self.active.fetch_add(1, Ordering::SeqCst) >= MAX_CONNECTIONS;
+        let departure = Departure(Arc::clone(self));
+        let spawned =
+            std::thread::Builder::new().name("iolb-daemon-conn".into()).spawn(move || {
+                if over_cap {
+                    departure.0.refuse_connection(stream);
+                } else {
+                    departure.0.handle_connection(stream);
+                }
+            });
+        if let Err(e) = spawned {
+            crate::log_event!(Warn, "daemon.spawn_failed", error = e);
+        }
+    }
+
+    /// Answers an over-cap client's first request with a typed error,
+    /// then drops the connection. The request is read first (a second of
+    /// patience for it to start and a second for it to finish) so the
+    /// client, which writes before it reads, always sees the reply rather
+    /// than a reset.
+    fn refuse_connection(&self, mut stream: Stream) {
+        self.service.telemetry().incr("iolb_daemon_refused_connections_total", 1);
+        crate::log_event!(Warn, "daemon.connection_refused", cap = MAX_CONNECTIONS);
+        if stream.set_read_timeout(Some(IDLE_TICK)).is_err() {
+            return;
+        }
+        let patience = Duration::from_secs(1);
+        let mut scratch = wire::Scratch::default();
+        let mut reader = TimedReader::new(&mut stream, &self.shutdown, patience, patience);
+        if let Ok(Some(_)) = wire::read_request(&mut reader, &mut scratch) {
+            let message = format!(
+                "daemon is at its cap of {MAX_CONNECTIONS} live connections; retry when one closes"
+            );
+            let _ = wire::write_response(&mut stream, &Response::Error { message }, &mut scratch);
+        }
+    }
+
+    /// Serves one client connection: a sequence of framed requests until
+    /// EOF, a transport error, a [`TimedReader`] deadline, or `Shutdown`.
+    /// Sessions are per-connection; an abandoned connection's queued jobs
+    /// stay in the service queue at batch priority (the documented drop
+    /// semantics of `SessionHandle`).
+    ///
+    /// A connection holds a thread and a slot under [`MAX_CONNECTIONS`], so
+    /// it must never sit on them indefinitely while doing nothing: the
+    /// [`TimedReader`] evicts it after [`DaemonConfig::idle_timeout`] between
+    /// frames, gives a started frame [`FRAME_TIMEOUT`] to arrive, and ends it
+    /// within one tick of a requested shutdown.
+    fn handle_connection(&self, mut stream: Stream) {
+        let service = &self.service;
+        let mut sessions = BTreeMap::new();
+        let mut next_session = 0u64;
+        // Frame read/write buffers live for the whole connection: the
+        // busy-loop hot path (Submit/Wait per layer) reuses their capacity
+        // instead of allocating per frame.
+        let mut scratch = wire::Scratch::default();
+        let telemetry = service.telemetry().clone();
+        telemetry.incr("iolb_daemon_connections_total", 1);
+        if stream.set_read_timeout(Some(IDLE_TICK)).is_err() {
+            return;
+        }
+        loop {
+            let mut reader =
+                TimedReader::new(&mut stream, &self.shutdown, self.idle_timeout, FRAME_TIMEOUT);
+            let read = wire::read_request(&mut reader, &mut scratch);
+            let (frame_started, idle_evicted) = (reader.frame_started(), reader.idle_evicted());
+            let request = match read {
+                Ok(Some(request)) => request,
+                // A clean close between frames.
+                Ok(None) => break,
+                Err(e) => {
+                    if idle_evicted {
+                        telemetry.incr("iolb_daemon_idle_evictions_total", 1);
+                        crate::log_event!(Debug, "daemon.idle_evicted");
+                    } else if frame_started {
+                        // A malformed client must not take the daemon down;
+                        // tell it what was wrong if the pipe still works,
+                        // then drop it.
+                        let message = e.to_string();
+                        let _ = wire::write_response(
+                            &mut stream,
+                            &Response::Error { message },
+                            &mut scratch,
+                        );
+                    }
+                    break;
+                }
+            };
+            // Request latency is measured from the moment the request is
+            // read and decoded to the response being written — idle time
+            // between frames never counts.
+            let served_started = Instant::now();
+            telemetry.observe("iolb_daemon_frame_bytes", scratch.payload.len() as u64);
+            let response = match request {
+                Request::Submit { device, requests } => {
+                    let handle = service.submit(&requests, &device);
+                    let session = next_session;
+                    next_session += 1;
+                    let unique = handle.unique_workloads();
+                    sessions.insert(session, handle);
+                    Response::Submitted { session, unique }
+                }
+                Request::Wait { session } => match sessions.remove(&session) {
+                    // wait() helps tune this session's jobs on this thread.
+                    Some(handle) => Response::Results { results: handle.wait() },
+                    None => Response::Error { message: format!("unknown session {session}") },
+                },
+                Request::Sync => {
+                    let (total, persisted) = self.persist();
+                    Response::Synced { persisted, total }
+                }
+                Request::Stats => Response::Stats { metrics: service.metrics() },
+                // Anti-entropy: ship a snapshot of the whole store; the
+                // puller absorbs it (commutative union), so concurrent
+                // tuning on either side is never lost, only re-merged.
+                Request::Pull => Response::State { store: Box::new(service.lock().shards.clone()) },
+                Request::Shutdown => {
+                    let _ = wire::write_response(&mut stream, &Response::Bye, &mut scratch);
+                    self.request_shutdown();
+                    break;
+                }
+            };
+            let wrote = match wire::write_response(&mut stream, &response, &mut scratch) {
+                // A reply over the frame cap (a `Pull` of a large store) was
+                // refused before any byte left: answer with a typed error
+                // instead, and keep the connection.
+                Err(e @ WireError::Oversized { .. }) => {
+                    let message = format!("cannot send the reply: {e}");
+                    wire::write_response(&mut stream, &Response::Error { message }, &mut scratch)
+                }
+                wrote => wrote,
+            };
+            telemetry.observe_since("iolb_daemon_request_us", served_started);
+            if wrote.is_err() {
+                break;
+            }
+        }
+    }
 }
 
 /// A resident shard-server: owns a shard directory (one flock for its
 /// lifetime) and serves tuning sessions over a Unix domain socket and,
 /// optionally, TCP.
 pub struct Daemon {
-    service: TuningService,
     config: DaemonConfig,
-    dir: PathBuf,
-    socket_path: PathBuf,
     listener: UnixListener,
     tcp_listener: Option<TcpListener>,
-    tcp_addr: Option<SocketAddr>,
     shared: Arc<Shared>,
     /// Held from bind to drop: the directory belongs to this process.
     _lock: DirLock,
@@ -273,39 +485,29 @@ impl Daemon {
             None => (None, None),
         };
         let shared = Arc::new(Shared {
+            service,
+            dir,
+            idle_timeout: config.idle_timeout,
             shutdown: AtomicBool::new(false),
             active: AtomicUsize::new(0),
             gate: Mutex::new(()),
             changed: Condvar::new(),
             persist_gate: Mutex::new(()),
-            socket_path: socket_path.clone(),
+            socket_path,
             tcp_addr,
         });
-        Ok((
-            Self {
-                service,
-                config,
-                dir,
-                socket_path,
-                listener,
-                tcp_listener,
-                tcp_addr,
-                shared,
-                _lock: lock,
-            },
-            report,
-        ))
+        Ok((Self { config, listener, tcp_listener, shared, _lock: lock }, report))
     }
 
     /// The embedded tuning service (tests and in-process callers).
     pub fn service(&self) -> &TuningService {
-        &self.service
+        &self.shared.service
     }
 
     /// The TCP address actually bound, when [`DaemonConfig::tcp`] was
     /// set — with the real port even if the config said `:0`.
     pub fn tcp_addr(&self) -> Option<SocketAddr> {
-        self.tcp_addr
+        self.shared.tcp_addr
     }
 
     /// Serves until a client sends `Shutdown`: accepts connections on
@@ -316,12 +518,11 @@ impl Daemon {
     /// file.
     pub fn run(self) -> std::io::Result<()> {
         let persister = {
-            let service = self.service.clone();
-            let dir = self.dir.clone();
             let shared = Arc::clone(&self.shared);
             let interval = self.config.merge_interval;
             let evict = self.config.evict;
             std::thread::Builder::new().name("iolb-daemon-persist".into()).spawn(move || {
+                let service = &shared.service;
                 let mut last = None;
                 loop {
                     {
@@ -333,13 +534,10 @@ impl Daemon {
                         let guard = shared.gate.lock().expect("daemon gate poisoned");
                         let _ = shared
                             .changed
-                            .wait_timeout_while(guard, interval, |_| {
-                                !shared.shutdown.load(Ordering::SeqCst)
-                            })
+                            .wait_timeout_while(guard, interval, |_| !shared.stopping())
                             .expect("daemon gate poisoned");
                     }
-                    let stop = shared.shutdown.load(Ordering::SeqCst);
-                    if stop {
+                    if shared.stopping() {
                         // Final flush happens after connections drain,
                         // below in run(); stop ticking.
                         break;
@@ -367,7 +565,7 @@ impl Daemon {
                     }
                     let snapshot = service.snapshot();
                     if last != Some(snapshot) {
-                        let (_, persisted) = persist(&service, &dir, &shared);
+                        let (_, persisted) = shared.persist();
                         if persisted {
                             last = Some(snapshot);
                         }
@@ -381,8 +579,6 @@ impl Daemon {
         let peer_sync = if self.config.peers.is_empty() {
             None
         } else {
-            let service = self.service.clone();
-            let dir = self.dir.clone();
             let shared = Arc::clone(&self.shared);
             let peers = self.config.peers.clone();
             let interval = self.config.peer_sync_interval;
@@ -393,7 +589,7 @@ impl Daemon {
                         // noticed within one tick, not one sync interval.
                         let mut slept = Duration::ZERO;
                         while slept < interval {
-                            if shared.shutdown.load(Ordering::SeqCst) {
+                            if shared.stopping() {
                                 break 'sync;
                             }
                             std::thread::sleep(IDLE_TICK.min(interval));
@@ -401,16 +597,16 @@ impl Daemon {
                         }
                         let mut absorbed = 0usize;
                         for peer in &peers {
-                            let pull_started = std::time::Instant::now();
+                            let pull_started = Instant::now();
                             match peer
                                 .connect()
                                 .map_err(BackendError::Transport)
                                 .and_then(|c| c.pull())
                             {
                                 Ok(store) => {
-                                    let fresh = service.lock().shards.absorb(store);
+                                    let fresh = shared.service.lock().shards.absorb(store);
                                     absorbed += fresh;
-                                    let telemetry = service.telemetry();
+                                    let telemetry = shared.service.telemetry();
                                     telemetry.observe_since("iolb_daemon_pull_us", pull_started);
                                     telemetry.incr("iolb_daemon_pull_absorbed_total", fresh as u64);
                                     crate::log_event!(
@@ -437,7 +633,7 @@ impl Daemon {
                         // ServiceSnapshot the interval persister diffs on,
                         // so flush them explicitly.
                         if absorbed > 0 {
-                            persist(&service, &dir, &shared);
+                            shared.persist();
                         }
                     }
                 },
@@ -445,52 +641,13 @@ impl Daemon {
         };
 
         let tcp_thread = self.tcp_listener.map(|tcp| {
-            let service = self.service.clone();
-            let dir = self.dir.clone();
             let shared = Arc::clone(&self.shared);
-            let idle_timeout = self.config.idle_timeout;
             std::thread::Builder::new()
                 .name("iolb-daemon-tcp".into())
-                .spawn(move || {
-                    for stream in tcp.incoming() {
-                        if shared.shutdown.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = stream else {
-                            std::thread::sleep(Duration::from_millis(50));
-                            continue;
-                        };
-                        let _ = stream.set_nodelay(true);
-                        spawn_handler(
-                            ServerStream::Tcp(stream),
-                            &service,
-                            &dir,
-                            &shared,
-                            idle_timeout,
-                        );
-                    }
-                })
+                .spawn(move || shared.accept_loop(|| tcp.accept().map(|(s, _)| Stream::tcp(s))))
                 .expect("cannot spawn iolb-daemon-tcp")
         });
-
-        for stream in self.listener.incoming() {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = stream else {
-                // A persistent accept failure (fd exhaustion) must not
-                // busy-spin a core; back off briefly and retry.
-                std::thread::sleep(Duration::from_millis(50));
-                continue;
-            };
-            spawn_handler(
-                ServerStream::Unix(stream),
-                &self.service,
-                &self.dir,
-                &self.shared,
-                self.config.idle_timeout,
-            );
-        }
+        self.shared.accept_loop(|| self.listener.accept().map(|(s, _)| Stream::Unix(s)));
 
         // Shutdown: stop accepting (both loops were woken), let
         // in-flight clients finish, then flush once.
@@ -507,16 +664,17 @@ impl Daemon {
         if let Some(t) = peer_sync {
             t.join().expect("daemon peer-sync panicked");
         }
-        let (_, persisted) = persist(&self.service, &self.dir, &self.shared);
-        let _ = std::fs::remove_file(&self.socket_path);
+        let (_, persisted) = self.shared.persist();
+        let _ = std::fs::remove_file(&self.shared.socket_path);
         if persisted {
             Ok(())
         } else {
             // Exiting 0 here would tell orchestrators the shutdown was
             // clean while the last merge-interval's records were lost.
             Err(std::io::Error::other(format!(
-                "final flush to {} failed; records tuned since the last successful persist were                  not saved",
-                self.dir.display()
+                "final flush to {} failed; records tuned since the last successful persist were \
+                 not saved",
+                self.shared.dir.display()
             )))
         }
     }
@@ -527,88 +685,6 @@ impl Daemon {
 /// `Error` reply to its first request and closed.
 pub const MAX_CONNECTIONS: usize = 256;
 
-/// Registers a connection as active and hands it to its own thread; used
-/// identically by the Unix and TCP accept loops.
-fn spawn_handler(
-    stream: ServerStream,
-    service: &TuningService,
-    dir: &Path,
-    shared: &Arc<Shared>,
-    idle_timeout: Duration,
-) {
-    // Decrement even if the handler panics or the thread never starts
-    // (shutdown must still drain).
-    struct Departure(Arc<Shared>);
-    impl Drop for Departure {
-        fn drop(&mut self) {
-            self.0.active.fetch_sub(1, Ordering::SeqCst);
-            let _g = self.0.gate.lock().expect("daemon gate poisoned");
-            self.0.changed.notify_all();
-        }
-    }
-    let over_cap = shared.active.fetch_add(1, Ordering::SeqCst) >= MAX_CONNECTIONS;
-    let departure = Departure(Arc::clone(shared));
-    let service = service.clone();
-    let dir = dir.to_path_buf();
-    let spawned = std::thread::Builder::new().name("iolb-daemon-conn".into()).spawn(move || {
-        let shared = &departure.0;
-        if over_cap {
-            refuse_connection(&service, stream, shared);
-        } else {
-            handle_connection(&service, stream, &dir, shared, idle_timeout);
-        }
-    });
-    if let Err(e) = spawned {
-        crate::log_event!(Warn, "daemon.spawn_failed", error = e);
-    }
-}
-
-/// Answers an over-cap client's first request with a typed error, then
-/// drops the connection. The request is read first (under a one-second
-/// deadline) so the client, which writes before it reads, always sees the
-/// reply rather than a reset.
-fn refuse_connection(service: &TuningService, mut stream: ServerStream, shared: &Shared) {
-    service.telemetry().incr("iolb_daemon_refused_connections_total", 1);
-    crate::log_event!(Warn, "daemon.connection_refused", cap = MAX_CONNECTIONS);
-    if stream.set_read_timeout(Some(IDLE_TICK)).is_err() {
-        return;
-    }
-    let deadline = std::time::Instant::now() + Duration::from_secs(1);
-    let mut reader = DeadlineReader { stream: &mut stream, deadline, shared };
-    if matches!(wire::read_frame(&mut reader), Ok(Some(_))) {
-        let message = format!(
-            "daemon is at its cap of {MAX_CONNECTIONS} live connections; retry when one closes"
-        );
-        let _ = wire::write_response(&mut stream, &Response::Error { message });
-    }
-}
-
-/// Overwrite-saves the service's authoritative state into the daemon's
-/// directory. No [`DirLock`] here — the daemon already holds the
-/// directory's flock for its lifetime (re-acquiring on the same file
-/// would deadlock against ourselves, and nobody else may write). Errors
-/// are reported, not fatal to *serving* — but the returned flag is
-/// honest, so a client `Sync` answers `persisted: false` and the
-/// interval persister retries rather than believing the flush landed.
-/// Returns `(total records, persisted ok)`.
-fn persist(service: &TuningService, dir: &Path, shared: &Shared) -> (usize, bool) {
-    // One persist at a time: see `Shared::persist_gate`.
-    let _serialized = shared.persist_gate.lock().expect("daemon persist gate poisoned");
-    let started = std::time::Instant::now();
-    let outcome = match service.save_locked(dir) {
-        Ok(total) => {
-            crate::log_event!(Info, "daemon.persisted", records = total, dir = dir.display());
-            (total, true)
-        }
-        Err(e) => {
-            crate::log_event!(Error, "daemon.persist_failed", dir = dir.display(), error = e);
-            (service.lock().shards.len(), false)
-        }
-    };
-    service.telemetry().observe_since("iolb_daemon_persist_us", started);
-    outcome
-}
-
 /// How often an idle connection handler wakes to check the shutdown
 /// flag and its idle budget.
 const IDLE_TICK: Duration = Duration::from_millis(250);
@@ -618,96 +694,72 @@ const IDLE_TICK: Duration = Duration::from_millis(250);
 /// frame byte-by-byte cannot hold a connection slot forever.
 const FRAME_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// A reader that enforces an *overall* deadline across however many
-/// `read` calls a frame takes. The socket's own `SO_RCVTIMEO` stays at
-/// [`IDLE_TICK`], so each blocked read wakes often enough to re-check
-/// the deadline and the daemon's shutdown flag — without this, a peer
-/// trickling bytes would reset the per-read timeout indefinitely.
-struct DeadlineReader<'a> {
-    stream: &'a mut ServerStream,
-    deadline: std::time::Instant,
-    shared: &'a Shared,
+/// The daemon's one deadline policy, as a reader over a connection whose
+/// `SO_RCVTIMEO` is [`IDLE_TICK`]:
+///
+/// * before a frame's first byte, every tick that passes with nothing
+///   read counts towards the idle budget, and a connection that spends it
+///   is evicted;
+/// * from the first byte on, one deadline bounds the whole frame, however
+///   many reads it takes — the per-read timeout alone would let a peer
+///   trickling a byte per tick hold its slot forever;
+/// * a requested shutdown is noticed within one tick either way.
+///
+/// Each of the three ends the read with a `TimedOut` error.
+struct TimedReader<'a, R> {
+    inner: R,
+    shutdown: &'a AtomicBool,
+    idle_budget: Duration,
+    frame_timeout: Duration,
+    idle: Duration,
+    /// Set when the frame's first byte arrives.
+    frame_deadline: Option<Instant>,
 }
 
-impl Read for DeadlineReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "daemon is shutting down",
-                ));
-            }
-            if std::time::Instant::now() >= self.deadline {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "frame deadline exceeded",
-                ));
-            }
-            match self.stream.read(buf) {
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock
-                            | std::io::ErrorKind::TimedOut
-                            | std::io::ErrorKind::Interrupted
-                    ) => {}
-                other => return other,
-            }
+impl<'a, R: Read> TimedReader<'a, R> {
+    fn new(
+        inner: R,
+        shutdown: &'a AtomicBool,
+        idle_budget: Duration,
+        frame_timeout: Duration,
+    ) -> Self {
+        Self {
+            inner,
+            shutdown,
+            idle_budget,
+            frame_timeout,
+            idle: Duration::ZERO,
+            frame_deadline: None,
         }
     }
+
+    /// Whether any byte of the frame has arrived.
+    fn frame_started(&self) -> bool {
+        self.frame_deadline.is_some()
+    }
+
+    /// Whether the read ended because the idle budget ran out.
+    fn idle_evicted(&self) -> bool {
+        !self.frame_started() && self.idle >= self.idle_budget
+    }
 }
 
-/// Serves one client connection: a sequence of framed requests until
-/// EOF, a transport error, the idle timeout, or `Shutdown`. Sessions
-/// are per-connection; an abandoned connection's queued jobs stay in
-/// the service queue at batch priority (the documented drop semantics
-/// of `SessionHandle`).
-///
-/// A connection holds a thread and a slot under [`MAX_CONNECTIONS`], so
-/// it must never sit on them indefinitely while doing nothing: between
-/// requests the handler reads the next frame's 4-byte length prefix
-/// *resumably* under a short read timeout (partial prefix bytes are kept across
-/// ticks, so a timeout never desynchronizes the frame stream), evicting
-/// the connection after [`DaemonConfig::idle_timeout`] and noticing a
-/// requested shutdown within one tick.
-fn handle_connection(
-    service: &TuningService,
-    mut stream: ServerStream,
-    dir: &Path,
-    shared: &Shared,
-    idle_timeout: Duration,
-) {
-    let mut sessions = BTreeMap::new();
-    let mut next_session = 0u64;
-    let mut idle = Duration::ZERO;
-    // Frame read/write buffers live for the whole connection: the
-    // busy-loop hot path (Submit/Wait per layer) reuses their capacity
-    // instead of allocating per frame.
-    let mut scratch = wire::Scratch::default();
-    let telemetry = service.telemetry().clone();
-    telemetry.incr("iolb_daemon_connections_total", 1);
-    if stream.set_read_timeout(Some(IDLE_TICK)).is_err() {
-        return;
-    }
-    'connection: loop {
-        // Resumable prefix read: idle ticks between frames, a bounded
-        // patience window once a frame has started arriving.
-        let mut len_buf = [0u8; 4];
-        let mut filled = 0usize;
-        let mut frame_deadline: Option<std::time::Instant> = None;
-        let len = loop {
-            match stream.read(&mut len_buf[filled..]) {
-                // EOF: clean between frames, truncated inside a prefix —
-                // either way the connection is over.
-                Ok(0) => break 'connection,
+impl<R: Read> Read for TimedReader<'_, R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let timed_out = |why: &str| std::io::Error::new(std::io::ErrorKind::TimedOut, why);
+        loop {
+            if self.shutdown.load(Ordering::SeqCst) {
+                return Err(timed_out("daemon is shutting down"));
+            }
+            if self.frame_deadline.is_some_and(|deadline| Instant::now() >= deadline) {
+                return Err(timed_out("frame deadline exceeded"));
+            }
+            match self.inner.read(buf) {
                 Ok(n) => {
-                    filled += n;
-                    idle = Duration::ZERO;
-                    frame_deadline.get_or_insert_with(|| std::time::Instant::now() + FRAME_TIMEOUT);
-                    if filled == len_buf.len() {
-                        break u32::from_be_bytes(len_buf) as usize;
+                    if n > 0 && self.frame_deadline.is_none() {
+                        self.frame_deadline = Some(Instant::now() + self.frame_timeout);
                     }
+                    return Ok(n);
                 }
                 Err(e)
                     if matches!(
@@ -715,90 +767,16 @@ fn handle_connection(
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                     ) =>
                 {
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        break 'connection;
-                    }
-                    match frame_deadline {
-                        Some(deadline) if std::time::Instant::now() >= deadline => {
-                            break 'connection
-                        }
-                        Some(_) => {}
-                        None => {
-                            idle += IDLE_TICK;
-                            if idle >= idle_timeout {
-                                telemetry.incr("iolb_daemon_idle_evictions_total", 1);
-                                crate::log_event!(Debug, "daemon.idle_evicted");
-                                break 'connection;
-                            }
+                    if !self.frame_started() {
+                        self.idle += IDLE_TICK;
+                        if self.idle >= self.idle_budget {
+                            return Err(timed_out("idle timeout"));
                         }
                     }
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => break 'connection,
+                Err(e) => return Err(e),
             }
-        };
-        // The payload is owed now. The socket timeout alone cannot
-        // bound it — SO_RCVTIMEO is per read() call, so a peer
-        // trickling one byte per tick would reset it forever; the
-        // DeadlineReader enforces the frame deadline (and notices
-        // shutdown) across the whole payload.
-        let deadline = frame_deadline.unwrap_or_else(|| std::time::Instant::now() + FRAME_TIMEOUT);
-        // Request latency is measured from the moment the frame length
-        // is known (prefix complete) to the response being written —
-        // idle time between frames never counts.
-        let served_started = std::time::Instant::now();
-        telemetry.observe("iolb_daemon_frame_bytes", len as u64);
-        let request = {
-            let mut reader = DeadlineReader { stream: &mut stream, deadline, shared };
-            wire::read_payload_into(&mut reader, len, &mut scratch.payload)
-                .and_then(|()| wire::decode_request_payload(&scratch.payload))
-        };
-        let request = match request {
-            Ok(request) => request,
-            Err(e) => {
-                // A malformed client must not take the daemon down; tell
-                // it what was wrong if the pipe still works, then drop it.
-                let _ = wire::write_response_buffered(
-                    &mut stream,
-                    &Response::Error { message: e.to_string() },
-                    &mut scratch,
-                );
-                break;
-            }
-        };
-        let response = match request {
-            Request::Submit { device, requests } => {
-                let handle = service.submit(&requests, &device);
-                let session = next_session;
-                next_session += 1;
-                let unique = handle.unique_workloads();
-                sessions.insert(session, handle);
-                Response::Submitted { session, unique }
-            }
-            Request::Wait { session } => match sessions.remove(&session) {
-                // wait() helps tune this session's jobs on this thread.
-                Some(handle) => Response::Results { results: handle.wait() },
-                None => Response::Error { message: format!("unknown session {session}") },
-            },
-            Request::Sync => {
-                let (total, persisted) = persist(service, dir, shared);
-                Response::Synced { persisted, total }
-            }
-            Request::Stats => Response::Stats { metrics: service.metrics() },
-            // Anti-entropy: ship a snapshot of the whole store; the
-            // puller absorbs it (commutative union), so concurrent
-            // tuning on either side is never lost, only re-merged.
-            Request::Pull => Response::State { store: Box::new(service.lock().shards.clone()) },
-            Request::Shutdown => {
-                let _ = wire::write_response_buffered(&mut stream, &Response::Bye, &mut scratch);
-                shared.request_shutdown();
-                break;
-            }
-        };
-        let wrote = wire::write_response_buffered(&mut stream, &response, &mut scratch);
-        telemetry.observe_since("iolb_daemon_request_us", served_started);
-        if wrote.is_err() {
-            break;
         }
     }
 }
@@ -814,72 +792,55 @@ impl From<WireError> for BackendError {
     }
 }
 
-/// The daemon client: a [`Backend`] over one connection of stream type
-/// `S`. Use the [`SocketBackend`] (Unix) and [`TcpBackend`] aliases.
-/// Cheap to clone (clones share the connection); requests are
-/// serialized request/response pairs, so a blocked [`wait`] occupies
-/// the connection — use one backend per concurrent session.
+/// The daemon client: a [`Backend`] over one connection, Unix
+/// ([`connect`](Self::connect)) or TCP ([`PeerAddr::connect`]). Cheap to
+/// clone (clones share the connection); requests are serialized
+/// request/response pairs, so a blocked [`wait`] occupies the connection —
+/// use one backend per concurrent session.
 ///
 /// [`wait`]: BackendSession::wait
-pub struct WireBackend<S> {
+#[derive(Clone)]
+pub struct SocketBackend {
     // Scratch rides under the same lock as the stream: whoever holds the
     // connection owns the encode/decode buffers, so the per-call hot path
     // (submit/wait per layer) reuses capacity instead of allocating.
-    stream: Arc<Mutex<(S, wire::Scratch)>>,
+    conn: Arc<Mutex<(Stream, wire::Scratch)>>,
 }
 
-impl<S> Clone for WireBackend<S> {
-    fn clone(&self) -> Self {
-        Self { stream: Arc::clone(&self.stream) }
-    }
+/// A reply of the wrong type: the peer is not speaking the protocol.
+fn unexpected(want: &str, got: Response) -> BackendError {
+    BackendError::Protocol(format!("expected {want}, got {got:?}"))
 }
 
-/// [`WireBackend`] over a Unix domain socket (same-machine clients).
-pub type SocketBackend = WireBackend<UnixStream>;
-
-/// [`WireBackend`] over TCP (fleet clients and anti-entropy pulls).
-pub type TcpBackend = WireBackend<TcpStream>;
-
-impl WireBackend<UnixStream> {
+impl SocketBackend {
     /// Connects to a daemon's Unix socket.
     pub fn connect(path: impl AsRef<Path>) -> std::io::Result<Self> {
-        Ok(Self {
-            stream: Arc::new(Mutex::new((UnixStream::connect(path)?, wire::Scratch::default()))),
-        })
+        Ok(Self::over(Stream::Unix(UnixStream::connect(path)?)))
     }
-}
 
-impl WireBackend<TcpStream> {
-    /// Connects to a daemon's TCP listener. Nagle is disabled: the
-    /// protocol is small request/response frames, where coalescing only
-    /// adds latency.
-    pub fn connect(addr: impl std::net::ToSocketAddrs) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        Ok(Self { stream: Arc::new(Mutex::new((stream, wire::Scratch::default()))) })
+    /// A client over an open connection.
+    pub(crate) fn over(stream: Stream) -> Self {
+        Self { conn: Arc::new(Mutex::new((stream, wire::Scratch::default()))) }
     }
-}
 
-impl<S: Read + Write> WireBackend<S> {
-    /// One request/response exchange. Daemon-reported errors surface as
+    /// Sends the frame `write` writes and reads the response to it, the
+    /// connection held for the pair. Daemon-reported errors surface as
     /// [`BackendError::Remote`].
-    pub(crate) fn call(&self, request: &Request) -> Result<Response, BackendError> {
-        self.exchange(|stream, scratch| wire::write_request_buffered(stream, request, scratch))
-    }
-
-    /// Sends the frame `write` encodes and reads the response to it, the
-    /// connection held for the pair.
     fn exchange(
         &self,
-        write: impl FnOnce(&mut S, &mut wire::Scratch) -> Result<(), WireError>,
+        write: impl FnOnce(&mut Stream, &mut wire::Scratch) -> Result<(), WireError>,
     ) -> Result<Response, BackendError> {
-        let mut guard = self.stream.lock().expect("wire backend poisoned");
+        let mut guard = self.conn.lock().expect("socket backend poisoned");
         let (stream, scratch) = &mut *guard;
         write(stream, scratch)?;
-        match wire::read_response_buffered(stream, scratch)? {
+        match wire::read_response(stream, scratch)? {
             Response::Error { message } => Err(BackendError::Remote(message)),
             response => Ok(response),
         }
+    }
+
+    fn call(&self, request: &Request) -> Result<Response, BackendError> {
+        self.exchange(|stream, scratch| wire::write_request(stream, request, scratch))
     }
 
     /// Asks the daemon to persist and exit. The daemon finishes serving
@@ -887,7 +848,7 @@ impl<S: Read + Write> WireBackend<S> {
     pub fn shutdown(&self) -> Result<(), BackendError> {
         match self.call(&Request::Shutdown)? {
             Response::Bye => Ok(()),
-            other => Err(BackendError::Protocol(format!("expected Bye, got {other:?}"))),
+            other => Err(unexpected("Bye", other)),
         }
     }
 
@@ -898,22 +859,21 @@ impl<S: Read + Write> WireBackend<S> {
     pub fn pull(&self) -> Result<ShardedStore, BackendError> {
         match self.call(&Request::Pull)? {
             Response::State { store } => Ok(*store),
-            other => Err(BackendError::Protocol(format!("expected State, got {other:?}"))),
+            other => Err(unexpected("State", other)),
         }
     }
 }
 
-/// A batch submitted over a [`WireBackend`] connection; the daemon
-/// holds the real [`SessionHandle`](crate::session::SessionHandle)
-/// server-side.
-pub struct WireSession<S> {
-    backend: WireBackend<S>,
+/// A batch submitted over a [`SocketBackend`]; the daemon holds the real
+/// [`SessionHandle`](crate::session::SessionHandle) server-side.
+pub struct SocketSession {
+    backend: SocketBackend,
     session: u64,
     requests: usize,
     unique: usize,
 }
 
-impl<S: Read + Write> BackendSession for WireSession<S> {
+impl BackendSession for SocketSession {
     fn request_count(&self) -> usize {
         self.requests
     }
@@ -934,41 +894,76 @@ impl<S: Read + Write> BackendSession for WireSession<S> {
                 }
                 Ok(results)
             }
-            other => Err(BackendError::Protocol(format!("expected Results, got {other:?}"))),
+            other => Err(unexpected("Results", other)),
         }
     }
 }
 
-impl<S: Read + Write> Backend for WireBackend<S> {
-    type Session = WireSession<S>;
+impl Backend for SocketBackend {
+    type Session = SocketSession;
 
     fn submit_batch(
         &self,
         requests: &[TuneRequest],
         device: &DeviceSpec,
-    ) -> Result<WireSession<S>, BackendError> {
+    ) -> Result<SocketSession, BackendError> {
         // Encoded from the caller's slice: no owned `Request` is built.
-        match self.exchange(|stream, scratch| {
-            wire::write_submit_buffered(stream, device, requests, scratch)
-        })? {
-            Response::Submitted { session, unique } => {
-                Ok(WireSession { backend: self.clone(), session, requests: requests.len(), unique })
-            }
-            other => Err(BackendError::Protocol(format!("expected Submitted, got {other:?}"))),
+        match self
+            .exchange(|stream, scratch| wire::write_submit(stream, device, requests, scratch))?
+        {
+            Response::Submitted { session, unique } => Ok(SocketSession {
+                backend: self.clone(),
+                session,
+                requests: requests.len(),
+                unique,
+            }),
+            other => Err(unexpected("Submitted", other)),
         }
     }
 
     fn sync(&self) -> Result<SyncOutcome, BackendError> {
         match self.call(&Request::Sync)? {
             Response::Synced { persisted, total } => Ok(SyncOutcome { persisted, total }),
-            other => Err(BackendError::Protocol(format!("expected Synced, got {other:?}"))),
+            other => Err(unexpected("Synced", other)),
         }
     }
 
     fn stats(&self) -> Result<StatsReport, BackendError> {
         match self.call(&Request::Stats)? {
             Response::Stats { metrics } => Ok(StatsReport::from_metrics(metrics)),
-            other => Err(BackendError::Protocol(format!("expected Stats, got {other:?}"))),
+            other => Err(unexpected("Stats", other)),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A peer that has gone quiet: every read times out.
+    struct Silent {
+        reads: usize,
+    }
+
+    impl Read for Silent {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            assert!(self.reads < 1000, "the reader never checked the frame deadline");
+            Err(std::io::ErrorKind::WouldBlock.into())
+        }
+    }
+
+    /// The trickle branch: once a frame has started, only its deadline
+    /// ends the wait — idle ticks do not count, so a peer sending a byte
+    /// per tick would otherwise be waited on forever.
+    #[test]
+    fn a_started_frame_past_its_deadline_times_out() {
+        let shutdown = AtomicBool::new(false);
+        let mut reader =
+            TimedReader::new(Silent { reads: 0 }, &shutdown, Duration::MAX, FRAME_TIMEOUT);
+        reader.frame_deadline = Some(Instant::now());
+        let error = reader.read(&mut [0u8; 4]).unwrap_err();
+        assert_eq!(error.kind(), std::io::ErrorKind::TimedOut);
+        assert!(reader.frame_started() && !reader.idle_evicted());
     }
 }

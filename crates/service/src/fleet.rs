@@ -16,7 +16,7 @@
 //!   every run — and reordering the spec changes nothing.
 //! * **Failover re-routes only the dead peer's range.** When a peer
 //!   stops answering (connect failure, transport error, protocol
-//!   garbage), the router marks it dead and walks clockwise past its
+//!   garbage such as a reply of the wrong type), the router marks it dead and walks clockwise past its
 //!   virtual nodes: exactly the keys that peer owned redistribute to the
 //!   survivors; every other key keeps its assignment. Requests already
 //!   submitted to the dead peer are re-submitted to survivors — and
@@ -29,6 +29,11 @@
 //!   session dedup (one tuning run, fanned out) keeps working across
 //!   the fleet.
 //!
+//! The router drives each peer through a [`SocketBackend`] and its
+//! [`Backend`] methods, like any other client. A daemon-reported error
+//! (`Remote`) propagates: the peer is alive, and failing over would mask
+//! a real bug. Any other error marks the peer dead.
+//!
 //! [`FleetRouter`] implements [`Backend`], so
 //! `iolb_cnn::time_network_with_backend` and `tune-net --fleet` drive a
 //! whole fleet through the same code path as one embedded service or
@@ -36,17 +41,17 @@
 //! `Pull`/absorb) is server-side: see [`crate::daemon`] and
 //! `docs/OPERATIONS.md`.
 
-use crate::daemon::{SocketBackend, TcpBackend};
+use crate::daemon::{SocketBackend, SocketSession, Stream};
 use crate::service::ServeResult;
 use crate::session::{
     Backend, BackendError, BackendSession, StatsReport, SyncOutcome, TuneRequest,
 };
-use crate::shard::{fnv1a, ShardedStore};
+use crate::shard::fnv1a;
 use crate::telemetry::{MetricsSnapshot, Telemetry};
-use crate::wire::{Request, Response};
 use iolb_gpusim::DeviceSpec;
 use iolb_records::Workload;
 use std::collections::BTreeMap;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -96,10 +101,12 @@ impl PeerAddr {
 
     /// Connects to the daemon listening here, on whichever transport
     /// the address names.
-    pub fn connect(&self) -> std::io::Result<PeerClient> {
+    pub fn connect(&self) -> std::io::Result<SocketBackend> {
         match self {
-            PeerAddr::Unix(path) => SocketBackend::connect(path).map(PeerClient::Unix),
-            PeerAddr::Tcp(addr) => TcpBackend::connect(addr.as_str()).map(PeerClient::Tcp),
+            PeerAddr::Unix(path) => SocketBackend::connect(path),
+            PeerAddr::Tcp(addr) => {
+                Ok(SocketBackend::over(Stream::tcp(TcpStream::connect(addr.as_str())?)))
+            }
         }
     }
 }
@@ -107,48 +114,6 @@ impl PeerAddr {
 impl std::fmt::Display for PeerAddr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.label())
-    }
-}
-
-/// One connected daemon, whichever transport it speaks: the control
-/// calls ([`stats`](Self::stats), [`pull`](Self::pull),
-/// [`shutdown`](Self::shutdown)) for callers that hold a [`PeerAddr`]
-/// rather than a concrete [`SocketBackend`] / [`TcpBackend`].
-pub enum PeerClient {
-    Unix(SocketBackend),
-    Tcp(TcpBackend),
-}
-
-impl PeerClient {
-    fn call(&self, request: &Request) -> Result<Response, BackendError> {
-        match self {
-            PeerClient::Unix(backend) => backend.call(request),
-            PeerClient::Tcp(backend) => backend.call(request),
-        }
-    }
-
-    /// The daemon's [`Backend::stats`].
-    pub fn stats(&self) -> Result<StatsReport, BackendError> {
-        match self {
-            PeerClient::Unix(backend) => backend.stats(),
-            PeerClient::Tcp(backend) => backend.stats(),
-        }
-    }
-
-    /// Fetches the daemon's full store (the anti-entropy `Pull`).
-    pub fn pull(&self) -> Result<ShardedStore, BackendError> {
-        match self {
-            PeerClient::Unix(backend) => backend.pull(),
-            PeerClient::Tcp(backend) => backend.pull(),
-        }
-    }
-
-    /// Asks the daemon to persist and exit.
-    pub fn shutdown(&self) -> Result<(), BackendError> {
-        match self {
-            PeerClient::Unix(backend) => backend.shutdown(),
-            PeerClient::Tcp(backend) => backend.shutdown(),
-        }
     }
 }
 
@@ -164,7 +129,7 @@ enum CallFailure {
 
 /// Mutable fleet state: lazily-established connections plus liveness.
 struct FleetState {
-    clients: Vec<Option<PeerClient>>,
+    clients: Vec<Option<SocketBackend>>,
     dead: Vec<bool>,
 }
 
@@ -253,10 +218,16 @@ impl FleetRouter {
         (0..ring.len()).map(|i| ring[(start + i) % ring.len()].1).find(|&peer| !dead[peer])
     }
 
-    /// One request/response exchange with a peer, connecting lazily. On
-    /// transport or protocol failure the peer is marked dead and its
-    /// connection dropped; daemon-reported errors are fatal.
-    fn call_peer(&self, peer: usize, request: &Request) -> Result<Response, CallFailure> {
+    /// One call against a peer's [`SocketBackend`], connecting lazily.
+    /// This is the one place a peer's outcome is classified: a
+    /// daemon-reported error is fatal, and any other failure (connect,
+    /// transport, a reply of the wrong type) marks the peer dead and
+    /// drops its connection.
+    fn call_peer<T>(
+        &self,
+        peer: usize,
+        call: impl FnOnce(&SocketBackend) -> Result<T, BackendError>,
+    ) -> Result<T, CallFailure> {
         let mut st = self.inner.state.lock().expect("fleet state poisoned");
         if st.dead[peer] {
             return Err(CallFailure::PeerDown(BackendError::Transport(std::io::Error::new(
@@ -264,26 +235,25 @@ impl FleetRouter {
                 format!("peer {} is dead", self.inner.peers[peer]),
             ))));
         }
-        if st.clients[peer].is_none() {
-            match self.inner.peers[peer].connect() {
-                Ok(client) => st.clients[peer] = Some(client),
-                Err(e) => {
-                    st.dead[peer] = true;
-                    self.inner.telemetry.incr("iolb_fleet_failovers_total", 1);
-                    return Err(CallFailure::PeerDown(BackendError::Transport(e)));
-                }
-            }
+        let outcome = match &st.clients[peer] {
+            Some(client) => Ok(client),
+            None => match self.inner.peers[peer].connect() {
+                Ok(client) => Ok(&*st.clients[peer].insert(client)),
+                Err(e) => Err(BackendError::Transport(e)),
+            },
         }
-        self.inner.telemetry.incr(
-            &format!("iolb_fleet_requests{{peer=\"{}\"}}", self.inner.peers[peer].label()),
-            1,
-        );
-        let outcome = st.clients[peer].as_ref().expect("connected above").call(request);
+        .and_then(|client| {
+            self.inner.telemetry.incr(
+                &format!("iolb_fleet_requests{{peer=\"{}\"}}", self.inner.peers[peer].label()),
+                1,
+            );
+            call(client)
+        });
         match outcome {
-            Ok(response) => Ok(response),
+            Ok(value) => Ok(value),
             Err(e @ BackendError::Remote(_)) => Err(CallFailure::Fatal(e)),
             Err(e) => {
-                // Transport died or the peer spoke garbage: either way it
+                // The peer is unreachable or spoke garbage: either way it
                 // cannot be trusted with this key range any more.
                 st.dead[peer] = true;
                 st.clients[peer] = None;
@@ -321,16 +291,10 @@ impl FleetRouter {
             for (peer, positions) in by_peer {
                 let sub_requests: Vec<TuneRequest> =
                     positions.iter().map(|&at| requests[at]).collect();
-                let request = Request::Submit { device: device.clone(), requests: sub_requests };
-                match self.call_peer(peer, &request) {
-                    Ok(Response::Submitted { session, unique: u }) => {
-                        unique += u;
+                match self.call_peer(peer, |client| client.submit_batch(&sub_requests, device)) {
+                    Ok(session) => {
+                        unique += session.unique_workloads();
                         subs.push(SubSession { peer, session, positions });
-                    }
-                    Ok(other) => {
-                        return Err(BackendError::Protocol(format!(
-                            "expected Submitted, got {other:?}"
-                        )))
                     }
                     Err(CallFailure::Fatal(e)) => return Err(e),
                     Err(CallFailure::PeerDown(_)) => remaining.extend(positions),
@@ -351,8 +315,8 @@ fn no_live_peers() -> BackendError {
 /// One peer's slice of a fleet session.
 struct SubSession {
     peer: usize,
-    /// The daemon-side session id on that peer.
-    session: u64,
+    /// The session submitted to that peer.
+    session: SocketSession,
     /// Original request positions this peer owns.
     positions: Vec<usize>,
 }
@@ -380,18 +344,13 @@ impl BackendSession for FleetSession {
 
     fn wait(mut self) -> Result<Vec<Option<ServeResult>>, BackendError> {
         let mut slots: Vec<Option<Option<ServeResult>>> = vec![None; self.requests.len()];
-        while let Some(sub) = self.subs.pop() {
-            match self.router.call_peer(sub.peer, &Request::Wait { session: sub.session }) {
-                Ok(Response::Results { results }) if results.len() == sub.positions.len() => {
-                    for (&at, result) in sub.positions.iter().zip(results) {
+        while let Some(SubSession { peer, session, positions }) = self.subs.pop() {
+            // The session carries its own connection to the peer.
+            match self.router.call_peer(peer, |_| session.wait()) {
+                Ok(results) => {
+                    for (&at, result) in positions.iter().zip(results) {
                         slots[at] = Some(result);
                     }
-                }
-                Ok(other) => {
-                    return Err(BackendError::Protocol(format!(
-                        "peer {} returned {other:?} for a Wait",
-                        self.router.inner.peers[sub.peer]
-                    )))
                 }
                 Err(CallFailure::Fatal(e)) => return Err(e),
                 Err(CallFailure::PeerDown(e)) => {
@@ -401,14 +360,14 @@ impl BackendSession for FleetSession {
                     crate::log_event!(
                         Warn,
                         "fleet.peer_lost",
-                        peer = self.router.inner.peers[sub.peer],
+                        peer = self.router.inner.peers[peer],
                         error = e,
-                        rerouted = sub.positions.len(),
+                        rerouted = positions.len(),
                     );
                     let (resubmitted, _) = self.router.submit_positions(
                         &self.requests,
                         &self.device,
-                        sub.positions,
+                        positions,
                         &self.fingerprints,
                     )?;
                     self.subs.extend(resubmitted);
@@ -450,14 +409,11 @@ impl Backend for FleetRouter {
         let mut total = 0;
         let mut any = false;
         for peer in 0..self.inner.peers.len() {
-            match self.call_peer(peer, &Request::Sync) {
-                Ok(Response::Synced { persisted: p, total: t }) => {
-                    persisted &= p;
-                    total += t;
+            match self.call_peer(peer, |client| client.sync()) {
+                Ok(outcome) => {
+                    persisted &= outcome.persisted;
+                    total += outcome.total;
                     any = true;
-                }
-                Ok(other) => {
-                    return Err(BackendError::Protocol(format!("expected Synced, got {other:?}")))
                 }
                 Err(CallFailure::Fatal(e)) => return Err(e),
                 Err(CallFailure::PeerDown(_)) => persisted = false,
@@ -479,12 +435,9 @@ impl Backend for FleetRouter {
     fn stats(&self) -> Result<StatsReport, BackendError> {
         let mut aggregate: Option<MetricsSnapshot> = None;
         for peer in 0..self.inner.peers.len() {
-            match self.call_peer(peer, &Request::Stats) {
-                Ok(Response::Stats { metrics }) => {
-                    aggregate.get_or_insert_with(MetricsSnapshot::default).merge(&metrics)
-                }
-                Ok(other) => {
-                    return Err(BackendError::Protocol(format!("expected Stats, got {other:?}")))
+            match self.call_peer(peer, |client| client.stats()) {
+                Ok(report) => {
+                    aggregate.get_or_insert_with(MetricsSnapshot::default).merge(&report.metrics)
                 }
                 Err(CallFailure::Fatal(e)) => return Err(e),
                 Err(CallFailure::PeerDown(_)) => {}

@@ -32,16 +32,17 @@
 //!   perturbation kinds that never hit (both survive restarts via the
 //!   stats sidecar).
 //! * [`wire`] — the daemon protocol: length-prefixed, versioned frames
-//!   of the record codec's flat-JSON lines; hostile input yields typed
-//!   errors, never panics.
+//!   of the record codec's flat-JSON lines, read and written by one
+//!   frame reader and one frame writer through a connection's
+//!   [`wire::Scratch`]; hostile input yields typed errors, never panics.
 //! * [`daemon`] — the resident shard server: a [`Daemon`] owns a shard
 //!   directory (one advisory flock for its lifetime), serves
 //!   Submit/Wait/Sync/Stats/Pull/Shutdown over a Unix domain socket
 //!   and, optionally, TCP, with cross-client fingerprint dedup, batched
 //!   persistence on a merge interval, and periodic anti-entropy pulls
 //!   from fleet peers (absorbed with the commutative
-//!   [`ShardedStore::absorb`] union); [`SocketBackend`] /
-//!   [`TcpBackend`] are the client half.
+//!   [`ShardedStore::absorb`] union); [`SocketBackend`] is the client
+//!   half, one connection type over either transport.
 //! * [`fleet`] — the client-side fleet router: [`FleetRouter`]
 //!   consistent-hashes workload fingerprints across N daemons
 //!   ([`PeerAddr`] specs, Unix or TCP), re-routes a dead peer's key
@@ -57,7 +58,7 @@
 //!
 //! The request path is transport-abstracted through [`Backend`]
 //! (submit/wait/sync/stats): the in-process [`TuningService`], the
-//! socket/TCP clients and the fleet router implement the same trait, so
+//! socket client and the fleet router implement the same trait, so
 //! callers run embedded, client/server, or against a replicated fleet
 //! without code changes.
 //!
@@ -101,7 +102,7 @@ pub mod shard;
 pub mod telemetry;
 pub mod wire;
 
-pub use daemon::{Daemon, DaemonConfig, SocketBackend, TcpBackend, MAX_CONNECTIONS, SOCKET_FILE};
+pub use daemon::{Daemon, DaemonConfig, SocketBackend, MAX_CONNECTIONS, SOCKET_FILE};
 pub use fleet::{FleetRouter, PeerAddr};
 pub use queue::{io_gap, PerturbationKind};
 pub use service::{

@@ -198,72 +198,63 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, WireError> {
     Ok(filled)
 }
 
-/// Writes one frame (length prefix + payload). Rejects oversized
-/// payloads on the way *out* too, so a misbehaving caller cannot emit a
-/// frame no peer will accept.
-pub(crate) fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> {
+/// Encodes one message into the connection's [`Scratch`] and writes it as
+/// one frame. The length prefix and the payload are staged together, so
+/// the frame leaves in a single `write` syscall: two writes would double
+/// the syscalls of the busy loop and, on TCP, can split a frame across
+/// packets even with `TCP_NODELAY`. A payload over [`MAX_FRAME_BYTES`] is
+/// refused before any byte is written, so no peer is sent a frame it
+/// must reject.
+fn write_message(
+    w: &mut impl Write,
+    scratch: &mut Scratch,
+    encode: impl FnOnce(&mut String),
+) -> Result<(), WireError> {
+    scratch.encode.clear();
+    encode(&mut scratch.encode);
+    let payload = scratch.encode.as_bytes();
     if payload.len() > MAX_FRAME_BYTES {
         return Err(WireError::Oversized { len: payload.len() });
     }
-    w.write_all(&(payload.len() as u32).to_be_bytes())?;
-    w.write_all(payload)?;
+    scratch.frame.clear();
+    scratch.frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    scratch.frame.extend_from_slice(payload);
+    w.write_all(&scratch.frame)?;
     w.flush()?;
     Ok(())
 }
 
-/// Reads one frame. `Ok(None)` is a clean end-of-stream (the peer closed
-/// between frames); a stream ending *inside* a frame is
+/// Reads one frame into the connection's [`Scratch`] and returns its
+/// payload as text: a read of the 4-byte length prefix, then a read of
+/// the payload. `Ok(None)` is a clean end of stream before the frame's
+/// first byte; a stream ending *inside* a frame is
 /// [`WireError::Truncated`], and a length prefix above the cap is
-/// rejected before any payload byte is read or allocated.
-pub(crate) fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
-    let mut len_buf = [0u8; 4];
-    let got = read_full(r, &mut len_buf)?;
+/// rejected before the payload buffer grows or any payload byte is read.
+fn read_message<'s>(
+    r: &mut impl Read,
+    scratch: &'s mut Scratch,
+) -> Result<Option<&'s str>, WireError> {
+    let mut prefix = [0u8; 4];
+    let got = read_full(r, &mut prefix)?;
     if got == 0 {
         return Ok(None);
     }
-    if got < 4 {
-        return Err(WireError::Truncated { expected: 4, got });
+    if got < prefix.len() {
+        return Err(WireError::Truncated { expected: prefix.len(), got });
     }
-    read_payload(r, u32::from_be_bytes(len_buf) as usize).map(Some)
-}
-
-/// Reads a frame's payload once its 4-byte length prefix has been
-/// consumed (the daemon reads the prefix itself, resumably, so idle
-/// ticks between frames never desynchronize the stream). Enforces the
-/// [`MAX_FRAME_BYTES`] cap *before* allocating.
-pub(crate) fn read_payload(r: &mut impl Read, len: usize) -> Result<Vec<u8>, WireError> {
-    let mut payload = Vec::new();
-    read_payload_into(r, len, &mut payload)?;
-    Ok(payload)
-}
-
-/// [`read_payload`] into a caller-owned buffer, the hot-path variant:
-/// a connection serving many frames reuses one buffer's capacity
-/// instead of allocating per frame (capacity is bounded by
-/// [`MAX_FRAME_BYTES`], and the cap is still enforced *before* the
-/// buffer grows).
-pub(crate) fn read_payload_into(
-    r: &mut impl Read,
-    len: usize,
-    buf: &mut Vec<u8>,
-) -> Result<(), WireError> {
+    let len = u32::from_be_bytes(prefix) as usize;
     if len > MAX_FRAME_BYTES {
         return Err(WireError::Oversized { len });
     }
-    buf.clear();
-    buf.resize(len, 0);
-    let got = read_full(r, buf)?;
+    scratch.payload.clear();
+    scratch.payload.resize(len, 0);
+    let got = read_full(r, &mut scratch.payload)?;
     if got < len {
         return Err(WireError::Truncated { expected: len, got });
     }
-    Ok(())
-}
-
-/// Decodes a request from a raw frame payload (UTF-8 check included).
-pub(crate) fn decode_request_payload(payload: &[u8]) -> Result<Request, WireError> {
-    let text = std::str::from_utf8(payload)
-        .map_err(|_| WireError::Malformed("frame payload is not UTF-8".into()))?;
-    decode_request(text)
+    std::str::from_utf8(&scratch.payload)
+        .map(Some)
+        .map_err(|_| WireError::Malformed("frame payload is not UTF-8".into()))
 }
 
 // ------------------------------------------------------------- payloads
@@ -616,117 +607,64 @@ pub fn decode_response(payload: &str) -> Result<Response, WireError> {
 
 // ------------------------------------------------------ framed messages
 
-/// Writes one framed request.
-pub fn write_request(w: &mut impl Write, req: &Request) -> Result<(), WireError> {
-    write_frame(w, &encode_request(req))
-}
-
-/// Reads one framed request; `Ok(None)` is a clean client disconnect.
-pub fn read_request(r: &mut impl Read) -> Result<Option<Request>, WireError> {
-    let Some(payload) = read_frame(r)? else {
-        return Ok(None);
-    };
-    decode_request_payload(&payload).map(Some)
-}
-
-/// Writes one framed response.
-pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<(), WireError> {
-    write_frame(w, &encode_response(resp))
-}
-
-/// Reads one framed response. A response is always owed, so a clean
-/// close here is [`WireError::ConnectionClosed`].
-pub fn read_response(r: &mut impl Read) -> Result<Response, WireError> {
-    let mut scratch = Scratch::default();
-    read_response_buffered(r, &mut scratch)
-}
-
 /// Reusable per-connection encode/decode buffers: one payload buffer
-/// for inbound frames, one string for outbound encoding. A connection
-/// that serves many frames touches the allocator once per *high-water
-/// mark* instead of twice per request — the daemon hot-path trim
-/// (capacity stays bounded by [`MAX_FRAME_BYTES`]).
+/// for inbound frames, one string for outbound encoding, one staging
+/// buffer for the outbound frame. Every framed read and write goes
+/// through a connection's `Scratch`, so a connection that serves many
+/// frames touches the allocator once per *high-water mark* instead of
+/// per request (capacity stays bounded by [`MAX_FRAME_BYTES`]).
 #[derive(Default)]
 pub struct Scratch {
     /// Inbound frame payload buffer.
     pub(crate) payload: Vec<u8>,
     /// Outbound encode buffer.
     pub(crate) encode: String,
-    /// Outbound frame staging: length prefix + payload assembled here so
-    /// the whole frame leaves in one `write` syscall instead of two.
+    /// Outbound frame staging: length prefix + payload, one `write`.
     pub(crate) frame: Vec<u8>,
 }
 
-/// Encodes a payload into `scratch.encode`, stages it as one contiguous
-/// frame (prefix + payload) and writes it with a single syscall.
-/// [`write_frame`] issues two writes per frame; on the busy loop that
-/// doubles syscalls and, on TCP, can split a frame across packets even
-/// with `TCP_NODELAY`.
-fn write_buffered(
-    w: &mut impl Write,
-    scratch: &mut Scratch,
-    encode: impl FnOnce(&mut String),
-) -> Result<(), WireError> {
-    scratch.encode.clear();
-    encode(&mut scratch.encode);
-    let payload = scratch.encode.as_bytes();
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(WireError::Oversized { len: payload.len() });
-    }
-    scratch.frame.clear();
-    scratch.frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    scratch.frame.extend_from_slice(payload);
-    w.write_all(&scratch.frame)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Writes one framed request through the connection's [`Scratch`].
-pub fn write_request_buffered(
+/// Writes one framed request.
+pub fn write_request(
     w: &mut impl Write,
     req: &Request,
     scratch: &mut Scratch,
 ) -> Result<(), WireError> {
-    write_buffered(w, scratch, |out| encode_request_into(req, out))
+    write_message(w, scratch, |out| encode_request_into(req, out))
 }
 
 /// Writes one framed [`Request::Submit`] from borrowed parts (see
-/// [`encode_submit_into`]) through the connection's [`Scratch`].
-pub(crate) fn write_submit_buffered(
+/// [`encode_submit_into`]).
+pub(crate) fn write_submit(
     w: &mut impl Write,
     device: &DeviceSpec,
     requests: &[TuneRequest],
     scratch: &mut Scratch,
 ) -> Result<(), WireError> {
-    write_buffered(w, scratch, |out| encode_submit_into(device, requests, out))
+    write_message(w, scratch, |out| encode_submit_into(device, requests, out))
 }
 
-/// Writes one framed response through the connection's [`Scratch`].
-pub fn write_response_buffered(
+/// Reads one framed request; `Ok(None)` is a clean client disconnect.
+/// The daemon reads every request through this function.
+pub fn read_request(
+    r: &mut impl Read,
+    scratch: &mut Scratch,
+) -> Result<Option<Request>, WireError> {
+    read_message(r, scratch)?.map(decode_request).transpose()
+}
+
+/// Writes one framed response.
+pub fn write_response(
     w: &mut impl Write,
     resp: &Response,
     scratch: &mut Scratch,
 ) -> Result<(), WireError> {
-    write_buffered(w, scratch, |out| encode_response_into(resp, out))
+    write_message(w, scratch, |out| encode_response_into(resp, out))
 }
 
-/// Reads one framed response through the connection's [`Scratch`].
-pub(crate) fn read_response_buffered(
-    r: &mut impl Read,
-    scratch: &mut Scratch,
-) -> Result<Response, WireError> {
-    let mut len_buf = [0u8; 4];
-    let got = read_full(r, &mut len_buf)?;
-    if got == 0 {
-        return Err(WireError::ConnectionClosed);
-    }
-    if got < 4 {
-        return Err(WireError::Truncated { expected: 4, got });
-    }
-    read_payload_into(r, u32::from_be_bytes(len_buf) as usize, &mut scratch.payload)?;
-    let text = std::str::from_utf8(&scratch.payload)
-        .map_err(|_| WireError::Malformed("frame payload is not UTF-8".into()))?;
-    decode_response(text)
+/// Reads one framed response. A response is always owed, so a clean
+/// close here is [`WireError::ConnectionClosed`].
+pub fn read_response(r: &mut impl Read, scratch: &mut Scratch) -> Result<Response, WireError> {
+    decode_response(read_message(r, scratch)?.ok_or(WireError::ConnectionClosed)?)
 }
 
 #[cfg(test)]
@@ -890,22 +828,22 @@ mod tests {
     #[test]
     fn framed_round_trip_over_a_buffer() {
         let req = Request::Submit { device: DeviceSpec::v100(), requests: sample_requests() };
-        let mut buf = Vec::new();
-        write_request(&mut buf, &req).unwrap();
-        write_request(&mut buf, &Request::Shutdown).unwrap();
+        let (mut buf, mut scratch) = (Vec::new(), Scratch::default());
+        write_request(&mut buf, &req, &mut scratch).unwrap();
+        write_request(&mut buf, &Request::Shutdown, &mut scratch).unwrap();
         let mut cursor = std::io::Cursor::new(buf);
-        assert_eq!(read_request(&mut cursor).unwrap(), Some(req));
-        assert_eq!(read_request(&mut cursor).unwrap(), Some(Request::Shutdown));
-        assert_eq!(read_request(&mut cursor).unwrap(), None, "clean end of stream");
+        assert_eq!(read_request(&mut cursor, &mut scratch).unwrap(), Some(req));
+        assert_eq!(read_request(&mut cursor, &mut scratch).unwrap(), Some(Request::Shutdown));
+        assert_eq!(read_request(&mut cursor, &mut scratch).unwrap(), None, "clean end of stream");
     }
 
     #[test]
     fn truncated_frames_are_typed_errors() {
-        let mut full = Vec::new();
-        write_request(&mut full, &Request::Stats).unwrap();
+        let (mut full, mut scratch) = (Vec::new(), Scratch::default());
+        write_request(&mut full, &Request::Stats, &mut scratch).unwrap();
         for cut in 1..full.len() {
             let mut cursor = std::io::Cursor::new(full[..cut].to_vec());
-            match read_request(&mut cursor) {
+            match read_request(&mut cursor, &mut scratch) {
                 Err(WireError::Truncated { .. }) => {}
                 other => panic!("cut at {cut}: expected Truncated, got {other:?}"),
             }
@@ -917,13 +855,20 @@ mod tests {
         let mut prefix = ((MAX_FRAME_BYTES + 1) as u32).to_be_bytes().to_vec();
         prefix.extend_from_slice(b"whatever");
         let mut cursor = std::io::Cursor::new(prefix);
+        let mut scratch = Scratch::default();
         assert!(matches!(
-            read_request(&mut cursor),
+            read_request(&mut cursor, &mut scratch),
             Err(WireError::Oversized { len }) if len == MAX_FRAME_BYTES + 1
         ));
-        // And the writer refuses to emit one.
-        let huge = vec![b'x'; MAX_FRAME_BYTES + 1];
-        assert!(matches!(write_frame(&mut Vec::new(), &huge), Err(WireError::Oversized { .. })));
+        assert_eq!(scratch.payload.capacity(), 0, "the payload buffer never grew");
+        // And the writer refuses to emit one, before writing anything.
+        let huge = Response::Error { message: "x".repeat(MAX_FRAME_BYTES) };
+        let mut sink = Vec::new();
+        assert!(matches!(
+            write_response(&mut sink, &huge, &mut scratch),
+            Err(WireError::Oversized { .. })
+        ));
+        assert!(sink.is_empty(), "an oversized frame wrote {} byte(s)", sink.len());
     }
 
     #[test]

@@ -9,7 +9,8 @@ use iolb_core::shapes::ConvShape;
 use iolb_dataflow::config::ScheduleConfig;
 use iolb_gpusim::DeviceSpec;
 use iolb_service::wire::{
-    self, read_request, read_response, Request, Response, WireError, MAX_FRAME_BYTES, WIRE_VERSION,
+    self, read_request, read_response, Request, Response, Scratch, WireError, MAX_FRAME_BYTES,
+    WIRE_VERSION,
 };
 use iolb_service::{
     HistogramSnapshot, LatencyHistogram, MetricsSnapshot, ServiceSnapshot, ServiceStats,
@@ -32,7 +33,8 @@ fn framed_submit(draws: &[(u32, u32)]) -> (Request, Vec<u8>) {
         .collect();
     let request = Request::Submit { device: DeviceSpec::v100(), requests };
     let mut frame = Vec::new();
-    wire::write_request(&mut frame, &request).expect("encode valid request");
+    wire::write_request(&mut frame, &request, &mut Scratch::default())
+        .expect("encode valid request");
     (request, frame)
 }
 
@@ -53,9 +55,9 @@ proptest! {
         // The byte soup is its own framing: whatever the first 4 bytes
         // claim, the reader must return (Ok or typed Err), not panic or
         // hang.
-        let _ = read_request(&mut cursor);
+        let _ = read_request(&mut cursor, &mut Scratch::default());
         let mut cursor = std::io::Cursor::new(text.into_bytes());
-        let _ = read_response(&mut cursor);
+        let _ = read_response(&mut cursor, &mut Scratch::default());
     }
 
     /// Every strict prefix of a valid frame is rejected as truncated
@@ -68,7 +70,7 @@ proptest! {
         let (_, frame) = framed_submit(&draws);
         let cut = cut_seed % frame.len();
         let mut cursor = std::io::Cursor::new(frame[..cut].to_vec());
-        match read_request(&mut cursor) {
+        match read_request(&mut cursor, &mut Scratch::default()) {
             Ok(None) => prop_assert_eq!(cut, 0, "only the empty stream is a clean EOF"),
             Ok(Some(msg)) => prop_assert!(false, "truncated frame decoded to {msg:?}"),
             Err(WireError::Truncated { expected, got }) => prop_assert!(got < expected),
@@ -77,7 +79,7 @@ proptest! {
         // A response reader on the same prefix: closed or truncated,
         // never a fabricated response.
         let mut cursor = std::io::Cursor::new(frame[..cut].to_vec());
-        match read_response(&mut cursor) {
+        match read_response(&mut cursor, &mut Scratch::default()) {
             Err(WireError::ConnectionClosed) => prop_assert_eq!(cut, 0),
             Err(WireError::Truncated { .. }) => prop_assert!(cut > 0),
             Err(WireError::Malformed(_)) | Err(WireError::ForeignVersion { .. }) => {
@@ -98,7 +100,7 @@ proptest! {
         let mut stream = (len as u32).to_be_bytes().to_vec();
         stream.extend_from_slice(b"ignored");
         let mut cursor = std::io::Cursor::new(stream);
-        match read_request(&mut cursor) {
+        match read_request(&mut cursor, &mut Scratch::default()) {
             Err(WireError::Oversized { len: got }) => prop_assert_eq!(got, len),
             other => prop_assert!(false, "expected Oversized, got {other:?}"),
         }
@@ -130,7 +132,7 @@ proptest! {
     fn valid_submits_round_trip(draws in prop::collection::vec((0u32..5, 0u32..5), 0..8)) {
         let (request, frame) = framed_submit(&draws);
         let mut cursor = std::io::Cursor::new(frame);
-        prop_assert_eq!(read_request(&mut cursor).unwrap(), Some(request));
+        prop_assert_eq!(read_request(&mut cursor, &mut Scratch::default()).unwrap(), Some(request));
     }
 
     /// `State` frames — the anti-entropy payload — round-trip an
@@ -168,15 +170,15 @@ proptest! {
         }
         let response = Response::State { store: Box::new(store.clone()) };
         let mut frame = Vec::new();
-        wire::write_response(&mut frame, &response).expect("encode state");
+        wire::write_response(&mut frame, &response, &mut Scratch::default()).expect("encode state");
         let mut cursor = std::io::Cursor::new(frame.clone());
-        match read_response(&mut cursor).expect("read state back") {
+        match read_response(&mut cursor, &mut Scratch::default()).expect("read state back") {
             Response::State { store: got } => prop_assert_eq!(*got, store),
             other => prop_assert!(false, "expected State, got {other:?}"),
         }
         let cut = cut_seed % frame.len();
         let mut cursor = std::io::Cursor::new(frame[..cut].to_vec());
-        match read_response(&mut cursor) {
+        match read_response(&mut cursor, &mut Scratch::default()) {
             Err(WireError::ConnectionClosed) => prop_assert_eq!(cut, 0),
             Err(WireError::Truncated { expected, got }) => prop_assert!(got < expected),
             other => prop_assert!(false, "expected a framing error, got {other:?}"),
@@ -239,9 +241,9 @@ proptest! {
         prop_assert_eq!((snapshot.queue_len, snapshot.budget_left), (queue_len, queue_len / 2));
         let response = Response::Stats { metrics: metrics.clone() };
         let mut frame = Vec::new();
-        wire::write_response(&mut frame, &response).expect("encode stats");
+        wire::write_response(&mut frame, &response, &mut Scratch::default()).expect("encode stats");
         let mut cursor = std::io::Cursor::new(frame);
-        match read_response(&mut cursor).expect("read stats back") {
+        match read_response(&mut cursor, &mut Scratch::default()).expect("read stats back") {
             Response::Stats { metrics: got } => {
                 prop_assert_eq!(ServiceSnapshot::from_metrics(&got), snapshot);
                 prop_assert_eq!(got, metrics);
@@ -307,7 +309,7 @@ fn hostile_shapes_in_a_submit_are_refused_with_a_typed_error() {
         }
         let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
         frame.extend_from_slice(payload.as_bytes());
-        match read_request(&mut frame.as_slice()) {
+        match read_request(&mut frame.as_slice(), &mut Scratch::default()) {
             Err(WireError::Malformed(why)) => assert!(why.contains("overflow"), "{why}"),
             other => {
                 panic!("{hostile}: expected a typed refusal from the framed reader, got {other:?}")

@@ -104,11 +104,11 @@ fn decoding_allocates_once_per_line_and_warm_encoding_not_at_all() {
     // that a frame is encoded and staged without touching the allocator.
     let mut scratch = Scratch::default();
     let mut sink = std::io::sink();
-    wire::write_request_buffered(&mut sink, &submit, &mut scratch).expect("warm-up");
-    wire::write_response_buffered(&mut sink, &answer, &mut scratch).expect("warm-up");
+    wire::write_request(&mut sink, &submit, &mut scratch).expect("warm-up");
+    wire::write_response(&mut sink, &answer, &mut scratch).expect("warm-up");
     let (count, wrote) = allocations(|| {
-        wire::write_request_buffered(&mut sink, &submit, &mut scratch)
-            .and_then(|()| wire::write_response_buffered(&mut sink, &answer, &mut scratch))
+        wire::write_request(&mut sink, &submit, &mut scratch)
+            .and_then(|()| wire::write_response(&mut sink, &answer, &mut scratch))
     });
     wrote.expect("sink never fails");
     assert_eq!(count, 0, "encoding into a warm Scratch allocated");

@@ -11,8 +11,8 @@
 //!
 //! This crate is the umbrella: it re-exports the workspace members under
 //! one name and hosts the runnable `examples/` and the cross-crate
-//! integration tests. See `DESIGN.md` for the architecture and
-//! `EXPERIMENTS.md` for paper-vs-measured results.
+//! integration tests. See `docs/ARCHITECTURE.md` for the architecture and
+//! `README.md` for paper-vs-measured results.
 //!
 //! ## Crate map
 //!

@@ -343,10 +343,10 @@ fn wire_stats_equal_in_process_registry() {
     assert_eq!(report.metrics.counter("iolb_sessions_total"), Some(1));
 
     let response = Response::Stats { metrics: report.metrics.clone() };
-    let mut frame = Vec::new();
-    wire::write_response(&mut frame, &response).unwrap();
+    let (mut frame, mut scratch) = (Vec::new(), wire::Scratch::default());
+    wire::write_response(&mut frame, &response, &mut scratch).unwrap();
     let mut cursor = std::io::Cursor::new(frame);
-    match wire::read_response(&mut cursor).unwrap() {
+    match wire::read_response(&mut cursor, &mut scratch).unwrap() {
         Response::Stats { metrics } => {
             let snapshot = conv_iolb::service::ServiceSnapshot::from_metrics(&metrics);
             assert_eq!(snapshot, report.snapshot, "snapshot survives the wire");
@@ -637,7 +637,7 @@ fn shutdown_is_not_held_up_by_half_sent_frames() {
     let server = std::thread::spawn(move || daemon.run().unwrap());
 
     let frame = framed(&Request::Submit { device: device(), requests: requests() });
-    let asked_by = Instant::now() + Duration::from_secs(10);
+    let picked_up_by = Instant::now() + Duration::from_secs(10);
     let mut half_prefix = raw_client(&sock);
     half_prefix.write_all(&frame[..2]).unwrap();
     let mut half_payload = raw_client(&sock);
@@ -647,7 +647,7 @@ fn shutdown_is_not_held_up_by_half_sent_frames() {
     let started =
         |c: &SocketBackend| c.stats().unwrap().metrics.counter("iolb_daemon_connections_total");
     while started(&control) != Some(3) {
-        assert!(Instant::now() < asked_by, "the stalled clients were never picked up");
+        assert!(Instant::now() < picked_up_by, "the stalled clients were never picked up");
         std::thread::sleep(Duration::from_millis(10));
     }
 
@@ -680,6 +680,56 @@ fn a_payload_that_is_not_utf8_gets_a_typed_error_then_eof() {
     assert_eq!(raw.read(&mut [0u8; 1]).unwrap(), 0, "the daemon hangs up after the error");
     drop(raw);
     SocketBackend::connect(&sock).unwrap().shutdown().unwrap();
+    server.join().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A reply over the frame cap is refused with a typed error and the
+/// connection stays up: a `Pull` of a store that encodes past
+/// `MAX_FRAME_BYTES` returns `Remote` naming the cap, and the same client
+/// is served next.
+#[test]
+fn an_oversized_pull_is_refused_and_the_connection_kept() {
+    use conv_iolb::dataflow::config::ScheduleConfig;
+    use conv_iolb::records::{TuningRecord, Workload};
+    use conv_iolb::service::wire;
+    use conv_iolb::service::MAX_FRAME_BYTES;
+    use conv_iolb::tensor::layout::Layout;
+
+    let dir = temp_dir("bigpull");
+    let sock = std::env::temp_dir().join(format!("iolb-daemon-bigpull-{}.sock", unique_tag()));
+    let config = ScheduleConfig {
+        x: 7,
+        y: 14,
+        z: 8,
+        nxt: 7,
+        nyt: 2,
+        nzt: 4,
+        sb_bytes: 16 * 1024,
+        layout: Layout::Chw,
+    };
+    let mut store = ShardedStore::new();
+    for cin in 1..=6000 {
+        let shape = ConvShape::new(cin, 14, 14, 16, 1, 1, 1, 0);
+        let workload = Workload::new(shape, TileKind::Direct, device().name, device().smem_per_sm);
+        store.insert(TuningRecord::new(workload, config, 1.0 + cin as f64 / 7.0, 7).unwrap());
+    }
+    let state = wire::encode_response(&Response::State { store: Box::new(store.clone()) });
+    assert!(state.len() > MAX_FRAME_BYTES, "premise: the store must encode past the cap");
+    store.save(&dir).unwrap();
+    let (daemon, report) = Daemon::bind(&dir, &sock, daemon_config()).unwrap();
+    assert!(report.is_clean(), "warnings: {:?}", report.warnings);
+    let server = std::thread::spawn(move || daemon.run().unwrap());
+
+    let backend = SocketBackend::connect(&sock).unwrap();
+    match backend.pull().map(|store| store.len()) {
+        Err(BackendError::Remote(message)) => {
+            assert!(message.contains(&MAX_FRAME_BYTES.to_string()), "cap not named: {message}")
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    backend.stats().expect("the same connection is served after the refusal");
+    backend.shutdown().unwrap();
     server.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -29,7 +29,7 @@ use conv_iolb::gpusim::DeviceSpec;
 use conv_iolb::records::{RecordStore, Workload};
 use conv_iolb::service::{
     Backend, BackendSession, Daemon, DaemonConfig, FleetRouter, PeerAddr, ServiceConfig,
-    ShardedStore, SocketBackend, TcpBackend, TuneRequest,
+    ShardedStore, SocketBackend, TuneRequest,
 };
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -266,8 +266,8 @@ fn anti_entropy_converges_divergent_daemons_to_the_union() {
     // Diverge: X tunes only on A, Y tunes only on B.
     let shape_x = ConvShape::new(32, 14, 14, 16, 1, 1, 1, 0);
     let shape_y = ConvShape::new(16, 14, 14, 32, 1, 1, 1, 0);
-    let client_a = TcpBackend::connect(a.tcp).unwrap();
-    let client_b = TcpBackend::connect(b.tcp).unwrap();
+    let client_a = PeerAddr::Tcp(a.tcp.to_string()).connect().unwrap();
+    let client_b = PeerAddr::Tcp(b.tcp.to_string()).connect().unwrap();
     let out_x = client_a
         .tune_or_wait_via(&shape_x, TileKind::Direct, &device())
         .unwrap()
@@ -344,4 +344,62 @@ fn routing_is_a_pure_function_of_specs_and_fingerprints() {
         requests().iter().map(|r| FleetRouter::fingerprint(r, &device())).collect();
     assert_eq!(router.route_fingerprint(&fps[0]), router.route_fingerprint(&fps[2]));
     assert_eq!(router.route_fingerprint(&fps[0]), router.route_fingerprint(&fps[4]));
+}
+
+/// A peer that answers every frame with a well-formed reply of the wrong
+/// type (`Bye`) speaks garbage, and is failed over like a dead one: the
+/// fleet serves the whole batch from the real daemon, bit-identical to
+/// eager tuning.
+#[test]
+fn a_peer_replying_with_the_wrong_type_is_failed_over() {
+    use conv_iolb::service::wire::{self, Response};
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixListener;
+
+    let real = FleetDaemon::start("bye", 0, Vec::new(), Duration::from_secs(3600));
+    let real_peer = PeerAddr::Unix(real.sock.clone());
+    // A socket path for the fake peer that owns at least one of the
+    // requests on the ring, so the router must talk to it.
+    let tag = unique_tag();
+    let fingerprints: Vec<String> =
+        requests().iter().map(|r| FleetRouter::fingerprint(r, &device())).collect();
+    let fake_sock = (0..)
+        .map(|i| std::env::temp_dir().join(format!("iolb-fleet-bye-{i}-{tag}.sock")))
+        .find(|sock| {
+            let fake = PeerAddr::Unix(sock.clone());
+            let router = FleetRouter::new(vec![fake.clone(), real_peer.clone()]);
+            fingerprints.iter().any(|fp| router.route_fingerprint(fp) == Some(&fake))
+        })
+        .expect("some path owns a request");
+    let listener = UnixListener::bind(&fake_sock).unwrap();
+    let fake = std::thread::spawn(move || {
+        let (mut conn, _) = listener.accept().unwrap();
+        let bye = wire::encode_response(&Response::Bye);
+        let mut answered = 0;
+        let mut prefix = [0u8; 4];
+        while conn.read_exact(&mut prefix).is_ok() {
+            let mut payload = vec![0u8; u32::from_be_bytes(prefix) as usize];
+            conn.read_exact(&mut payload).unwrap();
+            conn.write_all(&(bye.len() as u32).to_be_bytes()).unwrap();
+            conn.write_all(&bye).unwrap();
+            answered += 1;
+        }
+        answered
+    });
+
+    let router = FleetRouter::new(vec![PeerAddr::Unix(fake_sock.clone()), real_peer]);
+    let results = router.submit_batch(&requests(), &device()).unwrap().wait().unwrap();
+    for (request, served) in requests().iter().zip(&results) {
+        let served = served.as_ref().expect("feasible layer");
+        let (eager_store, eager_best_ms) = eager(&request.shape);
+        let workload =
+            Workload::new(request.shape, TileKind::Direct, device().name, device().smem_per_sm);
+        assert_eq!(served.cost_ms.to_bits(), eager_best_ms.to_bits());
+        assert_eq!(served.config, eager_store.top_k(&workload, 1)[0].config);
+    }
+    assert_eq!(router.live_peers(), 1, "the peer that spoke garbage is marked dead");
+    drop(router);
+    assert_eq!(fake.join().unwrap(), 1, "the fake peer was asked once, then dropped");
+    let _ = std::fs::remove_file(&fake_sock);
+    let _ = std::fs::remove_dir_all(real.stop());
 }
