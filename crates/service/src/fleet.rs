@@ -16,14 +16,14 @@
 //!   every run — and reordering the spec changes nothing.
 //! * **Failover re-routes only the dead peer's range.** When a peer
 //!   stops answering (connect failure, transport error, protocol
-//!   garbage such as a reply of the wrong type), the router marks it dead and walks clockwise past its
-//!   virtual nodes: exactly the keys that peer owned redistribute to the
-//!   survivors; every other key keeps its assignment. Requests already
-//!   submitted to the dead peer are re-submitted to survivors — and
-//!   because per-workload tuning is *hermetic* (a pure function of
-//!   `(workload, budget, seed)`), the re-tuned results are bit-identical
-//!   to what the dead peer would have served. `tests/fleet.rs` pins
-//!   both properties.
+//!   garbage such as a reply of the wrong type), the router marks it
+//!   dead and walks clockwise past its virtual nodes: exactly the keys
+//!   that peer owned redistribute to the survivors; every other key
+//!   keeps its assignment. Requests already submitted to the dead peer
+//!   are re-submitted to survivors — and because per-workload tuning is
+//!   *hermetic* (a pure function of `(workload, budget, seed)`), the
+//!   re-tuned results are bit-identical to what the dead peer would have
+//!   served. `tests/fleet.rs` pins both properties.
 //! * **Duplicates never split.** Routing is by fingerprint, so every
 //!   duplicate of a workload lands on the same peer and the daemon-side
 //!   session dedup (one tuning run, fanned out) keeps working across
