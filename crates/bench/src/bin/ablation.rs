@@ -1,4 +1,5 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
+//! Ablation studies, one per design choice of the tuning pipeline
+//! (`docs/ARCHITECTURE.md`, "Data flow: from bound to served config"):
 //!
 //! A. **Cost model** — the guided walk with the GBT model vs the same walk
 //!    model-free (pure random walk).
@@ -24,7 +25,7 @@ use iolb_pebble::{pebble_topological, Eviction};
 use iolb_tensor::layout::Layout;
 
 fn main() {
-    banner("Ablations", "one experiment per DESIGN.md design decision");
+    banner("Ablations", "one experiment per design decision");
     let device = DeviceSpec::v100();
     let shape = ConvShape::square(96, 27, 256, 5, 1, 2); // AlexNet conv2
     let kind = TileKind::Direct;

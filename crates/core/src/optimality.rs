@@ -142,7 +142,7 @@ impl TileKind {
     /// one `(e+r-1)^2` accumulator per tile (`Pi += P ⊙ J` fuses the
     /// multiply into the accumulation, so the paper's second temporary
     /// array is never materialised — strictly less on-chip state for the
-    /// same dataflow; see DESIGN.md).
+    /// same dataflow).
     pub fn accumulator_elems(&self, tile: &Tile) -> f64 {
         match self {
             TileKind::Direct => tile.volume() as f64,

@@ -236,7 +236,7 @@ mod tests {
         // baseline still pays the two transformed-scratch round-trips. (On
         // very deep C_out the baseline's GEMM amortises the scratch and
         // the contest moves to launch overhead and occupancy — covered by
-        // the fig9 time-level harness; see EXPERIMENTS.md.)
+        // the fig9 time-level harness.)
         let s = ConvShape::square(256, 56, 32, 3, 1, 1);
         let tile = WinogradTile::F2X3;
         let cfg = ScheduleConfig {
