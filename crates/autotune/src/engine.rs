@@ -375,6 +375,40 @@ pub fn tune_with_store_mode(
     Some(StoreTuneResult { result, cache_hits, fresh_measurements, warm_seeded, transferred })
 }
 
+/// One hermetic per-workload tuning run: the canonical
+/// [`crate::plan::tuner_setup_fused`] against a **fresh private store**,
+/// returned with the run's outcome. A pure function of `(request, device,
+/// budget, seed)` — bit-identical to an eager [`tune_with_store`] run of
+/// the same workload over an empty store — which is what lets the tuning
+/// service replay, dedupe and steal runs without changing any result.
+/// Serial from end to end: it enters no parallel region. `None` when the
+/// workload has no measurable configuration.
+pub fn tune_hermetic(
+    request: &crate::plan::TuneRequest,
+    device: &DeviceSpec,
+    budget: usize,
+    seed: u64,
+) -> Option<(StoreTuneResult, RecordStore)> {
+    let mut private = RecordStore::new();
+    let mut s = crate::plan::tuner_setup_fused(
+        &request.shape,
+        request.kind,
+        request.epilogue,
+        device,
+        budget,
+        seed,
+    );
+    let out = tune_with_store(
+        &s.space,
+        &s.measurer,
+        &mut s.model,
+        &mut s.searcher,
+        s.params,
+        &mut private,
+    )?;
+    Some((out, private))
+}
+
 /// Outcome of a [`tune_batch`] call.
 #[derive(Debug, Clone)]
 pub struct BatchTuneOutcome {
@@ -396,12 +430,11 @@ pub struct BatchTuneOutcome {
 /// The batch is first deduplicated by workload fingerprint
 /// ([`crate::plan::dedup_requests`]): repeated layer shapes become one
 /// tuning run whose result fans out to every occurrence. Each unique
-/// workload then runs the canonical [`crate::plan::tuner_setup`] against
-/// a **fresh private store** — exactly the hermetic per-workload run the
-/// tuning service's background workers perform, so a batch-tuned config
-/// is bit-identical to an eager [`tune_with_store`] run of the same
-/// `(workload, budget, seed)`, and the unique runs fan out across pool
-/// workers — the tuner's only parallel region (results are collected in
+/// workload then runs [`tune_hermetic`] — exactly the run the tuning
+/// service's background workers perform, so a batch-tuned config is
+/// bit-identical to an eager [`tune_with_store`] run of the same
+/// `(workload, budget, seed)` — and the unique runs fan out across pool
+/// workers, the tuner's only parallel region (results are collected in
 /// request order, so the outcome is independent of scheduling).
 ///
 /// Hermeticity is deliberate: sharing measurements *across* members
@@ -416,29 +449,8 @@ pub fn tune_batch(
     seed: u64,
 ) -> BatchTuneOutcome {
     let (unique, representative) = crate::plan::dedup_requests(requests.iter().copied(), device);
-    let runs: Vec<Option<(StoreTuneResult, RecordStore)>> = unique
-        .par_iter()
-        .map(|req| {
-            let mut private = RecordStore::new();
-            let mut s = crate::plan::tuner_setup_fused(
-                &req.shape,
-                req.kind,
-                req.epilogue,
-                device,
-                budget,
-                seed,
-            );
-            let out = tune_with_store(
-                &s.space,
-                &s.measurer,
-                &mut s.model,
-                &mut s.searcher,
-                s.params,
-                &mut private,
-            )?;
-            Some((out, private))
-        })
-        .collect();
+    let runs: Vec<Option<(StoreTuneResult, RecordStore)>> =
+        unique.par_iter().map(|req| tune_hermetic(req, device, budget, seed)).collect();
     let mut store = RecordStore::new();
     let mut results_by_unique: Vec<Option<StoreTuneResult>> = Vec::with_capacity(runs.len());
     for run in runs {

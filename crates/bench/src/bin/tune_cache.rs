@@ -25,8 +25,8 @@ use iolb_core::shapes::ConvShape;
 use iolb_gpusim::DeviceSpec;
 use iolb_service::{
     load_sidecar, Backend, Daemon, DaemonConfig, DirLock, EvictionPolicy, FleetRouter, PeerAddr,
-    PerturbationKind, ServiceConfig, ServiceSnapshot, ShardedStore, SocketBackend, TuningService,
-    LOCK_TIMEOUT, SOCKET_FILE,
+    ServiceConfig, ServiceSnapshot, ShardedStore, SocketBackend, TuningService, LOCK_TIMEOUT,
+    SOCKET_FILE,
 };
 use std::path::Path;
 use std::process::ExitCode;
@@ -38,7 +38,7 @@ fn usage() -> ExitCode {
          \n\
          serve-stats <DIR> [--json]         manifest, LRU, per-device shard summary and the\n\
          \u{20}                                  service stats sidecar (queue depth, budget,\n\
-         \u{20}                                  speculation telemetry); --json emits the sidecar\n\
+         \u{20}                                  service counters); --json emits the sidecar\n\
          \u{20}                                  as one flat JSON object instead\n\
          metrics <DIR|SOCK|tcp:HOST:PORT>   Prometheus-style text exposition: from a live\n\
          \u{20}                                  daemon (socket/TCP, including latency\n\
@@ -590,8 +590,8 @@ fn load_dir_or_exit(dir: &Path, for_write: bool) -> ShardedStore {
 }
 
 /// Reports the service stats sidecar of a shard directory, if present —
-/// the offline view of queue depth, remaining budget, session counters
-/// and speculation telemetry that used to be visible only in-process.
+/// the offline view of queue depth, remaining budget and the service
+/// counters that used to be visible only in-process.
 fn print_sidecar(dir: &Path) {
     match ServiceSnapshot::load(dir) {
         Ok(Some(snap)) => {
@@ -619,18 +619,6 @@ fn print_sidecar(dir: &Path) {
                 s.cache_hits,
                 s.infeasible
             );
-            for kind in PerturbationKind::ALL {
-                let k = s.speculation_of(kind);
-                if k.enqueued + k.tuned + k.hits > 0 {
-                    println!(
-                        "speculation {:<13} {} enqueued, {} tuned, {} hit(s)",
-                        kind.label(),
-                        k.enqueued,
-                        k.tuned,
-                        k.hits
-                    );
-                }
-            }
         }
         Ok(None) => println!("service: no stats sidecar (written by save/sync/tune-net)"),
         Err(e) => eprintln!("warning: unreadable stats sidecar: {e}"),

@@ -16,9 +16,10 @@
 //!   which refuses a manifest-listed shard it cannot read rather than
 //!   save a manifest that drops it.
 //! * [`queue`] — the tiered work queue: client batch jobs before
-//!   registered layers before shape-perturbation neighbors, ranked
-//!   within a tier by predicted I/O-bound gap `Q_model / Q_lower`,
-//!   drained in a deterministic order.
+//!   transfer re-tunes before registered layers before
+//!   shape-perturbation neighbors, ranked within a tier by predicted
+//!   I/O-bound gap `Q_model / Q_lower` alone, drained in a
+//!   deterministic order.
 //! * [`session`] — batch tuning sessions, the network-level request
 //!   path: [`TuningService::submit`] dedupes a whole network's
 //!   workloads into one tracked group (repeated layer shapes become one
@@ -27,10 +28,9 @@
 //! * [`service`] — the [`TuningService`]: background tuner workers on
 //!   the rayon shim's persistent pool fill the shards in idle time
 //!   under a measurement budget, [`TuningService::tune_or_wait`] (the
-//!   one-element session) answers single requests, and per-kind
-//!   speculation telemetry rate-weights neighbor priority and retires
-//!   perturbation kinds that never hit (both survive restarts via the
-//!   stats sidecar).
+//!   one-element session) answers single requests, and the service
+//!   counters persist in a stats sidecar for operators to read offline
+//!   and across restarts.
 //! * [`wire`] — the daemon protocol: length-prefixed, versioned frames
 //!   of the record codec's flat-JSON lines, read and written by one
 //!   frame reader and one frame writer through a connection's
@@ -104,10 +104,10 @@ pub mod wire;
 
 pub use daemon::{Daemon, DaemonConfig, SocketBackend, MAX_CONNECTIONS, SOCKET_FILE};
 pub use fleet::{FleetRouter, PeerAddr};
-pub use queue::{io_gap, PerturbationKind};
+pub use queue::io_gap;
 pub use service::{
-    load_sidecar, register, KindStats, ServeResult, ServeSource, ServiceConfig, ServiceSnapshot,
-    ServiceStats, TuningService,
+    load_sidecar, register, ServeResult, ServeSource, ServiceConfig, ServiceSnapshot, ServiceStats,
+    TuningService,
 };
 pub use session::{
     Backend, BackendError, BackendSession, SessionHandle, StatsReport, SyncOutcome, TuneRequest,

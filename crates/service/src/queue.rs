@@ -2,7 +2,7 @@
 //!
 //! The service fills its stores *before* workloads are requested, so it
 //! has to decide which pending workload deserves measurement budget
-//! first. Three tiers exist, in strictly descending priority:
+//! first. Four tiers exist, in strictly descending priority:
 //!
 //! 1. **Batch** — members of a client batch session ([`crate::session`]):
 //!    a caller is blocked on these *right now*, so they outrank all
@@ -21,12 +21,9 @@
 //! whose analytic dataflow I/O (the Eq. 20/22 cost model evaluated at
 //! the no-search [`fast_config`] schedule) sits far above its I/O lower
 //! bound has the most to gain from search, so its **I/O-bound gap**
-//! `Q_model / Q_lower` is its priority. Neighbor jobs additionally scale
-//! that gap by their perturbation kind's learned hit rate
-//! (`TuningService::speculation_weight` in [`crate::service`]), so
-//! speculation budget concentrates on the axes clients actually request.
-//! Remaining ties break on the workload fingerprint, keeping the drain
-//! order — and therefore the budget cutoff — fully deterministic.
+//! `Q_model / Q_lower` is its priority, on every tier alike. Ties break
+//! on the workload fingerprint, keeping the drain order — and therefore
+//! the budget cutoff — fully deterministic.
 //!
 //! A workload pending at a weaker tier is *promoted* when re-pushed at a
 //! stronger one (neighbor → registered when a speculated shape turns out
@@ -43,46 +40,9 @@ use iolb_gpusim::DeviceSpec;
 use iolb_records::Workload;
 use std::collections::BTreeMap;
 
-/// Which axis a speculative neighbor shape was perturbed along. The
-/// service keeps per-kind hit/miss telemetry and stops enqueuing kinds
-/// whose predictions never come true.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PerturbationKind {
-    CinHalved,
-    CinDoubled,
-    CoutHalved,
-    CoutDoubled,
-}
-
-impl PerturbationKind {
-    /// Every kind, in the canonical (telemetry-array) order.
-    pub const ALL: [Self; 4] =
-        [Self::CinHalved, Self::CinDoubled, Self::CoutHalved, Self::CoutDoubled];
-
-    /// Index into per-kind telemetry arrays.
-    pub(crate) fn index(self) -> usize {
-        match self {
-            Self::CinHalved => 0,
-            Self::CinDoubled => 1,
-            Self::CoutHalved => 2,
-            Self::CoutDoubled => 3,
-        }
-    }
-
-    /// Stable human-readable tag (the `kind` label of the per-kind
-    /// speculation counters, and the CLI's name for the kind).
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::CinHalved => "cin-halved",
-            Self::CinDoubled => "cin-doubled",
-            Self::CoutHalved => "cout-halved",
-            Self::CoutDoubled => "cout-doubled",
-        }
-    }
-}
-
 /// Priority tier of a pending job. Ordering is priority: batch members
-/// (a client is waiting) before registered layers (background fill)
+/// (a client is waiting) before transfer re-tunes (a client holds a
+/// provisional answer) before registered layers (background fill)
 /// before speculative neighbors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum JobTier {
@@ -140,9 +100,6 @@ pub(crate) struct Job {
     pub epilogue: Epilogue,
     pub device: DeviceSpec,
     pub tier: JobTier,
-    /// For [`JobTier::Neighbor`] jobs: which perturbation predicted this
-    /// shape (drives the speculation telemetry). `None` on other tiers.
-    pub perturbation: Option<PerturbationKind>,
     /// When the job entered the queue — stamped by [`WorkQueue::push`]
     /// (and preserved across tier promotion), read by the claim paths
     /// for the queue-wait histogram. Observational only: never part of
@@ -258,35 +215,30 @@ pub fn transfer_admissible(
     ratio.is_finite() && ratio <= gap_bound
 }
 
-/// Speculative neighbors of a layer shape, each tagged with the
-/// perturbation that produced it: the channel-halved/-doubled variants
-/// (the axes along which CNN families actually vary between versions —
-/// VGG-16 vs VGG-19, ResNet widths). Spatial extents and kernel geometry
-/// stay fixed: those perturbations change the algorithm candidates
-/// themselves and transfer poorly.
-pub(crate) fn shape_perturbations(shape: &ConvShape) -> Vec<(ConvShape, PerturbationKind)> {
-    let mut out: Vec<(ConvShape, PerturbationKind)> = Vec::new();
-    let mut push = |candidate: ConvShape, kind: PerturbationKind| {
-        if candidate != *shape
-            && candidate.validate().is_ok()
-            && !out.iter().any(|(c, _)| *c == candidate)
-        {
-            out.push((candidate, kind));
+/// Speculative neighbors of a layer shape: the channel-halved/-doubled
+/// variants (the axes along which CNN families actually vary between
+/// versions — VGG-16 vs VGG-19, ResNet widths). Spatial extents and
+/// kernel geometry stay fixed: those perturbations change the algorithm
+/// candidates themselves and transfer poorly.
+pub(crate) fn shape_perturbations(shape: &ConvShape) -> Vec<ConvShape> {
+    let mut out: Vec<ConvShape> = Vec::new();
+    let mut push = |candidate: ConvShape| {
+        if candidate != *shape && candidate.validate().is_ok() && !out.contains(&candidate) {
+            out.push(candidate);
         }
     };
-    push(ConvShape { cin: shape.cin * 2, ..*shape }, PerturbationKind::CinDoubled);
+    push(ConvShape { cin: shape.cin * 2, ..*shape });
     if shape.cin.is_multiple_of(2) {
-        push(ConvShape { cin: shape.cin / 2, ..*shape }, PerturbationKind::CinHalved);
+        push(ConvShape { cin: shape.cin / 2, ..*shape });
     }
-    push(ConvShape { cout: shape.cout * 2, ..*shape }, PerturbationKind::CoutDoubled);
+    push(ConvShape { cout: shape.cout * 2, ..*shape });
     if shape.cout.is_multiple_of(2) {
-        push(ConvShape { cout: shape.cout / 2, ..*shape }, PerturbationKind::CoutHalved);
+        push(ConvShape { cout: shape.cout / 2, ..*shape });
     }
     out
 }
 
-/// Queue ordering key: tier rank first (batch before registered before
-/// neighbor), then larger I/O-bound gap first, then fingerprint. The
+/// Queue ordering key: tier rank first ([`JobTier::rank`]), then larger I/O-bound gap first, then fingerprint. The
 /// float is compared through its IEEE bit pattern, which is
 /// order-preserving for the non-negative finite gaps [`io_gap`]
 /// produces.
@@ -304,9 +256,8 @@ pub(crate) enum PushOutcome {
     Added,
     /// The workload was already pending at a *weaker* tier and has been
     /// lifted to the incoming job's tier (the queue did not grow).
-    /// Reports the displaced tier and, when the displaced job was a
-    /// neighbor, the perturbation kind whose prediction just came true.
-    Promoted { from: JobTier, perturbation: Option<PerturbationKind> },
+    /// Reports the displaced tier.
+    Promoted { from: JobTier },
     /// The workload was already pending at an equal-or-better tier.
     AlreadyPending,
 }
@@ -362,11 +313,10 @@ impl WorkQueue {
             let old_key = existing_key.clone();
             let displaced = self.jobs.remove(&old_key).expect("pending job for indexed key");
             let from = displaced.tier;
-            let perturbation = displaced.perturbation;
             let new_key = JobKey { rank: job.tier.rank(), ..old_key };
             self.by_fingerprint.insert(fingerprint, new_key.clone());
-            self.jobs.insert(new_key, Job { tier: job.tier, perturbation: None, ..displaced });
-            return PushOutcome::Promoted { from, perturbation };
+            self.jobs.insert(new_key, Job { tier: job.tier, ..displaced });
+            return PushOutcome::Promoted { from };
         }
         let key = JobKey {
             rank: job.tier.rank(),
@@ -418,11 +368,6 @@ mod tests {
             epilogue: Epilogue::None,
             device: DeviceSpec::v100(),
             tier,
-            perturbation: if matches!(tier, JobTier::Neighbor) {
-                Some(PerturbationKind::CinDoubled)
-            } else {
-                None
-            },
             enqueued_at: None,
         }
     }
@@ -459,11 +404,11 @@ mod tests {
         push(&mut q, job(64, JobTier::Registered));
         assert_eq!(
             push(&mut q, job(64, JobTier::Transfer)),
-            PushOutcome::Promoted { from: JobTier::Registered, perturbation: None }
+            PushOutcome::Promoted { from: JobTier::Registered }
         );
         assert_eq!(
             push(&mut q, job(64, JobTier::Batch { group: 4 })),
-            PushOutcome::Promoted { from: JobTier::Transfer, perturbation: None }
+            PushOutcome::Promoted { from: JobTier::Transfer }
         );
     }
 
@@ -530,10 +475,7 @@ mod tests {
         assert_eq!(push(&mut q, job(128, JobTier::Registered)), PushOutcome::Added);
         assert_eq!(
             push(&mut q, job(64, JobTier::Registered)),
-            PushOutcome::Promoted {
-                from: JobTier::Neighbor,
-                perturbation: Some(PerturbationKind::CinDoubled),
-            },
+            PushOutcome::Promoted { from: JobTier::Neighbor },
             "a registered layer lifts its pending neighbor alias"
         );
         // A weaker push never demotes.
@@ -541,7 +483,7 @@ mod tests {
         // A batch push lifts a registered job and reports where from.
         assert_eq!(
             push(&mut q, job(64, JobTier::Batch { group: 9 })),
-            PushOutcome::Promoted { from: JobTier::Registered, perturbation: None }
+            PushOutcome::Promoted { from: JobTier::Registered }
         );
         assert_eq!(q.len(), 2);
         assert_eq!(q.pop_first().unwrap().tier, JobTier::Batch { group: 9 });
@@ -588,31 +530,17 @@ mod tests {
     }
 
     #[test]
-    fn perturbations_are_valid_distinct_tagged_shapes() {
+    fn perturbations_are_valid_distinct_shapes() {
         let shape = ConvShape::square(64, 28, 32, 3, 1, 1);
         let neighbors = shape_perturbations(&shape);
-        assert_eq!(neighbors.len(), 4);
-        let mut kinds: Vec<PerturbationKind> = neighbors.iter().map(|(_, k)| *k).collect();
-        kinds.sort();
-        kinds.dedup();
-        assert_eq!(kinds.len(), 4, "every kind appears exactly once");
-        for (n, _) in &neighbors {
+        assert_eq!(neighbors.len(), 4, "cin and cout, halved and doubled");
+        for (at, n) in neighbors.iter().enumerate() {
             assert!(n.validate().is_ok());
             assert_ne!(*n, shape);
+            assert!(!neighbors[..at].contains(n), "neighbors are distinct");
         }
         // Odd channel counts halve away.
         let odd = ConvShape::square(3, 28, 32, 3, 1, 1);
-        assert!(shape_perturbations(&odd).iter().all(|(n, _)| n.cin != 1 || n.cout != 32));
-    }
-
-    #[test]
-    fn perturbation_kinds_index_all_and_label_distinctly() {
-        for kind in PerturbationKind::ALL {
-            assert_eq!(PerturbationKind::ALL[kind.index()], kind);
-        }
-        // The label keys each kind's counters in the metrics registry.
-        let labels: std::collections::BTreeSet<_> =
-            PerturbationKind::ALL.iter().map(|k| k.label()).collect();
-        assert_eq!(labels.len(), PerturbationKind::ALL.len());
+        assert!(shape_perturbations(&odd).iter().all(|n| n.cin != 1 || n.cout != 32));
     }
 }

@@ -23,41 +23,35 @@
 //! while its shard holds nothing for it, at most once at a time — so
 //! the drained store is independent of worker count, interleaving and
 //! queue order, and identical to what eager per-workload
-//! [`tune_with_store`] calls produce. The price is deliberate: the
-//! speculative path gives up cross-workload transfer seeding (which
-//! would make results depend on completion order) in exchange for
-//! reproducibility; transfer stays available to eager callers that
-//! choose a shared store.
+//! [`tune_with_store`](iolb_autotune::engine::tune_with_store) calls
+//! produce. Both claim paths run the one [`tune_hermetic`]. The price
+//! is deliberate: the speculative path gives up cross-workload transfer
+//! seeding (which would make results depend on completion order) in
+//! exchange for reproducibility; transfer stays available to eager
+//! callers that choose a shared store.
 //!
 //! The one scheduling-dependent quantity is *which speculative jobs ran*
 //! before the background budget ran out — never what any completed job
 //! measured. A request for an untuned workload simply tunes on the
 //! waiting session's thread.
 //!
-//! ## Speculation telemetry
+//! ## Speculation
 //!
-//! Every speculative neighbor job carries its [`PerturbationKind`]; the
-//! service counts per-kind enqueues, completed tunes and **hits** (a
-//! client actually requested a workload the kind predicted — either a
-//! tuned neighbor replayed from the shard, or a pending neighbor job
-//! promoted into a client batch). The learning acts on two timescales:
-//! continuously, each kind's smoothed hit *rate*
-//! (`TuningService::speculation_weight`) scales the priority of its
-//! neighbor jobs in the queue (rate-weighted `Q_model / Q_lower` rank,
-//! deterministic fingerprint tie-breaks preserved); and terminally,
-//! after [`ServiceConfig::speculation_probation`] completed sessions,
-//! kinds with enqueues but zero hits stop being enqueued at all. The
-//! counters are persisted in the stats sidecar and restored by
-//! [`TuningService::open`], so both the rates and the retirement
-//! decisions survive a service (or daemon) restart.
+//! With [`ServiceConfig::speculate_neighbors`] on, registration also
+//! stages every channel-halved/-doubled neighbor of each layer at the
+//! lowest tier. Neighbors rank like every other job, by the analytic
+//! I/O-bound gap alone (see [`crate::queue`]): nothing is learned from
+//! traffic, so the drain order is a function of what was registered.
+//! A client request for a speculated workload is a plain shard hit, or
+//! promotes the pending neighbor job into its session.
 
-use crate::queue::{shape_perturbations, Job, JobTier, PerturbationKind, PushOutcome, WorkQueue};
+use crate::queue::{shape_perturbations, Job, JobTier, PushOutcome, WorkQueue};
 use crate::shard::{
     DirLock, DirMergeReport, EvictionPolicy, ShardLoadReport, ShardedStore, LOCK_TIMEOUT,
 };
 use crate::telemetry::{MetricsSnapshot, Registry, Telemetry};
-use iolb_autotune::engine::tune_with_store;
-use iolb_autotune::plan::{self, algo_candidates};
+use iolb_autotune::engine::tune_hermetic;
+use iolb_autotune::plan::{algo_candidates, TuneRequest};
 use iolb_core::optimality::TileKind;
 use iolb_core::shapes::ConvShape;
 use iolb_dataflow::config::ScheduleConfig;
@@ -93,10 +87,6 @@ pub struct ServiceConfig {
     /// Whether registering a network also enqueues shape-perturbation
     /// neighbors of its layers (at lower priority).
     pub speculate_neighbors: bool,
-    /// Completed sessions ("served networks") after which a
-    /// perturbation kind that was enqueued but never hit stops being
-    /// enqueued. See the module docs on speculation telemetry.
-    pub speculation_probation: usize,
     /// How long directory writers ([`TuningService::save`],
     /// [`TuningService::sync_dir`], the daemon's startup lock) wait for
     /// the shard directory's advisory [`DirLock`] before failing with a
@@ -133,7 +123,6 @@ impl Default for ServiceConfig {
             background_budget: 100_000,
             workers: 2,
             speculate_neighbors: true,
-            speculation_probation: 8,
             lock_timeout: LOCK_TIMEOUT,
             seed: 7,
             anchor_floor: iolb_autotune::plan::ANCHOR_FLOOR,
@@ -189,33 +178,20 @@ pub struct ServeResult {
 }
 
 /// Declares the service's counters **once**: each row is a
-/// [`ServiceStats`] (or, under `per_kind`, [`KindStats`]) field and the
-/// name its counter is stored and scraped under in the [`Telemetry`]
-/// registry. The structs, the names the bump sites use (`COUNTER`,
-/// `KIND_COUNTER`) and both directions of the read-only view
+/// [`ServiceStats`] field and the name its counter is stored and scraped
+/// under in the [`Telemetry`] registry. The struct, the names the bump
+/// sites use (`COUNTER`) and both directions of the read-only view
 /// ([`ServiceStats::from_metrics`], [`ServiceStats::counters`]) are
 /// generated from this table, so a new counter is one new row plus its
 /// bump.
 macro_rules! service_counters {
-    (
-        stats { $($(#[$doc:meta])* $field:ident = $name:literal,)* }
-        per_kind { $($(#[$kdoc:meta])* $kfield:ident = $kname:literal,)* }
-    ) => {
-        /// Per-perturbation-kind speculation telemetry.
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct KindStats {
-            $($(#[$kdoc])* pub $kfield: usize,)*
-        }
-
+    ($($(#[$doc:meta])* $field:ident = $name:literal,)*) => {
         /// Monotonic counters describing service activity: a read-only
         /// view over the service's [`Telemetry`] registry, built by
         /// [`from_metrics`](Self::from_metrics) and never stored.
         #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct ServiceStats {
             $($(#[$doc])* pub $field: usize,)*
-            /// Per-perturbation-kind speculation telemetry, indexed by
-            /// `PerturbationKind::index`.
-            pub speculation: [KindStats; 4],
         }
 
         /// Registry name of each [`ServiceStats`] counter, by field.
@@ -223,122 +199,79 @@ macro_rules! service_counters {
             $(pub(crate) $field: &'static str,)*
         }
 
-        /// Registry base name of each [`KindStats`] counter, by field;
-        /// the stored name carries the kind as a label ([`kind_counter`]).
-        pub(crate) struct KindCounterNames {
-            $(pub(crate) $kfield: &'static str,)*
-        }
-
         pub(crate) const COUNTER: CounterNames = CounterNames { $($field: $name,)* };
-        pub(crate) const KIND_COUNTER: KindCounterNames = KindCounterNames { $($kfield: $kname,)* };
 
         impl ServiceStats {
             /// Reads the view out of a registry snapshot. A counter the
             /// snapshot does not hold (never bumped) reads 0.
             pub fn from_metrics(metrics: &MetricsSnapshot) -> Self {
                 let read = |name: &str| metrics.counter(name).unwrap_or(0) as usize;
-                Self {
-                    $($field: read(COUNTER.$field),)*
-                    speculation: PerturbationKind::ALL.map(|kind| KindStats {
-                        $($kfield: read(&kind_counter(KIND_COUNTER.$kfield, kind)),)*
-                    }),
-                }
+                Self { $($field: read(COUNTER.$field),)* }
             }
 
-            /// The view run backwards: every field and every per-kind
-            /// cell as the `(registry name, value)` pair it is stored
-            /// and scraped under, in table order.
+            /// The view run backwards: every field as the `(registry
+            /// name, value)` pair it is stored and scraped under, in
+            /// table order.
             pub fn counters(&self) -> Vec<(String, u64)> {
-                let mut out = vec![$((COUNTER.$field.to_string(), self.$field as u64),)*];
-                for kind in PerturbationKind::ALL {
-                    let cell = self.speculation_of(kind);
-                    $(out.push((kind_counter(KIND_COUNTER.$kfield, kind), cell.$kfield as u64));)*
-                }
-                out
+                vec![$((COUNTER.$field.to_string(), self.$field as u64),)*]
             }
         }
     };
 }
 
 service_counters! {
-    stats {
-        /// Layer workloads enqueued by registration.
-        enqueued = "iolb_service_enqueued_total",
-        /// Shape-perturbation neighbors enqueued by registration.
-        speculative_enqueued = "iolb_service_speculative_enqueued_total",
-        /// Queue jobs created (or promoted) on behalf of batch sessions.
-        batch_enqueued = "iolb_service_batch_enqueued_total",
-        /// Jobs tuned by the background path (workers or [`TuningService::drain`]).
-        background_tuned = "iolb_service_background_tuned_total",
-        /// Workloads tuned on a waiting session's thread.
-        inline_tuned = "iolb_service_inline_tuned_total",
-        /// Requests answered instantly from the shards (including duplicate
-        /// requests deduplicated within one session).
-        shard_hits = "iolb_service_shard_hits_total",
-        /// Requests that waited for an in-flight job someone else ran.
-        stolen = "iolb_service_stolen_total",
-        /// Exact misses answered from the anchor bucket (provisional serves
-        /// included): zero fresh tuning measurements each.
-        anchored_hits = "iolb_anchor_hits_total",
-        /// Anchored serves the analytic gate could not prove within the gap
-        /// bound: served provisionally with a background re-tune enqueued.
-        transfer_retunes = "iolb_transfer_retunes_total",
-        /// Queue jobs created (or promoted) at the transfer re-tune tier.
-        transfer_enqueued = "iolb_service_transfer_enqueued_total",
-        /// Pending background jobs absorbed into a session because a client
-        /// requested the same workload.
-        cancelled_speculative = "iolb_service_cancelled_speculative_total",
-        /// Pending background jobs dropped when the budget ran out.
-        budget_dropped = "iolb_service_budget_dropped_total",
-        /// Total simulator invocations across background and session tuning.
-        fresh_measurements = "iolb_service_fresh_measurements_total",
-        /// Total store replays across background and session tuning.
-        cache_hits = "iolb_service_cache_hits_total",
-        /// Workloads that turned out to have no measurable configuration.
-        infeasible = "iolb_service_infeasible_total",
-        /// Batch sessions submitted.
-        batch_groups = "iolb_service_batch_groups_total",
-        /// Requests across all batch sessions.
-        batch_requests = "iolb_service_batch_requests_total",
-        /// Requests that deduplicated onto another request in their session.
-        batch_deduped = "iolb_service_batch_deduped_total",
-        /// Completed sessions (the "served networks" clock the speculation
-        /// probation runs on).
-        networks_served = "iolb_sessions_total",
-        /// Unique fused chains that passed the analytic fusion gate at
-        /// session submit.
-        fused_blocks = "iolb_fused_blocks_total",
-        /// Unique fused chains the gate rewrote to their per-layer fallback.
-        fusion_fallbacks = "iolb_fusion_fallbacks_total",
-    }
-    per_kind {
-        /// Neighbor jobs of this kind enqueued by registration.
-        enqueued = "iolb_speculation_enqueued_total",
-        /// Neighbor jobs of this kind tuned to completion in the background.
-        tuned = "iolb_speculation_tuned_total",
-        /// Predictions that came true: a client requested a workload this
-        /// kind speculated (replayed from a speculatively-tuned record, or
-        /// promoted out of the queue into a client batch).
-        hits = "iolb_speculation_hits_total",
-    }
-}
-
-/// The registry name of one [`KindStats`] cell: the `KIND_COUNTER` base
-/// name labelled with the perturbation kind.
-pub(crate) fn kind_counter(base: &str, kind: PerturbationKind) -> String {
-    format!("{base}{{kind=\"{}\"}}", kind.label())
+    /// Layer workloads enqueued by registration.
+    enqueued = "iolb_service_enqueued_total",
+    /// Shape-perturbation neighbors enqueued by registration.
+    speculative_enqueued = "iolb_service_speculative_enqueued_total",
+    /// Queue jobs created (or promoted) on behalf of batch sessions.
+    batch_enqueued = "iolb_service_batch_enqueued_total",
+    /// Jobs tuned by the background path (workers or [`TuningService::drain`]).
+    background_tuned = "iolb_service_background_tuned_total",
+    /// Workloads tuned on a waiting session's thread.
+    inline_tuned = "iolb_service_inline_tuned_total",
+    /// Requests answered instantly from the shards (including duplicate
+    /// requests deduplicated within one session).
+    shard_hits = "iolb_service_shard_hits_total",
+    /// Requests that waited for an in-flight job someone else ran.
+    stolen = "iolb_service_stolen_total",
+    /// Exact misses answered from the anchor bucket (provisional serves
+    /// included): zero fresh tuning measurements each.
+    anchored_hits = "iolb_anchor_hits_total",
+    /// Anchored serves the analytic gate could not prove within the gap
+    /// bound: served provisionally with a background re-tune enqueued.
+    transfer_retunes = "iolb_transfer_retunes_total",
+    /// Queue jobs created (or promoted) at the transfer re-tune tier.
+    transfer_enqueued = "iolb_service_transfer_enqueued_total",
+    /// Pending background jobs absorbed into a session because a client
+    /// requested the same workload.
+    cancelled_speculative = "iolb_service_cancelled_speculative_total",
+    /// Pending background jobs dropped when the budget ran out.
+    budget_dropped = "iolb_service_budget_dropped_total",
+    /// Total simulator invocations across background and session tuning.
+    fresh_measurements = "iolb_service_fresh_measurements_total",
+    /// Total store replays across background and session tuning.
+    cache_hits = "iolb_service_cache_hits_total",
+    /// Workloads that turned out to have no measurable configuration.
+    infeasible = "iolb_service_infeasible_total",
+    /// Batch sessions submitted.
+    batch_groups = "iolb_service_batch_groups_total",
+    /// Requests across all batch sessions.
+    batch_requests = "iolb_service_batch_requests_total",
+    /// Requests that deduplicated onto another request in their session.
+    batch_deduped = "iolb_service_batch_deduped_total",
+    /// Completed sessions ("served networks").
+    networks_served = "iolb_sessions_total",
+    /// Unique fused chains that passed the analytic fusion gate at
+    /// session submit.
+    fused_blocks = "iolb_fused_blocks_total",
+    /// Unique fused chains the gate rewrote to their per-layer fallback.
+    fusion_fallbacks = "iolb_fusion_fallbacks_total",
 }
 
 /// Gauge names of the two live numbers a [`ServiceSnapshot`] carries.
 const QUEUE_LEN_GAUGE: &str = "iolb_queue_len";
 const BUDGET_LEFT_GAUGE: &str = "iolb_budget_left";
-
-impl ServiceStats {
-    /// Telemetry of one perturbation kind.
-    pub fn speculation_of(&self, kind: PerturbationKind) -> KindStats {
-        self.speculation[kind.index()]
-    }
-}
 
 /// File name of the stats sidecar a [`TuningService::save`] /
 /// [`TuningService::sync_dir`] writes next to the manifest, so
@@ -353,10 +286,14 @@ pub(crate) const STATS_FILE: &str = "service-stats.jsonl";
 const SIDECAR_HEADER: &str = "{\"schema\":\"iolb-service-stats\",\"v\":2}";
 
 /// The part of a registry snapshot that outlives the process: the
-/// counters the table declares (speculation learning and the probation
-/// clock must survive a restart) plus the two live gauges. Everything
-/// else in the registry — latency histograms, daemon and eviction
-/// counters — is process-lifetime by design.
+/// counters the table declares plus the two live gauges, so operators
+/// can read a directory's history offline (`tune-cache serve-stats`,
+/// `metrics`) and across restarts. Nothing the service decides reads
+/// them back. Everything else in the registry — latency histograms,
+/// daemon and eviction counters — is process-lifetime by design, and
+/// a name the table does not declare (say, a counter an older build
+/// wrote) is dropped, both when a sidecar is read and when one is
+/// written.
 fn persisted(metrics: &MetricsSnapshot) -> MetricsSnapshot {
     let mut counters = ServiceStats::from_metrics(metrics).counters();
     counters.retain(|(_, value)| *value > 0);
@@ -374,7 +311,8 @@ fn persisted(metrics: &MetricsSnapshot) -> MetricsSnapshot {
 }
 
 /// Parses a stats sidecar, tolerantly: lines that are not metric lines
-/// are skipped. `None` unless the text starts with the current header.
+/// are skipped, and so are metrics [`persisted`] would not write. `None`
+/// unless the text starts with the current header.
 fn parse_sidecar(text: &str) -> Option<MetricsSnapshot> {
     let mut lines = text.lines();
     if lines.next()?.trim_end() != SIDECAR_HEADER {
@@ -384,11 +322,11 @@ fn parse_sidecar(text: &str) -> Option<MetricsSnapshot> {
     for line in lines {
         let _ = metrics.decode_line(line);
     }
-    Some(metrics.snapshot())
+    Some(persisted(&metrics.snapshot()))
 }
 
 /// Loads the stats sidecar of a shard directory, if one exists and
-/// carries the current header.
+/// carries the current header: the table's counters and the two gauges.
 pub fn load_sidecar(dir: impl AsRef<Path>) -> std::io::Result<Option<MetricsSnapshot>> {
     let path = dir.as_ref().join(STATS_FILE);
     if !path.exists() {
@@ -451,9 +389,6 @@ pub(crate) struct State {
     /// Workloads that yielded no measurable configuration — remembered
     /// so neither waiters nor workers retry them forever.
     pub(crate) infeasible: BTreeSet<String>,
-    /// Workloads tuned from neighbor-speculation jobs whose prediction
-    /// has not (yet) been confirmed by a client request, by kind.
-    pub(crate) speculative_origin: BTreeMap<String, PerturbationKind>,
     pub(crate) budget_left: usize,
     pub(crate) next_group: u64,
     /// The service's metrics registry (a handle on
@@ -468,23 +403,11 @@ pub(crate) struct State {
 }
 
 impl State {
-    /// Re-books a promoted queue entry's counters under its new tier,
-    /// and counts the speculation hit when a neighbor prediction is
-    /// absorbed into a *client* batch (the guess came true before the
-    /// neighbor was even tuned). Shared by every promotion site so the
-    /// stats cannot drift between the registration and session paths.
-    pub(crate) fn rebook_promotion(
-        &mut self,
-        from: JobTier,
-        to: JobTier,
-        perturbation: Option<PerturbationKind>,
-    ) {
+    /// Re-books a promoted queue entry's counter under its new tier.
+    /// Shared by every promotion site so the stats cannot drift between
+    /// the registration and session paths.
+    pub(crate) fn rebook_promotion(&mut self, from: JobTier, to: JobTier) {
         self.telemetry.rebook(enqueued_counter(from), enqueued_counter(to));
-        if matches!(to, JobTier::Batch { .. }) {
-            if let Some(kind) = perturbation {
-                self.telemetry.incr(&kind_counter(KIND_COUNTER.hits, kind), 1);
-            }
-        }
     }
 
     /// A copy of the registry with the queue-depth and budget gauges
@@ -539,7 +462,6 @@ impl TuningService {
                     queue: WorkQueue::new(),
                     in_flight: BTreeSet::new(),
                     infeasible: BTreeSet::new(),
-                    speculative_origin: BTreeMap::new(),
                     budget_left,
                     next_group: 0,
                     telemetry: telemetry.clone(),
@@ -553,16 +475,16 @@ impl TuningService {
     }
 
     /// Opens (or initializes) a service over a shard directory. The
-    /// stats sidecar's counters, if any, seed the registry, so telemetry
-    /// — speculation hit rates, probation retirement, the served-network
-    /// clock — survives a restart instead of resetting every time a
-    /// daemon or `tune-net` process reopens the directory. The restored
-    /// values also become the sync baseline: a later
-    /// [`sync_dir`](Self::sync_dir) contributes only what *this* process
-    /// added on top of them. Queue depth and remaining budget are *not*
-    /// restored: pending work died with the previous process and the
-    /// budget is per-process by design. A service writes the directory
-    /// back, so it loads as a writer
+    /// stats sidecar's counters, if any, seed the registry, so the
+    /// counters operators read keep counting across restarts instead of
+    /// resetting every time a daemon or `tune-net` process reopens the
+    /// directory; only the counters [`ServiceStats`] declares are
+    /// restored. The restored values also become the sync baseline: a
+    /// later [`sync_dir`](Self::sync_dir) contributes only what *this*
+    /// process added on top of them. Queue depth and remaining budget
+    /// are *not* restored: pending work died with the previous process
+    /// and the budget is per-process by design. A service writes the
+    /// directory back, so it loads as a writer
     /// ([`ShardedStore::load_for_write`]): a shard the manifest lists but
     /// that cannot be read fails the open instead of being dropped from
     /// the next manifest.
@@ -663,8 +585,9 @@ impl TuningService {
     /// folds this process's counter *deltas since its last sync* into
     /// the stats sidecar. Counters merge additively, so N concurrent
     /// `tune-net` processes each contribute their telemetry instead of
-    /// the last writer erasing the others' — which matters now that
-    /// [`open`](Self::open) restores the sidecar into live state.
+    /// the last writer erasing the others' — which matters because
+    /// [`open`](Self::open) restores the sidecar into live state. Only
+    /// the counters the table declares are written back.
     /// (Queue depth and remaining budget are point-in-time gauges, not
     /// counters; they stay last-writer.) Mixing the overwrite-style
     /// [`save`](Self::save) with `sync_dir` on one directory can double
@@ -708,44 +631,17 @@ impl TuningService {
             return false;
         }
         let tier = job.tier;
-        let perturbation = job.perturbation;
         match st.queue.push(job, gap) {
             PushOutcome::Added => {
                 st.telemetry.incr(enqueued_counter(tier), 1);
-                if let (JobTier::Neighbor, Some(kind)) = (tier, perturbation) {
-                    st.telemetry.incr(&kind_counter(KIND_COUNTER.enqueued, kind), 1);
-                }
                 true
             }
-            PushOutcome::Promoted { from, perturbation: displaced } => {
-                st.rebook_promotion(from, tier, displaced);
+            PushOutcome::Promoted { from } => {
+                st.rebook_promotion(from, tier);
                 false
             }
             PushOutcome::AlreadyPending => false,
         }
-    }
-
-    /// Whether registration should still speculate along a perturbation
-    /// axis: after the probation window, kinds that were tried but never
-    /// predicted a real request stop being enqueued.
-    fn speculation_live(stats: &ServiceStats, probation: usize, kind: PerturbationKind) -> bool {
-        let k = stats.speculation[kind.index()];
-        stats.networks_served < probation || k.enqueued == 0 || k.hits > 0
-    }
-
-    /// The queue-priority weight of a perturbation kind: its smoothed
-    /// hit *rate*, `(1 + hits) / (1 + enqueued)`. A fresh kind starts at
-    /// weight 1 (full analytic priority); every unconfirmed enqueue
-    /// shrinks the weight and every confirmed prediction restores it, so
-    /// neighbor jobs drain in `rate × (Q_model / Q_lower)` order — the
-    /// service spends its background budget along the perturbation axes
-    /// its traffic actually explores, continuously, not only through the
-    /// binary probation cutoff. Deterministic: the weight is a pure
-    /// function of the counters snapshotted at registration, and the
-    /// queue still tie-breaks on the workload fingerprint.
-    pub(crate) fn speculation_weight(stats: &ServiceStats, kind: PerturbationKind) -> f64 {
-        let k = stats.speculation[kind.index()];
-        (1 + k.hits) as f64 / (1 + k.enqueued) as f64
     }
 
     /// Registers a network on a device: enqueues every layer × algorithm
@@ -753,34 +649,27 @@ impl TuningService {
     /// lower priority), then kicks the background workers. Returns how
     /// many jobs the queue gained. A layer that was already pending as
     /// some earlier layer's perturbation neighbor is promoted to
-    /// registered priority. Perturbation kinds whose speculation
-    /// probation expired hitless are skipped (see the module docs).
+    /// registered priority.
     pub fn register_network(&self, net: &impl register::LayerSource, device: &DeviceSpec) -> usize {
-        // Candidate jobs are cheap to enumerate; do it without the lock
-        // (the probation check reads a stats snapshot).
-        let (probation, stats_snapshot) = (self.inner.config.speculation_probation, self.stats());
+        // Candidate jobs are cheap to enumerate; do it without the lock.
         let mut candidates: Vec<Job> = Vec::new();
-        let mut stage =
-            |shape: ConvShape, tier: JobTier, perturbation: Option<PerturbationKind>| {
-                for (kind, _) in algo_candidates(&shape) {
-                    candidates.push(Job {
-                        shape,
-                        kind,
-                        epilogue: iolb_core::epilogue::Epilogue::None,
-                        device: device.clone(),
-                        tier,
-                        perturbation,
-                        enqueued_at: None,
-                    });
-                }
-            };
+        let mut stage = |shape: ConvShape, tier: JobTier| {
+            for (kind, _) in algo_candidates(&shape) {
+                candidates.push(Job {
+                    shape,
+                    kind,
+                    epilogue: iolb_core::epilogue::Epilogue::None,
+                    device: device.clone(),
+                    tier,
+                    enqueued_at: None,
+                });
+            }
+        };
         for layer in net.layer_shapes() {
-            stage(*layer, JobTier::Registered, None);
+            stage(*layer, JobTier::Registered);
             if self.inner.config.speculate_neighbors {
-                for (neighbor, kind) in shape_perturbations(layer) {
-                    if Self::speculation_live(&stats_snapshot, probation, kind) {
-                        stage(neighbor, JobTier::Neighbor, Some(kind));
-                    }
+                for neighbor in shape_perturbations(layer) {
+                    stage(neighbor, JobTier::Neighbor);
                 }
             }
         }
@@ -801,8 +690,7 @@ impl TuningService {
         };
         // Priorities for the jobs that actually need them, lock-free:
         // io_gap is a pure function of the workload, and a VGG-scale
-        // registration must not stall concurrent serves. Neighbor jobs
-        // scale their analytic gap by the kind's learned hit rate.
+        // registration must not stall concurrent serves.
         let jobs: Vec<(Job, f64)> = candidates
             .into_iter()
             .filter_map(|job| {
@@ -817,10 +705,7 @@ impl TuningService {
                         return None;
                     }
                 }
-                let mut gap = crate::queue::io_gap(&job.shape, job.kind, device);
-                if let Some(kind) = job.perturbation {
-                    gap *= Self::speculation_weight(&stats_snapshot, kind);
-                }
+                let gap = crate::queue::io_gap(&job.shape, job.kind, device);
                 Some((job, gap))
             })
             .collect();
@@ -924,7 +809,11 @@ impl TuningService {
             telemetry.observe_since("iolb_queue_wait_us", at);
         }
         let started = std::time::Instant::now();
-        let outcome = self.run_guarded(&job, &fingerprint);
+        let (config, request) =
+            (self.inner.config, TuneRequest::fused(job.shape, job.kind, job.epilogue));
+        let outcome = self.guard_claimed(&[fingerprint.as_str()], || {
+            tune_hermetic(&request, &job.device, config.budget_per_workload, config.seed)
+        });
         telemetry.observe_since(&format!("iolb_drain_{}_us", job.tier.label()), started);
         crate::log_event!(
             Debug,
@@ -943,10 +832,6 @@ impl TuningService {
                 if job.tier.droppable() {
                     st.budget_left = st.budget_left.saturating_sub(out.fresh_measurements);
                 }
-                if let (JobTier::Neighbor, Some(kind)) = (job.tier, job.perturbation) {
-                    telemetry.incr(&kind_counter(KIND_COUNTER.tuned, kind), 1);
-                    st.speculative_origin.insert(fingerprint, kind);
-                }
                 st.shards.merge_flat(private);
             }
             None => {
@@ -959,27 +844,25 @@ impl TuningService {
         true
     }
 
-    /// Runs one hermetic tuning with panic cleanup: if the tuner
-    /// panics, the fingerprint is removed from the in-flight set and
-    /// waiters are woken *before* the panic resumes — otherwise every
-    /// later session waiting on the workload would block forever on a
-    /// job that no longer exists. (On the background path the resumed
+    /// Runs `tune` for workloads this thread claimed (their fingerprints
+    /// are in the in-flight set), with panic cleanup: if the tuner
+    /// panics, the fingerprints leave the in-flight set and waiters are
+    /// woken *before* the panic resumes — otherwise every later session
+    /// waiting on those workloads would block forever on a job that no
+    /// longer exists. On success the caller clears the in-flight entries
+    /// as it books the results. (On the background path the resumed
     /// panic is then caught by the pool's worker loop, which survives.
     /// Waiting sessions additionally re-arm jobs they find neither
-    /// queued, in flight, nor finished.)
-    fn run_guarded(
-        &self,
-        job: &Job,
-        fingerprint: &str,
-    ) -> Option<(iolb_autotune::StoreTuneResult, RecordStore)> {
-        let config = self.inner.config;
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_hermetic_tuning(&config, job)
-        })) {
+    /// queued, in flight, nor finished.) The one guard of both claim
+    /// paths: [`Self::claim_and_run_one`] and the session's inline batch.
+    pub(crate) fn guard_claimed<T>(&self, claimed: &[&str], tune: impl FnOnce() -> T) -> T {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(tune)) {
             Ok(outcome) => outcome,
             Err(payload) => {
                 let mut st = self.lock();
-                st.in_flight.remove(fingerprint);
+                for fingerprint in claimed {
+                    st.in_flight.remove(*fingerprint);
+                }
                 drop(st);
                 self.inner.changed.notify_all();
                 std::panic::resume_unwind(payload);
@@ -994,7 +877,8 @@ impl TuningService {
     ///
     /// Returns `None` only for workloads with no measurable
     /// configuration at all. The returned cost is bit-identical to what
-    /// an eager [`tune_with_store`] run of the same workload measures.
+    /// an eager [`tune_with_store`](iolb_autotune::engine::tune_with_store)
+    /// run of the same workload measures.
     pub fn tune_or_wait(
         &self,
         shape: &ConvShape,
@@ -1019,38 +903,6 @@ impl TuningService {
         let requests = [crate::session::TuneRequest::fused(*shape, kind, epilogue)];
         self.submit(&requests, device).wait().pop().expect("one result per request")
     }
-}
-
-/// One hermetic per-workload tuning run: the canonical tuner setup
-/// against a fresh private store. Pure function of `(workload, budget,
-/// seed)` — the service's whole determinism contract reduces to this.
-/// (A workload is only ever tuned when its shard holds no records — the
-/// claim paths guarantee it under the lock — so there is nothing to
-/// seed the private store with.) Session batches run the same setup
-/// through [`iolb_autotune::engine::tune_batch`], which is this run
-/// fanned across unique workloads.
-fn run_hermetic_tuning(
-    config: &ServiceConfig,
-    job: &Job,
-) -> Option<(iolb_autotune::StoreTuneResult, RecordStore)> {
-    let mut private = RecordStore::new();
-    let mut s = plan::tuner_setup_fused(
-        &job.shape,
-        job.kind,
-        job.epilogue,
-        &job.device,
-        config.budget_per_workload,
-        config.seed,
-    );
-    let out = tune_with_store(
-        &s.space,
-        &s.measurer,
-        &mut s.model,
-        &mut s.searcher,
-        s.params,
-        &mut private,
-    )?;
-    Some((out, private))
 }
 
 /// Minimal "network" view the service needs: just the layer shapes.
@@ -1251,9 +1103,23 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.enqueued, 1);
         assert_eq!(stats.speculative_enqueued, 4);
-        let per_kind: usize =
-            PerturbationKind::ALL.iter().map(|k| stats.speculation_of(*k).enqueued).sum();
-        assert_eq!(per_kind, 4, "every neighbor is attributed to its kind");
+        // The layer drains first; its neighbors follow by I/O gap alone,
+        // fingerprint breaking ties.
+        let mut expected: Vec<(u64, String)> = shape_perturbations(&shape)
+            .into_iter()
+            .map(|n| {
+                let gap = crate::queue::io_gap(&n, TileKind::Direct, &device());
+                let request = TuneRequest::bare(n, TileKind::Direct);
+                (gap.to_bits(), request.workload(&device()).fingerprint())
+            })
+            .collect();
+        expected.sort_by(|(ga, fa), (gb, fb)| gb.cmp(ga).then_with(|| fa.cmp(fb)));
+        let mut st = service.lock();
+        assert_eq!(st.queue.pop_first().map(|job| job.tier), Some(JobTier::Registered));
+        let drained: Vec<String> =
+            std::iter::from_fn(|| st.queue.pop_first()).map(|job| job.fingerprint()).collect();
+        let expected: Vec<String> = expected.into_iter().map(|(_, fp)| fp).collect();
+        assert_eq!(drained, expected, "neighbors drain in io_gap order");
     }
 
     #[test]
@@ -1303,64 +1169,22 @@ mod tests {
     }
 
     #[test]
-    fn hitless_speculation_kinds_retire_after_probation() {
-        let config =
-            ServiceConfig { speculate_neighbors: true, speculation_probation: 1, ..small_config() };
-        let service = TuningService::new(ShardedStore::new(), config);
-        let shape = ConvShape::new(32, 14, 14, 16, 1, 1, 1, 0);
-        service.register_network(&shape, &device());
-        let speculated = service.stats().speculative_enqueued;
-        assert_eq!(speculated, 4);
-        // One served network (the layer itself — no speculation hit),
-        // probation over.
-        service.tune_or_wait(&shape, TileKind::Direct, &device()).unwrap();
-        assert!(service.stats().networks_served >= 1);
-        // Registering another network enqueues its layer but no longer
-        // speculates along any (hitless) kind.
-        let other = ConvShape::new(24, 14, 14, 12, 1, 1, 1, 0);
-        service.register_network(&other, &device());
-        let stats = service.stats();
-        assert_eq!(stats.speculative_enqueued, speculated, "no new speculation after probation");
-        for kind in PerturbationKind::ALL {
-            assert_eq!(stats.speculation_of(kind).hits, 0);
-        }
+    fn a_panicking_tune_leaves_the_in_flight_set_and_resumes() {
+        let service = TuningService::new(ShardedStore::new(), small_config());
+        service.lock().in_flight.insert("claimed".to_string());
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            service.guard_claimed(&["claimed"], || panic!("tuner failed"))
+        }));
+        assert!(unwound.is_err(), "the panic resumes past the guard");
+        assert!(service.lock().in_flight.is_empty(), "a dead claim must not block waiters");
+        // A run that returns leaves the claim for its caller to book.
+        service.lock().in_flight.insert("claimed".to_string());
+        assert_eq!(service.guard_claimed(&["claimed"], || 7), 7);
+        assert!(service.lock().in_flight.contains("claimed"));
     }
 
     #[test]
-    fn speculation_hits_keep_a_kind_alive_and_are_counted() {
-        let config =
-            ServiceConfig { speculate_neighbors: true, speculation_probation: 1, ..small_config() };
-        let service = TuningService::new(ShardedStore::new(), config);
-        let shape = ConvShape::new(32, 14, 14, 16, 1, 1, 1, 0);
-        service.register_network(&shape, &device());
-        service.drain();
-        // Request the cin-halved neighbor: the speculative record
-        // answers instantly and the prediction counts as a hit.
-        let neighbor = ConvShape { cin: 16, ..shape };
-        let out = service.tune_or_wait(&neighbor, TileKind::Direct, &device()).unwrap();
-        assert_eq!(out.source, ServeSource::ShardHit);
-        let stats = service.stats();
-        assert_eq!(stats.speculation_of(PerturbationKind::CinHalved).hits, 1);
-        assert!(stats.speculation_of(PerturbationKind::CinHalved).tuned >= 1);
-        // Past probation, the hitting kind keeps speculating while the
-        // hitless ones retire.
-        let other = ConvShape::new(24, 14, 14, 12, 1, 1, 1, 0);
-        service.register_network(&other, &device());
-        let after = service.stats();
-        assert_eq!(
-            after.speculation_of(PerturbationKind::CinHalved).enqueued,
-            stats.speculation_of(PerturbationKind::CinHalved).enqueued + 1,
-            "the confirmed kind still speculates"
-        );
-        assert_eq!(
-            after.speculation_of(PerturbationKind::CoutDoubled).enqueued,
-            stats.speculation_of(PerturbationKind::CoutDoubled).enqueued,
-            "hitless kinds stay retired"
-        );
-    }
-
-    #[test]
-    fn promoting_a_pending_neighbor_counts_as_a_speculation_hit() {
+    fn promoting_a_pending_neighbor_rebooks_it_at_batch_tier() {
         let config = ServiceConfig {
             speculate_neighbors: true,
             background_budget: 0, // nothing tunes in the background
@@ -1369,14 +1193,15 @@ mod tests {
         let service = TuningService::new(ShardedStore::new(), config);
         let shape = ConvShape::new(32, 14, 14, 16, 1, 1, 1, 0);
         service.register_network(&shape, &device());
+        assert_eq!(service.stats().speculative_enqueued, 4);
         // Request a neighbor while its speculative job is still queued:
-        // the job is absorbed into the session (promotion), which counts
-        // as a prediction hit even though nothing was tuned yet.
+        // the job is absorbed into the session (promotion), and its
+        // enqueue is re-booked from the neighbor tier to the batch tier.
         let neighbor = ConvShape { cin: 64, ..shape };
         let out = service.tune_or_wait(&neighbor, TileKind::Direct, &device()).unwrap();
         assert_eq!(out.source, ServeSource::Inline { cancelled_speculative: true });
         let stats = service.stats();
-        assert_eq!(stats.speculation_of(PerturbationKind::CinDoubled).hits, 1);
+        assert_eq!((stats.speculative_enqueued, stats.batch_enqueued), (3, 1));
         assert_eq!(stats.cancelled_speculative, 1);
     }
 
@@ -1415,7 +1240,8 @@ mod tests {
         let service = TuningService::new(ShardedStore::new(), config);
         service.register_network(&shapes(), &device());
         service.drain();
-        // A confirmed speculation so the restored telemetry is non-trivial.
+        // A request for a speculated neighbor, so the restored counters
+        // are non-trivial.
         let neighbor = ConvShape { cin: 16, ..shapes()[0] };
         service.tune_or_wait(&neighbor, TileKind::Direct, &device()).unwrap();
         service.save(&dir).unwrap();
@@ -1423,12 +1249,11 @@ mod tests {
         assert_eq!(sidecar.stats, service.stats());
         assert_eq!(sidecar.queue_len, 0);
         assert_eq!(sidecar.budget_left, service.snapshot().budget_left);
-        // Round trip: a reopened service continues the persisted history —
-        // hit rates and the probation clock survive the restart...
+        // Round trip: a reopened service continues the persisted history...
         let (reopened, report) = TuningService::open(&dir, config).unwrap();
         assert!(report.is_clean(), "warnings: {:?}", report.warnings);
         assert_eq!(reopened.stats(), service.stats(), "counters must survive the restart");
-        assert!(reopened.stats().speculation_of(PerturbationKind::CinHalved).hits > 0);
+        assert!(reopened.stats().shard_hits > 0);
         // ...while the queue and budget start fresh (per-process state).
         assert_eq!(reopened.queue_len(), 0);
         assert_eq!(reopened.snapshot().budget_left, config.background_budget);
@@ -1488,75 +1313,5 @@ mod tests {
         assert!(report.is_clean(), "warnings: {:?}", report.warnings);
         assert_eq!(again.stats(), after.stats);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn speculation_weight_is_the_smoothed_hit_rate() {
-        let mut stats = ServiceStats::default();
-        let kind = PerturbationKind::CinHalved;
-        // Fresh kind: full priority.
-        assert_eq!(TuningService::speculation_weight(&stats, kind), 1.0);
-        // Unconfirmed enqueues shrink the weight...
-        stats.speculation[kind.index()].enqueued = 3;
-        assert_eq!(TuningService::speculation_weight(&stats, kind), 0.25);
-        // ...and hits restore it.
-        stats.speculation[kind.index()].hits = 3;
-        assert_eq!(TuningService::speculation_weight(&stats, kind), 1.0);
-        // Other kinds are unaffected.
-        assert_eq!(TuningService::speculation_weight(&stats, PerturbationKind::CoutDoubled), 1.0);
-    }
-
-    #[test]
-    fn speculation_hit_rates_weight_neighbor_queue_priority() {
-        // Long probation: retirement never kicks in, so any ordering
-        // change is the rate weighting alone.
-        let config = ServiceConfig {
-            speculate_neighbors: true,
-            speculation_probation: 100,
-            ..small_config()
-        };
-        let service = TuningService::new(ShardedStore::new(), config);
-        let shape = ConvShape::new(32, 14, 14, 16, 1, 1, 1, 0);
-        service.register_network(&shape, &device());
-        service.drain();
-        // Confirm exactly one kind's prediction: its rate rises back to 1
-        // while the other kinds sit at 1/2.
-        let neighbor = ConvShape { cin: 16, ..shape };
-        service.tune_or_wait(&neighbor, TileKind::Direct, &device()).unwrap();
-        let stats = service.stats();
-        assert_eq!(stats.speculation_of(PerturbationKind::CinHalved).hits, 1);
-
-        // Register a fresh layer; its neighbor jobs must drain in
-        // rate-weighted io_gap order with fingerprint tie-breaks — the
-        // exact order this test recomputes from public pieces.
-        let other = ConvShape::new(48, 14, 14, 24, 1, 1, 1, 0);
-        service.register_network(&other, &device());
-        let mut expected: Vec<(u64, String)> = shape_perturbations(&other)
-            .into_iter()
-            .map(|(n, kind)| {
-                let gap = crate::queue::io_gap(&n, TileKind::Direct, &device())
-                    * TuningService::speculation_weight(&stats, kind);
-                let job = Job {
-                    shape: n,
-                    kind: TileKind::Direct,
-                    epilogue: iolb_core::Epilogue::None,
-                    device: device(),
-                    tier: JobTier::Neighbor,
-                    perturbation: Some(kind),
-                    enqueued_at: None,
-                };
-                (gap.to_bits(), job.fingerprint())
-            })
-            .collect();
-        expected.sort_by(|(ga, fa), (gb, fb)| gb.cmp(ga).then_with(|| fa.cmp(fb)));
-        let mut st = service.lock();
-        let mut drained = Vec::new();
-        while let Some(job) = st.queue.pop_first() {
-            if matches!(job.tier, JobTier::Neighbor) {
-                drained.push(job.fingerprint());
-            }
-        }
-        let expected: Vec<String> = expected.into_iter().map(|(_, fp)| fp).collect();
-        assert_eq!(drained, expected, "neighbor drain order must follow rate-weighted gaps");
     }
 }

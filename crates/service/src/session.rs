@@ -37,10 +37,7 @@
 //! [`wait`]: SessionHandle::wait
 
 use crate::queue::{io_gap, transfer_admissible, Job, JobTier, PushOutcome};
-use crate::service::{
-    kind_counter, ServeResult, ServeSource, ServiceSnapshot, State, TuningService, COUNTER,
-    KIND_COUNTER,
-};
+use crate::service::{ServeResult, ServeSource, ServiceSnapshot, State, TuningService, COUNTER};
 use crate::telemetry::MetricsSnapshot;
 use iolb_autotune::engine::tune_batch;
 use iolb_autotune::fusion::fusion_gate;
@@ -273,7 +270,6 @@ impl TuningService {
             for ((member, gap), anchor) in members.iter_mut().zip(gaps).zip(anchor_evals) {
                 if !st.shards.records(&member.workload).is_empty() {
                     member.resolution = Some(Resolution::Hit);
-                    confirm_speculation(&mut st, &member.fingerprint);
                     continue;
                 }
                 if st.infeasible.contains(&member.fingerprint) {
@@ -302,7 +298,6 @@ impl TuningService {
                             epilogue: member.epilogue,
                             device: device.clone(),
                             tier: JobTier::Transfer,
-                            perturbation: None,
                             enqueued_at: None,
                         };
                         match st.queue.push(job, gap) {
@@ -310,8 +305,8 @@ impl TuningService {
                                 st.telemetry.incr(COUNTER.transfer_enqueued, 1);
                                 pushed = true;
                             }
-                            PushOutcome::Promoted { from, perturbation } => {
-                                st.rebook_promotion(from, JobTier::Transfer, perturbation);
+                            PushOutcome::Promoted { from } => {
+                                st.rebook_promotion(from, JobTier::Transfer);
                             }
                             PushOutcome::AlreadyPending => {}
                         }
@@ -329,7 +324,6 @@ impl TuningService {
                     epilogue: member.epilogue,
                     device: device.clone(),
                     tier: JobTier::Batch { group },
-                    perturbation: None,
                     enqueued_at: None,
                 };
                 match st.queue.push(job, gap) {
@@ -337,11 +331,11 @@ impl TuningService {
                         st.telemetry.incr(COUNTER.batch_enqueued, 1);
                         pushed = true;
                     }
-                    PushOutcome::Promoted { from, perturbation } => {
+                    PushOutcome::Promoted { from } => {
                         // A pending background duplicate was absorbed
                         // into this session — the batch-path "cancel the
                         // speculative duplicate".
-                        st.rebook_promotion(from, JobTier::Batch { group }, perturbation);
+                        st.rebook_promotion(from, JobTier::Batch { group });
                         st.telemetry.incr(COUNTER.cancelled_speculative, 1);
                         member.cancelled_speculative = true;
                     }
@@ -524,13 +518,6 @@ impl BackendSession for SessionHandle {
     }
 }
 
-/// A client request confirmed a speculated workload: count the hit once.
-fn confirm_speculation(st: &mut State, fingerprint: &str) {
-    if let Some(kind) = st.speculative_origin.remove(fingerprint) {
-        st.telemetry.incr(&kind_counter(KIND_COUNTER.hits, kind), 1);
-    }
-}
-
 impl SessionHandle {
     /// The session's batch-group id.
     pub fn group(&self) -> u64 {
@@ -588,7 +575,6 @@ impl SessionHandle {
                     }
                     if !st.shards.records(&member.workload).is_empty() {
                         member.resolution = Some(Resolution::Stolen);
-                        confirm_speculation(&mut st, &member.fingerprint);
                         continue;
                     }
                     if st.infeasible.contains(&member.fingerprint) {
@@ -611,7 +597,6 @@ impl SessionHandle {
                             epilogue: member.epilogue,
                             device: self.device.clone(),
                             tier: JobTier::Batch { group: self.group },
-                            perturbation: None,
                             enqueued_at: None,
                         };
                         if let PushOutcome::Added = st.queue.push(job, gap) {
@@ -633,31 +618,24 @@ impl SessionHandle {
         }
     }
 
-    /// Tunes the claimed jobs as one batch on this thread, with the
-    /// same panic hygiene as the background path: on unwind the claimed
-    /// fingerprints leave the in-flight set and waiters are woken before
-    /// the panic resumes.
+    /// Tunes the claimed jobs as one batch on this thread, under the
+    /// same panic guard as the background path
+    /// ([`TuningService::guard_claimed`]).
     fn run_claimed(&mut self, claimed: Vec<(usize, Job)>) {
         let config = self.service.config();
         let requests: Vec<TuneRequest> = claimed
             .iter()
             .map(|(_, job)| TuneRequest::fused(job.shape, job.kind, job.epilogue))
             .collect();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let fingerprints: Vec<&str> =
+            claimed.iter().map(|(at, _)| self.members[*at].fingerprint.as_str()).collect();
+        let batch = self.service.guard_claimed(&fingerprints, || {
             tune_batch(&requests, &self.device, config.budget_per_workload, config.seed)
-        }));
+        });
         let mut st = self.service.lock();
-        for (at, _) in &claimed {
-            st.in_flight.remove(&self.members[*at].fingerprint);
+        for fingerprint in fingerprints {
+            st.in_flight.remove(fingerprint);
         }
-        let batch = match outcome {
-            Ok(batch) => batch,
-            Err(payload) => {
-                drop(st);
-                self.service.inner.changed.notify_all();
-                std::panic::resume_unwind(payload);
-            }
-        };
         st.shards.merge_flat(batch.store);
         for ((at, _), result) in claimed.iter().zip(batch.results) {
             let member = &mut self.members[*at];
