@@ -103,6 +103,44 @@ fn tuning_never_regresses_from_analytic_plan() {
     );
 }
 
+/// The served tuner never ends slower than the analytic plan it starts
+/// from, on every distinct (shape, algorithm) pair of the model zoo at
+/// the serving budget: the tile picked by `xy = Rz` is an upper bound on
+/// every served config's cost.
+#[test]
+fn served_tuning_never_ends_slower_than_its_analytic_seed() {
+    use conv_iolb::autotune::plan::{algo_candidates, tuner_setup};
+    let device = DeviceSpec::v100();
+    let mut pairs: Vec<(ConvShape, TileKind)> = Vec::new();
+    for net in models::all_networks() {
+        for layer in &net.layers {
+            for (kind, _) in algo_candidates(&layer.shape) {
+                if !pairs.contains(&(layer.shape, kind)) {
+                    pairs.push((layer.shape, kind));
+                }
+            }
+        }
+    }
+    assert_eq!(pairs.len(), 146, "the zoo's distinct (shape, algorithm) pairs");
+    let mut slower = Vec::new();
+    for &(shape, kind) in &pairs {
+        let mut s = tuner_setup(&shape, kind, &device, 32, 7);
+        let seed = fast_config(&shape, kind, &device).expect("plannable");
+        let seed_ms = s.measurer.measure_ms(&seed).expect("measurable");
+        let out =
+            tune(&s.space, &s.measurer, &mut s.model, &mut s.searcher, s.params).expect("tunable");
+        if out.best_ms > seed_ms {
+            slower.push(format!("{shape} {kind:?}: {} > {seed_ms}", out.best_ms));
+        }
+    }
+    assert!(
+        slower.is_empty(),
+        "{} pairs end slower than fast_config:\n{}",
+        slower.len(),
+        slower.join("\n")
+    );
+}
+
 /// The pruned searching domain is a strict subset of the full space on
 /// every AlexNet layer, with the Table 2 compression magnitude.
 #[test]
