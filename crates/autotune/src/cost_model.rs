@@ -1,9 +1,11 @@
 //! The learned cost model (paper Fig. 8, "Cost Model" box).
 //!
 //! Wraps the from-scratch GBT ensemble behind a small trait so searchers
-//! can also run model-free (`NoModel` scores everything equally, which
-//! degrades the guided walk into a pure random walk — the ablation the
-//! benches exercise).
+//! can also run model-free. `NoModel` scores everything equally; it is
+//! the served model ([`crate::plan::tuner_setup`]: the analytic seed
+//! first, then uniform samples; no learned model) and, under the walk,
+//! the ablation the benches exercise. The GBT steers the paper's engine
+//! in the figure harnesses.
 
 use crate::gbt::{Gbrt, GbrtParams};
 use rand::rngs::StdRng;

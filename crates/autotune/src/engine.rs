@@ -13,16 +13,15 @@
 //!
 //! The paper measures proposal batches in parallel because a measurement
 //! on a real GPU costs seconds. Here it is one ~1 µs simulator call
-//! (< 1 % of a run) against a ~12 µs pool hand-off, so **one tuning run
-//! is serial from end to end** — train, search, measure, fold — and a
-//! pure function of `(space, measurer, params.seed)` and, store-backed,
-//! of the store's records for the workload. The one parallel grain in the
-//! tuner is *across* runs: [`tune_batch`] hands each unique workload's
-//! whole hermetic run (1.5–1.8 ms, 125–150 hand-offs) to a pool worker
-//! and collects the outcomes in request order, so its result does not
-//! depend on the thread count either. README's "Parallelism &
-//! determinism" table lists every parallel site in the workspace under
-//! the same rule: a site is parallel only if one item is ≥ 100 hand-offs.
+//! against a ~12 µs pool hand-off, so **the tuner has no parallel
+//! region**: one run is serial from end to end — train, search, measure,
+//! fold — and a pure function of `(space, measurer, params.seed)` and,
+//! store-backed, of the store's records for the workload. [`tune_batch`]
+//! runs its unique workloads one after another too: a served run (the
+//! analytic seed, then uniform samples, no model to refit) takes about
+//! 0.27 ms, some 21 hand-offs, below the bar README's "Parallelism &
+//! determinism" table sets every parallel site in the workspace: a site
+//! is parallel only if one item is ≥ 100 hand-offs.
 //!
 //! ## The record store
 //!
@@ -49,7 +48,6 @@ use iolb_gpusim::DeviceSpec;
 use iolb_records::{RecordStore, TuningRecord, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Tuning budget and convergence knobs.
 #[derive(Debug, Clone, Copy)]
@@ -433,9 +431,7 @@ pub struct BatchTuneOutcome {
 /// workload then runs [`tune_hermetic`] — exactly the run the tuning
 /// service's background workers perform, so a batch-tuned config is
 /// bit-identical to an eager [`tune_with_store`] run of the same
-/// `(workload, budget, seed)` — and the unique runs fan out across pool
-/// workers, the tuner's only parallel region (results are collected in
-/// request order, so the outcome is independent of scheduling).
+/// `(workload, budget, seed)` — one after another, in request order.
 ///
 /// Hermeticity is deliberate: sharing measurements *across* members
 /// would make each result depend on batch composition and completion
@@ -449,19 +445,15 @@ pub fn tune_batch(
     seed: u64,
 ) -> BatchTuneOutcome {
     let (unique, representative) = crate::plan::dedup_requests(requests.iter().copied(), device);
-    let runs: Vec<Option<(StoreTuneResult, RecordStore)>> =
-        unique.par_iter().map(|req| tune_hermetic(req, device, budget, seed)).collect();
     let mut store = RecordStore::new();
-    let mut results_by_unique: Vec<Option<StoreTuneResult>> = Vec::with_capacity(runs.len());
-    for run in runs {
-        match run {
-            Some((out, private)) => {
-                store.merge(private);
-                results_by_unique.push(Some(out));
-            }
-            None => results_by_unique.push(None),
-        }
-    }
+    let results_by_unique: Vec<Option<StoreTuneResult>> = unique
+        .iter()
+        .map(|req| {
+            let (out, private) = tune_hermetic(req, device, budget, seed)?;
+            store.merge(private);
+            Some(out)
+        })
+        .collect();
     let results =
         representative.iter().map(|&at| results_by_unique[at].clone()).collect::<Vec<_>>();
     BatchTuneOutcome {
@@ -561,7 +553,7 @@ mod tests {
     fn patience_stops_early() {
         let (space, measurer) = setup(true);
         let mut model = NoModel;
-        let mut searcher = RandomSearch;
+        let mut searcher = RandomSearch::default();
         let result = tune(
             &space,
             &measurer,
@@ -649,7 +641,7 @@ mod tests {
                 0 => (Box::new(ParallelRandomWalk::new()), Box::new(GbtCostModel::default())),
                 1 => (Box::new(SimulatedAnnealing::new()), Box::new(GbtCostModel::default())),
                 2 => (Box::new(GeneticSearch::new()), Box::new(NoModel)),
-                _ => (Box::new(RandomSearch), Box::new(NoModel)),
+                _ => (Box::new(RandomSearch::default()), Box::new(NoModel)),
             }
         };
         let mut compared = 0;

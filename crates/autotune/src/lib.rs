@@ -34,8 +34,9 @@
 //! use iolb_core::shapes::ConvShape;
 //! use iolb_gpusim::DeviceSpec;
 //!
-//! // A tiny deterministic tuning run: pruned space, GBT model, parallel
-//! // random walk warm-seeded at the analytic optimality-condition config.
+//! // A tiny deterministic tuning run over the pruned space: the analytic
+//! // optimality-condition config first, then uniform samples; no learned
+//! // model.
 //! let shape = ConvShape::square(32, 14, 32, 3, 1, 1);
 //! let mut s = plan::tuner_setup(&shape, TileKind::Direct, &DeviceSpec::v100(), 16, 7);
 //! let out = iolb_autotune::tune(&s.space, &s.measurer, &mut s.model, &mut s.searcher, s.params)

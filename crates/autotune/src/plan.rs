@@ -11,11 +11,11 @@
 //! * [`fast_config`] — the no-search configuration: the best integer
 //!   tile under the paper's optimality condition `xy = Rz`, with a
 //!   default thread split — both the analytic plan
-//!   (`iolb_cnn::inference::time_network`) and the warm seed every tuning
-//!   run starts from;
-//! * [`tuner_setup`] — the canonical single-workload tuner: pruned
-//!   space, GBT cost model, parallel random walk seeded at
-//!   [`fast_config`], fixed batch/patience. Given the same
+//!   (`iolb_cnn::inference::time_network`) and the seed every tuning
+//!   run measures first;
+//! * [`tuner_setup`] — the canonical single-workload tuner: the analytic
+//!   seed first, then uniform samples of the pruned space; no learned
+//!   model. Fixed batch/patience. Given the same
 //!   `(shape, kind, device, budget, seed)` it reproduces the same
 //!   tuning trajectory everywhere — the determinism contract the
 //!   tuning service's "drained == eager" guarantee is built on.
@@ -24,11 +24,11 @@
 //! the CNN layer (notably `iolb-service`) can plan without a dependency
 //! cycle. `iolb_cnn::inference` re-exports them.
 
+use crate::cost_model::NoModel;
 use crate::engine::TuneParams;
 use crate::measure::Measurer;
-use crate::search::walk::ParallelRandomWalk;
+use crate::search::random::RandomSearch;
 use crate::space::ConfigSpace;
-use crate::GbtCostModel;
 use iolb_core::epilogue::Epilogue;
 use iolb_core::optimality::{best_tile, divisors, TileKind};
 use iolb_core::shapes::{ConvShape, WinogradTile};
@@ -118,15 +118,17 @@ pub fn algo_candidates(shape: &ConvShape) -> Vec<(TileKind, &'static str)> {
 pub struct TunerSetup {
     pub space: ConfigSpace,
     pub measurer: Measurer,
-    pub model: GbtCostModel,
-    pub searcher: ParallelRandomWalk,
+    pub model: NoModel,
+    pub searcher: RandomSearch,
     pub params: TuneParams,
 }
 
-/// The canonical per-workload tuner: pruned space, GBT model, parallel
-/// random walk seeded at [`fast_config`], `batch = 8`,
-/// `patience = budget` (so a run with budget `b` spends exactly `b`
-/// attempts unless the space is exhausted).
+/// The canonical per-workload tuner: the analytic seed
+/// ([`fast_config`]) first, then uniform samples of the pruned space; no
+/// learned model. `batch = 8`, `patience = budget` (so a run with budget
+/// `b` spends exactly `b` attempts unless the space is exhausted). The
+/// seed is measured in the first batch, so a run never serves a config
+/// slower than the analytic plan.
 ///
 /// Every consumer that wants replayable, comparable per-workload tuning
 /// (CNN inference timing, the tuning service's background workers and
@@ -146,10 +148,9 @@ pub fn tuner_setup(
 /// The canonical tuner for a fused conv→epilogue chain: identical to
 /// [`tuner_setup`] except the space honours the epilogue's tiling grid
 /// and the measurer folds the analytic fused-epilogue term into every
-/// cost. Warm seeds from [`fast_config`] that fall off the fused tile
-/// grid are dropped (the walk then seeds from the space itself), so the
-/// trajectory stays a pure function of
-/// `(shape, kind, epilogue, device, budget, seed)`.
+/// cost. A [`fast_config`] seed off the fused tile grid fails
+/// [`ConfigSpace::admits_seed`] and is dropped, so the trajectory stays
+/// a pure function of `(shape, kind, epilogue, device, budget, seed)`.
 pub fn tuner_setup_fused(
     shape: &ConvShape,
     kind: TileKind,
@@ -160,18 +161,9 @@ pub fn tuner_setup_fused(
 ) -> TunerSetup {
     let space = ConfigSpace::fused(*shape, kind, device.smem_per_sm, true, epilogue);
     let measurer = Measurer::new(device.clone(), *shape, kind).with_epilogue(epilogue);
-    let model = GbtCostModel::default();
-    let mut seeds: Vec<ScheduleConfig> = fast_config(shape, kind, device).into_iter().collect();
-    if !epilogue.is_none() {
-        // A fused space excludes tiles off the pool grid; an off-grid
-        // warm seed would be re-measured forever without ever being
-        // servable. (The unfused seed list is deliberately unfiltered —
-        // its trajectory predates fusion and must not move.)
-        seeds.retain(|c| space.contains(c));
-    }
-    let searcher = ParallelRandomWalk::with_seeds(seeds);
+    let searcher = RandomSearch::with_seeds(fast_config(shape, kind, device).into_iter().collect());
     let params = TuneParams { max_measurements: budget, batch: 8, patience: budget, seed };
-    TunerSetup { space, measurer, model, searcher, params }
+    TunerSetup { space, measurer, model: NoModel, searcher, params }
 }
 
 /// Default anchor floor: dimensions at or below this stay exact when a

@@ -3,6 +3,8 @@
 //! Four strategies, mirroring the paper's Fig. 11 comparison:
 //!
 //! * [`random::RandomSearch`] — uniform sampling (TVM's `random` tuner);
+//!   seeded with the analytic tile, it is the served tuner
+//!   ([`crate::plan::tuner_setup`]);
 //! * [`sa::SimulatedAnnealing`] — model-guided annealing (TVM's XGBoost+SA
 //!   tuner);
 //! * [`genetic::GeneticSearch`] — a genetic algorithm (TVM's GA tuner);

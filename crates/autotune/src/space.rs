@@ -103,13 +103,25 @@ impl ConfigSpace {
         }
     }
 
-    /// Whether a configuration belongs to this space.
-    pub fn contains(&self, cfg: &ScheduleConfig) -> bool {
+    /// Whether a configuration's tile and `S_b` lie on this space's grid
+    /// (for a fused pool chain: tiles on the pool grid).
+    fn on_grid(&self, cfg: &ScheduleConfig) -> bool {
         self.xs.contains(&cfg.x)
             && self.ys.contains(&cfg.y)
             && self.zs.contains(&cfg.z)
             && self.sbs.contains(&cfg.sb_bytes)
-            && self.admits(cfg)
+    }
+
+    /// Whether a configuration belongs to this space.
+    pub fn contains(&self, cfg: &ScheduleConfig) -> bool {
+        self.on_grid(cfg) && self.admits(cfg)
+    }
+
+    /// Whether a warm seed (the analytic tile, a stored best) may be
+    /// measured in this space: on the grid and buildable, but not held to
+    /// the pruning band — the band can exclude the analytic tile itself.
+    pub fn admits_seed(&self, cfg: &ScheduleConfig) -> bool {
+        self.on_grid(cfg) && cfg.validate(&self.shape, self.kind, self.ssm_bytes, false).is_ok()
     }
 
     /// Iterates every valid configuration. The visitor returns `true` to

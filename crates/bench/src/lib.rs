@@ -94,7 +94,7 @@ fn tuner_setup(
         }
         TunerKind::TvmSa => Box::new(SimulatedAnnealing::new()),
         TunerKind::TvmGa => Box::new(GeneticSearch::new()),
-        TunerKind::TvmRandom => Box::new(RandomSearch),
+        TunerKind::TvmRandom => Box::new(RandomSearch::default()),
     };
     (space, measurer, params, searcher)
 }

@@ -1,8 +1,8 @@
 //! Tuning determinism (ISSUE 1 acceptance gate): the same seed must
 //! reproduce the tuning trajectory to the bit.
 //!
-//! Run-to-run identity lives here; the parallel-vs-forced-serial check
-//! (of `tune_batch`, the tuner's one parallel region) lives in
+//! Run-to-run identity lives here; the thread-cap 1 vs 8 check of
+//! `tune` and `tune_batch` lives in
 //! `determinism_serial.rs` — its own binary, because it
 //! mutates `RAYON_NUM_THREADS` and environment writes must not race
 //! sibling test threads' reads.
