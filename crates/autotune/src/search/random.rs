@@ -153,19 +153,23 @@ mod tests {
         let device = DeviceSpec::v100();
         let space = ConfigSpace::new(shape, TileKind::Direct, device.smem_per_sm, true);
         let measurer = Measurer::new(device, shape, TileKind::Direct);
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = StdRng::seed_from_u64(55);
         let seeds: Vec<ScheduleConfig> =
             (0..2).map(|_| space.sample(&mut rng, 256).unwrap()).collect();
-        let mut s = RandomSearch::default();
-        s.warm_start(&seeds);
-        let params = TuneParams { max_measurements: 8, batch: 4, patience: 8, seed: 5 };
-        let mut store = iolb_records::RecordStore::new();
-        tune_with_store(&space, &measurer, &mut NoModel, &mut s, params, &mut store).unwrap();
-        let wl = crate::engine::workload_for(&space, &measurer);
-        let measured: Vec<ScheduleConfig> =
-            store.records(&wl.fingerprint()).iter().map(|r| r.config).collect();
+        let measured = |warm: &[ScheduleConfig]| {
+            let mut s = RandomSearch::default();
+            s.warm_start(warm);
+            let params = TuneParams { max_measurements: 8, batch: 4, patience: 8, seed: 5 };
+            let mut store = iolb_records::RecordStore::new();
+            tune_with_store(&space, &measurer, &mut NoModel, &mut s, params, &mut store).unwrap();
+            let wl = crate::engine::workload_for(&space, &measurer);
+            store.records(&wl.fingerprint()).iter().map(|r| r.config).collect::<Vec<_>>()
+        };
+        let cold = measured(&[]);
+        assert!(seeds.iter().any(|c| !cold.contains(c)), "control: samples alone hit the seeds");
+        let warm = measured(&seeds);
         for seed in &seeds {
-            assert!(measured.contains(seed), "warm seed {seed} never measured");
+            assert!(warm.contains(seed), "warm seed {seed} never measured");
         }
     }
 
